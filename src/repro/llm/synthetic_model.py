@@ -45,7 +45,7 @@ def _stable_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationResult:
     """Output of :meth:`SyntheticLLM.generate_with_kv`."""
 

@@ -469,17 +469,17 @@ class ConcurrentEngine:
         timeline: RequestTimeline,
     ) -> ConcurrentQueryResponse:
         engine = self.engine
-        reference_kv = engine._reference_kv(submission.context_id, resolution.num_tokens)
         if resolution.use_kv:
             assert isinstance(process, ChunkedKVLoad)
-            delivered = process.materialise(engine.decoder)
-            generation = engine.llm.generate_with_kv(
-                delivered, reference_kv=reference_kv, task=submission.task
-            )
             chunk_configs = process.configs
+            generation = engine._generate_from_stored(
+                resolution.stored, chunk_configs, submission.task
+            )
         else:
+            # Recomputing from text hands the model the lossless cache itself.
             generation = engine.llm.generate_with_kv(
-                reference_kv, reference_kv=reference_kv, task=submission.task
+                engine._reference_kv(submission.context_id, resolution.num_tokens),
+                task=submission.task,
             )
             chunk_configs = ["text"]
 

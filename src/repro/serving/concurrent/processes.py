@@ -22,6 +22,7 @@ from ...llm.compute_model import ComputeModel
 from ...network.link import NetworkLink
 from ...streaming.adaptation import AdaptationPolicy, StreamDecision, TEXT_CONFIG
 from ...streaming.chunking import PreparedChunk
+from ...streaming.streamer import materialise
 from .resources import DECODE, PREFILL
 
 __all__ = [
@@ -269,13 +270,4 @@ class ChunkedKVLoad:
 
     def materialise(self, decoder: CacheGenDecoder) -> KVCache:
         """The KV cache the model ends up with, given the decisions made."""
-        if len(self.decisions) < len(self.prepared):
-            raise RuntimeError("cannot materialise an unfinished load")
-        delivered = []
-        for chunk, decision in zip(self.prepared, self.decisions):
-            if decision.is_text:
-                # Recomputing from text reproduces the lossless KV slice.
-                delivered.append(chunk.chunk.kv)
-            else:
-                delivered.append(decoder.decode(chunk.encodings[decision.config]))
-        return KVCache.concat(delivered)
+        return materialise(self.prepared, self.configs, decoder)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..core.kv_cache import KVCache
 
@@ -30,13 +31,13 @@ from ..core.encoder import CacheGenEncoder
 from ..llm.compute_model import A40, ComputeModel, GPUSpec
 from ..llm.model_config import ModelConfig, get_model_config
 from ..llm.quality import QualityModel
-from ..llm.synthetic_model import SyntheticLLM
+from ..llm.synthetic_model import GenerationResult, SyntheticLLM
 from ..metrics.system import TTFTBreakdown
 from ..network.link import NetworkLink
 from ..storage.eviction import EvictionPolicy, make_policy
-from ..storage.kv_store import KVCacheStore
+from ..storage.kv_store import KVCacheStore, StoredContext
 from ..streaming.adaptation import FixedLevelPolicy, SLOAwareAdapter
-from ..streaming.streamer import KVStreamer
+from ..streaming.streamer import KVStreamer, materialise
 from ._compat import warn_deprecated_entry_point
 from .pipeline import IngestReport, QueryResponse
 
@@ -180,6 +181,26 @@ class ContextLoadingEngine:
             cache.move_to_end(key)
         return kv
 
+    def _generate_from_stored(
+        self, stored: StoredContext, configs: Sequence[str], task: str
+    ) -> GenerationResult:
+        """Response to a read of ``stored`` whose chunks arrived as ``configs``.
+
+        The delivered tensor — and so the response — is fixed by the record
+        and the per-chunk configurations, so each is decoded, assembled and
+        scored against the lossless reference once and remembered on the
+        record (see :attr:`StoredContext.generations`).
+        """
+        key = (tuple(configs), task)
+        generation = stored.generations.get(key)
+        if generation is None:
+            generation = stored.generations[key] = self._parts.llm.generate_with_kv(
+                materialise(stored.chunks, configs, self._parts.decoder),
+                reference_kv=self._reference_kv(stored.context_id, stored.num_tokens),
+                task=task,
+            )
+        return generation
+
     # ------------------------------------------------------------------ ingest
     def ingest(self, context_id: str, num_tokens: int) -> IngestReport:
         """Prefill a context once, encode its KV cache and store the bitstreams.
@@ -291,13 +312,9 @@ class ContextLoadingEngine:
         # the SLO budget the adapter has left for the serving link.
         streaming_slo = None if slo_s is None else max(slo_s - extra_network_s, 0.0)
         streamed = streamer.stream(
-            stored.chunks, link=link, policy=policy, slo_s=streaming_slo, reconstruct=True
+            stored.chunks, link=link, policy=policy, slo_s=streaming_slo, reconstruct=False
         )
-        assert streamed.kv is not None
-        reference_kv = self._reference_kv(stored.context_id, stored.num_tokens)
-        generation = parts.llm.generate_with_kv(
-            streamed.kv, reference_kv=reference_kv, task=task
-        )
+        generation = self._generate_from_stored(stored, streamed.configs, task)
         ttft = TTFTBreakdown(
             network_s=streamed.network_time_s + extra_network_s,
             decode_s=max(streamed.total_time_s - streamed.network_time_s, 0.0),
@@ -327,8 +344,10 @@ class ContextLoadingEngine:
         link = link or self.link
         text_bytes = num_tokens * self.config.text_bytes_per_token
         transfer = link.transfer(text_bytes)
-        kv = self._reference_kv(context_id, num_tokens)
-        generation = parts.llm.generate_with_kv(kv, reference_kv=kv, task=task)
+        # Recomputing from text hands the model the lossless cache itself.
+        generation = parts.llm.generate_with_kv(
+            self._reference_kv(context_id, num_tokens), task=task
+        )
         ttft = TTFTBreakdown(
             network_s=transfer.duration,
             decode_s=0.0,

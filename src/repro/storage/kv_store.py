@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Mapping
 
 from ..core.encoder import CacheGenEncoder, EncodedKV
 from ..core.kv_cache import KVCache
+from ..llm.synthetic_model import GenerationResult
 from ..streaming.chunking import PreparedChunk, prepare_chunks
 from .eviction import EvictionPolicy, LRUPolicy
 
@@ -38,6 +39,14 @@ class StoredContext:
     model_name: str
     num_tokens: int
     chunks: list[PreparedChunk] = field(default_factory=list)
+    #: ``GenerationResult`` of the reads served off this record, keyed by
+    #: ``(per-chunk configs, task)`` — the record is immutable once encoded, so
+    #: the result is a pure function of that key.  The memo lives and dies with
+    #: the record: eviction drops it, a re-ingest starts empty, and a demoted,
+    #: promoted or re-replicated record (the same object) keeps its own.
+    generations: dict[tuple[tuple[str, ...], str], GenerationResult] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def num_chunks(self) -> int:

@@ -27,7 +27,24 @@ from ..network.link import NetworkLink
 from .adaptation import AdaptationPolicy, StreamDecision, TEXT_CONFIG
 from .chunking import PreparedChunk
 
-__all__ = ["StreamedChunk", "StreamingResult", "KVStreamer"]
+__all__ = ["StreamedChunk", "StreamingResult", "KVStreamer", "materialise"]
+
+
+def materialise(
+    chunks: Sequence[PreparedChunk], configs: Sequence[str], decoder: CacheGenDecoder
+) -> KVCache:
+    """The KV cache the model ends up with when ``chunks`` arrive as ``configs``."""
+    if len(configs) != len(chunks):
+        raise RuntimeError("cannot materialise an unfinished load")
+    return KVCache.concat(
+        [
+            # Recomputing from text reproduces the lossless KV slice.
+            chunk.chunk.kv
+            if config == TEXT_CONFIG
+            else decoder.decode(chunk.encodings[config])
+            for chunk, config in zip(chunks, configs)
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -162,7 +179,6 @@ class KVStreamer:
         throughput = self.initial_throughput_bps
         transfer_clock = 0.0
         ready_clock = 0.0
-        delivered: list[KVCache] = []
 
         for position, prepared in enumerate(prepared_chunks):
             remaining = list(prepared_chunks[position:])
@@ -194,11 +210,8 @@ class KVStreamer:
                     achieved_throughput_bps=throughput,
                 )
             )
-            if reconstruct:
-                delivered.append(self._materialise_chunk(prepared, decision))
-
-        if reconstruct and delivered:
-            result.kv = KVCache.concat(delivered)
+        if reconstruct:
+            result.kv = materialise(prepared_chunks, result.configs, self.decoder)
         return result
 
     # ------------------------------------------------------------------ pieces
@@ -213,10 +226,3 @@ class KVStreamer:
             num_bytes = prepared.bytes_for_level(decision.config)
             process_delay = self.compute_model.decode_delay(prepared.num_tokens, gpu_share)
         return num_bytes, process_delay
-
-    def _materialise_chunk(self, prepared: PreparedChunk, decision: StreamDecision) -> KVCache:
-        """The KV cache the model ends up with for this chunk."""
-        if decision.is_text:
-            # Recomputing from text reproduces the lossless KV for this chunk.
-            return prepared.chunk.kv
-        return self.decoder.decode(prepared.encodings[decision.config])
