@@ -8,9 +8,8 @@ degrade while every request is still served.
 
 from __future__ import annotations
 
-from repro.cluster import ClusterFrontend, ClusterSimulator, WorkloadGenerator
-from repro.core import CacheGenConfig
-from repro.network import ConstantTrace, NetworkLink, gbps
+from repro.cluster import WorkloadGenerator
+from repro.serving.api import ServingSpec, serve
 
 NODE_COUNTS = (2, 4)
 NUM_REQUESTS = 60
@@ -22,19 +21,22 @@ MAX_BYTES_PER_NODE = 100e6
 def _run_scaling() -> dict[int, object]:
     reports = {}
     for num_nodes in NODE_COUNTS:
-        frontend = ClusterFrontend(
-            "mistral-7b",
-            node_links=[NetworkLink(ConstantTrace(gbps(3.0))) for _ in range(num_nodes)],
-            replication_factor=2,
+        spec = ServingSpec(
+            model="mistral-7b",
+            topology="cluster",
+            num_nodes=num_nodes,
+            replication=2,
+            bandwidth_gbps=3.0,
             max_bytes_per_node=MAX_BYTES_PER_NODE,
             eviction_policy="lru",
-            config=CacheGenConfig(chunk_tokens=256),
+            chunk_tokens=256,
+            slo_s=1.0,
+            adaptive=False,
         )
         workload = WorkloadGenerator(
             num_contexts=10, zipf_alpha=1.0, token_choices=(320, 640), seed=11
         )
-        simulator = ClusterSimulator(frontend, workload, slo_s=1.0, adaptive=False)
-        reports[num_nodes] = simulator.run(NUM_REQUESTS)
+        reports[num_nodes] = serve(spec, workload=workload, num_requests=NUM_REQUESTS)
     return reports
 
 

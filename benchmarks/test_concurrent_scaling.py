@@ -10,7 +10,9 @@ share to hide behind), and the TTFT decomposition must stay exact.
 from __future__ import annotations
 
 from repro.core import CacheGenConfig
-from repro.serving import ConcurrentEngine, ContextLoadingEngine
+from repro.serving import ServeRequest
+from repro.serving.concurrent import ConcurrentEngine
+from repro.serving.engine import ContextLoadingEngine
 
 CONCURRENCY_LEVELS = (1, 2, 4, 8)
 NUM_TOKENS = 3_000
@@ -21,11 +23,11 @@ def _run_scaling() -> dict[int, list]:
         "mistral-7b", config=CacheGenConfig(chunk_tokens=512)
     )
     concurrent = ConcurrentEngine(engine, max_decode_batch=16)
-    concurrent.ingest("ctx", NUM_TOKENS)
+    engine.ingest("ctx", NUM_TOKENS)
     responses = {}
     for n in CONCURRENCY_LEVELS:
         for _ in range(n):
-            concurrent.submit("ctx", "How did revenue develop?")
+            concurrent.submit(ServeRequest("ctx", "How did revenue develop?"))
         responses[n] = concurrent.run()
     return responses
 

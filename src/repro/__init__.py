@@ -33,14 +33,10 @@ Public entry points
 * :mod:`repro.baselines` — every method the paper compares against.
 * :mod:`repro.experiments` — one module per table/figure of the evaluation.
 * :mod:`repro.cluster` — sharded, replicated, capacity-bounded KV-cache
-  cluster with a multi-tenant serving frontend and workload simulator.
-
-The pre-spec entry points (:class:`repro.ContextLoadingEngine`,
-:class:`repro.ClusterFrontend`, ``ConcurrentEngine``) remain as deprecation
-shims over the same machinery.
+  cluster with a multi-tenant serving frontend and workload generator.
 """
 
-from .cluster import ClusterFrontend, ClusterSimulator, WorkloadGenerator
+from .cluster import WorkloadGenerator
 from .core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodingLevel, KVCache
 from .faults import (
     BreakerPolicy,
@@ -58,7 +54,6 @@ from .llm import ComputeModel, ModelConfig, QualityModel, SyntheticLLM, get_mode
 from .network import ConstantTrace, NetworkLink, RandomTrace, StepTrace, gbps
 from .serving import (
     AutoscaleSpec,
-    ContextLoadingEngine,
     DispatchPolicy,
     Driver,
     GpuWorkerPool,
@@ -86,7 +81,7 @@ from .telemetry import (
     write_jsonl,
 )
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AlertEngine",
@@ -95,11 +90,8 @@ __all__ = [
     "CacheGenConfig",
     "CacheGenDecoder",
     "CacheGenEncoder",
-    "ClusterFrontend",
-    "ClusterSimulator",
     "ComputeModel",
     "ConstantTrace",
-    "ContextLoadingEngine",
     "Corruption",
     "DispatchPolicy",
     "Driver",

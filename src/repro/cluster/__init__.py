@@ -2,7 +2,7 @@
 
 The single-node serving stack (one :class:`~repro.storage.KVCacheStore`, one
 :class:`~repro.network.NetworkLink`, one
-:class:`~repro.serving.ContextLoadingEngine`) reproduces the paper's testbed;
+:class:`~repro.serving.engine.ContextLoadingEngine`) reproduces the paper's testbed;
 this package scales it out:
 
 * :class:`ConsistentHashRing` — directory-free context placement;
@@ -10,30 +10,25 @@ this package scales it out:
 * :class:`ShardedKVStore` — replicated placement with failover lookup;
 * :class:`ClusterFrontend` — the engine extended with cluster routing and a
   text fallback on full cluster miss;
-* :class:`WorkloadGenerator` / :class:`ClusterSimulator` — Zipf/Poisson
-  multi-tenant workloads and cluster-level reporting (per-node hit ratios,
-  evictions, TTFT percentiles, SLO attainment).
+* :class:`WorkloadGenerator` — Zipf/Poisson multi-tenant workloads (drive
+  them with :func:`repro.serving.api.serve`; the cluster-level report is its
+  :class:`~repro.serving.api.RunReport`).
 """
 
-from .frontend import ClusterFrontend, ClusterIngestReport, ClusterQueryResponse
+from .frontend import ClusterFrontend, ClusterIngestReport
 from .hash_ring import ConsistentHashRing
 from .node import StorageNode
 from .sharded_store import Lookup, Placement, RebalanceReport, ShardedKVStore
-from .simulator import ClusterReport, ClusterSimulator, RequestRecord
 from .workload import Request, WorkloadGenerator
 
 __all__ = [
     "ClusterFrontend",
     "ClusterIngestReport",
-    "ClusterQueryResponse",
-    "ClusterReport",
-    "ClusterSimulator",
     "ConsistentHashRing",
     "Lookup",
     "Placement",
     "RebalanceReport",
     "Request",
-    "RequestRecord",
     "ShardedKVStore",
     "StorageNode",
     "WorkloadGenerator",

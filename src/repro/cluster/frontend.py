@@ -1,7 +1,7 @@
 """Multi-tenant cluster serving frontend.
 
 :class:`ClusterFrontend` extends the single-node
-:class:`~repro.serving.ContextLoadingEngine` with cluster routing: ingests are
+:class:`~repro.serving.engine.ContextLoadingEngine` with cluster routing: ingests are
 encoded once and replicated onto the sharded store, and queries stream the KV
 bitstreams from the replica node's own (possibly heterogeneous) link.  When a
 replica is down the lookup fails over along the hash ring; when every replica
@@ -18,17 +18,16 @@ from ..core.config import CacheGenConfig
 from ..llm.compute_model import A40, GPUSpec
 from ..llm.model_config import ModelConfig
 from ..network.link import NetworkLink
-from ..serving._compat import warn_deprecated_entry_point
-from ..serving.api.types import ServeResponse
-from ..serving.engine import ContextLoadingEngine
-from ..serving.pipeline import IngestReport, QueryResponse
+from ..serving.api.types import ServeRequest
+from ..serving.engine import ContextLoadingEngine, Resolution
+from ..serving.pipeline import IngestReport
 from ..storage.eviction import EvictionPolicy, make_policy
 from ..storage.kv_store import KVCacheStore
 from ..storage.tiered import DiskKVStore, PlacementPolicy, TieredKVStore
 from .node import StorageNode
 from .sharded_store import ShardedKVStore
 
-__all__ = ["ClusterIngestReport", "ClusterQueryResponse", "ClusterFrontend"]
+__all__ = ["ClusterIngestReport", "ClusterFrontend"]
 
 
 @dataclass(frozen=True)
@@ -37,43 +36,6 @@ class ClusterIngestReport(IngestReport):
 
     replica_node_ids: tuple[str, ...] = ()
     replicated_bytes: float = 0.0
-
-
-@dataclass
-class ClusterQueryResponse(ServeResponse):
-    """Query response of the cluster frontend.
-
-    Historically this subclass carried the routing fields (``served_by`` /
-    ``failed_over`` / ``attempted_node_ids``); those now live on the unified
-    :class:`~repro.serving.api.ServeResponse`, of which this is a
-    field-for-field alias kept for back compatibility.
-    """
-
-
-def _as_cluster_response(
-    response: QueryResponse,
-    served_by: str | None,
-    failed_over: bool = False,
-    attempted: tuple[str, ...] = (),
-    served_tier: str | None = None,
-    tier_transfer_s: float = 0.0,
-    degraded: bool = False,
-    degrade_cause: str | None = None,
-    retries: int = 0,
-    hedged: bool = False,
-) -> ClusterQueryResponse:
-    return ClusterQueryResponse.upgrade(
-        response,
-        served_by=served_by,
-        failed_over=failed_over,
-        attempted_node_ids=attempted,
-        served_tier=served_tier,
-        tier_transfer_s=tier_transfer_s,
-        degraded=degraded,
-        degrade_cause=degrade_cause,
-        retries=retries,
-        hedged=hedged,
-    )
 
 
 class ClusterFrontend(ContextLoadingEngine):
@@ -110,12 +72,6 @@ class ClusterFrontend(ContextLoadingEngine):
         Link to the document store used by the text fallback; defaults to a
         fresh 3 Gbps link.
 
-    .. deprecated::
-        Direct construction is deprecated; declare a
-        :class:`repro.serving.api.ServingSpec` with ``topology="cluster"`` (or
-        ``"tiered"``) and use :func:`repro.serving.api.serve` /
-        ``build_backend`` instead.
-
     Example
     -------
     >>> frontend = ClusterFrontend("mistral-7b", node_links=4, replication_factor=2)
@@ -139,10 +95,6 @@ class ClusterFrontend(ContextLoadingEngine):
         text_link: NetworkLink | None = None,
         vnodes: int = 64,
     ) -> None:
-        if type(self) is ClusterFrontend:
-            warn_deprecated_entry_point(
-                "ClusterFrontend", 'ServingSpec(topology="cluster")'
-            )
         super().__init__(
             model, link=text_link, config=config, gpu=gpu, base_quality=base_quality
         )
@@ -221,6 +173,19 @@ class ClusterFrontend(ContextLoadingEngine):
     def mark_up(self, node_id: str) -> None:
         self.cluster.mark_up(node_id)
 
+    @property
+    def resilience(self):
+        return self.cluster.resilience
+
+    def link_labels(self) -> dict[int, str]:
+        labels = super().link_labels()
+        for node_id, node in self.cluster.nodes.items():
+            labels[id(node.link)] = node_id
+            tier_link = getattr(node.store, "tier_link", None)
+            if tier_link is not None:
+                labels[id(tier_link)] = f"tier:{node_id}"
+        return labels
+
     # ------------------------------------------------------------------ ingest
     def ingest(self, context_id: str, num_tokens: int) -> ClusterIngestReport:
         """Prefill and encode a context once, then replicate the bitstreams.
@@ -230,81 +195,53 @@ class ClusterFrontend(ContextLoadingEngine):
         """
         kv = self._reference_kv(context_id, num_tokens)
         placement = self.cluster.store_kv(context_id, kv)
-        per_level: dict[str, float] = {}
-        for chunk in placement.stored.chunks:
-            for level_name, encoded in chunk.encodings.items():
-                per_level[level_name] = per_level.get(level_name, 0.0) + encoded.compressed_bytes
         return ClusterIngestReport(
-            context_id=context_id,
-            num_tokens=num_tokens,
-            num_chunks=placement.stored.num_chunks,
-            stored_bytes_per_level=per_level,
-            encode_delay_s=self._parts.compute.encode_delay(num_tokens),
+            **self._ingest_fields(placement.stored),
             replica_node_ids=placement.replica_node_ids,
             replicated_bytes=placement.replicated_bytes,
         )
 
-    # ------------------------------------------------------------------- query
-    def query(
-        self,
-        context_id: str,
-        question: str,
-        num_tokens: int | None = None,
-        task: str = "qa_accuracy",
-        slo_s: float | None = None,
-    ) -> ClusterQueryResponse:
-        """Serve a query from the best live replica, else from text.
+    # ----------------------------------------------------------------- routing
+    def resolve(self, request: ServeRequest) -> Resolution:
+        """Route to the best live replica, else to text.
 
-        ``num_tokens`` is only required for contexts the cluster has never
-        ingested; lengths of evicted contexts are remembered.
+        ``request.num_tokens`` is only required for contexts the cluster has
+        never ingested; lengths of evicted contexts are remembered.
         """
-        parts = self._parts
-        prompt_tokens = max(parts.llm.tokenizer.count_tokens(question), 1)
-
-        lookup = self.cluster.locate(context_id)
+        lookup = self.cluster.locate(request.context_id)
+        num_tokens = request.num_tokens
         if lookup.found:
             node, stored = lookup.node, lookup.stored
             assert node is not None and stored is not None
             # A cold hit reads the bitstreams off the replica's disk tier
             # before the serving link sees the first byte — one serialized
             # tier-link transfer of the default level's bitstreams.
-            tier_transfer_s = 0.0
+            tier_read_s = 0.0
             if lookup.cold_hit:
-                level_name = self.config.default_level.name
-                tier_transfer_s = node.cold_read_delay_s(
-                    stored.total_bytes(level_name)
+                tier_read_s = node.cold_read_delay_s(
+                    stored.total_bytes(self.config.default_level.name)
                 )
-            # Resilience delays (timeouts + backoff, hedge wait) serialize
-            # ahead of streaming exactly like the cold-tier read does.
-            kv_extra_s = tier_transfer_s + lookup.extra_delay_s
             if not self._prefer_text_path(
                 stored.num_tokens,
-                kv_link=node.link,
-                text_link=self.link,
-                kv_extra_s=kv_extra_s,
+                node.link,
+                kv_extra_s=tier_read_s + lookup.extra_delay_s,
             ):
-                response = self._query_with_kv(
-                    stored,
-                    question,
-                    prompt_tokens,
-                    task,
-                    slo_s,
+                return Resolution(
+                    use_kv=True,
+                    num_tokens=stored.num_tokens,
                     link=node.link,
-                    extra_network_s=kv_extra_s,
-                    level_override=lookup.level_override,
-                )
-                node.record_hit(response.transmitted_bytes, tier=lookup.tier or "hot")
-                return _as_cluster_response(
-                    response,
-                    served_by=node.node_id,
+                    stored=stored,
+                    node=node,
                     failed_over=lookup.failed_over,
                     attempted=lookup.attempted_node_ids,
-                    served_tier=lookup.tier,
-                    tier_transfer_s=tier_transfer_s,
+                    tier=lookup.tier,
                     degraded=lookup.degraded,
-                    degrade_cause=lookup.cause if lookup.degraded else None,
+                    cause=lookup.cause if lookup.degraded else None,
                     retries=lookup.retries,
                     hedged=lookup.hedged,
+                    extra_delay_s=lookup.extra_delay_s,
+                    tier_read_s=tier_read_s,
+                    level_override=lookup.level_override,
                 )
             # Short context: the text path wins even though the replica holds
             # the cache — not a miss, the node just is not asked to serve.
@@ -313,22 +250,12 @@ class ClusterFrontend(ContextLoadingEngine):
         # A text fallback of a context the cluster once held is a *degraded*
         # answer (the short-context preference above is not: the text path
         # simply wins there).  The cause rides on the lookup.
-        known = self.cluster.known_tokens(context_id) is not None
-        if num_tokens is None:
-            num_tokens = self.cluster.known_tokens(context_id)
-        if num_tokens is None:
-            raise ValueError(
-                "num_tokens is required for contexts that have not been ingested"
-            )
-        response = self._query_with_text(
-            context_id, question, num_tokens, prompt_tokens, task
-        )
-        degraded = known and not lookup.found
-        return _as_cluster_response(
-            response,
-            served_by=None,
+        known_tokens = self.cluster.known_tokens(request.context_id)
+        degraded = known_tokens is not None and not lookup.found
+        return self._text_resolution(
+            num_tokens if num_tokens is not None else known_tokens,
             attempted=lookup.attempted_node_ids,
             degraded=degraded,
-            degrade_cause=(lookup.cause or "evicted") if degraded else None,
+            cause=(lookup.cause or "evicted") if degraded else None,
             retries=lookup.retries,
         )

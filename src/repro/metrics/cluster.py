@@ -3,8 +3,8 @@
 The single-request metrics in :mod:`repro.metrics.system` (TTFT breakdowns,
 SLO violations) describe one query; a cluster run produces thousands of them
 plus per-node cache behaviour.  This module provides the aggregates the
-:class:`~repro.cluster.simulator.ClusterSimulator` reports: latency
-percentiles, SLO attainment, and per-node hit/eviction summaries.
+:class:`~repro.serving.api.RunReport` reports: latency percentiles, SLO
+attainment, and per-node hit/eviction summaries.
 """
 
 from __future__ import annotations
@@ -108,10 +108,8 @@ def tier_state(nodes) -> TierState:
     """Aggregate the tier counters/bytes across nodes (duck-typed).
 
     Accepts anything iterable of :class:`~repro.cluster.node.StorageNode`-like
-    objects (``tiered``, ``store``); both the legacy
-    :class:`~repro.cluster.simulator.ClusterSimulator` and the unified
-    :class:`~repro.serving.api.RunReport` assembly report through this one
-    helper, so the two report shapes can never drift on tier accounting.
+    objects (``tiered``, ``store``); the :class:`~repro.serving.api.RunReport`
+    assembly takes its tier accounting from here.
     """
     demotions = promotions = 0
     hot = cold = 0.0

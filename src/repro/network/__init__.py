@@ -1,4 +1,4 @@
-"""Network substrate: bandwidth traces, links, and pipelined transfer simulation."""
+"""Network substrate: bandwidth traces and links."""
 
 from .bandwidth import (
     BandwidthTrace,
@@ -9,16 +9,12 @@ from .bandwidth import (
     gbps,
 )
 from .link import NetworkLink, TransferResult
-from .simulator import PipelineResult, PipelineSegment, PipelineSimulator
 
 __all__ = [
     "BandwidthTrace",
     "ConstantTrace",
     "NetworkLink",
     "PiecewiseTrace",
-    "PipelineResult",
-    "PipelineSegment",
-    "PipelineSimulator",
     "RandomTrace",
     "StepTrace",
     "TransferResult",

@@ -5,15 +5,13 @@ The public surface is the unified API in :mod:`repro.serving.api`: declare a
 :func:`~repro.serving.api.serve`), and drive it with
 :class:`~repro.serving.api.ServeRequest` objects.
 
-The historical entry points remain as deprecation shims: the sequential
-:class:`ContextLoadingEngine` serves one query at a time, and the
-:mod:`repro.serving.concurrent` subpackage serves batches of queries through
-a discrete-event simulation of the shared links and GPU run queue.
+Underneath, :mod:`repro.serving.engine` decides routing and serves one query
+at a time, and :mod:`repro.serving.concurrent` plays batches of queries
+through a discrete-event simulation of the shared links and GPU run queue;
+both are built by ``build_backend``, not exported here.
 """
 
-from .engine import ContextLoadingEngine
 from .pipeline import IngestReport, QueryResponse
-from .concurrent import ConcurrentEngine, ConcurrentQueryResponse
 from .api import (
     AutoscaleSpec,
     Driver,
@@ -35,9 +33,6 @@ from .fleet import (
 
 __all__ = [
     "AutoscaleSpec",
-    "ConcurrentEngine",
-    "ConcurrentQueryResponse",
-    "ContextLoadingEngine",
     "DispatchPolicy",
     "Driver",
     "GpuWorkerPool",

@@ -15,12 +15,9 @@ This package is the single public serving surface of the repo:
   interleaved with queries, pluggable admission/shedding) through any
   backend.
 
-The legacy entry points (``ContextLoadingEngine``, ``ConcurrentEngine``,
-``ClusterFrontend``) remain as deprecation shims over the same machinery.
-
-``backends`` and ``driver`` are loaded lazily (PEP 562): the legacy engines
-import :mod:`.types` at class-definition time, so the eager surface of this
-package must stay limited to the leaf modules.
+``backends`` and ``driver`` are loaded lazily (PEP 562): the engines they
+build import :mod:`.types` themselves, so the eager surface of this package
+must stay limited to the leaf modules.
 """
 
 from __future__ import annotations

@@ -13,25 +13,29 @@ running serving stack and speaks the unified request/response shapes:
 All three expose the same protocol — ``ingest`` / ``submit`` / ``run`` /
 ``report`` — and return :class:`~repro.serving.api.types.ServeResponse`
 objects with one schema, so experiments swap backends without re-plumbing.
+Routing is the wrapped engine's ``resolve``; a backend only picks the
+executor: the engine's own sequential ``serve`` when ``spec.concurrency == 1``,
+the :class:`~repro.serving.concurrent.engine.ConcurrentEngine` otherwise.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
+from ...faults.resilience import ResilienceManager
 from ...metrics.cluster import NodeSummary, TierState, tier_state
 from ...network.bandwidth import ConstantTrace, gbps
 from ...network.link import NetworkLink
 from ...telemetry.slo import AlertEngine, SLOObjective
 from ...telemetry.timeseries import TimeSeriesRecorder, auto_window_s
 from ...telemetry.trace import Tracer, emit_breakdown_spans
-from .._compat import api_construction
+from ..concurrent.engine import ConcurrentEngine
 from ..engine import ContextLoadingEngine
 from ..pipeline import IngestReport
 from .spec import ServingSpec
 from .types import RunReport, ServeRequest, ServeResponse
 
-if TYPE_CHECKING:  # pragma: no cover - types only
+if TYPE_CHECKING:  # pragma: no cover - the frontend's package imports this one
     from ...cluster.frontend import ClusterFrontend
 
 __all__ = [
@@ -86,28 +90,45 @@ class Backend(Protocol):
 
 
 class _EngineBackend:
-    """Shared submission/report plumbing of the three adapters."""
-
-    spec: ServingSpec
+    """Shared submission/run/report plumbing of the three adapters."""
 
     #: The run's :class:`~repro.faults.ResilienceManager` (``None`` unless the
     #: spec carries a resilience policy or the driver injects faults).
     resilience = None
 
-    def __init__(self, spec: ServingSpec) -> None:
+    def __init__(self, spec: ServingSpec, engine: ContextLoadingEngine) -> None:
         self.spec = spec
+        self.engine = engine
         self.tracer: Tracer | None = None
         self.simcheck = None
         self._staged: list[ServeRequest] = []
+        #: The event-driven executor; ``None`` serves sequentially.
+        self._concurrent: ConcurrentEngine | None = None
+
+    def _event_engine(self) -> ConcurrentEngine:
+        spec = self.spec
+        return ConcurrentEngine(
+            self.engine,
+            max_decode_batch=spec.max_decode_batch,
+            batch_overhead=spec.batch_overhead,
+            admission_limit=spec.admission_limit,
+            gpu_workers=spec.gpu_workers,
+            dispatch_policy=spec.dispatch_policy,
+            autoscale=spec.autoscale,
+        )
 
     # --------------------------------------------------------------- telemetry
     def attach_tracer(self, tracer: Tracer | None) -> None:
-        """Wire a tracer through the backend (subclasses extend the wiring)."""
+        """Wire a tracer through the backend (subclasses add their stores)."""
         self.tracer = tracer
+        if self._concurrent is not None:
+            self._concurrent.tracer = tracer
 
     def attach_simcheck(self, monitor) -> None:
-        """Record the monitor; event-driven subclasses also take its clocks."""
+        """Record the monitor; the event-driven executor also takes its clocks."""
         self.simcheck = monitor
+        if self._concurrent is not None:
+            self._concurrent.clock_factory = monitor.make_clock if monitor else None
 
     def _active_tracer(self) -> Tracer | None:
         tracer = self.tracer
@@ -123,23 +144,26 @@ class _EngineBackend:
             hot.tracer = tracer
             hot.trace_track = track
 
-    # ------------------------------------------------------------------ submit
+    # ------------------------------------------------------------------- serve
+    def ingest(self, context_id: str, num_tokens: int) -> IngestReport:
+        return self.engine.ingest(context_id, num_tokens)
+
     def submit(self, request: ServeRequest) -> int:
         self._staged.append(request)
         return len(self._staged) - 1
 
-    def _take_staged(self) -> list[ServeRequest]:
+    def run(self) -> list[ServeResponse]:
         if not self._staged:
             raise ValueError("no requests submitted")
         staged, self._staged = self._staged, []
-        return staged
+        if self._concurrent is None:
+            return self._serve_sequential(staged)
+        for request in staged:
+            self._concurrent.submit(request)
+        return self._concurrent.run()
 
-    def _serve_sequential(self, staged, query_fn, extra_fn=None) -> list[ServeResponse]:
-        """One-at-a-time serving in arrival order, responses in staging order.
-
-        ``query_fn`` maps a :class:`ServeRequest` to the wrapped engine's
-        response; ``extra_fn`` may derive additional unified fields from it.
-        """
+    def _serve_sequential(self, staged: list[ServeRequest]) -> list[ServeResponse]:
+        """One-at-a-time serving in arrival order, responses in staging order."""
         tracer = self._active_tracer()
         resilience = self.resilience
         order = sorted(range(len(staged)), key=lambda i: (staged[i].arrival_s, i))
@@ -151,15 +175,7 @@ class _EngineBackend:
                 resilience.now = max(resilience.now, request.arrival_s)
             if tracer is not None:
                 tracer.advance_to(request.arrival_s)
-            response = query_fn(request)
-            extras = {
-                "arrival_s": request.arrival_s,
-                "finish_s": request.arrival_s + response.ttft_s,
-            }
-            if extra_fn is not None:
-                extras.update(extra_fn(response))
-            upgraded = ServeResponse.upgrade(response, **extras)
-            responses[i] = upgraded
+            response = responses[i] = self.engine.serve(request)
             if tracer is not None:
                 root = emit_breakdown_spans(
                     tracer,
@@ -174,7 +190,7 @@ class _EngineBackend:
                 tracer.metrics.counter("requests_served", "requests served per path").inc(
                     1, path="kv" if response.used_kv_cache else "text"
                 )
-                tracer.advance_to(upgraded.finish_s)
+                tracer.advance_to(response.finish_s)
         return [response for response in responses if response is not None]
 
     # ------------------------------------------------------------------ report
@@ -241,28 +257,23 @@ class SingleNodeBackend(_EngineBackend):
     kind = "single"
 
     def __init__(self, spec: ServingSpec, engine: ContextLoadingEngine | None = None) -> None:
-        super().__init__(spec)
         if engine is None:
-            with api_construction():
-                engine = ContextLoadingEngine(
-                    spec.model,
-                    link=spec.link or _constant_link(spec.bandwidth_gbps),
-                    config=spec.resolved_config(),
-                    gpu=spec.gpu,
-                    base_quality=(
-                        dict(spec.base_quality) if spec.base_quality is not None else None
-                    ),
-                    store_max_bytes=spec.max_bytes_per_node,
-                    store_eviction_policy=spec.eviction_policy,
-                )
-        self.engine = engine
+            engine = ContextLoadingEngine(
+                spec.model,
+                link=spec.link or _constant_link(spec.bandwidth_gbps),
+                config=spec.resolved_config(),
+                gpu=spec.gpu,
+                base_quality=(
+                    dict(spec.base_quality) if spec.base_quality is not None else None
+                ),
+                store_max_bytes=spec.max_bytes_per_node,
+                store_eviction_policy=spec.eviction_policy,
+            )
+        super().__init__(spec, engine)
 
     def attach_tracer(self, tracer: Tracer | None) -> None:
         super().attach_tracer(tracer)
         self._trace_store(self.engine.store, tracer, "storage:local")
-
-    def ingest(self, context_id: str, num_tokens: int) -> IngestReport:
-        return self.engine.ingest(context_id, num_tokens)
 
     # ---------------------------------------------------------------- topology
     def mark_down(self, node_id: str | None = None) -> None:
@@ -271,29 +282,6 @@ class SingleNodeBackend(_EngineBackend):
 
     def mark_up(self, node_id: str | None = None) -> None:
         self.engine.store_up = True
-
-    def run(self) -> list[ServeResponse]:
-        from ...storage.tiered import HOT
-
-        def query(request: ServeRequest):
-            return self.engine.query(
-                request.context_id,
-                request.question,
-                num_tokens=request.num_tokens,
-                task=request.task,
-                slo_s=request.slo_s,
-            )
-
-        def extras(response):
-            out = {"served_tier": HOT if response.used_kv_cache else None}
-            if not self.engine.store_up and response.context_id in self.engine.store:
-                # The store holds the context but the node is down: this text
-                # answer is a degraded one, not a plain miss.
-                out["degraded"] = True
-                out["degrade_cause"] = "node_down"
-            return out
-
-        return self._serve_sequential(self._take_staged(), query, extras)
 
     # ------------------------------------------------------------- state taps
     def total_evictions(self) -> int:
@@ -312,41 +300,8 @@ class ConcurrentBackend(SingleNodeBackend):
     kind = "concurrent"
 
     def __init__(self, spec: ServingSpec, engine: ContextLoadingEngine | None = None) -> None:
-        from ..concurrent.engine import ConcurrentEngine
-
         super().__init__(spec, engine=engine)
-        with api_construction():
-            self._concurrent = ConcurrentEngine(
-                self.engine,
-                max_decode_batch=spec.max_decode_batch,
-                batch_overhead=spec.batch_overhead,
-                admission_limit=spec.admission_limit,
-                gpu_workers=spec.gpu_workers,
-                dispatch_policy=spec.dispatch_policy,
-                autoscale=spec.autoscale,
-            )
-
-    def attach_tracer(self, tracer: Tracer | None) -> None:
-        super().attach_tracer(tracer)
-        self._concurrent.tracer = tracer
-
-    def attach_simcheck(self, monitor) -> None:
-        super().attach_simcheck(monitor)
-        self._concurrent.clock_factory = monitor.make_clock if monitor else None
-
-    def run(self) -> list[ServeResponse]:
-        staged = self._take_staged()
-        for request in staged:
-            self._concurrent.submit(
-                request.context_id,
-                request.question,
-                arrival_s=request.arrival_s,
-                num_tokens=request.num_tokens,
-                task=request.task,
-                slo_s=request.slo_s,
-                session_id=request.session_id,
-            )
-        return list(self._concurrent.run())
+        self._concurrent = self._event_engine()
 
 
 class ClusterBackend(_EngineBackend):
@@ -360,60 +315,45 @@ class ClusterBackend(_EngineBackend):
     kind = "cluster"
 
     def __init__(self, spec: ServingSpec, frontend: "ClusterFrontend | None" = None) -> None:
-        from ...cluster.frontend import ClusterFrontend
-
-        super().__init__(spec)
         if frontend is None:
+            from ...cluster.frontend import ClusterFrontend
+
             speeds = spec.node_bandwidths_gbps or (spec.bandwidth_gbps,) * spec.num_nodes
             tiered = spec.cold_bytes_per_node is not None
-            with api_construction():
-                frontend = ClusterFrontend(
-                    spec.model,
-                    node_links=[_constant_link(speed) for speed in speeds],
-                    replication_factor=spec.replication,
-                    max_bytes_per_node=spec.max_bytes_per_node,
-                    eviction_policy=spec.eviction_policy,
-                    cold_bytes_per_node=spec.cold_bytes_per_node,
-                    tier_links=(
-                        [
-                            _constant_link(spec.tier_bandwidth_gbps)
-                            for _ in range(spec.num_nodes)
-                        ]
-                        if tiered
-                        else None
-                    ),
-                    placement=spec.placement,
-                    config=spec.resolved_config(),
-                    gpu=spec.gpu,
-                    base_quality=(
-                        dict(spec.base_quality) if spec.base_quality is not None else None
-                    ),
-                    text_link=(
-                        _constant_link(spec.text_bandwidth_gbps)
-                        if spec.text_bandwidth_gbps is not None
-                        else None
-                    ),
-                )
+            frontend = ClusterFrontend(
+                spec.model,
+                node_links=[_constant_link(speed) for speed in speeds],
+                replication_factor=spec.replication,
+                max_bytes_per_node=spec.max_bytes_per_node,
+                eviction_policy=spec.eviction_policy,
+                cold_bytes_per_node=spec.cold_bytes_per_node,
+                tier_links=(
+                    [
+                        _constant_link(spec.tier_bandwidth_gbps)
+                        for _ in range(spec.num_nodes)
+                    ]
+                    if tiered
+                    else None
+                ),
+                placement=spec.placement,
+                config=spec.resolved_config(),
+                gpu=spec.gpu,
+                base_quality=(
+                    dict(spec.base_quality) if spec.base_quality is not None else None
+                ),
+                text_link=(
+                    _constant_link(spec.text_bandwidth_gbps)
+                    if spec.text_bandwidth_gbps is not None
+                    else None
+                ),
+            )
+        super().__init__(spec, frontend)
         self.frontend = frontend
         if spec.resilience is not None:
-            from ...faults.resilience import ResilienceManager
-
             self.resilience = ResilienceManager(spec.resilience)
             self.frontend.cluster.resilience = self.resilience
-        self._concurrent = None
         if spec.concurrency > 1:
-            from ..concurrent.engine import ConcurrentEngine
-
-            with api_construction():
-                self._concurrent = ConcurrentEngine(
-                    frontend,
-                    max_decode_batch=spec.max_decode_batch,
-                    batch_overhead=spec.batch_overhead,
-                    admission_limit=spec.admission_limit,
-                    gpu_workers=spec.gpu_workers,
-                    dispatch_policy=spec.dispatch_policy,
-                    autoscale=spec.autoscale,
-                )
+            self._concurrent = self._event_engine()
 
     # --------------------------------------------------------------- telemetry
     def attach_tracer(self, tracer: Tracer | None) -> None:
@@ -422,13 +362,6 @@ class ClusterBackend(_EngineBackend):
         cluster.tracer = tracer
         for node_id, node in cluster.nodes.items():
             self._trace_store(node.store, tracer, f"storage:{node_id}")
-        if self._concurrent is not None:
-            self._concurrent.tracer = tracer
-
-    def attach_simcheck(self, monitor) -> None:
-        super().attach_simcheck(monitor)
-        if self._concurrent is not None:
-            self._concurrent.clock_factory = monitor.make_clock if monitor else None
 
     # ---------------------------------------------------------------- topology
     def mark_down(self, node_id: str) -> None:
@@ -444,36 +377,6 @@ class ClusterBackend(_EngineBackend):
         ``backend.frontend.cluster`` internals.
         """
         return list(self.frontend.cluster.replicas_for(context_id))
-
-    # ------------------------------------------------------------------ serve
-    def ingest(self, context_id: str, num_tokens: int) -> IngestReport:
-        return self.frontend.ingest(context_id, num_tokens)
-
-    def run(self) -> list[ServeResponse]:
-        staged = self._take_staged()
-        if self._concurrent is None:
-
-            def query(request: ServeRequest):
-                return self.frontend.query(
-                    request.context_id,
-                    request.question,
-                    num_tokens=request.num_tokens,
-                    task=request.task,
-                    slo_s=request.slo_s,
-                )
-
-            return self._serve_sequential(staged, query)
-        for request in staged:
-            self._concurrent.submit(
-                request.context_id,
-                request.question,
-                arrival_s=request.arrival_s,
-                num_tokens=request.num_tokens,
-                task=request.task,
-                slo_s=request.slo_s,
-                session_id=request.session_id,
-            )
-        return list(self._concurrent.run())
 
     # ------------------------------------------------------------- state taps
     def total_evictions(self) -> int:

@@ -1,14 +1,10 @@
 """Arrival-driven open-loop serving and the ``serve()`` convenience.
 
-The legacy :class:`~repro.cluster.simulator.ClusterSimulator` served the
-workload in fixed-size *waves*: ``N`` requests at a time, arrival clocks reset
-at every wave boundary, the system fully drained between waves.  That shape
-hides steady-state queueing — the very thing concurrency experiments are
-about.  The :class:`Driver` replays the workload generator's **true Poisson
-arrival process** instead: ingest events happen at first touch in arrival
-order, admitted queries enter one continuous event simulation with their
-absolute arrival times, and queueing emerges from the schedule rather than
-from wave boundaries.
+The :class:`Driver` replays the workload generator's **true Poisson arrival
+process**: ingest events happen at first touch in arrival order, admitted
+queries enter one continuous event simulation with their absolute arrival
+times, and queueing emerges from the schedule — there are no fixed-size waves
+whose boundaries would drain the system and hide steady-state queueing.
 
 Admission is pluggable: an :class:`AdmissionPolicy` sees every arrival and
 may shed it (open-loop load shedding); shed requests are counted in the
@@ -23,6 +19,7 @@ at that point in the arrival stream.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from ...faults import FaultInjector, FaultSchedule, ResilienceManager, ResilienceReport
@@ -269,14 +266,7 @@ class Driver:
         for item in source:
             if isinstance(item, ServeRequest):
                 if item.slo_s is None and slo is not None:
-                    item = ServeRequest(
-                        context_id=item.context_id,
-                        question=item.question,
-                        arrival_s=item.arrival_s,
-                        num_tokens=item.num_tokens,
-                        task=item.task,
-                        slo_s=slo,
-                    )
+                    item = replace(item, slo_s=slo)
                 requests.append(item)
             else:
                 requests.append(ServeRequest.from_workload(item, slo_s=slo))
@@ -349,7 +339,7 @@ class Driver:
             except Exception:
                 # The continuous segment failed wholesale.  Re-serve it one
                 # request at a time so a single bad request costs itself, not
-                # its segment-mates (mirrors the legacy wave fallback).
+                # its segment-mates.
                 for request in batch:
                     backend.submit(request)
                     try:

@@ -5,10 +5,10 @@ speaks the same three objects:
 
 * :class:`ServeRequest` — one query (context, question, arrival time, task,
   SLO), the submission unit of :meth:`~repro.serving.api.backends.Backend.submit`;
-* :class:`ServeResponse` — the answer plus the *union* of every field the
-  historical response subclasses drifted apart on (queueing breakdown, cluster
-  routing, tier, transfer accounting).  Fields that do not apply to a backend
-  stay at their neutral defaults, so all backends populate the same schema;
+* :class:`ServeResponse` — the answer plus the *union* of every field any
+  backend fills (queueing breakdown, cluster routing, tier, transfer
+  accounting).  Fields that do not apply to a backend stay at their neutral
+  defaults, so all backends populate the same schema;
 * :class:`RunReport` — the aggregate outcome of a run: latency and queueing
   distributions, hit/tier/failover counts, shed requests, arrival-process
   rates, storage economics and per-node summaries.
@@ -29,6 +29,8 @@ from ...metrics.cluster import (
     summarize_latencies,
 )
 from ...metrics.system import QueueingTTFTBreakdown
+from ...storage.cost import TieredCostModel
+from ...storage.tiered import COLD, HOT
 from ..pipeline import QueryResponse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -86,10 +88,8 @@ class ServeRequest:
 class ServeResponse(QueryResponse):
     """Query response with the unified field set of all three backends.
 
-    This collapses the field drift between the historical
-    ``ClusterQueryResponse`` (routing fields) and ``ConcurrentQueryResponse``
-    (event-schedule fields): both are now thin subclasses of this class, and
-    every backend fills the same schema.
+    The one response type of the serving stack: the sequential and the
+    event-driven executor both build it, from the same routing decision.
 
     Example
     -------
@@ -127,35 +127,6 @@ class ServeResponse(QueryResponse):
         """Time spent waiting for admission, the link queue and the GPU queue."""
         ttft = self.ttft
         return ttft.queueing_s if isinstance(ttft, QueueingTTFTBreakdown) else 0.0
-
-    @classmethod
-    def upgrade(cls, response: QueryResponse, **extra) -> "ServeResponse":
-        """Lift any (possibly legacy) query response into the unified shape.
-
-        Fields already present on ``response`` are carried over; ``extra``
-        overrides or supplies the rest.
-        """
-        from dataclasses import fields as dc_fields
-
-        values = {f.name: getattr(response, f.name) for f in dc_fields(QueryResponse)}
-        # Legacy subclasses may carry some unified fields without being one.
-        for name in (
-            "served_by",
-            "failed_over",
-            "attempted_node_ids",
-            "arrival_s",
-            "finish_s",
-            "served_tier",
-            "tier_transfer_s",
-            "degraded",
-            "degrade_cause",
-            "retries",
-            "hedged",
-        ):
-            if hasattr(response, name):
-                values[name] = getattr(response, name)
-        values.update(extra)
-        return cls(**values)
 
 
 @dataclass
@@ -284,8 +255,6 @@ class RunReport:
         the bytes resident when it ended; the storage-economics fields price
         those resident bytes against the run's traffic (Appendix E prices).
         """
-        from ...storage.tiered import COLD, HOT
-
         responses = list(responses)
         ttfts = [r.ttft_s for r in responses]
         kv_served = sum(1 for r in responses if r.used_kv_cache)
@@ -317,7 +286,7 @@ class RunReport:
             if responses
             else 0.0
         )
-        model = cost_model or cls._default_cost_model()
+        model = cost_model or TieredCostModel()
         return cls(
             num_requests=num_requests,
             ttft=summarize_latencies(ttfts) if ttfts else EMPTY_LATENCIES,
@@ -359,12 +328,6 @@ class RunReport:
             degraded=degraded,
             fallback_causes=fallback_causes,
         )
-
-    @staticmethod
-    def _default_cost_model():
-        from ...storage.cost import TieredCostModel
-
-        return TieredCostModel()
 
     # ------------------------------------------------------------------ output
     def format_table(self) -> str:

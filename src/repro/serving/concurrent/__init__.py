@@ -13,11 +13,12 @@ replaces both with a discrete-event simulation in which contention *emerges*:
 * :class:`ConcurrentLoadSimulator` — runs requests through the shared
   resources; per-request TTFT decomposes exactly into queueing delay +
   transfer + compute;
-* :class:`ConcurrentEngine` — the serving facade mirroring
-  :class:`~repro.serving.engine.ContextLoadingEngine`, cluster-aware.
+* :class:`ConcurrentEngine` — plays staged
+  :class:`~repro.serving.api.ServeRequest` objects through the simulator,
+  routed by the engine it wraps.
 """
 
-from .engine import ConcurrentEngine, ConcurrentQueryResponse
+from .engine import ConcurrentEngine
 from .events import SimClock
 from .processes import TIER_CONFIG, ChunkedKVLoad, LoadProcess, LoadStage, StaticLoad
 from .resources import DECODE, PREFILL, GpuScheduler, GpuTask, LinkChannel
@@ -27,7 +28,6 @@ __all__ = [
     "ChunkedKVLoad",
     "ConcurrentEngine",
     "ConcurrentLoadSimulator",
-    "ConcurrentQueryResponse",
     "DECODE",
     "GpuScheduler",
     "GpuTask",

@@ -9,10 +9,9 @@ requests (one request's transfer runs while another's decode occupies the
 GPU), not within a request; the batched decode of co-located requests recoups
 what the strict per-request ordering gives up.
 
-This is the engine room shared by the
-:class:`~repro.streaming.scheduler.ConcurrentScheduler`, the
-:class:`~repro.serving.concurrent.engine.ConcurrentEngine` facade and the
-Figure 12 concurrency experiment.
+This is the engine room shared by
+:class:`~repro.serving.concurrent.engine.ConcurrentEngine` and the Figure 12
+concurrency experiment.
 """
 
 from __future__ import annotations

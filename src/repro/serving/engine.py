@@ -11,6 +11,13 @@ LangChain) talks to:
   bandwidth and an optional TTFT SLO) and calls ``generate_with_kv``;
   otherwise it falls back to fetching the text and prefilling.
 
+Routing is decided once, in :meth:`ContextLoadingEngine.resolve`: it maps a
+request to a :class:`Resolution` (stream the stored KV from where, or fall
+back to text, and why).  The sequential executor (:meth:`serve`) and the
+event-driven one (:class:`~repro.serving.concurrent.engine.ConcurrentEngine`)
+both consume it and build their responses with :meth:`respond`; the sharded
+store overrides it once (:class:`~repro.cluster.frontend.ClusterFrontend`).
+
 The engine also follows §7.3's observation that for short contexts loading
 the text can be faster than loading the KV cache: when the estimated
 text-path TTFT is lower, it reverts to the text path even for stored
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.kv_cache import KVCache
 
@@ -36,12 +43,16 @@ from ..metrics.system import TTFTBreakdown
 from ..network.link import NetworkLink
 from ..storage.eviction import EvictionPolicy, make_policy
 from ..storage.kv_store import KVCacheStore, StoredContext
-from ..streaming.adaptation import FixedLevelPolicy, SLOAwareAdapter
+from ..storage.tiered import HOT
+from ..streaming.adaptation import AdaptationPolicy, FixedLevelPolicy, SLOAwareAdapter
 from ..streaming.streamer import KVStreamer, materialise
-from ._compat import warn_deprecated_entry_point
-from .pipeline import IngestReport, QueryResponse
+from .api.types import ServeRequest, ServeResponse
+from .pipeline import IngestReport
 
-__all__ = ["ContextLoadingEngine"]
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..cluster.node import StorageNode
+
+__all__ = ["Resolution", "ContextLoadingEngine"]
 
 #: Number of synthetic sample contexts used to profile the encoder offline.
 _PROFILE_SAMPLES = 2
@@ -60,6 +71,37 @@ class _EngineComponents:
     encoder: CacheGenEncoder
     decoder: CacheGenDecoder
     store: KVCacheStore
+
+
+@dataclass
+class Resolution:
+    """Where one request is served from (decided before any byte moves)."""
+
+    use_kv: bool
+    num_tokens: int
+    #: Link the request's bytes cross: the replica's for a KV read, the
+    #: document store's for a text fallback.
+    link: NetworkLink
+    stored: StoredContext | None = None
+    #: Serving replica (``None`` on the local store and on the text path).
+    node: "StorageNode | None" = None
+    failed_over: bool = False
+    #: Nodes the cluster lookup touched before settling, in order.
+    attempted: tuple[str, ...] = ()
+    #: Tier the context is read from, as routing found it (``None`` on the
+    #: text path).
+    tier: str | None = None
+    #: Resilience outcome of the lookup (see ``cluster.sharded_store.Lookup``).
+    degraded: bool = False
+    cause: str | None = None
+    retries: int = 0
+    hedged: bool = False
+    #: Modeled retry/hedge delay serialized ahead of streaming.
+    extra_delay_s: float = 0.0
+    #: Modeled tier-link read a cold hit pays before streaming.
+    tier_read_s: float = 0.0
+    #: Codec level a degraded read streams at (``None`` = policy default).
+    level_override: str | None = None
 
 
 class ContextLoadingEngine:
@@ -81,11 +123,6 @@ class ContextLoadingEngine:
         Optional capacity bound (and victim-selection policy) of the node's
         bitstream store; ``None`` keeps the store unbounded.
 
-    .. deprecated::
-        Direct construction is deprecated; declare a
-        :class:`repro.serving.api.ServingSpec` and use
-        :func:`repro.serving.api.serve` / ``build_backend`` instead.
-
     Example
     -------
     >>> engine = ContextLoadingEngine("mistral-7b")
@@ -103,10 +140,6 @@ class ContextLoadingEngine:
         store_max_bytes: float | None = None,
         store_eviction_policy: str | EvictionPolicy = "lru",
     ) -> None:
-        if type(self) is ContextLoadingEngine:
-            warn_deprecated_entry_point(
-                "ContextLoadingEngine", 'ServingSpec(topology="single")'
-            )
         if isinstance(model, str):
             model = get_model_config(model)
         self.model = model
@@ -138,6 +171,10 @@ class ContextLoadingEngine:
         #: on a single-node crash: stored contexts become unreachable (queries
         #: degrade to the text re-prefill path) until recovery.
         self.store_up = True
+
+    #: The run's :class:`~repro.faults.ResilienceManager`, when reads go
+    #: through one (only the sharded store consults it).
+    resilience = None
 
     # ------------------------------------------------------------------ access
     @property
@@ -211,54 +248,53 @@ class ContextLoadingEngine:
         host-time read here would leak nondeterminism into traces and reports.
         """
         kv = self._reference_kv(context_id, num_tokens)
-        stored = self._parts.store.store_kv(context_id, kv)
-        per_level: dict[str, float] = {}
-        for chunk in stored.chunks:
-            for level_name, encoded in chunk.encodings.items():
-                per_level[level_name] = per_level.get(level_name, 0.0) + encoded.compressed_bytes
-        return IngestReport(
-            context_id=context_id,
-            num_tokens=num_tokens,
-            num_chunks=stored.num_chunks,
-            stored_bytes_per_level=per_level,
-            encode_delay_s=self._parts.compute.encode_delay(num_tokens),
-        )
+        return IngestReport(**self._ingest_fields(self._parts.store.store_kv(context_id, kv)))
 
-    # ------------------------------------------------------------------- query
-    def query(
-        self,
-        context_id: str,
-        question: str,
-        num_tokens: int | None = None,
-        task: str = "qa_accuracy",
-        slo_s: float | None = None,
-    ) -> QueryResponse:
-        """Answer a question against a context, loading its KV cache if stored.
+    def _ingest_fields(self, stored: StoredContext) -> dict:
+        return {
+            "context_id": stored.context_id,
+            "num_tokens": stored.num_tokens,
+            "num_chunks": stored.num_chunks,
+            "stored_bytes_per_level": {
+                level.name: stored.total_bytes(level.name) for level in self.config.levels
+            },
+            "encode_delay_s": self._parts.compute.encode_delay(stored.num_tokens),
+        }
 
-        ``num_tokens`` is only required for contexts that were never ingested
-        (the engine then falls back to the text path).
-        """
-        parts = self._parts
-        prompt_tokens = max(parts.llm.tokenizer.count_tokens(question), 1)
+    # ----------------------------------------------------------------- routing
+    def resolve(self, request: ServeRequest) -> Resolution:
+        """Decide where ``request`` is served from: the local store, or text."""
+        store = self._parts.store
+        num_tokens = request.num_tokens
+        outcome = {}
+        if request.context_id in store:
+            if self.store_up:
+                stored = store.get_context(request.context_id)
+                if not self._prefer_text_path(stored.num_tokens, self.link):
+                    return Resolution(
+                        use_kv=True,
+                        num_tokens=stored.num_tokens,
+                        link=self.link,
+                        stored=stored,
+                        tier=HOT,
+                    )
+                num_tokens = stored.num_tokens
+            else:
+                # The one store is down but holds the context: degrade to text.
+                outcome = {"degraded": True, "cause": "node_down"}
+                if num_tokens is None:
+                    num_tokens = store.peek_context(request.context_id).num_tokens
+        return self._text_resolution(num_tokens, **outcome)
 
-        if self.store_up and context_id in parts.store:
-            stored = parts.store.get_context(context_id)
-            if not self._prefer_text_path(stored.num_tokens):
-                return self._query_with_kv(stored, question, prompt_tokens, task, slo_s)
-            num_tokens = stored.num_tokens
+    def _text_resolution(self, num_tokens: int | None, **outcome) -> Resolution:
         if num_tokens is None:
             raise ValueError(
                 "num_tokens is required for contexts that have not been ingested"
             )
-        return self._query_with_text(context_id, question, num_tokens, prompt_tokens, task)
+        return Resolution(use_kv=False, num_tokens=num_tokens, link=self.link, **outcome)
 
-    # ------------------------------------------------------------------ pieces
     def _prefer_text_path(
-        self,
-        num_tokens: int,
-        kv_link: NetworkLink | None = None,
-        text_link: NetworkLink | None = None,
-        kv_extra_s: float = 0.0,
+        self, num_tokens: int, kv_link: NetworkLink, kv_extra_s: float = 0.0
     ) -> bool:
         """Short contexts load faster as text than as KV bitstreams (§7.3).
 
@@ -268,10 +304,8 @@ class ContextLoadingEngine:
         — a cold-tier hit pays the node's tier link before streaming starts.
         """
         parts = self._parts
-        kv_link = kv_link or self.link
-        text_link = text_link or self.link
         text_bytes = num_tokens * self.config.text_bytes_per_token
-        text_ttft = text_link.estimate_transfer_time(text_bytes) + parts.compute.prefill_delay(
+        text_ttft = self.link.estimate_transfer_time(text_bytes) + parts.compute.prefill_delay(
             num_tokens
         )
         kv_bytes = self.model.kv_cache_bytes(num_tokens, bits_per_element=2.4)
@@ -282,84 +316,128 @@ class ContextLoadingEngine:
         )
         return text_ttft < kv_ttft
 
-    def _query_with_kv(
-        self,
-        stored,
-        question: str,
-        prompt_tokens: int,
-        task: str,
-        slo_s: float | None,
-        link: NetworkLink | None = None,
-        extra_network_s: float = 0.0,
-        level_override: str | None = None,
-    ) -> QueryResponse:
-        parts = self._parts
-        link = link or self.link
-        streamer = KVStreamer(
-            decoder=parts.decoder,
-            compute_model=parts.compute,
-            initial_throughput_bps=link.trace.bandwidth_at(0.0),
-        )
+    def adaptation_policy(
+        self, slo_s: float | None, level_override: str | None
+    ) -> AdaptationPolicy:
+        """The one policy choice of a KV read: pinned, SLO-aware, or default level."""
         # A degraded read pins the (cheaper) level the resilience layer chose
         # — adaptation would climb back to the level that just timed out.
         if level_override is not None:
-            policy = FixedLevelPolicy(level_name=level_override)
-        elif slo_s is not None:
-            policy = SLOAwareAdapter(level_names=[level.name for level in self.config.levels])
-        else:
-            policy = FixedLevelPolicy(level_name=self.config.default_level.name)
-        # A cold-tier hit serializes the tier read before streaming, shrinking
-        # the SLO budget the adapter has left for the serving link.
-        streaming_slo = None if slo_s is None else max(slo_s - extra_network_s, 0.0)
-        streamed = streamer.stream(
-            stored.chunks, link=link, policy=policy, slo_s=streaming_slo, reconstruct=False
-        )
-        generation = self._generate_from_stored(stored, streamed.configs, task)
-        ttft = TTFTBreakdown(
-            network_s=streamed.network_time_s + extra_network_s,
-            decode_s=max(streamed.total_time_s - streamed.network_time_s, 0.0),
-            compute_s=parts.compute.prefill_delay(prompt_tokens),
-        )
-        return QueryResponse(
-            context_id=stored.context_id,
-            question=question,
-            text=generation.text,
-            quality=generation.quality,
-            ttft=ttft,
-            used_kv_cache=True,
-            chunk_configs=streamed.configs,
-            transmitted_bytes=streamed.total_bytes,
-        )
+            return FixedLevelPolicy(level_name=level_override)
+        if slo_s is not None:
+            return SLOAwareAdapter(level_names=[level.name for level in self.config.levels])
+        return FixedLevelPolicy(level_name=self.config.default_level.name)
 
-    def _query_with_text(
+    def prompt_tokens(self, question: str) -> int:
+        return max(self._parts.llm.tokenizer.count_tokens(question), 1)
+
+    def link_labels(self) -> dict[int, str]:
+        """Trace-track names of the links requests may cross, by ``id(link)``."""
+        return {id(self.link): "serving"}
+
+    # ------------------------------------------------------------------- query
+    def query(
         self,
         context_id: str,
         question: str,
-        num_tokens: int,
-        prompt_tokens: int,
-        task: str,
-        link: NetworkLink | None = None,
-    ) -> QueryResponse:
+        num_tokens: int | None = None,
+        task: str = "qa_accuracy",
+        slo_s: float | None = None,
+    ) -> ServeResponse:
+        """Answer a question against a context, loading its KV cache if stored.
+
+        ``num_tokens`` is only required for contexts that were never ingested
+        (the engine then falls back to the text path).
+        """
+        return self.serve(
+            ServeRequest(context_id, question, num_tokens=num_tokens, task=task, slo_s=slo_s)
+        )
+
+    def serve(self, request: ServeRequest) -> ServeResponse:
+        """The sequential executor: one request alone on its link and the GPU."""
         parts = self._parts
-        link = link or self.link
-        text_bytes = num_tokens * self.config.text_bytes_per_token
-        transfer = link.transfer(text_bytes)
-        # Recomputing from text hands the model the lossless cache itself.
-        generation = parts.llm.generate_with_kv(
-            self._reference_kv(context_id, num_tokens), task=task
+        resolution = self.resolve(request)
+        link = resolution.link
+        prompt_tokens = self.prompt_tokens(request.question)
+        if resolution.use_kv:
+            # Tier reads and resilience delays (timeouts + backoff, hedge
+            # wait) serialize ahead of streaming, shrinking the SLO budget the
+            # adapter has left for the serving link.
+            extra_network_s = resolution.tier_read_s + resolution.extra_delay_s
+            streamed = KVStreamer(
+                decoder=parts.decoder,
+                compute_model=parts.compute,
+                initial_throughput_bps=link.trace.bandwidth_at(0.0),
+            ).stream(
+                resolution.stored.chunks,
+                link=link,
+                policy=self.adaptation_policy(request.slo_s, resolution.level_override),
+                slo_s=(
+                    None
+                    if request.slo_s is None
+                    else max(request.slo_s - extra_network_s, 0.0)
+                ),
+                reconstruct=False,
+            )
+            configs, num_bytes = streamed.configs, streamed.total_bytes
+            ttft = TTFTBreakdown(
+                network_s=streamed.network_time_s + extra_network_s,
+                decode_s=max(streamed.total_time_s - streamed.network_time_s, 0.0),
+                compute_s=parts.compute.prefill_delay(prompt_tokens),
+            )
+        else:
+            configs = ["text"]
+            num_bytes = resolution.num_tokens * self.config.text_bytes_per_token
+            ttft = TTFTBreakdown(
+                network_s=link.transfer(num_bytes).duration,
+                decode_s=0.0,
+                compute_s=parts.compute.prefill_delay(resolution.num_tokens + prompt_tokens),
+            )
+        response = self.respond(
+            request,
+            resolution,
+            configs,
+            ttft=ttft,
+            transmitted_bytes=num_bytes,
+            arrival_s=request.arrival_s,
+            finish_s=request.arrival_s + ttft.total_s,
+            tier_transfer_s=resolution.tier_read_s,
         )
-        ttft = TTFTBreakdown(
-            network_s=transfer.duration,
-            decode_s=0.0,
-            compute_s=parts.compute.prefill_delay(num_tokens + prompt_tokens),
-        )
-        return QueryResponse(
-            context_id=context_id,
-            question=question,
+        if resolution.node is not None:
+            resolution.node.record_hit(num_bytes, tier=resolution.tier or HOT)
+        return response
+
+    def respond(
+        self, request: ServeRequest, resolution: Resolution, configs: Sequence[str], **timing
+    ) -> ServeResponse:
+        """The answer once the context arrived as ``configs``, under either executor.
+
+        ``timing`` is the executor's half of the response (``ttft``, bytes,
+        arrival/finish, tier transfer); the routing half is ``resolution``'s.
+        """
+        if resolution.use_kv:
+            generation = self._generate_from_stored(resolution.stored, configs, request.task)
+        else:
+            # Recomputing from text hands the model the lossless cache itself.
+            generation = self._parts.llm.generate_with_kv(
+                self._reference_kv(request.context_id, resolution.num_tokens),
+                task=request.task,
+            )
+        node = resolution.node
+        return ServeResponse(
+            context_id=request.context_id,
+            question=request.question,
             text=generation.text,
             quality=generation.quality,
-            ttft=ttft,
-            used_kv_cache=False,
-            chunk_configs=["text"],
-            transmitted_bytes=text_bytes,
+            used_kv_cache=resolution.use_kv,
+            chunk_configs=configs,
+            served_by=node.node_id if node is not None else None,
+            failed_over=resolution.failed_over,
+            attempted_node_ids=resolution.attempted,
+            served_tier=resolution.tier,
+            degraded=resolution.degraded,
+            degrade_cause=resolution.cause,
+            retries=resolution.retries,
+            hedged=resolution.hedged,
+            **timing,
         )

@@ -8,13 +8,10 @@ from .adaptation import (
     StreamDecision,
 )
 from .chunking import ContextChunk, PreparedChunk, prepare_chunks, split_context
-from .scheduler import BatchResult, ConcurrentScheduler
 from .streamer import KVStreamer, StreamedChunk, StreamingResult
 
 __all__ = [
     "AdaptationPolicy",
-    "BatchResult",
-    "ConcurrentScheduler",
     "ContextChunk",
     "FixedLevelPolicy",
     "KVStreamer",

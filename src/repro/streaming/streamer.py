@@ -71,9 +71,6 @@ class StreamingResult:
     chunks: list[StreamedChunk] = field(default_factory=list)
     kv: KVCache | None = None
     slo_s: float | None = None
-    #: Time spent waiting for shared resources (link/GPU queues).  Zero for a
-    #: single streamed request; filled in by the concurrent scheduler.
-    queueing_s: float = 0.0
 
     @property
     def total_time_s(self) -> float:

@@ -135,7 +135,7 @@ class TestTieredFrontend:
         cold = tight_frontend.query("doc-a", "Q?")
         assert cold.served_tier == "cold"
         assert cold.ttft_s > hot.ttft_s
-        text = tight_frontend._query_with_text("doc-x", "Q?", TOKENS, 4, "qa_accuracy")
+        text = tight_frontend.query("doc-x", "Q?", num_tokens=TOKENS)
         assert cold.ttft_s < text.ttft_s
 
     def test_promotion_visible_on_next_query(self, tight_frontend):

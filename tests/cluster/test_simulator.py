@@ -1,27 +1,33 @@
-"""End-to-end cluster simulation tests (the acceptance scenario, scaled down)."""
+"""End-to-end cluster simulation tests (the acceptance scenario, scaled down).
+
+The runner is :class:`~repro.serving.api.Driver`; per-request outcomes are read
+off ``RunReport.responses``, which holds one response per request in arrival
+order whenever nothing was shed and nothing failed hard.
+"""
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
-from repro.cluster import ClusterFrontend, ClusterSimulator, WorkloadGenerator
-from repro.core import CacheGenConfig
-from repro.network import ConstantTrace, NetworkLink, gbps
+from repro.cluster import WorkloadGenerator
+from repro.serving.api import Driver, ServingSpec
 
 NUM_REQUESTS = 50
 
 
-def _frontend(num_nodes: int = 3, max_bytes: float | None = 150e6) -> ClusterFrontend:
-    config = CacheGenConfig(chunk_tokens=256)
-    links = [NetworkLink(ConstantTrace(gbps(3.0))) for _ in range(num_nodes)]
-    return ClusterFrontend(
-        "mistral-7b",
-        node_links=links,
-        replication_factor=2,
-        max_bytes_per_node=max_bytes,
-        eviction_policy="lru",
-        config=config,
-    )
+SPEC = ServingSpec(
+    model="mistral-7b",
+    topology="cluster",
+    num_nodes=3,
+    replication=2,
+    bandwidth_gbps=3.0,
+    max_bytes_per_node=150e6,
+    eviction_policy="lru",
+    chunk_tokens=256,
+    adaptive=False,
+)
 
 
 def _workload(seed: int = 7) -> WorkloadGenerator:
@@ -30,24 +36,32 @@ def _workload(seed: int = 7) -> WorkloadGenerator:
     )
 
 
+def _run(driver: Driver, num_requests: int):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # topology segment notice
+        return driver.run(num_requests)
+
+
+def _failure_run():
+    driver = Driver(SPEC.with_(slo_s=1.0), _workload(), node_failures={25: "node-1"})
+    return _run(driver, NUM_REQUESTS)
+
+
 @pytest.fixture(scope="module")
 def report():
-    simulator = ClusterSimulator(
-        _frontend(), _workload(), slo_s=1.0, adaptive=False, node_failures={25: "node-1"}
-    )
-    return simulator.run(NUM_REQUESTS)
+    return _failure_run()
 
 
 class TestRun:
     def test_every_request_served(self, report):
         assert report.hard_failures == 0
-        assert len(report.records) == NUM_REQUESTS
+        assert len(report.responses) == NUM_REQUESTS
         assert report.kv_served + report.text_served == NUM_REQUESTS
 
     def test_cache_behaviour_reported(self, report):
         assert 0.0 < report.hit_ratio <= 1.0
         assert report.total_evictions > 0
-        assert report.ingests >= len({r.request.context_id for r in report.records})
+        assert report.ingests >= len({r.context_id for r in report.responses})
         assert report.replication_bytes > 0
         assert report.query_bytes > 0
 
@@ -67,7 +81,7 @@ class TestRun:
         assert not downed.up
 
     def test_failure_degrades_but_serves(self, report):
-        after_failure = [r for r in report.records if r.request.index >= 25]
+        after_failure = report.responses[25:]
         assert after_failure  # the run extends past the failure
         assert all(r.served_by != "node-1" for r in after_failure)
 
@@ -79,31 +93,30 @@ class TestRun:
 
 class TestBlackout:
     def test_total_blackout_degrades_to_text_without_failures(self):
-        simulator = ClusterSimulator(
-            _frontend(num_nodes=2),
+        driver = Driver(
+            SPEC.with_(num_nodes=2),
             _workload(seed=3),
-            adaptive=False,
             node_failures={5: "node-0", 7: "node-1"},
         )
-        report = simulator.run(20)
+        report = _run(driver, 20)
         assert report.hard_failures == 0
-        assert len(report.records) == 20
+        assert len(report.responses) == 20
         # With every node down, new contexts cannot be ingested but every
         # request is still answered from the text path.
         assert report.failed_ingests > 0
-        after = [r for r in report.records if r.request.index >= 7]
+        after = report.responses[7:]
         assert after and all(not r.used_kv_cache for r in after)
 
 
 class TestRepeatedRuns:
     def test_counters_are_per_run(self):
-        simulator = ClusterSimulator(_frontend(), _workload(seed=5), adaptive=False)
-        first = simulator.run(20)
-        second = simulator.run(20)
+        driver = Driver(SPEC, _workload(seed=5))
+        first = driver.run(20)
+        second = driver.run(20)
         # Eviction counts are per-run deltas that sum to the cluster total.
         assert (
             first.total_evictions + second.total_evictions
-            == simulator.frontend.cluster.total_evictions()
+            == driver.backend.total_evictions()
         )
         # The warm cache does not re-ingest contexts that are still resident.
         assert second.ingests <= first.ingests
@@ -111,11 +124,11 @@ class TestRepeatedRuns:
 
 
 class TestDeterminism:
-    def test_identical_runs_identical_reports(self):
-        kwargs = dict(slo_s=1.0, adaptive=False, node_failures={25: "node-1"})
-        first = ClusterSimulator(_frontend(), _workload(), **kwargs).run(NUM_REQUESTS)
-        second = ClusterSimulator(_frontend(), _workload(), **kwargs).run(NUM_REQUESTS)
+    def test_identical_runs_identical_reports(self, report):
+        first, second = report, _failure_run()
         assert first.ttft == second.ttft
         assert first.hit_ratio == second.hit_ratio
         assert first.total_evictions == second.total_evictions
-        assert [r.served_by for r in first.records] == [r.served_by for r in second.records]
+        assert [r.served_by for r in first.responses] == [
+            r.served_by for r in second.responses
+        ]

@@ -10,8 +10,6 @@ from repro.network import (
     ConstantTrace,
     NetworkLink,
     PiecewiseTrace,
-    PipelineSegment,
-    PipelineSimulator,
     RandomTrace,
     StepTrace,
     gbps,
@@ -105,31 +103,6 @@ class TestLink:
         early = link.transfer(125e6, start_time=0.0)
         late = link.transfer(125e6, start_time=2.0)
         assert late.duration > early.duration
-
-
-class TestPipeline:
-    def test_processing_overlaps_transfer(self):
-        link = NetworkLink(ConstantTrace(gbps(1)))
-        segments = [PipelineSegment(num_bytes=125e6, process_s=0.5) for _ in range(3)]
-        result = PipelineSimulator(link).run(segments)
-        # Three 1-second transfers with 0.5s processing each, pipelined:
-        # total should be ~3.5s, far less than the 4.5s of a serial schedule.
-        assert result.total_time == pytest.approx(3.5, rel=0.05)
-        assert result.network_time == pytest.approx(3.0, rel=0.05)
-
-    def test_empty_pipeline(self):
-        result = PipelineSimulator(NetworkLink(ConstantTrace(gbps(1)))).run([])
-        assert result.total_time == 0.0
-
-    def test_processing_dominated_pipeline(self):
-        link = NetworkLink(ConstantTrace(gbps(100)))
-        segments = [PipelineSegment(num_bytes=1e6, process_s=1.0) for _ in range(3)]
-        result = PipelineSimulator(link).run(segments)
-        assert result.total_time == pytest.approx(3.0, rel=0.05)
-
-    def test_invalid_segment(self):
-        with pytest.raises(ValueError):
-            PipelineSegment(num_bytes=-1, process_s=0.0)
 
 
 @settings(max_examples=20, deadline=None)

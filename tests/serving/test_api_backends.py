@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import fields
 
 import pytest
 
 from repro.core import CacheGenConfig
-from repro.serving import ContextLoadingEngine, ServeRequest, ServeResponse, ServingSpec
+from repro.serving import ServeRequest, ServeResponse, ServingSpec
 from repro.serving.api import build_backend, serve
 from repro.serving.concurrent import ConcurrentEngine
+from repro.serving.engine import ContextLoadingEngine
 
 BASE = ServingSpec(model="mistral-7b", chunk_tokens=256)
 REQUESTS = [
@@ -89,17 +89,6 @@ class TestEndToEnd:
         assert report.shed_ratio == 0.0
         assert report.bytes_moved == report.replication_bytes + report.query_bytes
 
-    def test_upgrade_carries_legacy_fields(self, reports):
-        from repro.serving.api import ServeResponse
-
-        original = reports["cluster"].responses[0]
-        upgraded = ServeResponse.upgrade(original, failed_over=True)
-        assert upgraded.served_by == original.served_by
-        assert upgraded.served_tier == original.served_tier
-        # Exact == on purpose: upgrade() must copy the field bit-for-bit.
-        assert upgraded.arrival_s == original.arrival_s  # simcheck: ignore[SIM004]
-        assert upgraded.failed_over  # override wins
-
     def test_serve_requires_exactly_one_source(self):
         with pytest.raises(ValueError, match="exactly one"):
             serve(BASE)
@@ -118,25 +107,17 @@ class TestBackendKinds:
 
 
 class TestDeprecationShims:
-    """The legacy entry points warn — and build the same stack as the spec."""
-
-    def test_api_construction_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_backend(BASE)
-            build_backend(BASE.with_(concurrency=2))
-            build_backend(BASE.with_(topology="cluster", num_nodes=2, replication=2))
+    """Direct construction of an engine builds the same stack as the spec."""
 
     def test_engine_shim_matches_single_backend(self):
         spec = BASE.with_(max_bytes_per_node=5e8, eviction_policy="lfu")
         backend = build_backend(spec)
-        with pytest.warns(DeprecationWarning, match="ContextLoadingEngine"):
-            legacy = ContextLoadingEngine(
-                "mistral-7b",
-                config=CacheGenConfig(chunk_tokens=256),
-                store_max_bytes=5e8,
-                store_eviction_policy="lfu",
-            )
+        legacy = ContextLoadingEngine(
+            "mistral-7b",
+            config=CacheGenConfig(chunk_tokens=256),
+            store_max_bytes=5e8,
+            store_eviction_policy="lfu",
+        )
         assert backend.engine.config == legacy.config
         assert backend.engine.store.max_bytes == legacy.store.max_bytes
         assert type(backend.engine.store.eviction_policy) is type(
@@ -147,10 +128,7 @@ class TestDeprecationShims:
     def test_concurrent_shim_matches_concurrent_backend(self):
         spec = BASE.with_(concurrency=4, max_decode_batch=8, admission_limit=2)
         backend = build_backend(spec)
-        with pytest.warns(DeprecationWarning, match="ConcurrentEngine"):
-            legacy = ConcurrentEngine(
-                backend.engine, max_decode_batch=8, admission_limit=2
-            )
+        legacy = ConcurrentEngine(backend.engine, max_decode_batch=8, admission_limit=2)
         built = backend._concurrent
         assert built.max_decode_batch == legacy.max_decode_batch
         assert built.batch_overhead == legacy.batch_overhead
@@ -169,16 +147,15 @@ class TestDeprecationShims:
             eviction_policy="lfu",
         )
         backend = build_backend(spec)
-        with pytest.warns(DeprecationWarning, match="ClusterFrontend"):
-            legacy = ClusterFrontend(
-                "mistral-7b",
-                node_links=3,
-                replication_factor=2,
-                max_bytes_per_node=2e8,
-                cold_bytes_per_node=8e8,
-                eviction_policy="lfu",
-                config=CacheGenConfig(chunk_tokens=256),
-            )
+        legacy = ClusterFrontend(
+            "mistral-7b",
+            node_links=3,
+            replication_factor=2,
+            max_bytes_per_node=2e8,
+            cold_bytes_per_node=8e8,
+            eviction_policy="lfu",
+            config=CacheGenConfig(chunk_tokens=256),
+        )
         built = backend.frontend
         assert set(built.nodes) == set(legacy.nodes)
         assert (
@@ -190,13 +167,3 @@ class TestDeprecationShims:
             assert ours.hot.max_bytes == theirs.hot.max_bytes == 2e8
             assert ours.cold.max_bytes == theirs.cold.max_bytes == 8e8
         assert built.config == legacy.config
-
-    def test_legacy_subclasses_are_serve_responses(self):
-        from repro.cluster.frontend import ClusterQueryResponse
-        from repro.serving.concurrent import ConcurrentQueryResponse
-
-        assert issubclass(ClusterQueryResponse, ServeResponse)
-        assert issubclass(ConcurrentQueryResponse, ServeResponse)
-        assert {f.name for f in fields(ClusterQueryResponse)} == {
-            f.name for f in fields(ConcurrentQueryResponse)
-        } == {f.name for f in fields(ServeResponse)}

@@ -229,3 +229,23 @@ class TestDriver:
         report = serve(SPEC, requests, max_batch=2)
         assert len(report.responses) == 5
         assert [r.question for r in report.responses] == [r.question for r in requests]
+
+    def test_spec_slo_reaches_the_request_without_dropping_its_session(self):
+        """Filling in the spec's SLO must keep every other request field."""
+        spec = SPEC.with_(
+            slo_s=1.0, concurrency=4, gpu_workers=2, dispatch_policy="sticky"
+        )
+        requests = [
+            ServeRequest(
+                f"doc-{i % 2}", "Q?", num_tokens=1_024, session_id=f"chat-{i % 2}"
+            )
+            for i in range(4)
+        ]
+        driver = Driver(spec, requests)
+        driver.run()
+        pool = driver.backend._concurrent.last_sim.pool
+        bindings = pool.dispatch._bindings
+        # Sticky dispatch saw the sessions (not the batch-key fallback), and
+        # the two co-arriving sessions were pinned to the two workers.
+        assert set(bindings) == {"chat-0", "chat-1"}
+        assert bindings["chat-0"] is not bindings["chat-1"]

@@ -11,8 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.network import ConstantTrace, NetworkLink, gbps
-from repro.serving import ConcurrentEngine, ContextLoadingEngine
+from repro.serving import ServeRequest
 from repro.serving.concurrent import (
+    ConcurrentEngine,
     ConcurrentLoadSimulator,
     DECODE,
     GpuScheduler,
@@ -21,6 +22,7 @@ from repro.serving.concurrent import (
     SimClock,
     StaticLoad,
 )
+from repro.serving.engine import ContextLoadingEngine
 
 TOKENS = 2_200
 
@@ -157,6 +159,22 @@ class TestExactQueueing:
                 rel=1e-12,
             )
 
+    def test_admission_limit_holds_arrivals_fifo(self, compute_model):
+        """With one slot, the second request starts only when the first is done."""
+        link = NetworkLink(ConstantTrace(gbps(3.0)))
+        simulator = ConcurrentLoadSimulator(admission_limit=1)
+        for _ in range(2):
+            simulator.add_request(
+                0.0, link, StaticLoad.text_load(TOKENS, 4.5 * TOKENS, compute_model)
+            )
+        first, second = simulator.run()
+        assert second.stages[0].transfer_start_s >= first.finish_s - 1e-9
+        assert second.queueing_s == pytest.approx(first.total_s, rel=1e-9)
+
+    def test_empty_run_rejected(self):
+        with pytest.raises(ValueError):
+            ConcurrentLoadSimulator().run()
+
     def test_batched_decode_beats_sequential_end_to_end(self):
         """Same decode workload, batching on vs off: batching must win.
 
@@ -190,6 +208,12 @@ class TestExactQueueing:
 
 
 # -------------------------------------------------------------------- engine
+def _query(concurrent, context_id, question, **fields):
+    """One request alone through the event engine."""
+    concurrent.submit(ServeRequest(context_id, question, **fields))
+    return concurrent.run()[0]
+
+
 @pytest.fixture(scope="module")
 def concurrent_engine():
     engine = ContextLoadingEngine("mistral-7b")
@@ -199,7 +223,7 @@ def concurrent_engine():
 
 class TestConcurrentEngine:
     def test_single_query_mirrors_engine(self, concurrent_engine):
-        response = concurrent_engine.query("report-2023", "Summarise the revenue drivers.")
+        response = _query(concurrent_engine, "report-2023", "Summarise the revenue drivers.")
         assert response.used_kv_cache
         assert response.quality.relative_quality > 0.95
         assert response.ttft_s > 0
@@ -209,7 +233,7 @@ class TestConcurrentEngine:
     def test_ttft_monotone_in_concurrency(self, concurrent_engine):
         def mean_ttft(n: int) -> float:
             for _ in range(n):
-                concurrent_engine.submit("report-2023", "Any risks?")
+                concurrent_engine.submit(ServeRequest("report-2023", "Any risks?"))
             responses = concurrent_engine.run()
             return sum(r.ttft_s for r in responses) / n
 
@@ -219,7 +243,7 @@ class TestConcurrentEngine:
 
     def test_concurrent_queries_queue(self, concurrent_engine):
         for _ in range(4):
-            concurrent_engine.submit("report-2023", "Any risks?")
+            concurrent_engine.submit(ServeRequest("report-2023", "Any risks?"))
         responses = concurrent_engine.run()
         assert len(responses) == 4
         assert all(r.used_kv_cache for r in responses)
@@ -231,23 +255,23 @@ class TestConcurrentEngine:
             )
 
     def test_unknown_context_falls_back_to_text(self, concurrent_engine):
-        response = concurrent_engine.query("unknown-doc", "What?", num_tokens=1_500)
+        response = _query(concurrent_engine, "unknown-doc", "What?", num_tokens=1_500)
         assert not response.used_kv_cache
         assert response.chunk_configs == ["text"]
 
     def test_unknown_context_without_length_rejected(self, concurrent_engine):
         with pytest.raises(ValueError):
-            concurrent_engine.query("unknown-doc-2", "What?")
+            _query(concurrent_engine, "unknown-doc-2", "What?")
         # A failed resolution must not leave the rejected query staged.
-        response = concurrent_engine.query("report-2023", "Still serving?")
+        response = _query(concurrent_engine, "report-2023", "Still serving?")
         assert response.used_kv_cache
 
     def test_staggered_arrivals_reduce_queueing(self, concurrent_engine):
         for _ in range(3):
-            concurrent_engine.submit("report-2023", "Q?")
+            concurrent_engine.submit(ServeRequest("report-2023", "Q?"))
         together = concurrent_engine.run()
         for i in range(3):
-            concurrent_engine.submit("report-2023", "Q?", arrival_s=10.0 * i)
+            concurrent_engine.submit(ServeRequest("report-2023", "Q?", arrival_s=10.0 * i))
         spread = concurrent_engine.run()
         assert sum(r.queueing_s for r in spread) < sum(r.queueing_s for r in together)
 
@@ -270,7 +294,7 @@ class TestClusterConcurrency:
     def test_co_arriving_requests_spread_over_replicas(self, cluster_engine):
         replicas = set(cluster_engine.engine.cluster.replicas_for("doc"))
         for _ in range(2):
-            cluster_engine.submit("doc", "Q?")
+            cluster_engine.submit(ServeRequest("doc", "Q?"))
         responses = cluster_engine.run()
         served = {r.served_by for r in responses}
         # Queue-depth-aware selection sends the co-arriving pair to the two
@@ -280,7 +304,7 @@ class TestClusterConcurrency:
 
     def test_queue_depths_drain_after_run(self, cluster_engine):
         for _ in range(2):
-            cluster_engine.submit("doc", "Q?")
+            cluster_engine.submit(ServeRequest("doc", "Q?"))
         cluster_engine.run()
         assert all(
             node.queue_depth == 0 for node in cluster_engine.engine.nodes.values()
@@ -321,9 +345,9 @@ class TestColdTierConcurrency:
                 store.cold.store_prepared(stored)
 
     def test_cold_hit_pays_serialized_tier_transfer(self, tiered_engine):
-        tiered_engine.ingest("cold-doc", TOKENS)
+        tiered_engine.engine.ingest("cold-doc", TOKENS)
         self._demote_everywhere(tiered_engine, "cold-doc")
-        response = tiered_engine.query("cold-doc", "Q?")
+        response = _query(tiered_engine, "cold-doc", "Q?")
         assert response.used_kv_cache
         assert response.served_tier == "cold"
         assert response.tier_transfer_s > 0.0
@@ -331,26 +355,26 @@ class TestColdTierConcurrency:
         # queueing breakdown, never hidden under the serving-link stream.
         assert response.ttft.network_s >= response.tier_transfer_s
         # Promotion happened: the same context now serves hot and faster.
-        again = tiered_engine.query("cold-doc", "Q?")
+        again = _query(tiered_engine, "cold-doc", "Q?")
         assert again.served_tier == "hot"
         assert again.ttft_s < response.ttft_s
         assert again.tier_transfer_s == 0.0
 
     def test_cold_hit_beats_text_reprefill(self, tiered_engine):
         """Acceptance: a cold hit's TTFT beats losing the context outright."""
-        tiered_engine.ingest("kept-doc", TOKENS)
+        tiered_engine.engine.ingest("kept-doc", TOKENS)
         self._demote_everywhere(tiered_engine, "kept-doc")
-        cold = tiered_engine.query("kept-doc", "Q?")
+        cold = _query(tiered_engine, "kept-doc", "Q?")
         assert cold.served_tier == "cold"
-        text = tiered_engine.query("never-stored", "Q?", num_tokens=TOKENS)
+        text = _query(tiered_engine, "never-stored", "Q?", num_tokens=TOKENS)
         assert not text.used_kv_cache
         assert cold.ttft_s < text.ttft_s
 
     def test_repeat_submissions_promote_once(self, tiered_engine):
-        tiered_engine.ingest("queue-doc", TOKENS)
+        tiered_engine.engine.ingest("queue-doc", TOKENS)
         self._demote_everywhere(tiered_engine, "queue-doc")
         for _ in range(2):
-            tiered_engine.submit("queue-doc", "Q?")
+            tiered_engine.submit(ServeRequest("queue-doc", "Q?"))
         pair = tiered_engine.run()
         cold_pair = [r for r in pair if r.served_tier == "cold"]
         # The first resolve promotes the context, so only the first submission
@@ -362,8 +386,8 @@ class TestColdTierConcurrency:
     def test_concurrent_cold_hits_serialize_on_the_tier_channel(self, tiered_engine):
         """Two cold contexts on one node queue their tier reads FIFO."""
         engine = tiered_engine
-        engine.ingest("tier-q-a", TOKENS)
-        engine.ingest("tier-q-b", TOKENS)
+        engine.engine.ingest("tier-q-a", TOKENS)
+        engine.engine.ingest("tier-q-b", TOKENS)
         self._demote_everywhere(engine, "tier-q-a")
         self._demote_everywhere(engine, "tier-q-b")
         # Force both onto one node so they share its tier link.
@@ -373,8 +397,8 @@ class TestColdTierConcurrency:
             if node_id != only:
                 cluster.mark_down(node_id)
         try:
-            engine.submit("tier-q-a", "Q?")
-            engine.submit("tier-q-b", "Q?")
+            engine.submit(ServeRequest("tier-q-a", "Q?"))
+            engine.submit(ServeRequest("tier-q-b", "Q?"))
             first, second = engine.run()
         finally:
             for node_id in cluster.nodes:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serving import ContextLoadingEngine
+from repro.serving.engine import ContextLoadingEngine
 
 
 @pytest.fixture(scope="module")

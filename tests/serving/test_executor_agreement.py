@@ -1,0 +1,83 @@
+"""The sequential and the event-driven executor, one request at a time.
+
+Both executors consume the same routing decision (``engine.resolve``), so for
+a lone request they must pick the same per-chunk configurations, move the same
+bytes and score the same quality.  Total TTFT is *not* yet equal, for two
+accounting reasons this test pins down so that whoever closes them knows
+which assertion to tighten to ``==``:
+
+1. **Pipelining.**  The sequential :class:`~repro.streaming.KVStreamer`
+   decodes chunk *i* under the transfer of chunk *i + 1*; the event engine
+   walks a request stage by stage (transfer, then GPU), overlapping only
+   *across* requests.  Pipelining only ever hides time, so the event TTFT is
+   never smaller, and a single-chunk load — nothing to overlap — is equal.
+2. **Where a text chunk's prefill is booked.**  The streamer reports the
+   re-prefill of a chunk sent as text inside ``decode_s``; the event engine
+   runs it as a prefill task and books it under ``compute_s``.  The split
+   differs, ``decode_s + compute_s`` does not (up to the gap of point 1).
+
+Single-node serving as the ``concurrency=1`` case of the event engine waits
+on both: until then it would change figure 13.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from repro.network import ConstantTrace, NetworkLink, gbps
+from repro.serving.api import ServeRequest, ServingSpec
+from repro.serving.api.backends import ConcurrentBackend, SingleNodeBackend
+
+CHUNK_TOKENS = 512
+SLOS_S = (None, 0.3, 0.6, 1.2)
+BANDWIDTHS_GBPS = (0.5, 3.0)
+LENGTHS = (512, 1_200, 2_000, 3_000)
+#: Measured maximum over the grid is 1.07e-4 s.
+MAX_PIPELINING_GAP_S = 1e-3
+
+
+@pytest.fixture(scope="module")
+def executors():
+    """Both executors over one engine, so they read the very same store."""
+    spec = ServingSpec(model="mistral-7b", chunk_tokens=CHUNK_TOKENS)
+    sequential = SingleNodeBackend(spec)
+    event = ConcurrentBackend(spec, engine=sequential.engine)
+    for num_tokens in LENGTHS:
+        sequential.ingest(f"doc-{num_tokens}", num_tokens)
+    return sequential, event
+
+
+def _serve_alone(backend, request: ServeRequest):
+    backend.submit(request)
+    (response,) = backend.run()
+    return response
+
+
+@pytest.mark.parametrize(
+    "slo_s, bandwidth_gbps, num_tokens",
+    list(itertools.product(SLOS_S, BANDWIDTHS_GBPS, LENGTHS)),
+)
+def test_lone_request_agrees_across_executors(executors, slo_s, bandwidth_gbps, num_tokens):
+    sequential, event = executors
+    sequential.engine.link = NetworkLink(ConstantTrace(gbps(bandwidth_gbps)))
+    request = ServeRequest(f"doc-{num_tokens}", "What changed?", slo_s=slo_s)
+    seq = _serve_alone(sequential, request)
+    evt = _serve_alone(event, request)
+
+    assert list(seq.chunk_configs) == list(evt.chunk_configs)
+    assert seq.transmitted_bytes == evt.transmitted_bytes
+    assert seq.quality == evt.quality
+    assert seq.used_kv_cache and evt.used_kv_cache
+    assert evt.queueing_s == pytest.approx(0.0, abs=1e-12)  # alone: nothing to wait for
+
+    gap_s = evt.ttft_s - seq.ttft_s
+    if len(seq.chunk_configs) == 1:
+        assert gap_s == 0.0  # nothing to pipeline
+    else:
+        assert 0.0 <= gap_s < MAX_PIPELINING_GAP_S  # tighten to == with point 1
+    # Point 2: the GPU time is split differently, its sum is not.
+    seq_gpu_s = seq.ttft.decode_s + seq.ttft.compute_s
+    evt_gpu_s = evt.ttft.decode_s + evt.ttft.compute_s
+    assert evt_gpu_s - seq_gpu_s == pytest.approx(gap_s, abs=1e-9)

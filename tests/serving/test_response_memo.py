@@ -205,7 +205,9 @@ def test_text_fallback_needs_no_distortion_pass():
     backend = build_backend(BASE.with_(concurrency=4))
     concurrent = backend._concurrent
     for i in range(3):
-        concurrent.submit("never-ingested", f"Question {i}?", 0.1 * i, num_tokens=320)
+        concurrent.submit(
+            ServeRequest("never-ingested", f"Question {i}?", 0.1 * i, num_tokens=320)
+        )
     with counting_evaluations() as calls:
         responses = concurrent.run()
         single = backend.engine.query("never-ingested", "Question 3?", num_tokens=320)

@@ -7,7 +7,6 @@ import pytest
 from repro.network import ConstantTrace, NetworkLink, StepTrace, gbps
 from repro.streaming import (
     TEXT_CONFIG,
-    ConcurrentScheduler,
     FixedLevelPolicy,
     KVStreamer,
     SLOAwareAdapter,
@@ -160,27 +159,3 @@ class TestStreamer:
         assert all(config == TEXT_CONFIG for config in result.configs)
         distortion = kv.normalized_distortion_per_layer(result.kv)
         assert float(distortion.mean()) == pytest.approx(0.0, abs=1e-9)
-
-
-class TestScheduler:
-    def test_batch_per_request_results(self, streamer, prepared, fast_link):
-        scheduler = ConcurrentScheduler(streamer, max_batch_size=4)
-        batch = scheduler.stream_batch([prepared, prepared], fast_link, FixedLevelPolicy("medium"))
-        assert len(batch.per_request) == 2
-        assert batch.max_loading_delay_s >= batch.mean_loading_delay_s > 0
-
-    def test_more_concurrency_more_delay(self, streamer, prepared, fast_link):
-        scheduler = ConcurrentScheduler(streamer, max_batch_size=8)
-        single = scheduler.stream_batch([prepared], fast_link, FixedLevelPolicy("medium"))
-        quad = scheduler.stream_batch([prepared] * 4, fast_link, FixedLevelPolicy("medium"))
-        assert quad.max_loading_delay_s > single.max_loading_delay_s
-
-    def test_queueing_beyond_batch_size(self, streamer, prepared, fast_link):
-        scheduler = ConcurrentScheduler(streamer, max_batch_size=1)
-        batch = scheduler.stream_batch([prepared, prepared], fast_link, FixedLevelPolicy("medium"))
-        first, second = batch.per_request
-        assert second.chunks[0].transfer_start_s >= first.total_time_s - 1e-6
-
-    def test_empty_batch_rejected(self, streamer, fast_link):
-        with pytest.raises(ValueError):
-            ConcurrentScheduler(streamer).stream_batch([], fast_link, FixedLevelPolicy("medium"))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro import ContextLoadingEngine, NetworkLink, StepTrace, gbps
+from repro import NetworkLink, StepTrace, gbps
 from repro.baselines import CacheGenMethod, TextContextBaseline, UniformQuantizationBaseline
 from repro.datasets import LongChatDataset
 from repro.experiments.common import Workbench, default_link
+from repro.serving.engine import ContextLoadingEngine
 
 
 def test_version_exposed():
