@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.core import CacheGenConfig
 from repro.serving import ServeRequest
-from repro.serving.concurrent import ConcurrentEngine
+from repro.serving.api import Backend, ServingSpec
 from repro.serving.engine import ContextLoadingEngine
 
 CONCURRENCY_LEVELS = (1, 2, 4, 8)
@@ -22,7 +22,7 @@ def _run_scaling() -> dict[int, list]:
     engine = ContextLoadingEngine(
         "mistral-7b", config=CacheGenConfig(chunk_tokens=512)
     )
-    concurrent = ConcurrentEngine(engine, max_decode_batch=16)
+    concurrent = Backend(ServingSpec(max_decode_batch=16), engine=engine, event=True)
     engine.ingest("ctx", NUM_TOKENS)
     responses = {}
     for n in CONCURRENCY_LEVELS:

@@ -15,7 +15,7 @@ this package scales it out:
   :class:`~repro.serving.api.RunReport`).
 """
 
-from .frontend import ClusterFrontend, ClusterIngestReport
+from .frontend import ClusterFrontend
 from .hash_ring import ConsistentHashRing
 from .node import StorageNode
 from .sharded_store import Lookup, Placement, RebalanceReport, ShardedKVStore
@@ -23,7 +23,6 @@ from .workload import Request, WorkloadGenerator
 
 __all__ = [
     "ClusterFrontend",
-    "ClusterIngestReport",
     "ConsistentHashRing",
     "Lookup",
     "Placement",

@@ -11,12 +11,12 @@ cluster degrades TTFT, never availability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ..core.config import CacheGenConfig
 from ..llm.compute_model import A40, GPUSpec
 from ..llm.model_config import ModelConfig
+from ..metrics.cluster import NodeSummary, TierState, tier_state
 from ..network.link import NetworkLink
 from ..serving.api.types import ServeRequest
 from ..serving.engine import ContextLoadingEngine, Resolution
@@ -27,15 +27,7 @@ from ..storage.tiered import DiskKVStore, PlacementPolicy, TieredKVStore
 from .node import StorageNode
 from .sharded_store import ShardedKVStore
 
-__all__ = ["ClusterIngestReport", "ClusterFrontend"]
-
-
-@dataclass(frozen=True)
-class ClusterIngestReport(IngestReport):
-    """Ingest report extended with where the replicas landed."""
-
-    replica_node_ids: tuple[str, ...] = ()
-    replicated_bytes: float = 0.0
+__all__ = ["ClusterFrontend"]
 
 
 class ClusterFrontend(ContextLoadingEngine):
@@ -173,6 +165,18 @@ class ClusterFrontend(ContextLoadingEngine):
     def mark_up(self, node_id: str) -> None:
         self.cluster.mark_up(node_id)
 
+    def stores(self) -> dict[str, KVCacheStore | TieredKVStore]:
+        return {node_id: node.store for node_id, node in self.cluster.nodes.items()}
+
+    def __contains__(self, context_id: str) -> bool:
+        return context_id in self.cluster
+
+    def tier_counters(self) -> TierState:
+        return tier_state(self.cluster.nodes.values())
+
+    def node_summaries(self) -> list[NodeSummary]:
+        return self.cluster.node_summaries()
+
     @property
     def resilience(self):
         return self.cluster.resilience
@@ -187,7 +191,7 @@ class ClusterFrontend(ContextLoadingEngine):
         return labels
 
     # ------------------------------------------------------------------ ingest
-    def ingest(self, context_id: str, num_tokens: int) -> ClusterIngestReport:
+    def ingest(self, context_id: str, num_tokens: int) -> IngestReport:
         """Prefill and encode a context once, then replicate the bitstreams.
 
         ``encode_delay_s`` is the modeled GPU encode time, not a wall-clock
@@ -195,7 +199,7 @@ class ClusterFrontend(ContextLoadingEngine):
         """
         kv = self._reference_kv(context_id, num_tokens)
         placement = self.cluster.store_kv(context_id, kv)
-        return ClusterIngestReport(
+        return IngestReport(
             **self._ingest_fields(placement.stored),
             replica_node_ids=placement.replica_node_ids,
             replicated_bytes=placement.replicated_bytes,

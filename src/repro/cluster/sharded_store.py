@@ -171,7 +171,7 @@ class ShardedKVStore:
         self, name: str, context_id: str, attempted: list[str], cause: str | None = None
     ) -> None:
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             args = {"context_id": context_id, "attempted": list(attempted)}
             if cause is not None:
                 args["cause"] = cause

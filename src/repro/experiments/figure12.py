@@ -70,8 +70,7 @@ def run_figure12_concurrency(
         gpu_workers=gpu_workers,
     )
     backend = build_backend(spec, kind="concurrent")
-    if tracer is not None:
-        backend.attach_tracer(tracer)
+    backend.attach_tracer(tracer)
     backend.ingest(_KV_CONTEXT, num_tokens)
     engine = backend.engine
     question = "What does the context say?"

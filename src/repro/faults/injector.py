@@ -104,17 +104,12 @@ class FaultInjector:
         tracer=None,
     ) -> None:
         self.schedule = schedule
-        self.backend = backend
         self.manager = manager
         self.tracer = tracer
         self._events = list(schedule.events())
         self._next = 0
-        self._cluster = getattr(getattr(backend, "frontend", None), "cluster", None)
-        self._engine = getattr(backend, "engine", None) or getattr(
-            backend, "frontend", None
-        )
-        if self._engine is None:
-            raise ValueError("the backend exposes neither an engine nor a frontend")
+        self._engine = backend.engine
+        self._cluster = backend.engine.cluster
         self._base_traces: dict[int, tuple[object, BandwidthTrace]] = {}
         self._base_compute = None
         self.outcomes: dict[str, FaultOutcome] = {}
@@ -160,9 +155,9 @@ class FaultInjector:
     def _apply(self, event: FaultEvent) -> None:
         self.manager.now = max(self.manager.now, event.at_s)
         if event.action == NODE_DOWN:
-            self._mark(event.node_id, down=True)
+            self._engine.mark_down(event.node_id)
         elif event.action == NODE_UP:
-            self._mark(event.node_id, down=False)
+            self._engine.mark_up(event.node_id)
         elif event.action == LINK_DEGRADE:
             for link in self._links(event.node_id):
                 base = self._base_traces.setdefault(id(link), (link, link.trace))[1]
@@ -187,13 +182,6 @@ class FaultInjector:
             raise ValueError(f"unknown fault action {event.action!r}")
         self._record(event)
         self._instant(event)
-
-    def _mark(self, node_id: str | None, down: bool) -> None:
-        backend = self.backend
-        if down:
-            backend.mark_down(node_id)
-        else:
-            backend.mark_up(node_id)
 
     def _links(self, node_id: str | None) -> list:
         """Links a (link) fault targets.
@@ -242,7 +230,7 @@ class FaultInjector:
 
     def _instant(self, event: FaultEvent) -> None:
         tracer = self.tracer
-        if tracer is None or not tracer.enabled:
+        if tracer is None:
             return
         args = {"fault_id": event.fault_id}
         if event.node_id is not None:

@@ -611,7 +611,7 @@ class ResilienceManager:
             fault_id = self._corruption_faults.get(repair.context_id)
             if fault_id is not None:
                 self.repair_cleared.setdefault(fault_id, repair.finish_s)
-            if tracer is not None and tracer.enabled:
+            if tracer is not None:
                 tracer.instant(
                     "repair complete",
                     track="faults",

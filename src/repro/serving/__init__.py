@@ -11,7 +11,7 @@ through a discrete-event simulation of the shared links and GPU run queue;
 both are built by ``build_backend``, not exported here.
 """
 
-from .pipeline import IngestReport, QueryResponse
+from .pipeline import IngestReport
 from .api import (
     AutoscaleSpec,
     Driver,
@@ -39,7 +39,6 @@ __all__ = [
     "IngestReport",
     "LeastLoadedDispatch",
     "LocalityDispatch",
-    "QueryResponse",
     "RunReport",
     "ServeRequest",
     "ServeResponse",

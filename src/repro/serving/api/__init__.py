@@ -1,15 +1,14 @@
-"""The unified serving API: one spec, one backend protocol, one driver.
+"""The unified serving API: one spec, one backend, one driver.
 
 This package is the single public serving surface of the repo:
 
 * :class:`ServingSpec` — a frozen, validated declaration of the deployment
   (model, codec levels, store topology single/tiered/cluster, node count,
   replication, tier sizes, links, concurrency, admission);
-* :class:`Backend` — the protocol (``ingest`` / ``submit`` / ``run`` /
-  ``report``) with three adapters over the existing engines
-  (:class:`SingleNodeBackend`, :class:`ConcurrentBackend`,
-  :class:`ClusterBackend`), all speaking :class:`ServeRequest` /
-  :class:`ServeResponse` / :class:`RunReport`;
+* :class:`Backend` — ``ingest`` / ``submit`` / ``run`` / ``report`` over the
+  engine :func:`build_engine` builds for the spec's topology, served one
+  request at a time or through the event simulation, speaking
+  :class:`ServeRequest` / :class:`ServeResponse` / :class:`RunReport`;
 * :class:`Driver` / :func:`serve` — the arrival-driven open-loop runner that
   replays a workload's true Poisson arrival process (ingest events
   interleaved with queries, pluggable admission/shedding) through any
@@ -31,25 +30,21 @@ __all__ = [
     "AdmitAll",
     "AutoscaleSpec",
     "Backend",
-    "ClusterBackend",
     "ConcurrencyLimitAdmission",
-    "ConcurrentBackend",
     "Driver",
     "RunReport",
     "ServeRequest",
     "ServeResponse",
     "ServingSpec",
-    "SingleNodeBackend",
     "TokenBucketAdmission",
     "build_backend",
+    "build_engine",
     "serve",
 ]
 
 _LAZY = {
     "Backend": ".backends",
-    "SingleNodeBackend": ".backends",
-    "ConcurrentBackend": ".backends",
-    "ClusterBackend": ".backends",
+    "build_engine": ".backends",
     "build_backend": ".backends",
     "AdmissionPolicy": ".driver",
     "AdmitAll": ".driver",

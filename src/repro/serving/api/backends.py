@@ -1,170 +1,206 @@
-"""Execution backends behind the unified serving API.
+"""The execution backend behind the unified serving API.
 
 A :class:`Backend` turns a :class:`~repro.serving.api.spec.ServingSpec` into a
-running serving stack and speaks the unified request/response shapes:
+running serving stack and speaks the unified request/response shapes
+(``ingest`` / ``submit`` / ``run`` / ``report``, returning
+:class:`~repro.serving.api.types.ServeResponse` objects with one schema).  It
+is the pairing of two independent choices:
 
-* :class:`SingleNodeBackend` — the sequential single-node engine (one store,
-  one link, one query at a time);
-* :class:`ConcurrentBackend` — the event-driven engine over a single node:
-  staged requests contend for the shared link and GPU run queue;
-* :class:`ClusterBackend` — the sharded/replicated (optionally tiered)
-  cluster frontend, served sequentially or through the event engine.
-
-All three expose the same protocol — ``ingest`` / ``submit`` / ``run`` /
-``report`` — and return :class:`~repro.serving.api.types.ServeResponse`
-objects with one schema, so experiments swap backends without re-plumbing.
-Routing is the wrapped engine's ``resolve``; a backend only picks the
-executor: the engine's own sequential ``serve`` when ``spec.concurrency == 1``,
-the :class:`~repro.serving.concurrent.engine.ConcurrentEngine` otherwise.
+* the **engine** (:func:`build_engine`) owns the store topology — a
+  :class:`~repro.serving.engine.ContextLoadingEngine` over one local store, or
+  a :class:`~repro.cluster.frontend.ClusterFrontend` over the sharded,
+  replicated, optionally tiered one — and with it routing (``resolve``) and
+  every state tap (``stores``, ``cluster``, ``mark_down``, ``tier_counters``);
+* the **executor** is the backend's: the engine's own sequential ``serve``,
+  or :func:`~repro.serving.concurrent.engine.serve_batch` on an event
+  simulation built from the spec when ``event`` is set (by default when
+  ``spec.concurrency > 1``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 from ...faults.resilience import ResilienceManager
-from ...metrics.cluster import NodeSummary, TierState, tier_state
+from ...metrics.cluster import TierState
 from ...network.bandwidth import ConstantTrace, gbps
 from ...network.link import NetworkLink
 from ...telemetry.slo import AlertEngine, SLOObjective
 from ...telemetry.timeseries import TimeSeriesRecorder, auto_window_s
 from ...telemetry.trace import Tracer, emit_breakdown_spans
-from ..concurrent.engine import ConcurrentEngine
+from ..concurrent.engine import serve_batch
+from ..concurrent.simulator import ConcurrentLoadSimulator
 from ..engine import ContextLoadingEngine
 from ..pipeline import IngestReport
 from .spec import ServingSpec
 from .types import RunReport, ServeRequest, ServeResponse
 
-if TYPE_CHECKING:  # pragma: no cover - the frontend's package imports this one
-    from ...cluster.frontend import ClusterFrontend
-
-__all__ = [
-    "Backend",
-    "SingleNodeBackend",
-    "ConcurrentBackend",
-    "ClusterBackend",
-    "build_backend",
-]
+__all__ = ["Backend", "build_engine", "build_backend"]
 
 
 def _constant_link(bandwidth_gbps: float) -> NetworkLink:
     return NetworkLink(ConstantTrace(gbps(bandwidth_gbps)))
 
 
-@runtime_checkable
-class Backend(Protocol):
-    """What every execution backend must speak."""
+def build_engine(spec: ServingSpec) -> ContextLoadingEngine:
+    """The engine a spec's topology declares: one local store, or the cluster."""
+    base_quality = dict(spec.base_quality) if spec.base_quality is not None else None
+    if spec.topology == "single":
+        return ContextLoadingEngine(
+            spec.model,
+            link=spec.link or _constant_link(spec.bandwidth_gbps),
+            config=spec.resolved_config(),
+            gpu=spec.gpu,
+            base_quality=base_quality,
+            store_max_bytes=spec.max_bytes_per_node,
+            store_eviction_policy=spec.eviction_policy,
+        )
+    # The frontend's package imports this one (cluster.frontend -> serving).
+    from ...cluster.frontend import ClusterFrontend
 
-    spec: ServingSpec
+    speeds = spec.node_bandwidths_gbps or (spec.bandwidth_gbps,) * spec.num_nodes
+    tiered = spec.cold_bytes_per_node is not None
+    return ClusterFrontend(
+        spec.model,
+        node_links=[_constant_link(speed) for speed in speeds],
+        replication_factor=spec.replication,
+        max_bytes_per_node=spec.max_bytes_per_node,
+        eviction_policy=spec.eviction_policy,
+        cold_bytes_per_node=spec.cold_bytes_per_node,
+        tier_links=(
+            [_constant_link(spec.tier_bandwidth_gbps) for _ in range(spec.num_nodes)]
+            if tiered
+            else None
+        ),
+        placement=spec.placement,
+        config=spec.resolved_config(),
+        gpu=spec.gpu,
+        base_quality=base_quality,
+        text_link=(
+            _constant_link(spec.text_bandwidth_gbps)
+            if spec.text_bandwidth_gbps is not None
+            else None
+        ),
+    )
 
+
+class Backend:
+    """One engine plus one executor, speaking the unified serving API.
+
+    Parameters
+    ----------
+    spec:
+        The deployment; the event executor's settings (batching, admission,
+        GPU fleet) are read from it at every :meth:`run`.
+    engine:
+        The engine to serve through; built from ``spec`` when omitted.
+    event:
+        Serve staged requests through the event simulation (queueing,
+        batching, admission) instead of one at a time.  Defaults to
+        ``spec.concurrency > 1``.
+    """
+
+    def __init__(
+        self,
+        spec: ServingSpec,
+        engine: ContextLoadingEngine | None = None,
+        *,
+        event: bool | None = None,
+    ) -> None:
+        self.spec = spec
+        self.engine = engine if engine is not None else build_engine(spec)
+        self.event = spec.concurrency > 1 if event is None else event
+        self.tracer: Tracer | None = None
+        self.simcheck = None
+        #: SimClock factory of the event executor's simulators; the simcheck
+        #: monitor injects its ClockSanitizer here.
+        self.clock_factory = None
+        #: Simulator of the last event :meth:`run` (fleet/pool stats live on it).
+        self.last_sim: ConcurrentLoadSimulator | None = None
+        #: The run's :class:`~repro.faults.ResilienceManager` (``None`` unless
+        #: the spec carries a resilience policy or the driver injects faults).
+        self.resilience: ResilienceManager | None = None
+        if spec.resilience is not None:
+            self.resilience = ResilienceManager(spec.resilience)
+            self.engine.cluster.resilience = self.resilience
+        self._staged: list[ServeRequest] = []
+
+    @property
+    def kind(self) -> str:
+        """``single`` / ``concurrent`` / ``cluster``: topology, then executor."""
+        if self.engine.cluster is not None:
+            return "cluster"
+        return "concurrent" if self.event else "single"
+
+    # --------------------------------------------------------------- telemetry
+    def attach_tracer(self, tracer: Tracer | None) -> None:
+        """Wire a tracer through the executor and the engine's stores (``None`` detaches)."""
+        self.tracer = tracer
+        if self.engine.cluster is not None:
+            self.engine.cluster.tracer = tracer
+        for label, store in self.engine.stores().items():
+            # A TieredKVStore wraps an inner hot store that emits its own events.
+            for traced in (store, getattr(store, "hot", None)):
+                if traced is not None:
+                    traced.tracer = tracer
+                    traced.trace_track = f"storage:{label}"
+
+    def attach_simcheck(self, monitor) -> None:
+        """Record the monitor; the event executor runs on its sanitized clocks.
+
+        ``None`` detaches a recorded monitor; a ``clock_factory`` set by hand
+        (the race detector's) is left alone.
+        """
+        if monitor is not None:
+            self.clock_factory = monitor.make_clock
+        elif self.simcheck is not None:
+            self.clock_factory = None
+        self.simcheck = monitor
+
+    # ---------------------------------------------------------------- topology
+    def mark_down(self, node_id: str | None = None) -> None:
+        self.engine.mark_down(node_id)
+
+    def mark_up(self, node_id: str | None = None) -> None:
+        self.engine.mark_up(node_id)
+
+    def replicas_for(self, context_id: str) -> list[str]:
+        """Node ids holding replicas of a context (cluster topologies)."""
+        return list(self.engine.cluster.replicas_for(context_id))
+
+    # ------------------------------------------------------------------- serve
     def ingest(self, context_id: str, num_tokens: int) -> IngestReport:
         """Prefill + encode + store a context (offline path, not simulated)."""
-        ...
+        return self.engine.ingest(context_id, num_tokens)
 
     def submit(self, request: ServeRequest) -> int:
         """Stage a request; served on the next :meth:`run`."""
-        ...
+        self._staged.append(request)
+        return len(self._staged) - 1
 
     def run(self) -> list[ServeResponse]:
         """Serve all staged requests; responses in staging order."""
-        ...
-
-    def report(self, responses: Sequence[ServeResponse], **counters) -> RunReport:
-        """Assemble the unified run report over served responses."""
-        ...
-
-    def attach_tracer(self, tracer: Tracer | None) -> None:
-        """Wire a telemetry tracer through the backend's engines and stores."""
-        ...
-
-    def attach_simcheck(self, monitor) -> None:
-        """Wire a simcheck monitor (sanitized clocks) through the backend."""
-        ...
-
-    # ------------------------------------------------------------- state taps
-    def total_evictions(self) -> int: ...
-
-    def tier_counters(self) -> TierState: ...
-
-    def node_summaries(self) -> list[NodeSummary]: ...
-
-
-class _EngineBackend:
-    """Shared submission/run/report plumbing of the three adapters."""
-
-    #: The run's :class:`~repro.faults.ResilienceManager` (``None`` unless the
-    #: spec carries a resilience policy or the driver injects faults).
-    resilience = None
-
-    def __init__(self, spec: ServingSpec, engine: ContextLoadingEngine) -> None:
-        self.spec = spec
-        self.engine = engine
-        self.tracer: Tracer | None = None
-        self.simcheck = None
-        self._staged: list[ServeRequest] = []
-        #: The event-driven executor; ``None`` serves sequentially.
-        self._concurrent: ConcurrentEngine | None = None
-
-    def _event_engine(self) -> ConcurrentEngine:
+        if not self._staged:
+            raise ValueError("no requests submitted")
+        staged, self._staged = self._staged, []
+        if not self.event:
+            return self._serve_sequential(staged)
         spec = self.spec
-        return ConcurrentEngine(
-            self.engine,
+        sim = self.last_sim = ConcurrentLoadSimulator(
             max_decode_batch=spec.max_decode_batch,
             batch_overhead=spec.batch_overhead,
             admission_limit=spec.admission_limit,
             gpu_workers=spec.gpu_workers,
             dispatch_policy=spec.dispatch_policy,
             autoscale=spec.autoscale,
+            tracer=self.tracer,
+            clock_factory=self.clock_factory,
         )
-
-    # --------------------------------------------------------------- telemetry
-    def attach_tracer(self, tracer: Tracer | None) -> None:
-        """Wire a tracer through the backend (subclasses add their stores)."""
-        self.tracer = tracer
-        if self._concurrent is not None:
-            self._concurrent.tracer = tracer
-
-    def attach_simcheck(self, monitor) -> None:
-        """Record the monitor; the event-driven executor also takes its clocks."""
-        self.simcheck = monitor
-        if self._concurrent is not None:
-            self._concurrent.clock_factory = monitor.make_clock if monitor else None
-
-    def _active_tracer(self) -> Tracer | None:
-        tracer = self.tracer
-        return tracer if tracer is not None and tracer.enabled else None
-
-    @staticmethod
-    def _trace_store(store, tracer: Tracer | None, track: str) -> None:
-        """Point a KV store (and its cold tier, if any) at the tracer."""
-        store.tracer = tracer
-        store.trace_track = track
-        hot = getattr(store, "hot", None)
-        if hot is not None:  # a TieredKVStore wraps an inner hot store
-            hot.tracer = tracer
-            hot.trace_track = track
-
-    # ------------------------------------------------------------------- serve
-    def ingest(self, context_id: str, num_tokens: int) -> IngestReport:
-        return self.engine.ingest(context_id, num_tokens)
-
-    def submit(self, request: ServeRequest) -> int:
-        self._staged.append(request)
-        return len(self._staged) - 1
-
-    def run(self) -> list[ServeResponse]:
-        if not self._staged:
-            raise ValueError("no requests submitted")
-        staged, self._staged = self._staged, []
-        if self._concurrent is None:
-            return self._serve_sequential(staged)
-        for request in staged:
-            self._concurrent.submit(request)
-        return self._concurrent.run()
+        return serve_batch(self.engine, staged, sim)
 
     def _serve_sequential(self, staged: list[ServeRequest]) -> list[ServeResponse]:
         """One-at-a-time serving in arrival order, responses in staging order."""
-        tracer = self._active_tracer()
+        tracer = self.tracer
         resilience = self.resilience
         order = sorted(range(len(staged)), key=lambda i: (staged[i].arrival_s, i))
         responses: list[ServeResponse | None] = [None] * len(staged)
@@ -194,6 +230,9 @@ class _EngineBackend:
         return [response for response in responses if response is not None]
 
     # ------------------------------------------------------------------ report
+    def total_evictions(self) -> int:
+        return sum(store.eviction_count for store in self.engine.stores().values())
+
     def report(
         self,
         responses: Sequence[ServeResponse],
@@ -211,10 +250,10 @@ class _EngineBackend:
         shed_times: Sequence[float] = (),
         window_s: float | None = None,
         objectives: Sequence[SLOObjective] = (),
-        alert_rules=None,
     ) -> RunReport:
         """Unified report; ``*_before`` snapshots make the counters per-run."""
-        tier_now = self.tier_counters()
+        engine = self.engine
+        tier_now = engine.tier_counters()
         before = tier_before or TierState(0, 0, 0.0, 0.0)
         report = RunReport.from_responses(
             responses,
@@ -232,7 +271,7 @@ class _EngineBackend:
                 hot_bytes=tier_now.hot_bytes,
                 cold_bytes=tier_now.cold_bytes,
             ),
-            node_summaries=self.node_summaries(),
+            node_summaries=engine.node_summaries(),
             mean_context_tokens=mean_context_tokens,
             min_duration_s=min_duration_s,
         )
@@ -241,159 +280,19 @@ class _EngineBackend:
                 responses,
                 window_s=window_s or auto_window_s(report.duration_s),
                 shed_times=shed_times,
-                tracer=self._active_tracer(),
+                tracer=self.tracer,
                 duration_s=report.duration_s,
             )
             report.timeseries = recorder
-            report.alerts = AlertEngine(objectives, rules=alert_rules).evaluate(
-                recorder.windows()
-            )
+            report.alerts = AlertEngine(objectives).evaluate(recorder.windows())
         return report
-
-
-class SingleNodeBackend(_EngineBackend):
-    """Sequential serving over one :class:`ContextLoadingEngine`."""
-
-    kind = "single"
-
-    def __init__(self, spec: ServingSpec, engine: ContextLoadingEngine | None = None) -> None:
-        if engine is None:
-            engine = ContextLoadingEngine(
-                spec.model,
-                link=spec.link or _constant_link(spec.bandwidth_gbps),
-                config=spec.resolved_config(),
-                gpu=spec.gpu,
-                base_quality=(
-                    dict(spec.base_quality) if spec.base_quality is not None else None
-                ),
-                store_max_bytes=spec.max_bytes_per_node,
-                store_eviction_policy=spec.eviction_policy,
-            )
-        super().__init__(spec, engine)
-
-    def attach_tracer(self, tracer: Tracer | None) -> None:
-        super().attach_tracer(tracer)
-        self._trace_store(self.engine.store, tracer, "storage:local")
-
-    # ---------------------------------------------------------------- topology
-    def mark_down(self, node_id: str | None = None) -> None:
-        """Crash the node: its store goes dark, queries degrade to text."""
-        self.engine.store_up = False
-
-    def mark_up(self, node_id: str | None = None) -> None:
-        self.engine.store_up = True
-
-    # ------------------------------------------------------------- state taps
-    def total_evictions(self) -> int:
-        return self.engine.store.eviction_count
-
-    def tier_counters(self) -> TierState:
-        return TierState(0, 0, float(self.engine.store.storage_bytes()), 0.0)
-
-    def node_summaries(self) -> list[NodeSummary]:
-        return []
-
-
-class ConcurrentBackend(SingleNodeBackend):
-    """Event-driven serving over one node: queueing, batching, admission."""
-
-    kind = "concurrent"
-
-    def __init__(self, spec: ServingSpec, engine: ContextLoadingEngine | None = None) -> None:
-        super().__init__(spec, engine=engine)
-        self._concurrent = self._event_engine()
-
-
-class ClusterBackend(_EngineBackend):
-    """Cluster serving: sharded, replicated, optionally tiered nodes.
-
-    Sequential when ``spec.concurrency == 1``; otherwise staged requests are
-    played through the event-driven engine against the replica links and the
-    shared GPU run queue.
-    """
-
-    kind = "cluster"
-
-    def __init__(self, spec: ServingSpec, frontend: "ClusterFrontend | None" = None) -> None:
-        if frontend is None:
-            from ...cluster.frontend import ClusterFrontend
-
-            speeds = spec.node_bandwidths_gbps or (spec.bandwidth_gbps,) * spec.num_nodes
-            tiered = spec.cold_bytes_per_node is not None
-            frontend = ClusterFrontend(
-                spec.model,
-                node_links=[_constant_link(speed) for speed in speeds],
-                replication_factor=spec.replication,
-                max_bytes_per_node=spec.max_bytes_per_node,
-                eviction_policy=spec.eviction_policy,
-                cold_bytes_per_node=spec.cold_bytes_per_node,
-                tier_links=(
-                    [
-                        _constant_link(spec.tier_bandwidth_gbps)
-                        for _ in range(spec.num_nodes)
-                    ]
-                    if tiered
-                    else None
-                ),
-                placement=spec.placement,
-                config=spec.resolved_config(),
-                gpu=spec.gpu,
-                base_quality=(
-                    dict(spec.base_quality) if spec.base_quality is not None else None
-                ),
-                text_link=(
-                    _constant_link(spec.text_bandwidth_gbps)
-                    if spec.text_bandwidth_gbps is not None
-                    else None
-                ),
-            )
-        super().__init__(spec, frontend)
-        self.frontend = frontend
-        if spec.resilience is not None:
-            self.resilience = ResilienceManager(spec.resilience)
-            self.frontend.cluster.resilience = self.resilience
-        if spec.concurrency > 1:
-            self._concurrent = self._event_engine()
-
-    # --------------------------------------------------------------- telemetry
-    def attach_tracer(self, tracer: Tracer | None) -> None:
-        super().attach_tracer(tracer)
-        cluster = self.frontend.cluster
-        cluster.tracer = tracer
-        for node_id, node in cluster.nodes.items():
-            self._trace_store(node.store, tracer, f"storage:{node_id}")
-
-    # ---------------------------------------------------------------- topology
-    def mark_down(self, node_id: str) -> None:
-        self.frontend.mark_down(node_id)
-
-    def mark_up(self, node_id: str) -> None:
-        self.frontend.mark_up(node_id)
-
-    def replicas_for(self, context_id: str) -> list[str]:
-        """Node ids holding replicas of a context (public topology tap).
-
-        Examples and tests use this instead of reaching into
-        ``backend.frontend.cluster`` internals.
-        """
-        return list(self.frontend.cluster.replicas_for(context_id))
-
-    # ------------------------------------------------------------- state taps
-    def total_evictions(self) -> int:
-        return self.frontend.cluster.total_evictions()
-
-    def tier_counters(self) -> TierState:
-        return tier_state(self.frontend.cluster.nodes.values())
-
-    def node_summaries(self) -> list[NodeSummary]:
-        return self.frontend.cluster.node_summaries()
 
 
 def build_backend(spec: ServingSpec, kind: str | None = None) -> Backend:
     """Build the execution backend a spec declares.
 
     ``kind`` overrides the derived choice (e.g. to force the sequential
-    adapter on a spec whose ``concurrency`` is above 1); it must stay
+    executor on a spec whose ``concurrency`` is above 1); it must stay
     compatible with the spec's topology.
 
     Example
@@ -408,10 +307,6 @@ def build_backend(spec: ServingSpec, kind: str | None = None) -> Backend:
         raise ValueError(f"backend kind {kind!r} requires the single topology")
     if kind == "cluster" and spec.topology == "single":
         raise ValueError("the cluster backend requires a tiered or cluster topology")
-    if kind == "single":
-        return SingleNodeBackend(spec)
-    if kind == "concurrent":
-        return ConcurrentBackend(spec)
-    if kind == "cluster":
-        return ClusterBackend(spec)
-    raise ValueError(f"unknown backend kind {kind!r}")
+    if kind not in ("single", "concurrent", "cluster"):
+        raise ValueError(f"unknown backend kind {kind!r}")
+    return Backend(spec, event=None if kind == "cluster" else kind == "concurrent")

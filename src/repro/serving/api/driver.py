@@ -26,7 +26,7 @@ from ...faults import FaultInjector, FaultSchedule, ResilienceManager, Resilienc
 from ...storage.kv_store import CapacityError
 from ...telemetry.slo import SLOObjective
 from ...telemetry.trace import Tracer
-from .backends import Backend, ClusterBackend, build_backend
+from .backends import Backend, build_backend
 from .spec import ServingSpec
 from .types import RunReport, ServeRequest
 
@@ -218,7 +218,6 @@ class Driver:
         tracer: Tracer | None = None,
         window_s: float | None = None,
         slos: Sequence[SLOObjective] = (),
-        alert_rules=None,
         simcheck=None,
     ) -> None:
         if isinstance(backend, ServingSpec):
@@ -227,8 +226,6 @@ class Driver:
             raise ValueError("max_batch must be at least 1")
         self.backend = backend
         self.tracer = tracer
-        if tracer is not None:
-            backend.attach_tracer(tracer)
         self.workload = workload
         self.admission = admission or AdmitAll()
         self.reingest_on_miss = reingest_on_miss
@@ -240,12 +237,13 @@ class Driver:
         self.max_batch = max_batch
         self.window_s = window_s
         self.slos = tuple(slos)
-        self.alert_rules = alert_rules
         self.simcheck = simcheck
         if (self.node_failures or self.node_recoveries) and not hasattr(
             backend, "mark_down"
         ):
             raise ValueError("topology events require a backend with mark_down/mark_up")
+        # ``None`` detaches whatever an earlier driver of this backend attached.
+        backend.attach_tracer(tracer)
         #: Contexts ever ingested — persists across run() calls.
         self._known: set[str] = set()
         self._known_tokens: dict[str, int] = {}
@@ -282,21 +280,18 @@ class Driver:
         reset = getattr(self.admission, "reset", None)
         if callable(reset):
             reset()
-        tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
+        tracer = self.tracer
         monitor = self._simcheck_monitor()
-        if monitor is not None:
-            attach = getattr(backend, "attach_simcheck", None)
-            if callable(attach):
-                attach(monitor)
+        backend.attach_simcheck(monitor)
         evictions_before = backend.total_evictions()
-        tier_before = backend.tier_counters()
+        tier_before = backend.engine.tier_counters()
         # Under capacity pressure an ingest can evict a context a pending
         # request was routed to at *its* arrival: serve what has already
         # arrived before mutating the stores.  Unbounded stores only ever
         # grow, so there the whole stream stays one continuous simulation.
         ingest_is_barrier = backend.spec.max_bytes_per_node is not None
 
-        cluster = getattr(getattr(backend, "frontend", None), "cluster", None)
+        cluster = backend.engine.cluster
         manager: ResilienceManager | None = backend.resilience
         injector: FaultInjector | None = None
         if self.faults is not None:
@@ -425,23 +420,23 @@ class Driver:
                     self._known.add(request.context_id)
                     self._known_tokens[request.context_id] = request.num_tokens
                     ingests += 1
-                    replication_bytes += getattr(report, "replicated_bytes", 0.0)
+                    replication_bytes += report.replicated_bytes
                     if tracer is not None:
                         tracer.span(
                             "ingest/encode",
                             track="ingest",
                             start_s=request.arrival_s,
-                            dur_s=getattr(report, "encode_delay_s", 0.0),
+                            dur_s=report.encode_delay_s,
                             category="ingest",
                             context_id=request.context_id,
-                            stored_bytes=getattr(report, "total_stored_bytes", 0.0),
+                            stored_bytes=report.total_stored_bytes,
                         )
                         tracer.metrics.counter(
                             "ingests", "contexts encoded and stored"
                         ).inc()
                         tracer.metrics.counter(
                             "ingested_bytes", "bytes written at ingest"
-                        ).inc(getattr(report, "total_stored_bytes", 0.0))
+                        ).inc(report.total_stored_bytes)
             pending.append(request)
             if self.max_batch is not None and len(pending) >= self.max_batch:
                 flush()
@@ -483,7 +478,6 @@ class Driver:
             shed_times=shed_times,
             window_s=self.window_s,
             objectives=self.slos,
-            alert_rules=self.alert_rules,
         )
         report.segment_boundaries = tuple(segment_boundaries)
         report.segment_boundary_times_s = tuple(segment_times)
@@ -498,8 +492,7 @@ class Driver:
                 faults=fault_outcomes,
                 **{key: counts[key] - counters_before[key] for key in counts},
             )
-        if self.tracer is not None:
-            report.telemetry = self.tracer
+        report.telemetry = tracer
         if monitor is not None:
             monitor.finalize(report, backend=backend, tracer=tracer)
         return report
@@ -538,7 +531,7 @@ class Driver:
                 response.used_kv_cache
                 or context_id in seen
                 or context_id not in self._known_tokens
-                or self._resident(context_id)
+                or context_id in self.backend.engine
             ):
                 continue
             seen.add(context_id)
@@ -550,14 +543,8 @@ class Driver:
                 failed += 1
             else:
                 ingests += 1
-                replication_bytes += getattr(report, "replicated_bytes", 0.0)
+                replication_bytes += report.replicated_bytes
         return ingests, failed, replication_bytes
-
-    def _resident(self, context_id: str) -> bool:
-        backend = self.backend
-        if isinstance(backend, ClusterBackend):
-            return context_id in backend.frontend.cluster
-        return context_id in backend.engine.store
 
 
 def serve(

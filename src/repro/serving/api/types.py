@@ -28,18 +28,15 @@ from ...metrics.cluster import (
     storage_cost_per_request,
     summarize_latencies,
 )
-from ...metrics.system import QueueingTTFTBreakdown
+from ...llm.quality import GenerationQuality
+from ...metrics.system import QueueingTTFTBreakdown, TTFTBreakdown
 from ...storage.cost import TieredCostModel
 from ...storage.tiered import COLD, HOT
-from ..pipeline import QueryResponse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .spec import ServingSpec
 
-__all__ = ["ServeRequest", "ServeResponse", "RunReport", "EMPTY_LATENCIES"]
-
-#: Back-compat alias; the canonical constant lives in :mod:`repro.metrics`.
-EMPTY_LATENCIES = EMPTY_LATENCY_SUMMARY
+__all__ = ["ServeRequest", "ServeResponse", "RunReport"]
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,8 @@ class ServeRequest:
 
 
 @dataclass
-class ServeResponse(QueryResponse):
-    """Query response with the unified field set of all three backends.
+class ServeResponse:
+    """Response to a query against a (possibly cached) context.
 
     The one response type of the serving stack: the sequential and the
     event-driven executor both build it, from the same routing decision.
@@ -97,6 +94,14 @@ class ServeResponse(QueryResponse):
     >>> responses[0].ttft_s, responses[0].used_kv_cache  # doctest: +SKIP
     """
 
+    context_id: str
+    question: str
+    text: str
+    quality: GenerationQuality
+    ttft: TTFTBreakdown
+    used_kv_cache: bool
+    chunk_configs: Sequence[str] = field(default_factory=list)
+    transmitted_bytes: float = 0.0
     #: Node that served the KV bitstreams (None for text or single-node runs).
     served_by: str | None = None
     #: The primary replica was down and a backup served the request.
@@ -121,6 +126,10 @@ class ServeResponse(QueryResponse):
     retries: int = 0
     #: A hedged read was launched for this request.
     hedged: bool = False
+
+    @property
+    def ttft_s(self) -> float:
+        return self.ttft.total_s
 
     @property
     def queueing_s(self) -> float:
@@ -289,7 +298,7 @@ class RunReport:
         model = cost_model or TieredCostModel()
         return cls(
             num_requests=num_requests,
-            ttft=summarize_latencies(ttfts) if ttfts else EMPTY_LATENCIES,
+            ttft=summarize_latencies(ttfts) if ttfts else EMPTY_LATENCY_SUMMARY,
             queueing=(
                 summarize_latencies([r.queueing_s for r in responses])
                 if responses

@@ -13,12 +13,12 @@ replaces both with a discrete-event simulation in which contention *emerges*:
 * :class:`ConcurrentLoadSimulator` — runs requests through the shared
   resources; per-request TTFT decomposes exactly into queueing delay +
   transfer + compute;
-* :class:`ConcurrentEngine` — plays staged
-  :class:`~repro.serving.api.ServeRequest` objects through the simulator,
-  routed by the engine it wraps.
+* :func:`serve_batch` — plays a batch of
+  :class:`~repro.serving.api.ServeRequest` objects through a simulator,
+  routed by the engine it is handed.
 """
 
-from .engine import ConcurrentEngine
+from .engine import serve_batch
 from .events import SimClock
 from .processes import TIER_CONFIG, ChunkedKVLoad, LoadProcess, LoadStage, StaticLoad
 from .resources import DECODE, PREFILL, GpuScheduler, GpuTask, LinkChannel
@@ -26,7 +26,6 @@ from .simulator import ConcurrentLoadSimulator, RequestTimeline, StageRecord
 
 __all__ = [
     "ChunkedKVLoad",
-    "ConcurrentEngine",
     "ConcurrentLoadSimulator",
     "DECODE",
     "GpuScheduler",
@@ -40,4 +39,5 @@ __all__ = [
     "StageRecord",
     "StaticLoad",
     "TIER_CONFIG",
+    "serve_batch",
 ]

@@ -68,7 +68,7 @@ class LinkChannel:
 
     def _sample_depth(self) -> None:
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             depth = self.queue_depth
             tracer.sample("queue_depth", depth, track=self.track, at_s=self.clock.now)
             tracer.metrics.gauge(
@@ -100,7 +100,7 @@ class LinkChannel:
         self.total_wait_s += wait_s
         self.total_busy_s += transfer.duration
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.span(
                 "transfer",
                 track=self.track,
@@ -197,7 +197,7 @@ class GpuScheduler:
 
     def _sample_depth(self) -> None:
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             depth = self.queue_depth
             tracer.sample("queue_depth", depth, track=self.track, at_s=self.clock.now)
             tracer.metrics.gauge(
@@ -269,7 +269,7 @@ class GpuScheduler:
         for task in batch:
             self.total_wait_s += start_s - task.enqueued_s
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             name = (
                 f"batch {head.kind} x{len(batch)}" if len(batch) > 1 else head.kind
             )

@@ -10,7 +10,7 @@ GPU), not within a request; the batched decode of co-located requests recoups
 what the strict per-request ordering gives up.
 
 This is the engine room shared by
-:class:`~repro.serving.concurrent.engine.ConcurrentEngine` and the Figure 12
+:func:`~repro.serving.concurrent.engine.serve_batch` and the Figure 12
 concurrency experiment.
 """
 

@@ -14,7 +14,7 @@ LangChain) talks to:
 Routing is decided once, in :meth:`ContextLoadingEngine.resolve`: it maps a
 request to a :class:`Resolution` (stream the stored KV from where, or fall
 back to text, and why).  The sequential executor (:meth:`serve`) and the
-event-driven one (:class:`~repro.serving.concurrent.engine.ConcurrentEngine`)
+event-driven one (:func:`~repro.serving.concurrent.engine.serve_batch`)
 both consume it and build their responses with :meth:`respond`; the sharded
 store overrides it once (:class:`~repro.cluster.frontend.ClusterFrontend`).
 
@@ -39,6 +39,7 @@ from ..llm.compute_model import A40, ComputeModel, GPUSpec
 from ..llm.model_config import ModelConfig, get_model_config
 from ..llm.quality import QualityModel
 from ..llm.synthetic_model import GenerationResult, SyntheticLLM
+from ..metrics.cluster import NodeSummary, TierState
 from ..metrics.system import TTFTBreakdown
 from ..network.link import NetworkLink
 from ..storage.eviction import EvictionPolicy, make_policy
@@ -175,6 +176,32 @@ class ContextLoadingEngine:
     #: The run's :class:`~repro.faults.ResilienceManager`, when reads go
     #: through one (only the sharded store consults it).
     resilience = None
+
+    #: The :class:`~repro.cluster.sharded_store.ShardedKVStore` behind the
+    #: engine; ``None`` when it reads its one local store.
+    cluster = None
+
+    # ---------------------------------------------------------------- topology
+    def stores(self) -> dict[str, KVCacheStore]:
+        """Every bitstream store the engine reads, by label (trace tracks are
+        ``storage:<label>``)."""
+        return {"local": self._parts.store}
+
+    def __contains__(self, context_id: str) -> bool:
+        return context_id in self._parts.store
+
+    def mark_down(self, node_id: str | None = None) -> None:
+        """Crash the node: the one store goes dark, queries degrade to text."""
+        self.store_up = False
+
+    def mark_up(self, node_id: str | None = None) -> None:
+        self.store_up = True
+
+    def tier_counters(self) -> TierState:
+        return TierState(0, 0, float(self._parts.store.storage_bytes()), 0.0)
+
+    def node_summaries(self) -> list[NodeSummary]:
+        return []
 
     # ------------------------------------------------------------------ access
     @property

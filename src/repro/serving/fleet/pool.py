@@ -160,7 +160,7 @@ class GpuWorkerPool:
     # -------------------------------------------------------------- telemetry
     def _sample_pool_size(self) -> None:
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.sample(
                 "pool_size", self.size, track=POOL_TRACK, at_s=self.clock.now
             )
@@ -170,7 +170,7 @@ class GpuWorkerPool:
 
     def _emit_instant(self, name: str, **args) -> None:
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.instant(
                 name, track=POOL_TRACK, at_s=self.clock.now, category="autoscale", **args
             )

@@ -1,20 +1,16 @@
-"""Request/response types of the serving integration (§6).
+"""The ingest report of the serving integration (§6).
 
-These are the objects the :class:`~repro.serving.engine.ContextLoadingEngine`
-exchanges with applications: an ingest report describing what was stored for a
-context, and a query response carrying the generated text together with the
-TTFT breakdown and the loading decisions the streamer made.
+What :meth:`~repro.serving.engine.ContextLoadingEngine.ingest` hands back:
+what was stored for a context and, on a sharded store, where the replicas
+landed.  (The response type is :class:`~repro.serving.api.types.ServeResponse`.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
-from ..llm.quality import GenerationQuality
-from ..metrics.system import TTFTBreakdown
-
-__all__ = ["IngestReport", "QueryResponse"]
+__all__ = ["IngestReport"]
 
 
 @dataclass(frozen=True)
@@ -26,25 +22,10 @@ class IngestReport:
     num_chunks: int
     stored_bytes_per_level: Mapping[str, float]
     encode_delay_s: float
+    #: Where the replicas landed (sharded stores only).
+    replica_node_ids: tuple[str, ...] = ()
+    replicated_bytes: float = 0.0
 
     @property
     def total_stored_bytes(self) -> float:
         return float(sum(self.stored_bytes_per_level.values()))
-
-
-@dataclass
-class QueryResponse:
-    """Response to a query against a (possibly cached) context."""
-
-    context_id: str
-    question: str
-    text: str
-    quality: GenerationQuality
-    ttft: TTFTBreakdown
-    used_kv_cache: bool
-    chunk_configs: Sequence[str] = field(default_factory=list)
-    transmitted_bytes: float = 0.0
-
-    @property
-    def ttft_s(self) -> float:
-        return self.ttft.total_s

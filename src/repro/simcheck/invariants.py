@@ -260,21 +260,14 @@ def _check_one_store(store, label: str) -> list[SimcheckViolation]:
 def check_store_capacity(backend) -> list[SimcheckViolation]:
     """No store ends a run holding more bytes than its declared capacity.
 
-    Duck-typed against the three backends: a single-node backend exposes
-    ``engine.store``; a cluster backend exposes ``frontend.cluster.nodes``
-    whose stores may be tiered (check hot and cold independently).
+    The stores are the engine's ``stores()`` tap; a tiered one is checked
+    hot and cold independently.
     """
+    engine = backend.engine
     violations: list[SimcheckViolation] = []
-    engine = getattr(backend, "engine", None)
-    store = getattr(engine, "store", None)
-    if store is not None:
-        violations.extend(_expand_tiers(store, "single-node"))
-    frontend = getattr(backend, "frontend", None)
-    cluster = getattr(frontend, "cluster", None)
-    nodes = getattr(cluster, "nodes", None)
-    if nodes:
-        for node in nodes.values():
-            violations.extend(_expand_tiers(node.store, f"node {node.node_id!r}"))
+    for label, store in engine.stores().items():
+        name = "single-node" if engine.cluster is None else f"node {label!r}"
+        violations.extend(_expand_tiers(store, name))
     return violations
 
 

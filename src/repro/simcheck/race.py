@@ -160,9 +160,7 @@ def check_spec_order_independence(
 
         built = build_backend(spec, kind=backend)
         driver = Driver(built, list(fixed), faults=faults, simcheck=False)
-        concurrent = getattr(built, "_concurrent", None)
-        if concurrent is not None:
-            concurrent.clock_factory = clock_factory
+        built.clock_factory = clock_factory
         report = driver.run()
         return run_report_digest(report)
 

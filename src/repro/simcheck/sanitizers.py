@@ -206,7 +206,7 @@ class SimcheckMonitor:
             for clock in self.clocks:
                 result.past_schedules += len(clock.past_schedules)
                 result.violations.extend(invariants.check_clock(clock))
-        traced = tracer is not None and getattr(tracer, "enabled", False)
+        traced = tracer is not None
         if traced and config.check_gauges:
             result.checks_run.append("gauges")
             result.violations.extend(

@@ -167,7 +167,7 @@ class KVCacheStore:
                 self.capacity_evict_sink(stored)
             else:
                 tracer = self.tracer
-                if tracer is not None and tracer.enabled:
+                if tracer is not None:
                     tracer.instant(
                         "eviction",
                         track=self.trace_track,

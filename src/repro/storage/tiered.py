@@ -234,7 +234,7 @@ class TieredKVStore:
 
     def _tier_event(self, name: str, context_id: str, num_bytes: float) -> None:
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.instant(
                 name,
                 track=self.trace_track,

@@ -6,7 +6,7 @@ The package has three layers:
   primitives and the per-run :class:`MetricsRegistry`;
 * :mod:`~repro.telemetry.trace` — the simulated-clock :class:`Tracer`
   recording nested per-request :class:`Span` trees, instant events and
-  counter samples, plus the zero-overhead :class:`NullTracer`;
+  counter samples;
 * :mod:`~repro.telemetry.export` — Chrome trace-event JSON (load the file at
   ui.perfetto.dev) and a structured JSONL event log;
 * :mod:`~repro.telemetry.timeseries` — tumbling simulated-time windows
@@ -54,12 +54,10 @@ from .timeseries import TimeSeriesRecorder, WindowStats, auto_window_s
 from .trace import (
     COMPUTE,
     DECODE,
-    NULL_TRACER,
     QUEUEING,
     TRANSFER,
     CounterSample,
     InstantEvent,
-    NullTracer,
     Span,
     Tracer,
     emit_breakdown_spans,
@@ -69,7 +67,6 @@ from .trace import (
 __all__ = [
     "COMPUTE",
     "DECODE",
-    "NULL_TRACER",
     "QUEUEING",
     "TRANSFER",
     "Alert",
@@ -82,7 +79,6 @@ __all__ = [
     "HitRatioCollapse",
     "InstantEvent",
     "MetricsRegistry",
-    "NullTracer",
     "QueueDepthBuildup",
     "SLOObjective",
     "ShedStorm",

@@ -392,7 +392,7 @@ class TimeSeriesRecorder:
             recorder.record_response(response)
         for at_s in shed_times:
             recorder.record_shed(at_s)
-        if tracer is not None and getattr(tracer, "enabled", False):
+        if tracer is not None:
             recorder._record_tracer_resources(tracer)
         if duration_s is not None:
             recorder.extend_to(duration_s)

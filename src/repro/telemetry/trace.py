@@ -18,10 +18,9 @@ the exporter maps them to Perfetto process/thread rows.  The tracer also owns
 a :class:`~repro.telemetry.registry.MetricsRegistry`, so one object carries a
 run's full telemetry.
 
-Untraced runs use :data:`NULL_TRACER` (a :class:`NullTracer`): every
-instrumentation site guards on ``tracer is not None and tracer.enabled``
-before building any event, so the untraced hot path pays a single attribute
-test and nothing else.
+Untraced runs pass ``tracer=None``: every instrumentation site guards on
+``tracer is not None`` before building any event, so the untraced hot path
+pays a single identity test and nothing else.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ __all__ = [
     "InstantEvent",
     "CounterSample",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "emit_timeline_spans",
     "emit_breakdown_spans",
 ]
@@ -125,8 +122,6 @@ class Tracer:
     >>> report = serve(spec, requests=requests, tracer=tracer)  # doctest: +SKIP
     >>> tracer.spans_for_request(0)  # doctest: +SKIP
     """
-
-    enabled = True
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self.metrics = metrics or MetricsRegistry()
@@ -253,124 +248,6 @@ class Tracer:
             f"Tracer(spans={len(self.spans)}, instants={len(self.instants)}, "
             f"samples={len(self.samples)}, tracks={len(self._tracks)})"
         )
-
-
-class _NullSpan:
-    """The do-nothing span handle the :class:`NullTracer` returns."""
-
-    __slots__ = ()
-    name = ""
-    track = ""
-    start_s = 0.0
-    dur_s = 0.0
-    end_s = 0.0
-    category = ""
-    request_id = None
-    args: dict[str, Any] = {}
-    parent = None
-    children: tuple = ()
-
-    def end(self, at_s: float) -> "_NullSpan":
-        return self
-
-    def annotate(self, **args: Any) -> "_NullSpan":
-        return self
-
-    def walk(self):
-        return iter(())
-
-
-class _NullMetric:
-    """Accepts every update and records nothing."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        pass
-
-    def set(self, value: float, **labels: object) -> None:
-        pass
-
-    def observe(self, value: float, **labels: object) -> None:
-        pass
-
-    def value(self, **labels: object) -> float:
-        return 0.0
-
-
-class _NullRegistry:
-    """Registry facade whose metrics all discard their updates."""
-
-    _METRIC = _NullMetric()
-
-    def counter(self, name: str, help: str = "") -> _NullMetric:
-        return self._METRIC
-
-    def gauge(self, name: str, help: str = "") -> _NullMetric:
-        return self._METRIC
-
-    def histogram(self, name: str, help: str = "") -> _NullMetric:
-        return self._METRIC
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-class NullTracer:
-    """The zero-overhead tracer: same surface, records nothing.
-
-    ``enabled`` is False, so instrumentation sites that guard on it skip
-    event construction entirely; calls that do land here are no-ops.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        self.metrics = _NullRegistry()
-        self.spans: list[Span] = []
-        self.instants: list[InstantEvent] = []
-        self.samples: list[CounterSample] = []
-        self.now = 0.0
-
-    def advance_to(self, at_s: float) -> None:
-        pass
-
-    def new_request_id(self) -> int:
-        return 0
-
-    def register_track(self, track: str) -> None:
-        pass
-
-    @property
-    def tracks(self) -> list[str]:
-        return []
-
-    def span(self, name: str, **kwargs: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def instant(self, name: str, **kwargs: Any) -> None:
-        return None
-
-    def sample(self, name: str, value: float, **kwargs: Any) -> None:
-        return None
-
-    def spans_on(self, track: str) -> list[Span]:
-        return []
-
-    def spans_for_request(self, request_id: int) -> list[Span]:
-        return []
-
-    def root_spans(self) -> list[Span]:
-        return []
-
-    def find_spans(self, name: str | None = None, category: str | None = None) -> list[Span]:
-        return []
-
-
-_NULL_SPAN = _NullSpan()
-
-#: Shared do-nothing tracer for untraced runs.
-NULL_TRACER = NullTracer()
 
 
 # --------------------------------------------------------------------- helpers

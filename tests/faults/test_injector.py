@@ -76,7 +76,7 @@ class TestComponentSwaps:
     def test_node_crash_marks_down_then_up(self):
         schedule = FaultSchedule([NodeCrash("node-0", at_s=1.0, recover_at_s=2.0)])
         backend, injector = cluster_injector(schedule)
-        node = backend.frontend.cluster.node("node-0")
+        node = backend.engine.cluster.node("node-0")
         injector.apply_due(1.0)
         assert not node.up
         injector.apply_due(2.0)
@@ -87,7 +87,7 @@ class TestComponentSwaps:
             [LinkDegradation(at_s=1.0, until_s=2.0, factor=0.5, node_id="node-1")]
         )
         backend, injector = cluster_injector(schedule)
-        link = backend.frontend.cluster.node("node-1").link
+        link = backend.engine.cluster.node("node-1").link
         base = link.trace
         injector.apply_due(1.0)
         assert isinstance(link.trace, ScaledTrace)
@@ -100,7 +100,7 @@ class TestComponentSwaps:
         schedule = FaultSchedule([LinkDegradation(at_s=1.0, until_s=2.0, factor=0.5)])
         backend, injector = cluster_injector(schedule)
         injector.apply_due(1.0)
-        cluster = backend.frontend.cluster
+        cluster = backend.engine.cluster
         assert all(
             isinstance(node.link.trace, ScaledTrace) for node in cluster.nodes.values()
         )
@@ -134,7 +134,7 @@ class TestComponentSwaps:
         backend, injector = cluster_injector(schedule)
         backend.ingest("ctx-a", 640)
         injector.apply_due(1.0)
-        cluster = backend.frontend.cluster
+        cluster = backend.engine.cluster
         replicas = cluster.replicas_for("ctx-a")
         assert (replicas[0], "ctx-a") in cluster.corrupted_replicas
 
@@ -142,7 +142,7 @@ class TestComponentSwaps:
         schedule = FaultSchedule([Corruption("ctx-missing", at_s=1.0)])
         backend, injector = cluster_injector(schedule)
         injector.apply_due(1.0)
-        assert not backend.frontend.cluster.corrupted_replicas
+        assert not backend.engine.cluster.corrupted_replicas
 
 
 class TestOutcomes:

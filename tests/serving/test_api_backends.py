@@ -9,7 +9,6 @@ import pytest
 from repro.core import CacheGenConfig
 from repro.serving import ServeRequest, ServeResponse, ServingSpec
 from repro.serving.api import build_backend, serve
-from repro.serving.concurrent import ConcurrentEngine
 from repro.serving.engine import ContextLoadingEngine
 
 BASE = ServingSpec(model="mistral-7b", chunk_tokens=256)
@@ -125,15 +124,16 @@ class TestDeprecationShims:
         )
         assert backend.engine.model.name == legacy.model.name
 
-    def test_concurrent_shim_matches_concurrent_backend(self):
+    def test_event_backend_builds_sim_from_spec(self):
         spec = BASE.with_(concurrency=4, max_decode_batch=8, admission_limit=2)
         backend = build_backend(spec)
-        legacy = ConcurrentEngine(backend.engine, max_decode_batch=8, admission_limit=2)
-        built = backend._concurrent
-        assert built.max_decode_batch == legacy.max_decode_batch
-        assert built.batch_overhead == legacy.batch_overhead
-        assert built.admission_limit == legacy.admission_limit
-        assert built.engine is legacy.engine
+        assert backend.event and backend.last_sim is None
+        backend.submit(ServeRequest("never-ingested", "Q?", num_tokens=320))
+        backend.run()
+        sim = backend.last_sim
+        assert sim.max_decode_batch == 8
+        assert sim.batch_overhead == spec.batch_overhead
+        assert sim.admission_limit == 2
 
     def test_cluster_shim_matches_cluster_backend(self):
         from repro.cluster import ClusterFrontend
@@ -156,7 +156,7 @@ class TestDeprecationShims:
             eviction_policy="lfu",
             config=CacheGenConfig(chunk_tokens=256),
         )
-        built = backend.frontend
+        built = backend.engine
         assert set(built.nodes) == set(legacy.nodes)
         assert (
             built.cluster.replication_factor == legacy.cluster.replication_factor == 2

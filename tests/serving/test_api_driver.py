@@ -145,7 +145,7 @@ class TestDriver:
         driver = Driver(backend, workload, node_failures={4: "node-0"})
         report = driver.run(10)
         assert report.hard_failures == 0
-        assert not backend.frontend.nodes["node-0"].up
+        assert not backend.engine.nodes["node-0"].up
         assert report.kv_served + report.text_served == 10
         # With 2x replication the surviving replica keeps serving from cache.
         assert report.kv_served > 0
@@ -161,7 +161,7 @@ class TestDriver:
         )
         backend = build_backend(spec)
         backend.ingest("failover-doc", 640)
-        primary = backend.frontend.cluster.replicas_for("failover-doc")[0]
+        primary = backend.engine.cluster.replicas_for("failover-doc")[0]
         backend.mark_down(primary)
         backend.submit(ServeRequest("failover-doc", "Q?", num_tokens=640))
         backend.submit(ServeRequest("failover-doc", "Q again?", num_tokens=640))
@@ -180,6 +180,24 @@ class TestDriver:
         # Single-node backends take the one store dark, so node events no
         # longer require a cluster.
         Driver(build_backend(SPEC), None, node_failures={0: "node-0"})
+
+    def test_tracer_and_simcheck_end_with_their_driver(self):
+        """A reused backend must not keep tracing into an earlier run's tracer."""
+        from repro.telemetry import Tracer
+
+        backend = build_backend(SPEC)
+        requests = [
+            ServeRequest("reused-doc", f"Q{i}?", arrival_s=0.05 * i, num_tokens=320)
+            for i in range(3)
+        ]
+        tracer = Tracer()
+        Driver(backend, requests, tracer=tracer, simcheck=True).run()
+        spans = len(tracer.spans)
+        assert spans > 0 and backend.clock_factory is not None
+        untraced = Driver(backend, requests, simcheck=False).run()
+        assert untraced.telemetry is None
+        assert len(tracer.spans) == spans
+        assert backend.tracer is None and backend.clock_factory is None
 
     def test_driver_requires_a_workload(self):
         with pytest.raises(ValueError, match="workload"):
@@ -243,7 +261,7 @@ class TestDriver:
         ]
         driver = Driver(spec, requests)
         driver.run()
-        pool = driver.backend._concurrent.last_sim.pool
+        pool = driver.backend.last_sim.pool
         bindings = pool.dispatch._bindings
         # Sticky dispatch saw the sessions (not the batch-key fallback), and
         # the two co-arriving sessions were pinned to the two workers.

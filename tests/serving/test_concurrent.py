@@ -12,8 +12,8 @@ import pytest
 
 from repro.network import ConstantTrace, NetworkLink, gbps
 from repro.serving import ServeRequest
+from repro.serving.api import Backend, ServingSpec
 from repro.serving.concurrent import (
-    ConcurrentEngine,
     ConcurrentLoadSimulator,
     DECODE,
     GpuScheduler,
@@ -218,7 +218,7 @@ def _query(concurrent, context_id, question, **fields):
 def concurrent_engine():
     engine = ContextLoadingEngine("mistral-7b")
     engine.ingest("report-2023", TOKENS)
-    return ConcurrentEngine(engine)
+    return Backend(ServingSpec(), engine=engine, event=True)
 
 
 class TestConcurrentEngine:
@@ -289,7 +289,7 @@ class TestClusterConcurrency:
             config=CacheGenConfig(chunk_tokens=1_024),
         )
         frontend.ingest("doc", TOKENS)
-        return ConcurrentEngine(frontend)
+        return Backend(ServingSpec(), engine=frontend, event=True)
 
     def test_co_arriving_requests_spread_over_replicas(self, cluster_engine):
         replicas = set(cluster_engine.engine.cluster.replicas_for("doc"))
@@ -334,7 +334,7 @@ class TestColdTierConcurrency:
             ],
             config=config,
         )
-        return ConcurrentEngine(frontend)
+        return Backend(ServingSpec(), engine=frontend, event=True)
 
     def _demote_everywhere(self, engine, context_id: str) -> None:
         for node in engine.engine.nodes.values():

@@ -28,7 +28,7 @@ import pytest
 
 from repro.network import ConstantTrace, NetworkLink, gbps
 from repro.serving.api import ServeRequest, ServingSpec
-from repro.serving.api.backends import ConcurrentBackend, SingleNodeBackend
+from repro.serving.api.backends import Backend
 
 CHUNK_TOKENS = 512
 SLOS_S = (None, 0.3, 0.6, 1.2)
@@ -42,8 +42,8 @@ MAX_PIPELINING_GAP_S = 1e-3
 def executors():
     """Both executors over one engine, so they read the very same store."""
     spec = ServingSpec(model="mistral-7b", chunk_tokens=CHUNK_TOKENS)
-    sequential = SingleNodeBackend(spec)
-    event = ConcurrentBackend(spec, engine=sequential.engine)
+    sequential = Backend(spec, event=False)
+    event = Backend(spec, engine=sequential.engine, event=True)
     for num_tokens in LENGTHS:
         sequential.ingest(f"doc-{num_tokens}", num_tokens)
     return sequential, event

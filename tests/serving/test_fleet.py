@@ -420,7 +420,7 @@ class TestFleetSpec:
         responses = backend.run()
         assert len(responses) == 4
         assert all(r.ttft_s > 0 for r in responses)
-        sim = backend._concurrent.last_sim
+        sim = backend.last_sim
         assert sim is not None and sim.pool is not None
         assert sim.pool.size == 2
 

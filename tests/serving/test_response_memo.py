@@ -37,14 +37,8 @@ ALWAYS_DEGRADE = ResiliencePolicy(
 TOKENS = (160, 320, 480)
 
 
-def _engine(backend):
-    return backend.frontend if backend.kind == "cluster" else backend.engine
-
-
 def _stores(backend):
-    if backend.kind != "cluster":
-        return [backend.engine.store]
-    return [node.store for node in backend.frontend.cluster.nodes.values()]
+    return list(backend.engine.stores().values())
 
 
 def _records(backend):
@@ -183,7 +177,7 @@ def test_every_response_equals_its_recomputation(name):
     requests = _stream(24, num_contexts=4, prefix=name)
     report, evaluations = _drive(backend, requests)
 
-    Oracle(_engine(backend)).check(requests, report.responses)
+    Oracle(backend.engine).check(requests, report.responses)
 
     kv_served = [r for r in report.responses if r.used_kv_cache]
     assert kv_served, "the shape must exercise the KV path"
@@ -203,7 +197,7 @@ def test_every_response_equals_its_recomputation(name):
 def test_text_fallback_needs_no_distortion_pass():
     """Never-ingested contexts re-prefill from text: lossless, zero evaluations."""
     backend = build_backend(BASE.with_(concurrency=4))
-    concurrent = backend._concurrent
+    concurrent = backend
     for i in range(3):
         concurrent.submit(
             ServeRequest("never-ingested", f"Question {i}?", 0.1 * i, num_tokens=320)
@@ -265,7 +259,7 @@ class TestMemoLifetime:
             max_bytes_per_node=30e6, cold_bytes_per_node=200e6,
         )
         backend = build_backend(spec)
-        frontend = backend.frontend
+        frontend = backend.engine
         store = frontend.cluster.nodes["node-0"].store
         frontend.ingest("victim", 320)
         record = store.peek_context("victim")
@@ -311,7 +305,7 @@ class TestMemoLifetime:
         assert report.total_evictions > 0  # cold evictions: records really die
         assert report.ingests > len(set(ranks))  # ... and are created again
 
-        Oracle(backend.frontend).check(requests, report.responses)
+        Oracle(backend.engine).check(requests, report.responses)
         self._check_bounded(backend, requests, report.responses)
 
     def test_corruption_and_repair_then_oracle(self):
@@ -327,7 +321,7 @@ class TestMemoLifetime:
         assert report.resilience.corruptions_detected == 1
         assert report.resilience.repairs_completed >= 1
 
-        Oracle(backend.frontend).check(requests, report.responses)
+        Oracle(backend.engine).check(requests, report.responses)
         self._check_bounded(backend, requests, report.responses)
         # Repair ships the surviving replica's record, memo and all: the
         # replicas of one ingest stay one object, scored once between them.

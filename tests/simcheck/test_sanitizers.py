@@ -165,21 +165,33 @@ class TestInvariantChecks:
         assert any("no request root span" in v.message for v in violations)
 
     def test_store_over_capacity_is_flagged(self):
-        class FakeStore:
-            max_bytes = 100.0
-
-            def storage_bytes(self):
-                return 150.0
-
-        class FakeEngine:
-            store = FakeStore()
-
-        class FakeBackend:
-            engine = FakeEngine()
-
-        violations = check_store_capacity(FakeBackend())
-        assert len(violations) == 1
-        assert violations[0].check == "capacity"
+        """Each topology's stores reach the check through ``engine.stores()``."""
+        cluster = SPEC.with_(topology="cluster", num_nodes=2, replication=2)
+        # The hot tier holds one 640-token context, so the second one demotes.
+        tiered = SPEC.with_(
+            topology="tiered", max_bytes_per_node=60e6, cold_bytes_per_node=400e6
+        )
+        requests = [
+            ServeRequest(f"doc-{i}", "Q?", arrival_s=0.05 * i, num_tokens=640)
+            for i in range(2)
+        ]
+        cases = [
+            (SPEC, lambda store: store, "store single-node holds"),
+            (cluster, lambda store: store, "store node 'node-0' holds"),
+            (tiered, lambda store: store.hot, "store node 'node-0' hot tier holds"),
+            (tiered, lambda store: store.cold, "store node 'node-0' cold tier holds"),
+        ]
+        for spec, pick, message in cases:
+            backend = build_backend(spec)
+            Driver(backend, requests, simcheck=False).run()
+            store = next(iter(backend.engine.stores().values()))
+            if spec is tiered:
+                store.flush_demotions()
+            assert check_store_capacity(backend) == []
+            pick(store).max_bytes = 1.0
+            (violation,) = check_store_capacity(backend)
+            assert violation.check == "capacity"
+            assert violation.message.startswith(message)
 
     def test_real_backends_end_within_capacity(self):
         for spec in (

@@ -131,13 +131,6 @@ class TestZeroOverheadDefault:
             r.ttft_s for r in untraced.responses
         ]
 
-    def test_null_tracer_stays_empty(self):
-        from repro.telemetry import NullTracer
-
-        tracer = NullTracer()
-        serve(SPEC, contended_requests(3), tracer=tracer)
-        assert tracer.spans == [] and tracer.instants == [] and tracer.samples == []
-
 
 class TestDriverEvents:
     def test_ingests_and_sheds_appear_as_events(self):

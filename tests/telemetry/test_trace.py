@@ -1,14 +1,12 @@
-"""Tracer, Span and NullTracer semantics."""
+"""Tracer and Span semantics."""
 
 import pytest
 
 from repro.telemetry import (
     COMPUTE,
     DECODE,
-    NULL_TRACER,
     QUEUEING,
     TRANSFER,
-    NullTracer,
     Tracer,
     emit_breakdown_spans,
 )
@@ -82,33 +80,6 @@ class TestTracer:
         assert tracer.root_spans() == [root, tracer.spans_on("gpu")[0]]
         assert tracer.find_spans(name="gpu wait")[0].category == QUEUEING
         assert tracer.find_spans(category="decode")[0].name == "batch decode"
-
-
-class TestNullTracer:
-    def test_records_nothing(self):
-        tracer = NullTracer()
-        assert not tracer.enabled
-        span = tracer.span("x", track="t", start_s=0.0, dur_s=1.0)
-        span.end(5.0).annotate(a=1)
-        tracer.instant("evt", track="t")
-        tracer.sample("depth", 3, track="t")
-        tracer.advance_to(10.0)
-        assert tracer.spans == [] and tracer.instants == [] and tracer.samples == []
-        assert tracer.tracks == []
-        assert tracer.now == 0.0
-        assert list(span.walk()) == []
-
-    def test_metrics_discard_updates(self):
-        metrics = NULL_TRACER.metrics
-        counter = metrics.counter("requests")
-        counter.inc(5, path="kv")
-        assert counter.value(path="kv") == 0.0
-        metrics.gauge("depth").set(3)
-        metrics.histogram("ttft_s").observe(1.0)
-        assert metrics.snapshot() == {}
-
-    def test_span_handle_is_shared(self):
-        assert NULL_TRACER.span("a", track="t") is NULL_TRACER.span("b", track="t")
 
 
 class TestEmitBreakdownSpans:
