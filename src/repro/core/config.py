@@ -83,7 +83,7 @@ class CacheGenConfig:
     -------
     >>> config = CacheGenConfig(group_size=10, chunk_tokens=1500)
     >>> [level.name for level in config.levels]
-    ['high', 'medium', 'low']
+    ['high', 'medium', 'low', 'lowest']
     """
 
     #: Tokens per anchor group (Figure 6).

@@ -23,8 +23,14 @@ from .config import CacheGenConfig, EncodingLevel
 from .delta import anchor_positions, compute_deltas
 from .entropy_codec import EntropyCodec, EntropyEncodedPayload
 from .kv_cache import KVCache
-from .probability_model import SymbolProbabilityModel
-from .quantization import QuantizedTensor, bin_quantize, layer_bin_sizes, vectorwise_quantize
+from .probability_model import ScoringScratch, SymbolProbabilityModel
+from .quantization import (
+    QuantizedTensor,
+    bin_quantize,
+    layer_bin_sizes,
+    layer_std,
+    vectorwise_quantize,
+)
 
 __all__ = ["CacheGenEncoder", "EncodedKV", "EncodedTensorStream", "LevelCodecModel"]
 
@@ -107,11 +113,52 @@ class EncodedKV:
 
 @dataclass
 class LevelCodecModel:
-    """Probability models fitted for one encoding level."""
+    """Probability models fitted for one encoding level.
+
+    Levels with the same ``anchor_bits`` share one ``anchor_model`` object:
+    their anchor symbols are the same, so one profile serves them all.
+    """
 
     level: EncodingLevel
     delta_model: SymbolProbabilityModel
     anchor_model: SymbolProbabilityModel | None
+
+
+@dataclass
+class _PreparedTensor:
+    """What quantizing one K or V tensor needs that no encoding level changes."""
+
+    #: Non-anchor tokens' deltas, or the raw tensor when delta encoding is off.
+    deltas: np.ndarray
+    #: :func:`layer_std` of ``deltas``.
+    std: np.ndarray
+    anchors: np.ndarray | None
+    #: ``id(anchor model) -> (anchor scale, anchor payload)``, filled as levels
+    #: are encoded: a model is fitted for one ``anchor_bits``, so levels that
+    #: share the model share the anchor symbols and hence the payload.
+    anchor_cache: dict[int, tuple[np.ndarray, EntropyEncodedPayload]] = field(
+        default_factory=dict
+    )
+
+
+@dataclass
+class _PreparedKV:
+    """A KV cache together with the level-independent half of its encoding.
+
+    :meth:`CacheGenEncoder.encode_all_levels` makes one per cache and hands it
+    to :meth:`CacheGenEncoder.encode` in place of the cache; the first
+    ``encode`` fills ``tensors`` and the other levels reuse them, so a chunk
+    pays for its decomposition once.
+    """
+
+    kv: KVCache
+    #: Preparations of ``kv.k`` and ``kv.v``; ``None`` until first encoded.
+    tensors: tuple[_PreparedTensor, _PreparedTensor] | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """``KVCache.nbytes``, for callers that meter ``encode`` by its input's size."""
+        return self.kv.nbytes
 
 
 class CacheGenEncoder:
@@ -124,10 +171,17 @@ class CacheGenEncoder:
 
     Usage
     -----
-    >>> encoder = CacheGenEncoder()
-    >>> encoder.fit([sample_kv_1, sample_kv_2])
-    >>> encoded = encoder.encode(kv_chunk)          # default level
-    >>> encoded_low = encoder.encode(kv_chunk, "low")
+    >>> import numpy as np
+    >>> rng = np.random.default_rng(0)
+    >>> sample = KVCache(k=rng.standard_normal((4, 40, 8)), v=rng.standard_normal((4, 40, 8)))
+    >>> encoder = CacheGenEncoder().fit([sample])
+    >>> kv_chunk = sample.slice_tokens(0, 20)
+    >>> encoder.encode(kv_chunk).level.name         # default level
+    'medium'
+    >>> encoder.encode(kv_chunk, "low").payload_bits < encoder.encode(kv_chunk).payload_bits
+    True
+    >>> list(encoder.encode_all_levels(kv_chunk))   # one preparation, every level
+    ['high', 'medium', 'low', 'lowest']
     """
 
     def __init__(self, config: CacheGenConfig | None = None) -> None:
@@ -148,54 +202,63 @@ class CacheGenEncoder:
 
         The paper profiles one distribution per channel-layer combination of
         the delta tensors, plus one for the anchor tensors, per LLM, and then
-        reuses them for every KV cache that model produces.
+        reuses them for every KV cache that model produces.  The anchor
+        symbols depend on the level only through ``anchor_bits``, so one anchor
+        model is fitted per distinct ``anchor_bits`` and shared by its levels.
         """
         if not sample_caches:
             raise ValueError("at least one sample KV cache is required to fit the encoder")
         cfg = self.config
         grouping = cfg.probability_grouping
+        prepared = [self._prepare_tensor(t) for kv in sample_caches for t in (kv.k, kv.v)]
+        anchor_models: dict[int, SymbolProbabilityModel] = {}
         for level in cfg.levels:
-            delta_symbols: list[np.ndarray] = []
-            anchor_symbols: list[np.ndarray] = []
-            for kv in sample_caches:
-                for tensor in (kv.k, kv.v):
-                    delta_q, anchor_q = self._quantize_tensor(tensor, level)
-                    delta_symbols.append(delta_q.symbols)
-                    if anchor_q is not None:
-                        anchor_symbols.append(anchor_q.symbols)
-            delta_model = SymbolProbabilityModel.fit(delta_symbols, grouping=grouping)
-            anchor_model = (
-                SymbolProbabilityModel.fit(anchor_symbols, grouping=grouping)
-                if anchor_symbols
-                else None
+            delta_model = SymbolProbabilityModel.fit(
+                [self._quantize_deltas(p, level).symbols for p in prepared], grouping=grouping
             )
+            if cfg.use_delta and level.anchor_bits not in anchor_models:
+                anchor_models[level.anchor_bits] = SymbolProbabilityModel.fit(
+                    [vectorwise_quantize(p.anchors, level.anchor_bits).symbols for p in prepared],
+                    grouping=grouping,
+                )
             self._models[level.name] = LevelCodecModel(
-                level=level, delta_model=delta_model, anchor_model=anchor_model
+                level=level,
+                delta_model=delta_model,
+                anchor_model=anchor_models.get(level.anchor_bits),
             )
+        # Models are scored one at a time, so one scratch table serves them all.
+        scratch = ScoringScratch()
+        for model in [m.delta_model for m in self._models.values()] + list(anchor_models.values()):
+            model.scratch = scratch
         return self
 
     # ----------------------------------------------------------------- encode
-    def encode(self, kv: KVCache, level: EncodingLevel | str | int | None = None) -> EncodedKV:
-        """Encode a KV cache (or chunk) at the given encoding level."""
+    def encode(
+        self, kv: KVCache | _PreparedKV, level: EncodingLevel | str | int | None = None
+    ) -> EncodedKV:
+        """Encode a KV cache (or chunk) at the given encoding level.
+
+        :meth:`encode_all_levels` passes the cache wrapped in the preparation
+        its levels share; any other caller passes the cache.
+        """
         self._require_fitted()
         cfg = self.config
         if level is None:
             level = cfg.default_level
         level_obj = cfg.levels[cfg.level_index(level)]
         models = self._models[level_obj.name]
-
-        streams = []
-        for tensor in (kv.k, kv.v):
-            delta_q, anchor_q = self._quantize_tensor(tensor, level_obj)
-            streams.append(self._encode_stream(delta_q, anchor_q, models, level_obj))
-        k_stream, v_stream = streams
+        prepared = kv if isinstance(kv, _PreparedKV) else _PreparedKV(kv)
+        kv = prepared.kv
+        if prepared.tensors is None:
+            prepared.tensors = self._prepare_tensor(kv.k), self._prepare_tensor(kv.v)
+        k_prepared, v_prepared = prepared.tensors
         return EncodedKV(
             model_name=kv.model_name,
             level=level_obj,
             num_tokens=kv.num_tokens,
             group_size=cfg.group_size,
-            k_stream=k_stream,
-            v_stream=v_stream,
+            k_stream=self._encode_stream(k_prepared, models, level_obj),
+            v_stream=self._encode_stream(v_prepared, models, level_obj),
             sim_shape=kv.shape,
             scale_factor=kv.scale_factor,
             full_layers=kv.full_layers,
@@ -204,28 +267,26 @@ class CacheGenEncoder:
 
     def encode_all_levels(self, kv: KVCache) -> dict[str, EncodedKV]:
         """Encode a KV cache at every configured level (offline preparation)."""
-        return {level.name: self.encode(kv, level) for level in self.config.levels}
+        prepared = _PreparedKV(kv)
+        return {level.name: self.encode(prepared, level) for level in self.config.levels}
 
     # ------------------------------------------------------------ inner pieces
-    def _quantize_tensor(
-        self, tensor: np.ndarray, level: EncodingLevel
-    ) -> tuple[QuantizedTensor, QuantizedTensor | None]:
-        """Quantize one tensor into (delta symbols, anchor symbols)."""
+    def _prepare_tensor(self, tensor: np.ndarray) -> _PreparedTensor:
+        """The level-independent part of quantizing one tensor."""
         cfg = self.config
-        num_layers = tensor.shape[0]
-        bins = self._effective_bins(num_layers, level)
-
+        tensor = np.asarray(tensor, dtype=np.float32)
+        anchors = None
         if cfg.use_delta:
             decomposition = compute_deltas(tensor, cfg.group_size)
-            positions = anchor_positions(decomposition.num_tokens, cfg.group_size)
             mask = np.ones(decomposition.num_tokens, dtype=bool)
-            mask[positions] = False
-            deltas = decomposition.deltas[:, mask, :]
-            delta_q = bin_quantize(deltas, bins)
-            anchor_q = vectorwise_quantize(decomposition.anchors, level.anchor_bits)
-            return delta_q, anchor_q
-        delta_q = bin_quantize(tensor, bins)
-        return delta_q, None
+            mask[anchor_positions(decomposition.num_tokens, cfg.group_size)] = False
+            tensor, anchors = decomposition.deltas[:, mask, :], decomposition.anchors
+        return _PreparedTensor(deltas=tensor, std=layer_std(tensor), anchors=anchors)
+
+    def _quantize_deltas(self, prepared: _PreparedTensor, level: EncodingLevel) -> QuantizedTensor:
+        """The per-level part: bin-quantize the prepared deltas."""
+        bins = self._effective_bins(prepared.deltas.shape[0], level)
+        return bin_quantize(prepared.deltas, bins, std=prepared.std)
 
     def _effective_bins(self, num_layers: int, level: EncodingLevel) -> np.ndarray:
         cfg = self.config
@@ -235,22 +296,23 @@ class CacheGenEncoder:
         return np.full(num_layers, mean_bin)
 
     def _encode_stream(
-        self,
-        delta_q: QuantizedTensor,
-        anchor_q: QuantizedTensor | None,
-        models: LevelCodecModel,
-        level: EncodingLevel,
+        self, prepared: _PreparedTensor, models: LevelCodecModel, level: EncodingLevel
     ) -> EncodedTensorStream:
-        cfg = self.config
-        delta_payload = self._entropy_encode(delta_q, models.delta_model, bits_fallback=None)
+        delta_q = self._quantize_deltas(prepared, level)
+        delta_payload = self._entropy_encode(
+            delta_q.symbols, models.delta_model, bits_fallback=None
+        )
         anchor_payload = None
         anchor_scale = None
         anchor_bits = None
-        if anchor_q is not None:
-            anchor_payload = self._entropy_encode(
-                anchor_q, models.anchor_model, bits_fallback=level.anchor_bits
-            )
-            anchor_scale = anchor_q.scale
+        if prepared.anchors is not None:
+            key = id(models.anchor_model)
+            if key not in prepared.anchor_cache:
+                anchor_q = vectorwise_quantize(prepared.anchors, level.anchor_bits)
+                prepared.anchor_cache[key] = anchor_q.scale, self._entropy_encode(
+                    anchor_q.symbols, models.anchor_model, bits_fallback=level.anchor_bits
+                )
+            anchor_scale, anchor_payload = prepared.anchor_cache[key]
             anchor_bits = level.anchor_bits
         return EncodedTensorStream(
             delta_payload=delta_payload,
@@ -263,19 +325,18 @@ class CacheGenEncoder:
 
     def _entropy_encode(
         self,
-        quantized: QuantizedTensor,
+        symbols: np.ndarray,
         model: SymbolProbabilityModel | None,
         bits_fallback: float | None,
     ) -> EntropyEncodedPayload:
-        """Entropy-code a quantized tensor, honouring the AC ablation switch."""
+        """Entropy-code a symbol tensor, honouring the AC ablation switch."""
         cfg = self.config
-        symbols = quantized.symbols
         if cfg.use_arithmetic_coding and model is not None:
             codec = EntropyCodec(model, exact=cfg.exact_entropy_coding)
             return codec.encode(symbols)
         # Quantization-only: store fixed-width symbols (no entropy coding).
         if bits_fallback is None:
-            max_symbol = max(int(np.abs(symbols).max()), 1)
+            max_symbol = max(int(np.abs(symbols).max(initial=0)), 1)
             bits_fallback = float(np.ceil(np.log2(2 * max_symbol + 1)))
         return EntropyEncodedPayload(
             bits=float(bits_fallback) * symbols.size,

@@ -45,9 +45,11 @@ class KVCache:
 
     Example
     -------
+    >>> from repro.llm import SyntheticLLM
     >>> kv = SyntheticLLM("mistral-7b").calculate_kv("ctx", num_tokens=2_000)
-    >>> kv.shape  # (layers, tokens, channels)  # doctest: +SKIP
-    >>> [chunk.num_tokens for chunk in kv.split_tokens(1_500)]  # doctest: +SKIP
+    >>> kv.shape  # (layers, tokens, channels)
+    (32, 2000, 32)
+    >>> [chunk.num_tokens for chunk in kv.split_tokens(1_500)]
     [1500, 500]
     """
 

@@ -22,7 +22,13 @@ import numpy as np
 
 from .quantization import SYMBOL_CLIP
 
-__all__ = ["SymbolProbabilityModel", "Grouping", "ALPHABET_SIZE", "SYMBOL_OFFSET"]
+__all__ = [
+    "SymbolProbabilityModel",
+    "ScoringScratch",
+    "Grouping",
+    "ALPHABET_SIZE",
+    "SYMBOL_OFFSET",
+]
 
 Grouping = Literal["channel_layer", "layer", "channel", "token", "global"]
 
@@ -35,37 +41,74 @@ _VALID_GROUPINGS = ("channel_layer", "layer", "channel", "token", "global")
 
 
 def _context_ids(shape: tuple[int, int, int], grouping: Grouping) -> tuple[np.ndarray, int]:
-    """Per-element context id grid for a (layers, tokens, channels) tensor."""
+    """Context-id grid of a (layers, tokens, channels) tensor, left un-broadcast.
+
+    Only the axes the grouping depends on have extent > 1, so the grid
+    broadcasts against ``shape`` without ever being materialised at full size.
+    """
     layers, tokens, channels = shape
     if grouping == "channel_layer":
-        grid = (np.arange(layers)[:, None, None] * channels + np.arange(channels)[None, None, :])
-        grid = np.broadcast_to(grid, shape)
+        grid = np.arange(layers)[:, None, None] * channels + np.arange(channels)[None, None, :]
         return grid, layers * channels
     if grouping == "layer":
-        grid = np.broadcast_to(np.arange(layers)[:, None, None], shape)
-        return grid, layers
+        return np.arange(layers)[:, None, None], layers
     if grouping == "channel":
-        grid = np.broadcast_to(np.arange(channels)[None, None, :], shape)
-        return grid, channels
+        return np.arange(channels)[None, None, :], channels
     if grouping == "token":
-        grid = np.broadcast_to(np.arange(tokens)[None, :, None], shape)
-        return grid, tokens
+        return np.arange(tokens)[None, :, None], tokens
     if grouping == "global":
-        return np.zeros(shape, dtype=np.int64), 1
+        return np.int64(0), 1
     raise ValueError(f"unknown grouping {grouping!r}; expected one of {_VALID_GROUPINGS}")
 
 
-def _symbol_counts(symbols: np.ndarray, grouping: Grouping) -> tuple[np.ndarray, int]:
-    """Joint (context, symbol) counts for a symbol tensor."""
-    symbols = np.asarray(symbols)
+def _symbol_range(symbols: np.ndarray) -> tuple[int, int] | None:
+    """Validate a symbol tensor; its (min, max), or ``None`` when it is empty."""
     if symbols.ndim != 3:
         raise ValueError("symbols must be 3-D (layers, tokens, channels)")
-    if symbols.min() < -SYMBOL_CLIP or symbols.max() > SYMBOL_CLIP:
+    if symbols.size == 0:
+        return None
+    lo, hi = int(symbols.min()), int(symbols.max())
+    if lo < -SYMBOL_CLIP or hi > SYMBOL_CLIP:
         raise ValueError(f"symbols must lie in [-{SYMBOL_CLIP}, {SYMBOL_CLIP}]")
-    ctx, num_ctx = _context_ids(symbols.shape, grouping)
-    flat = ctx.astype(np.int64).ravel() * ALPHABET_SIZE + (symbols.ravel().astype(np.int64) + SYMBOL_OFFSET)
-    counts = np.bincount(flat, minlength=num_ctx * ALPHABET_SIZE).reshape(num_ctx, ALPHABET_SIZE)
-    return counts.astype(np.float64), num_ctx
+    return lo, hi
+
+
+def _band_counts(
+    symbols: np.ndarray, ctx: np.ndarray, num_ctx: int, lo: int, hi: int
+) -> np.ndarray:
+    """Joint (context, symbol) counts, ``(num_ctx, hi - lo + 1)``, over the values ``lo..hi``.
+
+    ``ctx, num_ctx`` is :func:`_context_ids` of the tensor, and every symbol
+    must lie in the band.  The flat bin index is one broadcast add of the
+    (small) context grid onto the symbols, so the cost is O(symbols) plus
+    ``num_ctx * (hi - lo + 1)`` bins.
+    """
+    width = hi - lo + 1
+    flat = (ctx * width - lo) + symbols
+    # Order "K": counting is order-free, and a quantizer's output need not be C-ordered.
+    counts = np.bincount(flat.ravel(order="K"), minlength=num_ctx * width)
+    return counts.reshape(num_ctx, width)
+
+
+class ScoringScratch:
+    """The zeroed work table of :meth:`SymbolProbabilityModel.cross_entropy_bits`.
+
+    A flat float64 buffer, all zeros between calls, allocated when a model
+    first scores (a model that is only fitted, or only drives the exact coder,
+    never pays for it) and grown to the largest table asked for.  Models that
+    are scored one after another — an encoder's — can share one instance;
+    sharing across threads is not safe.
+    """
+
+    def __init__(self) -> None:
+        self._buffer: np.ndarray | None = None
+
+    def table(self, shape: tuple[int, int]) -> np.ndarray:
+        """The buffer viewed as a C-contiguous table of ``shape``, all zeros."""
+        size = shape[0] * shape[1]
+        if self._buffer is None or self._buffer.size < size:
+            self._buffer = np.zeros(size)
+        return self._buffer[:size].reshape(shape)
 
 
 @dataclass
@@ -86,12 +129,16 @@ class SymbolProbabilityModel:
     shape:
         The (layers, tokens, channels) shape the model was fit on.  Only the
         dimensions participating in the grouping must match at scoring time.
+    scratch:
+        Work table of :meth:`cross_entropy_bits`; the model's own unless it
+        was handed one to share (see :class:`ScoringScratch`).
     """
 
     grouping: Grouping
     counts: np.ndarray
     shape: tuple[int, int, int]
     smoothing: float = 0.1
+    scratch: ScoringScratch = field(default_factory=ScoringScratch, repr=False, compare=False)
     _log_probs: np.ndarray | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ build
@@ -117,7 +164,11 @@ class SymbolProbabilityModel:
         total_counts: np.ndarray | None = None
         shape = tuple(symbol_tensors[0].shape)
         for tensor in symbol_tensors:
-            counts, _ = _symbol_counts(tensor, grouping)
+            tensor = np.asarray(tensor)
+            _symbol_range(tensor)
+            counts = _band_counts(
+                tensor, *_context_ids(tensor.shape, grouping), -SYMBOL_CLIP, SYMBOL_CLIP
+            )
             if total_counts is None:
                 total_counts = counts
             else:
@@ -152,13 +203,33 @@ class SymbolProbabilityModel:
 
         This is the length an arithmetic coder driven by this model attains up
         to a few bytes of termination overhead.
+
+        The value is ``-(data_counts * log2_probabilities()).sum()`` over the
+        full ``(num_contexts, ALPHABET_SIZE)`` table, but only the columns
+        between the smallest and the largest symbol present are counted and
+        multiplied; the rest of the zeroed scratch table already holds their
+        products.  The sum runs over the same table shape, and adding a zero to
+        a partial sum is exact, so the result is bit-identical to the dense
+        formula.
         """
-        data_counts, num_ctx = _symbol_counts(symbols, self.grouping)
+        symbols = np.asarray(symbols)
+        band = _symbol_range(symbols)
+        ctx, num_ctx = _context_ids(symbols.shape, self.grouping)
         if num_ctx != self.num_contexts:
             raise ValueError(
                 f"symbol tensor induces {num_ctx} contexts but model has {self.num_contexts}"
             )
-        return float(-(data_counts * self.log2_probabilities()).sum())
+        if band is None:
+            return 0.0
+        lo, hi = band
+        data_counts = _band_counts(symbols, ctx, num_ctx, lo, hi)
+        columns = slice(lo + SYMBOL_OFFSET, hi + SYMBOL_OFFSET + 1)
+        table = self.scratch.table(self.counts.shape)
+        try:
+            np.multiply(data_counts, self.log2_probabilities()[:, columns], out=table[:, columns])
+            return float(-table.sum())
+        finally:
+            table[:, columns] = 0.0
 
     def bits_per_element(self, symbols: np.ndarray) -> float:
         """Average ideal code length per symbol."""
@@ -202,4 +273,4 @@ class SymbolProbabilityModel:
             raise ValueError(
                 f"shape {shape} induces {num_ctx} contexts but model has {self.num_contexts}"
             )
-        return ctx
+        return np.broadcast_to(ctx, shape)

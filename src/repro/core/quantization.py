@@ -26,6 +26,7 @@ __all__ = [
     "bin_quantize",
     "bin_dequantize",
     "layer_bin_sizes",
+    "layer_std",
     "SYMBOL_CLIP",
 ]
 
@@ -123,15 +124,30 @@ def layer_bin_sizes(num_layers: int, group_bins: Sequence[float] = (0.5, 1.0, 1.
     return group_bins[groups]
 
 
+def layer_std(tensor: np.ndarray) -> np.ndarray:
+    """Per-layer standard deviation, shape ``(layers, 1)``, that bin quantization divides by.
+
+    Layers that are constant — or empty: a one-token chunk has no delta
+    tokens — get 1.0, so the scale stays finite.
+    """
+    tensor = _validate_tensor(tensor)
+    if tensor.size == 0:
+        return np.ones((tensor.shape[0], 1))
+    std = tensor.std(axis=(1, 2), keepdims=False)[:, None]
+    return np.where(std > 1e-8, std, 1.0)
+
+
 def bin_quantize(
     tensor: np.ndarray,
     bin_sizes: np.ndarray | Sequence[float],
     reference: np.ndarray | None = None,
+    std: np.ndarray | None = None,
 ) -> QuantizedTensor:
     """Quantize a (delta) tensor with per-layer bin sizes.
 
-    Values are first normalised by a *per-layer* standard deviation (computed
-    from ``reference`` if given, else from ``tensor`` itself — the paper
+    Values are first normalised by a *per-layer* standard deviation (``std``
+    when the caller already holds :func:`layer_std` of the tensor, else
+    computed from ``reference`` if given, else from ``tensor`` itself — the paper
     normalises per layer because "the values in the different layers have
     different ranges"), then rounded to multiples of the layer's bin size.
     Normalisation is deliberately **not** per channel: channels differ widely
@@ -148,13 +164,13 @@ def bin_quantize(
     if np.any(bin_sizes <= 0):
         raise ValueError("bin sizes must be positive")
 
-    basis = _validate_tensor(reference) if reference is not None else tensor
-    std = basis.std(axis=(1, 2), keepdims=False)[:, None]  # (layers, 1)
-    std = np.where(std > 1e-8, std, 1.0)
+    if std is None:
+        std = layer_std(reference if reference is not None else tensor)
     scale = (std * bin_sizes[:, None]).astype(np.float32)
 
-    symbols = np.rint(tensor / scale[:, None, :]).astype(np.int32)
-    symbols = np.clip(symbols, -SYMBOL_CLIP, SYMBOL_CLIP)
+    normalised = tensor / scale[:, None, :]
+    symbols = np.rint(normalised, out=normalised).astype(np.int32)
+    np.clip(symbols, -SYMBOL_CLIP, SYMBOL_CLIP, out=symbols)
     return QuantizedTensor(
         symbols=symbols,
         scale=scale,
