@@ -12,6 +12,8 @@ Public entry points
   declare the deployment (codec levels, store topology single/tiered/cluster,
   node count, replication, concurrency, admission) once, then drive any
   backend with the same requests and get one :class:`repro.RunReport` shape.
+  Building a backend profiles the codec; :func:`repro.profile_codec` does
+  that once for callers that build many (``build_backend(spec, codec=...)``).
 * :class:`repro.core.CacheGenEncoder` / :class:`repro.core.CacheGenDecoder` —
   the codec itself.
 * :class:`repro.streaming.KVStreamer` — SLO-aware streaming of encoded chunks.
@@ -37,7 +39,14 @@ Public entry points
 """
 
 from .cluster import WorkloadGenerator
-from .core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodingLevel, KVCache
+from .core import (
+    CacheGenConfig,
+    CacheGenDecoder,
+    CacheGenEncoder,
+    EncodingLevel,
+    FittedCodec,
+    KVCache,
+)
 from .faults import (
     BreakerPolicy,
     Corruption,
@@ -66,6 +75,7 @@ from .serving import (
     StickyDispatch,
     build_backend,
     make_dispatch,
+    profile_codec,
     serve,
 )
 from .streaming import KVStreamer, SLOAwareAdapter, prepare_chunks
@@ -97,6 +107,7 @@ __all__ = [
     "Driver",
     "EncodingLevel",
     "FaultSchedule",
+    "FittedCodec",
     "GpuStraggler",
     "GpuWorkerPool",
     "HedgePolicy",
@@ -131,6 +142,7 @@ __all__ = [
     "get_model_config",
     "make_dispatch",
     "prepare_chunks",
+    "profile_codec",
     "render_dashboard",
     "render_diff_dashboard",
     "serve",

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from ..core.config import CacheGenConfig
+from ..core.encoder import FittedCodec
 from ..llm.compute_model import A40, GPUSpec
 from ..llm.model_config import ModelConfig
 from ..metrics.cluster import NodeSummary, TierState, tier_state
@@ -63,6 +64,9 @@ class ClusterFrontend(ContextLoadingEngine):
     text_link:
         Link to the document store used by the text fallback; defaults to a
         fresh 3 Gbps link.
+    codec:
+        The offline profile to encode with, as for
+        :class:`~repro.serving.engine.ContextLoadingEngine`.
 
     Example
     -------
@@ -86,9 +90,15 @@ class ClusterFrontend(ContextLoadingEngine):
         base_quality: dict[str, float] | None = None,
         text_link: NetworkLink | None = None,
         vnodes: int = 64,
+        codec: FittedCodec | None = None,
     ) -> None:
         super().__init__(
-            model, link=text_link, config=config, gpu=gpu, base_quality=base_quality
+            model,
+            link=text_link,
+            config=config,
+            gpu=gpu,
+            base_quality=base_quality,
+            codec=codec,
         )
         if isinstance(node_links, int):
             if node_links <= 0:

@@ -16,7 +16,13 @@ from .delta import (
     delta_variance_ratio,
     reconstruct_from_deltas,
 )
-from .encoder import CacheGenEncoder, EncodedKV, EncodedTensorStream, LevelCodecModel
+from .encoder import (
+    CacheGenEncoder,
+    EncodedKV,
+    EncodedTensorStream,
+    FittedCodec,
+    LevelCodecModel,
+)
 from .entropy_codec import EntropyCodec, EntropyEncodedPayload
 from .kv_cache import KVCache
 from .probability_model import ALPHABET_SIZE, SYMBOL_OFFSET, SymbolProbabilityModel
@@ -44,6 +50,7 @@ __all__ = [
     "EncodingLevel",
     "EntropyCodec",
     "EntropyEncodedPayload",
+    "FittedCodec",
     "KVCache",
     "LevelCodecModel",
     "QuantizedTensor",

@@ -14,6 +14,9 @@ The paper's default settings (§5.2, §5.3, §C.2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import get_args
+
+from .probability_model import Grouping
 
 __all__ = ["EncodingLevel", "CacheGenConfig", "DEFAULT_LEVELS"]
 
@@ -125,6 +128,11 @@ class CacheGenConfig:
         names = [level.name for level in self.levels]
         if len(set(names)) != len(names):
             raise ValueError("encoding level names must be unique")
+        if self.probability_grouping not in get_args(Grouping):
+            raise ValueError(
+                f"unknown probability_grouping {self.probability_grouping!r}; "
+                f"expected one of {get_args(Grouping)}"
+            )
 
     # ------------------------------------------------------------------ lookup
     @property

@@ -15,6 +15,7 @@ the configured encoding levels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -32,7 +33,13 @@ from .quantization import (
     vectorwise_quantize,
 )
 
-__all__ = ["CacheGenEncoder", "EncodedKV", "EncodedTensorStream", "LevelCodecModel"]
+__all__ = [
+    "CacheGenEncoder",
+    "EncodedKV",
+    "EncodedTensorStream",
+    "FittedCodec",
+    "LevelCodecModel",
+]
 
 
 @dataclass
@@ -111,7 +118,7 @@ class EncodedKV:
         return self.sim_compressed_bytes * 8.0 / self.sim_num_elements
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelCodecModel:
     """Probability models fitted for one encoding level.
 
@@ -122,6 +129,68 @@ class LevelCodecModel:
     level: EncodingLevel
     delta_model: SymbolProbabilityModel
     anchor_model: SymbolProbabilityModel | None
+
+
+#: The :class:`CacheGenConfig` fields :meth:`CacheGenEncoder.fit` reads; a
+#: profile holds for any configuration that agrees on them (``chunk_tokens``,
+#: the default level and the entropy-coding switches are free to differ).
+_FIT_FIELDS = ("levels", "group_size", "use_delta", "use_layerwise_quant", "probability_grouping")
+
+
+def _fit_fields(config: CacheGenConfig) -> tuple:
+    return tuple(getattr(config, name) for name in _FIT_FIELDS)
+
+
+@dataclass(frozen=True)
+class FittedCodec:
+    """The outcome of one offline profiling run: every level's fitted models.
+
+    The paper profiles its symbol distributions once per LLM and reuses them
+    for every context (§5.2); this is that profile as a value.  It is what
+    :meth:`CacheGenEncoder.fit` produces (``encoder.codec``) and what
+    ``CacheGenEncoder(config, codec=...)`` — and every engine and backend
+    constructor above it — accepts in place of profiling again.
+
+    One codec may back any number of encoders, engines and backends at once.
+    Nothing reachable from it can be written: the dataclasses are frozen and
+    every ``counts`` / ``log2_probabilities()`` table is read-only.  The one
+    :class:`~repro.core.probability_model.ScoringScratch` is shared too, which
+    is safe because the stack is single-threaded and the scratch is all zeros
+    between ``cross_entropy_bits`` calls, whichever encoder made the call.
+
+    Example
+    -------
+    >>> import numpy as np
+    >>> rng = np.random.default_rng(0)
+    >>> sample = KVCache(k=rng.standard_normal((4, 40, 8)), v=rng.standard_normal((4, 40, 8)))
+    >>> codec = CacheGenEncoder().fit([sample]).codec
+    >>> CacheGenEncoder(CacheGenConfig(chunk_tokens=256), codec=codec).is_fitted
+    True
+    >>> codec.check(CacheGenConfig(group_size=5))  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+        ...
+    ValueError: codec was profiled with group_size=10, but the configuration has group_size=5; ...
+    """
+
+    #: ``KVCache.model_name`` of the sample caches the profile was taken from.
+    model_name: str
+    #: Values of ``_FIT_FIELDS`` in the configuration it was fitted under.
+    fit_fields: tuple
+    #: Level name -> fitted models (read-only mapping).
+    level_models: Mapping[str, LevelCodecModel]
+
+    def check(self, config: CacheGenConfig, model_name: str | None = None) -> None:
+        """Raise ``ValueError`` unless the profile was taken for ``config`` (and ``model_name``)."""
+        if model_name is not None and model_name != self.model_name:
+            raise ValueError(
+                f"codec was profiled for model {self.model_name!r}, not {model_name!r}"
+            )
+        for name, fitted, wanted in zip(_FIT_FIELDS, self.fit_fields, _fit_fields(config)):
+            if fitted != wanted:
+                raise ValueError(
+                    f"codec was profiled with {name}={fitted!r}, but the configuration "
+                    f"has {name}={wanted!r}; profile a codec for this configuration"
+                )
 
 
 @dataclass
@@ -168,6 +237,10 @@ class CacheGenEncoder:
     ----------
     config:
         Codec configuration; the default reproduces the paper's settings.
+    codec:
+        A :class:`FittedCodec` profiled earlier for this configuration; the
+        encoder is then fitted from construction.  ``ValueError`` if it was
+        profiled under another configuration.
 
     Usage
     -----
@@ -184,18 +257,23 @@ class CacheGenEncoder:
     ['high', 'medium', 'low', 'lowest']
     """
 
-    def __init__(self, config: CacheGenConfig | None = None) -> None:
+    def __init__(
+        self, config: CacheGenConfig | None = None, codec: FittedCodec | None = None
+    ) -> None:
         self.config = config or CacheGenConfig()
-        self._models: dict[str, LevelCodecModel] = {}
+        if codec is not None:
+            codec.check(self.config)
+        #: The fitted models; ``None`` until :meth:`fit` (or ``codec=``).
+        self.codec: FittedCodec | None = codec
 
     # -------------------------------------------------------------------- fit
     @property
     def is_fitted(self) -> bool:
-        return bool(self._models)
+        return self.codec is not None
 
     @property
     def level_models(self) -> Mapping[str, LevelCodecModel]:
-        return dict(self._models)
+        return dict(self.codec.level_models) if self.codec is not None else {}
 
     def fit(self, sample_caches: list[KVCache]) -> "CacheGenEncoder":
         """Profile per-(layer, channel) symbol distributions from sample caches.
@@ -211,6 +289,7 @@ class CacheGenEncoder:
         cfg = self.config
         grouping = cfg.probability_grouping
         prepared = [self._prepare_tensor(t) for kv in sample_caches for t in (kv.k, kv.v)]
+        level_models: dict[str, LevelCodecModel] = {}
         anchor_models: dict[int, SymbolProbabilityModel] = {}
         for level in cfg.levels:
             delta_model = SymbolProbabilityModel.fit(
@@ -221,15 +300,22 @@ class CacheGenEncoder:
                     [vectorwise_quantize(p.anchors, level.anchor_bits).symbols for p in prepared],
                     grouping=grouping,
                 )
-            self._models[level.name] = LevelCodecModel(
+            level_models[level.name] = LevelCodecModel(
                 level=level,
                 delta_model=delta_model,
                 anchor_model=anchor_models.get(level.anchor_bits),
             )
-        # Models are scored one at a time, so one scratch table serves them all.
+        # Models are scored one at a time, so one scratch table serves them all;
+        # their counts are shared by whoever is handed the codec, so nobody writes.
         scratch = ScoringScratch()
-        for model in [m.delta_model for m in self._models.values()] + list(anchor_models.values()):
+        for model in [m.delta_model for m in level_models.values()] + list(anchor_models.values()):
             model.scratch = scratch
+            model.counts.flags.writeable = False
+        self.codec = FittedCodec(
+            model_name=sample_caches[0].model_name,
+            fit_fields=_fit_fields(cfg),
+            level_models=MappingProxyType(level_models),
+        )
         return self
 
     # ----------------------------------------------------------------- encode
@@ -246,7 +332,7 @@ class CacheGenEncoder:
         if level is None:
             level = cfg.default_level
         level_obj = cfg.levels[cfg.level_index(level)]
-        models = self._models[level_obj.name]
+        models = self.codec.level_models[level_obj.name]
         prepared = kv if isinstance(kv, _PreparedKV) else _PreparedKV(kv)
         kv = prepared.kv
         if prepared.tensors is None:
@@ -356,4 +442,4 @@ class CacheGenEncoder:
         """Return the probability models fitted for a level."""
         self._require_fitted()
         level_obj = self.config.levels[self.config.level_index(level)]
-        return self._models[level_obj.name]
+        return self.codec.level_models[level_obj.name]

@@ -195,6 +195,8 @@ class SymbolProbabilityModel:
     def log2_probabilities(self) -> np.ndarray:
         if self._log_probs is None:
             self._log_probs = np.log2(self.probabilities())
+            # Cached and handed out by reference: a write would corrupt every later score.
+            self._log_probs.flags.writeable = False
         return self._log_probs
 
     # ----------------------------------------------------------------- scoring

@@ -21,7 +21,7 @@ from ..baselines import (
     UniformQuantizationBaseline,
 )
 from ..core.config import CacheGenConfig
-from ..core.encoder import CacheGenEncoder
+from ..core.encoder import CacheGenEncoder, FittedCodec
 from ..core.kv_cache import KVCache
 from ..datasets import get_dataset
 from ..datasets.base import ContextRecord, SyntheticDataset
@@ -106,6 +106,9 @@ class Workbench:
         Optional cap on context lengths (used by fast test settings).
     profile_tokens / profile_samples:
         Size of the offline encoder-profiling workload.
+    codec:
+        An offline profile taken earlier for this model and ``codec_config``;
+        the workbench then profiles nothing itself.
     """
 
     def __init__(
@@ -119,6 +122,7 @@ class Workbench:
         profile_tokens: int = 1_000,
         profile_samples: int = 2,
         kv_cache_size: int = 4,
+        codec: FittedCodec | None = None,
     ) -> None:
         self.model = get_model_config(model) if isinstance(model, str) else model
         self.dataset = get_dataset(dataset) if isinstance(dataset, str) else dataset
@@ -146,13 +150,16 @@ class Workbench:
             ]
         self.records: list[ContextRecord] = records
 
-        self.encoder = CacheGenEncoder(self.codec_config)
-        self.encoder.fit(
-            [
-                self.llm.calculate_kv(f"__profile-{i}", profile_tokens)
-                for i in range(profile_samples)
-            ]
-        )
+        if codec is None:
+            self.encoder = CacheGenEncoder(self.codec_config).fit(
+                [
+                    self.llm.calculate_kv(f"__profile-{i}", profile_tokens)
+                    for i in range(profile_samples)
+                ]
+            )
+        else:
+            codec.check(self.codec_config, self.model.name)
+            self.encoder = CacheGenEncoder(self.codec_config, codec=codec)
 
         self._kv_cache: OrderedDict[str, KVCache] = OrderedDict()
         self._kv_cache_size = max(kv_cache_size, 1)

@@ -23,7 +23,7 @@ from ..baselines import UniformQuantizationBaseline
 from ..metrics.system import slo_violation_rate
 from ..network.bandwidth import RandomTrace, gbps
 from ..network.link import NetworkLink
-from ..serving.api import ServeRequest, ServingSpec, build_backend
+from ..serving.api import ServeRequest, ServingSpec, build_backend, profile_codec
 from .common import ExperimentResult, Workbench
 
 __all__ = ["run_figure13"]
@@ -40,11 +40,14 @@ def run_figure13(
     max_gbps: float = 10.0,
 ) -> ExperimentResult:
     """Reproduce Figure 13 (SLO violation rate and quality per method)."""
+    # The workbench and the backend serve one model: one offline profile for both.
+    codec = profile_codec(model)
     workbench = Workbench(
         model=model,
         dataset=dataset,
         num_contexts=num_contexts,
         context_token_cap=context_token_cap,
+        codec=codec,
     )
     records = workbench.records
     quant = UniformQuantizationBaseline(8)
@@ -61,7 +64,7 @@ def run_figure13(
             )
         },
     )
-    backend = build_backend(spec, kind="single")
+    backend = build_backend(spec, kind="single", codec=codec)
     for record in records:
         backend.ingest(record.context_id, record.num_tokens)
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..core.kv_cache import KVCache
 from .model_config import ModelConfig, get_model_config
@@ -185,9 +184,14 @@ class SyntheticLLM:
         fast = self._stationary_ar1(context_rng, (layers, tokens, channels), rho)
         slow = self._stationary_ar1(context_rng, (layers, tokens, channels), self.SLOW_CORRELATION)
 
-        series = mean[:, None, :] + self.SLOW_STD * slow + self.FAST_STD * fast
-        tensor = scale[:, None, :] * series
-        return tensor.astype(np.float32)
+        # scale * (mean + SLOW_STD * slow + FAST_STD * fast), combined into
+        # ``slow``'s buffer in that order.
+        slow *= self.SLOW_STD
+        slow += mean[:, None, :]
+        fast *= self.FAST_STD
+        slow += fast
+        slow *= scale[:, None, :]
+        return slow.astype(np.float32)
 
     @staticmethod
     def _stationary_ar1(
@@ -195,14 +199,21 @@ class SyntheticLLM:
     ) -> np.ndarray:
         """Unit-variance AR(1) process along the token axis, stationary from t=0."""
         layers, tokens, channels = shape
-        noise = rng.standard_normal(size=shape)
-        series = lfilter([np.sqrt(1.0 - rho * rho)], [1.0, -rho], noise, axis=1)
+        series = rng.standard_normal(size=shape)
+        # y[t] = sqrt(1 - rho^2) * noise[t] + rho * y[t-1] from a zero initial
+        # condition: the multiply, multiply, add of a first-order IIR filter in
+        # direct form II (``scipy.signal.lfilter([gain], [1, -rho], noise)``),
+        # whose output the tests hold this loop to bit for bit.
+        series *= np.sqrt(1.0 - rho * rho)
+        for t in range(1, tokens):
+            series[:, t] += rho * series[:, t - 1]
         # The zero initial condition leaves early tokens with reduced variance;
         # add an independently drawn stationary start decayed by rho**t so the
         # process has unit variance at every position.
         start = rng.standard_normal(size=(layers, 1, channels))
         decay = np.power(rho, np.arange(tokens, dtype=np.float64))[None, :, None]
-        return series + start * decay
+        series += start * decay
+        return series
 
     # --------------------------------------------------------------- attention
     def attention_scores(self, context_id: str, num_tokens: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from .api import (
     ServeResponse,
     ServingSpec,
     build_backend,
+    profile_codec,
     serve,
 )
 from .fleet import (
@@ -46,5 +47,6 @@ __all__ = [
     "StickyDispatch",
     "build_backend",
     "make_dispatch",
+    "profile_codec",
     "serve",
 ]

@@ -9,6 +9,9 @@ This package is the single public serving surface of the repo:
   engine :func:`build_engine` builds for the spec's topology, served one
   request at a time or through the event simulation, speaking
   :class:`ServeRequest` / :class:`ServeResponse` / :class:`RunReport`;
+* :func:`profile_codec` — the offline codec profile a backend is built
+  around, for callers that build several backends for one model
+  (``build_backend(spec, codec=...)``);
 * :class:`Driver` / :func:`serve` — the arrival-driven open-loop runner that
   replays a workload's true Poisson arrival process (ingest events
   interleaved with queries, pluggable admission/shedding) through any
@@ -39,6 +42,7 @@ __all__ = [
     "TokenBucketAdmission",
     "build_backend",
     "build_engine",
+    "profile_codec",
     "serve",
 ]
 
@@ -46,6 +50,7 @@ _LAZY = {
     "Backend": ".backends",
     "build_engine": ".backends",
     "build_backend": ".backends",
+    "profile_codec": "..engine",
     "AdmissionPolicy": ".driver",
     "AdmitAll": ".driver",
     "TokenBucketAdmission": ".driver",

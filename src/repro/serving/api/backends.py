@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ...core.encoder import FittedCodec
 from ...faults.resilience import ResilienceManager
 from ...metrics.cluster import TierState
 from ...network.bandwidth import ConstantTrace, gbps
@@ -42,8 +43,13 @@ def _constant_link(bandwidth_gbps: float) -> NetworkLink:
     return NetworkLink(ConstantTrace(gbps(bandwidth_gbps)))
 
 
-def build_engine(spec: ServingSpec) -> ContextLoadingEngine:
-    """The engine a spec's topology declares: one local store, or the cluster."""
+def build_engine(spec: ServingSpec, codec: FittedCodec | None = None) -> ContextLoadingEngine:
+    """The engine a spec's topology declares: one local store, or the cluster.
+
+    ``codec`` is the offline profile to encode with
+    (:func:`~repro.serving.engine.profile_codec`); the engine profiles its own
+    when it is omitted.
+    """
     base_quality = dict(spec.base_quality) if spec.base_quality is not None else None
     if spec.topology == "single":
         return ContextLoadingEngine(
@@ -54,6 +60,7 @@ def build_engine(spec: ServingSpec) -> ContextLoadingEngine:
             base_quality=base_quality,
             store_max_bytes=spec.max_bytes_per_node,
             store_eviction_policy=spec.eviction_policy,
+            codec=codec,
         )
     # The frontend's package imports this one (cluster.frontend -> serving).
     from ...cluster.frontend import ClusterFrontend
@@ -81,6 +88,7 @@ def build_engine(spec: ServingSpec) -> ContextLoadingEngine:
             if spec.text_bandwidth_gbps is not None
             else None
         ),
+        codec=codec,
     )
 
 
@@ -288,12 +296,20 @@ class Backend:
         return report
 
 
-def build_backend(spec: ServingSpec, kind: str | None = None) -> Backend:
+def build_backend(
+    spec: ServingSpec, kind: str | None = None, *, codec: FittedCodec | None = None
+) -> Backend:
     """Build the execution backend a spec declares.
 
     ``kind`` overrides the derived choice (e.g. to force the sequential
     executor on a spec whose ``concurrency`` is above 1); it must stay
     compatible with the spec's topology.
+
+    Building profiles the codec for ``spec.model``, which is most of the
+    cost; a caller that builds several backends for one model calls
+    :func:`~repro.serving.engine.profile_codec` once and passes ``codec=`` to
+    each (``ValueError`` if it was profiled for another model or codec
+    configuration).
 
     Example
     -------
@@ -309,4 +325,8 @@ def build_backend(spec: ServingSpec, kind: str | None = None) -> Backend:
         raise ValueError("the cluster backend requires a tiered or cluster topology")
     if kind not in ("single", "concurrent", "cluster"):
         raise ValueError(f"unknown backend kind {kind!r}")
-    return Backend(spec, event=None if kind == "cluster" else kind == "concurrent")
+    return Backend(
+        spec,
+        build_engine(spec, codec),
+        event=None if kind == "cluster" else kind == "concurrent",
+    )

@@ -22,6 +22,7 @@ import warnings
 from dataclasses import replace
 from typing import Iterable, Mapping, Protocol, Sequence
 
+from ...core.encoder import FittedCodec
 from ...faults import FaultInjector, FaultSchedule, ResilienceManager, ResilienceReport
 from ...storage.kv_store import CapacityError
 from ...telemetry.slo import SLOObjective
@@ -556,6 +557,7 @@ def serve(
     admission: AdmissionPolicy | None = None,
     backend: str | None = None,
     tracer: Tracer | None = None,
+    codec: FittedCodec | None = None,
     **driver_kwargs,
 ) -> RunReport:
     """One-call serving: build the spec's backend, drive a workload, report.
@@ -564,7 +566,8 @@ def serve(
     ``workload`` (+ ``num_requests``) for a generated arrival process.
     ``backend`` optionally forces the adapter kind (``"single"`` /
     ``"concurrent"`` / ``"cluster"``).  A ``tracer`` records the run's full
-    telemetry and rides back on ``report.telemetry``.
+    telemetry and rides back on ``report.telemetry``.  ``codec`` hands the
+    backend an offline profile taken earlier (see :func:`build_backend`).
 
     Example
     -------
@@ -577,7 +580,7 @@ def serve(
     """
     if (requests is None) == (workload is None):
         raise ValueError("pass exactly one of requests= or workload=")
-    built = build_backend(spec, kind=backend)
+    built = build_backend(spec, kind=backend, codec=codec)
     driver = Driver(
         built,
         workload if workload is not None else list(requests),

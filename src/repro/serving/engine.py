@@ -34,7 +34,7 @@ from ..core.kv_cache import KVCache
 
 from ..core.config import CacheGenConfig
 from ..core.decoder import CacheGenDecoder
-from ..core.encoder import CacheGenEncoder
+from ..core.encoder import CacheGenEncoder, FittedCodec
 from ..llm.compute_model import A40, ComputeModel, GPUSpec
 from ..llm.model_config import ModelConfig, get_model_config
 from ..llm.quality import QualityModel
@@ -53,7 +53,7 @@ from .pipeline import IngestReport
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..cluster.node import StorageNode
 
-__all__ = ["Resolution", "ContextLoadingEngine"]
+__all__ = ["Resolution", "ContextLoadingEngine", "profile_codec"]
 
 #: Number of synthetic sample contexts used to profile the encoder offline.
 _PROFILE_SAMPLES = 2
@@ -63,6 +63,33 @@ _PROFILE_TOKENS = 1_500
 #: reference is needed on every KV-path query to score generation quality;
 #: recomputing it would re-pay the whole prefill the cache exists to avoid.
 _REFERENCE_CACHE_ENTRIES = 128
+
+
+def profile_codec(model: ModelConfig | str, config: CacheGenConfig | None = None) -> FittedCodec:
+    """Profile ``model``'s symbol distributions offline, as an engine does when built.
+
+    This is the expensive half of constructing a
+    :class:`ContextLoadingEngine` (two sample prefills and one table fit per
+    level).  The result depends only on the model and on the configuration
+    fields :class:`~repro.core.encoder.FittedCodec` is keyed by, so a caller
+    that builds many engines for one model profiles once and passes
+    ``codec=`` to each.
+
+    Example
+    -------
+    >>> codec = profile_codec("mistral-7b")  # doctest: +SKIP
+    >>> engines = [ContextLoadingEngine("mistral-7b", codec=codec) for _ in range(3)]  # doctest: +SKIP
+    """
+    config = config or CacheGenConfig()
+    if config.probability_grouping == "token":
+        raise ValueError(
+            'probability_grouping="token" cannot serve: a per-token-position model needs '
+            "every tensor to have the profile's token count, and contexts and chunks vary "
+            "in length; it exists for the Figure 5 grouping-entropy analysis only"
+        )
+    llm = SyntheticLLM(model)
+    samples = [llm.calculate_kv(f"__profile-{i}", _PROFILE_TOKENS) for i in range(_PROFILE_SAMPLES)]
+    return CacheGenEncoder(config).fit(samples).codec
 
 
 @dataclass
@@ -123,6 +150,10 @@ class ContextLoadingEngine:
     store_max_bytes / store_eviction_policy:
         Optional capacity bound (and victim-selection policy) of the node's
         bitstream store; ``None`` keeps the store unbounded.
+    codec:
+        The offline profile (:func:`profile_codec`) to encode with; profiled
+        here when omitted.  ``ValueError`` if it was profiled for another
+        model or codec configuration.
 
     Example
     -------
@@ -140,19 +171,21 @@ class ContextLoadingEngine:
         base_quality: dict[str, float] | None = None,
         store_max_bytes: float | None = None,
         store_eviction_policy: str | EvictionPolicy = "lru",
+        codec: FittedCodec | None = None,
     ) -> None:
         if isinstance(model, str):
             model = get_model_config(model)
         self.model = model
         self.link = link or NetworkLink()
         self.config = config or CacheGenConfig()
+        if codec is None:
+            codec = profile_codec(model, self.config)
+        else:
+            codec.check(self.config, model.name)
 
         quality_model = QualityModel(num_layers=model.sim_layers, base_values=base_quality)
         llm = SyntheticLLM(model, quality_model=quality_model)
-        encoder = CacheGenEncoder(self.config)
-        encoder.fit(
-            [llm.calculate_kv(f"__profile-{i}", _PROFILE_TOKENS) for i in range(_PROFILE_SAMPLES)]
-        )
+        encoder = CacheGenEncoder(self.config, codec=codec)
         policy = (
             make_policy(store_eviction_policy)
             if isinstance(store_eviction_policy, str)

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .sanitizers import ClockSanitizer
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..core.encoder import FittedCodec
     from ..serving.api.spec import ServingSpec
     from ..serving.api.types import RunReport, ServeRequest
     from ..serving.concurrent.events import SimClock
@@ -128,18 +129,24 @@ def check_spec_order_independence(
     seeds: Sequence[int] = (1, 2),
     backend: str | None = None,
     faults=None,
+    codec: "FittedCodec | None" = None,
 ) -> RaceReport:
     """Replay a spec under perturbed tie-breaks and diff the report digests.
 
     Pass explicit ``requests`` or a workload generator (+ ``num_requests``);
     generated arrivals are materialized once so every replay sees the same
     stream.  Each replay builds a fresh backend from ``spec``, so stores and
-    seeds reset; tie-break order is the only varying input.  ``faults``
+    seeds reset; tie-break order is the only varying input.  The replays share
+    one offline codec profile (``codec``, profiled here when omitted): it is
+    immutable, and profiling is most of what a backend costs to build.  ``faults``
     optionally threads a :class:`~repro.faults.FaultSchedule` through each
     replay's driver — chaos runs must be exactly as order-independent as
     healthy ones (retry jitter is keyed on the context, not a shared stream).
     """
+    from ..serving.api.backends import build_backend
+    from ..serving.api.driver import Driver
     from ..serving.api.types import ServeRequest as _ServeRequest
+    from ..serving.engine import profile_codec
 
     if (requests is None) == (workload is None):
         raise ValueError("pass exactly one of requests= or workload=")
@@ -153,12 +160,11 @@ def check_spec_order_independence(
             for item in workload.iter_requests(num_requests)
         ]
     fixed = list(requests)
+    if codec is None:
+        codec = profile_codec(spec.model, spec.resolved_config())
 
     def run_with_factory(clock_factory: Callable[[], "SimClock"]) -> tuple:
-        from ..serving.api.backends import build_backend
-        from ..serving.api.driver import Driver
-
-        built = build_backend(spec, kind=backend)
+        built = build_backend(spec, kind=backend, codec=codec)
         driver = Driver(built, list(fixed), faults=faults, simcheck=False)
         built.clock_factory = clock_factory
         report = driver.run()

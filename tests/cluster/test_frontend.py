@@ -12,11 +12,15 @@ TOKENS = 2_200
 
 
 @pytest.fixture(scope="module")
-def frontend() -> ClusterFrontend:
+def frontend(fitted_codec) -> ClusterFrontend:
     config = CacheGenConfig(chunk_tokens=1_024)
     links = [NetworkLink(ConstantTrace(gbps(3.0))) for _ in range(3)]
     return ClusterFrontend(
-        "mistral-7b", node_links=links, replication_factor=2, config=config
+        "mistral-7b",
+        node_links=links,
+        replication_factor=2,
+        config=config,
+        codec=fitted_codec(),
     )
 
 
@@ -82,11 +86,15 @@ class TestQuery:
 
 
 class TestHeterogeneousLinks:
-    def test_slow_replica_slower_than_fast_replica(self):
+    def test_slow_replica_slower_than_fast_replica(self, fitted_codec):
         config = CacheGenConfig(chunk_tokens=1_024)
         links = [NetworkLink(ConstantTrace(gbps(3.0))), NetworkLink(ConstantTrace(gbps(0.4)))]
         frontend = ClusterFrontend(
-            "mistral-7b", node_links=links, replication_factor=2, config=config
+            "mistral-7b",
+            node_links=links,
+            replication_factor=2,
+            config=config,
+            codec=fitted_codec(),
         )
         report = frontend.ingest("doc", TOKENS)
         assert set(report.replica_node_ids) == {"node-0", "node-1"}
@@ -99,10 +107,10 @@ class TestHeterogeneousLinks:
 
 class TestTieredFrontend:
     @pytest.fixture()
-    def tight_frontend(self):
+    def tight_frontend(self, fitted_codec):
         """Hot tiers sized so two long contexts cannot both stay hot."""
         config = CacheGenConfig(chunk_tokens=1_024)
-        probe = ClusterFrontend("mistral-7b", node_links=1, config=config)
+        probe = ClusterFrontend("mistral-7b", node_links=1, config=config, codec=fitted_codec())
         probe.ingest("probe", TOKENS)
         one = float(next(iter(probe.nodes.values())).store.storage_bytes())
         links = [NetworkLink(ConstantTrace(gbps(3.0))) for _ in range(2)]
@@ -113,6 +121,7 @@ class TestTieredFrontend:
             max_bytes_per_node=1.2 * one,
             cold_bytes_per_node=10 * one,
             config=config,
+            codec=fitted_codec(),
         )
 
     def test_pressure_demotes_and_cold_hit_serves_kv(self, tight_frontend):
@@ -147,11 +156,13 @@ class TestTieredFrontend:
         assert second.served_tier == "hot"
         assert second.ttft_s < first.ttft_s
 
-    def test_cold_tier_requires_bounded_hot_tier(self):
+    def test_cold_tier_requires_bounded_hot_tier(self, fitted_codec):
         with pytest.raises(ValueError):
-            ClusterFrontend("mistral-7b", node_links=2, cold_bytes_per_node=1e9)
+            ClusterFrontend(
+                "mistral-7b", node_links=2, cold_bytes_per_node=1e9, codec=fitted_codec()
+            )
 
-    def test_tier_links_must_match_node_count(self):
+    def test_tier_links_must_match_node_count(self, fitted_codec):
         with pytest.raises(ValueError):
             ClusterFrontend(
                 "mistral-7b",
@@ -159,4 +170,5 @@ class TestTieredFrontend:
                 max_bytes_per_node=1e9,
                 cold_bytes_per_node=1e9,
                 tier_links=[NetworkLink()],
+                codec=fitted_codec(),
             )

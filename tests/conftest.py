@@ -18,6 +18,7 @@ import pytest
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, KVCache
 from repro.llm import MISTRAL_7B, ComputeModel, QualityModel, SyntheticLLM
 from repro.network import ConstantTrace, NetworkLink, gbps
+from repro.serving.api import profile_codec
 
 #: Context length used by most tests — small enough to be fast, large enough
 #: to span several anchor groups and more than one streaming chunk.
@@ -79,6 +80,26 @@ def small_config() -> CacheGenConfig:
 @pytest.fixture(scope="session")
 def encoder(sample_caches: list[KVCache], small_config: CacheGenConfig) -> CacheGenEncoder:
     return CacheGenEncoder(small_config).fit(sample_caches)
+
+
+@pytest.fixture(scope="session")
+def fitted_codec():
+    """Factory for the offline codec profile of ``(model, config)``, taken once per session.
+
+    Profiling is most of what a backend costs to build, and the profile is an
+    immutable function of the model and codec configuration (any
+    ``chunk_tokens``), so tests that build backends pass
+    ``codec=fitted_codec()`` instead of profiling each time.
+    """
+    profiles = {}
+
+    def profile(model: str = "mistral-7b", config: CacheGenConfig | None = None):
+        key = (model, config or CacheGenConfig())
+        if key not in profiles:
+            profiles[key] = profile_codec(model, config)
+        return profiles[key]
+
+    return profile
 
 
 @pytest.fixture(scope="session")

@@ -53,6 +53,7 @@ class TestCacheGenConfig:
             {"chunk_tokens": 0},
             {"levels": ()},
             {"default_level_index": 10},
+            {"probability_grouping": "bogus"},
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -39,20 +39,25 @@ def workload():
     )
 
 
-def chaos_run(spec=CLUSTER_SPEC, faults=CRASH, num_requests=24, tracer=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return serve(
-            spec,
-            workload=workload(),
-            num_requests=num_requests,
-            faults=faults,
-            tracer=tracer,
-        )
+@pytest.fixture()
+def chaos_run(fitted_codec):
+    def run(spec=CLUSTER_SPEC, faults=CRASH, num_requests=24, tracer=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return serve(
+                spec,
+                workload=workload(),
+                num_requests=num_requests,
+                faults=faults,
+                tracer=tracer,
+                codec=fitted_codec(),
+            )
+
+    return run
 
 
 class TestDeterminism:
-    def test_same_schedule_same_seed_identical_resilience_reports(self):
+    def test_same_schedule_same_seed_identical_resilience_reports(self, chaos_run):
         first = chaos_run()
         second = chaos_run()
         assert first.resilience is not None
@@ -60,25 +65,27 @@ class TestDeterminism:
         assert first.segment_boundaries == second.segment_boundaries
         assert [r.ttft_s for r in first.responses] == [r.ttft_s for r in second.responses]
 
-    def test_no_faults_means_byte_identical_traces(self):
+    def test_no_faults_means_byte_identical_traces(self, fitted_codec):
         """With no schedule the fault layer must add zero trace overhead."""
         spec = CLUSTER_SPEC.with_(resilience=None)
         exports = []
         for _ in range(2):
             tracer = Tracer()
-            serve(spec, workload=workload(), num_requests=12, tracer=tracer)
+            serve(
+                spec, workload=workload(), num_requests=12, tracer=tracer, codec=fitted_codec()
+            )
             exports.append(json.dumps(to_chrome_trace(tracer), sort_keys=True))
         assert exports[0] == exports[1]
         assert '"faults"' not in exports[0]
 
-    def test_fault_instants_land_on_the_faults_track(self):
+    def test_fault_instants_land_on_the_faults_track(self, chaos_run):
         tracer = Tracer()
         chaos_run(tracer=tracer)
         payload = json.dumps(to_chrome_trace(tracer))
         assert "node_down" in payload and "node_up" in payload
         assert "faults" in payload
 
-    def test_failover_instants_carry_a_cause_label(self):
+    def test_failover_instants_carry_a_cause_label(self, chaos_run):
         """Crash-window failovers are visible in the trace, cause included."""
         tracer = Tracer()
         report = chaos_run(spec=CLUSTER_SPEC.with_(replication=1), tracer=tracer)
@@ -130,7 +137,7 @@ class TestConservation:
         ],
         ids=["single", "tiered", "cluster"],
     )
-    def test_mid_run_crash_and_recovery_conserves_requests(self, spec):
+    def test_mid_run_crash_and_recovery_conserves_requests(self, spec, chaos_run):
         node = "node-0" if spec.topology != "single" else "node-0"
         faults = FaultSchedule([NodeCrash(node, at_s=2.0, recover_at_s=6.0)])
         report = chaos_run(spec=spec, faults=faults, num_requests=20)
@@ -139,7 +146,7 @@ class TestConservation:
         assert report.resilience.offered == 20
         assert report.resilience.availability == 1.0
 
-    def test_single_node_crash_degrades_to_text_not_failure(self):
+    def test_single_node_crash_degrades_to_text_not_failure(self, chaos_run):
         spec = ServingSpec(chunk_tokens=256, concurrency=2, adaptive=False)
         faults = FaultSchedule([NodeCrash("node-0", at_s=1.0)])  # never recovers
         report = chaos_run(spec=spec, faults=faults, num_requests=12)
@@ -149,21 +156,30 @@ class TestConservation:
 
 
 class TestSegments:
-    def test_fault_boundaries_recorded_and_warned_once(self):
+    def test_fault_boundaries_recorded_and_warned_once(self, fitted_codec):
         with pytest.warns(UserWarning, match="segment"):
             report = serve(
-                CLUSTER_SPEC, workload=workload(), num_requests=24, faults=CRASH
+                CLUSTER_SPEC,
+                workload=workload(),
+                num_requests=24,
+                faults=CRASH,
+                codec=fitted_codec(),
             )
         assert report.segment_boundaries  # the crash and the recovery
         assert all(0 <= index < 24 for index in report.segment_boundaries)
 
-    def test_no_faults_no_boundaries(self):
-        report = serve(CLUSTER_SPEC.with_(resilience=None), workload=workload(), num_requests=8)
+    def test_no_faults_no_boundaries(self, fitted_codec):
+        report = serve(
+            CLUSTER_SPEC.with_(resilience=None),
+            workload=workload(),
+            num_requests=8,
+            codec=fitted_codec(),
+        )
         assert report.segment_boundaries == ()
 
 
 class TestRepairAndCorruption:
-    def test_crash_window_triggers_re_replication(self):
+    def test_crash_window_triggers_re_replication(self, chaos_run):
         report = chaos_run()
         resilience = report.resilience
         assert resilience.repairs_completed > 0
@@ -171,7 +187,7 @@ class TestRepairAndCorruption:
         # The crash fault cleared (node_up), so its MTTR is the window width.
         assert resilience.mttr_s["fault-0"] == pytest.approx(6.0)
 
-    def test_corrupted_replica_detected_on_read_and_repaired(self):
+    def test_corrupted_replica_detected_on_read_and_repaired(self, chaos_run):
         faults = FaultSchedule([Corruption("ctx-0000", at_s=2.0)])
         report = chaos_run(faults=faults)
         resilience = report.resilience
@@ -181,7 +197,7 @@ class TestRepairAndCorruption:
         # Detection + repair resolves the fault's MTTR in-run.
         assert "fault-0" in resilience.mttr_s
 
-    def test_replication_two_keeps_goodput_through_the_crash(self):
+    def test_replication_two_keeps_goodput_through_the_crash(self, chaos_run):
         """The experiment's acceptance shape, at test scale."""
         degraded_by_replication = {}
         for replication in (1, 2):

@@ -24,10 +24,14 @@ CLUSTER_SPEC = ServingSpec(
 SINGLE_SPEC = ServingSpec(chunk_tokens=256)
 
 
-def cluster_injector(schedule):
-    backend = build_backend(CLUSTER_SPEC)
-    injector = FaultInjector(schedule, backend, ResilienceManager(None))
-    return backend, injector
+@pytest.fixture()
+def cluster_injector(fitted_codec):
+    def build(schedule):
+        backend = build_backend(CLUSTER_SPEC, codec=fitted_codec())
+        injector = FaultInjector(schedule, backend, ResilienceManager(None))
+        return backend, injector
+
+    return build
 
 
 class TestScaledTrace:
@@ -41,20 +45,24 @@ class TestScaledTrace:
 
 
 class TestValidation:
-    def test_corruption_requires_a_cluster_backend(self):
+    def test_corruption_requires_a_cluster_backend(self, fitted_codec):
         schedule = FaultSchedule([Corruption("ctx", at_s=1.0)])
         with pytest.raises(ValueError, match="cluster"):
-            FaultInjector(schedule, build_backend(SINGLE_SPEC), ResilienceManager(None))
+            FaultInjector(
+                schedule,
+                build_backend(SINGLE_SPEC, codec=fitted_codec()),
+                ResilienceManager(None),
+            )
 
-    def test_unknown_node_id_rejected_up_front(self):
+    def test_unknown_node_id_rejected_up_front(self, fitted_codec):
         schedule = FaultSchedule([NodeCrash("node-99", at_s=1.0)])
-        backend = build_backend(CLUSTER_SPEC)
+        backend = build_backend(CLUSTER_SPEC, codec=fitted_codec())
         with pytest.raises(KeyError):
             FaultInjector(schedule, backend, ResilienceManager(None))
 
 
 class TestTiming:
-    def test_due_and_apply_respect_the_clock(self):
+    def test_due_and_apply_respect_the_clock(self, cluster_injector):
         schedule = FaultSchedule([NodeCrash("node-0", at_s=2.0, recover_at_s=5.0)])
         _, injector = cluster_injector(schedule)
         assert not injector.due(1.9)
@@ -64,7 +72,7 @@ class TestTiming:
         assert not injector.due(4.0)
         assert not injector.exhausted
 
-    def test_drain_applies_everything_left(self):
+    def test_drain_applies_everything_left(self, cluster_injector):
         schedule = FaultSchedule([NodeCrash("node-0", at_s=2.0, recover_at_s=5.0)])
         _, injector = cluster_injector(schedule)
         applied = injector.drain()
@@ -73,7 +81,7 @@ class TestTiming:
 
 
 class TestComponentSwaps:
-    def test_node_crash_marks_down_then_up(self):
+    def test_node_crash_marks_down_then_up(self, cluster_injector):
         schedule = FaultSchedule([NodeCrash("node-0", at_s=1.0, recover_at_s=2.0)])
         backend, injector = cluster_injector(schedule)
         node = backend.engine.cluster.node("node-0")
@@ -82,7 +90,7 @@ class TestComponentSwaps:
         injector.apply_due(2.0)
         assert node.up
 
-    def test_link_degrade_swaps_trace_and_restore_swaps_back(self):
+    def test_link_degrade_swaps_trace_and_restore_swaps_back(self, cluster_injector):
         schedule = FaultSchedule(
             [LinkDegradation(at_s=1.0, until_s=2.0, factor=0.5, node_id="node-1")]
         )
@@ -96,7 +104,7 @@ class TestComponentSwaps:
         injector.apply_due(2.0)
         assert link.trace is base
 
-    def test_clusterwide_link_fault_degrades_every_node(self):
+    def test_clusterwide_link_fault_degrades_every_node(self, cluster_injector):
         schedule = FaultSchedule([LinkDegradation(at_s=1.0, until_s=2.0, factor=0.5)])
         backend, injector = cluster_injector(schedule)
         injector.apply_due(1.0)
@@ -105,9 +113,9 @@ class TestComponentSwaps:
             isinstance(node.link.trace, ScaledTrace) for node in cluster.nodes.values()
         )
 
-    def test_gpu_straggler_swaps_compute_and_restores(self):
+    def test_gpu_straggler_swaps_compute_and_restores(self, fitted_codec):
         schedule = FaultSchedule([GpuStraggler(at_s=1.0, until_s=2.0, slowdown=4.0)])
-        backend = build_backend(SINGLE_SPEC)
+        backend = build_backend(SINGLE_SPEC, codec=fitted_codec())
         injector = FaultInjector(schedule, backend, ResilienceManager(None))
         base = backend.engine._parts.compute
         injector.apply_due(1.0)
@@ -129,7 +137,7 @@ class TestComponentSwaps:
         assert proxy.model is base.model
         assert proxy.gpu is base.gpu
 
-    def test_corruption_poisons_a_replica(self):
+    def test_corruption_poisons_a_replica(self, cluster_injector):
         schedule = FaultSchedule([Corruption("ctx-a", at_s=1.0)])
         backend, injector = cluster_injector(schedule)
         backend.ingest("ctx-a", 640)
@@ -138,7 +146,7 @@ class TestComponentSwaps:
         replicas = cluster.replicas_for("ctx-a")
         assert (replicas[0], "ctx-a") in cluster.corrupted_replicas
 
-    def test_corrupting_an_unstored_context_is_a_noop(self):
+    def test_corrupting_an_unstored_context_is_a_noop(self, cluster_injector):
         schedule = FaultSchedule([Corruption("ctx-missing", at_s=1.0)])
         backend, injector = cluster_injector(schedule)
         injector.apply_due(1.0)
@@ -146,7 +154,7 @@ class TestComponentSwaps:
 
 
 class TestOutcomes:
-    def test_recovery_clears_the_outcome(self):
+    def test_recovery_clears_the_outcome(self, cluster_injector):
         schedule = FaultSchedule([NodeCrash("node-0", at_s=1.0, recover_at_s=4.0)])
         _, injector = cluster_injector(schedule)
         injector.drain()
@@ -154,7 +162,7 @@ class TestOutcomes:
         assert outcome.fault_id == "fault-0"
         assert outcome.mttr_s == pytest.approx(3.0)
 
-    def test_flap_reopens_the_fault_until_its_last_restore(self):
+    def test_flap_reopens_the_fault_until_its_last_restore(self, cluster_injector):
         schedule = FaultSchedule(
             [LinkDegradation(at_s=0.0, until_s=3.0, factor=0.5, node_id="node-0", flaps=1)]
         )
@@ -165,7 +173,7 @@ class TestOutcomes:
         (outcome,) = injector.finalize()
         assert outcome.cleared_at_s == pytest.approx(3.0)
 
-    def test_finalize_orders_outcomes_by_fault_index(self):
+    def test_finalize_orders_outcomes_by_fault_index(self, cluster_injector):
         schedule = FaultSchedule(
             [
                 NodeCrash("node-0", at_s=5.0, recover_at_s=6.0),

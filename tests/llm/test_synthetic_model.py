@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,43 @@ class TestCalculateKV:
     def test_accepts_model_name(self):
         llm = SyntheticLLM("llama-7b")
         assert llm.config is LLAMA_7B
+
+
+class TestBitIdenticalSynthesis:
+    """The AR(1) recursion is hand-rolled so ``import repro`` needs no scipy;
+    every tensor must stay the one the ``lfilter`` formulation produced."""
+
+    #: SHA-256 of ``k.tobytes() + v.tobytes()`` of
+    #: ``SyntheticLLM("mistral-7b").calculate_kv("digest-context", n)``, taken
+    #: with the ``scipy.signal.lfilter`` implementation this one replaced.
+    DIGESTS = {
+        1: "279cf33b737c6f99b210684cce747f3d1640b8b80e79ae0c67c1de78e05dbbab",
+        7: "ac4b49cb3b3919eeef8560904818dca01a018d96db3407d61891e5427930025d",
+        320: "cf45575a68b1b88176f98b0fefb3fe4dcb92e59c401db62be2980a9f070ab485",
+        1500: "71b2c1cf07cfd98c546703c4340ff4002e920553f542ea2964022f8ad78448e0",
+    }
+
+    @pytest.mark.parametrize("num_tokens", sorted(DIGESTS))
+    def test_calculate_kv_matches_committed_digest(self, llm, num_tokens):
+        kv = llm.calculate_kv("digest-context", num_tokens)
+        digest = hashlib.sha256(kv.k.tobytes() + kv.v.tobytes()).hexdigest()
+        assert digest == self.DIGESTS[num_tokens]
+
+    @pytest.mark.parametrize("rho", [0.0, 0.25, 0.999])
+    @pytest.mark.parametrize("tokens", [1, 2, 40, 640, 2000])
+    def test_stationary_ar1_equals_the_lfilter_formulation(self, rho, tokens):
+        lfilter = pytest.importorskip("scipy.signal").lfilter
+        shape = (4, tokens, 6)
+
+        def reference(rng):
+            noise = rng.standard_normal(size=shape)
+            series = lfilter([np.sqrt(1.0 - rho * rho)], [1.0, -rho], noise, axis=1)
+            start = rng.standard_normal(size=(shape[0], 1, shape[2]))
+            decay = np.power(rho, np.arange(tokens, dtype=np.float64))[None, :, None]
+            return series + start * decay
+
+        ours = SyntheticLLM._stationary_ar1(np.random.default_rng(7), shape, rho)
+        assert ours.tobytes() == reference(np.random.default_rng(7)).tobytes()
 
 
 class TestStatisticalProperties:

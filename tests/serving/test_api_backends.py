@@ -19,14 +19,15 @@ REQUESTS = [
 
 
 @pytest.fixture(scope="module")
-def reports():
+def reports(fitted_codec):
     """The same workload served through all three backends."""
     return {
-        "single": serve(BASE, REQUESTS),
-        "concurrent": serve(BASE.with_(concurrency=3), REQUESTS),
+        "single": serve(BASE, REQUESTS, codec=fitted_codec()),
+        "concurrent": serve(BASE.with_(concurrency=3), REQUESTS, codec=fitted_codec()),
         "cluster": serve(
             BASE.with_(topology="cluster", num_nodes=2, replication=2, concurrency=3),
             REQUESTS,
+            codec=fitted_codec(),
         ),
     }
 
@@ -108,14 +109,15 @@ class TestBackendKinds:
 class TestDeprecationShims:
     """Direct construction of an engine builds the same stack as the spec."""
 
-    def test_engine_shim_matches_single_backend(self):
+    def test_engine_shim_matches_single_backend(self, fitted_codec):
         spec = BASE.with_(max_bytes_per_node=5e8, eviction_policy="lfu")
-        backend = build_backend(spec)
+        backend = build_backend(spec, codec=fitted_codec())
         legacy = ContextLoadingEngine(
             "mistral-7b",
             config=CacheGenConfig(chunk_tokens=256),
             store_max_bytes=5e8,
             store_eviction_policy="lfu",
+            codec=fitted_codec(),
         )
         assert backend.engine.config == legacy.config
         assert backend.engine.store.max_bytes == legacy.store.max_bytes
@@ -124,9 +126,9 @@ class TestDeprecationShims:
         )
         assert backend.engine.model.name == legacy.model.name
 
-    def test_event_backend_builds_sim_from_spec(self):
+    def test_event_backend_builds_sim_from_spec(self, fitted_codec):
         spec = BASE.with_(concurrency=4, max_decode_batch=8, admission_limit=2)
-        backend = build_backend(spec)
+        backend = build_backend(spec, codec=fitted_codec())
         assert backend.event and backend.last_sim is None
         backend.submit(ServeRequest("never-ingested", "Q?", num_tokens=320))
         backend.run()
@@ -135,7 +137,7 @@ class TestDeprecationShims:
         assert sim.batch_overhead == spec.batch_overhead
         assert sim.admission_limit == 2
 
-    def test_cluster_shim_matches_cluster_backend(self):
+    def test_cluster_shim_matches_cluster_backend(self, fitted_codec):
         from repro.cluster import ClusterFrontend
 
         spec = BASE.with_(
@@ -146,7 +148,7 @@ class TestDeprecationShims:
             cold_bytes_per_node=8e8,
             eviction_policy="lfu",
         )
-        backend = build_backend(spec)
+        backend = build_backend(spec, codec=fitted_codec())
         legacy = ClusterFrontend(
             "mistral-7b",
             node_links=3,
@@ -155,6 +157,7 @@ class TestDeprecationShims:
             cold_bytes_per_node=8e8,
             eviction_policy="lfu",
             config=CacheGenConfig(chunk_tokens=256),
+            codec=fitted_codec(),
         )
         built = backend.engine
         assert set(built.nodes) == set(legacy.nodes)

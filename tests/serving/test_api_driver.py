@@ -35,13 +35,13 @@ class TestAdmissionPolicies:
         with pytest.raises(ValueError):
             TokenBucketAdmission(rate_per_s=1.0, burst=0)
 
-    def test_stateful_policies_reset_between_runs(self):
+    def test_stateful_policies_reset_between_runs(self, fitted_codec):
         """Each run's arrival clock restarts at zero; so must policy state."""
         workload = WorkloadGenerator(
             num_contexts=2, arrival_rate_per_s=8.0, token_choices=(320,), seed=2
         )
         driver = Driver(
-            build_backend(SPEC),
+            build_backend(SPEC, codec=fitted_codec()),
             workload,
             admission=ConcurrencyLimitAdmission(max_inflight=2, est_service_s=3.0),
         )
@@ -63,7 +63,7 @@ class TestAdmissionPolicies:
 
 
 class TestDriver:
-    def test_open_loop_run_exposes_steady_state_queueing(self):
+    def test_open_loop_run_exposes_steady_state_queueing(self, fitted_codec):
         """A hot Poisson arrival stream queues *within* the run — no waves."""
         workload = WorkloadGenerator(
             num_contexts=2,
@@ -72,7 +72,7 @@ class TestDriver:
             token_choices=(640,),
             seed=3,
         )
-        report = serve(SPEC, workload=workload, num_requests=16)
+        report = serve(SPEC, workload=workload, num_requests=16, codec=fitted_codec())
         assert report.num_requests == 16
         assert report.hard_failures == 0
         assert report.queueing is not None
@@ -84,7 +84,7 @@ class TestDriver:
         arrivals = sorted(r.arrival_s for r in report.responses)
         assert arrivals[-1] > arrivals[0]
 
-    def test_driver_reproduces_figure12_concurrency_curve(self):
+    def test_driver_reproduces_figure12_concurrency_curve(self, fitted_codec):
         """The open-loop driver and the figure-12 experiment agree."""
         from repro.experiments import run_figure12_concurrency
 
@@ -95,7 +95,7 @@ class TestDriver:
         )
         spec = ServingSpec(model="mistral-7b", concurrency=max(levels))
         for n in levels:
-            backend = build_backend(spec, kind="concurrent")
+            backend = build_backend(spec, kind="concurrent", codec=fitted_codec())
             requests = [
                 ServeRequest(
                     "figure12-context",
@@ -112,7 +112,7 @@ class TestDriver:
                 row["queueing_s"], rel=0.02, abs=1e-9
             )
 
-    def test_shedding_reported_and_excluded_from_service(self):
+    def test_shedding_reported_and_excluded_from_service(self, fitted_codec):
         workload = WorkloadGenerator(
             num_contexts=2,
             arrival_rate_per_s=40.0,
@@ -124,12 +124,13 @@ class TestDriver:
             workload=workload,
             num_requests=12,
             admission=TokenBucketAdmission(rate_per_s=5.0, burst=1),
+            codec=fitted_codec(),
         )
         assert report.shed > 0
         assert report.shed + len(report.responses) == report.num_requests == 12
         assert 0.0 < report.shed_ratio < 1.0
 
-    def test_node_failure_splits_segments_and_degrades_gracefully(self):
+    def test_node_failure_splits_segments_and_degrades_gracefully(self, fitted_codec):
         spec = ServingSpec(
             model="mistral-7b",
             chunk_tokens=256,
@@ -138,7 +139,7 @@ class TestDriver:
             replication=2,
             concurrency=2,
         )
-        backend = build_backend(spec)
+        backend = build_backend(spec, codec=fitted_codec())
         workload = WorkloadGenerator(
             num_contexts=3, token_choices=(640,), arrival_rate_per_s=4.0, seed=9
         )
@@ -149,7 +150,7 @@ class TestDriver:
         assert report.kv_served + report.text_served == 10
         # With 2x replication the surviving replica keeps serving from cache.
         assert report.kv_served > 0
-    def test_concurrent_failover_names_attempted_nodes(self):
+    def test_concurrent_failover_names_attempted_nodes(self, fitted_codec):
         """The concurrent path reports attempted_node_ids like the sequential one."""
         spec = ServingSpec(
             model="mistral-7b",
@@ -159,7 +160,7 @@ class TestDriver:
             replication=2,
             concurrency=2,
         )
-        backend = build_backend(spec)
+        backend = build_backend(spec, codec=fitted_codec())
         backend.ingest("failover-doc", 640)
         primary = backend.engine.cluster.replicas_for("failover-doc")[0]
         backend.mark_down(primary)
@@ -176,16 +177,16 @@ class TestDriver:
         with pytest.raises(ValueError, match="mark_down"):
             Driver(NoTopology(), None, node_failures={0: "node-0"})
 
-    def test_topology_events_accepted_on_single_node_backends(self):
+    def test_topology_events_accepted_on_single_node_backends(self, fitted_codec):
         # Single-node backends take the one store dark, so node events no
         # longer require a cluster.
-        Driver(build_backend(SPEC), None, node_failures={0: "node-0"})
+        Driver(build_backend(SPEC, codec=fitted_codec()), None, node_failures={0: "node-0"})
 
-    def test_tracer_and_simcheck_end_with_their_driver(self):
+    def test_tracer_and_simcheck_end_with_their_driver(self, fitted_codec):
         """A reused backend must not keep tracing into an earlier run's tracer."""
         from repro.telemetry import Tracer
 
-        backend = build_backend(SPEC)
+        backend = build_backend(SPEC, codec=fitted_codec())
         requests = [
             ServeRequest("reused-doc", f"Q{i}?", arrival_s=0.05 * i, num_tokens=320)
             for i in range(3)
@@ -199,16 +200,16 @@ class TestDriver:
         assert len(tracer.spans) == spans
         assert backend.tracer is None and backend.clock_factory is None
 
-    def test_driver_requires_a_workload(self):
+    def test_driver_requires_a_workload(self, fitted_codec):
         with pytest.raises(ValueError, match="workload"):
-            Driver(build_backend(SPEC), None).run()
+            Driver(build_backend(SPEC, codec=fitted_codec()), None).run()
 
-    def test_num_requests_required_with_generator(self):
+    def test_num_requests_required_with_generator(self, fitted_codec):
         workload = WorkloadGenerator(num_contexts=2, token_choices=(320,))
         with pytest.raises(ValueError, match="num_requests"):
-            Driver(build_backend(SPEC), workload).run()
+            Driver(build_backend(SPEC, codec=fitted_codec()), workload).run()
 
-    def test_ingest_interleaves_under_capacity_pressure(self):
+    def test_ingest_interleaves_under_capacity_pressure(self, fitted_codec):
         """A bounded store serves arrivals against *their* store state.
 
         The store only holds one context at a time: ingesting B evicts A.  If
@@ -222,29 +223,29 @@ class TestDriver:
             ServeRequest("ctx-b", "Q2?", arrival_s=0.2, num_tokens=320),
             ServeRequest("ctx-b", "Q3?", arrival_s=0.3, num_tokens=320),
         ]
-        report = serve(spec, requests, reingest_on_miss=False)
+        report = serve(spec, requests, reingest_on_miss=False, codec=fitted_codec())
         assert report.total_evictions >= 1  # B's ingest displaced A
         assert report.kv_served == 4
 
-    def test_one_bad_request_does_not_sink_its_segment(self):
+    def test_one_bad_request_does_not_sink_its_segment(self, fitted_codec):
         requests = [
             ServeRequest("good-doc", "Q?", arrival_s=0.0, num_tokens=640),
             # Never ingested and no length: the engine must reject it — but
             # only it, not its segment-mates.
             ServeRequest("never-ingested", "Q?", arrival_s=0.1),
         ]
-        report = serve(SPEC, requests)
+        report = serve(SPEC, requests, codec=fitted_codec())
         assert report.hard_failures == 1
         assert len(report.responses) == 1
         assert report.responses[0].context_id == "good-doc"
         assert report.responses[0].used_kv_cache
 
-    def test_max_batch_segments_cover_all_requests(self):
+    def test_max_batch_segments_cover_all_requests(self, fitted_codec):
         requests = [
             ServeRequest("seg-doc", f"Q{i}?", arrival_s=0.2 * i, num_tokens=640)
             for i in range(5)
         ]
-        report = serve(SPEC, requests, max_batch=2)
+        report = serve(SPEC, requests, max_batch=2, codec=fitted_codec())
         assert len(report.responses) == 5
         assert [r.question for r in report.responses] == [r.question for r in requests]
 

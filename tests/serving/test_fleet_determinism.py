@@ -35,9 +35,9 @@ def fleet_requests() -> list[ServeRequest]:
     return requests
 
 
-def run_traced(spec: ServingSpec) -> dict:
+def run_traced(spec: ServingSpec, fitted_codec) -> dict:
     tracer = Tracer()
-    report = serve(spec, fleet_requests(), tracer=tracer)
+    report = serve(spec, fleet_requests(), tracer=tracer, codec=fitted_codec())
     assert report.hard_failures == 0
     return to_chrome_trace(tracer)
 
@@ -70,13 +70,13 @@ def run_traced(spec: ServingSpec) -> dict:
     ],
     ids=["sticky", "locality", "autoscaled"],
 )
-def test_replayed_fleet_run_exports_byte_identical_trace(spec):
-    first = json.dumps(run_traced(spec), sort_keys=True)
-    second = json.dumps(run_traced(spec), sort_keys=True)
+def test_replayed_fleet_run_exports_byte_identical_trace(spec, fitted_codec):
+    first = json.dumps(run_traced(spec, fitted_codec), sort_keys=True)
+    second = json.dumps(run_traced(spec, fitted_codec), sort_keys=True)
     assert first == second
 
 
-def test_distinct_seeds_still_converge_when_spec_is_deterministic():
+def test_distinct_seeds_still_converge_when_spec_is_deterministic(fitted_codec):
     """The fleet path has no RNG of its own: runs differ only through the
     request stream, so replaying a *permuted but equivalent* stream yields
     the same aggregate digest even though trace layout may differ."""
@@ -89,6 +89,6 @@ def test_distinct_seeds_still_converge_when_spec_is_deterministic():
         gpu_workers=2,
         dispatch_policy="sticky",
     )
-    baseline = run_report_digest(serve(spec, fleet_requests()))
-    replay = run_report_digest(serve(spec, fleet_requests()))
+    baseline = run_report_digest(serve(spec, fleet_requests(), codec=fitted_codec()))
+    replay = run_report_digest(serve(spec, fleet_requests(), codec=fitted_codec()))
     assert baseline == replay

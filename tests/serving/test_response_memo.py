@@ -171,9 +171,9 @@ ORACLE_SPECS = {
 
 
 @pytest.mark.parametrize("name", ORACLE_SPECS)
-def test_every_response_equals_its_recomputation(name):
+def test_every_response_equals_its_recomputation(name, fitted_codec):
     spec, expected_configs = ORACLE_SPECS[name]
-    backend = build_backend(spec)
+    backend = build_backend(spec, codec=fitted_codec())
     requests = _stream(24, num_contexts=4, prefix=name)
     report, evaluations = _drive(backend, requests)
 
@@ -194,9 +194,9 @@ def test_every_response_equals_its_recomputation(name):
     assert sum(len(record.generations) for record in _records(backend)) == len(distinct)
 
 
-def test_text_fallback_needs_no_distortion_pass():
+def test_text_fallback_needs_no_distortion_pass(fitted_codec):
     """Never-ingested contexts re-prefill from text: lossless, zero evaluations."""
-    backend = build_backend(BASE.with_(concurrency=4))
+    backend = build_backend(BASE.with_(concurrency=4), codec=fitted_codec())
     concurrent = backend
     for i in range(3):
         concurrent.submit(
@@ -217,8 +217,8 @@ def test_text_fallback_needs_no_distortion_pass():
 class TestMemoLifetime:
     """The memo is the record's: no invalidation code, so none to get wrong."""
 
-    def test_reingest_starts_empty_and_hits_share_one_result(self):
-        backend = build_backend(BASE.with_(adaptive=False))
+    def test_reingest_starts_empty_and_hits_share_one_result(self, fitted_codec):
+        backend = build_backend(BASE.with_(adaptive=False), codec=fitted_codec())
         engine = backend.engine
         engine.ingest("doc", 320)
         first_record = engine.store.peek_context("doc")
@@ -243,8 +243,8 @@ class TestMemoLifetime:
         assert after.quality == first.quality
         assert len(first_record.generations) == 2  # the dead record is untouched
 
-    def test_shared_generation_cannot_be_mutated(self):
-        backend = build_backend(BASE.with_(adaptive=False))
+    def test_shared_generation_cannot_be_mutated(self, fitted_codec):
+        backend = build_backend(BASE.with_(adaptive=False), codec=fitted_codec())
         backend.engine.ingest("doc", 160)
         backend.engine.query("doc", "a?")
         (generation,) = backend.engine.store.peek_context("doc").generations.values()
@@ -253,12 +253,12 @@ class TestMemoLifetime:
         with pytest.raises(AttributeError):
             generation.quality.value = 0.0
 
-    def test_demotion_and_promotion_keep_the_records_memo(self):
+    def test_demotion_and_promotion_keep_the_records_memo(self, fitted_codec):
         spec = BASE.with_(
             topology="tiered", num_nodes=1, replication=1, adaptive=False,
             max_bytes_per_node=30e6, cold_bytes_per_node=200e6,
         )
-        backend = build_backend(spec)
+        backend = build_backend(spec, codec=fitted_codec())
         frontend = backend.engine
         store = frontend.cluster.nodes["node-0"].store
         frontend.ingest("victim", 320)
@@ -280,7 +280,7 @@ class TestMemoLifetime:
         assert store.tier_of("victim") == "hot"  # promoted by the read
         assert store.peek_context("victim") is record
 
-    def test_ingest_churn_shape_then_oracle(self):
+    def test_ingest_churn_shape_then_oracle(self, fitted_codec):
         """Hot eviction -> demotion -> cold eviction -> re-ingest, then check."""
         spec = BASE.with_(
             topology="tiered", num_nodes=1, replication=1, concurrency=4,
@@ -299,7 +299,7 @@ class TestMemoLifetime:
             )
             for i, rank in enumerate(ranks)
         ]
-        backend = build_backend(spec)
+        backend = build_backend(spec, codec=fitted_codec())
         report, _ = _drive(backend, requests)
         assert report.demotions > 0 and report.promotions > 0
         assert report.total_evictions > 0  # cold evictions: records really die
@@ -308,7 +308,7 @@ class TestMemoLifetime:
         Oracle(backend.engine).check(requests, report.responses)
         self._check_bounded(backend, requests, report.responses)
 
-    def test_corruption_and_repair_then_oracle(self):
+    def test_corruption_and_repair_then_oracle(self, fitted_codec):
         spec = BASE.with_(
             topology="cluster", num_nodes=3, replication=2, concurrency=4,
             slo_s=TIGHT_SLO_S, resilience=ResiliencePolicy(),
@@ -316,7 +316,7 @@ class TestMemoLifetime:
         requests = _stream(24, num_contexts=3, prefix="heal")
         hottest = requests[0].context_id
         faults = FaultSchedule([Corruption(hottest, at_s=2.0)])
-        backend = build_backend(spec)
+        backend = build_backend(spec, codec=fitted_codec())
         report, evaluations = _drive(backend, requests, faults=faults)
         assert report.resilience.corruptions_detected == 1
         assert report.resilience.repairs_completed >= 1

@@ -74,30 +74,30 @@ class TestFindOrderRace:
 
 
 class TestRunReportDigest:
-    def test_identical_runs_digest_identically(self):
+    def test_identical_runs_digest_identically(self, fitted_codec):
         spec = ServingSpec(model="mistral-7b", chunk_tokens=256, concurrency=2)
         requests = [
             ServeRequest("digest-doc", f"Q{i}?", arrival_s=0.05 * i, num_tokens=640)
             for i in range(3)
         ]
-        first = run_report_digest(serve(spec, requests))
-        second = run_report_digest(serve(spec, requests))
+        first = run_report_digest(serve(spec, requests, codec=fitted_codec()))
+        second = run_report_digest(serve(spec, requests, codec=fitted_codec()))
         assert first == second
 
-    def test_digest_is_response_order_insensitive(self):
+    def test_digest_is_response_order_insensitive(self, fitted_codec):
         spec = ServingSpec(model="mistral-7b", chunk_tokens=256, concurrency=2)
         requests = [
             ServeRequest("digest-doc", f"Q{i}?", arrival_s=0.05 * i, num_tokens=640)
             for i in range(3)
         ]
-        report = serve(spec, requests)
+        report = serve(spec, requests, codec=fitted_codec())
         digest = run_report_digest(report)
         report.responses.reverse()
         assert run_report_digest(report) == digest
 
 
 class TestSpecOrderIndependence:
-    def test_figure12_concurrency_shape_is_clean(self):
+    def test_figure12_concurrency_shape_is_clean(self, fitted_codec):
         """Acceptance: the figure12 experiment shape — one shared context,
         simultaneous identical arrivals over a worker pool — must not depend
         on same-timestamp tie-break order."""
@@ -106,7 +106,7 @@ class TestSpecOrderIndependence:
             ServeRequest("figure12-context", "race?", arrival_s=0.0, num_tokens=640)
             for _ in range(6)
         ]
-        report = check_spec_order_independence(spec, requests, seeds=(1, 2))
+        report = check_spec_order_independence(spec, requests, seeds=(1, 2), codec=fitted_codec())
         assert not report.order_dependent, report.describe()
 
     def test_requires_exactly_one_request_source(self):

@@ -134,10 +134,10 @@ class TestInvariantChecks:
         tracer.span("launch", track="gpu", start_s=1.0, dur_s=1.0)
         assert check_tracer_tracks(tracer) == []
 
-    def test_corrupted_span_tree_is_rejected(self):
+    def test_corrupted_span_tree_is_rejected(self, fitted_codec):
         """Tamper one child span's duration: the breakdown check must notice."""
         tracer = Tracer()
-        report = serve(SPEC.with_(concurrency=2), REQUESTS, tracer=tracer)
+        report = serve(SPEC.with_(concurrency=2), REQUESTS, tracer=tracer, codec=fitted_codec())
         clean_matched, clean = check_span_breakdowns(tracer, report.responses)
         assert clean == [] and clean_matched == len(REQUESTS)
 
@@ -154,9 +154,9 @@ class TestInvariantChecks:
         assert all(v.check == "spans" for v in violations)
         assert any("span sum" in v.message or "TTFT total" in v.message for v in violations)
 
-    def test_missing_root_span_is_reported(self):
+    def test_missing_root_span_is_reported(self, fitted_codec):
         tracer = Tracer()
-        report = serve(SPEC, REQUESTS[:1], tracer=tracer)
+        report = serve(SPEC, REQUESTS[:1], tracer=tracer, codec=fitted_codec())
         for root in tracer.root_spans():
             if root.category == "request":
                 root.args["context_id"] = "someone-else"
@@ -164,7 +164,7 @@ class TestInvariantChecks:
         assert matched == 0
         assert any("no request root span" in v.message for v in violations)
 
-    def test_store_over_capacity_is_flagged(self):
+    def test_store_over_capacity_is_flagged(self, fitted_codec):
         """Each topology's stores reach the check through ``engine.stores()``."""
         cluster = SPEC.with_(topology="cluster", num_nodes=2, replication=2)
         # The hot tier holds one 640-token context, so the second one demotes.
@@ -182,7 +182,7 @@ class TestInvariantChecks:
             (tiered, lambda store: store.cold, "store node 'node-0' cold tier holds"),
         ]
         for spec, pick, message in cases:
-            backend = build_backend(spec)
+            backend = build_backend(spec, codec=fitted_codec())
             Driver(backend, requests, simcheck=False).run()
             store = next(iter(backend.engine.stores().values()))
             if spec is tiered:
@@ -193,19 +193,19 @@ class TestInvariantChecks:
             assert violation.check == "capacity"
             assert violation.message.startswith(message)
 
-    def test_real_backends_end_within_capacity(self):
+    def test_real_backends_end_within_capacity(self, fitted_codec):
         for spec in (
             SPEC,
             SPEC.with_(topology="cluster", num_nodes=2, replication=2, concurrency=2),
         ):
-            backend = build_backend(spec)
+            backend = build_backend(spec, codec=fitted_codec())
             Driver(backend, REQUESTS, simcheck=False).run()
             assert check_store_capacity(backend) == []
 
 
 class TestDriverIntegration:
-    def test_simcheck_true_attaches_clean_report(self):
-        backend = build_backend(SPEC.with_(concurrency=2))
+    def test_simcheck_true_attaches_clean_report(self, fitted_codec):
+        backend = build_backend(SPEC.with_(concurrency=2), codec=fitted_codec())
         tracer = Tracer()
         report = Driver(backend, REQUESTS, tracer=tracer, simcheck=True).run()
         result = report.simcheck
@@ -225,63 +225,65 @@ class TestDriverIntegration:
         ],
         ids=["single", "concurrent", "cluster"],
     )
-    def test_span_breakdown_verified_on_every_backend(self, spec):
+    def test_span_breakdown_verified_on_every_backend(self, spec, fitted_codec):
         """Acceptance: span-sum == TTFT-breakdown holds on all three backends."""
         tracer = Tracer()
-        report = Driver(build_backend(spec), REQUESTS, tracer=tracer, simcheck=True).run()
+        backend = build_backend(spec, codec=fitted_codec())
+        report = Driver(backend, REQUESTS, tracer=tracer, simcheck=True).run()
         assert report.simcheck.ok
         assert "spans" in report.simcheck.checks_run
         assert report.simcheck.spans_matched == len(report.responses)
 
-    def test_simcheck_false_disables_everything(self):
-        report = Driver(build_backend(SPEC), REQUESTS, simcheck=False).run()
+    def test_simcheck_false_disables_everything(self, fitted_codec):
+        report = Driver(build_backend(SPEC, codec=fitted_codec()), REQUESTS, simcheck=False).run()
         assert report.simcheck is None
 
-    def test_untraced_run_skips_tracer_checks(self):
-        report = Driver(build_backend(SPEC.with_(concurrency=2)), REQUESTS, simcheck=True).run()
+    def test_untraced_run_skips_tracer_checks(self, fitted_codec):
+        backend = build_backend(SPEC.with_(concurrency=2), codec=fitted_codec())
+        report = Driver(backend, REQUESTS, simcheck=True).run()
         assert report.simcheck.ok
         assert set(report.simcheck.checks_run) == {"clock", "capacity"}
 
-    def test_runtime_default_reaches_prebuilt_drivers(self, monkeypatch):
+    def test_runtime_default_reaches_prebuilt_drivers(self, monkeypatch, fitted_codec):
         from repro.simcheck import runtime
 
         # Neutralize the suite-wide autouse fixture so the control run below
         # really sees "no default configured".
         monkeypatch.setattr(runtime, "_default", None)
         monkeypatch.delenv("REPRO_SIMCHECK", raising=False)
-        driver = Driver(build_backend(SPEC), REQUESTS)
+        driver = Driver(build_backend(SPEC, codec=fitted_codec()), REQUESTS)
         with runtime.enabled():
             inside = driver.run()
         outside = driver.run()
         assert inside.simcheck is not None and inside.simcheck.ok
         assert outside.simcheck is None
 
-    def test_env_var_enables_default(self, monkeypatch):
+    def test_env_var_enables_default(self, monkeypatch, fitted_codec):
         from repro.simcheck import runtime
 
         monkeypatch.setattr(runtime, "_default", None)
         monkeypatch.setenv("REPRO_SIMCHECK", "1")
-        report = Driver(build_backend(SPEC), REQUESTS).run()
+        report = Driver(build_backend(SPEC, codec=fitted_codec()), REQUESTS).run()
         assert report.simcheck is not None
         monkeypatch.setenv("REPRO_SIMCHECK", "0")
-        report = Driver(build_backend(SPEC), REQUESTS).run()
+        report = Driver(build_backend(SPEC, codec=fitted_codec()), REQUESTS).run()
         assert report.simcheck is None
 
-    def test_custom_config_respected(self):
+    def test_custom_config_respected(self, fitted_codec):
         config = SimcheckConfig(strict=False, check_capacity=False)
-        report = Driver(build_backend(SPEC), REQUESTS, simcheck=config).run()
+        report = Driver(build_backend(SPEC, codec=fitted_codec()), REQUESTS, simcheck=config).run()
         assert report.simcheck.checks_run == ["clock"]
 
-    def test_invalid_simcheck_argument_rejected(self):
+    def test_invalid_simcheck_argument_rejected(self, fitted_codec):
         with pytest.raises(TypeError, match="simcheck"):
-            Driver(build_backend(SPEC), REQUESTS, simcheck="yes").run()
+            Driver(build_backend(SPEC, codec=fitted_codec()), REQUESTS, simcheck="yes").run()
 
 
 class TestMonitorStrictness:
-    def make_failing_run(self):
+    def make_failing_run(self, fitted_codec):
         """A finished run whose trace has been corrupted after the fact."""
         tracer = Tracer()
-        report = serve(SPEC.with_(concurrency=2), REQUESTS, tracer=tracer)
+        report = serve(SPEC.with_(concurrency=2), REQUESTS, tracer=tracer, codec=fitted_codec())
         victim = next(
             child
             for root in tracer.root_spans()
@@ -292,14 +294,14 @@ class TestMonitorStrictness:
         victim.dur_s += 1e-3
         return tracer, report
 
-    def test_strict_monitor_raises_on_violation(self):
-        tracer, report = self.make_failing_run()
+    def test_strict_monitor_raises_on_violation(self, fitted_codec):
+        tracer, report = self.make_failing_run(fitted_codec)
         monitor = SimcheckMonitor(SimcheckConfig(strict=True))
         with pytest.raises(SimcheckError, match="violation"):
             monitor.finalize(report, tracer=tracer)
 
-    def test_lenient_monitor_attaches_findings(self):
-        tracer, report = self.make_failing_run()
+    def test_lenient_monitor_attaches_findings(self, fitted_codec):
+        tracer, report = self.make_failing_run(fitted_codec)
         monitor = SimcheckMonitor(SimcheckConfig(strict=False))
         result = monitor.finalize(report, tracer=tracer)
         assert not result.ok

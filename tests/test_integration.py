@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,27 @@ def test_version_exposed():
 def test_public_api_importable():
     for name in repro.__all__:
         assert getattr(repro, name) is not None
+
+
+def test_serving_loads_no_scipy():
+    """A cold process pays ~1 s and ~65 MiB for ``scipy.signal``; nothing may import it."""
+    script = (
+        "import sys, repro\n"
+        "spec = repro.ServingSpec(chunk_tokens=256)\n"
+        "request = repro.ServeRequest('doc', 'Q?', num_tokens=320)\n"
+        "assert len(repro.serve(spec, [request]).responses) == 1\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('scipy'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = Path(repro.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(src), "PATH": ""},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestPaperHeadlineClaims:
