@@ -69,7 +69,7 @@ def run_figure13(
         backend.ingest(record.context_id, record.num_tokens)
 
     def serve_rows(link: NetworkLink, slo_s: float | None) -> list:
-        backend.engine.link = link
+        backend.engine.replace_link(link)
         for record in records:
             backend.submit(
                 ServeRequest(

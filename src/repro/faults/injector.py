@@ -86,9 +86,10 @@ class FaultInjector:
     schedule:
         The compiled :class:`FaultSchedule`.
     backend:
-        Any unified-API backend.  Corruption faults and per-node link faults
-        require the cluster backend; a node crash against a single-node
-        backend takes the one store dark (queries degrade to text).
+        Any unified-API backend.  Every node id a fault names must be one of
+        the backend's storage nodes (:meth:`validate`: ``KeyError`` here and
+        when the driver is built); the single topology's one node is
+        ``"node-0"``.
     manager:
         The run's :class:`ResilienceManager` (fault bookkeeping, repair).
     tracer:
@@ -113,20 +114,16 @@ class FaultInjector:
         self._base_traces: dict[int, tuple[object, BandwidthTrace]] = {}
         self._base_compute = None
         self.outcomes: dict[str, FaultOutcome] = {}
-        self._validate()
+        self.validate(schedule, self._cluster)
 
     # ---------------------------------------------------------------- validate
-    def _validate(self) -> None:
-        cluster = self._cluster
-        for fault in self.schedule:
-            if isinstance(fault, Corruption) and cluster is None:
-                raise ValueError(
-                    "corruption faults target stored replicas and require a "
-                    "cluster backend"
-                )
+    @staticmethod
+    def validate(schedule: FaultSchedule, cluster) -> None:
+        """``KeyError`` unless every node id a fault names is one of ``cluster``'s."""
+        for fault in schedule:
             if isinstance(fault, (NodeCrash, LinkDegradation, Corruption)):
-                if cluster is not None and fault.node_id is not None:
-                    cluster.node(fault.node_id)  # raises KeyError on unknown nodes
+                if fault.node_id is not None:
+                    cluster.node(fault.node_id)
 
     # ------------------------------------------------------------------ timing
     def due(self, now_s: float) -> bool:
@@ -155,9 +152,9 @@ class FaultInjector:
     def _apply(self, event: FaultEvent) -> None:
         self.manager.now = max(self.manager.now, event.at_s)
         if event.action == NODE_DOWN:
-            self._engine.mark_down(event.node_id)
+            self._cluster.mark_down(event.node_id)
         elif event.action == NODE_UP:
-            self._engine.mark_up(event.node_id)
+            self._cluster.mark_up(event.node_id)
         elif event.action == LINK_DEGRADE:
             for link in self._links(event.node_id):
                 base = self._base_traces.setdefault(id(link), (link, link.trace))[1]
@@ -186,13 +183,11 @@ class FaultInjector:
     def _links(self, node_id: str | None) -> list:
         """Links a (link) fault targets.
 
-        On a cluster, a node id picks that node's serving link and ``None``
-        degrades every node link (a cluster-wide WAN event).  On single-node
-        backends there is exactly one serving link.
+        A node id picks that node's serving link and ``None`` degrades every
+        node link (a cluster-wide WAN event; on the single topology, the one
+        serving link).
         """
         cluster = self._cluster
-        if cluster is None:
-            return [self._engine.link]
         if node_id is not None:
             return [cluster.node(node_id).link]
         return [node.link for node in cluster.nodes.values()]
@@ -200,7 +195,7 @@ class FaultInjector:
     def _corrupt(self, event: FaultEvent) -> None:
         cluster = self._cluster
         context_id = event.context_id
-        assert cluster is not None and context_id is not None
+        assert context_id is not None
         node_id = event.node_id
         if node_id is None:
             replicas = cluster.replicas_for(context_id)
@@ -265,7 +260,6 @@ class FaultInjector:
                 outcome.cleared_at_s = cleared
             elif (
                 isinstance(fault, NodeCrash)
-                and cluster is not None
                 and manager.last_repair_commit_s is not None
                 and not cluster.under_replicated()
             ):

@@ -60,9 +60,11 @@ def _require_window(at_s: float, until_s: float) -> None:
 class NodeCrash:
     """A storage node crashes at ``at_s`` and optionally recovers later.
 
-    Cluster backends mark the named node down (reads fail over along the hash
-    ring); single-node backends treat any crash as their one store going dark
-    (queries degrade to the text re-prefill path until recovery).
+    The named node is marked down: reads fail over along the hash ring, and
+    with no live replica left (always, on the single topology, whose one node
+    is ``"node-0"``) queries degrade to the text re-prefill path until
+    recovery.  An id the backend does not have is a ``KeyError`` when the
+    driver is built.
 
     Example
     -------
@@ -96,10 +98,11 @@ class NodeCrash:
 class LinkDegradation:
     """A link's bandwidth drops to ``factor`` of its trace for a window.
 
-    ``node_id=None`` targets the single-topology serving link; a node id
-    targets that storage node's link.  ``flaps > 0`` splits the window into
-    ``2 * flaps + 1`` equal sub-windows alternating degraded/healthy — the
-    degraded sub-windows come first and last, modeling a flapping route.
+    ``node_id=None`` targets every storage node's serving link (the single
+    topology's one link); a node id targets that node's link.  ``flaps > 0``
+    splits the window into ``2 * flaps + 1`` equal sub-windows alternating
+    degraded/healthy — the degraded sub-windows come first and last, modeling
+    a flapping route.
 
     Example
     -------
@@ -165,8 +168,8 @@ class Corruption:
 
     From ``at_s`` on, the first read that routes to the corrupted replica
     detects the bad copy, evicts it and fails over to another replica (or the
-    text path).  ``node_id=None`` corrupts the first replica in ring order at
-    injection time.  Cluster backends only.
+    text path, at once on the single topology, which has one copy).
+    ``node_id=None`` corrupts the first replica in ring order at injection time.
 
     Example
     -------

@@ -6,11 +6,11 @@ running serving stack and speaks the unified request/response shapes
 :class:`~repro.serving.api.types.ServeResponse` objects with one schema).  It
 is the pairing of two independent choices:
 
-* the **engine** (:func:`build_engine`) owns the store topology — a
-  :class:`~repro.serving.engine.ContextLoadingEngine` over one local store, or
-  a :class:`~repro.cluster.frontend.ClusterFrontend` over the sharded,
-  replicated, optionally tiered one — and with it routing (``resolve``) and
-  every state tap (``stores``, ``cluster``, ``mark_down``, ``tier_counters``);
+* the **engine** (:func:`build_engine`) owns the store topology — one
+  :class:`~repro.serving.engine.ContextLoadingEngine` over a sharded,
+  replicated, optionally tiered store of one or more nodes — and with it
+  routing (``resolve``) and every state tap (``cluster``, ``stores``,
+  ``tier_counters``);
 * the **executor** is the backend's: the engine's own sequential ``serve``,
   or :func:`~repro.serving.concurrent.engine.serve_batch` on an event
   simulation built from the spec when ``event`` is set (by default when
@@ -44,50 +44,38 @@ def _constant_link(bandwidth_gbps: float) -> NetworkLink:
 
 
 def build_engine(spec: ServingSpec, codec: FittedCodec | None = None) -> ContextLoadingEngine:
-    """The engine a spec's topology declares: one local store, or the cluster.
+    """The engine a spec declares; its single topology is one node on the serving link.
 
     ``codec`` is the offline profile to encode with
     (:func:`~repro.serving.engine.profile_codec`); the engine profiles its own
     when it is omitted.
     """
-    base_quality = dict(spec.base_quality) if spec.base_quality is not None else None
     if spec.topology == "single":
-        return ContextLoadingEngine(
-            spec.model,
-            link=spec.link or _constant_link(spec.bandwidth_gbps),
-            config=spec.resolved_config(),
-            gpu=spec.gpu,
-            base_quality=base_quality,
-            store_max_bytes=spec.max_bytes_per_node,
-            store_eviction_policy=spec.eviction_policy,
-            codec=codec,
+        # Text fallbacks and KV reads share the one serving link.
+        link = spec.link or _constant_link(spec.bandwidth_gbps)
+        node_links = None
+    else:
+        link = (
+            _constant_link(spec.text_bandwidth_gbps)
+            if spec.text_bandwidth_gbps is not None
+            else None
         )
-    # The frontend's package imports this one (cluster.frontend -> serving).
-    from ...cluster.frontend import ClusterFrontend
-
-    speeds = spec.node_bandwidths_gbps or (spec.bandwidth_gbps,) * spec.num_nodes
-    tiered = spec.cold_bytes_per_node is not None
-    return ClusterFrontend(
+        speeds = spec.node_bandwidths_gbps or (spec.bandwidth_gbps,) * spec.num_nodes
+        node_links = [_constant_link(speed) for speed in speeds]
+    return ContextLoadingEngine(
         spec.model,
-        node_links=[_constant_link(speed) for speed in speeds],
+        link,
+        config=spec.resolved_config(),
+        gpu=spec.gpu,
+        base_quality=dict(spec.base_quality) if spec.base_quality is not None else None,
+        node_links=node_links,
         replication_factor=spec.replication,
         max_bytes_per_node=spec.max_bytes_per_node,
         eviction_policy=spec.eviction_policy,
         cold_bytes_per_node=spec.cold_bytes_per_node,
-        tier_links=(
-            [_constant_link(spec.tier_bandwidth_gbps) for _ in range(spec.num_nodes)]
-            if tiered
-            else None
-        ),
+        # Read only by nodes that have a cold tier.
+        tier_links=[_constant_link(spec.tier_bandwidth_gbps) for _ in range(spec.num_nodes)],
         placement=spec.placement,
-        config=spec.resolved_config(),
-        gpu=spec.gpu,
-        base_quality=base_quality,
-        text_link=(
-            _constant_link(spec.text_bandwidth_gbps)
-            if spec.text_bandwidth_gbps is not None
-            else None
-        ),
         codec=codec,
     )
 
@@ -136,7 +124,7 @@ class Backend:
     @property
     def kind(self) -> str:
         """``single`` / ``concurrent`` / ``cluster``: topology, then executor."""
-        if self.engine.cluster is not None:
+        if self.spec.topology != "single":
             return "cluster"
         return "concurrent" if self.event else "single"
 
@@ -144,8 +132,7 @@ class Backend:
     def attach_tracer(self, tracer: Tracer | None) -> None:
         """Wire a tracer through the executor and the engine's stores (``None`` detaches)."""
         self.tracer = tracer
-        if self.engine.cluster is not None:
-            self.engine.cluster.tracer = tracer
+        self.engine.cluster.tracer = tracer
         for label, store in self.engine.stores().items():
             # A TieredKVStore wraps an inner hot store that emits its own events.
             for traced in (store, getattr(store, "hot", None)):
@@ -166,14 +153,14 @@ class Backend:
         self.simcheck = monitor
 
     # ---------------------------------------------------------------- topology
-    def mark_down(self, node_id: str | None = None) -> None:
-        self.engine.mark_down(node_id)
+    def mark_down(self, node_id: str) -> None:
+        self.engine.cluster.mark_down(node_id)
 
-    def mark_up(self, node_id: str | None = None) -> None:
-        self.engine.mark_up(node_id)
+    def mark_up(self, node_id: str) -> None:
+        self.engine.cluster.mark_up(node_id)
 
     def replicas_for(self, context_id: str) -> list[str]:
-        """Node ids holding replicas of a context (cluster topologies)."""
+        """Node ids holding replicas of a context."""
         return list(self.engine.cluster.replicas_for(context_id))
 
     # ------------------------------------------------------------------- serve
@@ -239,7 +226,7 @@ class Backend:
 
     # ------------------------------------------------------------------ report
     def total_evictions(self) -> int:
-        return sum(store.eviction_count for store in self.engine.stores().values())
+        return self.engine.cluster.total_evictions()
 
     def report(
         self,
@@ -279,7 +266,7 @@ class Backend:
                 hot_bytes=tier_now.hot_bytes,
                 cold_bytes=tier_now.cold_bytes,
             ),
-            node_summaries=engine.node_summaries(),
+            node_summaries=engine.cluster.node_summaries(),
             mean_context_tokens=mean_context_tokens,
             min_duration_s=min_duration_s,
         )

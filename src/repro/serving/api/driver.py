@@ -151,8 +151,8 @@ class Driver:
         :meth:`run` calls.
     node_failures / node_recoveries:
         Request index -> node id, applied at that arrival.  Each event closes
-        the current simulation segment.  On single-node backends the node id
-        is ignored — the one store goes dark (queries degrade to text).
+        the current simulation segment.  The single topology's one node is
+        ``"node-0"``; with it down, queries degrade to text.
     faults:
         Optional :class:`~repro.faults.FaultSchedule`.  Its compiled events
         (node crashes, link degradation, straggler GPUs, corrupted replicas)
@@ -239,10 +239,12 @@ class Driver:
         self.window_s = window_s
         self.slos = tuple(slos)
         self.simcheck = simcheck
-        if (self.node_failures or self.node_recoveries) and not hasattr(
-            backend, "mark_down"
-        ):
-            raise ValueError("topology events require a backend with mark_down/mark_up")
+        # A node id the backend does not have fails here, not mid-run.
+        cluster = backend.engine.cluster
+        for node_id in (*self.node_failures.values(), *self.node_recoveries.values()):
+            cluster.node(node_id)
+        if faults is not None:
+            FaultInjector.validate(faults, cluster)
         # ``None`` detaches whatever an earlier driver of this backend attached.
         backend.attach_tracer(tracer)
         #: Contexts ever ingested — persists across run() calls.
@@ -290,7 +292,8 @@ class Driver:
         # request was routed to at *its* arrival: serve what has already
         # arrived before mutating the stores.  Unbounded stores only ever
         # grow, so there the whole stream stays one continuous simulation.
-        ingest_is_barrier = backend.spec.max_bytes_per_node is not None
+        capacity = backend.spec.max_bytes_per_node
+        ingest_is_barrier = capacity is not None
 
         cluster = backend.engine.cluster
         manager: ResilienceManager | None = backend.resilience
@@ -301,15 +304,12 @@ class Driver:
                 # bookkeeping (MTTR, corruption clears): a bare manager.
                 manager = ResilienceManager(None, seed=self.faults.seed)
                 backend.resilience = manager
-                if cluster is not None and cluster.resilience is None:
+                if cluster.resilience is None:
                     cluster.resilience = manager
             injector = FaultInjector(self.faults, backend, manager, tracer=tracer)
         counters_before = manager.counters() if manager is not None else None
         repair_enabled = (
-            manager is not None
-            and cluster is not None
-            and manager.policy is not None
-            and manager.policy.repair
+            manager is not None and manager.policy is not None and manager.policy.repair
         )
         segment_boundaries: list[int] = []
         segment_times: list[float] = []
@@ -446,7 +446,7 @@ class Driver:
         if injector is not None:
             # Events past the last arrival still happen (and clear MTTR).
             injector.drain()
-        if manager is not None and cluster is not None:
+        if manager is not None:
             manager.drain(cluster, manager.now, tracer)
         fault_outcomes = injector.finalize() if injector is not None else ()
 
@@ -532,7 +532,7 @@ class Driver:
                 response.used_kv_cache
                 or context_id in seen
                 or context_id not in self._known_tokens
-                or context_id in self.backend.engine
+                or context_id in self.backend.engine.cluster
             ):
                 continue
             seen.add(context_id)

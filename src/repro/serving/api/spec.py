@@ -162,10 +162,11 @@ class ServingSpec:
                 f"unknown placement policy {self.placement!r}; "
                 f"expected one of {PLACEMENT_POLICIES}"
             )
-        if self.cold_bytes_per_node is not None:
-            if self.cold_bytes_per_node <= 0:
+        hot_bytes, cold_bytes = self.max_bytes_per_node, self.cold_bytes_per_node
+        if cold_bytes is not None:
+            if cold_bytes <= 0:
                 raise ValueError("cold_bytes_per_node must be positive")
-            if self.max_bytes_per_node is None:
+            if hot_bytes is None:
                 raise ValueError(
                     "a cold tier demotes from a bounded hot tier: "
                     "cold_bytes_per_node requires max_bytes_per_node"
@@ -174,11 +175,11 @@ class ServingSpec:
                 raise ValueError(
                     "the single topology has no tier link; use topology='tiered'"
                 )
-        if self.topology == "tiered" and self.cold_bytes_per_node is None:
+        if self.topology == "tiered" and cold_bytes is None:
             raise ValueError(
                 "the tiered topology needs a cold tier (set cold_bytes_per_node)"
             )
-        if self.max_bytes_per_node is not None and self.max_bytes_per_node <= 0:
+        if hot_bytes is not None and hot_bytes <= 0:
             raise ValueError("max_bytes_per_node must be positive")
         if self.chunk_tokens is not None and self.chunk_tokens <= 0:
             raise ValueError("chunk_tokens must be positive")

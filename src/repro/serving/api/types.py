@@ -1,6 +1,6 @@
 """Unified request/response/report shapes of the serving API.
 
-Every backend — single-node sequential, event-driven concurrent, cluster —
+Every backend — one node or a cluster, sequential or event-driven —
 speaks the same three objects:
 
 * :class:`ServeRequest` — one query (context, question, arrival time, task,
@@ -102,11 +102,12 @@ class ServeResponse:
     used_kv_cache: bool
     chunk_configs: Sequence[str] = field(default_factory=list)
     transmitted_bytes: float = 0.0
-    #: Node that served the KV bitstreams (None for text or single-node runs).
+    #: Node that served the KV bitstreams (``"node-0"`` on the single
+    #: topology; None on the text path, which no node serves).
     served_by: str | None = None
     #: The primary replica was down and a backup served the request.
     failed_over: bool = False
-    #: Nodes the lookup touched, in order (empty outside cluster runs).
+    #: Nodes the lookup touched before settling, in order.
     attempted_node_ids: tuple[str, ...] = ()
     #: Simulated arrival / first-token times (zero under sequential serving
     #: unless the caller supplied arrivals).

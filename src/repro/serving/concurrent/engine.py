@@ -2,8 +2,8 @@
 
 :func:`serve_batch` serves a *set* of
 :class:`~repro.serving.api.types.ServeRequest` objects over a
-:class:`~repro.serving.engine.ContextLoadingEngine` (or its sharded subclass)
-against the shared links and the GPU run queue of one
+:class:`~repro.serving.engine.ContextLoadingEngine` against the shared links
+and the GPU run queue of one
 :class:`~repro.serving.concurrent.simulator.ConcurrentLoadSimulator`.  Each
 response carries a :class:`~repro.metrics.system.QueueingTTFTBreakdown`, so
 TTFT under concurrency decomposes into queueing delay + transfer + compute
@@ -11,10 +11,10 @@ instead of being scaled by a static GPU share.
 
 Where a request is served from is the engine's decision
 (:meth:`~repro.serving.engine.ContextLoadingEngine.resolve`), taken in arrival
-order before the simulation runs: on a cluster each request streams from the
-replica the smart lookup picks — the modeled per-node queue depth is
-maintained across the batch, so co-arriving requests spread over replicas —
-and decodes of requests served by the same node share batched GPU launches.
+order before the simulation runs: each request streams from the replica the
+smart lookup picks — the modeled per-node queue depth is maintained across
+the batch, so co-arriving requests spread over replicas — and decodes of
+requests served by the same node share batched GPU launches.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ...metrics.system import QueueingTTFTBreakdown
-from ...storage.tiered import COLD, HOT
+from ...storage.tiered import COLD
 from ...telemetry.trace import Tracer, emit_timeline_spans
 from ..api.types import ServeRequest, ServeResponse
 from .processes import TIER_CONFIG, ChunkedKVLoad, LoadStage, StaticLoad
@@ -62,7 +62,7 @@ def serve_batch(
         arrival_order = sorted(
             range(len(submissions)), key=lambda i: (submissions[i].arrival_s, i)
         )
-        resilience = engine.resilience
+        resilience = engine.cluster.resilience
         for i in arrival_order:
             if tracer is not None:
                 # Routing-time events (lookup failovers, promotion on a
@@ -73,7 +73,7 @@ def serve_batch(
                 resilience.now = max(resilience.now, submissions[i].arrival_s)
             resolution = engine.resolve(submissions[i])
             resolutions[i] = resolution
-            if resolution.node is not None and resolution.use_kv:
+            if resolution.use_kv:
                 resolution.node.begin_serving()
                 serving_nodes.append(resolution.node)
         processes: list[ChunkedKVLoad | StaticLoad] = []
@@ -102,10 +102,8 @@ def serve_batch(
     # failure mid-batch leaves no half-recorded stats behind (the caller's
     # fallback path would otherwise count the same hits again).
     for resolution, timeline in zip(resolutions, timelines):
-        if resolution.use_kv and resolution.node is not None:
-            resolution.node.record_hit(
-                timeline.served_bytes, tier=resolution.tier or HOT
-            )
+        if resolution.use_kv:
+            resolution.node.record_hit(timeline.served_bytes, tier=resolution.tier)
     if tracer is not None:
         _emit_request_spans(tracer, submissions, resolutions, timelines, responses)
     return responses
@@ -171,7 +169,7 @@ def _build_process(
                 link=link,
             )
         )
-    if resolution.tier == COLD and node is not None:
+    if resolution.tier == COLD:
         # A cold hit reads the bitstreams off the replica's tier link
         # before the serving link sees the first byte; concurrent cold
         # hits on the same node serialize on that node's tier channel.
@@ -189,7 +187,7 @@ def _build_process(
         compute=compute,
         slo_s=submission.slo_s,
         prompt_tokens=prompt_tokens,
-        batch_key=node.node_id if node is not None else "local-gpu",
+        batch_key=node.node_id,
         session_key=submission.session_id,
         prologue=prologue,
     )

@@ -11,12 +11,19 @@ LangChain) talks to:
   bandwidth and an optional TTFT SLO) and calls ``generate_with_kv``;
   otherwise it falls back to fetching the text and prefilling.
 
+The bitstreams live in one :class:`~repro.cluster.sharded_store.ShardedKVStore`
+(``engine.cluster``) however many storage nodes stand behind it: the paper's
+single KV storage server is the one-node case, whose node serves over the
+engine's own ``link``.  Ingests are encoded once and replicated onto the
+store; when a replica is down the lookup fails over along the hash ring, and
+when every replica has lost the context the engine falls back to the text
+path, so a degraded store degrades TTFT, never availability.
+
 Routing is decided once, in :meth:`ContextLoadingEngine.resolve`: it maps a
-request to a :class:`Resolution` (stream the stored KV from where, or fall
-back to text, and why).  The sequential executor (:meth:`serve`) and the
+request to a :class:`Resolution` (stream the stored KV from which replica, or
+fall back to text, and why).  The sequential executor (:meth:`serve`) and the
 event-driven one (:func:`~repro.serving.concurrent.engine.serve_batch`)
-both consume it and build their responses with :meth:`respond`; the sharded
-store overrides it once (:class:`~repro.cluster.frontend.ClusterFrontend`).
+both consume it and build their responses with :meth:`respond`.
 
 The engine also follows §7.3's observation that for short contexts loading
 the text can be faster than loading the KV cache: when the estimated
@@ -28,8 +35,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Sequence
 
+from ..cluster.node import StorageNode
+from ..cluster.sharded_store import ShardedKVStore
 from ..core.kv_cache import KVCache
 
 from ..core.config import CacheGenConfig
@@ -39,19 +48,16 @@ from ..llm.compute_model import A40, ComputeModel, GPUSpec
 from ..llm.model_config import ModelConfig, get_model_config
 from ..llm.quality import QualityModel
 from ..llm.synthetic_model import GenerationResult, SyntheticLLM
-from ..metrics.cluster import NodeSummary, TierState
+from ..metrics.cluster import TierState, tier_state
 from ..metrics.system import TTFTBreakdown
 from ..network.link import NetworkLink
 from ..storage.eviction import EvictionPolicy, make_policy
 from ..storage.kv_store import KVCacheStore, StoredContext
-from ..storage.tiered import HOT
+from ..storage.tiered import DiskKVStore, PlacementPolicy, TieredKVStore
 from ..streaming.adaptation import AdaptationPolicy, FixedLevelPolicy, SLOAwareAdapter
 from ..streaming.streamer import KVStreamer, materialise
 from .api.types import ServeRequest, ServeResponse
 from .pipeline import IngestReport
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from ..cluster.node import StorageNode
 
 __all__ = ["Resolution", "ContextLoadingEngine", "profile_codec"]
 
@@ -98,7 +104,6 @@ class _EngineComponents:
     compute: ComputeModel
     encoder: CacheGenEncoder
     decoder: CacheGenDecoder
-    store: KVCacheStore
 
 
 @dataclass
@@ -111,10 +116,10 @@ class Resolution:
     #: document store's for a text fallback.
     link: NetworkLink
     stored: StoredContext | None = None
-    #: Serving replica (``None`` on the local store and on the text path).
-    node: "StorageNode | None" = None
+    #: Serving replica of a KV read (the text path is served by no node).
+    node: StorageNode | None = None
     failed_over: bool = False
-    #: Nodes the cluster lookup touched before settling, in order.
+    #: Nodes the lookup touched before settling, in order.
     attempted: tuple[str, ...] = ()
     #: Tier the context is read from, as routing found it (``None`` on the
     #: text path).
@@ -140,16 +145,40 @@ class ContextLoadingEngine:
     model:
         Serving model (name or :class:`ModelConfig`).
     link:
-        Network link between the KV storage server and the GPU server.
+        Network link to the document store, used by the text fallback — and,
+        when ``node_links`` is omitted, the one storage node's serving link
+        too, so text and KV bytes share one channel.  Defaults to a fresh
+        3 Gbps link.
     config:
         Codec/streamer configuration; defaults to the paper's settings.
     gpu:
         GPU specification of the serving node.
     base_quality:
         Optional per-task lossless quality overrides for the quality surrogate.
-    store_max_bytes / store_eviction_policy:
-        Optional capacity bound (and victim-selection policy) of the node's
-        bitstream store; ``None`` keeps the store unbounded.
+    node_links:
+        The storage nodes: their number (each on a default 3 Gbps link), or
+        one :class:`NetworkLink` per node for heterogeneous clusters.
+        ``None`` (the default) is one node on ``link`` itself.
+    replication_factor:
+        Replicas per context.
+    max_bytes_per_node:
+        Capacity budget of each node's store; ``None`` means unbounded.
+    eviction_policy:
+        Policy name (``"lru"``, ``"lfu"``, ``"cost"``) or a factory returning a
+        fresh :class:`EvictionPolicy` per node (policies hold per-node state
+        and must not be shared).
+    cold_bytes_per_node:
+        Capacity of each node's cold (disk/object-store) tier.  ``None`` (the
+        default) keeps nodes single-tier; with a cold tier attached, hot-tier
+        capacity evictions demote instead of drop and cold hits promote back.
+        Requires ``max_bytes_per_node`` (an unbounded hot tier never demotes).
+    tier_links:
+        One tier link per node modeling its disk/object-store read path;
+        defaults to each :class:`~repro.storage.tiered.DiskKVStore`'s 1 Gbps
+        constant link.
+    placement:
+        Tier-admission policy for new contexts (``"hot"``, ``"cost"``, or a
+        factory returning a fresh policy per node).
     codec:
         The offline profile (:func:`profile_codec`) to encode with; profiled
         here when omitted.  ``ValueError`` if it was profiled for another
@@ -157,7 +186,7 @@ class ContextLoadingEngine:
 
     Example
     -------
-    >>> engine = ContextLoadingEngine("mistral-7b")
+    >>> engine = ContextLoadingEngine("mistral-7b", node_links=4, replication_factor=2)
     >>> engine.ingest("doc-1", num_tokens=8_000)  # doctest: +SKIP
     >>> engine.query("doc-1", "what changed?").ttft.total_s  # doctest: +SKIP
     """
@@ -169,8 +198,15 @@ class ContextLoadingEngine:
         config: CacheGenConfig | None = None,
         gpu: GPUSpec = A40,
         base_quality: dict[str, float] | None = None,
-        store_max_bytes: float | None = None,
-        store_eviction_policy: str | EvictionPolicy = "lru",
+        *,
+        node_links: int | Sequence[NetworkLink] | None = None,
+        replication_factor: int = 1,
+        max_bytes_per_node: float | None = None,
+        eviction_policy: str | Callable[[], EvictionPolicy] = "lru",
+        cold_bytes_per_node: float | None = None,
+        tier_links: Sequence[NetworkLink] | None = None,
+        placement: str | Callable[[], PlacementPolicy] = "hot",
+        vnodes: int = 64,
         codec: FittedCodec | None = None,
     ) -> None:
         if isinstance(model, str):
@@ -186,64 +222,90 @@ class ContextLoadingEngine:
         quality_model = QualityModel(num_layers=model.sim_layers, base_values=base_quality)
         llm = SyntheticLLM(model, quality_model=quality_model)
         encoder = CacheGenEncoder(self.config, codec=codec)
-        policy = (
-            make_policy(store_eviction_policy)
-            if isinstance(store_eviction_policy, str)
-            else store_eviction_policy
-        )
         self._parts = _EngineComponents(
             llm=llm,
             compute=ComputeModel(model, gpu),
             encoder=encoder,
             decoder=CacheGenDecoder(encoder),
-            store=KVCacheStore(
-                encoder, max_bytes=store_max_bytes, eviction_policy=policy
-            ),
         )
         self._reference_cache: OrderedDict[tuple[str, int], KVCache] = OrderedDict()
-        #: Liveness of the node's bitstream store.  Fault injection flips this
-        #: on a single-node crash: stored contexts become unreachable (queries
-        #: degrade to the text re-prefill path) until recovery.
-        self.store_up = True
 
-    #: The run's :class:`~repro.faults.ResilienceManager`, when reads go
-    #: through one (only the sharded store consults it).
-    resilience = None
+        if node_links is None:
+            links = [self.link]
+        elif isinstance(node_links, int):
+            links = [NetworkLink() for _ in range(node_links)]
+        else:
+            links = list(node_links)
+        if not links:
+            raise ValueError("node_links must name at least one node")
+        hot_bytes, cold_bytes = max_bytes_per_node, cold_bytes_per_node
+        if cold_bytes is not None and hot_bytes is None:
+            raise ValueError(
+                "a cold tier needs a bounded hot tier (set max_bytes_per_node)"
+            )
+        if tier_links is not None and len(tier_links) != len(links):
+            raise ValueError("tier_links must name one link per node")
 
-    #: The :class:`~repro.cluster.sharded_store.ShardedKVStore` behind the
-    #: engine; ``None`` when it reads its one local store.
-    cluster = None
+        def new_policy() -> EvictionPolicy:
+            if isinstance(eviction_policy, str):
+                return make_policy(eviction_policy)
+            return eviction_policy()
+
+        def new_store(tier_link: NetworkLink | None) -> KVCacheStore | TieredKVStore:
+            hot = KVCacheStore(encoder, max_bytes=hot_bytes, eviction_policy=new_policy())
+            if cold_bytes is None:
+                return hot
+            cold = DiskKVStore(max_bytes=cold_bytes, eviction_policy=new_policy(), link=tier_link)
+            return TieredKVStore(
+                hot, cold, placement=placement if isinstance(placement, str) else placement()
+            )
+
+        #: The sharded store every read and write goes through.
+        self.cluster = ShardedKVStore(
+            encoder,
+            [
+                StorageNode(
+                    node_id=f"node-{i}",
+                    store=new_store(tier_links[i] if tier_links is not None else None),
+                    link=node_link,
+                )
+                for i, node_link in enumerate(links)
+            ],
+            replication_factor=replication_factor,
+            vnodes=vnodes,
+        )
 
     # ---------------------------------------------------------------- topology
-    def stores(self) -> dict[str, KVCacheStore]:
-        """Every bitstream store the engine reads, by label (trace tracks are
-        ``storage:<label>``)."""
-        return {"local": self._parts.store}
-
-    def __contains__(self, context_id: str) -> bool:
-        return context_id in self._parts.store
-
-    def mark_down(self, node_id: str | None = None) -> None:
-        """Crash the node: the one store goes dark, queries degrade to text."""
-        self.store_up = False
-
-    def mark_up(self, node_id: str | None = None) -> None:
-        self.store_up = True
+    def stores(self) -> dict[str, KVCacheStore | TieredKVStore]:
+        """Every bitstream store the engine reads, by node id (trace tracks are
+        ``storage:<node id>``)."""
+        return {node_id: node.store for node_id, node in self.cluster.nodes.items()}
 
     def tier_counters(self) -> TierState:
-        return TierState(0, 0, float(self._parts.store.storage_bytes()), 0.0)
+        return tier_state(self.cluster.nodes.values())
 
-    def node_summaries(self) -> list[NodeSummary]:
-        return []
+    def replace_link(self, link: NetworkLink) -> None:
+        """Swap ``self.link`` for ``link`` everywhere it is in use: the text
+        path and every node that serves over it."""
+        for node in self.cluster.nodes.values():
+            if node.link is self.link:
+                node.link = link
+        self.link = link
+
+    def link_labels(self) -> dict[int, str]:
+        """Trace-track names of the links requests may cross, by ``id(link)``."""
+        labels = {id(self.link): "serving"}
+        for node_id, node in self.cluster.nodes.items():
+            labels[id(node.link)] = node_id
+            tier_link = getattr(node.store, "tier_link", None)
+            if tier_link is not None:
+                labels[id(tier_link)] = f"tier:{node_id}"
+        return labels
 
     # ------------------------------------------------------------------ access
     @property
     def llm(self) -> SyntheticLLM:
         return self._parts.llm
-
-    @property
-    def store(self) -> KVCacheStore:
-        return self._parts.store
 
     @property
     def encoder(self) -> CacheGenEncoder:
@@ -300,66 +362,101 @@ class ContextLoadingEngine:
 
     # ------------------------------------------------------------------ ingest
     def ingest(self, context_id: str, num_tokens: int) -> IngestReport:
-        """Prefill a context once, encode its KV cache and store the bitstreams.
+        """Prefill a context once, encode its KV cache and replicate the bitstreams.
 
         ``encode_delay_s`` is the *modeled* GPU encode time
         (:meth:`~repro.llm.compute_model.ComputeModel.encode_delay`), not a
         wall-clock measurement: ingest is part of the simulated world, and a
         host-time read here would leak nondeterminism into traces and reports.
         """
-        kv = self._reference_kv(context_id, num_tokens)
-        return IngestReport(**self._ingest_fields(self._parts.store.store_kv(context_id, kv)))
-
-    def _ingest_fields(self, stored: StoredContext) -> dict:
-        return {
-            "context_id": stored.context_id,
-            "num_tokens": stored.num_tokens,
-            "num_chunks": stored.num_chunks,
-            "stored_bytes_per_level": {
+        placement = self.cluster.store_kv(context_id, self._reference_kv(context_id, num_tokens))
+        stored = placement.stored
+        return IngestReport(
+            context_id=context_id,
+            num_tokens=stored.num_tokens,
+            num_chunks=stored.num_chunks,
+            stored_bytes_per_level={
                 level.name: stored.total_bytes(level.name) for level in self.config.levels
             },
-            "encode_delay_s": self._parts.compute.encode_delay(stored.num_tokens),
-        }
+            encode_delay_s=self._parts.compute.encode_delay(stored.num_tokens),
+            replica_node_ids=placement.replica_node_ids,
+            replicated_bytes=placement.replicated_bytes,
+        )
 
     # ----------------------------------------------------------------- routing
     def resolve(self, request: ServeRequest) -> Resolution:
-        """Decide where ``request`` is served from: the local store, or text."""
-        store = self._parts.store
-        num_tokens = request.num_tokens
-        outcome = {}
-        if request.context_id in store:
-            if self.store_up:
-                stored = store.get_context(request.context_id)
-                if not self._prefer_text_path(stored.num_tokens, self.link):
-                    return Resolution(
-                        use_kv=True,
-                        num_tokens=stored.num_tokens,
-                        link=self.link,
-                        stored=stored,
-                        tier=HOT,
-                    )
-                num_tokens = stored.num_tokens
-            else:
-                # The one store is down but holds the context: degrade to text.
-                outcome = {"degraded": True, "cause": "node_down"}
-                if num_tokens is None:
-                    num_tokens = store.peek_context(request.context_id).num_tokens
-        return self._text_resolution(num_tokens, **outcome)
+        """Route to the best live replica, else to text.
 
-    def _text_resolution(self, num_tokens: int | None, **outcome) -> Resolution:
+        ``request.num_tokens`` is only required for contexts the engine has
+        never ingested; lengths of evicted contexts are remembered.
+        """
+        lookup = self.cluster.locate(request.context_id)
+        num_tokens = request.num_tokens
+        if lookup.found:
+            node, stored = lookup.node, lookup.stored
+            # A cold hit reads the bitstreams off the replica's disk tier
+            # before the serving link sees the first byte — one serialized
+            # tier-link transfer of the default level's bitstreams.
+            tier_read_s = 0.0
+            if lookup.cold_hit:
+                tier_read_s = node.cold_read_delay_s(
+                    stored.total_bytes(self.config.default_level.name)
+                )
+            if not self._prefer_text_path(
+                stored.num_tokens,
+                node.link,
+                kv_extra_s=tier_read_s + lookup.extra_delay_s,
+            ):
+                return Resolution(
+                    use_kv=True,
+                    num_tokens=stored.num_tokens,
+                    link=node.link,
+                    stored=stored,
+                    node=node,
+                    failed_over=lookup.failed_over,
+                    attempted=lookup.attempted_node_ids,
+                    tier=lookup.tier,
+                    degraded=lookup.degraded,
+                    cause=lookup.cause if lookup.degraded else None,
+                    retries=lookup.retries,
+                    hedged=lookup.hedged,
+                    extra_delay_s=lookup.extra_delay_s,
+                    tier_read_s=tier_read_s,
+                    level_override=lookup.level_override,
+                )
+            # Short context: the text path wins even though the replica holds
+            # the cache — not a miss, the node just is not asked to serve.
+            num_tokens = stored.num_tokens
+
+        # A text fallback of a context the store once held is a *degraded*
+        # answer (the short-context preference above is not: the text path
+        # simply wins there).  The cause rides on the lookup.
+        known_tokens = self.cluster.known_tokens(request.context_id)
+        if num_tokens is None:
+            num_tokens = known_tokens
         if num_tokens is None:
             raise ValueError(
-                "num_tokens is required for contexts that have not been ingested"
+                f"context {request.context_id!r} was never ingested here: "
+                "its text fallback needs num_tokens"
             )
-        return Resolution(use_kv=False, num_tokens=num_tokens, link=self.link, **outcome)
+        degraded = known_tokens is not None and not lookup.found
+        return Resolution(
+            use_kv=False,
+            num_tokens=num_tokens,
+            link=self.link,
+            attempted=lookup.attempted_node_ids,
+            degraded=degraded,
+            cause=(lookup.cause or "evicted") if degraded else None,
+            retries=lookup.retries,
+        )
 
     def _prefer_text_path(
         self, num_tokens: int, kv_link: NetworkLink, kv_extra_s: float = 0.0
     ) -> bool:
         """Short contexts load faster as text than as KV bitstreams (§7.3).
 
-        The two paths may use different links (in a cluster the KV bitstreams
-        come from a storage node, the text from the document store).
+        The two paths may use different links (the KV bitstreams come from a
+        storage node, the text from the document store).
         ``kv_extra_s`` charges the KV path for delays beyond the serving link
         — a cold-tier hit pays the node's tier link before streaming starts.
         """
@@ -390,10 +487,6 @@ class ContextLoadingEngine:
 
     def prompt_tokens(self, question: str) -> int:
         return max(self._parts.llm.tokenizer.count_tokens(question), 1)
-
-    def link_labels(self) -> dict[int, str]:
-        """Trace-track names of the links requests may cross, by ``id(link)``."""
-        return {id(self.link): "serving"}
 
     # ------------------------------------------------------------------- query
     def query(
@@ -463,8 +556,8 @@ class ContextLoadingEngine:
             finish_s=request.arrival_s + ttft.total_s,
             tier_transfer_s=resolution.tier_read_s,
         )
-        if resolution.node is not None:
-            resolution.node.record_hit(num_bytes, tier=resolution.tier or HOT)
+        if resolution.use_kv:
+            resolution.node.record_hit(num_bytes, tier=resolution.tier)
         return response
 
     def respond(
@@ -483,7 +576,6 @@ class ContextLoadingEngine:
                 self._reference_kv(request.context_id, resolution.num_tokens),
                 task=request.task,
             )
-        node = resolution.node
         return ServeResponse(
             context_id=request.context_id,
             question=request.question,
@@ -491,7 +583,7 @@ class ContextLoadingEngine:
             quality=generation.quality,
             used_kv_cache=resolution.use_kv,
             chunk_configs=configs,
-            served_by=node.node_id if node is not None else None,
+            served_by=resolution.node.node_id if resolution.use_kv else None,
             failed_over=resolution.failed_over,
             attempted_node_ids=resolution.attempted,
             served_tier=resolution.tier,

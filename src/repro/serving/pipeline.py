@@ -1,8 +1,8 @@
 """The ingest report of the serving integration (§6).
 
 What :meth:`~repro.serving.engine.ContextLoadingEngine.ingest` hands back:
-what was stored for a context and, on a sharded store, where the replicas
-landed.  (The response type is :class:`~repro.serving.api.types.ServeResponse`.)
+what was stored for a context and where the replicas landed.  (The response
+type is :class:`~repro.serving.api.types.ServeResponse`.)
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class IngestReport:
     num_chunks: int
     stored_bytes_per_level: Mapping[str, float]
     encode_delay_s: float
-    #: Where the replicas landed (sharded stores only).
+    #: Where the replicas landed.
     replica_node_ids: tuple[str, ...] = ()
     replicated_bytes: float = 0.0
 

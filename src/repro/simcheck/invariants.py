@@ -263,11 +263,9 @@ def check_store_capacity(backend) -> list[SimcheckViolation]:
     The stores are the engine's ``stores()`` tap; a tiered one is checked
     hot and cold independently.
     """
-    engine = backend.engine
     violations: list[SimcheckViolation] = []
-    for label, store in engine.stores().items():
-        name = "single-node" if engine.cluster is None else f"node {label!r}"
-        violations.extend(_expand_tiers(store, name))
+    for label, store in backend.engine.stores().items():
+        violations.extend(_expand_tiers(store, f"node {label!r}"))
     return violations
 
 

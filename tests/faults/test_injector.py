@@ -16,7 +16,7 @@ from repro.faults import (
 )
 from repro.llm import MISTRAL_7B, ComputeModel
 from repro.network import ConstantTrace, gbps
-from repro.serving.api import ServingSpec, build_backend
+from repro.serving.api import Driver, ServeRequest, ServingSpec, build_backend
 
 CLUSTER_SPEC = ServingSpec(
     topology="cluster", num_nodes=3, replication=2, chunk_tokens=256, concurrency=2
@@ -45,14 +45,37 @@ class TestScaledTrace:
 
 
 class TestValidation:
-    def test_corruption_requires_a_cluster_backend(self, fitted_codec):
-        schedule = FaultSchedule([Corruption("ctx", at_s=1.0)])
-        with pytest.raises(ValueError, match="cluster"):
-            FaultInjector(
-                schedule,
-                build_backend(SINGLE_SPEC, codec=fitted_codec()),
-                ResilienceManager(None),
-            )
+    def test_corruption_on_the_single_topology_degrades_the_read_to_text(self, fitted_codec):
+        """One copy, so a failed integrity check has no replica to fail over to."""
+        requests = [
+            ServeRequest("ctx", "Q?", arrival_s=float(at_s), num_tokens=640) for at_s in (0, 2, 4)
+        ]
+        schedule = FaultSchedule([Corruption("ctx", at_s=1.0, node_id="node-0")])
+        backend = build_backend(SINGLE_SPEC, codec=fitted_codec())
+        with pytest.warns(UserWarning, match="closes the current simulation segment"):
+            report = Driver(backend, requests, faults=schedule, reingest_on_miss=False).run()
+        clean, corrupted, after = report.responses
+        assert clean.used_kv_cache and clean.served_by == "node-0"
+        assert not corrupted.used_kv_cache and corrupted.chunk_configs == ["text"]
+        assert (corrupted.degraded, corrupted.degrade_cause) == (True, "corruption")
+        assert corrupted.attempted_node_ids == ("node-0",)
+        # The bad copy was evicted on detection: later reads find nothing stored.
+        assert (after.degraded, after.degrade_cause) == (True, "evicted")
+        assert backend.engine.cluster.stats.corruption_failures == 1
+        assert report.fallback_causes == {"corruption": 1, "evicted": 1}
+
+    def test_unknown_node_id_rejected_on_every_topology_when_the_driver_is_built(
+        self, fitted_codec
+    ):
+        for spec in (SINGLE_SPEC, CLUSTER_SPEC):
+            backend = build_backend(spec, codec=fitted_codec())
+            for fault in (
+                NodeCrash("node-99", at_s=1.0),
+                LinkDegradation(at_s=1.0, until_s=2.0, factor=0.5, node_id="node-99"),
+                Corruption("ctx", at_s=1.0, node_id="node-99"),
+            ):
+                with pytest.raises(KeyError, match="unknown node 'node-99'"):
+                    Driver(backend, [], faults=FaultSchedule([fault]))
 
     def test_unknown_node_id_rejected_up_front(self, fitted_codec):
         schedule = FaultSchedule([NodeCrash("node-99", at_s=1.0)])

@@ -60,8 +60,10 @@ class TestEndToEnd:
             assert response.finish_s >= response.arrival_s
             assert response.queueing_s >= 0.0
 
-    def test_cluster_fields_populated_only_where_meaningful(self, reports):
-        assert all(r.served_by is None for r in reports["single"].responses)
+    def test_every_topology_names_the_serving_node(self, reports):
+        # The single topology is the one-node cluster: its node is "node-0".
+        assert all(r.served_by == "node-0" for r in reports["single"].responses)
+        assert all(r.served_by == "node-0" for r in reports["concurrent"].responses)
         assert all(r.served_by is not None for r in reports["cluster"].responses)
 
     def test_reports_share_one_shape(self, reports):
@@ -115,15 +117,14 @@ class TestDeprecationShims:
         legacy = ContextLoadingEngine(
             "mistral-7b",
             config=CacheGenConfig(chunk_tokens=256),
-            store_max_bytes=5e8,
-            store_eviction_policy="lfu",
+            max_bytes_per_node=5e8,
+            eviction_policy="lfu",
             codec=fitted_codec(),
         )
         assert backend.engine.config == legacy.config
-        assert backend.engine.store.max_bytes == legacy.store.max_bytes
-        assert type(backend.engine.store.eviction_policy) is type(
-            legacy.store.eviction_policy
-        )
+        (ours,), (theirs,) = backend.engine.stores().values(), legacy.stores().values()
+        assert ours.max_bytes == theirs.max_bytes
+        assert type(ours.eviction_policy) is type(theirs.eviction_policy)
         assert backend.engine.model.name == legacy.model.name
 
     def test_event_backend_builds_sim_from_spec(self, fitted_codec):
@@ -138,8 +139,6 @@ class TestDeprecationShims:
         assert sim.admission_limit == 2
 
     def test_cluster_shim_matches_cluster_backend(self, fitted_codec):
-        from repro.cluster import ClusterFrontend
-
         spec = BASE.with_(
             topology="tiered",
             num_nodes=3,
@@ -149,7 +148,7 @@ class TestDeprecationShims:
             eviction_policy="lfu",
         )
         backend = build_backend(spec, codec=fitted_codec())
-        legacy = ClusterFrontend(
+        legacy = ContextLoadingEngine(
             "mistral-7b",
             node_links=3,
             replication_factor=2,
@@ -160,12 +159,12 @@ class TestDeprecationShims:
             codec=fitted_codec(),
         )
         built = backend.engine
-        assert set(built.nodes) == set(legacy.nodes)
+        assert set(built.cluster.nodes) == set(legacy.cluster.nodes)
         assert (
             built.cluster.replication_factor == legacy.cluster.replication_factor == 2
         )
-        for node_id in built.nodes:
-            ours, theirs = built.nodes[node_id].store, legacy.nodes[node_id].store
+        for node_id, ours in built.stores().items():
+            theirs = legacy.stores()[node_id]
             assert type(ours) is type(theirs)
             assert ours.hot.max_bytes == theirs.hot.max_bytes == 2e8
             assert ours.cold.max_bytes == theirs.cold.max_bytes == 8e8

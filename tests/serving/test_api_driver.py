@@ -146,7 +146,7 @@ class TestDriver:
         driver = Driver(backend, workload, node_failures={4: "node-0"})
         report = driver.run(10)
         assert report.hard_failures == 0
-        assert not backend.engine.nodes["node-0"].up
+        assert not backend.engine.cluster.node("node-0").up
         assert report.kv_served + report.text_served == 10
         # With 2x replication the surviving replica keeps serving from cache.
         assert report.kv_served > 0
@@ -170,17 +170,13 @@ class TestDriver:
         assert all(r.failed_over for r in responses)
         assert all(primary in r.attempted_node_ids for r in responses)
 
-    def test_topology_events_require_mark_down(self):
-        class NoTopology:
-            spec = SPEC
-
-        with pytest.raises(ValueError, match="mark_down"):
-            Driver(NoTopology(), None, node_failures={0: "node-0"})
-
-    def test_topology_events_accepted_on_single_node_backends(self, fitted_codec):
-        # Single-node backends take the one store dark, so node events no
-        # longer require a cluster.
-        Driver(build_backend(SPEC, codec=fitted_codec()), None, node_failures={0: "node-0"})
+    def test_topology_events_name_a_node_of_the_backend(self, fitted_codec):
+        # The single topology's one node is "node-0"; with it down the
+        # queries degrade to text.
+        backend = build_backend(SPEC, codec=fitted_codec())
+        Driver(backend, None, node_failures={0: "node-0"})
+        with pytest.raises(KeyError, match="unknown node 'node-1'"):
+            Driver(backend, None, node_recoveries={3: "node-1"})
 
     def test_tracer_and_simcheck_end_with_their_driver(self, fitted_codec):
         """A reused backend must not keep tracing into an earlier run's tracer."""

@@ -279,10 +279,9 @@ class TestConcurrentEngine:
 class TestClusterConcurrency:
     @pytest.fixture(scope="class")
     def cluster_engine(self):
-        from repro.cluster import ClusterFrontend
         from repro.core import CacheGenConfig
 
-        frontend = ClusterFrontend(
+        frontend = ContextLoadingEngine(
             "mistral-7b",
             node_links=[NetworkLink(ConstantTrace(gbps(3.0))) for _ in range(3)],
             replication_factor=2,
@@ -307,7 +306,7 @@ class TestClusterConcurrency:
             cluster_engine.submit(ServeRequest("doc", "Q?"))
         cluster_engine.run()
         assert all(
-            node.queue_depth == 0 for node in cluster_engine.engine.nodes.values()
+            node.queue_depth == 0 for node in cluster_engine.engine.cluster.nodes.values()
         )
 
 
@@ -316,14 +315,13 @@ class TestColdTierConcurrency:
 
     @pytest.fixture(scope="class")
     def tiered_engine(self):
-        from repro.cluster import ClusterFrontend
         from repro.core import CacheGenConfig
 
         config = CacheGenConfig(chunk_tokens=1_024)
-        probe = ClusterFrontend("mistral-7b", node_links=1, config=config)
+        probe = ContextLoadingEngine("mistral-7b", config=config)
         probe.ingest("probe", TOKENS)
-        one = float(next(iter(probe.nodes.values())).store.storage_bytes())
-        frontend = ClusterFrontend(
+        one = float(next(iter(probe.cluster.nodes.values())).store.storage_bytes())
+        frontend = ContextLoadingEngine(
             "mistral-7b",
             node_links=[NetworkLink(ConstantTrace(gbps(3.0))) for _ in range(2)],
             replication_factor=2,
@@ -337,7 +335,7 @@ class TestColdTierConcurrency:
         return Backend(ServingSpec(), engine=frontend, event=True)
 
     def _demote_everywhere(self, engine, context_id: str) -> None:
-        for node in engine.engine.nodes.values():
+        for node in engine.engine.cluster.nodes.values():
             store = node.store
             if context_id in store.hot:
                 stored = store.hot.peek_context(context_id)

@@ -61,7 +61,7 @@ def _serve_alone(backend, request: ServeRequest):
 )
 def test_lone_request_agrees_across_executors(executors, slo_s, bandwidth_gbps, num_tokens):
     sequential, event = executors
-    sequential.engine.link = NetworkLink(ConstantTrace(gbps(bandwidth_gbps)))
+    sequential.engine.replace_link(NetworkLink(ConstantTrace(gbps(bandwidth_gbps))))
     request = ServeRequest(f"doc-{num_tokens}", "What changed?", slo_s=slo_s)
     seq = _serve_alone(sequential, request)
     evt = _serve_alone(event, request)

@@ -221,7 +221,8 @@ class TestMemoLifetime:
         backend = build_backend(BASE.with_(adaptive=False), codec=fitted_codec())
         engine = backend.engine
         engine.ingest("doc", 320)
-        first_record = engine.store.peek_context("doc")
+        (store,) = engine.stores().values()
+        first_record = store.peek_context("doc")
         assert first_record.generations == {}
         with counting_evaluations() as calls:
             first = engine.query("doc", "a?")
@@ -232,9 +233,9 @@ class TestMemoLifetime:
         assert other_task.quality != first.quality
         assert len(first_record.generations) == 2
 
-        engine.store.evict("doc")
+        store.evict("doc")
         engine.ingest("doc", 320)
-        recreated = engine.store.peek_context("doc")
+        recreated = store.peek_context("doc")
         assert recreated is not first_record
         assert recreated.generations == {}
         with counting_evaluations() as calls:
@@ -247,7 +248,8 @@ class TestMemoLifetime:
         backend = build_backend(BASE.with_(adaptive=False), codec=fitted_codec())
         backend.engine.ingest("doc", 160)
         backend.engine.query("doc", "a?")
-        (generation,) = backend.engine.store.peek_context("doc").generations.values()
+        (store,) = backend.engine.stores().values()
+        (generation,) = store.peek_context("doc").generations.values()
         with pytest.raises(AttributeError):
             generation.text = "tampered"
         with pytest.raises(AttributeError):

@@ -1,25 +1,17 @@
-"""The single topology and the one-node cluster, run over the same arrivals.
+"""``ServingSpec(topology="single")`` is the one-node case of the sharded store.
 
-A ``ContextLoadingEngine`` over its private store and a
-``ClusterFrontend(node_links=[link], replication_factor=1, text_link=link)``
-describe the same deployment: one store behind one link that text fallbacks
-and KV reads share.  Every timing, byte, configuration, quality and
-degradation field of every response must therefore be ``==``; where the two
-disagree they disagree about *accounting* of the same physical event, and
-those disagreements are pinned below so that whoever collapses the two paths
-knows which single-topology outputs move (and that nothing else does):
+The backend a single-topology spec builds and a hand-built
+``ContextLoadingEngine(model, link)`` — one storage node serving over the
+engine's own link, so text fallbacks and KV reads share one channel — are the
+same deployment.  Over eight shapes (sequential and ``concurrency=8``, with
+and without an SLO, under a capacity bound, under a crash + link + GPU fault
+schedule) every field of every ``ServeResponse``, every scalar ``RunReport``
+field and every span must be ``==``.
 
-* the cluster counts the stored copy as replicated bytes, the local store
-  reports zero;
-* a text fallback of an ingested-then-evicted context is ``degraded`` with
-  cause ``"evicted"`` on the cluster and a plain text answer on the local
-  store (which forgot the length and needs the request to carry it);
-* a first-touch ingest that arrives while the node is down fails on the
-  cluster (``failed_ingests``; the context then serves from text, not
-  degraded, until a later arrival ingests it) and is written into the dark
-  local store (whose text answers then read ``degraded`` / ``"node_down"``);
-* ``served_by`` / ``attempted_node_ids`` / ``node_summaries`` / trace-track
-  names carry the node id on the cluster and nothing on the local store.
+Before the local-store path was deleted this file compared it with the
+one-node cluster and pinned where the two disagreed about the same physical
+event.  The single topology has since adopted the sharded store's accounting;
+``TestSingleTopologyAccounting`` pins each of those outputs.
 """
 
 from __future__ import annotations
@@ -29,11 +21,11 @@ import warnings
 
 import pytest
 
-from repro.cluster import ClusterFrontend, WorkloadGenerator
+from repro.cluster import WorkloadGenerator
 from repro.core import CacheGenConfig
 from repro.faults import FaultSchedule, GpuStraggler, LinkDegradation, NodeCrash
 from repro.network import ConstantTrace, NetworkLink, gbps
-from repro.serving.api import Driver, ServingSpec
+from repro.serving.api import Driver, ServingSpec, build_backend
 from repro.serving.api.backends import Backend
 from repro.serving.engine import ContextLoadingEngine
 from repro.telemetry import Tracer
@@ -65,25 +57,8 @@ SHAPES = {
     "concurrent-faults": ({"concurrency": 8}, FAULTS),
 }
 
-#: Response fields the two paths must agree on exactly.
-AGREED_RESPONSE_FIELDS = (
-    "context_id",
-    "question",
-    "text",
-    "quality",
-    "ttft",
-    "used_kv_cache",
-    "chunk_configs",
-    "transmitted_bytes",
-    "failed_over",
-    "arrival_s",
-    "finish_s",
-    "served_tier",
-    "tier_transfer_s",
-    "retries",
-    "hedged",
-)
-#: Report fields that are not plain values (compared through the responses).
+#: Report fields that are not plain values: compared through the responses,
+#: the node summaries and the spans.
 NON_SCALAR_REPORT_FIELDS = {
     "responses",
     "node_summaries",
@@ -93,16 +68,6 @@ NON_SCALAR_REPORT_FIELDS = {
     "alerts",
     "simcheck",
     "resilience",
-}
-#: The accounting the two paths disagree on at this commit.
-DISAGREED_REPORT_FIELDS = {"replication_bytes", "degraded", "fallback_causes"}
-#: What one more (or one fewer) stored context moves in the report.
-STORED_CONTEXT_FIELDS = {
-    "ingests",
-    "failed_ingests",
-    "hot_bytes",
-    "storage_cost_usd_per_month",
-    "cost_usd_per_request",
 }
 
 
@@ -116,9 +81,9 @@ def _workload() -> WorkloadGenerator:
     )
 
 
-def _run(engine, spec: ServingSpec, faults):
+def _run(backend: Backend, faults):
     tracer = Tracer()
-    driver = Driver(Backend(spec, engine), _workload(), faults=faults, tracer=tracer, simcheck=False)
+    driver = Driver(backend, _workload(), faults=faults, tracer=tracer, simcheck=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a fault closes a simulation segment
         return driver.run(NUM_REQUESTS), tracer
@@ -128,104 +93,95 @@ def _run(engine, spec: ServingSpec, faults):
 def pair(request, fitted_codec):
     fields, faults = SHAPES[request.param]
     spec = ServingSpec(model="mistral-7b", chunk_tokens=CHUNK_TOKENS, **fields)
-    config = CacheGenConfig(chunk_tokens=CHUNK_TOKENS)
-    local = ContextLoadingEngine(
+    one_node = ContextLoadingEngine(
         "mistral-7b",
-        link=NetworkLink(ConstantTrace(gbps(3.0))),
-        config=config,
-        store_max_bytes=spec.max_bytes_per_node,
-        codec=fitted_codec(),
-    )
-    shared_link = NetworkLink(ConstantTrace(gbps(3.0)))
-    one_node = ClusterFrontend(
-        "mistral-7b",
-        node_links=[shared_link],
-        replication_factor=1,
+        NetworkLink(ConstantTrace(gbps(3.0))),
+        CacheGenConfig(chunk_tokens=CHUNK_TOKENS),
         max_bytes_per_node=spec.max_bytes_per_node,
-        config=config,
-        text_link=shared_link,
         codec=fitted_codec(),
     )
-    return request.param, _run(local, spec, faults), _run(one_node, spec, faults)
-
-
-def test_every_response_agrees(pair):
-    _shape, (local, _), (one_node, _) = pair
-    assert len(local.responses) == len(one_node.responses) == NUM_REQUESTS
-    for ours, theirs in zip(local.responses, one_node.responses):
-        for name in AGREED_RESPONSE_FIELDS:
-            assert getattr(ours, name) == getattr(theirs, name), name
-        assert ours.queueing_s == theirs.queueing_s
-
-
-def test_degradation_agrees_except_on_evicted_and_dark_ingested_contexts(pair):
-    shape, (local, _), (one_node, _) = pair
-    evicted = dark = 0
-    for ours, theirs in zip(local.responses, one_node.responses):
-        mine = (ours.degraded, ours.degrade_cause)
-        other = (theirs.degraded, theirs.degrade_cause)
-        if other == (True, "evicted"):
-            # Pinned: the local store answers an evicted context from text
-            # without calling it degraded.
-            evicted += 1
-            assert mine == (False, None) and not ours.used_kv_cache
-        elif mine != other:
-            # Pinned: the cluster refused the ingest while its node was down,
-            # so it never knew the context; the local store wrote it anyway.
-            dark += 1
-            assert (mine, other) == ((True, "node_down"), (False, None))
-            assert CRASH_S <= ours.arrival_s < RECOVER_S
-    assert (evicted > 0) == shape.endswith("bounded")
-    assert (dark > 0) == shape.endswith("faults")
-    if shape.endswith("faults"):
-        assert one_node.fallback_causes.get("node_down", 0) > 0
-        assert one_node.failed_ingests > local.failed_ingests == 0
-        assert local.ingests - one_node.ingests == 1
-
-
-def test_scalar_report_fields_agree(pair):
-    shape, (local, _), (one_node, _) = pair
-    skipped = NON_SCALAR_REPORT_FIELDS | DISAGREED_REPORT_FIELDS
-    if shape.endswith("faults"):
-        skipped = skipped | STORED_CONTEXT_FIELDS
-    for field in dataclasses.fields(local):
-        if field.name not in skipped:
-            assert getattr(local, field.name) == getattr(one_node, field.name), field.name
-    if shape.endswith(("slo", "sequential", "concurrent")):
-        assert local.degraded == one_node.degraded == 0
-        assert local.fallback_causes == one_node.fallback_causes == {}
-
-
-def test_pinned_accounting_disagreements(pair):
-    _shape, (local, _), (one_node, _) = pair
-    # The cluster counts the one stored copy as replicated bytes ...
-    assert local.replication_bytes == 0.0
-    assert one_node.replication_bytes > 0.0
-    # ... and names the node everywhere the local store says nothing.
-    assert local.node_summaries == []
-    assert [node.node_id for node in one_node.node_summaries] == ["node-0"]
-    for ours, theirs in zip(local.responses, one_node.responses):
-        assert ours.served_by is None and ours.attempted_node_ids == ()
-        if theirs.used_kv_cache:
-            assert theirs.served_by == "node-0"
-
-
-def test_spans_agree_and_tracks_are_renamed(pair):
-    shape, (local, local_tracer), (one_node, one_node_tracer) = pair
-
-    def spans(tracer, ingest: bool):
-        return sorted(
-            (s.name, s.start_s, s.dur_s) for s in tracer.spans if (s.track == "ingest") == ingest
-        )
-
-    assert spans(local_tracer, ingest=False) == spans(one_node_tracer, ingest=False)
-    # One ingest/encode span per first-touch ingest: they differ by the dark one.
-    assert (
-        len(spans(local_tracer, ingest=True)) - len(spans(one_node_tracer, ingest=True))
-        == local.ingests - one_node.ingests
-        == (1 if shape.endswith("faults") else 0)
+    return (
+        request.param,
+        _run(build_backend(spec, codec=fitted_codec()), faults),
+        _run(Backend(spec, one_node), faults),
     )
-    rename = {"link:serving": "link:node-0"}
-    assert {rename.get(s.track, s.track) for s in local_tracer.spans} == {
-        s.track for s in one_node_tracer.spans
-    }
+
+
+def test_every_response_is_equal(pair):
+    _shape, (single, _), (one_node, _) = pair
+    assert len(single.responses) == NUM_REQUESTS
+    assert single.responses == one_node.responses
+
+
+def test_every_scalar_report_field_is_equal(pair):
+    _shape, (single, _), (one_node, _) = pair
+    for field in dataclasses.fields(single):
+        if field.name not in NON_SCALAR_REPORT_FIELDS:
+            assert getattr(single, field.name) == getattr(one_node, field.name), field.name
+    assert single.node_summaries == one_node.node_summaries
+    assert single.format_table() == one_node.format_table()
+
+
+def test_every_span_is_equal(pair):
+    _shape, (_, single_tracer), (_, one_node_tracer) = pair
+
+    def spans(tracer):
+        return [(s.track, s.name, s.start_s, s.dur_s) for s in tracer.spans]
+
+    assert spans(single_tracer) == spans(one_node_tracer)
+
+
+class TestSingleTopologyAccounting:
+    """What the single topology reports now that its store is the one-node cluster."""
+
+    def test_responses_name_the_node(self, pair):
+        _shape, (single, _), _ = pair
+        for response in single.responses:
+            if response.used_kv_cache:
+                assert response.served_by == "node-0"
+                assert response.attempted_node_ids == ()
+            else:
+                assert response.served_by is None
+        assert [node.node_id for node in single.node_summaries] == ["node-0"]
+        assert "  node-0 " in single.format_table()
+
+    def test_the_stored_copy_counts_as_replicated_bytes(self, pair):
+        _shape, (single, _), _ = pair
+        assert single.replication_bytes > 0.0
+        assert single.bytes_moved == single.replication_bytes + single.query_bytes
+
+    def test_text_fallback_of_an_evicted_context_is_degraded(self, pair):
+        shape, (single, _), _ = pair
+        evicted = [r for r in single.responses if r.degrade_cause == "evicted"]
+        assert bool(evicted) == shape.endswith("bounded")
+        for response in evicted:
+            assert response.degraded and not response.used_kv_cache
+            assert response.attempted_node_ids == ("node-0",)
+        assert single.fallback_causes.get("evicted", 0) == len(evicted)
+
+    def test_a_down_node_refuses_ingests_and_degrades_reads_to_text(self, pair):
+        shape, (single, _), _ = pair
+        if not shape.endswith("faults"):
+            assert single.failed_ingests == 0 and "node_down" not in single.fallback_causes
+            return
+        # First touches inside the crash window cannot be written anywhere ...
+        assert single.failed_ingests > 0
+        down = [r for r in single.responses if CRASH_S <= r.arrival_s < RECOVER_S]
+        assert down and not any(r.used_kv_cache for r in down)
+        # ... and reads of what the node holds degrade to text, naming it.
+        degraded = [r for r in down if r.degraded]
+        assert degraded and len(degraded) < len(down)
+        for response in degraded:
+            assert response.degrade_cause == "node_down"
+            assert response.attempted_node_ids == ("node-0",)
+
+    def test_trace_tracks_name_the_node(self, pair):
+        shape, (_, tracer), _ = pair
+        tracks = set(tracer.tracks)
+        assert not {"link:serving", "storage:local"} & tracks
+        if shape.startswith("concurrent"):
+            assert "link:node-0" in tracks  # the sequential executor draws no link track
+        if shape.endswith("bounded"):
+            assert "storage:node-0" in tracks  # eviction instants
+        if shape.endswith("faults"):
+            assert "cluster" in tracks  # full-miss instants of the lookup

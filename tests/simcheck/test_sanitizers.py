@@ -176,7 +176,7 @@ class TestInvariantChecks:
             for i in range(2)
         ]
         cases = [
-            (SPEC, lambda store: store, "store single-node holds"),
+            (SPEC, lambda store: store, "store node 'node-0' holds"),
             (cluster, lambda store: store, "store node 'node-0' holds"),
             (tiered, lambda store: store.hot, "store node 'node-0' hot tier holds"),
             (tiered, lambda store: store.cold, "store node 'node-0' cold tier holds"),

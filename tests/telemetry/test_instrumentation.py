@@ -97,10 +97,10 @@ class TestTracedConcurrentRun:
     def test_resource_tracks_record_utilization(self, traced):
         tracer, _report = traced
         assert tracer.spans_on("gpu"), "GPU launches must appear on the gpu track"
-        assert tracer.spans_on("link:serving"), "transfers must appear on the link track"
+        assert tracer.spans_on("link:node-0"), "transfers must appear on the link track"
         # Queue depths were sampled on every enqueue/dequeue event.
         depth_tracks = {s.track for s in tracer.samples if s.name == "queue_depth"}
-        assert {"gpu", "link:serving"} <= depth_tracks
+        assert {"gpu", "link:node-0"} <= depth_tracks
         metrics = tracer.metrics.snapshot()
         assert metrics["gpu_busy_s"]["values"]["gpu=gpu"] > 0.0
         assert metrics["request_ttft_s"]["values"][""]["count"] == 5

@@ -47,6 +47,28 @@ def test_serving_loads_no_scipy():
     assert result.returncode == 0, result.stderr
 
 
+def test_cluster_package_loads_no_serving_module():
+    """The store layer sits below the serving stack: ``repro.cluster`` imports none of it.
+
+    ``import repro`` loads every package, so the child registers a bare
+    ``repro`` namespace and imports the sub-package alone.
+    """
+    src = Path(repro.__file__).resolve().parents[1]
+    script = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('repro')\n"
+        f"pkg.__path__ = [{str(src / 'repro')!r}]\n"
+        "sys.modules['repro'] = pkg\n"
+        "import repro.cluster\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('repro.serving'))\n"
+        "assert not loaded, loaded\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
 class TestPaperHeadlineClaims:
     """The three headline claims of the abstract, at reproduction scale."""
 
