@@ -110,8 +110,9 @@ class CacheGenConfig:
     #: is counted at its fixed-width quantized size (the quantization-only
     #: ablation point).
     use_arithmetic_coding: bool = True
-    #: Run the exact bit-level arithmetic coder instead of the cross-entropy
-    #: size model (slow; used in tests and small payloads).
+    #: Produce and parse real bitstreams with the lane-parallel arithmetic
+    #: coder instead of carrying symbols at their cross-entropy size (the
+    #: stored sizes every figure uses; see ``entropy_codec``).
     exact_entropy_coding: bool = False
     #: Average UTF-8 bytes per token when a chunk is sent as text.
     text_bytes_per_token: float = 4.5

@@ -17,8 +17,8 @@ import numpy as np
 
 from .config import CacheGenConfig
 from .delta import DeltaDecomposition, anchor_positions, reconstruct_from_deltas
-from .encoder import CacheGenEncoder, EncodedKV, EncodedTensorStream, LevelCodecModel
-from .entropy_codec import EntropyCodec
+from .encoder import CacheGenEncoder, EncodedKV, EncodedTensorStream
+from .entropy_codec import EntropyCodec, EntropyEncodedPayload
 from .kv_cache import KVCache
 
 __all__ = ["CacheGenDecoder"]
@@ -53,8 +53,10 @@ class CacheGenDecoder:
     def decode(self, encoded: EncodedKV) -> KVCache:
         """Reconstruct a KV cache from an encoded chunk."""
         models = self._encoder.model_for_level(encoded.level)
-        k = self._decode_stream(encoded.k_stream, encoded, models)
-        v = self._decode_stream(encoded.v_stream, encoded, models)
+        # Their tables are built only if a payload turns out to be a bitstream.
+        codecs = models.entropy_codecs(exact=True)
+        k = self._decode_stream(encoded.k_stream, encoded, codecs)
+        v = self._decode_stream(encoded.v_stream, encoded, codecs)
         return KVCache(
             k=k,
             v=v,
@@ -78,16 +80,16 @@ class CacheGenDecoder:
         self,
         stream: EncodedTensorStream,
         encoded: EncodedKV,
-        models: LevelCodecModel,
+        codecs: tuple[EntropyCodec | None, EntropyCodec | None],
     ) -> np.ndarray:
-        cfg = self.config
-        delta_symbols = self._entropy_decode(stream, models, anchors=False)
+        delta_codec, anchor_codec = codecs
+        delta_symbols = self._entropy_decode(stream.delta_payload, delta_codec)
         delta_values = delta_symbols.astype(np.float32) * stream.delta_scale[:, None, :]
 
         if stream.anchor_payload is None:
             return delta_values
 
-        anchor_symbols = self._entropy_decode(stream, models, anchors=True)
+        anchor_symbols = self._entropy_decode(stream.anchor_payload, anchor_codec)
         anchor_scale = stream.anchor_scale
         assert anchor_scale is not None
         anchor_values = anchor_symbols.astype(np.float32) * anchor_scale[:, None, :]
@@ -109,19 +111,11 @@ class CacheGenDecoder:
         )
         return reconstruct_from_deltas(decomposition)
 
-    def _entropy_decode(
-        self,
-        stream: EncodedTensorStream,
-        models: LevelCodecModel,
-        anchors: bool,
-    ) -> np.ndarray:
-        payload = stream.anchor_payload if anchors else stream.delta_payload
-        model = models.anchor_model if anchors else models.delta_model
-        assert payload is not None
+    @staticmethod
+    def _entropy_decode(payload: EntropyEncodedPayload, codec: EntropyCodec | None) -> np.ndarray:
         if payload.symbols is not None and not payload.exact:
             # Estimated-size payloads carry the symbols verbatim (lossless).
             return payload.symbols.astype(np.int32)
-        if model is None:
+        if codec is None:
             raise ValueError("exact payload requires a fitted probability model to decode")
-        codec = EntropyCodec(model, exact=True)
         return codec.decode(payload)

@@ -130,6 +130,16 @@ class LevelCodecModel:
     delta_model: SymbolProbabilityModel
     anchor_model: SymbolProbabilityModel | None
 
+    def entropy_codecs(self, exact: bool) -> tuple[EntropyCodec, EntropyCodec | None]:
+        """Fresh ``(delta, anchor)`` entropy codecs, for one encode or decode call.
+
+        A call's K and V payloads go through the same two codecs, so each
+        model's cumulative table is built once per call and dies with it;
+        nothing is cached on the models.
+        """
+        anchor = None if self.anchor_model is None else EntropyCodec(self.anchor_model, exact)
+        return EntropyCodec(self.delta_model, exact), anchor
+
 
 #: The :class:`CacheGenConfig` fields :meth:`CacheGenEncoder.fit` reads; a
 #: profile holds for any configuration that agrees on them (``chunk_tokens``,
@@ -338,13 +348,18 @@ class CacheGenEncoder:
         if prepared.tensors is None:
             prepared.tensors = self._prepare_tensor(kv.k), self._prepare_tensor(kv.v)
         k_prepared, v_prepared = prepared.tensors
+        codecs = (
+            models.entropy_codecs(cfg.exact_entropy_coding)
+            if cfg.use_arithmetic_coding
+            else (None, None)
+        )
         return EncodedKV(
             model_name=kv.model_name,
             level=level_obj,
             num_tokens=kv.num_tokens,
             group_size=cfg.group_size,
-            k_stream=self._encode_stream(k_prepared, models, level_obj),
-            v_stream=self._encode_stream(v_prepared, models, level_obj),
+            k_stream=self._encode_stream(k_prepared, models, level_obj, codecs),
+            v_stream=self._encode_stream(v_prepared, models, level_obj, codecs),
             sim_shape=kv.shape,
             scale_factor=kv.scale_factor,
             full_layers=kv.full_layers,
@@ -382,12 +397,15 @@ class CacheGenEncoder:
         return np.full(num_layers, mean_bin)
 
     def _encode_stream(
-        self, prepared: _PreparedTensor, models: LevelCodecModel, level: EncodingLevel
+        self,
+        prepared: _PreparedTensor,
+        models: LevelCodecModel,
+        level: EncodingLevel,
+        codecs: tuple[EntropyCodec | None, EntropyCodec | None],
     ) -> EncodedTensorStream:
+        delta_codec, anchor_codec = codecs
         delta_q = self._quantize_deltas(prepared, level)
-        delta_payload = self._entropy_encode(
-            delta_q.symbols, models.delta_model, bits_fallback=None
-        )
+        delta_payload = self._entropy_encode(delta_q.symbols, delta_codec, bits_fallback=None)
         anchor_payload = None
         anchor_scale = None
         anchor_bits = None
@@ -396,7 +414,7 @@ class CacheGenEncoder:
             if key not in prepared.anchor_cache:
                 anchor_q = vectorwise_quantize(prepared.anchors, level.anchor_bits)
                 prepared.anchor_cache[key] = anchor_q.scale, self._entropy_encode(
-                    anchor_q.symbols, models.anchor_model, bits_fallback=level.anchor_bits
+                    anchor_q.symbols, anchor_codec, bits_fallback=level.anchor_bits
                 )
             anchor_scale, anchor_payload = prepared.anchor_cache[key]
             anchor_bits = level.anchor_bits
@@ -409,16 +427,12 @@ class CacheGenEncoder:
             anchor_bits=anchor_bits,
         )
 
+    @staticmethod
     def _entropy_encode(
-        self,
-        symbols: np.ndarray,
-        model: SymbolProbabilityModel | None,
-        bits_fallback: float | None,
+        symbols: np.ndarray, codec: EntropyCodec | None, bits_fallback: float | None
     ) -> EntropyEncodedPayload:
         """Entropy-code a symbol tensor, honouring the AC ablation switch."""
-        cfg = self.config
-        if cfg.use_arithmetic_coding and model is not None:
-            codec = EntropyCodec(model, exact=cfg.exact_entropy_coding)
+        if codec is not None:
             return codec.encode(symbols)
         # Quantization-only: store fixed-width symbols (no entropy coding).
         if bits_fallback is None:

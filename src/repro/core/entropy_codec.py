@@ -1,15 +1,18 @@
 """Entropy-coding backend bridging the probability model and the bitstream.
 
-Two backends are provided (see ``DESIGN.md``):
+Two backends are provided (see ``docs/ARCHITECTURE.md``, "Codec"):
 
-* **Exact** — drive the integer arithmetic coder with the probability model's
-  cumulative tables and produce/parse real bitstreams.  Used by the tests and
-  by anything that needs actual bytes.
+* **Exact** — drive the lane-parallel arithmetic coder with the probability
+  model's cumulative tables and produce/parse real bitstreams.  A payload of
+  ``n`` symbols is coded as :func:`lane_count` ``(n)`` independent streams, the
+  way the paper gives every token's stream its own CUDA thread (§6); both
+  sides derive the count from ``n`` alone, so nothing about it is stored.
 * **Estimated** — compute the ideal code length (the model cross-entropy) of
-  the symbol stream, which is what the arithmetic coder achieves up to a few
-  bytes of termination overhead.  Used by the repo-scale experiments, where
-  encoding hundreds of millions of symbols through a pure-Python per-symbol
-  loop would be pointless.
+  the symbol stream, which is what one arithmetic-coded stream achieves up to
+  a few bytes of termination overhead.  Every stored size and every figure
+  uses it: the sizes the experiments were calibrated on are the estimates,
+  and the exact coder's lane tables (about 5 % at the benchmark's 40-token
+  chunks, 1-2 % at the paper's 1500-token ones) are not in them.
 
 Both backends consume the same :class:`~repro.core.probability_model.SymbolProbabilityModel`.
 """
@@ -23,7 +26,22 @@ import numpy as np
 from .arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder
 from .probability_model import SYMBOL_OFFSET, SymbolProbabilityModel
 
-__all__ = ["EntropyCodec", "EntropyEncodedPayload"]
+__all__ = ["EntropyCodec", "EntropyEncodedPayload", "lane_count", "LANE_SYMBOLS", "MAX_LANES"]
+
+#: Symbols a lane codes before another lane is worth what it costs: a table
+#: entry, byte padding and termination bits, 10-25 bits.  More lanes mean fewer
+#: and wider numpy steps; the sweep on the ``codec-exact`` workload (CHANGES.md,
+#: PR 19) puts the knee here: 64 buys ~30 % more speed for 4.5 % more bytes,
+#: 256 gives back 2.5 % of the bytes for ~40 % of the speed.
+LANE_SYMBOLS = 128
+#: The cap bounds what the lanes cost on large payloads: at the paper's chunk
+#: size (1500 tokens) a lane holds ~1350 symbols and its overhead is 1-2 %.
+MAX_LANES = 1024
+
+
+def lane_count(num_symbols: int) -> int:
+    """How many lanes a payload of ``num_symbols`` is coded in (both directions)."""
+    return min(MAX_LANES, max(1, num_symbols // LANE_SYMBOLS))
 
 
 @dataclass
@@ -34,7 +52,8 @@ class EntropyEncodedPayload:
     ----------
     bits:
         Size of the payload in bits.  For exact encoding this is the length of
-        ``data``; for estimated encoding it is the model cross-entropy.
+        ``data``, lane table included; for estimated encoding it is the model
+        cross-entropy.
     shape:
         Shape of the symbol tensor, needed to decode.
     exact:
@@ -67,17 +86,31 @@ class EntropyCodec:
     exact:
         If True, run the real arithmetic coder; otherwise carry symbols and
         report the ideal code length.
+
+    A codec builds the model's cumulative table on first exact use and keeps
+    it, so make one per model for as long as payloads of that model are being
+    coded (one :meth:`CacheGenEncoder.encode` call, say) rather than one per
+    payload; nothing outlives the codec.
     """
 
     def __init__(self, model: SymbolProbabilityModel, exact: bool = False) -> None:
         self.model = model
         self.exact = exact
-        self._cum_cache: np.ndarray | None = None
+        self._table: np.ndarray | None = None
+        self._coders: dict[tuple[type, int], ArithmeticEncoder | ArithmeticDecoder] = {}
 
-    def _cumulative(self) -> np.ndarray:
-        if self._cum_cache is None:
-            self._cum_cache = self.model.cumulative_counts()
-        return self._cum_cache
+    def _coder(self, kind: type, num_symbols: int):
+        """The arithmetic coder of one direction for payloads of ``num_symbols``.
+
+        Payloads of equal size (a chunk's K and V) share the coder and with it
+        the validated table, which costs more to build than a chunk to code.
+        """
+        key = kind, lane_count(num_symbols)
+        if key not in self._coders:
+            if self._table is None:
+                self._table = self.model.cumulative_counts()
+            self._coders[key] = kind(self._table, lanes=key[1])
+        return self._coders[key]
 
     # ----------------------------------------------------------------- encode
     def encode(self, symbols: np.ndarray) -> EntropyEncodedPayload:
@@ -89,7 +122,7 @@ class EntropyCodec:
         if self.exact:
             contexts = self.model.context_ids_for(shape).ravel()
             alphabet_symbols = symbols.ravel().astype(np.int64) + SYMBOL_OFFSET
-            data = ArithmeticEncoder(self._cumulative()).encode(alphabet_symbols, contexts)
+            data = self._coder(ArithmeticEncoder, symbols.size).encode(alphabet_symbols, contexts)
             return EntropyEncodedPayload(
                 bits=float(len(data) * 8), shape=shape, exact=True, data=data
             )
@@ -108,8 +141,9 @@ class EntropyCodec:
             if payload.data is None:
                 raise ValueError("exact payload is missing its bitstream")
             contexts = self.model.context_ids_for(payload.shape).ravel()
-            decoded = ArithmeticDecoder(self._cumulative()).decode(
-                payload.data, int(np.prod(payload.shape)), contexts
+            num_symbols = int(np.prod(payload.shape))
+            decoded = self._coder(ArithmeticDecoder, num_symbols).decode(
+                payload.data, num_symbols, contexts
             )
             return (decoded - SYMBOL_OFFSET).reshape(payload.shape).astype(np.int32)
         if payload.symbols is None:

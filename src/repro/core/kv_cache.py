@@ -8,7 +8,7 @@ three-dimensional tensors indexed by ``(layer, token, channel)``.
 This module defines :class:`KVCache`, the in-memory representation used
 throughout the reproduction, together with the byte-accounting helpers that
 translate between the *simulation-scale* tensors we actually materialise and
-the *full-model* sizes the paper reports (see ``DESIGN.md``).
+the *full-model* sizes the paper reports (see ``docs/ARCHITECTURE.md``, "Codec").
 """
 
 from __future__ import annotations

@@ -262,10 +262,16 @@ class SymbolProbabilityModel:
         """
         if quantize_total < 2 * ALPHABET_SIZE:
             raise ValueError("quantize_total too small for the alphabet")
-        probs = self.probabilities()
-        freqs = np.maximum(np.rint(probs * (quantize_total - ALPHABET_SIZE)).astype(np.int64), 0) + 1
+        # max(rint(p * scale), 0) + 1 per symbol, in place: the table is built per
+        # encode/decode call, and each full-size temporary is a fresh 4 MiB mapping.
+        freqs = self.probabilities()
+        freqs *= quantize_total - ALPHABET_SIZE
+        np.rint(freqs, out=freqs)
+        np.maximum(freqs, 0.0, out=freqs)
+        freqs += 1.0
         cum = np.zeros((self.num_contexts, ALPHABET_SIZE + 1), dtype=np.int64)
-        np.cumsum(freqs, axis=1, out=cum[:, 1:])
+        cum[:, 1:] = freqs
+        np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
         return cum
 
     def context_ids_for(self, shape: tuple[int, int, int]) -> np.ndarray:

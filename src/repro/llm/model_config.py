@@ -9,7 +9,8 @@ number of KV heads, head dimension, hidden size and parameter count.
 Each :class:`ModelConfig` also carries *simulation-scale* dimensions — the
 tensor shape we actually materialise when generating synthetic KV caches.
 Compressed sizes measured on the simulation tensors are extrapolated to the
-full model via bits-per-element accounting (see ``DESIGN.md``).
+full model via bits-per-element accounting (see ``docs/ARCHITECTURE.md``,
+"Codec").
 
 The full-model KV byte counts line up with the paper's reported numbers, e.g.
 Mistral-7B at ~9.4K tokens is ~1.2 GB in fp16, so its 8-bit-quantized cache is

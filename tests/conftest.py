@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, KVCache
 from repro.llm import MISTRAL_7B, ComputeModel, QualityModel, SyntheticLLM
@@ -27,6 +28,15 @@ TEST_TOKENS = 640
 #: Test directories whose runs exercise the event simulation; the simcheck
 #: sanitizers are force-enabled for every test collected under them.
 _SIMCHECK_DIRS = ("tests/serving", "tests/cluster", "tests/simcheck", "tests/faults")
+
+
+# Example budgets of the property tests that do not set their own
+# (``tests/core/test_lane_coder.py``, the codec round-trip properties): a small
+# one in tier-1, ten times that and a fixed seed in CI's ``codec-fuzz`` step
+# (``--hypothesis-profile=codec-fuzz``).
+settings.register_profile("tier1", max_examples=25, deadline=None)
+settings.register_profile("codec-fuzz", max_examples=250, deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 def pytest_configure(config) -> None:

@@ -1,4 +1,9 @@
-"""Tests for the integer arithmetic coder."""
+"""Tests for the integer arithmetic coder.
+
+Byte equality with the scalar reference coder is ``test_lane_coder.py``'s job;
+these are the behavioural tests: round trips, compression efficiency and the
+errors raised for invalid tables, symbols, contexts and bitstreams.
+"""
 
 from __future__ import annotations
 
@@ -104,18 +109,68 @@ class TestValidation:
         with pytest.raises(ValueError):
             ArithmeticDecoder(cum).decode(data, 2, [0])
 
+    @pytest.mark.parametrize("lanes", [0, -1, 1.5])
+    def test_lane_count_must_be_a_positive_integer(self, lanes):
+        with pytest.raises(ValueError, match="lanes"):
+            ArithmeticEncoder(uniform_cum(4), lanes=lanes)
+        with pytest.raises(ValueError, match="lanes"):
+            ArithmeticDecoder(uniform_cum(4), lanes=lanes)
+
+
+class TestDecoderRejectsHostileInput:
+    """The decoder validates before it decodes, as the encoder always did."""
+
+    cum = np.stack([uniform_cum(4), np.array([0, 1, 2, 3, 10])])
+    symbols = [0, 1, 2, 3, 3, 0, 1]
+    contexts = [0, 1, 0, 1, 0, 1, 0]
+
+    def test_negative_context_is_not_the_last_row(self):
+        data = encode_symbols([3, 3, 3], self.cum, [1, 1, 1])
+        with pytest.raises(ValueError, match="context out of range"):
+            decode_symbols(data, 3, self.cum, [-1, -1, -1])
+
+    def test_context_past_the_table(self):
+        with pytest.raises(ValueError, match="context out of range"):
+            decode_symbols(b"\x00", 1, self.cum, [2])
+
+    def test_negative_symbol_count(self):
+        with pytest.raises(ValueError, match="num_symbols"):
+            decode_symbols(b"\x00", -1, self.cum)
+
+    def test_truncated_lane_table(self):
+        data = encode_symbols(self.symbols, self.cum, self.contexts, lanes=4)
+        with pytest.raises(ValueError, match="truncated lane table.*2 of the 3"):
+            decode_symbols(data[:2], 7, self.cum, self.contexts, lanes=4)
+        with pytest.raises(ValueError, match="truncated lane table"):
+            decode_symbols(b"\x81\x82\x83", 7, self.cum, self.contexts, lanes=2)
+
+    def test_lane_lengths_past_the_data(self):
+        data = bytearray(encode_symbols(self.symbols, self.cum, self.contexts, lanes=4))
+        data[1] = 100  # lane 1 claims 100 bytes of a handful
+        with pytest.raises(ValueError, match="lane 1 ends past"):
+            decode_symbols(bytes(data), 7, self.cum, self.contexts, lanes=4)
+
+    def test_overlong_lane_table_entry(self):
+        with pytest.raises(ValueError, match="lane 0 is longer"):
+            decode_symbols(b"\xff" * 9 + b"\x00", 2, self.cum, [0, 1], lanes=2)
+
+    def test_short_and_empty_data_read_as_zeros(self):
+        assert decode_symbols(b"", 5, uniform_cum(4)).tolist() == [0] * 5
+        assert decode_symbols(b"\x00", 4, uniform_cum(4), lanes=2).tolist() == [0] * 4
+
 
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     alphabet=st.integers(2, 12),
     length=st.integers(1, 400),
+    lanes=st.integers(1, 40),
 )
-def test_roundtrip_property(seed, alphabet, length):
-    """Encoding then decoding recovers any symbol sequence exactly."""
+def test_roundtrip_property(seed, alphabet, length, lanes):
+    """Encoding then decoding recovers any symbol sequence exactly, in any number of lanes."""
     rng = np.random.default_rng(seed)
     freqs = rng.integers(1, 50, size=alphabet)
     cum = np.concatenate([[0], np.cumsum(freqs)])
     symbols = rng.integers(0, alphabet, size=length)
-    data = encode_symbols(symbols, cum)
-    np.testing.assert_array_equal(decode_symbols(data, length, cum), symbols)
+    data = encode_symbols(symbols, cum, lanes=lanes)
+    np.testing.assert_array_equal(decode_symbols(data, length, cum, lanes=lanes), symbols)

@@ -1,0 +1,121 @@
+"""Round-trip properties of the codec under exact entropy coding.
+
+The estimated path carries the quantized symbols verbatim, so its decode is
+what a lossless entropy coder must reproduce: for any KV cache, level and
+token count, ``exact_entropy_coding=True`` has to decode ``np.array_equal`` to
+it.  The token counts straddle every boundary a chunk can sit on — a lone
+anchor (no delta symbols at all), one anchor group give or take a token, one
+chunk give or take a token.
+
+The grid of boundaries runs on every invocation (explicit examples); the
+random draws on top of it take their budget from the hypothesis profile
+(``tests/conftest.py``): 25 in tier-1, 250 in CI's ``codec-fuzz`` step.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from repro.core import CacheGenDecoder, CacheGenEncoder, KVCache
+from repro.core.arithmetic_coder import _split_lanes
+from repro.core.entropy_codec import LANE_SYMBOLS, MAX_LANES, lane_count
+from repro.core.probability_model import SymbolProbabilityModel
+
+CHUNK_TOKENS = 64
+LEVELS = ("high", "medium", "low", "lowest")
+#: group_size is 10: 9, 10, 11 straddle one anchor group.
+TOKEN_COUNTS = (1, 9, 10, 11, CHUNK_TOKENS - 1, CHUNK_TOKENS, CHUNK_TOKENS + 1)
+
+
+@pytest.fixture(scope="module")
+def codecs(encoder: CacheGenEncoder):
+    """``(exact encoder, its decoder, estimated encoder, its decoder)`` over one profile."""
+    config = encoder.config.replace(chunk_tokens=CHUNK_TOKENS)
+    exact = CacheGenEncoder(config.replace(exact_entropy_coding=True), codec=encoder.codec)
+    estimated = CacheGenEncoder(config, codec=encoder.codec)
+    return exact, CacheGenDecoder(exact), estimated, CacheGenDecoder(estimated)
+
+
+def on_the_whole_grid(test):
+    for tokens in TOKEN_COUNTS:
+        for level in LEVELS:
+            test = example(seed=tokens, tokens=tokens, level=level)(test)
+    return test
+
+
+@on_the_whole_grid
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tokens=st.sampled_from(TOKEN_COUNTS),
+    level=st.sampled_from(LEVELS),
+)
+def test_exact_decode_equals_estimated_decode(codecs, kv, seed, tokens, level):
+    exact, exact_decoder, estimated, estimated_decoder = codecs
+    rng = np.random.default_rng(seed)
+    layers, _, channels = kv.shape
+    # Heavy tails: symbols reach the clip and table entries of frequency one.
+    cache = KVCache(
+        k=rng.standard_t(2, size=(layers, tokens, channels)),
+        v=rng.standard_t(2, size=(layers, tokens, channels)),
+        model_name=kv.model_name,
+        full_layers=kv.full_layers,
+        full_channels=kv.full_channels,
+    )
+    encoded = exact.encode(cache, level)
+    for stream in (encoded.k_stream, encoded.v_stream):
+        assert stream.delta_payload.exact and stream.anchor_payload.exact
+    decoded = exact_decoder.decode(encoded)
+    reference = estimated_decoder.decode(estimated.encode(cache, level))
+    assert np.array_equal(decoded.k, reference.k)
+    assert np.array_equal(decoded.v, reference.v)
+
+
+def test_one_table_per_model_per_call(codecs, kv, monkeypatch):
+    """K-delta, K-anchor, V-delta and V-anchor of a call share two cumulative
+    tables (they cost more to build than a small chunk costs to code), and no
+    table outlives the call."""
+    exact, exact_decoder, _, _ = codecs
+    built = []
+    build = SymbolProbabilityModel.cumulative_counts
+    monkeypatch.setattr(
+        SymbolProbabilityModel,
+        "cumulative_counts",
+        lambda model, *args: built.append(id(model)) or build(model, *args),
+    )
+    chunk = kv.slice_tokens(0, 30)
+    encoded = exact.encode(chunk, "low")
+    models = exact.model_for_level("low")
+    assert sorted(built) == sorted([id(models.delta_model), id(models.anchor_model)])
+    exact_decoder.decode(encoded)
+    exact.encode(chunk, "low")
+    assert len(built) == 6
+
+
+class TestLaneOverhead:
+    """What the lane layout costs in bytes, at benchmark and at paper-like chunk sizes."""
+
+    def test_lane_count_is_a_function_of_the_size_alone(self):
+        assert [lane_count(n) for n in (0, 1, LANE_SYMBOLS, 2 * LANE_SYMBOLS - 1, 2 * LANE_SYMBOLS)] == [
+            1, 1, 1, 1, 2,
+        ]
+        assert lane_count(MAX_LANES * LANE_SYMBOLS - 1) == MAX_LANES - 1
+        assert lane_count(10**9) == MAX_LANES
+
+    def test_lane_table_under_one_and_a_half_percent_at_512_tokens(self, codecs, kv):
+        """Past ``MAX_LANES * LANE_SYMBOLS`` symbols the lane count stops growing,
+        so the table's share of the payload shrinks with the chunk."""
+        exact, _, estimated, _ = codecs
+        chunk = kv.slice_tokens(0, 512)
+        encoded, reference = exact.encode(chunk), estimated.encode(chunk)
+        table_bytes = 0
+        for stream in (encoded.k_stream, encoded.v_stream):
+            assert lane_count(int(np.prod(stream.delta_payload.shape))) == MAX_LANES
+            for payload in (stream.delta_payload, stream.anchor_payload):
+                raw = np.frombuffer(payload.data, dtype=np.uint8)
+                body, _ = _split_lanes(raw, lane_count(int(np.prod(payload.shape))))
+                table_bytes += len(raw) - len(body)
+        assert 8 * table_bytes < 0.015 * encoded.payload_bits
+        assert encoded.payload_bits < 1.02 * reference.payload_bits

@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.entropy_codec import EntropyCodec
+from repro.core.entropy_codec import EntropyCodec, lane_count
 from repro.core.probability_model import SymbolProbabilityModel
+
+
+#: Bits one more lane can add to a payload, from the bitstream format: a table
+#: entry (two varint bytes hold lane lengths below 16 KiB), up to seven bits of
+#: byte padding, and the two termination bits.
+LANE_OVERHEAD_BITS = 16 + 7 + 2
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +55,13 @@ class TestExactBackend:
         np.testing.assert_array_equal(codec.decode(payload), small_symbols)
 
     def test_exact_size_close_to_estimate(self, small_symbols, model):
-        """The real AC bitstream should be within a few bytes of the estimate."""
+        """The real AC bitstream is the estimate plus a few bytes, plus what its lanes cost."""
         estimated = EntropyCodec(model, exact=False).encode(small_symbols)
         exact = EntropyCodec(model, exact=True).encode(small_symbols)
-        assert abs(exact.bits - estimated.bits) < 64 + 0.02 * estimated.bits
+        lanes = lane_count(small_symbols.size)
+        assert lanes == 2
+        assert exact.bits <= estimated.bits * 1.02 + 64 + lanes * LANE_OVERHEAD_BITS
+        assert exact.bits == 8 * len(exact.data)  # the lane table is part of the size
 
     def test_missing_bitstream_rejected(self, small_symbols, model):
         codec = EntropyCodec(model, exact=True)
