@@ -18,7 +18,7 @@ import numpy as np
 from .config import CacheGenConfig
 from .delta import DeltaDecomposition, anchor_positions, reconstruct_from_deltas
 from .encoder import CacheGenEncoder, EncodedKV, EncodedTensorStream
-from .entropy_codec import EntropyCodec, EntropyEncodedPayload
+from .entropy_codec import decode_payloads
 from .kv_cache import KVCache
 
 __all__ = ["CacheGenDecoder"]
@@ -53,10 +53,28 @@ class CacheGenDecoder:
     def decode(self, encoded: EncodedKV) -> KVCache:
         """Reconstruct a KV cache from an encoded chunk."""
         models = self._encoder.model_for_level(encoded.level)
-        # Their tables are built only if a payload turns out to be a bitstream.
-        codecs = models.entropy_codecs(exact=True)
-        k = self._decode_stream(encoded.k_stream, encoded, codecs)
-        v = self._decode_stream(encoded.v_stream, encoded, codecs)
+        streams = (encoded.k_stream, encoded.v_stream)
+        # One batch per call: the bitstreams among its payloads share a loop and
+        # two tables, and no table is built if every payload carries its symbols.
+        symbols = iter(
+            decode_payloads(
+                [
+                    (model, payload)
+                    for stream in streams
+                    for model, payload in (
+                        (models.delta_model, stream.delta_payload),
+                        (models.anchor_model, stream.anchor_payload),
+                    )
+                    if payload is not None
+                ]
+            )
+        )
+        tensors = []
+        for stream in streams:
+            delta = next(symbols)
+            anchor = None if stream.anchor_payload is None else next(symbols)
+            tensors.append(self._reconstruct(stream, encoded, delta, anchor))
+        k, v = tensors
         return KVCache(
             k=k,
             v=v,
@@ -76,20 +94,18 @@ class CacheGenDecoder:
         return KVCache.concat([self.decode(chunk) for chunk in encoded_chunks])
 
     # ------------------------------------------------------------ inner pieces
-    def _decode_stream(
-        self,
+    @staticmethod
+    def _reconstruct(
         stream: EncodedTensorStream,
         encoded: EncodedKV,
-        codecs: tuple[EntropyCodec | None, EntropyCodec | None],
+        delta_symbols: np.ndarray,
+        anchor_symbols: np.ndarray | None,
     ) -> np.ndarray:
-        delta_codec, anchor_codec = codecs
-        delta_symbols = self._entropy_decode(stream.delta_payload, delta_codec)
         delta_values = delta_symbols.astype(np.float32) * stream.delta_scale[:, None, :]
 
-        if stream.anchor_payload is None:
+        if anchor_symbols is None:
             return delta_values
 
-        anchor_symbols = self._entropy_decode(stream.anchor_payload, anchor_codec)
         anchor_scale = stream.anchor_scale
         assert anchor_scale is not None
         anchor_values = anchor_symbols.astype(np.float32) * anchor_scale[:, None, :]
@@ -110,12 +126,3 @@ class CacheGenDecoder:
             num_tokens=num_tokens,
         )
         return reconstruct_from_deltas(decomposition)
-
-    @staticmethod
-    def _entropy_decode(payload: EntropyEncodedPayload, codec: EntropyCodec | None) -> np.ndarray:
-        if payload.symbols is not None and not payload.exact:
-            # Estimated-size payloads carry the symbols verbatim (lossless).
-            return payload.symbols.astype(np.int32)
-        if codec is None:
-            raise ValueError("exact payload requires a fitted probability model to decode")
-        return codec.decode(payload)

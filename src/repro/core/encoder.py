@@ -14,7 +14,7 @@ the configured encoding levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import CacheGenConfig, EncodingLevel
 from .delta import anchor_positions, compute_deltas
-from .entropy_codec import EntropyCodec, EntropyEncodedPayload
+from .entropy_codec import EntropyEncodedPayload, encode_payloads
 from .kv_cache import KVCache
 from .probability_model import ScoringScratch, SymbolProbabilityModel
 from .quantization import (
@@ -130,16 +130,6 @@ class LevelCodecModel:
     delta_model: SymbolProbabilityModel
     anchor_model: SymbolProbabilityModel | None
 
-    def entropy_codecs(self, exact: bool) -> tuple[EntropyCodec, EntropyCodec | None]:
-        """Fresh ``(delta, anchor)`` entropy codecs, for one encode or decode call.
-
-        A call's K and V payloads go through the same two codecs, so each
-        model's cumulative table is built once per call and dies with it;
-        nothing is cached on the models.
-        """
-        anchor = None if self.anchor_model is None else EntropyCodec(self.anchor_model, exact)
-        return EntropyCodec(self.delta_model, exact), anchor
-
 
 #: The :class:`CacheGenConfig` fields :meth:`CacheGenEncoder.fit` reads; a
 #: profile holds for any configuration that agrees on them (``chunk_tokens``,
@@ -238,6 +228,16 @@ class _PreparedKV:
     def nbytes(self) -> int:
         """``KVCache.nbytes``, for callers that meter ``encode`` by its input's size."""
         return self.kv.nbytes
+
+
+def _narrowed(quantized: QuantizedTensor) -> QuantizedTensor:
+    """``quantized`` with its symbols as ``int16``, the form a payload carries them in.
+
+    Delta symbols are clipped to +/-255 and anchors have at most 16 bits, so
+    nothing is lost; narrowing each tensor as it is quantised keeps a chunk's K
+    and V symbols from both being alive at ``int32``.
+    """
+    return replace(quantized, symbols=quantized.symbols.astype(np.int16))
 
 
 class CacheGenEncoder:
@@ -347,19 +347,40 @@ class CacheGenEncoder:
         kv = prepared.kv
         if prepared.tensors is None:
             prepared.tensors = self._prepare_tensor(kv.k), self._prepare_tensor(kv.v)
-        k_prepared, v_prepared = prepared.tensors
-        codecs = (
-            models.entropy_codecs(cfg.exact_entropy_coding)
-            if cfg.use_arithmetic_coding
-            else (None, None)
+        tensors = prepared.tensors
+        # Levels that share an anchor model share its payloads: only the first codes them.
+        shared = id(models.anchor_model)
+        fresh = [t for t in tensors if t.anchors is not None and shared not in t.anchor_cache]
+        deltas = [_narrowed(self._quantize_deltas(t, level_obj)) for t in tensors]
+        anchors = [_narrowed(vectorwise_quantize(t.anchors, level_obj.anchor_bits)) for t in fresh]
+        # One batch per call: under exact coding its payloads share a loop and two tables.
+        payloads = self._entropy_encode(
+            [(models.delta_model, delta.symbols, None) for delta in deltas]
+            + [(models.anchor_model, anchor.symbols, level_obj.anchor_bits) for anchor in anchors]
         )
+        for tensor, anchor, payload in zip(fresh, anchors, payloads[len(tensors) :]):
+            tensor.anchor_cache[shared] = anchor.scale, payload
+        streams = []
+        for tensor, delta, payload in zip(tensors, deltas, payloads):
+            anchor_scale, anchor_payload = tensor.anchor_cache.get(shared, (None, None))
+            streams.append(
+                EncodedTensorStream(
+                    delta_payload=payload,
+                    delta_scale=delta.scale,
+                    delta_bins=np.asarray(delta.bin_sizes),
+                    anchor_payload=anchor_payload,
+                    anchor_scale=anchor_scale,
+                    anchor_bits=None if anchor_payload is None else level_obj.anchor_bits,
+                )
+            )
+        k_stream, v_stream = streams
         return EncodedKV(
             model_name=kv.model_name,
             level=level_obj,
             num_tokens=kv.num_tokens,
             group_size=cfg.group_size,
-            k_stream=self._encode_stream(k_prepared, models, level_obj, codecs),
-            v_stream=self._encode_stream(v_prepared, models, level_obj, codecs),
+            k_stream=k_stream,
+            v_stream=v_stream,
             sim_shape=kv.shape,
             scale_factor=kv.scale_factor,
             full_layers=kv.full_layers,
@@ -396,54 +417,30 @@ class CacheGenEncoder:
         mean_bin = float(np.mean(level.delta_bins))
         return np.full(num_layers, mean_bin)
 
-    def _encode_stream(
-        self,
-        prepared: _PreparedTensor,
-        models: LevelCodecModel,
-        level: EncodingLevel,
-        codecs: tuple[EntropyCodec | None, EntropyCodec | None],
-    ) -> EncodedTensorStream:
-        delta_codec, anchor_codec = codecs
-        delta_q = self._quantize_deltas(prepared, level)
-        delta_payload = self._entropy_encode(delta_q.symbols, delta_codec, bits_fallback=None)
-        anchor_payload = None
-        anchor_scale = None
-        anchor_bits = None
-        if prepared.anchors is not None:
-            key = id(models.anchor_model)
-            if key not in prepared.anchor_cache:
-                anchor_q = vectorwise_quantize(prepared.anchors, level.anchor_bits)
-                prepared.anchor_cache[key] = anchor_q.scale, self._entropy_encode(
-                    anchor_q.symbols, anchor_codec, bits_fallback=level.anchor_bits
-                )
-            anchor_scale, anchor_payload = prepared.anchor_cache[key]
-            anchor_bits = level.anchor_bits
-        return EncodedTensorStream(
-            delta_payload=delta_payload,
-            delta_scale=delta_q.scale,
-            delta_bins=np.asarray(delta_q.bin_sizes),
-            anchor_payload=anchor_payload,
-            anchor_scale=anchor_scale,
-            anchor_bits=anchor_bits,
-        )
-
-    @staticmethod
     def _entropy_encode(
-        symbols: np.ndarray, codec: EntropyCodec | None, bits_fallback: float | None
-    ) -> EntropyEncodedPayload:
-        """Entropy-code a symbol tensor, honouring the AC ablation switch."""
-        if codec is not None:
-            return codec.encode(symbols)
+        self, tensors: list[tuple[SymbolProbabilityModel, np.ndarray, float | None]]
+    ) -> list[EntropyEncodedPayload]:
+        """Entropy-code ``(model, symbols, fixed-width bits)`` triples, honouring the AC ablation switch."""
+        cfg = self.config
+        if cfg.use_arithmetic_coding:
+            return encode_payloads(
+                [(model, symbols) for model, symbols, _ in tensors], cfg.exact_entropy_coding
+            )
         # Quantization-only: store fixed-width symbols (no entropy coding).
-        if bits_fallback is None:
-            max_symbol = max(int(np.abs(symbols).max(initial=0)), 1)
-            bits_fallback = float(np.ceil(np.log2(2 * max_symbol + 1)))
-        return EntropyEncodedPayload(
-            bits=float(bits_fallback) * symbols.size,
-            shape=tuple(symbols.shape),
-            exact=False,
-            symbols=symbols.copy(),
-        )
+        payloads = []
+        for _, symbols, bits in tensors:
+            if bits is None:
+                max_symbol = max(int(np.abs(symbols).max(initial=0)), 1)
+                bits = float(np.ceil(np.log2(2 * max_symbol + 1)))
+            payloads.append(
+                EntropyEncodedPayload(
+                    bits=float(bits) * symbols.size,
+                    shape=tuple(symbols.shape),
+                    exact=False,
+                    symbols=symbols,
+                )
+            )
+        return payloads
 
     def _require_fitted(self) -> None:
         if not self.is_fitted:

@@ -39,6 +39,10 @@ ALPHABET_SIZE = 2 * SYMBOL_CLIP + 1
 
 _VALID_GROUPINGS = ("channel_layer", "layer", "channel", "token", "global")
 
+#: Contexts :meth:`SymbolProbabilityModel.cumulative_counts` quantises at a
+#: time: 64 rows of float64 frequencies are 256 KiB.
+_TABLE_BLOCK = 64
+
 
 def _context_ids(shape: tuple[int, int, int], grouping: Grouping) -> tuple[np.ndarray, int]:
     """Context-id grid of a (layers, tokens, channels) tensor, left un-broadcast.
@@ -194,7 +198,9 @@ class SymbolProbabilityModel:
 
     def log2_probabilities(self) -> np.ndarray:
         if self._log_probs is None:
-            self._log_probs = np.log2(self.probabilities())
+            # In place: a second full-size table would be 4 MiB alive for one call.
+            table = self.probabilities()
+            self._log_probs = np.log2(table, out=table)
             # Cached and handed out by reference: a write would corrupt every later score.
             self._log_probs.flags.writeable = False
         return self._log_probs
@@ -255,23 +261,32 @@ class SymbolProbabilityModel:
     def cumulative_counts(self, quantize_total: int = 1 << 16) -> np.ndarray:
         """Integer cumulative frequency tables for the arithmetic coder.
 
-        Returns an array of shape ``(num_contexts, ALPHABET_SIZE + 1)`` where
-        row ``c`` is the cumulative frequency of symbols under context ``c``,
-        scaled so every symbol has frequency >= 1 and the total is at most
-        ``quantize_total``.
+        Returns an ``int32`` array of shape ``(num_contexts, ALPHABET_SIZE +
+        1)`` where row ``c`` is the cumulative frequency of symbols under
+        context ``c``, scaled so every symbol has frequency >= 1 and the total
+        is ``quantize_total`` give or take the rounding.  Nothing of it is
+        kept on the model: a ``(1024, 511)`` model's table is 2 MiB, derived
+        in about 3 ms.
         """
-        if quantize_total < 2 * ALPHABET_SIZE:
-            raise ValueError("quantize_total too small for the alphabet")
-        # max(rint(p * scale), 0) + 1 per symbol, in place: the table is built per
-        # encode/decode call, and each full-size temporary is a fresh 4 MiB mapping.
-        freqs = self.probabilities()
-        freqs *= quantize_total - ALPHABET_SIZE
-        np.rint(freqs, out=freqs)
-        np.maximum(freqs, 0.0, out=freqs)
-        freqs += 1.0
-        cum = np.zeros((self.num_contexts, ALPHABET_SIZE + 1), dtype=np.int64)
-        cum[:, 1:] = freqs
-        np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
+        if not 2 * ALPHABET_SIZE <= quantize_total <= 1 << 30:
+            raise ValueError("quantize_total must be at least twice the alphabet and at most 2**30")
+        # rint(p * scale) + 1 per symbol, a block of contexts at a time: the
+        # table is derived per encode/decode call, and where a full-size float
+        # temporary would be a fresh 4 MiB mapping to fault in, a block's 256
+        # KiB stay in cache through their five passes.
+        cum = np.empty((self.num_contexts, ALPHABET_SIZE + 1), dtype=np.int32)
+        cum[:, 0] = 0
+        freqs = np.empty((_TABLE_BLOCK, ALPHABET_SIZE))
+        for first in range(0, self.num_contexts, _TABLE_BLOCK):
+            counts = self.counts[first : first + _TABLE_BLOCK]
+            block = freqs[: len(counts)]
+            np.divide(counts, counts.sum(axis=1, keepdims=True), out=block)
+            block *= quantize_total - ALPHABET_SIZE
+            np.rint(block, out=block)
+            block += 1.0
+            rows = cum[first : first + _TABLE_BLOCK, 1:]
+            rows[...] = block
+            np.cumsum(rows, axis=1, out=rows)
         return cum
 
     def context_ids_for(self, shape: tuple[int, int, int]) -> np.ndarray:

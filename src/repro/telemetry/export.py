@@ -41,6 +41,11 @@ RESOURCES_PID = 2
 
 _MICRO = 1_000_000.0
 
+#: Events :func:`write_chrome_trace` encodes at a time.  The C encoder holds a
+#: batch's text and its pieces (0.1 MiB at 256, 3 MiB at 2048) and is no
+#: faster for more.
+_EVENT_BATCH = 256
+
 
 def _us(at_s: float) -> float:
     """Seconds on the sim clock → microseconds in the trace."""
@@ -175,9 +180,17 @@ def write_chrome_trace(tracer: Tracer, path: str | Path) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # The bytes ``json.dump`` writes, without its pure-Python encoder (a write
+    # per token) and without holding ``json.dumps`` of a whole run: the events,
+    # which lead the object, go through the C encoder a batch at a time.
+    trace = to_chrome_trace(tracer)
+    events = trace.pop("traceEvents")
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(to_chrome_trace(tracer), handle)
-        handle.write("\n")
+        handle.write('{"traceEvents": [')
+        for first in range(0, len(events), _EVENT_BATCH):
+            batch = json.dumps(events[first : first + _EVENT_BATCH])
+            handle.write(", " * (first > 0) + batch[1:-1])
+        handle.write("], " + json.dumps(trace)[1:] + "\n")
     return path
 
 

@@ -109,7 +109,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             ArithmeticDecoder(cum).decode(data, 2, [0])
 
-    @pytest.mark.parametrize("lanes", [0, -1, 1.5])
+    @pytest.mark.parametrize("lanes", [0, -1, 1.5, 2.0, True, "2", None])
     def test_lane_count_must_be_a_positive_integer(self, lanes):
         with pytest.raises(ValueError, match="lanes"):
             ArithmeticEncoder(uniform_cum(4), lanes=lanes)
@@ -157,6 +157,59 @@ class TestDecoderRejectsHostileInput:
     def test_short_and_empty_data_read_as_zeros(self):
         assert decode_symbols(b"", 5, uniform_cum(4)).tolist() == [0] * 5
         assert decode_symbols(b"\x00", 4, uniform_cum(4), lanes=2).tolist() == [0] * 4
+
+
+class TestCoderRejectsWhatItCannotCode:
+    """Nothing is rounded, truncated or defaulted into something codable: each
+    of these used to be coded as something else, silently."""
+
+    cum = np.stack([uniform_cum(4), np.array([0, 1, 2, 3, 10])])
+
+    @pytest.mark.parametrize("symbols", [[0.9, 1.2], [1.0, 2.0], np.array([True, False]), ["1"]])
+    def test_symbols_must_be_integers(self, symbols):
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            ArithmeticEncoder(uniform_cum(4)).encode(symbols)
+
+    def test_contexts_must_be_integers(self):
+        with pytest.raises(ValueError, match="contexts must be integers"):
+            encode_symbols([0, 1], self.cum, [0.2, 1.7])
+        with pytest.raises(ValueError, match="contexts must be integers"):
+            decode_symbols(b"\x00", 2, self.cum, [0.2, 1.7])
+
+    @pytest.mark.parametrize("count", [2.7, 2.0, True, "2", None])
+    def test_symbol_count_must_be_an_integer(self, count):
+        data = encode_symbols([0, 1], uniform_cum(4))
+        with pytest.raises(ValueError, match="num_symbols"):
+            ArithmeticDecoder(uniform_cum(4)).decode(data, count)
+
+    def test_numpy_integers_are_integers(self):
+        data = ArithmeticEncoder(uniform_cum(4), lanes=np.int64(2)).encode(np.array([3, 1, 2], np.uint8))
+        decoded = ArithmeticDecoder(uniform_cum(4), lanes=np.int32(2)).decode(data, np.int64(3))
+        assert decoded.tolist() == [3, 1, 2]
+
+    def test_contexts_may_be_omitted_only_with_single_row_tables(self):
+        """``None`` used to mean row 0 of whatever table there was."""
+        with pytest.raises(ValueError, match="contexts are required"):
+            encode_symbols([0, 1], self.cum)
+        with pytest.raises(ValueError, match="contexts are required"):
+            decode_symbols(b"\x00", 2, self.cum)
+        assert decode_symbols(encode_symbols([0, 1], self.cum[:1]), 2, self.cum[:1]).tolist() == [0, 1]
+
+    def test_batch_geometry_must_agree(self):
+        cum = uniform_cum(4)
+        with pytest.raises(ValueError, match="one table, one lane count and one size"):
+            ArithmeticEncoder([cum, cum], [1], [3, 4])
+        with pytest.raises(ValueError, match="one table, one lane count and one size"):
+            ArithmeticDecoder([], [], [])
+        with pytest.raises(ValueError, match="sizes"):
+            ArithmeticEncoder([cum], [1], [-1])
+        with pytest.raises(ValueError, match="holds 7 symbols, not 6"):
+            ArithmeticEncoder([cum, cum], [1, 2], [3, 4]).encode([0] * 6)
+        decoder = ArithmeticDecoder([cum, cum], [1, 2], [3, 4])
+        with pytest.raises(ValueError, match="holds 7 symbols, not 8"):
+            decoder.decode([b"", b""], 8)
+        with pytest.raises(ValueError, match="holds 2 payloads, not 1"):
+            decoder.decode([b""], 7)
 
 
 @settings(max_examples=25, deadline=None)

@@ -174,6 +174,15 @@ class TestRenormalise:
             low <<= 1
             high = (high << 1) | 1
 
+    def assert_matches_the_scalar_loop(self, low: int, high: int) -> None:
+        """The library carries ``(low, span)``; the scalar coder ``(low, high)``."""
+        differing, shifts, new_low, new_span = _renormalise(
+            np.array([low]), np.array([high - low + 1])
+        )
+        emitted, deferred, want_low, want_high = self.scalar(low, high)
+        assert (32 - int(differing[0]), int(shifts[0])) == (emitted, emitted + deferred)
+        assert (int(new_low[0]), int(new_low[0] + new_span[0] - 1)) == (want_low, want_high)
+
     @pytest.mark.parametrize(
         "low, high",
         [
@@ -190,18 +199,11 @@ class TestRenormalise:
         ],
     )
     def test_edge_intervals(self, low, high):
-        differing, shifts, new_low, new_high = _renormalise(np.array([low]), np.array([high]))
-        emitted, deferred, want_low, want_high = self.scalar(low, high)
-        assert (32 - int(differing[0]), int(shifts[0])) == (emitted, emitted + deferred)
-        assert (int(new_low[0]), int(new_high[0])) == (want_low, want_high)
+        self.assert_matches_the_scalar_loop(low, high)
 
     @given(low=st.integers(0, 2**32 - 1), span=st.integers(0, 2**32 - 1))
     def test_any_interval(self, low, span):
-        high = min(low + span, 2**32 - 1)
-        differing, shifts, new_low, new_high = _renormalise(np.array([low]), np.array([high]))
-        emitted, deferred, want_low, want_high = self.scalar(low, high)
-        assert (32 - int(differing[0]), int(shifts[0])) == (emitted, emitted + deferred)
-        assert (int(new_low[0]), int(new_high[0])) == (want_low, want_high)
+        self.assert_matches_the_scalar_loop(low, min(low + span, 2**32 - 1))
 
 
 class TestLaneTable:

@@ -1,6 +1,9 @@
 """Chrome trace-event and JSONL export formats."""
 
 import json
+import tracemalloc
+
+import pytest
 
 from repro.telemetry import (
     Tracer,
@@ -10,7 +13,7 @@ from repro.telemetry import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.telemetry.export import REQUESTS_PID, RESOURCES_PID
+from repro.telemetry.export import _EVENT_BATCH, REQUESTS_PID, RESOURCES_PID
 
 
 def small_tracer() -> Tracer:
@@ -83,6 +86,42 @@ class TestChromeTrace:
         assert path == out
         loaded = json.loads(out.read_text())
         assert {e["ph"] for e in loaded["traceEvents"]} == {"M", "X", "i", "C"}
+
+
+    @pytest.mark.parametrize("spans", [0, 1, _EVENT_BATCH - 4, _EVENT_BATCH - 3, 2 * _EVENT_BATCH + 7])
+    def test_written_bytes_are_json_dump_at_every_batch_boundary(self, tmp_path, spans):
+        """Three metadata events lead, so ``_EVENT_BATCH - 3`` spans fill one batch exactly."""
+        tracer = Tracer()
+        for index in range(spans):
+            tracer.span(f"s{index}", track="gpu", start_s=0.001 * index, dur_s=0.0005, n=index)
+        tracer.metrics.counter("unicode \u00b5s").inc(1, path='quo"te')
+        reference = tmp_path / "reference.json"
+        with reference.open("w", encoding="utf-8") as handle:
+            json.dump(to_chrome_trace(tracer), handle)
+            handle.write("\n")
+        written = write_chrome_trace(tracer, tmp_path / "trace.json")
+        assert written.read_bytes() == reference.read_bytes()
+
+    def test_writing_holds_a_batch_not_the_file(self, tmp_path):
+        """``json.dumps`` of the whole object would hold the whole file (measured
+        +3.3 MiB peak RSS on ``serve-chaos-observed``); a batch is a fraction."""
+        tracer = Tracer()
+        for index in range(30_000):
+            tracer.span("decode", track="gpu", start_s=0.001 * index, dur_s=0.0005, n=index)
+        out = tmp_path / "trace.json"
+        # Building the event dicts is part of any way of writing them.
+        building = traced_peak(lambda: to_chrome_trace(tracer))
+        writing = traced_peak(lambda: write_chrome_trace(tracer, out))
+        assert writing - building < out.stat().st_size / 5
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestJsonl:

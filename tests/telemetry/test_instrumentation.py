@@ -13,6 +13,7 @@ from repro.telemetry import (
     Tracer,
     chrome_trace_events,
     to_chrome_trace,
+    write_chrome_trace,
 )
 
 SPEC = ServingSpec(model="mistral-7b", chunk_tokens=256, concurrency=4)
@@ -117,6 +118,18 @@ class TestTracedConcurrentRun:
         timestamps = [e["ts"] for e in events if e["ph"] != "M"]
         assert timestamps == sorted(timestamps)
         assert all(ts >= 0 for ts in timestamps)
+
+
+    def test_written_trace_is_byte_for_byte_json_dump(self, traced, tmp_path):
+        """The writer batches the events through ``json.dumps``; the file is
+        what ``json.dump`` of the trace object writes, newline-terminated."""
+        tracer, _report = traced
+        reference = tmp_path / "reference.json"
+        with reference.open("w", encoding="utf-8") as handle:
+            json.dump(to_chrome_trace(tracer), handle)
+            handle.write("\n")
+        written = write_chrome_trace(tracer, tmp_path / "trace.json")
+        assert written.read_bytes() == reference.read_bytes()
 
 
 class TestZeroOverheadDefault:
