@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Gate the benchmark suite on a committed baseline.
 
-``benchmark-smoke`` in CI produces ``benchmark-results.json`` (pytest-benchmark's
-JSON output).  This script compares every benchmark's mean wall-clock time
-against ``benchmarks/baseline.json`` and fails when one regresses beyond the
+The ``ledger`` job in CI produces ``benchmark-results.json`` (pytest-benchmark's
+JSON output: one entry per experiment, run at its default settings).  This
+script compares every benchmark's mean wall-clock time against
+``benchmarks/baseline.json`` and fails when one regresses beyond the
 tolerance, so a slow serving path cannot land silently.  Benchmarks that
 disappear from the results also fail (a deleted benchmark must update the
 baseline deliberately); new benchmarks that are not in the baseline yet only
@@ -11,7 +12,7 @@ warn.
 
 Refresh the baseline from a trusted run with::
 
-    PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=benchmark-results.json
+    PYTHONPATH=src python -m pytest -m ledger benchmarks -q --benchmark-json=benchmark-results.json
     python benchmarks/check_regressions.py benchmark-results.json --refresh
 
 The committed baseline stores means from one reference machine, so the check

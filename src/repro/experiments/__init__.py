@@ -2,9 +2,11 @@
 
 Each module exposes a ``run_*`` function returning an
 :class:`~repro.experiments.common.ExperimentResult` whose rows mirror what the
-paper reports.  The benchmark suite under ``benchmarks/`` calls these with
-small, fast settings; pass larger ``num_contexts`` (and drop the token caps)
-for tighter estimates.
+paper reports.  The signature defaults are the settings the reproduction is
+pinned at: ``python -m repro.experiments all --out DIR`` runs every entry of
+``ALL_EXPERIMENTS`` at them and ``benchmarks/ledger.json`` records the rows
+(see :mod:`repro.experiments.ledger`).  Pass larger ``num_contexts`` (and
+drop the token caps) for tighter estimates.
 """
 
 from .appendix_e import run_appendix_e

@@ -63,7 +63,9 @@ class ExperimentResult:
         """Render the rows as a plain-text table (one line per row)."""
         if not self.rows:
             return f"{self.name}: (no rows)"
-        columns = list(columns or self.rows[0].keys())
+        # Rows of one result may differ in their keys (Figure 14's four panels):
+        # the columns are the union, in first-seen order.
+        columns = list(columns or dict.fromkeys(key for row in self.rows for key in row))
         lines = [f"# {self.name} — {self.description}", "\t".join(columns)]
         for row in self.rows:
             cells = []
@@ -264,7 +266,12 @@ def experiment_cli(argv: Sequence[str] | None = None) -> str:
 
     This is the body of ``python -m repro.experiments``; it returns the output
     instead of printing so the library stays print-free (the ``__main__``
-    shim does the printing).  ``--trace-out`` / ``--trace-jsonl`` record the
+    shim does the printing).  Two names are not experiments: ``all --out DIR``
+    runs every experiment once at its defaults and writes the tables plus
+    ``DIR/ledger.json``; ``verify LEDGER`` runs them again and reports what
+    moved against that ledger, raising :class:`~repro.experiments.ledger.Moved`
+    (exit status 1) if anything did (see :mod:`repro.experiments.ledger`).
+    ``--trace-out`` / ``--trace-jsonl`` record the
     run's telemetry (experiments that accept a ``tracer``) and export it as a
     Perfetto-loadable Chrome trace / a structured JSONL event log;
     ``--metrics-out`` writes the run's metrics-registry snapshot as JSON;
@@ -281,9 +288,16 @@ def experiment_cli(argv: Sequence[str] | None = None) -> str:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
-        description="Run one reproduced table/figure and print its rows.",
+        description="Run one reproduced table/figure and print its rows; "
+        "'all' writes every table plus ledger.json, 'verify' re-runs against a ledger.",
     )
-    parser.add_argument("experiment", choices=sorted(ALL_EXPERIMENTS))
+    parser.add_argument("experiment", choices=[*sorted(ALL_EXPERIMENTS), "all", "verify"])
+    parser.add_argument(
+        "ledger", nargs="?", default=None, metavar="LEDGER", help="verify: the ledger.json to check"
+    )
+    parser.add_argument(
+        "--out", default=None, metavar="DIR", help="all: directory for the tables and ledger.json"
+    )
     parser.add_argument(
         "--gpu-workers",
         type=int,
@@ -337,15 +351,27 @@ def experiment_cli(argv: Sequence[str] | None = None) -> str:
         help="fraction of requests that must meet --slo-ttft-s (default 0.99)",
     )
     args = parser.parse_args(argv)
-    run = ALL_EXPERIMENTS[args.experiment]
-
-    tracer = None
     wants_telemetry = (
         args.trace_out is not None
         or args.trace_jsonl is not None
         or args.metrics_out is not None
         or args.dashboard_out is not None
     )
+    if (args.out is None) != (args.experiment != "all"):
+        parser.error("--out DIR goes with 'all', and only with it")
+    if (args.ledger is None) != (args.experiment != "verify"):
+        parser.error("a LEDGER path goes with 'verify', and only with it")
+    if args.experiment in ("all", "verify"):
+        if wants_telemetry or args.gpu_workers is not None:
+            parser.error(f"{args.experiment} runs every experiment at its defaults")
+        from .ledger import verify_ledger, write_artifacts
+
+        if args.experiment == "all":
+            return write_artifacts(args.out, ALL_EXPERIMENTS)
+        return verify_ledger(args.ledger, ALL_EXPERIMENTS)
+    run = ALL_EXPERIMENTS[args.experiment]
+
+    tracer = None
     if wants_telemetry:
         if "tracer" not in inspect.signature(run).parameters:
             parser.error(

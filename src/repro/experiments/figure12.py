@@ -69,7 +69,7 @@ def run_figure12_concurrency(
         max_decode_batch=max_decode_batch,
         gpu_workers=gpu_workers,
     )
-    backend = build_backend(spec, kind="concurrent")
+    backend = build_backend(spec, event=True)
     backend.attach_tracer(tracer)
     backend.ingest(_KV_CONTEXT, num_tokens)
     engine = backend.engine

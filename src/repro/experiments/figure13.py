@@ -64,7 +64,7 @@ def run_figure13(
             )
         },
     )
-    backend = build_backend(spec, kind="single", codec=codec)
+    backend = build_backend(spec, event=False, codec=codec)
     for record in records:
         backend.ingest(record.context_id, record.num_tokens)
 

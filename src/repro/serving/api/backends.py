@@ -121,13 +121,6 @@ class Backend:
             self.engine.cluster.resilience = self.resilience
         self._staged: list[ServeRequest] = []
 
-    @property
-    def kind(self) -> str:
-        """``single`` / ``concurrent`` / ``cluster``: topology, then executor."""
-        if self.spec.topology != "single":
-            return "cluster"
-        return "concurrent" if self.event else "single"
-
     # --------------------------------------------------------------- telemetry
     def attach_tracer(self, tracer: Tracer | None) -> None:
         """Wire a tracer through the executor and the engine's stores (``None`` detaches)."""
@@ -284,13 +277,13 @@ class Backend:
 
 
 def build_backend(
-    spec: ServingSpec, kind: str | None = None, *, codec: FittedCodec | None = None
+    spec: ServingSpec, *, event: bool | None = None, codec: FittedCodec | None = None
 ) -> Backend:
     """Build the execution backend a spec declares.
 
-    ``kind`` overrides the derived choice (e.g. to force the sequential
-    executor on a spec whose ``concurrency`` is above 1); it must stay
-    compatible with the spec's topology.
+    ``event`` overrides the executor :class:`Backend` derives from
+    ``spec.concurrency`` (e.g. ``event=False`` forces the sequential executor
+    on a spec whose ``concurrency`` is above 1).
 
     Building profiles the codec for ``spec.model``, which is most of the
     cost; a caller that builds several backends for one model calls
@@ -300,20 +293,9 @@ def build_backend(
 
     Example
     -------
-    >>> spec = ServingSpec(topology="cluster", num_nodes=4)
-    >>> backend = build_backend(spec)  # kind inferred from the topology
-    >>> backend.kind
-    'cluster'
+    >>> spec = ServingSpec(topology="cluster", num_nodes=4, concurrency=8)
+    >>> backend = build_backend(spec)  # executor inferred from the concurrency
+    >>> backend.event
+    True
     """
-    kind = kind or spec.backend_kind
-    if kind in ("single", "concurrent") and spec.topology != "single":
-        raise ValueError(f"backend kind {kind!r} requires the single topology")
-    if kind == "cluster" and spec.topology == "single":
-        raise ValueError("the cluster backend requires a tiered or cluster topology")
-    if kind not in ("single", "concurrent", "cluster"):
-        raise ValueError(f"unknown backend kind {kind!r}")
-    return Backend(
-        spec,
-        build_engine(spec, codec),
-        event=None if kind == "cluster" else kind == "concurrent",
-    )
+    return Backend(spec, build_engine(spec, codec), event=event)

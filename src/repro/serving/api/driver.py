@@ -555,7 +555,7 @@ def serve(
     workload=None,
     num_requests: int | None = None,
     admission: AdmissionPolicy | None = None,
-    backend: str | None = None,
+    event: bool | None = None,
     tracer: Tracer | None = None,
     codec: FittedCodec | None = None,
     **driver_kwargs,
@@ -564,10 +564,10 @@ def serve(
 
     Pass either ``requests`` (explicit :class:`ServeRequest` objects) or
     ``workload`` (+ ``num_requests``) for a generated arrival process.
-    ``backend`` optionally forces the adapter kind (``"single"`` /
-    ``"concurrent"`` / ``"cluster"``).  A ``tracer`` records the run's full
-    telemetry and rides back on ``report.telemetry``.  ``codec`` hands the
-    backend an offline profile taken earlier (see :func:`build_backend`).
+    ``event`` optionally forces the executor (see :func:`build_backend`).  A
+    ``tracer`` records the run's full telemetry and rides back on
+    ``report.telemetry``.  ``codec`` hands the backend an offline profile
+    taken earlier (see :func:`build_backend`).
 
     Example
     -------
@@ -580,7 +580,7 @@ def serve(
     """
     if (requests is None) == (workload is None):
         raise ValueError("pass exactly one of requests= or workload=")
-    built = build_backend(spec, kind=backend, codec=codec)
+    built = build_backend(spec, event=event, codec=codec)
     driver = Driver(
         built,
         workload if workload is not None else list(requests),

@@ -275,15 +275,6 @@ class ServingSpec:
             config = config.replace(default_level_index=names.index(self.default_level))
         return config
 
-    # ----------------------------------------------------------------- backend
-    @property
-    def backend_kind(self) -> str:
-        """Which backend adapter serves this spec (``single`` / ``concurrent``
-        / ``cluster``)."""
-        if self.topology != "single":
-            return "cluster"
-        return "single" if self.concurrency == 1 else "concurrent"
-
     def with_(self, **changes) -> "ServingSpec":
         """A modified copy (convenience over :func:`dataclasses.replace`)."""
         return replace(self, **changes)

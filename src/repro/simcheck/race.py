@@ -127,7 +127,6 @@ def check_spec_order_independence(
     workload=None,
     num_requests: int | None = None,
     seeds: Sequence[int] = (1, 2),
-    backend: str | None = None,
     faults=None,
     codec: "FittedCodec | None" = None,
 ) -> RaceReport:
@@ -164,7 +163,7 @@ def check_spec_order_independence(
         codec = profile_codec(spec.model, spec.resolved_config())
 
     def run_with_factory(clock_factory: Callable[[], "SimClock"]) -> tuple:
-        built = build_backend(spec, kind=backend, codec=codec)
+        built = build_backend(spec, codec=codec)
         driver = Driver(built, list(fixed), faults=faults, simcheck=False)
         built.clock_factory = clock_factory
         report = driver.run()

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import pytest
 
+import repro.experiments
 from repro.experiments import (
     ALL_EXPERIMENTS,
     run_appendix_e,
+    run_figure3,
+    run_figure4,
+    run_figure7,
+    run_figure9,
+    run_figure10,
     run_figure11,
     run_figure12_concurrency,
     run_figure12_context_length,
@@ -19,9 +25,11 @@ from repro.experiments import (
     run_figure14,
     run_figure15,
     run_figure16,
+    run_figure18,
     run_figure19,
     run_figure5,
     run_figure8,
+    run_resilience,
     run_table1,
     run_table2,
     run_tiered_storage,
@@ -37,8 +45,21 @@ def by_method(result, key="method"):
 
 
 class TestHarnessBasics:
-    def test_registry_covers_every_artifact(self):
-        assert len(ALL_EXPERIMENTS) == 21
+    def test_every_run_function_is_registered_exactly_once(self):
+        exported = sorted(
+            name for name in repro.experiments.__all__ if name.startswith("run_")
+        )
+        registered = sorted(run.__name__ for run in ALL_EXPERIMENTS.values())
+        assert registered == exported
+
+    def test_format_table_prints_the_union_of_row_keys(self):
+        result = ExperimentResult(name="x", description="panels")
+        result.add_row(panel="a", left=1.0)
+        result.add_row(panel="b", right=2.0, left=3.0)
+        header, first, second = result.format_table().splitlines()[1:]
+        assert header == "panel\tleft\tright"
+        assert first == "a\t1.000\t"
+        assert second == "b\t3.000\t2.000"
 
     def test_experiment_result_helpers(self):
         result = ExperimentResult(name="x", description="demo")
@@ -70,10 +91,32 @@ class TestTables:
 
 
 class TestFigures:
+    def test_figure3_deltas_are_more_concentrated(self):
+        result = run_figure3(models=("llama-7b",), num_contexts=1, context_token_cap=1_200)
+        (row,) = result.rows
+        assert 2.0 < row["variance_ratio"] < 3.5
+        assert row["delta_cdf@1.0"] > row["original_cdf@1.0"]
+
+    def test_figure4_shallow_layers_are_more_sensitive(self):
+        result = run_figure4(
+            models=("llama-7b",), num_contexts=1, num_groups=3, context_token_cap=1_200
+        )
+        series = [row["accuracy"] for row in result.rows]
+        assert [row["layer_group"] for row in result.rows] == [0, 1, 2]
+        assert series[0] < series[-1]
+
     def test_figure5_grouping_order(self):
         result = run_figure5(models=("llama-7b",), num_contexts=1, context_token_cap=1_200)
         row = result.rows[0]
         assert row["entropy_channel_layer"] < row["entropy_token"]
+
+    def test_figure7_adaptation_meets_the_slo(self):
+        result = run_figure7(num_tokens=3_000, slo_s=1.5, drop_at_s=0.3, recover_at_s=1.5)
+        rows = {row["method"]: row for row in result.rows}
+        assert rows["cachegen"]["meets_slo"] and not rows["quantization"]["meets_slo"]
+        assert rows["cachegen"]["loading_delay_s"] < rows["quantization"]["loading_delay_s"]
+        # The outage is bridged by recomputing a chunk from text.
+        assert "text" in rows["cachegen"]["configs"].split(",")
 
     def test_figure8_speedups(self):
         result = run_figure8(
@@ -86,6 +129,26 @@ class TestFigures:
         cachegen = rows["cachegen"][0]["ttft_s"]
         assert rows["text"][0]["ttft_s"] / cachegen > 2.0
         assert rows["quant-8bit"][0]["ttft_s"] / cachegen > 1.5
+
+    def test_figure9_default_level_beats_quantization(self):
+        result = run_figure9(
+            pairs=(("mistral-7b", "longchat"),),
+            num_contexts=1,
+            quant_bits=(8, 4),
+            levels=("medium",),
+            context_token_cap=1_500,
+        )
+        rows = {row["method"]: row for row in result.rows}
+        assert rows["quant-8bit"]["kv_size_mb"] / rows["cachegen-medium"]["kv_size_mb"] > 2.5
+        assert rows["cachegen-medium"]["kv_size_mb"] < rows["quant-4bit"]["kv_size_mb"]
+        assert rows["cachegen-medium"]["relative_quality"] > 0.96
+
+    def test_figure10_composes_with_context_compression(self):
+        result = run_figure10(models=("mistral-7b",), num_contexts=1, context_token_cap=1_500)
+        rows = {row["method"]: row for row in result.rows}
+        assert rows["cachegen+h2o"]["kv_size_mb"] < rows["h2o"]["kv_size_mb"] / 2.5
+        assert rows["cachegen+llmlingua"]["kv_size_mb"] < rows["llmlingua"]["kv_size_mb"] / 2.5
+        assert rows["cachegen+h2o"]["quality"] > rows["h2o"]["quality"] - 0.05
 
     def test_figure11_cachegen_wins_at_low_bandwidth(self):
         result = run_figure11(bandwidths_gbps=(1.0, 100.0), num_tokens=2_000)
@@ -137,6 +200,26 @@ class TestFigures:
         assert rows["cachegen"][0]["mos"] >= rows["quantization"][0]["mos"]
         assert rows["cachegen"][0]["mos"] >= rows["original"][0]["mos"]
 
+    def test_figure18_beats_the_intrusive_baselines(self):
+        result = run_figure18(
+            num_contexts=1,
+            smaller_model_bits=(8,),
+            scissorhands_keeps=(0.3,),
+            gisting_ratios=(8.0,),
+            cachegen_levels=("medium",),
+            context_token_cap=1_200,
+        )
+        panels = {
+            panel: {row["method"]: row for row in result.filter(panel=panel)}
+            for panel in ("smaller_model", "context_selection", "gisting")
+        }
+        # Perplexity (lower is better) against the smaller model, accuracy elsewhere.
+        smaller = panels["smaller_model"]
+        assert smaller["cachegen-medium"]["quality"] < smaller["smaller-model-8bit"]["quality"]
+        gisting = panels["gisting"]
+        assert gisting["cachegen-medium"]["quality"] >= gisting["gisting"]["quality"]
+        assert set(panels["context_selection"]) == {"scissorhands", "cachegen-medium"}
+
     def test_figure19_improvement_positive(self):
         result = run_figure19(bandwidths_gbps=(3.0,), concurrency_levels=(1, 4), num_tokens=2_000)
         assert all(row["improvement"] > 1.0 for row in result.rows)
@@ -173,3 +256,15 @@ class TestFigures:
         # Shifting budget to the cheaper tier cuts the storage bill.
         assert tiered["storage_usd_per_month"] < baseline["storage_usd_per_month"]
         assert tiered["cost_usd_per_request"] > 0.0
+
+    def test_resilience_replication_rides_out_a_crash(self):
+        result = run_resilience(fault_intensities=(1.0,), num_requests=24, num_contexts=4)
+        (one,) = result.filter(replication=1)
+        (two,) = result.filter(replication=2)
+        # One replica: the crashed node's contexts fall back to text re-prefill.
+        assert one["degraded"] > 0 and one["text_served"] == one["degraded"]
+        assert one["slo_attainment"] < 0.9
+        # Two: reads fail over and re-replication restores redundancy.
+        assert two["degraded"] == 0 and two["failovers"] > 0
+        assert two["repairs_completed"] > 0
+        assert two["slo_attainment"] > one["slo_attainment"]

@@ -98,14 +98,15 @@ class TestEndToEnd:
             serve(BASE, REQUESTS, workload=object())
 
 
-class TestBackendKinds:
-    def test_kind_override_checks_topology(self):
-        with pytest.raises(ValueError, match="single topology"):
-            build_backend(BASE.with_(topology="cluster", num_nodes=2), kind="single")
-        with pytest.raises(ValueError, match="cluster backend"):
-            build_backend(BASE, kind="cluster")
-        with pytest.raises(ValueError, match="unknown backend kind"):
-            build_backend(BASE, kind="serverless")
+class TestExecutorChoice:
+    def test_event_follows_concurrency_unless_overridden(self, fitted_codec):
+        codec = fitted_codec()
+        cluster = BASE.with_(topology="cluster", num_nodes=2, replication=2)
+        assert not build_backend(BASE, codec=codec).event
+        assert build_backend(BASE.with_(concurrency=4), codec=codec).event
+        assert not build_backend(BASE.with_(concurrency=4), event=False, codec=codec).event
+        assert not build_backend(cluster, codec=codec).event
+        assert build_backend(cluster, event=True, codec=codec).event
 
 
 class TestDeprecationShims:

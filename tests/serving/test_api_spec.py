@@ -1,4 +1,4 @@
-"""ServingSpec: construction-time validation and backend derivation."""
+"""ServingSpec: construction-time validation and derived configuration."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ class TestValidation:
     def test_defaults_construct(self):
         spec = ServingSpec()
         assert spec.topology == "single"
-        assert spec.backend_kind == "single"
+        assert spec.concurrency == 1
 
     def test_replication_above_node_count_rejected(self):
         with pytest.raises(ValueError, match="replication"):
@@ -104,25 +104,9 @@ class TestCodecResolution:
         assert config.group_size == 5
 
 
-class TestBackendKind:
-    def test_single_sequential(self):
-        assert ServingSpec(concurrency=1).backend_kind == "single"
-
-    def test_single_concurrent(self):
-        assert ServingSpec(concurrency=4).backend_kind == "concurrent"
-
-    def test_cluster_topologies(self):
-        cluster = ServingSpec(topology="cluster", num_nodes=2, replication=2)
-        tiered = ServingSpec(
-            topology="tiered", num_nodes=2, replication=2,
-            max_bytes_per_node=1e8, cold_bytes_per_node=1e9,
-        )
-        assert cluster.backend_kind == "cluster"
-        assert tiered.backend_kind == "cluster"
-
+class TestCopies:
     def test_with_derives_modified_copy(self):
         spec = ServingSpec()
         other = spec.with_(concurrency=8)
         assert spec.concurrency == 1
         assert other.concurrency == 8
-        assert other.backend_kind == "concurrent"

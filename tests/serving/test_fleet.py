@@ -405,7 +405,7 @@ class TestFleetSpec:
 
     def test_backend_runs_a_fleet_with_sticky_sessions(self):
         spec = ServingSpec(concurrency=4, gpu_workers=2, dispatch_policy="sticky")
-        backend = build_backend(spec, kind="concurrent")
+        backend = build_backend(spec, event=True)
         backend.ingest("ctx", 1_200)
         for i in range(4):
             backend.submit(
