@@ -22,7 +22,7 @@ def _run_scaling() -> dict[int, list]:
     engine = ContextLoadingEngine(
         "mistral-7b", config=CacheGenConfig(chunk_tokens=512)
     )
-    concurrent = Backend(ServingSpec(max_decode_batch=16), engine=engine, event=True)
+    concurrent = Backend(ServingSpec(max_decode_batch=16), engine=engine)
     engine.ingest("ctx", NUM_TOKENS)
     responses = {}
     for n in CONCURRENCY_LEVELS:

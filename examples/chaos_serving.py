@@ -54,7 +54,6 @@ def main() -> None:
         num_nodes=3,
         replication=2,
         chunk_tokens=256,
-        concurrency=4,
         slo_s=1.0,
         adaptive=False,
         resilience=ResiliencePolicy(),

@@ -39,7 +39,6 @@ def main() -> None:
         max_bytes_per_node=600e6,  # a handful of long contexts per node
         eviction_policy="lru",
         chunk_tokens=512,
-        concurrency=4,
         slo_s=1.5,
         adaptive=False,
     )

@@ -5,9 +5,8 @@ Run with ``PYTHONPATH=src python examples/concurrent_serving.py``
 
 The example exercises the unified serving API end to end:
 
-1. declare a single-node deployment as a :class:`repro.ServingSpec` with
-   ``concurrency > 1`` (which selects the event-driven backend) and ingest
-   two long contexts,
+1. declare a single-node deployment as a :class:`repro.ServingSpec` (every
+   request is played on the event engine) and ingest two long contexts,
 2. serve six queries arriving close together — requests contend for the link
    and the GPU run queue, and each :class:`repro.ServeResponse` reports its
    TTFT decomposed into queueing + transfer (network) + decode + prompt
@@ -37,7 +36,7 @@ ARRIVALS = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25]
 
 
 def main() -> None:
-    spec = ServingSpec(model="mistral-7b", concurrency=8, max_decode_batch=8)
+    spec = ServingSpec(model="mistral-7b", max_decode_batch=8)
     backend = build_backend(spec)
     for context_id, num_tokens in CONTEXTS.items():
         backend.ingest(context_id, num_tokens)
@@ -87,7 +86,6 @@ def main() -> None:
         fleet = build_backend(
             ServingSpec(
                 model="mistral-7b",
-                concurrency=8,
                 max_decode_batch=8,
                 gpu_workers=gpu_workers,
                 dispatch_policy="locality",

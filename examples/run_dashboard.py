@@ -56,7 +56,6 @@ def spec() -> ServingSpec:
         topology="cluster",
         num_nodes=2,
         replication=1,
-        concurrency=2,
         gpu_workers=2,
         dispatch_policy="locality",
     )

@@ -41,7 +41,6 @@ def run(cold_bytes_per_node: float | None) -> None:
         tier_bandwidth_gbps=1.0,
         eviction_policy="lru",
         chunk_tokens=512,
-        concurrency=4,
         slo_s=1.5,
         adaptive=False,
     )

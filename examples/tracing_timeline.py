@@ -31,7 +31,7 @@ NUM_REQUESTS = 4 if SMOKE else 8
 
 
 def main() -> None:
-    spec = ServingSpec(model="mistral-7b", concurrency=NUM_REQUESTS, max_decode_batch=4)
+    spec = ServingSpec(model="mistral-7b", max_decode_batch=4)
     requests = [
         ServeRequest(
             "annual-report", f"Question {i}?", arrival_s=0.02 * i, num_tokens=NUM_TOKENS

@@ -10,7 +10,7 @@ Public entry points
 -------------------
 * :class:`repro.ServingSpec` / :func:`repro.serve` — the unified serving API:
   declare the deployment (codec levels, store topology single/tiered/cluster,
-  node count, replication, concurrency, admission) once, then drive any
+  node count, replication, batching, admission) once, then drive any
   backend with the same requests and get one :class:`repro.RunReport` shape.
   Building a backend profiles the codec; :func:`repro.profile_codec` does
   that once for callers that build many (``build_backend(spec, codec=...)``).

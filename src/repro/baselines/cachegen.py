@@ -74,7 +74,6 @@ class CacheGenMethod(ContextLoadingMethod):
             slo_s=request.slo_s,
             gpu_share=request.gpu_share,
             concurrency=request.concurrency,
-            reconstruct=True,
         )
         assert streamed.kv is not None
         distortion = request.reference_kv.normalized_distortion_per_layer(streamed.kv)

@@ -4,8 +4,8 @@ Left: with more concurrent requests the GPU run queue and the shared link
 back up, so the text (prefill) baseline — whose serialized prefills dominate
 the GPU — degrades much faster than CacheGen, whose batched bitstream decodes
 are cheap.  The concurrency curve is served through the *unified serving API*:
-one :class:`~repro.serving.api.ServingSpec`, the event-driven concurrent
-backend, and ``n`` identical requests arriving together — each request's TTFT
+one :class:`~repro.serving.api.ServingSpec`, its backend, and ``n``
+identical requests arriving together — each request's TTFT
 (queueing + transfer + decode + compute) is read off the schedule; there is no
 static ``gpu_share`` parameter anywhere in this path.  The quantization
 baseline has no engine path, so its rows still run the raw event simulator
@@ -47,7 +47,7 @@ def run_figure12_concurrency(
     """Reproduce Figure 12 (left): TTFT vs number of concurrent requests.
 
     For every method and concurrency level ``n``, ``n`` identical requests
-    arrive at time zero and are served through the event-driven backend of one
+    arrive at time zero and are served through the backend of one
     shared :class:`~repro.serving.api.ServingSpec` (shared link, serialized
     GPU, batched decodes); the reported TTFT is the mean across the ``n``
     requests, and the mean queueing delay is recorded alongside it.  Pass a
@@ -64,12 +64,11 @@ def run_figure12_concurrency(
     spec = ServingSpec(
         model=model,
         topology="single",
-        concurrency=max(max(concurrency_levels), 2 if gpu_workers > 1 else 1),
         bandwidth_gbps=bandwidth_gbps,
         max_decode_batch=max_decode_batch,
         gpu_workers=gpu_workers,
     )
-    backend = build_backend(spec, event=True)
+    backend = build_backend(spec)
     backend.attach_tracer(tracer)
     backend.ingest(_KV_CONTEXT, num_tokens)
     engine = backend.engine

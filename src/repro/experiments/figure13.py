@@ -64,12 +64,15 @@ def run_figure13(
             )
         },
     )
-    backend = build_backend(spec, event=False, codec=codec)
+    backend = build_backend(spec, codec=codec)
+    engine = backend.engine
     for record in records:
         backend.ingest(record.context_id, record.num_tokens)
 
     def serve_rows(link: NetworkLink, slo_s: float | None) -> list:
-        backend.engine.replace_link(link)
+        """Each record served alone: one run — one fresh event clock — per request."""
+        engine.replace_link(link)
+        responses = []
         for record in records:
             backend.submit(
                 ServeRequest(
@@ -80,7 +83,8 @@ def run_figure13(
                     slo_s=slo_s,
                 )
             )
-        return backend.run()
+            responses.extend(backend.run())
+        return responses
 
     result = ExperimentResult(
         name="figure13",
@@ -108,9 +112,13 @@ def run_figure13(
                 else:
                     adaptive = method_name == "cachegen"
                     for response in serve_rows(link, slo if adaptive else None):
-                        # The SLO applies to the context-loading delay; the
-                        # prompt prefill is excluded, as in the method harness.
-                        delays.append(response.ttft.network_s + response.ttft.decode_s)
+                        # The SLO applies to the context-loading delay, the
+                        # re-prefill of a tail sent as text included; the prompt
+                        # prefill is excluded, as in the method harness.
+                        prompt_tokens = engine.prompt_tokens(response.question)
+                        delays.append(
+                            response.ttft_s - engine.compute_model.prefill_delay(prompt_tokens)
+                        )
                         qualities.append(response.quality.value)
             result.add_row(
                 slo_s=slo,

@@ -58,7 +58,7 @@ class QueueingTTFTBreakdown(TTFTBreakdown):
     three activity components plus ``queueing_s`` — the time spent waiting for
     admission, for the network link, and for the GPU run queue.  Under no
     contention ``queueing_s`` is zero and the breakdown degenerates to the
-    sequential :class:`TTFTBreakdown`.
+    lone-request :class:`TTFTBreakdown` of the method harness.
     """
 
     queueing_s: float = 0.0

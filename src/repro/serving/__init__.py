@@ -5,10 +5,10 @@ The public surface is the unified API in :mod:`repro.serving.api`: declare a
 :func:`~repro.serving.api.serve`), and drive it with
 :class:`~repro.serving.api.ServeRequest` objects.
 
-Underneath, :mod:`repro.serving.engine` decides routing and serves one query
-at a time, and :mod:`repro.serving.concurrent` plays batches of queries
-through a discrete-event simulation of the shared links and GPU run queue;
-both are built by ``build_backend``, not exported here.
+Underneath, :mod:`repro.serving.engine` decides routing and
+:mod:`repro.serving.concurrent` plays the queries — one or a batch — through
+a discrete-event simulation of the shared links and GPU run queue; both are
+built by ``build_backend``, not exported here.
 """
 
 from .pipeline import IngestReport

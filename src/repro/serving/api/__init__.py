@@ -4,10 +4,10 @@ This package is the single public serving surface of the repo:
 
 * :class:`ServingSpec` — a frozen, validated declaration of the deployment
   (model, codec levels, store topology single/tiered/cluster, node count,
-  replication, tier sizes, links, concurrency, admission);
+  replication, tier sizes, links, batching, admission, GPU fleet);
 * :class:`Backend` — ``ingest`` / ``submit`` / ``run`` / ``report`` over the
-  engine :func:`build_engine` builds for the spec's topology, served one
-  request at a time or through the event simulation, speaking
+  engine :func:`build_engine` builds for the spec's topology, every run
+  played on the event simulation, speaking
   :class:`ServeRequest` / :class:`ServeResponse` / :class:`RunReport`;
 * :func:`profile_codec` — the offline codec profile a backend is built
   around, for callers that build several backends for one model

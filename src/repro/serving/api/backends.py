@@ -4,17 +4,17 @@ A :class:`Backend` turns a :class:`~repro.serving.api.spec.ServingSpec` into a
 running serving stack and speaks the unified request/response shapes
 (``ingest`` / ``submit`` / ``run`` / ``report``, returning
 :class:`~repro.serving.api.types.ServeResponse` objects with one schema).  It
-is the pairing of two independent choices:
+has two parts:
 
 * the **engine** (:func:`build_engine`) owns the store topology — one
   :class:`~repro.serving.engine.ContextLoadingEngine` over a sharded,
   replicated, optionally tiered store of one or more nodes — and with it
   routing (``resolve``) and every state tap (``cluster``, ``stores``,
   ``tier_counters``);
-* the **executor** is the backend's: the engine's own sequential ``serve``,
-  or :func:`~repro.serving.concurrent.engine.serve_batch` on an event
-  simulation built from the spec when ``event`` is set (by default when
-  ``spec.concurrency > 1``).
+* the **executor** is :func:`~repro.serving.concurrent.engine.serve_batch`:
+  every :meth:`Backend.run` plays its staged requests on one event
+  simulation built from the spec, so requests that overlap in time contend
+  for the links and the GPU whatever the spec declares.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ...network.bandwidth import ConstantTrace, gbps
 from ...network.link import NetworkLink
 from ...telemetry.slo import AlertEngine, SLOObjective
 from ...telemetry.timeseries import TimeSeriesRecorder, auto_window_s
-from ...telemetry.trace import Tracer, emit_breakdown_spans
+from ...telemetry.trace import Tracer
 from ..concurrent.engine import serve_batch
 from ..concurrent.simulator import ConcurrentLoadSimulator
 from ..engine import ContextLoadingEngine
@@ -81,7 +81,7 @@ def build_engine(spec: ServingSpec, codec: FittedCodec | None = None) -> Context
 
 
 class Backend:
-    """One engine plus one executor, speaking the unified serving API.
+    """One engine played on the event executor, speaking the unified serving API.
 
     Parameters
     ----------
@@ -90,28 +90,17 @@ class Backend:
         GPU fleet) are read from it at every :meth:`run`.
     engine:
         The engine to serve through; built from ``spec`` when omitted.
-    event:
-        Serve staged requests through the event simulation (queueing,
-        batching, admission) instead of one at a time.  Defaults to
-        ``spec.concurrency > 1``.
     """
 
-    def __init__(
-        self,
-        spec: ServingSpec,
-        engine: ContextLoadingEngine | None = None,
-        *,
-        event: bool | None = None,
-    ) -> None:
+    def __init__(self, spec: ServingSpec, engine: ContextLoadingEngine | None = None) -> None:
         self.spec = spec
         self.engine = engine if engine is not None else build_engine(spec)
-        self.event = spec.concurrency > 1 if event is None else event
         self.tracer: Tracer | None = None
         self.simcheck = None
         #: SimClock factory of the event executor's simulators; the simcheck
         #: monitor injects its ClockSanitizer here.
         self.clock_factory = None
-        #: Simulator of the last event :meth:`run` (fleet/pool stats live on it).
+        #: Simulator of the last :meth:`run` (fleet/pool stats live on it).
         self.last_sim: ConcurrentLoadSimulator | None = None
         #: The run's :class:`~repro.faults.ResilienceManager` (``None`` unless
         #: the spec carries a resilience policy or the driver injects faults).
@@ -171,8 +160,6 @@ class Backend:
         if not self._staged:
             raise ValueError("no requests submitted")
         staged, self._staged = self._staged, []
-        if not self.event:
-            return self._serve_sequential(staged)
         spec = self.spec
         sim = self.last_sim = ConcurrentLoadSimulator(
             max_decode_batch=spec.max_decode_batch,
@@ -185,37 +172,6 @@ class Backend:
             clock_factory=self.clock_factory,
         )
         return serve_batch(self.engine, staged, sim)
-
-    def _serve_sequential(self, staged: list[ServeRequest]) -> list[ServeResponse]:
-        """One-at-a-time serving in arrival order, responses in staging order."""
-        tracer = self.tracer
-        resilience = self.resilience
-        order = sorted(range(len(staged)), key=lambda i: (staged[i].arrival_s, i))
-        responses: list[ServeResponse | None] = [None] * len(staged)
-        for i in order:
-            request = staged[i]
-            if resilience is not None:
-                # Breaker timers and repair queues run on arrival time.
-                resilience.now = max(resilience.now, request.arrival_s)
-            if tracer is not None:
-                tracer.advance_to(request.arrival_s)
-            response = responses[i] = self.engine.serve(request)
-            if tracer is not None:
-                root = emit_breakdown_spans(
-                    tracer,
-                    label=request.context_id,
-                    arrival_s=request.arrival_s,
-                    ttft=response.ttft,
-                )
-                root.annotate(used_kv_cache=response.used_kv_cache)
-                tracer.metrics.histogram("request_ttft_s", "per-request TTFT").observe(
-                    response.ttft_s
-                )
-                tracer.metrics.counter("requests_served", "requests served per path").inc(
-                    1, path="kv" if response.used_kv_cache else "text"
-                )
-                tracer.advance_to(response.finish_s)
-        return [response for response in responses if response is not None]
 
     # ------------------------------------------------------------------ report
     def total_evictions(self) -> int:
@@ -276,14 +232,8 @@ class Backend:
         return report
 
 
-def build_backend(
-    spec: ServingSpec, *, event: bool | None = None, codec: FittedCodec | None = None
-) -> Backend:
+def build_backend(spec: ServingSpec, *, codec: FittedCodec | None = None) -> Backend:
     """Build the execution backend a spec declares.
-
-    ``event`` overrides the executor :class:`Backend` derives from
-    ``spec.concurrency`` (e.g. ``event=False`` forces the sequential executor
-    on a spec whose ``concurrency`` is above 1).
 
     Building profiles the codec for ``spec.model``, which is most of the
     cost; a caller that builds several backends for one model calls
@@ -293,9 +243,9 @@ def build_backend(
 
     Example
     -------
-    >>> spec = ServingSpec(topology="cluster", num_nodes=4, concurrency=8)
-    >>> backend = build_backend(spec)  # executor inferred from the concurrency
-    >>> backend.event
-    True
+    >>> spec = ServingSpec(topology="cluster", num_nodes=4, gpu_workers=2)
+    >>> backend = build_backend(spec)
+    >>> len(backend.engine.stores())
+    4
     """
-    return Backend(spec, build_engine(spec, codec), event=event)
+    return Backend(spec, build_engine(spec, codec))

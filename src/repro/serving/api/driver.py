@@ -200,7 +200,7 @@ class Driver:
 
     Example
     -------
-    >>> spec = ServingSpec(concurrency=8)
+    >>> spec = ServingSpec()
     >>> driver = Driver(spec, workload=WorkloadGenerator(num_contexts=20))
     >>> report = driver.run(num_requests=100)  # doctest: +SKIP
     """
@@ -555,7 +555,6 @@ def serve(
     workload=None,
     num_requests: int | None = None,
     admission: AdmissionPolicy | None = None,
-    event: bool | None = None,
     tracer: Tracer | None = None,
     codec: FittedCodec | None = None,
     **driver_kwargs,
@@ -564,15 +563,14 @@ def serve(
 
     Pass either ``requests`` (explicit :class:`ServeRequest` objects) or
     ``workload`` (+ ``num_requests``) for a generated arrival process.
-    ``event`` optionally forces the executor (see :func:`build_backend`).  A
-    ``tracer`` records the run's full telemetry and rides back on
+    A ``tracer`` records the run's full telemetry and rides back on
     ``report.telemetry``.  ``codec`` hands the backend an offline profile
     taken earlier (see :func:`build_backend`).
 
     Example
     -------
     >>> report = serve(
-    ...     ServingSpec(concurrency=8),
+    ...     ServingSpec(),
     ...     workload=WorkloadGenerator(num_contexts=20),
     ...     num_requests=100,
     ... )  # doctest: +SKIP
@@ -580,7 +578,7 @@ def serve(
     """
     if (requests is None) == (workload is None):
         raise ValueError("pass exactly one of requests= or workload=")
-    built = build_backend(spec, event=event, codec=codec)
+    built = build_backend(spec, codec=codec)
     driver = Driver(
         built,
         workload if workload is not None else list(requests),

@@ -2,8 +2,8 @@
 
 A :class:`ServingSpec` is the single description of *what to serve with*:
 model, codec levels, store topology (single node / tiered nodes / cluster),
-node count and replication, tier sizes and link speeds, expected concurrency
-and admission limits.  It is frozen and fully validated at construction, so a
+node count and replication, tier sizes and link speeds, batching, admission
+limits and the GPU fleet.  It is frozen and fully validated at construction, so a
 spec that constructs is a spec every backend can build — the error surface
 lives here, not spread over three constructors.
 """
@@ -61,9 +61,10 @@ class ServingSpec:
         Escape hatch: a fully custom :class:`~repro.network.NetworkLink` for
         the single-node serving link (e.g. a random or stepped trace).
     concurrency:
-        Declared concurrency of the workload.  ``1`` serves sequentially;
-        ``> 1`` selects the event-driven engine, where queueing emerges from
-        the shared links and GPU run queue.
+        Declared, selects nothing: every request is played on the event
+        engine, where queueing emerges from the shared links and GPU run
+        queue.  Removal waits for the benchmark-only PR
+        (``benchmarks/perf/workloads.py`` passes it).
     max_decode_batch / batch_overhead:
         Continuous-batching settings of the event-driven engine.
     admission_limit:
@@ -73,8 +74,6 @@ class ServingSpec:
         GPU workers behind the event engine's compute stage.  ``1`` (the
         default) keeps the original single-scheduler path bit-for-bit;
         ``> 1`` builds a :class:`~repro.serving.fleet.pool.GpuWorkerPool`.
-        Requires ``concurrency > 1`` — a sequential run has no queueing for
-        a fleet to absorb.
     dispatch_policy:
         How fleet tasks are routed to workers: ``"least-loaded"``,
         ``"locality"`` (same-context decodes co-batch on one worker), or
@@ -100,7 +99,7 @@ class ServingSpec:
     -------
     >>> spec = ServingSpec(
     ...     topology="cluster", num_nodes=4, replication=2,
-    ...     concurrency=8, gpu_workers=2, dispatch_policy="locality",
+    ...     gpu_workers=2, dispatch_policy="locality",
     ... )
     >>> spec.gpu_workers
     2
@@ -208,16 +207,6 @@ class ServingSpec:
             raise ValueError(
                 f"unknown dispatch policy {self.dispatch_policy!r}; "
                 f"expected one of {DISPATCH_POLICIES}"
-            )
-        fleet_engaged = (
-            self.gpu_workers > 1
-            or self.autoscale is not None
-            or self.dispatch_policy != "least-loaded"
-        )
-        if fleet_engaged and self.concurrency == 1:
-            raise ValueError(
-                "fleet serving (gpu_workers/dispatch_policy/autoscale) requires "
-                "concurrency > 1 — a sequential run has no queueing to absorb"
             )
         if self.autoscale is not None and not (
             self.autoscale.min_workers <= self.gpu_workers <= self.autoscale.max_workers

@@ -1,7 +1,6 @@
 """Unified request/response/report shapes of the serving API.
 
-Every backend — one node or a cluster, sequential or event-driven —
-speaks the same three objects:
+Every backend — one node or a cluster — speaks the same three objects:
 
 * :class:`ServeRequest` — one query (context, question, arrival time, task,
   SLO), the submission unit of :meth:`~repro.serving.api.backends.Backend.submit`;
@@ -29,7 +28,7 @@ from ...metrics.cluster import (
     summarize_latencies,
 )
 from ...llm.quality import GenerationQuality
-from ...metrics.system import QueueingTTFTBreakdown, TTFTBreakdown
+from ...metrics.system import QueueingTTFTBreakdown
 from ...storage.cost import TieredCostModel
 from ...storage.tiered import COLD, HOT
 
@@ -78,6 +77,7 @@ class ServeRequest:
             arrival_s=request.arrival_s,
             num_tokens=request.num_tokens,
             slo_s=slo_s,
+            session_id=request.session_id,
         )
 
 
@@ -85,8 +85,8 @@ class ServeRequest:
 class ServeResponse:
     """Response to a query against a (possibly cached) context.
 
-    The one response type of the serving stack: the sequential and the
-    event-driven executor both build it, from the same routing decision.
+    The one response type of the serving stack, built by the event executor
+    from the engine's routing decision.
 
     Example
     -------
@@ -98,7 +98,7 @@ class ServeResponse:
     question: str
     text: str
     quality: GenerationQuality
-    ttft: TTFTBreakdown
+    ttft: QueueingTTFTBreakdown
     used_kv_cache: bool
     chunk_configs: Sequence[str] = field(default_factory=list)
     transmitted_bytes: float = 0.0
@@ -109,8 +109,7 @@ class ServeResponse:
     failed_over: bool = False
     #: Nodes the lookup touched before settling, in order.
     attempted_node_ids: tuple[str, ...] = ()
-    #: Simulated arrival / first-token times (zero under sequential serving
-    #: unless the caller supplied arrivals).
+    #: Simulated arrival / first-token times.
     arrival_s: float = 0.0
     finish_s: float = 0.0
     #: Tier the serving replica held the context in (None for the text path).
@@ -135,8 +134,7 @@ class ServeResponse:
     @property
     def queueing_s(self) -> float:
         """Time spent waiting for admission, the link queue and the GPU queue."""
-        ttft = self.ttft
-        return ttft.queueing_s if isinstance(ttft, QueueingTTFTBreakdown) else 0.0
+        return self.ttft.queueing_s
 
 
 @dataclass
@@ -151,7 +149,7 @@ class RunReport:
 
     num_requests: int
     ttft: LatencySummary
-    #: Queueing-delay distribution (all zeros under sequential serving).
+    #: Queueing-delay distribution.
     queueing: LatencySummary | None
     slo_s: float | None
     slo_attainment: float | None

@@ -1,8 +1,9 @@
 """Event-driven concurrent serving: queueing at the GPU, batched decode.
 
-The sequential engine serves one request at a time and the old batching
-scheduler modeled concurrency as a static ``1/n`` GPU share.  This package
-replaces both with a discrete-event simulation in which contention *emerges*:
+Every served request is played here, on a discrete-event simulation in which
+contention *emerges* (the method harness's lone-request
+:class:`~repro.streaming.streamer.KVStreamer` models concurrency as a static
+``1/n`` GPU share instead):
 
 * :class:`SimClock` — deterministic event loop over simulated time;
 * :class:`LinkChannel` / :class:`GpuScheduler` — FIFO links and a serialized

@@ -6,9 +6,11 @@ the GPU, one stage at a time: each :class:`LoadStage` is a network transfer
 prefill).  The simulator asks the process for its next stage only when the
 previous one finished, passing the throughput measured on this request's own
 transfers and the number of requests currently in flight — so adaptive
-processes make the same per-chunk decisions the single-request
-:class:`~repro.streaming.streamer.KVStreamer` makes, but against live,
-scheduler-derived contention instead of a static ``1/n`` share.
+processes decide chunk by chunk against live, scheduler-derived contention.
+The method harness's :class:`~repro.streaming.streamer.KVStreamer` times a
+lone request with a static ``1/n`` share instead;
+``tests/serving/test_executor_agreement.py`` holds the two to the same
+per-chunk decisions.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def _prompt_stage(compute: ComputeModel, prompt_tokens: int) -> LoadStage:
 class ChunkedKVLoad:
     """CacheGen's chunked KV streaming as a load process.
 
-    Mirrors the :class:`~repro.streaming.streamer.KVStreamer` loop: before
+    The §5.3 streaming loop of every served request: before
     each chunk the adaptation policy picks a configuration from the measured
     throughput and the remaining SLO budget; KV chunks become transfer+decode
     stages, text fallbacks become transfer+prefill stages.  Decisions are

@@ -21,9 +21,10 @@ path, so a degraded store degrades TTFT, never availability.
 
 Routing is decided once, in :meth:`ContextLoadingEngine.resolve`: it maps a
 request to a :class:`Resolution` (stream the stored KV from which replica, or
-fall back to text, and why).  The sequential executor (:meth:`serve`) and the
-event-driven one (:func:`~repro.serving.concurrent.engine.serve_batch`)
-both consume it and build their responses with :meth:`respond`.
+fall back to text, and why).  The executor
+(:func:`~repro.serving.concurrent.engine.serve_batch`, of which :meth:`serve`
+is the one-request case) plays the decision on the event engine and builds its
+responses with :meth:`respond`.
 
 The engine also follows §7.3's observation that for short contexts loading
 the text can be faster than loading the KV cache: when the estimated
@@ -49,14 +50,15 @@ from ..llm.model_config import ModelConfig, get_model_config
 from ..llm.quality import QualityModel
 from ..llm.synthetic_model import GenerationResult, SyntheticLLM
 from ..metrics.cluster import TierState, tier_state
-from ..metrics.system import TTFTBreakdown
 from ..network.link import NetworkLink
 from ..storage.eviction import EvictionPolicy, make_policy
 from ..storage.kv_store import KVCacheStore, StoredContext
 from ..storage.tiered import DiskKVStore, PlacementPolicy, TieredKVStore
 from ..streaming.adaptation import AdaptationPolicy, FixedLevelPolicy, SLOAwareAdapter
-from ..streaming.streamer import KVStreamer, materialise
+from ..streaming.streamer import materialise
 from .api.types import ServeRequest, ServeResponse
+from .concurrent.engine import serve_batch
+from .concurrent.simulator import ConcurrentLoadSimulator
 from .pipeline import IngestReport
 
 __all__ = ["Resolution", "ContextLoadingEngine", "profile_codec"]
@@ -507,63 +509,14 @@ class ContextLoadingEngine:
         )
 
     def serve(self, request: ServeRequest) -> ServeResponse:
-        """The sequential executor: one request alone on its link and the GPU."""
-        parts = self._parts
-        resolution = self.resolve(request)
-        link = resolution.link
-        prompt_tokens = self.prompt_tokens(request.question)
-        if resolution.use_kv:
-            # Tier reads and resilience delays (timeouts + backoff, hedge
-            # wait) serialize ahead of streaming, shrinking the SLO budget the
-            # adapter has left for the serving link.
-            extra_network_s = resolution.tier_read_s + resolution.extra_delay_s
-            streamed = KVStreamer(
-                decoder=parts.decoder,
-                compute_model=parts.compute,
-                initial_throughput_bps=link.trace.bandwidth_at(0.0),
-            ).stream(
-                resolution.stored.chunks,
-                link=link,
-                policy=self.adaptation_policy(request.slo_s, resolution.level_override),
-                slo_s=(
-                    None
-                    if request.slo_s is None
-                    else max(request.slo_s - extra_network_s, 0.0)
-                ),
-                reconstruct=False,
-            )
-            configs, num_bytes = streamed.configs, streamed.total_bytes
-            ttft = TTFTBreakdown(
-                network_s=streamed.network_time_s + extra_network_s,
-                decode_s=max(streamed.total_time_s - streamed.network_time_s, 0.0),
-                compute_s=parts.compute.prefill_delay(prompt_tokens),
-            )
-        else:
-            configs = ["text"]
-            num_bytes = resolution.num_tokens * self.config.text_bytes_per_token
-            ttft = TTFTBreakdown(
-                network_s=link.transfer(num_bytes).duration,
-                decode_s=0.0,
-                compute_s=parts.compute.prefill_delay(resolution.num_tokens + prompt_tokens),
-            )
-        response = self.respond(
-            request,
-            resolution,
-            configs,
-            ttft=ttft,
-            transmitted_bytes=num_bytes,
-            arrival_s=request.arrival_s,
-            finish_s=request.arrival_s + ttft.total_s,
-            tier_transfer_s=resolution.tier_read_s,
-        )
-        if resolution.use_kv:
-            resolution.node.record_hit(num_bytes, tier=resolution.tier)
+        """One request alone on a fresh event simulation."""
+        (response,) = serve_batch(self, [request], ConcurrentLoadSimulator())
         return response
 
     def respond(
         self, request: ServeRequest, resolution: Resolution, configs: Sequence[str], **timing
     ) -> ServeResponse:
-        """The answer once the context arrived as ``configs``, under either executor.
+        """The answer once the context arrived as ``configs``.
 
         ``timing`` is the executor's half of the response (``ttft``, bytes,
         arrival/finish, tier transfer); the routing half is ``resolution``'s.

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.simcheck src/repro                  # lint vs the baseline
     python -m repro.simcheck src/repro --write-baseline # refresh the baseline
-    python -m repro.simcheck --race-smoke               # figure12 order check
+    python -m repro.simcheck --race-smoke               # figure12 + default-spec order check
     python -m repro.simcheck --chaos-smoke              # faulted-spec order check
 
 Exit status: 0 clean, 1 new violations (or an order-dependent smoke run),
@@ -36,21 +36,38 @@ New simcheck violations (not in the baseline). Either:
 
 
 def _run_race_smoke(out=sys.stderr) -> int:
-    """Order-independence smoke on a figure12-style concurrency spec."""
+    """Order-independence smoke: the figure12 shape, then a default spec under overlap."""
     from ..serving.api.spec import ServingSpec
     from ..serving.api.types import ServeRequest
     from .race import check_spec_order_independence
 
-    # The figure12 concurrency shape: one shared context, n simultaneous
-    # arrivals over one link and a GPU worker pool.
-    spec = ServingSpec(concurrency=8, gpu_workers=2)
-    requests = [
-        ServeRequest("figure12-context", "smoke?", arrival_s=0.0, num_tokens=640)
-        for _ in range(6)
-    ]
-    report = check_spec_order_independence(spec, requests, seeds=(1, 2))
-    print(f"race smoke (figure12 concurrency spec): {report.describe()}", file=out)
-    return 1 if report.order_dependent else 0
+    shapes = {
+        # One shared context, n simultaneous arrivals over one link and a
+        # GPU worker pool.
+        "figure12 concurrency spec": (
+            ServingSpec(gpu_workers=2),
+            [
+                ServeRequest("figure12-context", "smoke?", arrival_s=0.0, num_tokens=640)
+                for _ in range(6)
+            ],
+        ),
+        # Nothing declared: three contexts whose loads overlap on the one
+        # link and the one GPU.  Arrivals are distinct — which of two tied,
+        # different requests goes first is the tie-break's to decide.
+        "default spec, overlapping arrivals": (
+            ServingSpec(),
+            [
+                ServeRequest(f"smoke-ctx-{i % 3}", "smoke?", arrival_s=0.02 * i, num_tokens=640)
+                for i in range(8)
+            ],
+        ),
+    }
+    status = 0
+    for label, (spec, requests) in shapes.items():
+        report = check_spec_order_independence(spec, requests, seeds=(1, 2))
+        print(f"race smoke ({label}): {report.describe()}", file=out)
+        status |= int(report.order_dependent)
+    return status
 
 
 def _run_chaos_smoke(out=sys.stderr) -> int:
@@ -72,7 +89,6 @@ def _run_chaos_smoke(out=sys.stderr) -> int:
         topology="cluster",
         num_nodes=3,
         replication=2,
-        concurrency=8,
         resilience=ResiliencePolicy(),
     )
     requests = [
@@ -124,7 +140,7 @@ def main(argv: list[str] | None = None, out=sys.stderr) -> int:
     parser.add_argument(
         "--race-smoke",
         action="store_true",
-        help="run the event-order race detector on a figure12 concurrency spec",
+        help="run the event-order race detector on a figure12 spec and a default spec",
     )
     parser.add_argument(
         "--chaos-smoke",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from ..metrics.system import QueueingTTFTBreakdown
 from .sanitizers import SimcheckViolation
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -206,9 +205,8 @@ def check_span_breakdowns(
             "transfer": ttft.network_s,
             "decode": ttft.decode_s,
             "compute": ttft.compute_s,
+            "queueing": ttft.queueing_s,
         }
-        if isinstance(ttft, QueueingTTFTBreakdown):
-            expected["queueing"] = ttft.queueing_s
         for category, want in expected.items():
             got = sums[category]
             if not _close(got, want):

@@ -144,7 +144,6 @@ class KVStreamer:
         slo_s: float | None = None,
         gpu_share: float = 1.0,
         concurrency: int = 1,
-        reconstruct: bool = True,
     ) -> StreamingResult:
         """Stream all chunks of one context and return the timeline.
 
@@ -166,9 +165,6 @@ class KVStreamer:
         concurrency:
             Number of concurrent requests sharing the link (scales expected
             and actual transfer delays, §5.3).
-        reconstruct:
-            Whether to decode and assemble the delivered KV cache (disable for
-            latency-only sweeps).
         """
         if not prepared_chunks:
             raise ValueError("no chunks to stream")
@@ -207,8 +203,7 @@ class KVStreamer:
                     achieved_throughput_bps=throughput,
                 )
             )
-        if reconstruct:
-            result.kv = materialise(prepared_chunks, result.configs, self.decoder)
+        result.kv = materialise(prepared_chunks, result.configs, self.decoder)
         return result
 
     # ------------------------------------------------------------------ pieces

@@ -60,7 +60,6 @@ from .trace import (
     InstantEvent,
     Span,
     Tracer,
-    emit_breakdown_spans,
     emit_timeline_spans,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "chrome_trace_events",
     "default_burn_rules",
     "default_detectors",
-    "emit_breakdown_spans",
     "emit_timeline_spans",
     "iter_jsonl_events",
     "render_dashboard",

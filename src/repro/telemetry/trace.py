@@ -40,7 +40,6 @@ __all__ = [
     "CounterSample",
     "Tracer",
     "emit_timeline_spans",
-    "emit_breakdown_spans",
 ]
 
 #: Span categories mirroring the TTFT decomposition; the consistency tests
@@ -332,52 +331,4 @@ def emit_timeline_spans(
                 parent=root,
                 config=stage.config,
             )
-    return root
-
-
-def emit_breakdown_spans(
-    tracer: Tracer,
-    *,
-    label: str,
-    arrival_s: float,
-    ttft,
-    request_id: int | None = None,
-) -> Span:
-    """Build a request's span tree from a sequential TTFT breakdown.
-
-    Sequential backends have no event schedule — only the decomposition
-    (network / decode / compute, optionally queueing).  The components are
-    laid out back to back from the arrival, which is exactly the sequential
-    serving order.
-    """
-    rid = tracer.new_request_id() if request_id is None else request_id
-    track = f"request:{rid}"
-    total_s = ttft.total_s
-    root = tracer.span(
-        f"request {label}",
-        track=track,
-        start_s=arrival_s,
-        dur_s=total_s,
-        category="request",
-        request_id=rid,
-        context_id=label,
-    )
-    cursor = arrival_s
-    components = [
-        ("queueing", getattr(ttft, "queueing_s", 0.0), QUEUEING),
-        ("transfer", ttft.network_s, TRANSFER),
-        ("decode", ttft.decode_s, DECODE),
-        ("compute", ttft.compute_s, COMPUTE),
-    ]
-    for name, dur_s, category in components:
-        if dur_s > 0:
-            tracer.span(
-                name,
-                track=track,
-                start_s=cursor,
-                dur_s=dur_s,
-                category=category,
-                parent=root,
-            )
-            cursor += dur_s
     return root

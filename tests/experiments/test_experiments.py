@@ -183,6 +183,21 @@ class TestFigures:
         rows = {row["method"]: row for row in result.rows}
         assert rows["cachegen"]["violation_rate"] <= rows["quantization"]["violation_rate"]
 
+    def test_figure13_charges_a_text_reprefill_to_the_slo(self):
+        """Under 0.2 Gbps the context ships as text and is re-prefilled: almost
+        no bytes move, yet ~1.8 s of GPU time for 3 k tokens misses a 1 s SLO."""
+        result = run_figure13(
+            slos_s=(1.0,),
+            num_traces=1,
+            num_contexts=1,
+            context_token_cap=3_000,
+            min_gbps=0.01,
+            max_gbps=0.2,
+        )
+        rows = {row["method"]: row for row in result.rows}
+        assert rows["cachegen"]["violation_rate"] == 1.0
+        assert rows["cachegen-no-adapt"]["violation_rate"] == 1.0
+
     def test_figure14_panels_present(self):
         result = run_figure14(num_tokens=2_000)
         panels = {row["panel"] for row in result.rows}

@@ -98,15 +98,36 @@ class TestEndToEnd:
             serve(BASE, REQUESTS, workload=object())
 
 
-class TestExecutorChoice:
-    def test_event_follows_concurrency_unless_overridden(self, fitted_codec):
-        codec = fitted_codec()
-        cluster = BASE.with_(topology="cluster", num_nodes=2, replication=2)
-        assert not build_backend(BASE, codec=codec).event
-        assert build_backend(BASE.with_(concurrency=4), codec=codec).event
-        assert not build_backend(BASE.with_(concurrency=4), event=False, codec=codec).event
-        assert not build_backend(cluster, codec=codec).event
-        assert build_backend(cluster, event=True, codec=codec).event
+class TestOneExecutor:
+    """Every request is played on the event engine; ``concurrency`` selects nothing."""
+
+    # The second request arrives while the first still holds the link.
+    OVERLAPPING = [
+        ServeRequest("api-doc", "First?", arrival_s=0.0),
+        ServeRequest("api-doc", "Second?", arrival_s=0.001),
+        ServeRequest("never-ingested", "Third?", arrival_s=0.002, num_tokens=640),
+    ]
+
+    def _serve(self, spec, codec):
+        backend = build_backend(spec, codec=codec)
+        backend.ingest("api-doc", 640)
+        for request in self.OVERLAPPING:
+            backend.submit(request)
+        return backend.run()
+
+    def test_overlapping_requests_contend_on_a_default_spec(self, fitted_codec):
+        _, second, third = self._serve(BASE, fitted_codec())
+        assert second.queueing_s > 0.0
+        assert third.queueing_s > 0.0
+
+    def test_declared_concurrency_changes_nothing(self, fitted_codec):
+        alone = self._serve(BASE, fitted_codec())
+        declared = self._serve(BASE.with_(concurrency=8), fitted_codec())
+        for one, eight in zip(alone, declared, strict=True):
+            assert one.ttft == eight.ttft
+            assert list(one.chunk_configs) == list(eight.chunk_configs)
+            assert one.transmitted_bytes == eight.transmitted_bytes
+            assert (one.arrival_s, one.finish_s) == (eight.arrival_s, eight.finish_s)
 
 
 class TestDeprecationShims:
@@ -131,7 +152,7 @@ class TestDeprecationShims:
     def test_event_backend_builds_sim_from_spec(self, fitted_codec):
         spec = BASE.with_(concurrency=4, max_decode_batch=8, admission_limit=2)
         backend = build_backend(spec, codec=fitted_codec())
-        assert backend.event and backend.last_sim is None
+        assert backend.last_sim is None
         backend.submit(ServeRequest("never-ingested", "Q?", num_tokens=320))
         backend.run()
         sim = backend.last_sim

@@ -95,7 +95,7 @@ class TestDriver:
         )
         spec = ServingSpec(model="mistral-7b", concurrency=max(levels))
         for n in levels:
-            backend = build_backend(spec, event=True, codec=fitted_codec())
+            backend = build_backend(spec, codec=fitted_codec())
             requests = [
                 ServeRequest(
                     "figure12-context",

@@ -218,7 +218,7 @@ def _query(concurrent, context_id, question, **fields):
 def concurrent_engine():
     engine = ContextLoadingEngine("mistral-7b")
     engine.ingest("report-2023", TOKENS)
-    return Backend(ServingSpec(), engine=engine, event=True)
+    return Backend(ServingSpec(), engine=engine)
 
 
 class TestConcurrentEngine:
@@ -288,7 +288,7 @@ class TestClusterConcurrency:
             config=CacheGenConfig(chunk_tokens=1_024),
         )
         frontend.ingest("doc", TOKENS)
-        return Backend(ServingSpec(), engine=frontend, event=True)
+        return Backend(ServingSpec(), engine=frontend)
 
     def test_co_arriving_requests_spread_over_replicas(self, cluster_engine):
         replicas = set(cluster_engine.engine.cluster.replicas_for("doc"))
@@ -332,7 +332,7 @@ class TestColdTierConcurrency:
             ],
             config=config,
         )
-        return Backend(ServingSpec(), engine=frontend, event=True)
+        return Backend(ServingSpec(), engine=frontend)
 
     def _demote_everywhere(self, engine, context_id: str) -> None:
         for node in engine.engine.cluster.nodes.values():

@@ -391,9 +391,12 @@ class TestFleetSpec:
         with pytest.raises(ValueError, match="dispatch policy"):
             ServingSpec(concurrency=4, dispatch_policy="round-robin")
 
-    def test_fleet_requires_concurrency(self):
-        with pytest.raises(ValueError, match="concurrency > 1"):
-            ServingSpec(concurrency=1, gpu_workers=2)
+    def test_fleet_serves_on_a_default_spec(self, fitted_codec):
+        backend = build_backend(ServingSpec(gpu_workers=2), codec=fitted_codec())
+        backend.submit(ServeRequest("never-ingested", "question?", num_tokens=640))
+        (response,) = backend.run()
+        assert response.ttft_s > 0
+        assert backend.last_sim.pool.size == 2
 
     def test_autoscale_bounds_must_contain_gpu_workers(self):
         with pytest.raises(ValueError, match="autoscale bounds"):
@@ -405,7 +408,7 @@ class TestFleetSpec:
 
     def test_backend_runs_a_fleet_with_sticky_sessions(self):
         spec = ServingSpec(concurrency=4, gpu_workers=2, dispatch_policy="sticky")
-        backend = build_backend(spec, event=True)
+        backend = build_backend(spec)
         backend.ingest("ctx", 1_200)
         for i in range(4):
             backend.submit(
@@ -423,6 +426,22 @@ class TestFleetSpec:
         sim = backend.last_sim
         assert sim is not None and sim.pool is not None
         assert sim.pool.size == 2
+
+    def test_generated_streams_keep_their_sessions_sticky(self, fitted_codec):
+        """A ``WorkloadGenerator``'s session ids reach the sticky policy."""
+        from repro.cluster import WorkloadGenerator
+        from repro.serving.api import Driver
+
+        spec = ServingSpec(chunk_tokens=256, gpu_workers=2, dispatch_policy="sticky")
+        backend = build_backend(spec, codec=fitted_codec())
+        workload = WorkloadGenerator(
+            num_contexts=3, token_choices=(1_200,), num_sessions=4, arrival_rate_per_s=50.0
+        )
+        report = Driver(backend, workload).run(8)
+        assert report.kv_served == 8
+        bound = set(backend.last_sim.pool.dispatch._bindings)
+        assert bound == {f"session-{i}" for i in range(4)}
+
 
 
 # ------------------------------------------------------------------- figure 12

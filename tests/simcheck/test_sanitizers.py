@@ -234,6 +234,22 @@ class TestDriverIntegration:
         assert "spans" in report.simcheck.checks_run
         assert report.simcheck.spans_matched == len(report.responses)
 
+    def test_default_spec_overlap_is_on_the_resource_tracks(self, fitted_codec):
+        """Overlapping arrivals on a spec that declares nothing occupy the link
+        and the GPU where the strict busy <= elapsed and span-sum checks see them."""
+        overlapping = [
+            ServeRequest("sanitized-doc", f"Q{i}?", arrival_s=0.001 * i, num_tokens=640)
+            for i in range(4)
+        ]
+        tracer = Tracer()
+        backend = build_backend(SPEC, codec=fitted_codec())
+        report = Driver(backend, overlapping, tracer=tracer, simcheck=True).run()
+        assert report.simcheck.ok
+        assert {"gauges", "spans"} <= set(report.simcheck.checks_run)
+        assert report.simcheck.spans_matched == len(overlapping)
+        assert tracer.spans_on("link:node-0") and tracer.spans_on("gpu")
+        assert report.queueing.max_s > 0
+
     def test_simcheck_false_disables_everything(self, fitted_codec):
         report = Driver(build_backend(SPEC, codec=fitted_codec()), REQUESTS, simcheck=False).run()
         assert report.simcheck is None

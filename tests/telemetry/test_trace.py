@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.telemetry import (
-    COMPUTE,
-    DECODE,
-    QUEUEING,
-    TRANSFER,
-    Tracer,
-    emit_breakdown_spans,
-)
+from repro.telemetry import QUEUEING, Tracer
 
 
 class TestSpan:
@@ -80,34 +73,3 @@ class TestTracer:
         assert tracer.root_spans() == [root, tracer.spans_on("gpu")[0]]
         assert tracer.find_spans(name="gpu wait")[0].category == QUEUEING
         assert tracer.find_spans(category="decode")[0].name == "batch decode"
-
-
-class TestEmitBreakdownSpans:
-    def test_components_lie_back_to_back_from_arrival(self):
-        from repro.metrics.system import QueueingTTFTBreakdown
-
-        tracer = Tracer()
-        ttft = QueueingTTFTBreakdown(
-            network_s=0.2, decode_s=0.05, compute_s=0.1, queueing_s=0.3
-        )
-        root = emit_breakdown_spans(tracer, label="doc", arrival_s=1.0, ttft=ttft)
-        assert root.start_s == 1.0
-        # Exact == on purpose: the duration is copied, not accumulated.
-        assert root.dur_s == ttft.total_s  # simcheck: ignore[SIM004]
-        assert root.args["context_id"] == "doc"
-        categories = [child.category for child in root.children]
-        assert categories == [QUEUEING, TRANSFER, DECODE, COMPUTE]
-        cursor = 1.0
-        for child in root.children:
-            assert child.start_s == cursor
-            cursor = child.end_s
-        assert cursor == pytest.approx(1.0 + ttft.total_s)
-
-    def test_zero_components_are_skipped(self):
-        from repro.metrics.system import TTFTBreakdown
-
-        tracer = Tracer()
-        ttft = TTFTBreakdown(network_s=0.2, decode_s=0.0, compute_s=0.1)
-        root = emit_breakdown_spans(tracer, label="doc", arrival_s=0.0, ttft=ttft)
-        # No queueing_s attribute and a zero decode: only transfer + compute.
-        assert [child.category for child in root.children] == [TRANSFER, COMPUTE]
