@@ -12,8 +12,8 @@ Public entry points
   declare the deployment (codec levels, store topology single/tiered/cluster,
   node count, replication, batching, admission) once, then drive any
   backend with the same requests and get one :class:`repro.RunReport` shape.
-  Building a backend profiles the codec; :func:`repro.profile_codec` does
-  that once for callers that build many (``build_backend(spec, codec=...)``).
+  The first backend of a model profiles its codec; :func:`repro.profile_codec`
+  keeps that profile for the process, so later backends reuse it.
 * :class:`repro.core.CacheGenEncoder` / :class:`repro.core.CacheGenDecoder` —
   the codec itself.
 * :class:`repro.streaming.KVStreamer` — SLO-aware streaming of encoded chunks.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .quantization import (
     layer_std,
     vectorwise_quantize,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..llm.model_config import ModelConfig
 
 __all__ = [
     "CacheGenEncoder",
@@ -151,7 +154,9 @@ class FittedCodec:
     ``CacheGenEncoder(config, codec=...)`` — and every engine and backend
     constructor above it — accepts in place of profiling again.
 
-    One codec may back any number of encoders, engines and backends at once.
+    One codec may back any number of encoders, engines and backends at once,
+    and :func:`~repro.serving.engine.profile_codec` hands every engine of one
+    model the same one for the life of the process.
     Nothing reachable from it can be written: the dataclasses are frozen and
     every ``counts`` / ``log2_probabilities()`` table is read-only.  The one
     :class:`~repro.core.probability_model.ScoringScratch` is shared too, which
@@ -174,17 +179,31 @@ class FittedCodec:
 
     #: ``KVCache.model_name`` of the sample caches the profile was taken from.
     model_name: str
+    #: ``(layers, channels)`` of those caches: one probability context per pair.
+    sim_dims: tuple[int, int]
     #: Values of ``_FIT_FIELDS`` in the configuration it was fitted under.
     fit_fields: tuple
     #: Level name -> fitted models (read-only mapping).
     level_models: Mapping[str, LevelCodecModel]
 
-    def check(self, config: CacheGenConfig, model_name: str | None = None) -> None:
-        """Raise ``ValueError`` unless the profile was taken for ``config`` (and ``model_name``)."""
-        if model_name is not None and model_name != self.model_name:
-            raise ValueError(
-                f"codec was profiled for model {self.model_name!r}, not {model_name!r}"
-            )
+    def check(self, config: CacheGenConfig, model: "ModelConfig | None" = None) -> None:
+        """Raise ``ValueError`` unless the profile was taken for ``config`` (and ``model``).
+
+        ``model`` must match by name and by simulated ``(sim_layers,
+        sim_channels)``: a profile of another shape has another number of
+        per-(layer, channel) distributions and could not code one symbol.
+        """
+        if model is not None:
+            if model.name != self.model_name:
+                raise ValueError(
+                    f"codec was profiled for model {self.model_name!r}, not {model.name!r}"
+                )
+            if (model.sim_layers, model.sim_channels) != self.sim_dims:
+                layers, channels = self.sim_dims
+                raise ValueError(
+                    f"codec was profiled for {self.model_name!r} at {layers} layers x "
+                    f"{channels} channels, not {model.sim_layers} x {model.sim_channels}"
+                )
         for name, fitted, wanted in zip(_FIT_FIELDS, self.fit_fields, _fit_fields(config)):
             if fitted != wanted:
                 raise ValueError(
@@ -321,8 +340,10 @@ class CacheGenEncoder:
         for model in [m.delta_model for m in level_models.values()] + list(anchor_models.values()):
             model.scratch = scratch
             model.counts.flags.writeable = False
+        first = sample_caches[0]
         self.codec = FittedCodec(
-            model_name=sample_caches[0].model_name,
+            model_name=first.model_name,
+            sim_dims=(first.num_layers, first.num_channels),
             fit_fields=_fit_fields(cfg),
             level_models=MappingProxyType(level_models),
         )

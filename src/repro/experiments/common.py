@@ -160,7 +160,7 @@ class Workbench:
                 ]
             )
         else:
-            codec.check(self.codec_config, self.model.name)
+            codec.check(self.codec_config, self.model)
             self.encoder = CacheGenEncoder(self.codec_config, codec=codec)
 
         self._kv_cache: OrderedDict[str, KVCache] = OrderedDict()

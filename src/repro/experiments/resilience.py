@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..cluster import WorkloadGenerator
 from ..faults import FaultSchedule, NodeCrash, ResiliencePolicy
-from ..serving.api import ServingSpec, profile_codec, serve
+from ..serving.api import ServingSpec, serve
 from .common import ExperimentResult
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -65,8 +65,6 @@ def run_resilience(
         },
     )
     nominal_span_s = num_requests / arrival_rate_per_s
-    # One offline profile for the whole sweep: every point serves the same model.
-    codec = profile_codec(model)
     for replication in replication_factors:
         if not 1 <= replication <= num_nodes:
             raise ValueError("replication_factors must be in [1, num_nodes]")
@@ -111,7 +109,6 @@ def run_resilience(
                     num_requests=num_requests,
                     tracer=tracer,
                     faults=faults,
-                    codec=codec,
                 )
             resilience = report.resilience
             result.add_row(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ..cluster import WorkloadGenerator
-from ..serving.api import ServingSpec, profile_codec, serve
+from ..serving.api import ServingSpec, serve
 from .common import ExperimentResult
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -60,8 +60,6 @@ def run_tiered_storage(
             "slo_s": slo_s,
         },
     )
-    # One offline profile for the whole sweep: every ratio serves the same model.
-    codec = profile_codec(model)
     for hot_fraction in hot_fractions:
         if not 0.0 < hot_fraction <= 1.0:
             raise ValueError("hot_fractions must be in (0, 1]")
@@ -87,9 +85,7 @@ def run_tiered_storage(
             token_choices=(320, 640),
             seed=seed,
         )
-        report = serve(
-            spec, workload=workload, num_requests=num_requests, tracer=tracer, codec=codec
-        )
+        report = serve(spec, workload=workload, num_requests=num_requests, tracer=tracer)
         result.add_row(
             hot_fraction=hot_fraction,
             hit_ratio=report.hit_ratio,

@@ -10,8 +10,8 @@ This package is the single public serving surface of the repo:
   played on the event simulation, speaking
   :class:`ServeRequest` / :class:`ServeResponse` / :class:`RunReport`;
 * :func:`profile_codec` — the offline codec profile a backend is built
-  around, for callers that build several backends for one model
-  (``build_backend(spec, codec=...)``);
+  around, taken once per model and process and shared by every backend
+  (``build_backend(spec, codec=...)`` injects another);
 * :class:`Driver` / :func:`serve` — the arrival-driven open-loop runner that
   replays a workload's true Poisson arrival process (ingest events
   interleaved with queries, pluggable admission/shedding) through any

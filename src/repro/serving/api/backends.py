@@ -46,9 +46,10 @@ def _constant_link(bandwidth_gbps: float) -> NetworkLink:
 def build_engine(spec: ServingSpec, codec: FittedCodec | None = None) -> ContextLoadingEngine:
     """The engine a spec declares; its single topology is one node on the serving link.
 
-    ``codec`` is the offline profile to encode with
-    (:func:`~repro.serving.engine.profile_codec`); the engine profiles its own
-    when it is omitted.
+    ``codec`` is the offline profile to encode with; omitted, the engine
+    takes the one :func:`~repro.serving.engine.profile_codec` keeps for the
+    spec's model and codec configuration, so every engine of one model in a
+    process shares a single profile.
     """
     if spec.topology == "single":
         # Text fallbacks and KV reads share the one serving link.
@@ -235,11 +236,11 @@ class Backend:
 def build_backend(spec: ServingSpec, *, codec: FittedCodec | None = None) -> Backend:
     """Build the execution backend a spec declares.
 
-    Building profiles the codec for ``spec.model``, which is most of the
-    cost; a caller that builds several backends for one model calls
-    :func:`~repro.serving.engine.profile_codec` once and passes ``codec=`` to
-    each (``ValueError`` if it was profiled for another model or codec
-    configuration).
+    The first backend of a model in a process profiles its codec, which is
+    most of the cost; later ones reuse that profile through
+    :func:`~repro.serving.engine.profile_codec` and build in under a
+    millisecond.  ``codec=`` injects a profile explicitly (``ValueError`` if
+    it was profiled for another model, model shape or codec configuration).
 
     Example
     -------

@@ -564,8 +564,8 @@ def serve(
     Pass either ``requests`` (explicit :class:`ServeRequest` objects) or
     ``workload`` (+ ``num_requests``) for a generated arrival process.
     A ``tracer`` records the run's full telemetry and rides back on
-    ``report.telemetry``.  ``codec`` hands the backend an offline profile
-    taken earlier (see :func:`build_backend`).
+    ``report.telemetry``.  ``codec`` hands the backend an explicit offline
+    profile in place of the process-wide one (see :func:`build_backend`).
 
     Example
     -------

@@ -44,7 +44,7 @@ from ..core.kv_cache import KVCache
 
 from ..core.config import CacheGenConfig
 from ..core.decoder import CacheGenDecoder
-from ..core.encoder import CacheGenEncoder, FittedCodec
+from ..core.encoder import CacheGenEncoder, FittedCodec, _fit_fields
 from ..llm.compute_model import A40, ComputeModel, GPUSpec
 from ..llm.model_config import ModelConfig, get_model_config
 from ..llm.quality import QualityModel
@@ -72,21 +72,31 @@ _PROFILE_TOKENS = 1_500
 #: recomputing it would re-pay the whole prefill the cache exists to avoid.
 _REFERENCE_CACHE_ENTRIES = 128
 
+#: Every profile taken in this process, by resolved model and ``_fit_fields``.
+#: Unbounded: one entry per distinct key, and a run uses one key per model.
+_PROFILES: dict[tuple[ModelConfig, tuple], FittedCodec] = {}
+
 
 def profile_codec(model: ModelConfig | str, config: CacheGenConfig | None = None) -> FittedCodec:
-    """Profile ``model``'s symbol distributions offline, as an engine does when built.
+    """``model``'s offline symbol-distribution profile, taken once per process.
 
-    This is the expensive half of constructing a
+    Profiling is the expensive half of constructing a
     :class:`ContextLoadingEngine` (two sample prefills and one table fit per
-    level).  The result depends only on the model and on the configuration
-    fields :class:`~repro.core.encoder.FittedCodec` is keyed by, so a caller
-    that builds many engines for one model profiles once and passes
-    ``codec=`` to each.
+    level).  The result depends only on the model's :class:`ModelConfig` and
+    on the configuration fields :class:`~repro.core.encoder.FittedCodec` is
+    keyed by, so it is memoized on exactly that: the first call for a key
+    profiles, every later one returns the same immutable codec, whatever
+    ``chunk_tokens``, default level or entropy-coding switches it passes.
+    Every engine and backend built without ``codec=`` shares it through here.
+    An entry (≈50 MiB once its log-probability tables are scored) lives as
+    long as the process; the sharing assumes the single-threaded stack the
+    codec's scoring scratch already does.
 
     Example
     -------
     >>> codec = profile_codec("mistral-7b")  # doctest: +SKIP
-    >>> engines = [ContextLoadingEngine("mistral-7b", codec=codec) for _ in range(3)]  # doctest: +SKIP
+    >>> profile_codec("mistral-7b", CacheGenConfig(chunk_tokens=256)) is codec  # doctest: +SKIP
+    True
     """
     config = config or CacheGenConfig()
     if config.probability_grouping == "token":
@@ -95,9 +105,17 @@ def profile_codec(model: ModelConfig | str, config: CacheGenConfig | None = None
             "every tensor to have the profile's token count, and contexts and chunks vary "
             "in length; it exists for the Figure 5 grouping-entropy analysis only"
         )
-    llm = SyntheticLLM(model)
-    samples = [llm.calculate_kv(f"__profile-{i}", _PROFILE_TOKENS) for i in range(_PROFILE_SAMPLES)]
-    return CacheGenEncoder(config).fit(samples).codec
+    if isinstance(model, str):
+        model = get_model_config(model)
+    key = (model, _fit_fields(config))
+    codec = _PROFILES.get(key)
+    if codec is None:
+        llm = SyntheticLLM(model)
+        samples = [
+            llm.calculate_kv(f"__profile-{i}", _PROFILE_TOKENS) for i in range(_PROFILE_SAMPLES)
+        ]
+        codec = _PROFILES[key] = CacheGenEncoder(config).fit(samples).codec
+    return codec
 
 
 @dataclass
@@ -182,9 +200,10 @@ class ContextLoadingEngine:
         Tier-admission policy for new contexts (``"hot"``, ``"cost"``, or a
         factory returning a fresh policy per node).
     codec:
-        The offline profile (:func:`profile_codec`) to encode with; profiled
-        here when omitted.  ``ValueError`` if it was profiled for another
-        model or codec configuration.
+        The offline profile to encode with; when omitted, the process-wide
+        one :func:`profile_codec` keeps for this model and configuration
+        (profiled on first use).  ``ValueError`` if it was profiled for
+        another model, model shape or codec configuration.
 
     Example
     -------
@@ -219,7 +238,7 @@ class ContextLoadingEngine:
         if codec is None:
             codec = profile_codec(model, self.config)
         else:
-            codec.check(self.config, model.name)
+            codec.check(self.config, model)
 
         quality_model = QualityModel(num_layers=model.sim_layers, base_values=base_quality)
         llm = SyntheticLLM(model, quality_model=quality_model)

@@ -136,8 +136,8 @@ def check_spec_order_independence(
     generated arrivals are materialized once so every replay sees the same
     stream.  Each replay builds a fresh backend from ``spec``, so stores and
     seeds reset; tie-break order is the only varying input.  The replays share
-    one offline codec profile (``codec``, profiled here when omitted): it is
-    immutable, and profiling is most of what a backend costs to build.  ``faults``
+    one immutable offline codec profile: ``codec`` when given, else the one
+    :func:`~repro.serving.engine.profile_codec` keeps for the spec.  ``faults``
     optionally threads a :class:`~repro.faults.FaultSchedule` through each
     replay's driver — chaos runs must be exactly as order-independent as
     healthy ones (retry jitter is keyed on the context, not a shared stream).
@@ -145,7 +145,6 @@ def check_spec_order_independence(
     from ..serving.api.backends import build_backend
     from ..serving.api.driver import Driver
     from ..serving.api.types import ServeRequest as _ServeRequest
-    from ..serving.engine import profile_codec
 
     if (requests is None) == (workload is None):
         raise ValueError("pass exactly one of requests= or workload=")
@@ -159,8 +158,6 @@ def check_spec_order_independence(
             for item in workload.iter_requests(num_requests)
         ]
     fixed = list(requests)
-    if codec is None:
-        codec = profile_codec(spec.model, spec.resolved_config())
 
     def run_with_factory(clock_factory: Callable[[], "SimClock"]) -> tuple:
         built = build_backend(spec, codec=codec)

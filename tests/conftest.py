@@ -94,20 +94,15 @@ def encoder(sample_caches: list[KVCache], small_config: CacheGenConfig) -> Cache
 
 @pytest.fixture(scope="session")
 def fitted_codec():
-    """Factory for the offline codec profile of ``(model, config)``, taken once per session.
+    """Factory for the offline codec profile of ``(model, config)``.
 
-    Profiling is most of what a backend costs to build, and the profile is an
-    immutable function of the model and codec configuration (any
-    ``chunk_tokens``), so tests that build backends pass
-    ``codec=fitted_codec()`` instead of profiling each time.
+    ``profile_codec`` takes each profile once per process, so this is that
+    call with the suite's default model; tests pass ``codec=fitted_codec()``
+    where they want the codec in hand.
     """
-    profiles = {}
 
     def profile(model: str = "mistral-7b", config: CacheGenConfig | None = None):
-        key = (model, config or CacheGenConfig())
-        if key not in profiles:
-            profiles[key] = profile_codec(model, config)
-        return profiles[key]
+        return profile_codec(model, config)
 
     return profile
 
