@@ -17,8 +17,13 @@ from dataclasses import dataclass, field
 from typing import get_args
 
 from .probability_model import Grouping
+from .quantization import SYMBOL_CLIP
 
 __all__ = ["EncodingLevel", "CacheGenConfig", "DEFAULT_LEVELS"]
+
+#: The widest anchor quantization whose symbols, up to ``2**(bits-1) - 1`` in
+#: magnitude, the ±``SYMBOL_CLIP`` probability alphabet can code: 9 bits.
+_MAX_ANCHOR_BITS = SYMBOL_CLIP.bit_length() + 1
 
 
 @dataclass(frozen=True)
@@ -33,7 +38,8 @@ class EncodingLevel:
         Quantization bin sizes for the delta tensors of each layer group,
         earliest group first.  Larger bins mean coarser quantization.
     anchor_bits:
-        Bit width of the vectorwise quantization applied to anchor tokens.
+        Bit width of the vectorwise quantization applied to anchor tokens,
+        2 to 9: wider symbols would not fit the entropy coder's alphabet.
 
     Example
     -------
@@ -49,8 +55,11 @@ class EncodingLevel:
     def __post_init__(self) -> None:
         if not self.delta_bins or any(b <= 0 for b in self.delta_bins):
             raise ValueError("delta_bins must be a non-empty tuple of positive sizes")
-        if not 2 <= self.anchor_bits <= 16:
-            raise ValueError("anchor_bits must be between 2 and 16")
+        if not 2 <= self.anchor_bits <= _MAX_ANCHOR_BITS:
+            raise ValueError(
+                f"anchor_bits must be between 2 and {_MAX_ANCHOR_BITS}: anchor symbols are "
+                f"entropy-coded over the alphabet [-{SYMBOL_CLIP}, {SYMBOL_CLIP}]"
+            )
 
     def scaled(self, factor: float, name: str | None = None) -> "EncodingLevel":
         """A copy of this level with all bin sizes multiplied by ``factor``."""

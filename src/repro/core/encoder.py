@@ -30,6 +30,7 @@ from .quantization import (
     bin_quantize,
     layer_bin_sizes,
     layer_std,
+    narrowest_symbols,
     vectorwise_quantize,
 )
 
@@ -250,13 +251,14 @@ class _PreparedKV:
 
 
 def _narrowed(quantized: QuantizedTensor) -> QuantizedTensor:
-    """``quantized`` with its symbols as ``int16``, the form a payload carries them in.
+    """``quantized`` with its symbols as a payload carries them (:func:`narrowest_symbols`).
 
-    Delta symbols are clipped to +/-255 and anchors have at most 16 bits, so
-    nothing is lost; narrowing each tensor as it is quantised keeps a chunk's K
-    and V symbols from both being alive at ``int32``.
+    Delta symbols are clipped to +/-255 and anchors have at most 9 bits, so
+    ``int16`` always holds them and ``int8`` does whenever their range fits;
+    nothing is lost either way.  Narrowing each tensor as it is quantised keeps
+    a chunk's K and V symbols from both being alive at ``int32``.
     """
-    return replace(quantized, symbols=quantized.symbols.astype(np.int16))
+    return replace(quantized, symbols=narrowest_symbols(quantized.symbols))
 
 
 class CacheGenEncoder:
@@ -451,7 +453,8 @@ class CacheGenEncoder:
         payloads = []
         for _, symbols, bits in tensors:
             if bits is None:
-                max_symbol = max(int(np.abs(symbols).max(initial=0)), 1)
+                # Not np.abs: on int8 symbols it maps -128 to itself.
+                max_symbol = max(-int(symbols.min(initial=0)), int(symbols.max(initial=0)), 1)
                 bits = float(np.ceil(np.log2(2 * max_symbol + 1)))
             payloads.append(
                 EntropyEncodedPayload(

@@ -33,6 +33,7 @@ import numpy as np
 
 from .arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder
 from .probability_model import SYMBOL_OFFSET, SymbolProbabilityModel
+from .quantization import narrowest_symbols
 
 __all__ = [
     "EntropyCodec",
@@ -77,8 +78,10 @@ class EntropyEncodedPayload:
     data:
         The bitstream (exact mode) or ``None`` (estimated mode).
     symbols:
-        In estimated mode the symbols are carried through unchanged so the
-        decode path remains lossless; ``None`` in exact mode.
+        In estimated mode the symbols are carried through, value for value, so
+        the decode path remains lossless: ``int8`` when their range fits it,
+        else ``int16`` (see :func:`~repro.core.quantization.narrowest_symbols`);
+        ``None`` in exact mode.
     """
 
     bits: float
@@ -103,16 +106,17 @@ def encode_payloads(
     Each bitstream is what the tensor gets when coded alone.
     """
     if not exact:
-        # Symbols are clipped to +/-255, so int16 carries them losslessly at
-        # half the memory of int32 — relevant when many chunk encodings at
-        # several levels are kept alive by the streamer.  A tensor that is
-        # int16 already is carried as it is, not copied.
+        # Every chunk is kept at every level, so the carried symbols are most
+        # of what a store holds: int8 when their range fits (every symbol at
+        # the default levels does), int16 otherwise, which holds the whole
+        # +/-255 alphabet.  Scoring validates the range before it narrows, and
+        # a tensor already at that width is carried as it is, not copied.
         return [
             EntropyEncodedPayload(
                 bits=model.cross_entropy_bits(symbols),
                 shape=tuple(symbols.shape),
                 exact=False,
-                symbols=symbols.astype(np.int16, copy=False),
+                symbols=narrowest_symbols(symbols),
             )
             for model, symbols in tensors
         ]
@@ -139,8 +143,8 @@ def decode_payloads(
 
     The bitstreams among them are decoded in batches, like
     :func:`encode_payloads` coded them, into ``int32`` tensors.  An estimated
-    payload costs no table and no copy: the ``int16`` tensor it carries is
-    returned as it is, to be read and not written.
+    payload costs no table and no copy: the ``int8`` or ``int16`` tensor it
+    carries is returned as it is, to be read and not written.
     """
     for _, payload in payloads:
         if payload.exact and payload.data is None:

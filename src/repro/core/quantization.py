@@ -27,12 +27,29 @@ __all__ = [
     "bin_dequantize",
     "layer_bin_sizes",
     "layer_std",
+    "narrowest_symbols",
     "SYMBOL_CLIP",
 ]
 
 #: Quantized symbols are clipped to this magnitude so the entropy-coding
 #: alphabet stays bounded (9-bit signed alphabet).
 SYMBOL_CLIP = 255
+
+_INT8 = np.iinfo(np.int8)
+
+
+def narrowest_symbols(symbols: np.ndarray) -> np.ndarray:
+    """``symbols`` as ``int8`` when every value fits it, else as ``int16``.
+
+    ``int16`` holds the whole ±``SYMBOL_CLIP`` alphabet; at the default levels
+    every anchor and delta symbol also fits ``int8``, which halves what the
+    payloads kept for every chunk at every level hold.  An empty tensor is
+    ``int8``, and one already of the chosen dtype is returned as it is, not
+    copied.
+    """
+    symbols = np.asarray(symbols)
+    fits = symbols.size == 0 or (symbols.min() >= _INT8.min and symbols.max() <= _INT8.max)
+    return symbols.astype(np.int8 if fits else np.int16, copy=False)
 
 
 @dataclass

@@ -17,9 +17,10 @@ class TestEncodingLevel:
         with pytest.raises(ValueError):
             EncodingLevel(name="x", delta_bins=bins)
 
-    @pytest.mark.parametrize("bits", [1, 17])
+    @pytest.mark.parametrize("bits", [1, 10, 16, 17])
     def test_invalid_anchor_bits(self, bits):
-        with pytest.raises(ValueError):
+        """From 10 bits the anchor symbols leave the ±255 alphabet no profile could fit."""
+        with pytest.raises(ValueError, match="alphabet"):
             EncodingLevel(name="x", delta_bins=(1.0,), anchor_bits=bits)
 
     def test_scaled(self):

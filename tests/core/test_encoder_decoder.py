@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, KVCache
+from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodingLevel
 
 
 class TestFitAndValidation:
@@ -24,6 +24,19 @@ class TestFitAndValidation:
     def test_is_fitted(self, encoder, small_config):
         assert encoder.is_fitted
         assert not CacheGenEncoder(small_config).is_fitted
+
+    def test_widest_anchor_bits_fit_and_round_trip(self, sample_caches):
+        """9-bit anchors reach ±255, the edge of the alphabet, and no further."""
+        level = EncodingLevel("nine", delta_bins=(0.5, 1.0, 1.5), anchor_bits=9)
+        config = CacheGenConfig(levels=(level,), default_level_index=0)
+        encoder = CacheGenEncoder(config).fit(
+            [c.slice_tokens(0, 40) for c in sample_caches]
+        )
+        chunk = sample_caches[0].slice_tokens(40, 80)
+        encoded = encoder.encode(chunk)
+        assert np.abs(encoded.k_stream.anchor_payload.symbols.astype(int)).max() == 255
+        decoded = CacheGenDecoder(encoder).decode(encoded)
+        assert float(chunk.normalized_distortion_per_layer(decoded).mean()) < 0.1
 
 
 class TestEncode:
@@ -124,6 +137,14 @@ class TestAblationSwitches:
 
     def test_arithmetic_coding_reduces_size(self, variants):
         assert variants["full"][0].compressed_bytes < variants["no_ac"][0].compressed_bytes
+
+    def test_fixed_width_of_int8_symbols_counts_minus_128(self):
+        """Without arithmetic coding a symbol costs the bits of the widest one;
+        an int8 -128 needs 9 (``np.abs`` would leave it at -128)."""
+        encoder = CacheGenEncoder(CacheGenConfig(use_arithmetic_coding=False))
+        symbols = np.array([-128, 5], dtype=np.int8).reshape(1, 2, 1)
+        (payload,) = encoder._entropy_encode([(None, symbols, None)])
+        assert payload.bits == 9 * symbols.size
 
     def test_grouped_probabilities_reduce_size(self, variants):
         assert variants["full"][0].compressed_bytes < variants["global_probs"][0].compressed_bytes

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import CacheGenConfig, CacheGenEncoder
 from repro.core.entropy_codec import EntropyCodec, lane_count
 from repro.core.probability_model import SymbolProbabilityModel
 
@@ -37,10 +38,39 @@ class TestEstimatedBackend:
         payload = codec.encode(small_symbols)
         assert payload.bits == pytest.approx(model.cross_entropy_bits(small_symbols))
 
-    def test_symbols_stored_as_int16(self, small_symbols, model):
-        payload = EntropyCodec(model, exact=False).encode(small_symbols)
-        assert payload.symbols is not None
-        assert payload.symbols.dtype == np.int16
+    @pytest.mark.parametrize(
+        "lo, hi, dtype",
+        [
+            (-4, 4, np.int8),
+            (-128, 127, np.int8),
+            (-129, 0, np.int16),
+            (0, 128, np.int16),
+            (-255, 255, np.int16),
+        ],
+    )
+    def test_symbols_stored_at_their_narrowest_width(self, model, lo, hi, dtype):
+        """int8 when the range fits it, int16 (the whole alphabet) when it does not."""
+        symbols = np.random.default_rng(hi - lo).integers(lo, hi + 1, size=(2, 60, 3))
+        symbols[0, :2, 0] = lo, hi
+        codec = EntropyCodec(model, exact=False)
+        payload = codec.encode(symbols)
+        assert payload.symbols.dtype == dtype
+        np.testing.assert_array_equal(payload.symbols, symbols)
+        # Symbols already at their width are carried as they are, not copied.
+        assert codec.encode(payload.symbols).symbols is payload.symbols
+
+    def test_default_levels_store_one_byte_a_symbol(self, fitted_codec, llm):
+        """At the paper's levels every anchor and delta symbol of a mistral-7b
+        chunk fits int8, so the four levels a store keeps per chunk hold one
+        byte a symbol."""
+        encoder = CacheGenEncoder(CacheGenConfig(), codec=fitted_codec())
+        encodings = encoder.encode_all_levels(llm.calculate_kv("one-byte-a-symbol", 256))
+        assert list(encodings) == ["high", "medium", "low", "lowest"]
+        for encoded in encodings.values():
+            for stream in (encoded.k_stream, encoded.v_stream):
+                for payload in (stream.delta_payload, stream.anchor_payload):
+                    assert not payload.exact
+                    assert payload.symbols.nbytes == payload.symbols.size > 0
 
     def test_rejects_non_3d(self, model):
         with pytest.raises(ValueError):

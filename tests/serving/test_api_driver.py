@@ -151,7 +151,7 @@ class TestDriver:
         # With 2x replication the surviving replica keeps serving from cache.
         assert report.kv_served > 0
     def test_concurrent_failover_names_attempted_nodes(self, fitted_codec):
-        """The concurrent path reports attempted_node_ids like the sequential one."""
+        """Every request that fails over names the node it tried first in attempted_node_ids."""
         spec = ServingSpec(
             model="mistral-7b",
             chunk_tokens=256,

@@ -163,7 +163,7 @@ ORACLE_SPECS = {
         CLUSTER.with_(concurrency=4, adaptive=False, resilience=ALWAYS_DEGRADE),
         {"lowest"},
     ),
-    "cluster-sequential-degraded": (
+    "cluster-default-degraded": (
         CLUSTER.with_(adaptive=False, resilience=ALWAYS_DEGRADE),
         {"lowest"},
     ),

@@ -3,10 +3,11 @@
 The backend a single-topology spec builds and a hand-built
 ``ContextLoadingEngine(model, link)`` — one storage node serving over the
 engine's own link, so text fallbacks and KV reads share one channel — are the
-same deployment.  Over eight shapes (sequential and ``concurrency=8``, with
-and without an SLO, under a capacity bound, under a crash + link + GPU fault
-schedule) every field of every ``ServeResponse``, every scalar ``RunReport``
-field and every span must be ``==``.
+same deployment.  Over eight shapes (``concurrency`` at its default and at 8,
+with and without an SLO, under a capacity bound, under a crash + link + GPU
+fault schedule) every field of every ``ServeResponse``, every scalar
+``RunReport`` field and every span must be ``==``.  Every shape plays on the
+one event engine, so the ``concurrency`` field selects nothing.
 
 Before the local-store path was deleted this file compared it with the
 one-node cluster and pinned where the two disagreed about the same physical
@@ -47,13 +48,13 @@ FAULTS = FaultSchedule(
 
 #: name -> (spec fields, fault schedule)
 SHAPES = {
-    "sequential": ({}, None),
-    "sequential-slo": ({"slo_s": 0.6}, None),
+    "default": ({}, None),
+    "default-slo": ({"slo_s": 0.6}, None),
     "concurrent": ({"concurrency": 8}, None),
     "concurrent-slo": ({"concurrency": 8, "slo_s": 0.6}, None),
-    "sequential-bounded": ({"max_bytes_per_node": BOUND_BYTES}, None),
+    "default-bounded": ({"max_bytes_per_node": BOUND_BYTES}, None),
     "concurrent-bounded": ({"concurrency": 8, "max_bytes_per_node": BOUND_BYTES}, None),
-    "sequential-faults": ({}, FAULTS),
+    "default-faults": ({}, FAULTS),
     "concurrent-faults": ({"concurrency": 8}, FAULTS),
 }
 
@@ -179,8 +180,7 @@ class TestSingleTopologyAccounting:
         shape, (_, tracer), _ = pair
         tracks = set(tracer.tracks)
         assert not {"link:serving", "storage:local"} & tracks
-        if shape.startswith("concurrent"):
-            assert "link:node-0" in tracks  # the sequential executor draws no link track
+        assert "link:node-0" in tracks  # every shape's KV reads play on the event engine
         if shape.endswith("bounded"):
             assert "storage:node-0" in tracks  # eviction instants
         if shape.endswith("faults"):

@@ -1,5 +1,6 @@
 """Documentation guardrails: docstring audit, generated API reference,
-markdown link integrity, and the README fleet quickstart snippet.
+markdown link integrity, the README fleet quickstart snippet, and the wrapper
+CI's ledger job reports the experiment run's peak memory with.
 
 These keep the docs satellites honest: every public export must carry a
 docstring with an example, ``docs/API.md`` must match what the generator
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,10 @@ class TestReadmeFleetSnippet:
         joined = "\n".join(snippets)
         for field in ("gpu_workers", "dispatch_policy", "autoscale"):
             assert field in joined
+
+
+class TestPeakRssWrapper:
+    def test_reports_the_child_and_passes_its_status_through(self, capsys):
+        wrapper = _load_script("peak_rss")
+        assert wrapper.main([sys.executable, "-c", "import sys; sys.exit(3)"]) == 3
+        assert capsys.readouterr().out.startswith("peak RSS ")
