@@ -5,8 +5,10 @@
 
 Prints one line after the child exits: the peak resident set size of the
 largest process it waited for (``getrusage(RUSAGE_CHILDREN).ru_maxrss``, KiB
-on Linux) in MiB, and the wall time.  The child's exit status is passed
-through.  It is a report, not a gate: nothing is compared with a threshold.
+on Linux) in MiB, the minor page faults of all of them (``ru_minflt``: memory
+that is freed and mapped again instead of reused shows here, not in the
+peak), and the wall time.  The child's exit status is passed through.  It is
+a report, not a gate: nothing is compared with a threshold.
 """
 
 from __future__ import annotations
@@ -24,8 +26,11 @@ def main(argv: list[str]) -> int:
     start = time.perf_counter()
     status = subprocess.call(argv)
     wall_s = time.perf_counter() - start
-    peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    print(f"peak RSS {peak_kib / 1024:.0f} MiB, wall {wall_s:.0f} s: {' '.join(argv)}")
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    print(
+        f"peak RSS {usage.ru_maxrss / 1024:.0f} MiB, minor faults {usage.ru_minflt}, "
+        f"wall {wall_s:.0f} s: {' '.join(argv)}"
+    )
     return status
 
 

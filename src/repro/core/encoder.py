@@ -159,10 +159,13 @@ class FittedCodec:
     and :func:`~repro.serving.engine.profile_codec` hands every engine of one
     model the same one for the life of the process.
     Nothing reachable from it can be written: the dataclasses are frozen and
-    every ``counts`` / ``log2_probabilities()`` table is read-only.  The one
-    :class:`~repro.core.probability_model.ScoringScratch` is shared too, which
-    is safe because the stack is single-threaded and the scratch is all zeros
-    between ``cross_entropy_bits`` calls, whichever encoder made the call.
+    every model's band, totals and log-probability tables are read-only.  The
+    default mistral-7b profile holds ≈10 MiB of them once scored, because each
+    model keeps only the symbol band its samples span.  The one
+    :class:`~repro.core.probability_model.ScoringScratch` (4 MiB) is shared
+    too, which is safe because the stack is single-threaded and the scratch is
+    all zeros between ``cross_entropy_bits`` calls, whichever encoder made the
+    call.
 
     Example
     -------
@@ -324,11 +327,15 @@ class CacheGenEncoder:
         anchor_models: dict[int, SymbolProbabilityModel] = {}
         for level in cfg.levels:
             delta_model = SymbolProbabilityModel.fit(
-                [self._quantize_deltas(p, level).symbols for p in prepared], grouping=grouping
+                [_narrowed(self._quantize_deltas(p, level)).symbols for p in prepared],
+                grouping=grouping,
             )
             if cfg.use_delta and level.anchor_bits not in anchor_models:
                 anchor_models[level.anchor_bits] = SymbolProbabilityModel.fit(
-                    [vectorwise_quantize(p.anchors, level.anchor_bits).symbols for p in prepared],
+                    [
+                        _narrowed(vectorwise_quantize(p.anchors, level.anchor_bits)).symbols
+                        for p in prepared
+                    ],
                     grouping=grouping,
                 )
             level_models[level.name] = LevelCodecModel(
@@ -336,12 +343,10 @@ class CacheGenEncoder:
                 delta_model=delta_model,
                 anchor_model=anchor_models.get(level.anchor_bits),
             )
-        # Models are scored one at a time, so one scratch table serves them all;
-        # their counts are shared by whoever is handed the codec, so nobody writes.
+        # Models are scored one at a time, so one scratch table serves them all.
         scratch = ScoringScratch()
         for model in [m.delta_model for m in level_models.values()] + list(anchor_models.values()):
             model.scratch = scratch
-            model.counts.flags.writeable = False
         first = sample_caches[0]
         self.codec = FittedCodec(
             model_name=first.model_name,

@@ -11,10 +11,17 @@ bitstream by up to 53% versus a single global distribution.
 :class:`SymbolProbabilityModel` supports all the grouping strategies the paper
 compares (Figure 5): ``"channel_layer"`` (CacheGen's choice), ``"layer"``,
 ``"channel"``, ``"token"`` and ``"global"``.
+
+A model keeps only the band of symbol values its samples span: every other
+column of the ``(contexts, ALPHABET_SIZE)`` table holds the smoothing constant
+alone, so it is implied rather than stored.  Every dense table a model hands
+out is rebuilt from the band and equals, bit for bit, the table a dense fit
+would hold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -39,8 +46,9 @@ ALPHABET_SIZE = 2 * SYMBOL_CLIP + 1
 
 _VALID_GROUPINGS = ("channel_layer", "layer", "channel", "token", "global")
 
-#: Contexts :meth:`SymbolProbabilityModel.cumulative_counts` quantises at a
-#: time: 64 rows of float64 frequencies are 256 KiB.
+#: Contexts a dense table is rebuilt from the band at a time (the fit's row
+#: totals, :meth:`SymbolProbabilityModel.cumulative_counts`): 64 rows of
+#: float64 frequencies are 256 KiB.
 _TABLE_BLOCK = 64
 
 
@@ -69,6 +77,9 @@ def _symbol_range(symbols: np.ndarray) -> tuple[int, int] | None:
     """Validate a symbol tensor; its (min, max), or ``None`` when it is empty."""
     if symbols.ndim != 3:
         raise ValueError("symbols must be 3-D (layers, tokens, channels)")
+    # The coder's rule: a bool is no symbol, and a float would reach np.bincount.
+    if symbols.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers, not {symbols.dtype}")
     if symbols.size == 0:
         return None
     lo, hi = int(symbols.min()), int(symbols.max())
@@ -92,6 +103,35 @@ def _band_counts(
     # Order "K": counting is order-free, and a quantizer's output need not be C-ordered.
     counts = np.bincount(flat.ravel(order="K"), minlength=num_ctx * width)
     return counts.reshape(num_ctx, width)
+
+
+def _densify(rows: np.ndarray, lo: int, smoothing: float, out: np.ndarray) -> np.ndarray:
+    """Band ``rows`` (first column: symbol ``lo``) as full-alphabet smoothed counts.
+
+    Written into the first ``len(rows)`` rows of ``out``, which is returned
+    cut to them.  A column outside the band holds what a dense fit puts there,
+    ``0 + smoothing``, which is ``smoothing`` exactly.
+    """
+    dense = out[: len(rows)]
+    dense.fill(smoothing)
+    dense[:, lo + SYMBOL_OFFSET : lo + SYMBOL_OFFSET + rows.shape[1]] = rows
+    return dense
+
+
+def _dense_blocks(band: np.ndarray, lo: int, smoothing: float):
+    """``(first context, its dense block)``, ``_TABLE_BLOCK`` contexts at a time.
+
+    Every block is written into the same buffer, so each is only valid until
+    the next is yielded.
+    """
+    buffer = np.empty((_TABLE_BLOCK, ALPHABET_SIZE))
+    for first in range(0, len(band), _TABLE_BLOCK):
+        yield first, _densify(band[first : first + _TABLE_BLOCK], lo, smoothing, buffer)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 class ScoringScratch:
@@ -124,12 +164,26 @@ class SymbolProbabilityModel:
     length of new data, or :meth:`cumulative_counts` to drive the exact
     arithmetic coder.
 
+    Only the band of symbol values the fit saw is stored: the default
+    mistral-7b profile's symbols span 24-255 of the 511 columns, so its six
+    models hold ≈10 MiB once scored where dense tables held ≈48 MiB.  The
+    dense tables (:attr:`counts`, :meth:`probabilities`,
+    :meth:`log2_probabilities`) are rebuilt on each call for the dense-formula
+    oracles and the Figure 5 analysis; scoring and coding never build one.
+
     Attributes
     ----------
     grouping:
         Which tensor dimensions define a context.
-    counts:
-        Smoothed (context, symbol) counts, shape ``(num_contexts, ALPHABET_SIZE)``.
+    band:
+        Smoothed (context, symbol) counts of the symbols ``lo .. lo + width - 1``,
+        shape ``(num_contexts, width)``; read-only.  Every symbol outside the
+        band has the count ``smoothing``.
+    lo:
+        The smallest symbol the fit saw (the band's first column).
+    totals:
+        Each context's smoothed count over the whole alphabet, summed as the
+        dense row is, so it equals ``counts.sum(axis=1)`` bit for bit; read-only.
     shape:
         The (layers, tokens, channels) shape the model was fit on.  Only the
         dimensions participating in the grouping must match at scoring time.
@@ -139,11 +193,16 @@ class SymbolProbabilityModel:
     """
 
     grouping: Grouping
-    counts: np.ndarray
+    band: np.ndarray
+    lo: int
+    totals: np.ndarray
     shape: tuple[int, int, int]
     smoothing: float = 0.1
     scratch: ScoringScratch = field(default_factory=ScoringScratch, repr=False, compare=False)
-    _log_probs: np.ndarray | None = field(default=None, repr=False)
+    #: ``log2 p`` over the band, and per context of any symbol outside it;
+    #: computed at the first score.
+    _log_band: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _log_outside: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -162,48 +221,81 @@ class SymbolProbabilityModel:
             symbol_tensors = [symbol_tensors]
         if not symbol_tensors:
             raise ValueError("at least one symbol tensor is required")
-        if smoothing <= 0:
-            raise ValueError("smoothing must be positive")
+        if not (math.isfinite(smoothing) and smoothing > 0):
+            raise ValueError(f"smoothing must be finite and positive, not {smoothing!r}")
+        smoothing = float(smoothing)
 
+        tensors = [np.asarray(tensor) for tensor in symbol_tensors]
+        ranges = [r for r in map(_symbol_range, tensors) if r is not None]
+        lo = min((r[0] for r in ranges), default=0)
+        hi = max((r[1] for r in ranges), default=lo - 1)
         total_counts: np.ndarray | None = None
-        shape = tuple(symbol_tensors[0].shape)
-        for tensor in symbol_tensors:
-            tensor = np.asarray(tensor)
-            _symbol_range(tensor)
-            counts = _band_counts(
-                tensor, *_context_ids(tensor.shape, grouping), -SYMBOL_CLIP, SYMBOL_CLIP
-            )
+        for tensor in tensors:
+            counts = _band_counts(tensor, *_context_ids(tensor.shape, grouping), lo, hi)
             if total_counts is None:
                 total_counts = counts
             else:
                 if counts.shape != total_counts.shape:
                     raise ValueError("all symbol tensors must induce the same context set")
-                total_counts = total_counts + counts
+                total_counts += counts
         assert total_counts is not None
+        band = total_counts + smoothing
+        # Each row summed as its dense form, so totals match a dense fit's bit for bit.
+        totals = np.empty(len(band))
+        for first, block in _dense_blocks(band, lo, smoothing):
+            totals[first : first + len(block)] = block.sum(axis=1)
         return cls(
             grouping=grouping,
-            counts=total_counts + smoothing,
-            shape=shape,  # type: ignore[arg-type]
+            band=_read_only(band),
+            lo=lo,
+            totals=_read_only(totals),
+            shape=tuple(tensors[0].shape),  # type: ignore[arg-type]
             smoothing=smoothing,
         )
 
     # ------------------------------------------------------------------ props
     @property
     def num_contexts(self) -> int:
-        return self.counts.shape[0]
+        return self.band.shape[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Smoothed (context, symbol) counts, ``(num_contexts, ALPHABET_SIZE)``.
+
+        Rebuilt from the band on each call, read-only.
+        """
+        return _read_only(self._dense_counts())
 
     def probabilities(self) -> np.ndarray:
-        """Normalized per-context probabilities."""
-        return self.counts / self.counts.sum(axis=1, keepdims=True)
+        """Normalized per-context probabilities; built per call, read-only."""
+        return _read_only(self._probabilities())
 
     def log2_probabilities(self) -> np.ndarray:
-        if self._log_probs is None:
-            # In place: a second full-size table would be 4 MiB alive for one call.
-            table = self.probabilities()
-            self._log_probs = np.log2(table, out=table)
-            # Cached and handed out by reference: a write would corrupt every later score.
-            self._log_probs.flags.writeable = False
-        return self._log_probs
+        """``log2`` of :meth:`probabilities`; built per call, read-only."""
+        table = self._probabilities()
+        return _read_only(np.log2(table, out=table))
+
+    def _dense_counts(self) -> np.ndarray:
+        return _densify(
+            self.band, self.lo, self.smoothing, np.empty((self.num_contexts, ALPHABET_SIZE))
+        )
+
+    def _probabilities(self) -> np.ndarray:
+        table = self._dense_counts()
+        return np.divide(table, self.totals[:, None], out=table)
+
+    def _log2_band(self) -> tuple[np.ndarray, np.ndarray]:
+        """``log2 p`` over the band, and per context of every symbol outside it.
+
+        The same divisions and logarithms, element for element, as
+        :meth:`log2_probabilities`, so each value is the dense table's.
+        """
+        if self._log_band is None:
+            table = np.divide(self.band, self.totals[:, None])
+            self._log_band = _read_only(np.log2(table, out=table))
+            self._log_outside = _read_only(np.log2(self.smoothing / self.totals))
+        assert self._log_outside is not None
+        return self._log_band, self._log_outside
 
     # ----------------------------------------------------------------- scoring
     def cross_entropy_bits(self, symbols: np.ndarray) -> float:
@@ -215,29 +307,40 @@ class SymbolProbabilityModel:
         The value is ``-(data_counts * log2_probabilities()).sum()`` over the
         full ``(num_contexts, ALPHABET_SIZE)`` table, but only the columns
         between the smallest and the largest symbol present are counted and
-        multiplied; the rest of the zeroed scratch table already holds their
-        products.  The sum runs over the same table shape, and adding a zero to
-        a partial sum is exact, so the result is bit-identical to the dense
-        formula.
+        multiplied, each by the band's log-probability where the model's band
+        covers it and by the context's out-of-band one where it does not; the
+        rest of the zeroed scratch table already holds their products.  The
+        operands are the dense formula's, the sum runs over the same table
+        shape, and adding a zero to a partial sum is exact, so the result is
+        bit-identical to the dense formula.
         """
         symbols = np.asarray(symbols)
-        band = _symbol_range(symbols)
+        data_range = _symbol_range(symbols)
         ctx, num_ctx = _context_ids(symbols.shape, self.grouping)
         if num_ctx != self.num_contexts:
             raise ValueError(
                 f"symbol tensor induces {num_ctx} contexts but model has {self.num_contexts}"
             )
-        if band is None:
+        if data_range is None:
             return 0.0
-        lo, hi = band
+        lo, hi = data_range
         data_counts = _band_counts(symbols, ctx, num_ctx, lo, hi)
-        columns = slice(lo + SYMBOL_OFFSET, hi + SYMBOL_OFFSET + 1)
-        table = self.scratch.table(self.counts.shape)
+        log_band, log_outside = self._log2_band()
+        # The model's band as data columns [start, stop); the rest lie outside it.
+        width = hi - lo + 1
+        start = min(max(self.lo - lo, 0), width)
+        stop = min(max(self.lo + self.band.shape[1] - lo, start), width)
+        table = self.scratch.table((num_ctx, ALPHABET_SIZE))
+        columns = table[:, lo + SYMBOL_OFFSET : hi + SYMBOL_OFFSET + 1]
         try:
-            np.multiply(data_counts, self.log2_probabilities()[:, columns], out=table[:, columns])
+            inside = slice(lo + start - self.lo, lo + stop - self.lo)
+            np.multiply(data_counts[:, start:stop], log_band[:, inside], out=columns[:, start:stop])
+            outside = log_outside[:, None]
+            np.multiply(data_counts[:, :start], outside, out=columns[:, :start])
+            np.multiply(data_counts[:, stop:], outside, out=columns[:, stop:])
             return float(-table.sum())
         finally:
-            table[:, columns] = 0.0
+            columns[...] = 0.0
 
     def bits_per_element(self, symbols: np.ndarray) -> float:
         """Average ideal code length per symbol."""
@@ -251,8 +354,7 @@ class SymbolProbabilityModel:
         "bits per element" measurement.
         """
         probs = self.probabilities()
-        ctx_mass = self.counts.sum(axis=1)
-        ctx_weights = ctx_mass / ctx_mass.sum()
+        ctx_weights = self.totals / self.totals.sum()
         with np.errstate(divide="ignore", invalid="ignore"):
             per_ctx = -(probs * np.log2(np.where(probs > 0, probs, 1.0))).sum(axis=1)
         return float((ctx_weights * per_ctx).sum())
@@ -276,11 +378,8 @@ class SymbolProbabilityModel:
         # KiB stay in cache through their five passes.
         cum = np.empty((self.num_contexts, ALPHABET_SIZE + 1), dtype=np.int32)
         cum[:, 0] = 0
-        freqs = np.empty((_TABLE_BLOCK, ALPHABET_SIZE))
-        for first in range(0, self.num_contexts, _TABLE_BLOCK):
-            counts = self.counts[first : first + _TABLE_BLOCK]
-            block = freqs[: len(counts)]
-            np.divide(counts, counts.sum(axis=1, keepdims=True), out=block)
+        for first, block in _dense_blocks(self.band, self.lo, self.smoothing):
+            np.divide(block, self.totals[first : first + len(block), None], out=block)
             block *= quantize_total - ALPHABET_SIZE
             np.rint(block, out=block)
             block += 1.0

@@ -88,7 +88,7 @@ def profile_codec(model: ModelConfig | str, config: CacheGenConfig | None = None
     profiles, every later one returns the same immutable codec, whatever
     ``chunk_tokens``, default level or entropy-coding switches it passes.
     Every engine and backend built without ``codec=`` shares it through here.
-    An entry (≈50 MiB once its log-probability tables are scored) lives as
+    An entry (≈10 MiB once its log-probability tables are scored) lives as
     long as the process; the sharing assumes the single-threaded stack the
     codec's scoring scratch already does.
 

@@ -14,6 +14,10 @@ random draws on top of it take their budget from the hypothesis profile
 The estimated path's symbols are stored at their narrowest width
 (``narrowest_symbols``: ``int8`` when their range fits, else ``int16``); the
 width rule holds, the values never change and decoding does not see it.
+
+A probability model stores only the symbol band its fit spans; every table
+it hands out, and its score of symbols anywhere in the alphabet, equal the
+dense fit's (``DenseFit``, kept in ``test_ingest_fast_path.py``).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from test_ingest_fast_path import DenseFit, assert_tables_equal, dense_cross_entropy_bits
 
 from repro.core import CacheGenDecoder, CacheGenEncoder, KVCache
 from repro.core.arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder, _split_lanes
@@ -114,6 +119,38 @@ def test_narrowest_symbols_width_rule(seed, lo, span, tokens, dtype):
     assert narrow.dtype == (np.int8 if fits else np.int16)
     assert np.array_equal(narrow, symbols)
     assert (narrow is symbols) == (narrow.dtype == symbols.dtype)
+
+
+@example(seed=0, grouping="channel_layer", fit_lo=-9, fit_span=18, lo=100, span=40, tokens=5)
+@example(seed=0, grouping="layer", fit_lo=-9, fit_span=18, lo=-255, span=510, tokens=5)
+@example(seed=0, grouping="global", fit_lo=0, fit_span=0, lo=0, span=0, tokens=0)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grouping=st.sampled_from(("channel_layer", "layer", "channel", "token", "global")),
+    fit_lo=st.integers(-SYMBOL_CLIP, SYMBOL_CLIP),
+    fit_span=st.integers(0, 2 * SYMBOL_CLIP),
+    lo=st.integers(-SYMBOL_CLIP, SYMBOL_CLIP),
+    span=st.integers(0, 2 * SYMBOL_CLIP),
+    tokens=st.integers(0, 9),
+)
+def test_banded_model_equals_dense_fit(seed, grouping, fit_lo, fit_span, lo, span, tokens):
+    """A model keeps only the band its fit spans; its dense tables, its coder
+    table and its score of data anywhere in the alphabet — inside, straddling or
+    wholly outside that band — equal the dense fit's, compared with ``==``."""
+    rng = np.random.default_rng(seed)
+    shape = (3, tokens, 2)
+
+    def draw(lo, span):
+        return narrowest_symbols(rng.integers(lo, min(lo + span, SYMBOL_CLIP) + 1, size=shape))
+
+    fitted = [draw(fit_lo, fit_span), draw(fit_lo, fit_span // 2)]
+    model = SymbolProbabilityModel.fit(fitted, grouping=grouping)
+    dense = DenseFit.fit(fitted, grouping)
+    width = max(int(t.max()) for t in fitted) - model.lo + 1 if tokens else 0
+    assert model.band.shape[1] == width
+    assert_tables_equal(model, dense)
+    symbols = draw(lo, span)
+    assert model.cross_entropy_bits(symbols) == dense_cross_entropy_bits(dense, symbols)
 
 
 def _at_int16(stream: EncodedTensorStream) -> EncodedTensorStream:

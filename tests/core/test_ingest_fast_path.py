@@ -1,15 +1,18 @@
 """Exactness oracles for the ingest fast path.
 
+A model stores only the band of symbol values its fit saw,
 ``cross_entropy_bits`` counts and multiplies only the band of symbol values
 present, and ``encode_all_levels`` prepares a cache once for every level.
-Both must give *equal* results — not close ones — to the plain formulations:
-the dense ``(num_contexts, 511)`` table kept here as the reference, and
-``encode`` called once per level on the cache itself.
+All three must give *equal* results — not close ones — to the plain
+formulations: the dense ``(num_contexts, 511)`` fit and scoring formula kept
+here as the reference (:class:`DenseFit`, :func:`dense_cross_entropy_bits`),
+and ``encode`` called once per level on the cache itself.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import pytest
 from repro import ServeRequest, ServingSpec, serve
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodingLevel
 from repro.core.probability_model import ALPHABET_SIZE, SYMBOL_OFFSET, SymbolProbabilityModel
+from repro.serving.engine import profile_codec
 from repro.streaming import prepare_chunks
 
 GROUPINGS = ("channel_layer", "layer", "channel", "token", "global")
@@ -45,13 +49,42 @@ def dense_context_ids(shape, grouping):
     return np.broadcast_to(grid, shape), num_ctx
 
 
-def dense_cross_entropy_bits(model: SymbolProbabilityModel, symbols: np.ndarray) -> float:
-    """The formula the fast path replaced: histogram and multiply the whole table."""
-    ctx, num_ctx = dense_context_ids(symbols.shape, model.grouping)
+def dense_histogram(symbols: np.ndarray, grouping) -> np.ndarray:
+    """(context, symbol) counts of ``symbols`` over the whole alphabet."""
+    ctx, num_ctx = dense_context_ids(symbols.shape, grouping)
     flat = ctx.astype(np.int64).ravel() * ALPHABET_SIZE + (
         symbols.ravel().astype(np.int64) + SYMBOL_OFFSET
     )
-    counts = np.bincount(flat, minlength=num_ctx * ALPHABET_SIZE).reshape(num_ctx, ALPHABET_SIZE)
+    return np.bincount(flat, minlength=num_ctx * ALPHABET_SIZE).reshape(num_ctx, ALPHABET_SIZE)
+
+
+@dataclass
+class DenseFit:
+    """The fit the banded model replaced: every table ``(num_contexts, 511)``."""
+
+    grouping: str
+    counts: np.ndarray
+
+    @classmethod
+    def fit(cls, tensors, grouping, smoothing=0.1) -> "DenseFit":
+        return cls(grouping, sum(dense_histogram(t, grouping) for t in tensors) + smoothing)
+
+    def probabilities(self) -> np.ndarray:
+        return self.counts / self.counts.sum(axis=1, keepdims=True)
+
+    def log2_probabilities(self) -> np.ndarray:
+        return np.log2(self.probabilities())
+
+    def cumulative_counts(self, quantize_total: int = 1 << 16) -> np.ndarray:
+        freqs = np.rint(self.probabilities() * (quantize_total - ALPHABET_SIZE)) + 1.0
+        cum = np.zeros((len(freqs), ALPHABET_SIZE + 1), dtype=np.int32)
+        cum[:, 1:] = np.cumsum(freqs.astype(np.int32), axis=1)
+        return cum
+
+
+def dense_cross_entropy_bits(model, symbols: np.ndarray) -> float:
+    """The formula the fast path replaced: histogram and multiply the whole table."""
+    counts = dense_histogram(symbols, model.grouping)
     return float(-(counts.astype(np.float64) * model.log2_probabilities()).sum())
 
 
@@ -111,6 +144,81 @@ class TestCrossEntropyEqualsDenseFormula:
         model = fitted_model(np.random.default_rng(3), (2, 4, 2), "channel_layer")
         bits = model.cross_entropy_bits(np.zeros((2, 0, 2), dtype=np.int32))
         assert bits == 0.0 and not np.signbit(bits)
+
+
+def assert_tables_equal(model: SymbolProbabilityModel, dense: DenseFit) -> None:
+    assert np.array_equal(model.counts, dense.counts)
+    assert np.array_equal(model.log2_probabilities(), dense.log2_probabilities())
+    assert np.array_equal(model.cumulative_counts(), dense.cumulative_counts())
+
+
+#: Data ranges against a model fitted on -9..9: inside, straddling either edge,
+#: wholly above or below, and the whole alphabet around it.
+SCORED_RANGES = ((-9, 9), (3, 3), (-20, 0), (5, 30), (100, 140), (-255, -10), (-255, 255))
+
+
+class TestBandedEqualsDenseFit:
+    @pytest.mark.parametrize("grouping", GROUPINGS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_tables(self, grouping, shape):
+        rng = np.random.default_rng(100 + 10 * GROUPINGS.index(grouping) + SHAPES.index(shape))
+        fit_shape = (shape[0], max(shape[1], 1), shape[2])
+        for lo, hi in RANGES:
+            # A narrower int8 tensor beside the wide one, as the encoder fits them.
+            tensors = [
+                random_symbols(rng, fit_shape, lo, hi),
+                random_symbols(rng, fit_shape, lo // 2, hi // 2, np.int8),
+            ]
+            model = SymbolProbabilityModel.fit(tensors, grouping=grouping)
+            spanned = min(t.min() for t in tensors), max(t.max() for t in tensors)
+            assert (model.lo, model.lo + model.band.shape[1] - 1) == spanned
+            assert_tables_equal(model, DenseFit.fit(tensors, grouping))
+
+    @pytest.mark.parametrize("grouping", GROUPINGS)
+    def test_scores_outside_the_band(self, grouping):
+        rng = np.random.default_rng(20 + GROUPINGS.index(grouping))
+        shape = (4, 12, 6)
+        fitted = random_symbols(rng, shape, -9, 9)
+        fitted[0, 0, :2] = -9, 9
+        model = SymbolProbabilityModel.fit(fitted, grouping=grouping)
+        dense = DenseFit.fit([fitted], grouping)
+        assert (model.lo, model.band.shape[1]) == (-9, 19)
+        for lo, hi in SCORED_RANGES:
+            symbols = random_symbols(rng, shape, lo, hi, np.int16)
+            assert model.cross_entropy_bits(symbols) == dense_cross_entropy_bits(dense, symbols)
+        assert not model.scratch.table((model.num_contexts, ALPHABET_SIZE)).any()
+
+    def test_model_of_no_symbols_is_all_smoothing(self):
+        """Fitted on empty tensors, the band is empty and every symbol lies outside it."""
+        empty = np.zeros((2, 0, 3), dtype=np.int8)
+        model = SymbolProbabilityModel.fit([empty, empty], smoothing=0.5)
+        dense = DenseFit.fit([empty, empty], "channel_layer", smoothing=0.5)
+        assert model.band.shape == (6, 0)
+        assert_tables_equal(model, dense)
+        symbols = random_symbols(np.random.default_rng(4), (2, 7, 3), -255, 255)
+        assert model.cross_entropy_bits(symbols) == dense_cross_entropy_bits(dense, symbols)
+
+    def test_default_profile_holds_its_band_only(self, llm):
+        """Six models of ``(1024, 511)`` dense counts and log-probabilities were
+        47.9 MiB; banded, with every level scored, they are 9.7 MiB."""
+        codec = profile_codec("mistral-7b")
+        CacheGenEncoder(CacheGenConfig(), codec=codec).encode_all_levels(
+            llm.calculate_kv("banded-profile", 64)
+        )
+        models = {
+            id(model): model
+            for level in codec.level_models.values()
+            for model in (level.delta_model, level.anchor_model)
+        }
+        assert len(models) == 6
+        assert all(model._log_band is not None for model in models.values())
+        held = sum(
+            array.nbytes
+            for model in models.values()
+            for array in vars(model).values()
+            if isinstance(array, np.ndarray)
+        )
+        assert held <= 12 * 2**20
 
 
 class TestScratchIsLeftClean:

@@ -44,6 +44,30 @@ class TestFit:
         with pytest.raises(ValueError):
             SymbolProbabilityModel.fit(symbol_tensor(rng), grouping="banana")
 
+    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_smoothing_must_be_finite_and_positive(self, rng, smoothing):
+        """NaN and inf used to fit, then score NaN bits and quantise NaN into the coder's table."""
+        with pytest.raises(ValueError, match="smoothing must be finite and positive"):
+            SymbolProbabilityModel.fit(symbol_tensor(rng), smoothing=smoothing)
+
+
+class TestNonIntegerSymbolsRejected:
+    """A float tensor used to die in ``np.bincount``; a bool one was fitted as 0/1."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.bool_])
+    def test_fit(self, rng, dtype):
+        with pytest.raises(ValueError, match=f"symbols must be integers, not {np.dtype(dtype)}"):
+            SymbolProbabilityModel.fit(symbol_tensor(rng).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.bool_])
+    def test_cross_entropy_bits(self, rng, dtype):
+        data = symbol_tensor(rng)
+        model = SymbolProbabilityModel.fit(data)
+        expected = model.cross_entropy_bits(data)
+        with pytest.raises(ValueError, match=f"symbols must be integers, not {np.dtype(dtype)}"):
+            model.cross_entropy_bits(data.astype(dtype))
+        assert model.cross_entropy_bits(data) == expected
+
 
 class TestScoring:
     def test_cross_entropy_positive(self, rng):

@@ -144,12 +144,13 @@ def test_nothing_reachable_from_a_codec_is_writable(fitted_codec):
         with pytest.raises(FrozenInstanceError):
             models.delta_model = None
         for model in (models.delta_model, models.anchor_model):
-            assert not model.counts.flags.writeable
-            assert not model.log2_probabilities().flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                model.counts[0, 0] = 1.0
-            with pytest.raises(ValueError, match="read-only"):
-                model.log2_probabilities()[0, 0] = 0.0
+            held = [array for array in vars(model).values() if isinstance(array, np.ndarray)]
+            assert len(held) == 4  # band, totals and the two log-probability tables
+            dense = [model.counts, model.probabilities(), model.log2_probabilities()]
+            for table in held + dense:
+                assert not table.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    table[(0,) * table.ndim] = 0.0
 
 
 @pytest.mark.parametrize(

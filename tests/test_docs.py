@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -109,4 +110,5 @@ class TestPeakRssWrapper:
     def test_reports_the_child_and_passes_its_status_through(self, capsys):
         wrapper = _load_script("peak_rss")
         assert wrapper.main([sys.executable, "-c", "import sys; sys.exit(3)"]) == 3
-        assert capsys.readouterr().out.startswith("peak RSS ")
+        line = capsys.readouterr().out
+        assert re.match(r"peak RSS \d+ MiB, minor faults \d+, wall \d+ s: ", line)
