@@ -1,8 +1,9 @@
 """The CacheGen KV cache decoder.
 
 Decoding reverses the encoder's pipeline: entropy-decode the delta and anchor
-symbol streams, dequantize them, and reconstruct the KV tensors by adding each
-token's delta back onto its group's anchor token.  The result is a
+symbol streams (or, for an estimated encoding, quantize its source again),
+dequantize them, and reconstruct the KV tensors by adding each token's delta
+back onto its group's anchor token.  The result is a
 :class:`~repro.core.kv_cache.KVCache` that differs from the original only by
 the quantization error of the chosen encoding level.
 
@@ -32,7 +33,8 @@ class CacheGenDecoder:
     encoder:
         The fitted encoder whose probability models produced the bitstreams.
         The decoder shares the encoder's configuration and models, exactly as
-        the paper's receiver shares the offline-profiled distributions.
+        the paper's receiver shares the offline-profiled distributions; an
+        estimated encoding is quantized again under that configuration.
 
     Example
     -------
@@ -51,30 +53,44 @@ class CacheGenDecoder:
 
     # ----------------------------------------------------------------- decode
     def decode(self, encoded: EncodedKV) -> KVCache:
-        """Reconstruct a KV cache from an encoded chunk."""
-        models = self._encoder.model_for_level(encoded.level)
+        """Reconstruct a KV cache from an encoded chunk.
+
+        An estimated encoding keeps no symbols: :meth:`CacheGenEncoder.quantize`
+        of its ``source`` gives them again, bit for bit (``ValueError`` if it
+        has no source).  An exact one is entropy-decoded from its bitstreams.
+        """
         streams = (encoded.k_stream, encoded.v_stream)
-        # One batch per call: the bitstreams among its payloads share a loop and
-        # two tables, and no table is built if every payload carries its symbols.
-        symbols = iter(
-            decode_payloads(
-                [
-                    (model, payload)
-                    for stream in streams
-                    for model, payload in (
-                        (models.delta_model, stream.delta_payload),
-                        (models.anchor_model, stream.anchor_payload),
-                    )
-                    if payload is not None
-                ]
+        if encoded.k_stream.delta_payload.exact:
+            models = self._encoder.model_for_level(encoded.level)
+            # One batch per call: the payloads share a loop and two tables.
+            coded = [
+                (model, payload)
+                for stream in streams
+                for model, payload in (
+                    (models.delta_model, stream.delta_payload),
+                    (models.anchor_model, stream.anchor_payload),
+                )
+                if payload is not None
+            ]
+            symbols = iter(decode_payloads(coded))
+            pairs = [
+                (next(symbols), None if stream.anchor_payload is None else next(symbols))
+                for stream in streams
+            ]
+        elif encoded.source is None:
+            raise ValueError(
+                f"estimated encoding at level {encoded.level.name!r} has no source: it stores "
+                "only sizes and decodes by quantizing the KV cache it encoded again"
             )
+        else:
+            pairs = [
+                (delta.symbols, None if anchor is None else anchor.symbols)
+                for delta, anchor in self._encoder.quantize(encoded.source, encoded.level)
+            ]
+        k, v = (
+            self._reconstruct(stream, encoded, delta, anchor)
+            for stream, (delta, anchor) in zip(streams, pairs)
         )
-        tensors = []
-        for stream in streams:
-            delta = next(symbols)
-            anchor = None if stream.anchor_payload is None else next(symbols)
-            tensors.append(self._reconstruct(stream, encoded, delta, anchor))
-        k, v = tensors
         return KVCache(
             k=k,
             v=v,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import zipfile
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
@@ -33,7 +33,6 @@ from .quantization import (
     bin_quantize,
     layer_bin_sizes,
     layer_std,
-    narrowest_symbols,
     vectorwise_quantize,
 )
 
@@ -53,9 +52,9 @@ __all__ = [
 class EncodedTensorStream:
     """Encoded representation of a single K or V tensor.
 
-    Holds everything the decoder needs: the entropy-coded delta payload, the
-    per-(layer, channel) dequantization scales, and (when delta encoding is
-    on) the separately coded anchor payload and scales.
+    Holds the entropy-coded delta payload (a bitstream, or a size only when
+    estimated), the per-(layer, channel) dequantization scales, and (when delta
+    encoding is on) the separately coded anchor payload and scales.
     """
 
     delta_payload: EntropyEncodedPayload
@@ -83,7 +82,11 @@ class EncodedTensorStream:
 
 @dataclass
 class EncodedKV:
-    """One KV cache (or chunk) encoded into CacheGen bitstreams."""
+    """One KV cache (or chunk) encoded into CacheGen bitstreams.
+
+    An exact encoding decodes from its bitstreams.  An estimated one keeps
+    payload sizes, not symbols, and decodes by quantizing ``source`` again.
+    """
 
     model_name: str
     level: EncodingLevel
@@ -95,6 +98,9 @@ class EncodedKV:
     scale_factor: float
     full_layers: int
     full_channels: int
+    #: The cache an estimated encoding encoded (in a store, the very chunk its
+    #: record holds); ``None`` when exact.
+    source: KVCache | None = field(default=None, compare=False, repr=False)
 
     @property
     def payload_bits(self) -> float:
@@ -372,22 +378,20 @@ class _PreparedTensor:
     #: :func:`layer_std` of ``deltas``.
     std: np.ndarray
     anchors: np.ndarray | None
-    #: ``id(anchor model) -> (anchor scale, anchor payload)``, filled as levels
-    #: are encoded: a model is fitted for one ``anchor_bits``, so levels that
-    #: share the model share the anchor symbols and hence the payload.
-    anchor_cache: dict[int, tuple[np.ndarray, EntropyEncodedPayload]] = field(
-        default_factory=dict
-    )
+    #: ``anchor_bits -> quantized anchors``, filled as levels are quantized.
+    anchor_symbols: dict[int, QuantizedTensor] = field(default_factory=dict)
+    #: ``id(anchor model) -> anchor payload``, filled as levels are encoded:
+    #: levels that share an anchor model share the payload.
+    anchor_payloads: dict[int, EntropyEncodedPayload] = field(default_factory=dict)
 
 
 @dataclass
 class _PreparedKV:
     """A KV cache together with the level-independent half of its encoding.
 
-    :meth:`CacheGenEncoder.encode_all_levels` makes one per cache and hands it
-    to :meth:`CacheGenEncoder.encode` in place of the cache; the first
-    ``encode`` fills ``tensors`` and the other levels reuse them, so a chunk
-    pays for its decomposition once.
+    :meth:`CacheGenEncoder.encode_all_levels` and :meth:`CacheGenEncoder.fit`
+    quantize one in place of the cache at every level; the first fills
+    ``tensors`` and the others reuse them, so a cache is decomposed once.
     """
 
     kv: KVCache
@@ -398,17 +402,6 @@ class _PreparedKV:
     def nbytes(self) -> int:
         """``KVCache.nbytes``, for callers that meter ``encode`` by its input's size."""
         return self.kv.nbytes
-
-
-def _narrowed(quantized: QuantizedTensor) -> QuantizedTensor:
-    """``quantized`` with its symbols as a payload carries them (:func:`narrowest_symbols`).
-
-    Delta symbols are clipped to +/-255 and anchors have at most 9 bits, so
-    ``int16`` always holds them and ``int8`` does whenever their range fits;
-    nothing is lost either way.  Narrowing each tensor as it is quantised keeps
-    a chunk's K and V symbols from both being alive at ``int32``.
-    """
-    return replace(quantized, symbols=narrowest_symbols(quantized.symbols))
 
 
 class CacheGenEncoder:
@@ -469,21 +462,18 @@ class CacheGenEncoder:
             raise ValueError("at least one sample KV cache is required to fit the encoder")
         cfg = self.config
         grouping = cfg.probability_grouping
-        prepared = [self._prepare_tensor(t) for kv in sample_caches for t in (kv.k, kv.v)]
+        prepared = [_PreparedKV(kv) for kv in sample_caches]
         level_models: dict[str, LevelCodecModel] = {}
         anchor_models: dict[int, SymbolProbabilityModel] = {}
         for level in cfg.levels:
+            deltas, anchors = zip(*(pair for p in prepared for pair in self.quantize(p, level)))
             delta_model = SymbolProbabilityModel.fit(
-                [_narrowed(self._quantize_deltas(p, level)).symbols for p in prepared],
-                grouping=grouping,
+                [delta.symbols for delta in deltas], grouping=grouping
             )
+            del deltas  # most of what a fit holds; freed before the anchor fit
             if cfg.use_delta and level.anchor_bits not in anchor_models:
                 anchor_models[level.anchor_bits] = SymbolProbabilityModel.fit(
-                    [
-                        _narrowed(vectorwise_quantize(p.anchors, level.anchor_bits)).symbols
-                        for p in prepared
-                    ],
-                    grouping=grouping,
+                    [anchor.symbols for anchor in anchors], grouping=grouping
                 )
             level_models[level.name] = LevelCodecModel(
                 level=level,
@@ -497,62 +487,79 @@ class CacheGenEncoder:
         return self
 
     # ----------------------------------------------------------------- encode
+    def quantize(
+        self, kv: KVCache | _PreparedKV, level: EncodingLevel | str | int | None = None
+    ) -> tuple[tuple[QuantizedTensor, QuantizedTensor | None], ...]:
+        """``((K delta, K anchors), (V delta, V anchors))`` of a KV cache at ``level``.
+
+        The lossy, deterministic half of :meth:`encode`; anchors are ``None``
+        without delta encoding.  Decoding an estimated encoding calls it again.
+        """
+        level = self._level(level)
+        prepared = kv if isinstance(kv, _PreparedKV) else _PreparedKV(kv)
+        if prepared.tensors is None:
+            prepared.tensors = tuple(map(self._prepare_tensor, (prepared.kv.k, prepared.kv.v)))
+        quantized = []
+        for tensor in prepared.tensors:
+            bits, cache = level.anchor_bits, tensor.anchor_symbols
+            if tensor.anchors is not None and bits not in cache:
+                cache[bits] = vectorwise_quantize(tensor.anchors, bits)
+            bins = self._effective_bins(tensor.deltas.shape[0], level)
+            delta = bin_quantize(tensor.deltas, bins, std=tensor.std)
+            quantized.append((delta, cache.get(bits)))
+        return tuple(quantized)
+
     def encode(
         self, kv: KVCache | _PreparedKV, level: EncodingLevel | str | int | None = None
     ) -> EncodedKV:
         """Encode a KV cache (or chunk) at the given encoding level.
 
-        :meth:`encode_all_levels` passes the cache wrapped in the preparation
-        its levels share; any other caller passes the cache.
+        :meth:`quantize`, then entropy-code.  :meth:`encode_all_levels` passes
+        the cache wrapped in the preparation its levels share.
         """
         self._require_fitted()
-        cfg = self.config
-        if level is None:
-            level = cfg.default_level
-        level_obj = cfg.levels[cfg.level_index(level)]
-        models = self.codec.level_models[level_obj.name]
+        level = self._level(level)
+        models = self.codec.level_models[level.name]
         prepared = kv if isinstance(kv, _PreparedKV) else _PreparedKV(kv)
-        kv = prepared.kv
-        if prepared.tensors is None:
-            prepared.tensors = self._prepare_tensor(kv.k), self._prepare_tensor(kv.v)
-        tensors = prepared.tensors
+        quantized = self.quantize(prepared, level)
         # Levels that share an anchor model share its payloads: only the first codes them.
         shared = id(models.anchor_model)
-        fresh = [t for t in tensors if t.anchors is not None and shared not in t.anchor_cache]
-        deltas = [_narrowed(self._quantize_deltas(t, level_obj)) for t in tensors]
-        anchors = [_narrowed(vectorwise_quantize(t.anchors, level_obj.anchor_bits)) for t in fresh]
+        fresh = [
+            (tensor, anchor)
+            for tensor, (_, anchor) in zip(prepared.tensors, quantized)
+            if anchor is not None and shared not in tensor.anchor_payloads
+        ]
         # One batch per call: under exact coding its payloads share a loop and two tables.
         payloads = self._entropy_encode(
-            [(models.delta_model, delta.symbols, None) for delta in deltas]
-            + [(models.anchor_model, anchor.symbols, level_obj.anchor_bits) for anchor in anchors]
+            [(models.delta_model, delta.symbols, None) for delta, _ in quantized]
+            + [(models.anchor_model, anchor.symbols, level.anchor_bits) for _, anchor in fresh]
         )
-        for tensor, anchor, payload in zip(fresh, anchors, payloads[len(tensors) :]):
-            tensor.anchor_cache[shared] = anchor.scale, payload
-        streams = []
-        for tensor, delta, payload in zip(tensors, deltas, payloads):
-            anchor_scale, anchor_payload = tensor.anchor_cache.get(shared, (None, None))
-            streams.append(
-                EncodedTensorStream(
-                    delta_payload=payload,
-                    delta_scale=delta.scale,
-                    delta_bins=np.asarray(delta.bin_sizes),
-                    anchor_payload=anchor_payload,
-                    anchor_scale=anchor_scale,
-                    anchor_bits=None if anchor_payload is None else level_obj.anchor_bits,
-                )
+        for (tensor, _), payload in zip(fresh, payloads[len(quantized) :]):
+            tensor.anchor_payloads[shared] = payload
+        k_stream, v_stream = (
+            EncodedTensorStream(
+                delta_payload=payload,
+                delta_scale=delta.scale,
+                delta_bins=np.asarray(delta.bin_sizes),
+                anchor_payload=tensor.anchor_payloads.get(shared),
+                anchor_scale=None if anchor is None else anchor.scale,
+                anchor_bits=None if anchor is None else level.anchor_bits,
             )
-        k_stream, v_stream = streams
+            for tensor, (delta, anchor), payload in zip(prepared.tensors, quantized, payloads)
+        )
+        kv = prepared.kv
         return EncodedKV(
             model_name=kv.model_name,
-            level=level_obj,
+            level=level,
             num_tokens=kv.num_tokens,
-            group_size=cfg.group_size,
+            group_size=self.config.group_size,
             k_stream=k_stream,
             v_stream=v_stream,
             sim_shape=kv.shape,
             scale_factor=kv.scale_factor,
             full_layers=kv.full_layers,
             full_channels=kv.full_channels,
+            source=None if payloads[0].exact else kv,
         )
 
     def encode_all_levels(self, kv: KVCache) -> dict[str, EncodedKV]:
@@ -561,6 +568,11 @@ class CacheGenEncoder:
         return {level.name: self.encode(prepared, level) for level in self.config.levels}
 
     # ------------------------------------------------------------ inner pieces
+    def _level(self, level: EncodingLevel | str | int | None) -> EncodingLevel:
+        """The configured level ``level`` names; the default level for ``None``."""
+        cfg = self.config
+        return cfg.levels[cfg.level_index(cfg.default_level if level is None else level)]
+
     def _prepare_tensor(self, tensor: np.ndarray) -> _PreparedTensor:
         """The level-independent part of quantizing one tensor."""
         cfg = self.config
@@ -572,11 +584,6 @@ class CacheGenEncoder:
             mask[anchor_positions(decomposition.num_tokens, cfg.group_size)] = False
             tensor, anchors = decomposition.deltas[:, mask, :], decomposition.anchors
         return _PreparedTensor(deltas=tensor, std=layer_std(tensor), anchors=anchors)
-
-    def _quantize_deltas(self, prepared: _PreparedTensor, level: EncodingLevel) -> QuantizedTensor:
-        """The per-level part: bin-quantize the prepared deltas."""
-        bins = self._effective_bins(prepared.deltas.shape[0], level)
-        return bin_quantize(prepared.deltas, bins, std=prepared.std)
 
     def _effective_bins(self, num_layers: int, level: EncodingLevel) -> np.ndarray:
         cfg = self.config
@@ -594,7 +601,7 @@ class CacheGenEncoder:
             return encode_payloads(
                 [(model, symbols) for model, symbols, _ in tensors], cfg.exact_entropy_coding
             )
-        # Quantization-only: store fixed-width symbols (no entropy coding).
+        # Quantization-only: size fixed-width symbols (no entropy coding).
         payloads = []
         for _, symbols, bits in tensors:
             if bits is None:
@@ -603,10 +610,7 @@ class CacheGenEncoder:
                 bits = float(np.ceil(np.log2(2 * max_symbol + 1)))
             payloads.append(
                 EntropyEncodedPayload(
-                    bits=float(bits) * symbols.size,
-                    shape=tuple(symbols.shape),
-                    exact=False,
-                    symbols=symbols,
+                    bits=float(bits) * symbols.size, shape=tuple(symbols.shape), exact=False
                 )
             )
         return payloads
@@ -621,5 +625,4 @@ class CacheGenEncoder:
     def model_for_level(self, level: EncodingLevel | str | int) -> LevelCodecModel:
         """Return the probability models fitted for a level."""
         self._require_fitted()
-        level_obj = self.config.levels[self.config.level_index(level)]
-        return self.codec.level_models[level_obj.name]
+        return self.codec.level_models[self._level(level).name]

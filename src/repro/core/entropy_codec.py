@@ -18,7 +18,9 @@ Two backends are provided (see ``docs/ARCHITECTURE.md``, "Codec"):
   uses it: the sizes the experiments were calibrated on are the estimates,
   and the exact coder's lane tables (about 5 % at the benchmark's 40-token
   chunks, 1-2 % at the paper's 1500-token ones) are not in them.  It builds
-  no frequency table of any kind.
+  no frequency table of any kind, and its payload is a size without symbols:
+  only its :class:`~repro.core.encoder.EncodedKV`, which quantizes its source
+  again, can be decoded.
 
 Both backends consume the same :class:`~repro.core.probability_model.SymbolProbabilityModel`.
 """
@@ -33,7 +35,6 @@ import numpy as np
 
 from .arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder
 from .probability_model import SYMBOL_OFFSET, SymbolProbabilityModel
-from .quantization import narrowest_symbols
 
 __all__ = [
     "EntropyCodec",
@@ -63,7 +64,7 @@ def lane_count(num_symbols: int) -> int:
 
 @dataclass
 class EntropyEncodedPayload:
-    """An entropy-coded symbol tensor.
+    """An entropy-coded symbol tensor: its size, and its bitstream when exact.
 
     Attributes
     ----------
@@ -76,19 +77,14 @@ class EntropyEncodedPayload:
     exact:
         Whether ``data`` holds a real arithmetic-coded bitstream.
     data:
-        The bitstream (exact mode) or ``None`` (estimated mode).
-    symbols:
-        In estimated mode the symbols are carried through, value for value, so
-        the decode path remains lossless: ``int8`` when their range fits it,
-        else ``int16`` (see :func:`~repro.core.quantization.narrowest_symbols`);
-        ``None`` in exact mode.
+        The bitstream (exact mode) or ``None`` (estimated mode, where the
+        payload is a size only and cannot be decoded on its own).
     """
 
     bits: float
     shape: tuple[int, int, int]
     exact: bool
     data: bytes | None = None
-    symbols: np.ndarray | None = None
 
     @property
     def num_bytes(self) -> float:
@@ -106,17 +102,9 @@ def encode_payloads(
     Each bitstream is what the tensor gets when coded alone.
     """
     if not exact:
-        # Every chunk is kept at every level, so the carried symbols are most
-        # of what a store holds: int8 when their range fits (every symbol at
-        # the default levels does), int16 otherwise, which holds the whole
-        # +/-255 alphabet.  Scoring validates the range before it narrows, and
-        # a tensor already at that width is carried as it is, not copied.
         return [
             EntropyEncodedPayload(
-                bits=model.cross_entropy_bits(symbols),
-                shape=tuple(symbols.shape),
-                exact=False,
-                symbols=narrowest_symbols(symbols),
+                bits=model.cross_entropy_bits(symbols), shape=tuple(symbols.shape), exact=False
             )
             for model, symbols in tensors
         ]
@@ -139,33 +127,32 @@ def encode_payloads(
 def decode_payloads(
     payloads: Sequence[tuple[SymbolProbabilityModel, EntropyEncodedPayload]],
 ) -> list[np.ndarray]:
-    """Recover the symbol tensors of ``(model, payload)`` pairs, in order (lossless).
+    """Recover the symbol tensors of exact ``(model, payload)`` pairs, in order (lossless).
 
-    The bitstreams among them are decoded in batches, like
-    :func:`encode_payloads` coded them, into ``int32`` tensors.  An estimated
-    payload costs no table and no copy: the ``int8`` or ``int16`` tensor it
-    carries is returned as it is, to be read and not written.
+    The bitstreams are decoded in batches, like :func:`encode_payloads` coded
+    them, into ``int32`` tensors.  ``ValueError`` for an estimated payload.
     """
     for _, payload in payloads:
-        if payload.exact and payload.data is None:
+        if not payload.exact:
+            raise ValueError(
+                "an estimated payload holds only its size; decode the EncodedKV it belongs "
+                "to, which quantizes its source again"
+            )
+        if payload.data is None:
             raise ValueError("exact payload is missing its bitstream")
-        if not payload.exact and payload.symbols is None:
-            raise ValueError("estimated payload is missing its symbols")
-    coded = [(model, payload) for model, payload in payloads if payload.exact]
-    models = [model for model, _ in coded]
-    shapes = [payload.shape for _, payload in coded]
-    from_bitstreams: list[np.ndarray] = []
+    models = [model for model, _ in payloads]
+    shapes = [payload.shape for _, payload in payloads]
+    decoded: list[np.ndarray] = []
     for batch, coder in _coders(ArithmeticDecoder, models, shapes):
-        from_bitstreams += coder.decode(
-            [payload.data for _, payload in coded[batch]],
+        decoded += coder.decode(
+            [payload.data for _, payload in payloads[batch]],
             sum(math.prod(shape) for shape in shapes[batch]),
             _contexts(models[batch], shapes[batch]),
         )
-    decoded = (
+    return [
         (part - SYMBOL_OFFSET).reshape(shape).astype(np.int32)
-        for part, shape in zip(from_bitstreams, shapes)
-    )
-    return [next(decoded) if payload.exact else payload.symbols for _, payload in payloads]
+        for part, shape in zip(decoded, shapes)
+    ]
 
 
 def _batches(lanes: Sequence[int]) -> list[slice]:
@@ -223,8 +210,8 @@ class EntropyCodec:
     model:
         The fitted symbol probability model (typically channel/layer grouped).
     exact:
-        If True, run the real arithmetic coder; otherwise carry symbols and
-        report the ideal code length.
+        If True, run the real arithmetic coder; otherwise report the ideal
+        code length only (such a payload cannot be decoded).
 
     Each exact call derives the model's cumulative table and drops it; to code
     several payloads for the price of one table and one loop, hand them to
@@ -241,5 +228,5 @@ class EntropyCodec:
         return encode_payloads([(self.model, np.asarray(symbols))], self.exact)[0]
 
     def decode(self, payload: EntropyEncodedPayload) -> np.ndarray:
-        """Recover the symbol tensor from an encoded payload (lossless)."""
-        return decode_payloads([(self.model, payload)])[0].astype(np.int32, copy=False)
+        """Recover the symbols of an exact payload (lossless); ``ValueError`` if estimated."""
+        return decode_payloads([(self.model, payload)])[0]

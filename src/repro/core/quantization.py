@@ -27,29 +27,17 @@ __all__ = [
     "bin_dequantize",
     "layer_bin_sizes",
     "layer_std",
-    "narrowest_symbols",
     "SYMBOL_CLIP",
+    "SYMBOL_DTYPE",
 ]
 
 #: Quantized symbols are clipped to this magnitude so the entropy-coding
 #: alphabet stays bounded (9-bit signed alphabet).
 SYMBOL_CLIP = 255
 
-_INT8 = np.iinfo(np.int8)
-
-
-def narrowest_symbols(symbols: np.ndarray) -> np.ndarray:
-    """``symbols`` as ``int8`` when every value fits it, else as ``int16``.
-
-    ``int16`` holds the whole ±``SYMBOL_CLIP`` alphabet; at the default levels
-    every anchor and delta symbol also fits ``int8``, which halves what the
-    payloads kept for every chunk at every level hold.  An empty tensor is
-    ``int8``, and one already of the chosen dtype is returned as it is, not
-    copied.
-    """
-    symbols = np.asarray(symbols)
-    fits = symbols.size == 0 or (symbols.min() >= _INT8.min and symbols.max() <= _INT8.max)
-    return symbols.astype(np.int8 if fits else np.int16, copy=False)
+#: The dtype both quantizers emit, which holds every symbol they can produce;
+#: they clip before the cast, so it never wraps.
+SYMBOL_DTYPE = np.int16
 
 
 @dataclass
@@ -59,7 +47,7 @@ class QuantizedTensor:
     Attributes
     ----------
     symbols:
-        Integer symbols, same shape as the original tensor.
+        ``SYMBOL_DTYPE`` symbols, same shape as the original tensor.
     scale:
         Per-(layer, channel) scale, shape ``(layers, channels)``.  The
         dequantized value is ``symbol * scale`` (bin quantization folds the
@@ -112,8 +100,8 @@ def vectorwise_quantize(tensor: np.ndarray, num_bits: int) -> QuantizedTensor:
     max_symbol = float(2 ** (num_bits - 1) - 1)
     max_abs = np.abs(tensor).max(axis=1)  # (layers, channels)
     scale = np.where(max_abs > 0, max_abs / max_symbol, 1.0).astype(np.float32)
-    symbols = np.rint(tensor / scale[:, None, :]).astype(np.int32)
-    symbols = np.clip(symbols, -int(max_symbol), int(max_symbol))
+    symbols = np.rint(tensor / scale[:, None, :])
+    symbols = np.clip(symbols, -max_symbol, max_symbol, out=symbols).astype(SYMBOL_DTYPE)
     return QuantizedTensor(symbols=symbols, scale=scale, mode="vectorwise", num_bits=num_bits)
 
 
@@ -186,8 +174,8 @@ def bin_quantize(
     scale = (std * bin_sizes[:, None]).astype(np.float32)
 
     normalised = tensor / scale[:, None, :]
-    symbols = np.rint(normalised, out=normalised).astype(np.int32)
-    np.clip(symbols, -SYMBOL_CLIP, SYMBOL_CLIP, out=symbols)
+    np.rint(normalised, out=normalised)
+    symbols = np.clip(normalised, -SYMBOL_CLIP, SYMBOL_CLIP, out=normalised).astype(SYMBOL_DTYPE)
     return QuantizedTensor(
         symbols=symbols,
         scale=scale,

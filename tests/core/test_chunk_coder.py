@@ -136,10 +136,11 @@ def test_a_chunk_is_one_batch_of_what_its_payloads_are_alone(exact_encoder, enco
     for level in encoder.config.levels:
         models = encoder.model_for_level(level)
         exact, estimated = exact_encoder.encode(chunk, level), encoder.encode(chunk, level)
-        for got, carried in ((exact.k_stream, estimated.k_stream), (exact.v_stream, estimated.v_stream)):
+        streams = (exact.k_stream, exact.v_stream)
+        for got, (delta, anchor) in zip(streams, encoder.quantize(chunk, level)):
             for model, payload, symbols in (
-                (models.delta_model, got.delta_payload, carried.delta_payload.symbols),
-                (models.anchor_model, got.anchor_payload, carried.anchor_payload.symbols),
+                (models.delta_model, got.delta_payload, delta.symbols),
+                (models.anchor_model, got.anchor_payload, anchor.symbols),
             ):
                 assert payload.shape == symbols.shape
                 assert payload.data == EntropyCodec(model, exact=True).encode(symbols).data
@@ -148,19 +149,21 @@ def test_a_chunk_is_one_batch_of_what_its_payloads_are_alone(exact_encoder, enco
         assert np.array_equal(decoded.k, reference.k) and np.array_equal(decoded.v, reference.v)
 
 
-def test_mixed_payloads_decode_in_order(encoder, kv):
-    """Bitstreams and carried symbols in one call: only the former reach the coder."""
+def test_payloads_decode_in_order_and_estimated_ones_are_refused(encoder, kv):
+    """Bitstreams of several models in one call come back in order; an
+    estimated payload among them holds no symbols, so the call is refused."""
     models = encoder.model_for_level("medium")
-    stream = encoder.encode(kv.slice_tokens(0, 23), "medium").k_stream
-    delta, anchor = stream.delta_payload.symbols, stream.anchor_payload.symbols
-    coded = encode_payloads([(models.delta_model, delta), (models.anchor_model, anchor)], exact=True)
-    mixed = [
-        (models.anchor_model, coded[1]),
-        (models.delta_model, stream.delta_payload),
-        (models.delta_model, coded[0]),
-    ]
-    for got, want in zip(decode_payloads(mixed), (anchor, delta, delta)):
-        np.testing.assert_array_equal(got, want)
+    chunk = kv.slice_tokens(0, 23)
+    (delta, anchor), _ = encoder.quantize(chunk, "medium")
+    coded = encode_payloads(
+        [(models.delta_model, delta.symbols), (models.anchor_model, anchor.symbols)], exact=True
+    )
+    ordered = [(models.anchor_model, coded[1]), (models.delta_model, coded[0])]
+    for got, want in zip(decode_payloads(ordered), (anchor, delta)):
+        np.testing.assert_array_equal(got, want.symbols)
+    estimated = encoder.encode(chunk, "medium").k_stream.delta_payload
+    with pytest.raises(ValueError, match="decode the EncodedKV"):
+        decode_payloads(ordered + [(models.delta_model, estimated)])
 
 
 #: sha256 of (K-delta, K-anchor, V-delta, V-anchor) of the first 23 tokens of

@@ -1,19 +1,16 @@
 """Round-trip properties of the codec under exact entropy coding.
 
-The estimated path carries the quantized symbols verbatim, so its decode is
-what a lossless entropy coder must reproduce: for any KV cache, level and
-token count, ``exact_entropy_coding=True`` has to decode ``np.array_equal`` to
-it.  The token counts straddle every boundary a chunk can sit on — a lone
-anchor (no delta symbols at all), one anchor group give or take a token, one
-chunk give or take a token.
+The estimated path decodes by quantizing the encoded chunk again, so its
+decode is the lossy half of the codec alone, which is what a lossless entropy
+coder must reproduce: for any KV cache, level and token count,
+``exact_entropy_coding=True`` has to decode ``np.array_equal`` to it.  The
+token counts straddle every boundary a chunk can sit on — a lone anchor (no
+delta symbols at all), one anchor group give or take a token, one chunk give
+or take a token.
 
 The grid of boundaries runs on every invocation (explicit examples); the
 random draws on top of it take their budget from the hypothesis profile
 (``tests/conftest.py``): 25 in tier-1, 250 in CI's ``codec-fuzz`` step.
-
-The estimated path's symbols are stored at their narrowest width
-(``narrowest_symbols``: ``int8`` when their range fits, else ``int16``); the
-width rule holds, the values never change and decoding does not see it.
 
 A probability model stores only the symbol band its fit spans; every table
 it hands out, and its score of symbols anywhere in the alphabet, equal the
@@ -24,7 +21,6 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,10 +30,9 @@ from test_ingest_fast_path import DenseFit, assert_tables_equal, dense_cross_ent
 
 from repro.core import CacheGenDecoder, CacheGenEncoder, KVCache
 from repro.core.arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder, _split_lanes
-from repro.core.encoder import EncodedTensorStream
 from repro.core.entropy_codec import LANE_SYMBOLS, MAX_LANES, lane_count
 from repro.core.probability_model import SymbolProbabilityModel
-from repro.core.quantization import SYMBOL_CLIP, narrowest_symbols
+from repro.core.quantization import SYMBOL_CLIP
 
 CHUNK_TOKENS = 64
 LEVELS = ("high", "medium", "low", "lowest")
@@ -88,39 +83,6 @@ def test_exact_decode_equals_estimated_decode(codecs, kv, seed, tokens, level):
     assert np.array_equal(decoded.v, reference.v)
 
 
-INT8 = np.iinfo(np.int8)
-
-
-def fits_int8(symbols: np.ndarray) -> bool:
-    return symbols.size == 0 or (INT8.min <= symbols.min() and symbols.max() <= INT8.max)
-
-
-@example(seed=0, lo=INT8.min, span=INT8.max - INT8.min, tokens=5, dtype=np.int32)
-@example(seed=0, lo=INT8.min - 1, span=0, tokens=5, dtype=np.int16)
-@example(seed=0, lo=INT8.max + 1, span=0, tokens=5, dtype=np.int64)
-@example(seed=0, lo=0, span=0, tokens=0, dtype=np.int8)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    lo=st.integers(-SYMBOL_CLIP, SYMBOL_CLIP),
-    span=st.integers(0, 2 * SYMBOL_CLIP),
-    tokens=st.integers(0, 9),
-    dtype=st.sampled_from((np.int8, np.int16, np.int32, np.int64)),
-)
-def test_narrowest_symbols_width_rule(seed, lo, span, tokens, dtype):
-    """``int8`` exactly when every value fits it (an empty tensor does), else
-    ``int16``; the values never change, and a tensor already at its width is
-    not copied."""
-    hi = min(lo + span, SYMBOL_CLIP)
-    symbols = np.random.default_rng(seed).integers(lo, hi + 1, size=(3, tokens, 2))
-    fits = fits_int8(symbols)
-    assume(fits or dtype != np.int8)
-    symbols = symbols.astype(dtype)
-    narrow = narrowest_symbols(symbols)
-    assert narrow.dtype == (np.int8 if fits else np.int16)
-    assert np.array_equal(narrow, symbols)
-    assert (narrow is symbols) == (narrow.dtype == symbols.dtype)
-
-
 @example(seed=0, grouping="channel_layer", fit_lo=-9, fit_span=18, lo=100, span=40, tokens=5)
 @example(seed=0, grouping="layer", fit_lo=-9, fit_span=18, lo=-255, span=510, tokens=5)
 @example(seed=0, grouping="global", fit_lo=0, fit_span=0, lo=0, span=0, tokens=0)
@@ -141,7 +103,7 @@ def test_banded_model_equals_dense_fit(seed, grouping, fit_lo, fit_span, lo, spa
     shape = (3, tokens, 2)
 
     def draw(lo, span):
-        return narrowest_symbols(rng.integers(lo, min(lo + span, SYMBOL_CLIP) + 1, size=shape))
+        return rng.integers(lo, min(lo + span, SYMBOL_CLIP) + 1, size=shape, dtype=np.int32)
 
     fitted = [draw(fit_lo, fit_span), draw(fit_lo, fit_span // 2)]
     model = SymbolProbabilityModel.fit(fitted, grouping=grouping)
@@ -151,54 +113,6 @@ def test_banded_model_equals_dense_fit(seed, grouping, fit_lo, fit_span, lo, spa
     assert_tables_equal(model, dense)
     symbols = draw(lo, span)
     assert model.cross_entropy_bits(symbols) == dense_cross_entropy_bits(dense, symbols)
-
-
-def _at_int16(stream: EncodedTensorStream) -> EncodedTensorStream:
-    def widened(payload):
-        return replace(payload, symbols=payload.symbols.astype(np.int16))
-
-    return replace(
-        stream,
-        delta_payload=widened(stream.delta_payload),
-        anchor_payload=widened(stream.anchor_payload),
-    )
-
-
-@example(seed=0, heavy_tails=False, tokens=CHUNK_TOKENS, level="high")
-@example(seed=0, heavy_tails=True, tokens=CHUNK_TOKENS, level="high")
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    heavy_tails=st.booleans(),
-    tokens=st.sampled_from(TOKEN_COUNTS),
-    level=st.sampled_from(LEVELS),
-)
-def test_narrow_payloads_decode_like_int16_ones(codecs, kv, seed, heavy_tails, tokens, level):
-    """Estimated payloads carry ``int8`` symbols when their range fits (Gaussian
-    caches: always), ``int16`` when it does not (heavy tails reach the clip);
-    either way the decoder reconstructs what the same symbols at ``int16`` give."""
-    _, _, estimated, decoder = codecs
-    rng = np.random.default_rng(seed)
-    layers, _, channels = kv.shape
-    draw = (lambda size: rng.standard_t(2, size=size)) if heavy_tails else rng.standard_normal
-    cache = KVCache(
-        k=draw((layers, tokens, channels)),
-        v=draw((layers, tokens, channels)),
-        model_name=kv.model_name,
-        full_layers=kv.full_layers,
-        full_channels=kv.full_channels,
-    )
-    encoded = estimated.encode(cache, level)
-    for stream in (encoded.k_stream, encoded.v_stream):
-        for payload in (stream.delta_payload, stream.anchor_payload):
-            fits = fits_int8(payload.symbols)
-            assert fits or heavy_tails
-            assert payload.symbols.dtype == (np.int8 if fits else np.int16)
-    wide = replace(
-        encoded, k_stream=_at_int16(encoded.k_stream), v_stream=_at_int16(encoded.v_stream)
-    )
-    decoded, reference = decoder.decode(encoded), decoder.decode(wide)
-    assert np.array_equal(decoded.k, reference.k)
-    assert np.array_equal(decoded.v, reference.v)
 
 
 def test_one_table_per_model_per_call(codecs, kv, monkeypatch):

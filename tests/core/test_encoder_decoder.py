@@ -34,7 +34,8 @@ class TestFitAndValidation:
         )
         chunk = sample_caches[0].slice_tokens(40, 80)
         encoded = encoder.encode(chunk)
-        assert np.abs(encoded.k_stream.anchor_payload.symbols.astype(int)).max() == 255
+        (_, anchor), _ = encoder.quantize(chunk)
+        assert np.abs(anchor.symbols).max() == 255
         decoded = CacheGenDecoder(encoder).decode(encoded)
         assert float(chunk.normalized_distortion_per_layer(decoded).mean()) < 0.1
 

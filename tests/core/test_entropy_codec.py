@@ -28,49 +28,33 @@ def model(small_symbols):
 
 
 class TestEstimatedBackend:
-    def test_roundtrip_lossless(self, small_symbols, model):
+    def test_payload_is_a_size_and_refuses_to_decode(self, small_symbols, model):
+        """An estimated payload keeps no symbols: only its EncodedKV, which holds
+        the encoded chunk, can be decoded."""
         codec = EntropyCodec(model, exact=False)
         payload = codec.encode(small_symbols)
-        np.testing.assert_array_equal(codec.decode(payload), small_symbols)
+        assert payload.data is None
+        assert not any(isinstance(value, np.ndarray) for value in vars(payload).values())
+        with pytest.raises(ValueError, match="decode the EncodedKV"):
+            codec.decode(payload)
 
     def test_bits_match_cross_entropy(self, small_symbols, model):
         codec = EntropyCodec(model, exact=False)
         payload = codec.encode(small_symbols)
         assert payload.bits == pytest.approx(model.cross_entropy_bits(small_symbols))
 
-    @pytest.mark.parametrize(
-        "lo, hi, dtype",
-        [
-            (-4, 4, np.int8),
-            (-128, 127, np.int8),
-            (-129, 0, np.int16),
-            (0, 128, np.int16),
-            (-255, 255, np.int16),
-        ],
-    )
-    def test_symbols_stored_at_their_narrowest_width(self, model, lo, hi, dtype):
-        """int8 when the range fits it, int16 (the whole alphabet) when it does not."""
-        symbols = np.random.default_rng(hi - lo).integers(lo, hi + 1, size=(2, 60, 3))
-        symbols[0, :2, 0] = lo, hi
-        codec = EntropyCodec(model, exact=False)
-        payload = codec.encode(symbols)
-        assert payload.symbols.dtype == dtype
-        np.testing.assert_array_equal(payload.symbols, symbols)
-        # Symbols already at their width are carried as they are, not copied.
-        assert codec.encode(payload.symbols).symbols is payload.symbols
-
-    def test_default_levels_store_one_byte_a_symbol(self, fitted_codec, llm):
-        """At the paper's levels every anchor and delta symbol of a mistral-7b
-        chunk fits int8, so the four levels a store keeps per chunk hold one
-        byte a symbol."""
+    def test_default_levels_store_sizes_and_their_source(self, fitted_codec, llm):
+        """The four levels a store keeps per chunk hold sizes, not symbols; each
+        points at the one chunk it encoded, from which it decodes."""
         encoder = CacheGenEncoder(CacheGenConfig(), codec=fitted_codec())
-        encodings = encoder.encode_all_levels(llm.calculate_kv("one-byte-a-symbol", 256))
+        kv = llm.calculate_kv("sizes-and-source", 256)
+        encodings = encoder.encode_all_levels(kv)
         assert list(encodings) == ["high", "medium", "low", "lowest"]
         for encoded in encodings.values():
+            assert encoded.source is kv
             for stream in (encoded.k_stream, encoded.v_stream):
                 for payload in (stream.delta_payload, stream.anchor_payload):
-                    assert not payload.exact
-                    assert payload.symbols.nbytes == payload.symbols.size > 0
+                    assert not payload.exact and payload.data is None and payload.bits > 0
 
     def test_rejects_non_3d(self, model):
         with pytest.raises(ValueError):
@@ -100,12 +84,6 @@ class TestExactBackend:
         with pytest.raises(ValueError):
             codec.decode(payload)
 
-    def test_missing_symbols_rejected(self, small_symbols, model):
-        codec = EntropyCodec(model, exact=False)
-        payload = codec.encode(small_symbols)
-        payload.symbols = None
-        with pytest.raises(ValueError):
-            codec.decode(payload)
 
 
 def test_num_bytes_property(small_symbols, model):

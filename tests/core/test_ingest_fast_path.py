@@ -19,6 +19,7 @@ import pytest
 
 from repro import ServeRequest, ServingSpec, serve
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodingLevel
+from repro.core.encoder import _PreparedKV
 from repro.core.probability_model import ALPHABET_SIZE, SYMBOL_OFFSET, SymbolProbabilityModel
 from repro.serving.engine import profile_codec
 from repro.streaming import prepare_chunks
@@ -271,10 +272,6 @@ def assert_streams_equal(left, right):
         if a is None:
             continue
         assert (a.bits, a.shape, a.exact, a.data) == (b.bits, b.shape, b.exact, b.data)
-        assert (a.symbols is None) == (b.symbols is None)
-        if a.symbols is not None:
-            assert a.symbols.dtype == b.symbols.dtype
-            np.testing.assert_array_equal(a.symbols, b.symbols)
     np.testing.assert_array_equal(left.delta_scale, right.delta_scale)
     np.testing.assert_array_equal(left.delta_bins, right.delta_bins)
     assert left.anchor_bits == right.anchor_bits
@@ -289,6 +286,7 @@ def assert_encodings_equal(left, right):
         "full_layers", "full_channels", "payload_bits", "sim_metadata_bytes", "compressed_bytes",
     ):
         assert getattr(left, name) == getattr(right, name), name
+    assert left.source is right.source
     assert_streams_equal(left.k_stream, right.k_stream)
     assert_streams_equal(left.v_stream, right.v_stream)
 
@@ -319,6 +317,16 @@ class TestAllLevelsEqualsOneLevelAtATime:
             assert list(together) == [level.name for level in encoder.config.levels]
             for name, encoded in together.items():
                 assert_encodings_equal(encoded, encoder.encode(kv, name))
+            # The symbols a shared preparation gives each level are the ones
+            # an estimated encoding's decode quantizes afresh.
+            prepared = _PreparedKV(kv)
+            for level in encoder.config.levels:
+                shared, fresh = encoder.quantize(prepared, level), encoder.quantize(kv, level)
+                for (delta, anchor), (want_delta, want_anchor) in zip(shared, fresh):
+                    np.testing.assert_array_equal(delta.symbols, want_delta.symbols)
+                    assert (anchor is None) == (want_anchor is None)
+                    if anchor is not None:
+                        np.testing.assert_array_equal(anchor.symbols, want_anchor.symbols)
 
     def test_exact_bitstreams_are_byte_equal(self, llm):
         samples = [llm.calculate_kv(f"tiny-profile-{i}", 24) for i in range(2)]
@@ -326,6 +334,7 @@ class TestAllLevelsEqualsOneLevelAtATime:
         kv = llm.calculate_kv("tiny", 11)
         for name, encoded in encoder.encode_all_levels(kv).items():
             alone = encoder.encode(kv, name)
+            assert encoded.source is None
             assert encoded.k_stream.delta_payload.data == alone.k_stream.delta_payload.data
             assert encoded.v_stream.anchor_payload.data == alone.v_stream.anchor_payload.data
             assert_encodings_equal(encoded, alone)
@@ -343,11 +352,13 @@ class TestAnchorModelSharing:
         models = encoder.level_models
         assert models["a"].anchor_model is models["c"].anchor_model
         assert models["b"].anchor_model is not models["a"].anchor_model
-        encodings = encoder.encode_all_levels(llm.calculate_kv("mixed-anchor-bits", 64))
+        kv = llm.calculate_kv("mixed-anchor-bits", 64)
+        encodings = encoder.encode_all_levels(kv)
         payload = {name: e.k_stream.anchor_payload for name, e in encodings.items()}
         assert payload["a"] is payload["c"]
         assert payload["b"] is not payload["a"]
-        assert np.abs(payload["b"].symbols).max() <= 15 < np.abs(payload["a"].symbols).max()
+        anchors = {name: np.abs(encoder.quantize(kv, name)[0][1].symbols) for name in "ab"}
+        assert anchors["b"].max() <= 15 < anchors["a"].max()
 
 
 class TestOneTokenChunk:

@@ -129,15 +129,15 @@ def level_payloads(encoder: CacheGenEncoder, kv):
     payloads = {}
     for level in encoder.config.levels:
         models = encoder.model_for_level(level)
-        stream = encoder.encode(chunk, level).k_stream
-        for name, payload, model in (
-            ("delta", stream.delta_payload, models.delta_model),
-            ("anchor", stream.anchor_payload, models.anchor_model),
+        (delta, anchor), _ = encoder.quantize(chunk, level)
+        for name, quantized, model in (
+            ("delta", delta, models.delta_model),
+            ("anchor", anchor, models.anchor_model),
         ):
             payloads[level.name, name] = (
                 model.cumulative_counts(),
-                payload.symbols.ravel().astype(np.int64) + SYMBOL_OFFSET,
-                model.context_ids_for(payload.shape).ravel(),
+                quantized.symbols.ravel().astype(np.int64) + SYMBOL_OFFSET,
+                model.context_ids_for(quantized.shape).ravel(),
             )
     return payloads
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.quantization import (
     SYMBOL_CLIP,
+    SYMBOL_DTYPE,
     bin_dequantize,
     bin_quantize,
     layer_bin_sizes,
@@ -25,6 +26,12 @@ class TestVectorwise:
         limit = 2 ** (bits - 1) - 1
         assert quantized.symbols.max() <= limit
         assert quantized.symbols.min() >= -limit
+
+    def test_sixteen_bit_symbols_fit_the_symbol_dtype(self, rng):
+        tensor = rng.normal(size=(2, 50, 3)).astype(np.float32)
+        quantized = vectorwise_quantize(tensor, 16)
+        assert quantized.symbols.dtype == SYMBOL_DTYPE
+        assert np.abs(quantized.symbols).max() == 2**15 - 1
 
     @pytest.mark.parametrize("bits", [4, 8, 12])
     def test_error_bounded_by_half_step(self, rng, bits):
@@ -113,6 +120,13 @@ class TestBinQuantize:
         tensor[0, 0, 0] = 1e9
         quantized = bin_quantize(tensor, np.full(1, 0.001))
         assert quantized.symbols.max() <= SYMBOL_CLIP
+
+    def test_symbols_clip_before_the_cast(self):
+        """Values far past the int16 range saturate at the clip; none wraps."""
+        tensor = np.array([[[1e9], [-1e9], [40_000.0], [-40_000.0], [3.0]]], dtype=np.float32)
+        quantized = bin_quantize(tensor, np.full(1, 1.0), std=np.ones((1, 1)))
+        assert quantized.symbols.dtype == SYMBOL_DTYPE
+        assert quantized.symbols.ravel().tolist() == [255, -255, 255, -255, 3]
 
     def test_reference_tensor_sets_scale(self, rng):
         tensor = rng.normal(size=(2, 30, 4)).astype(np.float32)
