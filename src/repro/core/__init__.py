@@ -5,7 +5,7 @@ pipeline of §5.2: change-based (anchor/delta) encoding, layer-wise
 quantization, per-(layer, channel) probability models and arithmetic coding.
 """
 
-from .arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder, decode_symbols, encode_symbols
+from .arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder
 from .config import DEFAULT_LEVELS, CacheGenConfig, EncodingLevel
 from .decoder import CacheGenDecoder
 from .delta import (
@@ -61,8 +61,6 @@ __all__ = [
     "bin_dequantize",
     "bin_quantize",
     "compute_deltas",
-    "decode_symbols",
-    "encode_symbols",
     "layer_bin_sizes",
     "reconstruct_from_deltas",
     "vectorwise_dequantize",

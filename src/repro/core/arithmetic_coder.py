@@ -32,8 +32,9 @@ always precede the shifts that defer one (E3: ``low = 01..``, ``high =
 those bits, then ``m`` = (run of ``low`` 1 / ``high`` 0 bits below the first
 differing bit) times and adds ``m`` to the pending count; both are bit lengths,
 read off ``np.frexp``.  Every shift doubles the interval, so a lane's state is
-``low`` and the interval's size.  Emitted bits are recorded per step and
-packed once after the loop.
+``low`` and the interval's size.  Each step records what it emitted, and after
+the loop a payload's records are assembled 64-bit word by word, not bit by
+bit: a record is at most 32 significant bits plus a run of one repeated bit.
 
 Bitstream: ``lanes - 1`` lane byte-lengths as LEB128 varints (the last lane
 takes the rest), then the byte-aligned lane streams in lane order.  One lane
@@ -42,7 +43,9 @@ has no table, which is the classic single-stream format.
 The coder is *static*: frequencies come from a pre-computed cumulative table
 (optionally a different table row per symbol context), exactly like CacheGen's
 offline-profiled distributions.  Tables are held as ``int32`` — the largest
-admissible total is ``2**30`` — so a ``(1024, 511)`` model's is 2 MiB.
+admissible total is ``2**30`` — so a ``(1024, 511)`` model's is 2 MiB.  The
+caller derives them per call, from a fitted model's symbol band, and drops
+them with the coder: nothing is resident.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ArithmeticEncoder", "ArithmeticDecoder", "encode_symbols", "decode_symbols"]
+__all__ = ["ArithmeticEncoder", "ArithmeticDecoder"]
 
 _PRECISION = 32
 _HALF = 1 << (_PRECISION - 1)
@@ -68,6 +71,10 @@ _SUFFIX_MASK = ((1 << _COUNTS) - 1) >> 1
 _MOST_SHIFTS = np.where(_COUNTS == 0, _PRECISION, _PRECISION - 1)
 # Lookup by a shift count s: the mask of the s bits a decoder lane shifts in.
 _ONES = (1 << _COUNTS) - 1
+#: ``_ONE_RUNS[m]``: the ``m`` lowest bits of a 64-bit word set, and
+#: ``_TOP_BITS[m]`` its ``m`` highest.
+_ONE_RUNS = np.array([(1 << m) - 1 for m in range(65)], dtype=np.uint64)
+_TOP_BITS = ~_ONE_RUNS[::-1]
 
 #: Zero bytes after each lane in the decoder's buffer: a 5-byte window that
 #: starts at a lane's end must read zeros, as a stream does past its end.
@@ -335,7 +342,7 @@ class ArithmeticEncoder(_LaneCoder):
         count[steps] = 1
         owed[steps] += 1
 
-        # Laid out a payload at a time: the per-bit arrays of one fit the cache.
+        # Laid out a payload at a time: each has its own lane table and bytes.
         payloads, first = [], 0
         for width in lanes:
             block = slice(first, first + width)
@@ -345,26 +352,69 @@ class ArithmeticEncoder(_LaneCoder):
 
 
 def _pack(word: np.ndarray, count: np.ndarray, owed: np.ndarray) -> bytes:
-    """Lay the recorded bits out lane by lane, byte-align each lane, add the table."""
-    lanes = word.shape[1]
-    length = np.where(count > 0, count + owed, 0)
-    lane_bits = length[:-1].sum(axis=0)
-    # The last row pads each lane to a byte with zero bits (a zero word).
-    length[-1] = -lane_bits % 8
-    lane_bytes = (lane_bits + length[-1]) // 8
+    """Lay the recorded bits out lane by lane, byte-align each lane, add the table.
 
-    length = length.T.ravel()
-    start = np.cumsum(length) - length
-    # Per output bit, ``down`` starts at 31 + owed on a record's first bit and
-    # falls by one a bit.  From 30 on it is the word bit to take; until then
-    # the bit is the word's top one, flipped for the owed bits — everywhere
-    # ``down >= 31`` except on the first bit itself.
-    down = np.repeat(_PRECISION - 1 + owed.T.ravel() + start, length)
-    down -= np.arange(len(down))
-    bits = (np.repeat(word.T.ravel(), length) >> np.minimum(down, _PRECISION - 1)) & 1
-    bits ^= down >= _PRECISION - 1
-    bits[start[length > 0]] ^= 1
-    return _varints(lane_bytes[: lanes - 1]) + np.packbits(bits.astype(np.uint8)).tobytes()
+    The records are ``(steps + 2, lanes)`` ``int64`` arrays whose last row,
+    all zeros, stands for each lane's byte padding.  A record of ``count >
+    0`` is the top bit ``t`` of ``word``, ``owed`` copies of ``1 - t``, then
+    the next ``count - 1`` bits of ``word``.  As a number that is ``word >> (32 - count)`` plus
+    ``owed`` one bits from bit ``count - 1`` up: for ``t = 0`` the ones stand
+    as they are, for ``t = 1`` they carry through to ``1 0..0``.  Taken mod
+    ``2**64``, the sum is the record's last 64 bits at most, and it is added
+    into the one or two big-endian 64-bit words they straddle: records never
+    share a bit, so adding them is OR-ing them, in any order.  Only a record
+    longer than 64 bits has more, its first bit and the head of its owed run,
+    written as runs of ones.
+    """
+    lanes = word.shape[1]
+    # Per record, the bits its lane has written through it.
+    emits = count > 0
+    written = count + owed
+    written *= emits
+    np.cumsum(written, axis=0, out=written)
+    lane_bytes = -(-written[-2] // 8)
+    written += 8 * (np.cumsum(lane_bytes) - lane_bytes)
+    at = np.flatnonzero(emits)
+    end = written.ravel()[at]
+    word, count, owed = (part.ravel()[at].view(np.uint64) for part in (word, count, owed))
+
+    value = word >> (_PRECISION - count)
+    # Ones past bit 63 shift out, so a run longer than the word is a word of them.
+    value += np.take(_ONE_RUNS, owed, mode="clip") << (count - 1)
+    length = (count + owed).view(np.int64)
+    shift = -end & 63
+    last = (end - 1) >> 6
+    words = np.zeros(-(-8 * int(lane_bytes.sum()) // 64), dtype=np.uint64)
+    np.add.at(words, last, value << shift.view(np.uint64))
+    # What spills into the word before; numpy shifts a long record's value by 64 to 0.
+    spills = np.flatnonzero(length + shift > 64)
+    np.add.at(words, last[spills] - 1, value[spills] >> (64 - shift[spills]).view(np.uint64))
+
+    long = np.flatnonzero(length > 64)
+    if len(long):
+        start = end[long] - length[long]
+        top = (word[long] >> (_PRECISION - 1)).view(np.int64)
+        # ``t = 1``: the one bit at ``start``; ``t = 0``: the ones after it.
+        _fill_ones(words, start + 1 - top, np.where(top, start + 1, end[long] - 64))
+    payload = words.astype(">u8").tobytes()[: int(lane_bytes.sum())]
+    return _varints(lane_bytes[: lanes - 1]) + payload
+
+
+def _fill_ones(words: np.ndarray, first: np.ndarray, stop: np.ndarray) -> None:
+    """Set the bits ``[first, stop)`` of every range in the big-endian ``words``.
+
+    The ranges are disjoint and none of their bits is set yet, so adding
+    each word's masks sets them.
+    """
+    some = stop > first
+    first, stop = first[some], stop[some]
+    lo, hi = first >> 6, (stop - 1) >> 6
+    spans = hi - lo + 1
+    index = np.arange(spans.sum()) + np.repeat(lo - np.cumsum(spans) + spans, spans)
+    base = 64 * index
+    begin = np.maximum(np.repeat(first, spans) - base, 0)
+    finish = np.minimum(np.repeat(stop, spans) - base, 64)
+    np.add.at(words, index, _TOP_BITS[finish] & ~_TOP_BITS[begin])
 
 
 class ArithmeticDecoder(_LaneCoder):
@@ -403,9 +453,10 @@ class ArithmeticDecoder(_LaneCoder):
         self._origin: dict[int, tuple[int, int]] = {}
         row, entry = 0, 0
         for table in distinct:
-            offset = (row + np.arange(len(table))) * self._stride
+            # Offsets in the search table's own type: an int32 add runs at twice the speed.
+            offset = ((row + np.arange(len(table))) * self._stride).astype(self._search.dtype)
             block = self._search[entry : entry + table.size].reshape(table.shape)
-            np.add(table, offset[:, None], out=block, casting="unsafe")
+            np.add(table, offset[:, None], out=block)
             self._origin[id(table)] = row, entry
             row += len(table)
             entry += table.size
@@ -493,23 +544,3 @@ class ArithmeticDecoder(_LaneCoder):
             first += width
         return symbols if self._batched else symbols[0]
 
-
-def encode_symbols(
-    symbols: Sequence[int],
-    cum_freq: np.ndarray,
-    contexts: Sequence[int] | None = None,
-    lanes: int = 1,
-) -> bytes:
-    """Convenience wrapper around :class:`ArithmeticEncoder`."""
-    return ArithmeticEncoder(cum_freq, lanes).encode(symbols, contexts)
-
-
-def decode_symbols(
-    data: bytes,
-    num_symbols: int,
-    cum_freq: np.ndarray,
-    contexts: Sequence[int] | None = None,
-    lanes: int = 1,
-) -> np.ndarray:
-    """Convenience wrapper around :class:`ArithmeticDecoder`."""
-    return ArithmeticDecoder(cum_freq, lanes).decode(data, num_symbols, contexts)

@@ -11,7 +11,11 @@ Two backends are provided (see ``docs/ARCHITECTURE.md``, "Codec"):
   encode or decode call has to code — a chunk's K-delta, V-delta, K-anchor,
   V-anchor — and batch it: one lock-step loop over the lanes of as many
   consecutive payloads as fit ``MAX_LANES`` together, and one cumulative
-  table per model, derived for the call and dropped with it.
+  table per model, derived for the call and dropped with it.  What a call
+  costs besides its coding loops follows the data, not the 511-symbol
+  alphabet: a table's floats are worked over the model's fitted symbol band
+  only (:meth:`~repro.core.probability_model.SymbolProbabilityModel.cumulative_counts`),
+  and the emitted bits are assembled a 64-bit word at a time.
 * **Estimated** — compute the ideal code length (the model cross-entropy) of
   the symbol stream, which is what one arithmetic-coded stream achieves up to
   a few bytes of termination overhead.  Every stored size and every figure

@@ -6,6 +6,10 @@ the test-side reference: every lane of the vectorised coder must produce
 exactly the bytes this loop produces for the lane's symbols, and decode what
 it decodes (``tests/core/test_lane_coder.py``).  The input validation stayed
 with the library coder — the tests hand this one valid tables and symbols.
+
+:func:`pack_bits` is the lane coder's first bit assembly, one ``int64`` per
+output bit, kept as the reference its word-level ``_pack`` is held to
+(``tests/core/test_bit_assembly.py``).
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+from repro.core.arithmetic_coder import _varints
 
 _PRECISION = 32
 _FULL = (1 << _PRECISION) - 1
@@ -161,3 +167,31 @@ class ScalarDecoder:
                 high = (high << 1) | 1
                 value = (value << 1) | reader.read()
         return out
+
+
+def pack_bits(word: np.ndarray, count: np.ndarray, owed: np.ndarray) -> bytes:
+    """Lay the recorded bits out lane by lane, byte-align each lane, add the table.
+
+    The lane encoder's records, ``(steps + 2, lanes)`` each, the last row
+    zeros: the top ``count`` bits of ``word`` were emitted, the first of them
+    followed by ``owed`` opposite bits.
+    """
+    lanes = word.shape[1]
+    length = np.where(count > 0, count + owed, 0)
+    lane_bits = length[:-1].sum(axis=0)
+    # The last row pads each lane to a byte with zero bits (a zero word).
+    length[-1] = -lane_bits % 8
+    lane_bytes = (lane_bits + length[-1]) // 8
+
+    length = length.T.ravel()
+    start = np.cumsum(length) - length
+    # Per output bit, ``down`` starts at 31 + owed on a record's first bit and
+    # falls by one a bit.  From 30 on it is the word bit to take; until then
+    # the bit is the word's top one, flipped for the owed bits — everywhere
+    # ``down >= 31`` except on the first bit itself.
+    down = np.repeat(_PRECISION - 1 + owed.T.ravel() + start, length)
+    down -= np.arange(len(down))
+    bits = (np.repeat(word.T.ravel(), length) >> np.minimum(down, _PRECISION - 1)) & 1
+    bits ^= down >= _PRECISION - 1
+    bits[start[length > 0]] ^= 1
+    return _varints(lane_bytes[: lanes - 1]) + np.packbits(bits.astype(np.uint8)).tobytes()

@@ -12,12 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arithmetic_coder import (
-    ArithmeticDecoder,
-    ArithmeticEncoder,
-    decode_symbols,
-    encode_symbols,
-)
+from repro.core.arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder
 
 
 def uniform_cum(alphabet: int) -> np.ndarray:
@@ -28,32 +23,33 @@ class TestRoundTrip:
     def test_simple_roundtrip(self):
         cum = np.array([0, 5, 9, 10])
         symbols = [0, 1, 2, 0, 0, 1]
-        data = encode_symbols(symbols, cum)
-        np.testing.assert_array_equal(decode_symbols(data, len(symbols), cum), symbols)
+        data = ArithmeticEncoder(cum).encode(symbols)
+        np.testing.assert_array_equal(ArithmeticDecoder(cum).decode(data, len(symbols)), symbols)
 
     def test_empty_sequence(self):
         cum = uniform_cum(4)
-        data = encode_symbols([], cum)
-        assert decode_symbols(data, 0, cum).size == 0
+        data = ArithmeticEncoder(cum).encode([])
+        assert ArithmeticDecoder(cum).decode(data, 0).size == 0
 
     def test_single_symbol(self):
         cum = np.array([0, 1, 100])
-        data = encode_symbols([1], cum)
-        np.testing.assert_array_equal(decode_symbols(data, 1, cum), [1])
+        data = ArithmeticEncoder(cum).encode([1])
+        np.testing.assert_array_equal(ArithmeticDecoder(cum).decode(data, 1), [1])
 
     def test_long_skewed_sequence(self, rng):
         cum = np.array([0, 900, 950, 990, 1000])
         symbols = rng.choice(4, size=5000, p=[0.9, 0.05, 0.04, 0.01])
-        data = encode_symbols(symbols, cum)
-        np.testing.assert_array_equal(decode_symbols(data, len(symbols), cum), symbols)
+        data = ArithmeticEncoder(cum).encode(symbols)
+        np.testing.assert_array_equal(ArithmeticDecoder(cum).decode(data, len(symbols)), symbols)
 
     def test_per_context_tables(self, rng):
         cum = np.stack([np.array([0, 90, 95, 100]), np.array([0, 5, 10, 100])])
         contexts = rng.integers(0, 2, size=2000)
         symbols = np.where(contexts == 0, rng.choice(3, 2000, p=[0.9, 0.05, 0.05]),
                            rng.choice(3, 2000, p=[0.05, 0.05, 0.9]))
-        data = encode_symbols(symbols, cum, contexts)
-        np.testing.assert_array_equal(decode_symbols(data, len(symbols), cum, contexts), symbols)
+        data = ArithmeticEncoder(cum).encode(symbols, contexts)
+        decoded = ArithmeticDecoder(cum).decode(data, len(symbols), contexts)
+        np.testing.assert_array_equal(decoded, symbols)
 
 
 class TestCompressionEfficiency:
@@ -61,7 +57,7 @@ class TestCompressionEfficiency:
         """Highly skewed symbols should take far fewer than 2 bits each."""
         cum = np.array([0, 960, 980, 990, 1000])
         symbols = rng.choice(4, size=8000, p=[0.96, 0.02, 0.01, 0.01])
-        data = encode_symbols(symbols, cum)
+        data = ArithmeticEncoder(cum).encode(symbols)
         bits_per_symbol = len(data) * 8 / len(symbols)
         assert bits_per_symbol < 0.5
 
@@ -70,26 +66,26 @@ class TestCompressionEfficiency:
         entropy = -np.sum(probs * np.log2(probs))
         cum = np.concatenate([[0], np.cumsum((probs * 1000).astype(np.int64))])
         symbols = rng.choice(4, size=10_000, p=probs)
-        data = encode_symbols(symbols, cum)
+        data = ArithmeticEncoder(cum).encode(symbols)
         bits_per_symbol = len(data) * 8 / len(symbols)
         assert bits_per_symbol < entropy * 1.05 + 0.01
 
     def test_uniform_data_near_log2(self, rng):
         cum = uniform_cum(16)
         symbols = rng.integers(0, 16, size=4000)
-        data = encode_symbols(symbols, cum)
+        data = ArithmeticEncoder(cum).encode(symbols)
         assert len(data) * 8 / len(symbols) == pytest.approx(4.0, abs=0.1)
 
 
 class TestValidation:
     def test_symbol_out_of_range(self):
         with pytest.raises(ValueError):
-            encode_symbols([5], uniform_cum(4))
+            ArithmeticEncoder(uniform_cum(4)).encode([5])
 
     def test_context_out_of_range(self):
         cum = np.stack([uniform_cum(4), uniform_cum(4)])
         with pytest.raises(ValueError):
-            encode_symbols([0], cum, [3])
+            ArithmeticEncoder(cum).encode([0], [3])
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -101,11 +97,11 @@ class TestValidation:
 
     def test_mismatched_context_length(self):
         with pytest.raises(ValueError):
-            encode_symbols([0, 1], uniform_cum(4), [0])
+            ArithmeticEncoder(uniform_cum(4)).encode([0, 1], [0])
 
     def test_decoder_context_length_mismatch(self):
         cum = uniform_cum(4)
-        data = encode_symbols([0, 1], cum)
+        data = ArithmeticEncoder(cum).encode([0, 1])
         with pytest.raises(ValueError):
             ArithmeticDecoder(cum).decode(data, 2, [0])
 
@@ -125,38 +121,38 @@ class TestDecoderRejectsHostileInput:
     contexts = [0, 1, 0, 1, 0, 1, 0]
 
     def test_negative_context_is_not_the_last_row(self):
-        data = encode_symbols([3, 3, 3], self.cum, [1, 1, 1])
+        data = ArithmeticEncoder(self.cum).encode([3, 3, 3], [1, 1, 1])
         with pytest.raises(ValueError, match="context out of range"):
-            decode_symbols(data, 3, self.cum, [-1, -1, -1])
+            ArithmeticDecoder(self.cum).decode(data, 3, [-1, -1, -1])
 
     def test_context_past_the_table(self):
         with pytest.raises(ValueError, match="context out of range"):
-            decode_symbols(b"\x00", 1, self.cum, [2])
+            ArithmeticDecoder(self.cum).decode(b"\x00", 1, [2])
 
     def test_negative_symbol_count(self):
         with pytest.raises(ValueError, match="num_symbols"):
-            decode_symbols(b"\x00", -1, self.cum)
+            ArithmeticDecoder(self.cum).decode(b"\x00", -1)
 
     def test_truncated_lane_table(self):
-        data = encode_symbols(self.symbols, self.cum, self.contexts, lanes=4)
+        data = ArithmeticEncoder(self.cum, lanes=4).encode(self.symbols, self.contexts)
         with pytest.raises(ValueError, match="truncated lane table.*2 of the 3"):
-            decode_symbols(data[:2], 7, self.cum, self.contexts, lanes=4)
+            ArithmeticDecoder(self.cum, lanes=4).decode(data[:2], 7, self.contexts)
         with pytest.raises(ValueError, match="truncated lane table"):
-            decode_symbols(b"\x81\x82\x83", 7, self.cum, self.contexts, lanes=2)
+            ArithmeticDecoder(self.cum, lanes=2).decode(b"\x81\x82\x83", 7, self.contexts)
 
     def test_lane_lengths_past_the_data(self):
-        data = bytearray(encode_symbols(self.symbols, self.cum, self.contexts, lanes=4))
+        data = bytearray(ArithmeticEncoder(self.cum, lanes=4).encode(self.symbols, self.contexts))
         data[1] = 100  # lane 1 claims 100 bytes of a handful
         with pytest.raises(ValueError, match="lane 1 ends past"):
-            decode_symbols(bytes(data), 7, self.cum, self.contexts, lanes=4)
+            ArithmeticDecoder(self.cum, lanes=4).decode(bytes(data), 7, self.contexts)
 
     def test_overlong_lane_table_entry(self):
         with pytest.raises(ValueError, match="lane 0 is longer"):
-            decode_symbols(b"\xff" * 9 + b"\x00", 2, self.cum, [0, 1], lanes=2)
+            ArithmeticDecoder(self.cum, lanes=2).decode(b"\xff" * 9 + b"\x00", 2, [0, 1])
 
     def test_short_and_empty_data_read_as_zeros(self):
-        assert decode_symbols(b"", 5, uniform_cum(4)).tolist() == [0] * 5
-        assert decode_symbols(b"\x00", 4, uniform_cum(4), lanes=2).tolist() == [0] * 4
+        assert ArithmeticDecoder(uniform_cum(4)).decode(b"", 5).tolist() == [0] * 5
+        assert ArithmeticDecoder(uniform_cum(4), lanes=2).decode(b"\x00", 4).tolist() == [0] * 4
 
 
 class TestCoderRejectsWhatItCannotCode:
@@ -172,13 +168,13 @@ class TestCoderRejectsWhatItCannotCode:
 
     def test_contexts_must_be_integers(self):
         with pytest.raises(ValueError, match="contexts must be integers"):
-            encode_symbols([0, 1], self.cum, [0.2, 1.7])
+            ArithmeticEncoder(self.cum).encode([0, 1], [0.2, 1.7])
         with pytest.raises(ValueError, match="contexts must be integers"):
-            decode_symbols(b"\x00", 2, self.cum, [0.2, 1.7])
+            ArithmeticDecoder(self.cum).decode(b"\x00", 2, [0.2, 1.7])
 
     @pytest.mark.parametrize("count", [2.7, 2.0, True, "2", None])
     def test_symbol_count_must_be_an_integer(self, count):
-        data = encode_symbols([0, 1], uniform_cum(4))
+        data = ArithmeticEncoder(uniform_cum(4)).encode([0, 1])
         with pytest.raises(ValueError, match="num_symbols"):
             ArithmeticDecoder(uniform_cum(4)).decode(data, count)
 
@@ -190,10 +186,12 @@ class TestCoderRejectsWhatItCannotCode:
     def test_contexts_may_be_omitted_only_with_single_row_tables(self):
         """``None`` used to mean row 0 of whatever table there was."""
         with pytest.raises(ValueError, match="contexts are required"):
-            encode_symbols([0, 1], self.cum)
+            ArithmeticEncoder(self.cum).encode([0, 1])
         with pytest.raises(ValueError, match="contexts are required"):
-            decode_symbols(b"\x00", 2, self.cum)
-        assert decode_symbols(encode_symbols([0, 1], self.cum[:1]), 2, self.cum[:1]).tolist() == [0, 1]
+            ArithmeticDecoder(self.cum).decode(b"\x00", 2)
+        one_row = self.cum[:1]
+        data = ArithmeticEncoder(one_row).encode([0, 1])
+        assert ArithmeticDecoder(one_row).decode(data, 2).tolist() == [0, 1]
 
     def test_batch_geometry_must_agree(self):
         cum = uniform_cum(4)
@@ -225,5 +223,5 @@ def test_roundtrip_property(seed, alphabet, length, lanes):
     freqs = rng.integers(1, 50, size=alphabet)
     cum = np.concatenate([[0], np.cumsum(freqs)])
     symbols = rng.integers(0, alphabet, size=length)
-    data = encode_symbols(symbols, cum, lanes=lanes)
-    np.testing.assert_array_equal(decode_symbols(data, length, cum, lanes=lanes), symbols)
+    data = ArithmeticEncoder(cum, lanes).encode(symbols)
+    np.testing.assert_array_equal(ArithmeticDecoder(cum, lanes).decode(data, length), symbols)

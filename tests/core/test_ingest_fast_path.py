@@ -1,12 +1,14 @@
 """Exactness oracles for the ingest fast path.
 
 A model stores only the band of symbol values its fit saw,
+``cumulative_counts`` works floats over that band alone,
 ``cross_entropy_bits`` counts and multiplies only the band of symbol values
 present, and ``encode_all_levels`` prepares a cache once for every level.
-All three must give *equal* results — not close ones — to the plain
-formulations: the dense ``(num_contexts, 511)`` fit and scoring formula kept
-here as the reference (:class:`DenseFit`, :func:`dense_cross_entropy_bits`),
-and ``encode`` called once per level on the cache itself.
+All of them must give *equal* results — not close ones — to the plain
+formulations: the dense ``(num_contexts, 511)`` fit, table derivation and
+scoring formula kept here as the reference (:class:`DenseFit`,
+:func:`dense_cross_entropy_bits`), and ``encode`` called once per level on the
+cache itself.
 """
 
 from __future__ import annotations
@@ -16,11 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import ServeRequest, ServingSpec, serve
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodingLevel
 from repro.core.encoder import _PreparedKV
-from repro.core.probability_model import ALPHABET_SIZE, SYMBOL_OFFSET, SymbolProbabilityModel
+from repro.core.probability_model import (
+    ALPHABET_SIZE,
+    MAX_QUANTIZE_TOTAL,
+    SYMBOL_OFFSET,
+    SymbolProbabilityModel,
+)
 from repro.serving.engine import profile_codec
 from repro.streaming import prepare_chunks
 
@@ -220,6 +229,49 @@ class TestBandedEqualsDenseFit:
             if isinstance(array, np.ndarray)
         )
         assert held <= 12 * 2**20
+
+
+#: ``(first symbol, width)``: bands at either edge of the alphabet, one
+#: column wide, and all 511.
+EDGE_BANDS = (
+    (-SYMBOL_OFFSET, 1),
+    (-SYMBOL_OFFSET, 40),
+    (SYMBOL_OFFSET, 1),
+    (SYMBOL_OFFSET - 39, 40),
+    (0, 1),
+    (-SYMBOL_OFFSET, ALPHABET_SIZE),
+)
+ANY_BAND = st.integers(-SYMBOL_OFFSET, SYMBOL_OFFSET).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(1, SYMBOL_OFFSET + 1 - lo))
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grouping=st.sampled_from(GROUPINGS),
+    band=st.one_of(st.sampled_from(EDGE_BANDS), ANY_BAND),
+    skewed=st.booleans(),
+    quantize_total=st.one_of(
+        st.sampled_from([2 * ALPHABET_SIZE, MAX_QUANTIZE_TOTAL]),
+        st.integers(2 * ALPHABET_SIZE, MAX_QUANTIZE_TOTAL),
+    ),
+)
+def test_cumulative_counts_equal_the_dense_derivation(seed, grouping, band, skewed, quantize_total):
+    """The band-only derivation against the dense one, ``==``, at any admissible total."""
+    rng = np.random.default_rng(seed)
+    lo, width = band
+    shape = (2, int(rng.integers(1, 12)), 3)
+    if skewed:  # most of the mass on the band's first symbols
+        symbols = lo + np.minimum(rng.geometric(0.3, size=shape) - 1, width - 1)
+    else:
+        symbols = rng.integers(lo, lo + width, size=shape)
+    symbols.flat[:2] = lo, lo + width - 1
+    model = SymbolProbabilityModel.fit(symbols, grouping=grouping)
+    assert (model.lo, model.band.shape[1]) == band
+    dense = DenseFit.fit([symbols], grouping)
+    assert np.array_equal(
+        model.cumulative_counts(quantize_total), dense.cumulative_counts(quantize_total)
+    )
 
 
 class TestScratchIsLeftClean:

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.probability_model import ALPHABET_SIZE, SymbolProbabilityModel
+from repro.core.arithmetic_coder import MAX_TOTAL_FREQUENCY, ArithmeticEncoder
+from repro.core.probability_model import (
+    ALPHABET_SIZE,
+    MAX_QUANTIZE_TOTAL,
+    SymbolProbabilityModel,
+)
 from repro.core.quantization import SYMBOL_CLIP
 
 
@@ -178,9 +185,41 @@ class TestCumulativeCounts:
         with pytest.raises(ValueError):
             model.cumulative_counts(quantize_total=10)
 
+    def test_a_total_rounding_could_push_past_the_coder_is_rejected(self):
+        """``2**30`` used to be admitted, and this model's table came out at
+        ``2**30 + 17``, which the coder refused."""
+        symbols = np.random.default_rng(2).integers(-255, 256, size=(1, 300, 1))
+        model = SymbolProbabilityModel.fit([symbols], grouping="global")
+        with pytest.raises(ValueError, match="quantize_total must be"):
+            model.cumulative_counts(1 << 30)
+        cum = model.cumulative_counts(MAX_QUANTIZE_TOTAL)
+        assert cum[0, -1] <= MAX_TOTAL_FREQUENCY
+        ArithmeticEncoder(cum)
+
+    def test_max_total_is_the_coder_budget_less_the_rounding(self):
+        assert MAX_QUANTIZE_TOTAL == MAX_TOTAL_FREQUENCY - ALPHABET_SIZE // 2
+
     def test_context_ids_shape_check(self, rng):
         model = SymbolProbabilityModel.fit(symbol_tensor(rng))
         ids = model.context_ids_for((3, 7, 4))
         assert ids.shape == (3, 7, 4)
         with pytest.raises(ValueError):
             model.context_ids_for((3, 7, 5))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grouping=st.sampled_from(["channel", "global"]),
+    spread=st.sampled_from([0, 3, 40, SYMBOL_CLIP]),
+    quantize_total=st.one_of(
+        st.sampled_from([2 * ALPHABET_SIZE, MAX_QUANTIZE_TOTAL]),
+        st.integers(2 * ALPHABET_SIZE, MAX_QUANTIZE_TOTAL),
+    ),
+)
+def test_every_admissible_total_gives_a_table_the_coder_takes(
+    seed, grouping, spread, quantize_total
+):
+    rng = np.random.default_rng(seed)
+    tokens = int(rng.integers(1, 400))
+    model = SymbolProbabilityModel.fit(symbol_tensor(rng, 1, tokens, 5, spread), grouping=grouping)
+    ArithmeticEncoder(model.cumulative_counts(quantize_total))
