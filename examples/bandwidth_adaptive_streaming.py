@@ -47,7 +47,7 @@ def main() -> None:
     }
     for name, method in methods.items():
         outcome = method.evaluate(workbench.request_for(record, link=link, slo_s=slo_s))
-        loading = outcome.extras.get("loading_delay_s", outcome.ttft_s)
+        loading = outcome.loading_delay_s
         configs = outcome.extras.get("configs")
         print(f"{name}:")
         print(f"  loading delay {loading:.2f}s -> {'meets' if loading <= slo_s else 'VIOLATES'} the SLO")

@@ -12,7 +12,7 @@ The example exercises the unified serving API end to end:
    TTFT decomposed into queueing + transfer (network) + decode + prompt
    compute,
 3. sweep the number of simultaneous requests to show TTFT degrading
-   monotonically with concurrency — with no ``gpu_share`` knob anywhere; the
+   monotonically with concurrency — with no static GPU-share knob anywhere; the
    degradation is pure queueing,
 4. hit a GPU fleet — declared entirely through the spec's ``gpu_workers`` /
    ``dispatch_policy`` fields, no engine internals — with a flash crowd of

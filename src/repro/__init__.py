@@ -18,7 +18,9 @@ Public entry points
   backends reuse it.
 * :class:`repro.core.CacheGenEncoder` / :class:`repro.core.CacheGenDecoder` —
   the codec itself.
-* :class:`repro.streaming.KVStreamer` — SLO-aware streaming of encoded chunks.
+* :class:`repro.SLOAwareAdapter` — the per-chunk bandwidth adaptation of
+  encoded chunks.  One event engine (:mod:`repro.serving.concurrent`) times
+  every context load, served or evaluated by the method harness.
 * :class:`repro.Tracer` / :func:`repro.write_chrome_trace` — full-run
   telemetry: per-request spans, resource timelines, a metrics registry, and
   Perfetto-loadable trace export (``serve(..., tracer=Tracer())``).
@@ -80,7 +82,7 @@ from .serving import (
     profile_codec,
     serve,
 )
-from .streaming import KVStreamer, SLOAwareAdapter, prepare_chunks
+from .streaming import SLOAwareAdapter, prepare_chunks
 from .telemetry import (
     AlertEngine,
     SLOObjective,
@@ -114,7 +116,6 @@ __all__ = [
     "GpuWorkerPool",
     "HedgePolicy",
     "KVCache",
-    "KVStreamer",
     "LeastLoadedDispatch",
     "LinkDegradation",
     "LocalityDispatch",

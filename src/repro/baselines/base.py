@@ -9,9 +9,15 @@ query about it?*  The cost has two halves the paper measures (§7.1):
 * the bytes that must cross the network (the KV cache size / bandwidth), and
 * the time-to-first-token, i.e. loading delay plus the prefill of the query.
 
-:class:`ContextLoadingMethod` is the abstract interface; :class:`LoadRequest`
-bundles everything a method may need; :class:`MethodResult` is the uniform
-result consumed by the experiment harness.
+A method describes its load as a
+:class:`~repro.serving.concurrent.processes.LoadProcess` (:meth:`load`:
+transfer the bytes, then any GPU work, then the prompt prefill), and the
+event engine that serves requests times it
+(:class:`~repro.serving.concurrent.simulator.ConcurrentLoadSimulator`) — one
+timing model for the serving path and the method harness alike.
+:class:`LoadRequest` bundles everything a method may need;
+:class:`MethodResult` is the uniform result consumed by the experiment
+harness.
 """
 
 from __future__ import annotations
@@ -20,13 +26,17 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+import numpy as np
+
 from ..core.kv_cache import KVCache
 from ..datasets.base import ContextRecord
 from ..llm.compute_model import ComputeModel
 from ..llm.quality import GenerationQuality, QualityModel
 from ..llm.synthetic_model import SyntheticLLM
-from ..metrics.system import TTFTBreakdown
+from ..metrics.system import QueueingTTFTBreakdown
 from ..network.link import NetworkLink
+from ..serving.concurrent.processes import LoadProcess, LoadStage, StaticLoad
+from ..serving.concurrent.simulator import ConcurrentLoadSimulator
 
 __all__ = ["LoadRequest", "MethodResult", "ContextLoadingMethod"]
 
@@ -50,11 +60,6 @@ class LoadRequest:
         GPU latency model.
     quality_model:
         Quality surrogate configured with the dataset's base quality.
-    gpu_share:
-        Fraction of the GPU available to this request (1/n with n concurrent
-        requests).
-    concurrency:
-        Number of concurrent requests sharing the network link.
     slo_s:
         Optional TTFT SLO (used by adaptive streaming).
     """
@@ -65,8 +70,6 @@ class LoadRequest:
     link: NetworkLink
     compute_model: ComputeModel
     quality_model: QualityModel
-    gpu_share: float = 1.0
-    concurrency: int = 1
     slo_s: float | None = None
 
     @property
@@ -80,12 +83,18 @@ class LoadRequest:
 
 @dataclass
 class MethodResult:
-    """Uniform result of evaluating a context-loading method on one request."""
+    """Uniform result of evaluating a context-loading method on one request.
+
+    ``loading_delay_s`` is the TTFT less the user-prompt prefill: the time
+    until the context itself was ready, which is what an SLO on context
+    loading is held to (Figures 7 and 13).
+    """
 
     method: str
     transmitted_bytes: float
-    breakdown: TTFTBreakdown
+    breakdown: QueueingTTFTBreakdown
     quality: GenerationQuality
+    loading_delay_s: float
     extras: Mapping[str, Any] = field(default_factory=dict)
 
     @property
@@ -105,20 +114,62 @@ class ContextLoadingMethod(abc.ABC):
     name: str = "method"
 
     @abc.abstractmethod
+    def load(self, request: LoadRequest) -> LoadProcess:
+        """The stages of loading ``request``'s context, the prompt prefill last."""
+
+    @abc.abstractmethod
+    def outcome(
+        self, request: LoadRequest, process: LoadProcess
+    ) -> tuple[GenerationQuality, dict[str, Any]]:
+        """Quality of what ``process`` delivered, and method-specific extras."""
+
+    def stage(
+        self, simulator: ConcurrentLoadSimulator, request: LoadRequest
+    ) -> LoadProcess:
+        """Stage this method's load of ``request`` at time 0 over ``request.link``.
+
+        The first chunk assumes the link's bandwidth at time 0, as the
+        serving path does.
+        """
+        process = self.load(request)
+        simulator.add_request(
+            0.0,
+            request.link,
+            process,
+            initial_throughput_bps=request.link.trace.bandwidth_at(0.0),
+        )
+        return process
+
     def evaluate(self, request: LoadRequest) -> MethodResult:
-        """Evaluate the method on one request."""
+        """Play the load alone on the event engine and score what it delivered."""
+        simulator = ConcurrentLoadSimulator()
+        process = self.stage(simulator, request)
+        (timeline,) = simulator.run()
+        quality, extras = self.outcome(request, process)
+        return MethodResult(
+            method=self.name,
+            transmitted_bytes=timeline.served_bytes,
+            breakdown=timeline.ttft,
+            quality=quality,
+            loading_delay_s=timeline.loading_s,
+            extras=extras,
+        )
 
     # ------------------------------------------------------------------ helpers
     @staticmethod
-    def prompt_prefill_delay(request: LoadRequest) -> float:
-        """Prefill delay of the user's new question (common to every method)."""
-        return request.compute_model.prefill_delay(request.record.prompt_tokens, request.gpu_share)
+    def then_prompt(
+        request: LoadRequest,
+        stage: LoadStage,
+        compute: ComputeModel | None = None,
+    ) -> StaticLoad:
+        """``stage``, then the prefill of the user's question on ``compute``."""
+        return StaticLoad.with_prompt(
+            stage, compute or request.compute_model, request.record.prompt_tokens
+        )
 
     @staticmethod
     def lossless_quality(request: LoadRequest) -> GenerationQuality:
         """Quality achieved with an exact KV cache."""
-        import numpy as np
-
         return request.quality_model.score(
             task=request.task,
             layer_distortion=np.zeros(request.reference_kv.num_layers),

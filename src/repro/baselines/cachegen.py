@@ -1,24 +1,26 @@
 """CacheGen as a context-loading method.
 
-This wraps the codec (:mod:`repro.core`) and the streamer
-(:mod:`repro.streaming`) behind the same :class:`ContextLoadingMethod`
-interface as the baselines, so every experiment compares methods uniformly.
-Offline work (chunking and encoding at every level) is not part of TTFT; the
-evaluated delay covers streaming, pipelined decoding, and the prefill of the
+This wraps the codec (:mod:`repro.core`) and the chunked, adaptive KV load
+the serving path streams (:class:`~repro.serving.concurrent.processes.ChunkedKVLoad`)
+behind the same :class:`ContextLoadingMethod` interface as the baselines, so
+every experiment compares methods uniformly.  Offline work (chunking and
+encoding at every level) is not part of TTFT; the evaluated delay covers each
+chunk's transfer and decode (or text re-prefill), and the prefill of the
 user's new question.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Any
 
 from ..core.decoder import CacheGenDecoder
 from ..core.encoder import CacheGenEncoder
-from ..metrics.system import TTFTBreakdown
-from ..streaming.adaptation import FixedLevelPolicy, SLOAwareAdapter
+from ..llm.quality import GenerationQuality
+from ..serving.concurrent.processes import ChunkedKVLoad
+from ..streaming.adaptation import choose_policy
 from ..streaming.chunking import PreparedChunk, prepare_chunks
-from ..streaming.streamer import KVStreamer
-from .base import ContextLoadingMethod, LoadRequest, MethodResult
+from .base import ContextLoadingMethod, LoadRequest
 
 __all__ = ["CacheGenMethod"]
 
@@ -58,55 +60,34 @@ class CacheGenMethod(ContextLoadingMethod):
         self.name = name or ("cachegen" if adaptive else "cachegen-static")
         self._prepared_cache: OrderedDict[tuple[str, str, int], list[PreparedChunk]] = OrderedDict()
 
-    # ---------------------------------------------------------------- evaluate
-    def evaluate(self, request: LoadRequest) -> MethodResult:
-        prepared = self._prepared_chunks(request)
-        streamer = KVStreamer(
-            decoder=self.decoder,
-            compute_model=request.compute_model,
-            initial_throughput_bps=request.link.trace.bandwidth_at(0.0),
-        )
-        policy = self._policy(request)
-        streamed = streamer.stream(
-            prepared,
-            link=request.link,
-            policy=policy,
+    # -------------------------------------------------------------------- load
+    def load(self, request: LoadRequest) -> ChunkedKVLoad:
+        return ChunkedKVLoad(
+            self._prepared_chunks(request),
+            policy=choose_policy(
+                [level.name for level in self.encoder.config.levels],
+                request.slo_s,
+                self.fixed_level,
+                adaptive=self.adaptive,
+            ),
+            compute=request.compute_model,
             slo_s=request.slo_s,
-            gpu_share=request.gpu_share,
-            concurrency=request.concurrency,
+            prompt_tokens=request.record.prompt_tokens,
         )
-        assert streamed.kv is not None
-        distortion = request.reference_kv.normalized_distortion_per_layer(streamed.kv)
-        quality = request.quality_model.score(task=request.task, layer_distortion=distortion)
 
-        breakdown = TTFTBreakdown(
-            network_s=streamed.network_time_s,
-            decode_s=max(streamed.total_time_s - streamed.network_time_s, 0.0),
-            compute_s=self.prompt_prefill_delay(request),
+    def outcome(
+        self, request: LoadRequest, process: ChunkedKVLoad
+    ) -> tuple[GenerationQuality, dict[str, Any]]:
+        distortion = request.reference_kv.normalized_distortion_per_layer(
+            process.materialise(self.decoder)
         )
-        return MethodResult(
-            method=self.name,
-            transmitted_bytes=streamed.total_bytes,
-            breakdown=breakdown,
-            quality=quality,
-            extras={
-                "configs": streamed.configs,
-                "slo_violated": streamed.slo_violated,
-                "loading_delay_s": streamed.total_time_s,
-                "decode_flops": request.compute_model.decode_flops(request.num_tokens),
-            },
-        )
+        quality = request.quality_model.score(task=request.task, layer_distortion=distortion)
+        return quality, {
+            "configs": process.configs,
+            "decode_flops": request.compute_model.decode_flops(request.num_tokens),
+        }
 
     # ------------------------------------------------------------------ pieces
-    def _policy(self, request: LoadRequest):
-        # Adaptation only has a deadline to work against when an SLO is set
-        # (Figures 7 and 13); the paper's headline results stream every chunk
-        # at the default encoding level.
-        if self.adaptive and request.slo_s is not None:
-            level_names = [level.name for level in self.encoder.config.levels]
-            return SLOAwareAdapter(level_names=level_names)
-        return FixedLevelPolicy(level_name=self.fixed_level)
-
     def _prepared_chunks(self, request: LoadRequest) -> list[PreparedChunk]:
         key = (
             request.reference_kv.model_name,

@@ -9,12 +9,17 @@ the surviving KV cache at its default level.
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..core.decoder import CacheGenDecoder
-from ..core.encoder import CacheGenEncoder
-from ..metrics.system import TTFTBreakdown
-from .base import ContextLoadingMethod, LoadRequest, MethodResult
-from .h2o import H2OBaseline
-from .llmlingua import LLMLinguaBaseline
+from ..core.encoder import CacheGenEncoder, EncodedKV
+from ..core.kv_cache import KVCache
+from ..llm.attention import TokenSelection
+from ..llm.quality import GenerationQuality
+from ..serving.concurrent.processes import LoadProcess, LoadStage, StaticLoad
+from ..serving.concurrent.resources import DECODE
+from .base import ContextLoadingMethod, LoadRequest
+from .h2o import TokenDroppingBaseline
 
 __all__ = ["CacheGenOnCompressionBaseline"]
 
@@ -35,7 +40,7 @@ class CacheGenOnCompressionBaseline(ContextLoadingMethod):
 
     def __init__(
         self,
-        inner: H2OBaseline | LLMLinguaBaseline,
+        inner: TokenDroppingBaseline,
         encoder: CacheGenEncoder,
         level: str | None = None,
     ) -> None:
@@ -44,36 +49,42 @@ class CacheGenOnCompressionBaseline(ContextLoadingMethod):
         self.decoder = CacheGenDecoder(encoder)
         self.level = level or encoder.config.default_level.name
         self.name = f"cachegen+{inner.name}"
+        self._last: tuple[LoadRequest, KVCache, TokenSelection, EncodedKV] | None = None
 
-    def evaluate(self, request: LoadRequest) -> MethodResult:
-        kept, _, selection, _ = self.inner.compressed_cache(request)
-        encoded = self.encoder.encode(kept, self.level)
-        decoded = self.decoder.decode(encoded)
+    def _encoded(self, request: LoadRequest) -> tuple[KVCache, TokenSelection, EncodedKV]:
+        """The inner method's surviving KV cache, its selection and its encoding.
 
-        num_bytes = encoded.compressed_bytes
-        transfer = request.link.transfer(num_bytes * request.concurrency, 0.0)
-        decode_delay = request.compute_model.decode_delay(kept.num_tokens, request.gpu_share)
+        Memoized for the last request: :meth:`load` sizes the transfer from
+        the encoding and :meth:`outcome` decodes it.
+        """
+        if self._last is None or self._last[0] is not request:
+            kept, selection = self.inner.kept_cache(request)
+            self._last = (request, kept, selection, self.encoder.encode(kept, self.level))
+        return self._last[1:]
 
-        distortion = kept.normalized_distortion_per_layer(decoded)
+    def load(self, request: LoadRequest) -> StaticLoad:
+        kept, _, encoded = self._encoded(request)
+        stage = LoadStage(
+            config=self.level,
+            num_bytes=encoded.compressed_bytes,
+            gpu_kind=DECODE,
+            gpu_s=request.compute_model.decode_delay(kept.num_tokens),
+        )
+        return self.then_prompt(request, stage)
+
+    def outcome(
+        self, request: LoadRequest, process: LoadProcess
+    ) -> tuple[GenerationQuality, dict[str, Any]]:
+        kept, selection, encoded = self._encoded(request)
+        distortion = kept.normalized_distortion_per_layer(self.decoder.decode(encoded))
         quality = request.quality_model.score(
             task=request.task,
             layer_distortion=distortion,
             token_keep_fraction=selection.keep_fraction,
             important_token_coverage=selection.attention_coverage,
         )
-        breakdown = TTFTBreakdown(
-            network_s=transfer.duration,
-            decode_s=decode_delay,
-            compute_s=self.prompt_prefill_delay(request),
-        )
-        return MethodResult(
-            method=self.name,
-            transmitted_bytes=num_bytes,
-            breakdown=breakdown,
-            quality=quality,
-            extras={
-                "kept_tokens": selection.num_kept,
-                "bits_per_element": encoded.bits_per_element,
-                "inner_method": self.inner.name,
-            },
-        )
+        return quality, {
+            "kept_tokens": selection.num_kept,
+            "bits_per_element": encoded.bits_per_element,
+            "inner_method": self.inner.name,
+        }

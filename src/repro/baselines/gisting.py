@@ -11,10 +11,13 @@ as the compression ratio grows, and the method requires model retraining
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-from ..metrics.system import TTFTBreakdown
-from .base import ContextLoadingMethod, LoadRequest, MethodResult
+from ..llm.quality import GenerationQuality
+from ..serving.concurrent.processes import LoadProcess, LoadStage, StaticLoad
+from .base import ContextLoadingMethod, LoadRequest
 
 __all__ = ["GistingBaseline"]
 
@@ -41,13 +44,19 @@ class GistingBaseline(ContextLoadingMethod):
         self.compression_ratio = compression_ratio
         self.retrain_quality_factor = retrain_quality_factor
 
-    def evaluate(self, request: LoadRequest) -> MethodResult:
-        cfg = request.llm.config
-        gist_tokens = max(int(np.ceil(request.num_tokens / self.compression_ratio)), 1)
-        # Gist KV stays in fp16 tensor form.
-        num_bytes = cfg.kv_elements_per_token * gist_tokens * 2.0
-        transfer = request.link.transfer(num_bytes * request.concurrency, 0.0)
+    def gist_tokens(self, request: LoadRequest) -> int:
+        """How many gist tokens stand in for the context."""
+        return max(int(np.ceil(request.num_tokens / self.compression_ratio)), 1)
 
+    def load(self, request: LoadRequest) -> StaticLoad:
+        # Gist KV stays in fp16 tensor form.
+        num_bytes = request.llm.config.kv_elements_per_token * self.gist_tokens(request) * 2.0
+        return self.then_prompt(request, LoadStage(config="gist", num_bytes=num_bytes))
+
+    def outcome(
+        self, request: LoadRequest, process: LoadProcess
+    ) -> tuple[GenerationQuality, dict[str, Any]]:
+        gist_tokens = self.gist_tokens(request)
         keep_fraction = min(gist_tokens / request.num_tokens, 1.0)
         coverage = float(min(1.0, (1.0 / self.compression_ratio) ** 0.25))
         quality = request.quality_model.score(
@@ -56,15 +65,4 @@ class GistingBaseline(ContextLoadingMethod):
             token_keep_fraction=keep_fraction,
             important_token_coverage=coverage * self.retrain_quality_factor,
         )
-        breakdown = TTFTBreakdown(
-            network_s=transfer.duration,
-            decode_s=0.0,
-            compute_s=self.prompt_prefill_delay(request),
-        )
-        return MethodResult(
-            method=self.name,
-            transmitted_bytes=num_bytes,
-            breakdown=breakdown,
-            quality=quality,
-            extras={"gist_tokens": gist_tokens, "compression_ratio": self.compression_ratio},
-        )
+        return quality, {"gist_tokens": gist_tokens, "compression_ratio": self.compression_ratio}

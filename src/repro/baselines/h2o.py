@@ -12,18 +12,83 @@ be further encoded by CacheGen (see
 
 from __future__ import annotations
 
-import numpy as np
+import abc
+from typing import Any
 
 from ..core.kv_cache import KVCache
-from ..core.quantization import vectorwise_quantize
 from ..llm.attention import TokenSelection, select_heavy_hitters
-from ..metrics.system import TTFTBreakdown
-from .base import ContextLoadingMethod, LoadRequest, MethodResult
+from ..llm.quality import GenerationQuality
+from ..serving.concurrent.processes import LoadProcess, LoadStage, StaticLoad
+from .base import ContextLoadingMethod, LoadRequest
+from .uniform_quant import quantize_dequantize, quantized_bytes
 
-__all__ = ["H2OBaseline"]
+__all__ = ["TokenDroppingBaseline", "H2OBaseline", "ScissorhandsBaseline"]
 
 
-class H2OBaseline(ContextLoadingMethod):
+class TokenDroppingBaseline(ContextLoadingMethod):
+    """Keep a subset of the context's tokens and quantize their KV uniformly.
+
+    Subclasses decide which tokens survive (:meth:`select_tokens`); the
+    surviving KV cache keeps its tensor shape and ships at ``num_bits``.
+
+    Parameters
+    ----------
+    keep_fraction:
+        Fraction of context tokens retained.
+    num_bits:
+        Quantization bit width applied to the surviving tokens' KV.
+    """
+
+    def __init__(self, keep_fraction: float, num_bits: int = 8) -> None:
+        if not 0.0 < keep_fraction <= 1.0:
+            raise ValueError("keep_fraction must be in (0, 1]")
+        if not 2 <= num_bits <= 16:
+            raise ValueError("num_bits must be between 2 and 16")
+        self.keep_fraction = keep_fraction
+        self.num_bits = num_bits
+
+    @abc.abstractmethod
+    def select_tokens(self, request: LoadRequest) -> TokenSelection:
+        """Choose which token positions survive."""
+
+    def kept_cache(self, request: LoadRequest) -> tuple[KVCache, TokenSelection]:
+        """The lossless KV cache of the surviving tokens, and their selection."""
+        selection = self.select_tokens(request)
+        kept = KVCache(
+            k=request.reference_kv.k[:, selection.kept_positions, :],
+            v=request.reference_kv.v[:, selection.kept_positions, :],
+            model_name=request.reference_kv.model_name,
+            full_layers=request.reference_kv.full_layers,
+            full_channels=request.reference_kv.full_channels,
+        )
+        return kept, selection
+
+    def load(self, request: LoadRequest) -> StaticLoad:
+        kept, _ = self.kept_cache(request)
+        stage = LoadStage(config="quant", num_bytes=quantized_bytes(kept, self.num_bits))
+        return self.then_prompt(request, stage)
+
+    def outcome(
+        self, request: LoadRequest, process: LoadProcess
+    ) -> tuple[GenerationQuality, dict[str, Any]]:
+        kept, selection = self.kept_cache(request)
+        distortion = kept.normalized_distortion_per_layer(
+            quantize_dequantize(kept, self.num_bits)
+        )
+        quality = request.quality_model.score(
+            task=request.task,
+            layer_distortion=distortion,
+            token_keep_fraction=selection.keep_fraction,
+            important_token_coverage=selection.attention_coverage,
+        )
+        return quality, {
+            "kept_tokens": selection.num_kept,
+            "keep_fraction": selection.keep_fraction,
+            "attention_coverage": selection.attention_coverage,
+        }
+
+
+class H2OBaseline(TokenDroppingBaseline):
     """Heavy-hitter token dropping followed by uniform quantization.
 
     Parameters
@@ -42,71 +107,12 @@ class H2OBaseline(ContextLoadingMethod):
     name = "h2o"
 
     def __init__(self, keep_fraction: float = 0.45, num_bits: int = 8, idealized: bool = True) -> None:
-        if not 0.0 < keep_fraction <= 1.0:
-            raise ValueError("keep_fraction must be in (0, 1]")
-        if not 2 <= num_bits <= 16:
-            raise ValueError("num_bits must be between 2 and 16")
-        self.keep_fraction = keep_fraction
-        self.num_bits = num_bits
+        super().__init__(keep_fraction, num_bits)
         self.idealized = idealized
 
-    # ------------------------------------------------------------------ pieces
     def select_tokens(self, request: LoadRequest) -> TokenSelection:
-        """Choose which token positions survive."""
         scores = request.llm.attention_scores(request.record.context_id, request.num_tokens)
         return select_heavy_hitters(scores, self.keep_fraction)
-
-    def compressed_cache(
-        self, request: LoadRequest
-    ) -> tuple[KVCache, KVCache, TokenSelection, float]:
-        """Return (kept lossless KV, kept lossy KV, selection, transmitted bytes)."""
-        selection = self.select_tokens(request)
-        kept = KVCache(
-            k=request.reference_kv.k[:, selection.kept_positions, :],
-            v=request.reference_kv.v[:, selection.kept_positions, :],
-            model_name=request.reference_kv.model_name,
-            full_layers=request.reference_kv.full_layers,
-            full_channels=request.reference_kv.full_channels,
-        )
-        q_k = vectorwise_quantize(kept.k, self.num_bits)
-        q_v = vectorwise_quantize(kept.v, self.num_bits)
-        lossy = KVCache(
-            k=q_k.dequantize(),
-            v=q_v.dequantize(),
-            model_name=kept.model_name,
-            full_layers=kept.full_layers,
-            full_channels=kept.full_channels,
-        )
-        payload_bytes = kept.full_num_elements * self.num_bits / 8.0
-        metadata_bytes = 2.0 * 2 * kept.full_layers * kept.full_channels
-        return kept, lossy, selection, payload_bytes + metadata_bytes
-
-    def evaluate(self, request: LoadRequest) -> MethodResult:
-        kept, lossy, selection, num_bytes = self.compressed_cache(request)
-        transfer = request.link.transfer(num_bytes * request.concurrency, 0.0)
-        distortion = kept.normalized_distortion_per_layer(lossy)
-        quality = request.quality_model.score(
-            task=request.task,
-            layer_distortion=distortion,
-            token_keep_fraction=selection.keep_fraction,
-            important_token_coverage=selection.attention_coverage,
-        )
-        breakdown = TTFTBreakdown(
-            network_s=transfer.duration,
-            decode_s=0.0,
-            compute_s=self.prompt_prefill_delay(request),
-        )
-        return MethodResult(
-            method=self.name,
-            transmitted_bytes=num_bytes,
-            breakdown=breakdown,
-            quality=quality,
-            extras={
-                "kept_tokens": selection.num_kept,
-                "keep_fraction": selection.keep_fraction,
-                "attention_coverage": selection.attention_coverage,
-            },
-        )
 
 
 class ScissorhandsBaseline(H2OBaseline):
@@ -121,6 +127,3 @@ class ScissorhandsBaseline(H2OBaseline):
 
     def __init__(self, keep_fraction: float = 0.3, num_bits: int = 8) -> None:
         super().__init__(keep_fraction=keep_fraction, num_bits=num_bits, idealized=True)
-
-
-__all__.append("ScissorhandsBaseline")

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import zlib
 
-from ..core.kv_cache import KVCache
-from ..core.quantization import vectorwise_quantize
 from ..llm.attention import TokenSelection, select_uniform
-from ..metrics.system import TTFTBreakdown
-from .base import ContextLoadingMethod, LoadRequest, MethodResult
+from .base import LoadRequest
+from .h2o import TokenDroppingBaseline
 
 __all__ = ["LLMLinguaBaseline"]
 
 
-class LLMLinguaBaseline(ContextLoadingMethod):
+class LLMLinguaBaseline(TokenDroppingBaseline):
     """Query-agnostic text pruning followed by uniform quantization.
 
     Parameters
@@ -37,68 +35,10 @@ class LLMLinguaBaseline(ContextLoadingMethod):
     name = "llmlingua"
 
     def __init__(self, keep_fraction: float = 0.79, num_bits: int = 8) -> None:
-        if not 0.0 < keep_fraction <= 1.0:
-            raise ValueError("keep_fraction must be in (0, 1]")
-        if not 2 <= num_bits <= 16:
-            raise ValueError("num_bits must be between 2 and 16")
-        self.keep_fraction = keep_fraction
-        self.num_bits = num_bits
+        super().__init__(keep_fraction, num_bits)
 
-    # ------------------------------------------------------------------ pieces
     def select_tokens(self, request: LoadRequest) -> TokenSelection:
         """Pick the surviving token positions (query-agnostic)."""
         scores = request.llm.attention_scores(request.record.context_id, request.num_tokens)
         seed = zlib.crc32(request.record.context_id.encode("utf-8"))
         return select_uniform(scores, self.keep_fraction, seed=seed)
-
-    def compressed_cache(
-        self, request: LoadRequest
-    ) -> tuple[KVCache, KVCache, TokenSelection, float]:
-        """Return (kept lossless KV, kept lossy KV, selection, transmitted bytes)."""
-        selection = self.select_tokens(request)
-        kept = KVCache(
-            k=request.reference_kv.k[:, selection.kept_positions, :],
-            v=request.reference_kv.v[:, selection.kept_positions, :],
-            model_name=request.reference_kv.model_name,
-            full_layers=request.reference_kv.full_layers,
-            full_channels=request.reference_kv.full_channels,
-        )
-        q_k = vectorwise_quantize(kept.k, self.num_bits)
-        q_v = vectorwise_quantize(kept.v, self.num_bits)
-        lossy = KVCache(
-            k=q_k.dequantize(),
-            v=q_v.dequantize(),
-            model_name=kept.model_name,
-            full_layers=kept.full_layers,
-            full_channels=kept.full_channels,
-        )
-        payload_bytes = kept.full_num_elements * self.num_bits / 8.0
-        metadata_bytes = 2.0 * 2 * kept.full_layers * kept.full_channels
-        return kept, lossy, selection, payload_bytes + metadata_bytes
-
-    def evaluate(self, request: LoadRequest) -> MethodResult:
-        kept, lossy, selection, num_bytes = self.compressed_cache(request)
-        transfer = request.link.transfer(num_bytes * request.concurrency, 0.0)
-        distortion = kept.normalized_distortion_per_layer(lossy)
-        quality = request.quality_model.score(
-            task=request.task,
-            layer_distortion=distortion,
-            token_keep_fraction=selection.keep_fraction,
-            important_token_coverage=selection.attention_coverage,
-        )
-        breakdown = TTFTBreakdown(
-            network_s=transfer.duration,
-            decode_s=0.0,
-            compute_s=self.prompt_prefill_delay(request),
-        )
-        return MethodResult(
-            method=self.name,
-            transmitted_bytes=num_bytes,
-            breakdown=breakdown,
-            quality=quality,
-            extras={
-                "kept_tokens": selection.num_kept,
-                "keep_fraction": selection.keep_fraction,
-                "attention_coverage": selection.attention_coverage,
-            },
-        )

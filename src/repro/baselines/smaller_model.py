@@ -8,13 +8,15 @@ model's KV cache at a configurable bit width, like the uniform baseline.
 
 from __future__ import annotations
 
-from ..core.quantization import vectorwise_quantize
-from ..core.kv_cache import KVCache
+from typing import Any
+
+from ..llm.compute_model import ComputeModel
 from ..llm.model_config import LLAMA_3B, ModelConfig
-from ..llm.quality import QualityModel
+from ..llm.quality import GenerationQuality, QualityModel
 from ..llm.synthetic_model import SyntheticLLM
-from ..metrics.system import TTFTBreakdown
-from .base import ContextLoadingMethod, LoadRequest, MethodResult
+from ..serving.concurrent.processes import LoadProcess, LoadStage, StaticLoad
+from .base import ContextLoadingMethod, LoadRequest
+from .uniform_quant import quantize_dequantize
 
 __all__ = ["SmallerModelBaseline"]
 
@@ -46,39 +48,27 @@ class SmallerModelBaseline(ContextLoadingMethod):
         self.base_quality = base_quality
         self.name = f"smaller-model-{num_bits}bit"
 
-    def evaluate(self, request: LoadRequest) -> MethodResult:
-        small_llm = SyntheticLLM(self.small_model)
-        small_kv = small_llm.calculate_kv(request.record.context_id, request.num_tokens)
-
-        q_k = vectorwise_quantize(small_kv.k, self.num_bits)
-        q_v = vectorwise_quantize(small_kv.v, self.num_bits)
-        lossy = KVCache(
-            k=q_k.dequantize(),
-            v=q_v.dequantize(),
-            model_name=small_kv.model_name,
-            full_layers=small_kv.full_layers,
-            full_channels=small_kv.full_channels,
+    def load(self, request: LoadRequest) -> StaticLoad:
+        num_bytes = self.small_model.kv_cache_bytes(request.num_tokens, self.num_bits)
+        # The question is prefilled by the small model, on the same GPU.
+        compute = ComputeModel(self.small_model, request.compute_model.gpu)
+        return self.then_prompt(
+            request, LoadStage(config="quant", num_bytes=num_bytes), compute
         )
-        num_bytes = small_kv.full_num_elements * self.num_bits / 8.0
-        transfer = request.link.transfer(num_bytes * request.concurrency, 0.0)
 
-        quality_model = self._small_quality_model(request)
-        distortion = small_kv.normalized_distortion_per_layer(lossy)
-        quality = quality_model.score(task=request.task, layer_distortion=distortion)
-
-        compute = request.compute_model.__class__(self.small_model, request.compute_model.gpu)
-        breakdown = TTFTBreakdown(
-            network_s=transfer.duration,
-            decode_s=0.0,
-            compute_s=compute.prefill_delay(request.record.prompt_tokens, request.gpu_share),
+    def outcome(
+        self, request: LoadRequest, process: LoadProcess
+    ) -> tuple[GenerationQuality, dict[str, Any]]:
+        small_kv = SyntheticLLM(self.small_model).calculate_kv(
+            request.record.context_id, request.num_tokens
         )
-        return MethodResult(
-            method=self.name,
-            transmitted_bytes=num_bytes,
-            breakdown=breakdown,
-            quality=quality,
-            extras={"small_model": self.small_model.name, "bits_per_element": self.num_bits},
+        distortion = small_kv.normalized_distortion_per_layer(
+            quantize_dequantize(small_kv, self.num_bits)
         )
+        quality = self._small_quality_model(request).score(
+            task=request.task, layer_distortion=distortion
+        )
+        return quality, {"small_model": self.small_model.name, "bits_per_element": self.num_bits}
 
     def _small_quality_model(self, request: LoadRequest) -> QualityModel:
         """Quality model anchored at the smaller model's base quality."""

@@ -9,8 +9,11 @@ to the context, generation quality equals the lossless baseline.
 
 from __future__ import annotations
 
-from ..metrics.system import TTFTBreakdown
-from .base import ContextLoadingMethod, LoadRequest, MethodResult
+from typing import Any
+
+from ..llm.quality import GenerationQuality
+from ..serving.concurrent.processes import LoadProcess, StaticLoad
+from .base import ContextLoadingMethod, LoadRequest
 
 __all__ = ["TextContextBaseline"]
 
@@ -31,21 +34,17 @@ class TextContextBaseline(ContextLoadingMethod):
             raise ValueError("bytes_per_token must be positive")
         self.bytes_per_token = bytes_per_token
 
-    def evaluate(self, request: LoadRequest) -> MethodResult:
-        text_bytes = request.num_tokens * self.bytes_per_token
-        transfer = request.link.transfer(text_bytes * request.concurrency, 0.0)
-        context_prefill = request.compute_model.prefill_delay(
-            request.num_tokens, request.gpu_share
+    def load(self, request: LoadRequest) -> StaticLoad:
+        return StaticLoad.text_load(
+            request.num_tokens,
+            request.num_tokens * self.bytes_per_token,
+            request.compute_model,
+            prompt_tokens=request.record.prompt_tokens,
         )
-        breakdown = TTFTBreakdown(
-            network_s=transfer.duration,
-            decode_s=0.0,
-            compute_s=context_prefill + self.prompt_prefill_delay(request),
-        )
-        return MethodResult(
-            method=self.name,
-            transmitted_bytes=text_bytes,
-            breakdown=breakdown,
-            quality=self.lossless_quality(request),
-            extras={"prefill_flops": request.compute_model.prefill_flops(request.num_tokens)},
-        )
+
+    def outcome(
+        self, request: LoadRequest, process: LoadProcess
+    ) -> tuple[GenerationQuality, dict[str, Any]]:
+        return self.lossless_quality(request), {
+            "prefill_flops": request.compute_model.prefill_flops(request.num_tokens)
+        }

@@ -9,12 +9,36 @@ negligible.
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..core.kv_cache import KVCache
 from ..core.quantization import vectorwise_quantize
-from ..metrics.system import TTFTBreakdown
-from .base import ContextLoadingMethod, LoadRequest, MethodResult
+from ..llm.quality import GenerationQuality
+from ..serving.concurrent.processes import LoadProcess, LoadStage, StaticLoad
+from .base import ContextLoadingMethod, LoadRequest
 
-__all__ = ["UniformQuantizationBaseline"]
+__all__ = ["UniformQuantizationBaseline", "quantized_bytes", "quantize_dequantize"]
+
+
+def quantized_bytes(kv: KVCache, num_bits: int) -> float:
+    """Bytes of ``kv`` quantized to ``num_bits``, extrapolated to the full model."""
+    payload_bytes = kv.full_num_elements * num_bits / 8.0
+    # Per-(layer, channel) fp16 scales, extrapolated to the full model.
+    metadata_bytes = 2.0 * 2 * kv.full_layers * kv.full_channels
+    return payload_bytes + metadata_bytes
+
+
+def quantize_dequantize(kv: KVCache, num_bits: int) -> KVCache:
+    """The cache the receiver rescales out of ``kv`` quantized to ``num_bits``."""
+    q_k = vectorwise_quantize(kv.k, num_bits)
+    q_v = vectorwise_quantize(kv.v, num_bits)
+    return KVCache(
+        k=q_k.dequantize(),
+        v=q_v.dequantize(),
+        model_name=kv.model_name,
+        full_layers=kv.full_layers,
+        full_channels=kv.full_channels,
+    )
 
 
 class UniformQuantizationBaseline(ContextLoadingMethod):
@@ -33,37 +57,14 @@ class UniformQuantizationBaseline(ContextLoadingMethod):
         self.num_bits = num_bits
         self.name = f"quant-{num_bits}bit"
 
-    # ------------------------------------------------------------------ pieces
-    def quantized_cache(self, reference_kv: KVCache) -> tuple[KVCache, float]:
-        """Quantize/dequantize the cache; return the lossy cache and its bytes."""
-        q_k = vectorwise_quantize(reference_kv.k, self.num_bits)
-        q_v = vectorwise_quantize(reference_kv.v, self.num_bits)
-        lossy = KVCache(
-            k=q_k.dequantize(),
-            v=q_v.dequantize(),
-            model_name=reference_kv.model_name,
-            full_layers=reference_kv.full_layers,
-            full_channels=reference_kv.full_channels,
-        )
-        payload_bytes = reference_kv.full_num_elements * self.num_bits / 8.0
-        # Per-(layer, channel) fp16 scales, extrapolated to the full model.
-        metadata_bytes = 2.0 * 2 * reference_kv.full_layers * reference_kv.full_channels
-        return lossy, payload_bytes + metadata_bytes
+    def load(self, request: LoadRequest) -> StaticLoad:
+        num_bytes = quantized_bytes(request.reference_kv, self.num_bits)
+        return self.then_prompt(request, LoadStage(config="quant", num_bytes=num_bytes))
 
-    def evaluate(self, request: LoadRequest) -> MethodResult:
-        lossy, num_bytes = self.quantized_cache(request.reference_kv)
-        transfer = request.link.transfer(num_bytes * request.concurrency, 0.0)
+    def outcome(
+        self, request: LoadRequest, process: LoadProcess
+    ) -> tuple[GenerationQuality, dict[str, Any]]:
+        lossy = quantize_dequantize(request.reference_kv, self.num_bits)
         distortion = request.reference_kv.normalized_distortion_per_layer(lossy)
         quality = request.quality_model.score(task=request.task, layer_distortion=distortion)
-        breakdown = TTFTBreakdown(
-            network_s=transfer.duration,
-            decode_s=0.0,
-            compute_s=self.prompt_prefill_delay(request),
-        )
-        return MethodResult(
-            method=self.name,
-            transmitted_bytes=num_bytes,
-            breakdown=breakdown,
-            quality=quality,
-            extras={"bits_per_element": self.num_bits},
-        )
+        return quality, {"bits_per_element": self.num_bits}

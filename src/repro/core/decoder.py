@@ -9,7 +9,8 @@ the quantization error of the chosen encoding level.
 
 In the paper the decoder runs as CUDA kernels pipelined with the network
 transfer; the corresponding latency accounting lives in
-:class:`repro.llm.ComputeModel` and :mod:`repro.streaming.streamer`.
+:class:`repro.llm.ComputeModel` and the event engine's
+:class:`~repro.serving.concurrent.processes.ChunkedKVLoad`.
 """
 
 from __future__ import annotations

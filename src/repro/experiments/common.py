@@ -184,8 +184,6 @@ class Workbench:
         self,
         record: ContextRecord,
         link: NetworkLink | None = None,
-        gpu_share: float = 1.0,
-        concurrency: int = 1,
         slo_s: float | None = None,
     ) -> LoadRequest:
         """Build a :class:`LoadRequest` for one record."""
@@ -196,8 +194,6 @@ class Workbench:
             link=link or default_link(),
             compute_model=self.compute,
             quality_model=self.quality_model,
-            gpu_share=gpu_share,
-            concurrency=concurrency,
             slo_s=slo_s,
         )
 
@@ -206,22 +202,12 @@ class Workbench:
         method: ContextLoadingMethod,
         link: NetworkLink | None = None,
         records: Iterable[ContextRecord] | None = None,
-        gpu_share: float = 1.0,
-        concurrency: int = 1,
         slo_s: float | None = None,
     ) -> list[MethodResult]:
-        """Evaluate one method over all (or the given) records."""
+        """Evaluate one method over all (or the given) records, each load alone."""
         chosen = list(records) if records is not None else self.records
         return [
-            method.evaluate(
-                self.request_for(
-                    record,
-                    link=link,
-                    gpu_share=gpu_share,
-                    concurrency=concurrency,
-                    slo_s=slo_s,
-                )
-            )
+            method.evaluate(self.request_for(record, link=link, slo_s=slo_s))
             for record in chosen
         ]
 

@@ -7,20 +7,21 @@ are cheap.  The concurrency curve is served through the *unified serving API*:
 one :class:`~repro.serving.api.ServingSpec`, its backend, and ``n``
 identical requests arriving together — each request's TTFT
 (queueing + transfer + decode + compute) is read off the schedule; there is no
-static ``gpu_share`` parameter anywhere in this path.  The quantization
-baseline has no engine path, so its rows still run the raw event simulator
-with the same arrival pattern.  Right: the longer the context, the larger
-CacheGen's gain; below ~1K tokens CacheGen reverts to loading text, which is
-then the faster path.
+static GPU share anywhere in this path.  The quantization baseline has no
+engine path, so its rows stage ``n`` copies of the baseline's own
+:meth:`~repro.baselines.ContextLoadingMethod.load` on the raw event simulator
+with the same arrival pattern.  Right: each method's load alone on the same
+event engine; the longer the context, the larger CacheGen's gain; below ~1K
+tokens CacheGen reverts to loading text, which is then the faster path.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from ..baselines import UniformQuantizationBaseline
+from ..baselines import LoadRequest, UniformQuantizationBaseline
+from ..datasets.base import ContextRecord
 from ..serving.api import ServeRequest, ServingSpec, build_backend
-from ..serving.concurrent.processes import StaticLoad
 from ..serving.concurrent.simulator import ConcurrentLoadSimulator
 from .common import ExperimentResult, Workbench, default_link
 
@@ -75,12 +76,22 @@ def run_figure12_concurrency(
     question = "What does the context say?"
     prompt_tokens = max(engine.llm.tokenizer.count_tokens(question), 1)
 
-    # The quantization baseline has no engine path: size its payload from the
-    # same (deterministic) reference KV and play it through the raw event
-    # simulator.
+    # The quantization baseline has no engine path: stage the baseline's own
+    # load of the same (deterministic) context on the raw event simulator.
     quant_baseline = UniformQuantizationBaseline(8)
-    _, quant_bytes = quant_baseline.quantized_cache(
-        engine.llm.calculate_kv(_KV_CONTEXT, num_tokens)
+    quant_request = LoadRequest(
+        record=ContextRecord(
+            context_id=_KV_CONTEXT,
+            num_tokens=num_tokens,
+            prompt_tokens=prompt_tokens,
+            task="qa_accuracy",
+            question=question,
+        ),
+        llm=engine.llm,
+        reference_kv=engine.llm.calculate_kv(_KV_CONTEXT, num_tokens),
+        link=default_link(bandwidth_gbps),
+        compute_model=engine.compute_model,
+        quality_model=engine.llm.quality_model,
     )
 
     result = ExperimentResult(
@@ -103,21 +114,11 @@ def run_figure12_concurrency(
                 ttft_s=sum(r.ttft_s for r in responses) / n,
                 queueing_s=sum(r.queueing_s for r in responses) / n,
             )
-        link = default_link(bandwidth_gbps)
         simulator = ConcurrentLoadSimulator(
-            max_decode_batch=max_decode_batch,
-            initial_throughput_bps=link.trace.bandwidth_at(0.0),
-            gpu_workers=gpu_workers,
-            tracer=tracer,
+            max_decode_batch=max_decode_batch, gpu_workers=gpu_workers, tracer=tracer
         )
         for _ in range(n):
-            simulator.add_request(
-                0.0,
-                link,
-                StaticLoad.quant_load(
-                    quant_bytes, engine.compute_model, prompt_tokens=prompt_tokens
-                ),
-            )
+            quant_baseline.stage(simulator, quant_request)
         timelines = simulator.run()
         result.add_row(
             concurrent_requests=n,

@@ -10,7 +10,9 @@ ingested once, each trace swapped onto the engine's serving link.  The
 adaptive rows hand each query the SLO (the engine's SLO-aware adapter
 degrades encoding levels chunk by chunk); the no-adaptation rows stream the
 fixed default level and are judged against the same SLO afterwards.  The
-quantization baseline has no engine path and keeps its method harness.
+quantization baseline has no engine path and keeps its method harness, whose
+loads the same event engine times.  Every row holds the SLO to the loading
+delay: TTFT less the prompt prefill.
 """
 
 from __future__ import annotations
@@ -105,9 +107,7 @@ def run_figure13(
                 link = NetworkLink(trace)
                 if method_name == "quantization":
                     for outcome in workbench.evaluate(quant, link=link, slo_s=slo):
-                        delays.append(
-                            outcome.extras.get("loading_delay_s", outcome.ttft_s)
-                        )
+                        delays.append(outcome.loading_delay_s)
                         qualities.append(outcome.quality.value)
                 else:
                     adaptive = method_name == "cachegen"

@@ -8,7 +8,7 @@ quantized and uncompressed caches.
 
 from __future__ import annotations
 
-from ..baselines import UniformQuantizationBaseline
+from ..baselines.uniform_quant import quantized_bytes
 from ..streaming.chunking import prepare_chunks
 from .common import ExperimentResult, Workbench, default_link
 
@@ -73,8 +73,7 @@ def run_figure14(
     result.add_row(panel="offline_delay", method="cachegen", delay_s=encode_delay)
 
     # (d) storage cost of each representation.
-    quant = UniformQuantizationBaseline(8)
-    _, quant_bytes = quant.quantized_cache(reference)
+    quant_bytes = quantized_bytes(reference, 8)
     prepared = prepare_chunks(reference, workbench.encoder)
     per_level: dict[str, float] = {}
     for chunk in prepared:

@@ -62,17 +62,17 @@ class _StragglerCompute:
         self.base = base
         self.slowdown = slowdown
 
-    def prefill_delay(self, num_tokens: int, gpu_share: float = 1.0) -> float:
-        return self.base.prefill_delay(num_tokens, gpu_share) * self.slowdown
+    def prefill_delay(self, num_tokens: int) -> float:
+        return self.base.prefill_delay(num_tokens) * self.slowdown
 
-    def decode_delay(self, num_tokens: int, gpu_share: float = 1.0) -> float:
-        return self.base.decode_delay(num_tokens, gpu_share) * self.slowdown
+    def decode_delay(self, num_tokens: int) -> float:
+        return self.base.decode_delay(num_tokens) * self.slowdown
 
-    def encode_delay(self, num_tokens: int, gpu_share: float = 1.0) -> float:
-        return self.base.encode_delay(num_tokens, gpu_share) * self.slowdown
+    def encode_delay(self, num_tokens: int) -> float:
+        return self.base.encode_delay(num_tokens) * self.slowdown
 
-    def per_token_decode_delay(self, gpu_share: float = 1.0) -> float:
-        return self.base.per_token_decode_delay(gpu_share) * self.slowdown
+    def per_token_decode_delay(self) -> float:
+        return self.base.per_token_decode_delay() * self.slowdown
 
     def __getattr__(self, name):
         return getattr(self.base, name)

@@ -15,8 +15,8 @@ Calibration anchors:
 
 Prefill FLOPs follow the standard estimate ``2 * P * T`` for the MLP/attention
 projections plus the quadratic attention term; delay divides FLOPs by an
-effective throughput (peak throughput x utilisation), shared equally among
-concurrent requests.
+effective throughput (peak throughput x utilisation).  Every delay is that of
+one request alone on the GPU; contention is the event engine's business.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ class ComputeModel:
 
     Example
     -------
+    >>> from repro.llm.model_config import get_model_config
     >>> compute = ComputeModel(get_model_config("mistral-7b"))
     >>> compute.prefill_delay(num_tokens=9_600)  # seconds  # doctest: +SKIP
     """
@@ -108,41 +109,32 @@ class ComputeModel:
         return self.ENCODE_FLOPS_PER_ELEMENT * elements
 
     # ------------------------------------------------------------------ delays
-    def prefill_delay(self, num_tokens: int, gpu_share: float = 1.0) -> float:
-        """Seconds to prefill ``num_tokens`` given a fraction of the GPU.
+    def prefill_delay(self, num_tokens: int) -> float:
+        """Seconds to prefill ``num_tokens`` alone on the whole GPU.
 
-        ``gpu_share`` models concurrency: with ``n`` concurrent requests each
-        gets ``1/n`` of the GPU (§7.3, Figure 12 left).
+        Concurrent requests do not split this: their prefills queue on the
+        GPU of the event engine (:mod:`repro.serving.concurrent`), so sharing
+        shows up as queueing delay, not as a longer prefill.
         """
-        share = self._validate_share(gpu_share)
-        return self.prefill_flops(num_tokens) / (self.gpu.effective_flops * share)
+        return self.prefill_flops(num_tokens) / self.gpu.effective_flops
 
-    def decode_delay(self, num_tokens: int, gpu_share: float = 1.0) -> float:
+    def decode_delay(self, num_tokens: int) -> float:
         """Seconds for the GPU arithmetic decoder to decode ``num_tokens``."""
-        share = self._validate_share(gpu_share)
-        throughput = self.gpu.peak_tflops * 1e12 * self.CODEC_UTILIZATION * share
+        throughput = self.gpu.peak_tflops * 1e12 * self.CODEC_UTILIZATION
         return self.decode_flops(num_tokens) / throughput
 
-    def encode_delay(self, num_tokens: int, gpu_share: float = 1.0) -> float:
+    def encode_delay(self, num_tokens: int) -> float:
         """Seconds for the offline encoder to encode ``num_tokens``."""
-        share = self._validate_share(gpu_share)
-        throughput = self.gpu.peak_tflops * 1e12 * self.CODEC_UTILIZATION * share
+        throughput = self.gpu.peak_tflops * 1e12 * self.CODEC_UTILIZATION
         return self.encode_flops(num_tokens) / throughput
 
-    def per_token_decode_delay(self, gpu_share: float = 1.0) -> float:
+    def per_token_decode_delay(self) -> float:
         """Seconds to generate one output token (autoregressive decoding).
 
         Dominated by reading the model weights once per token; used only to
         model the marginal delay after the first token, which CacheGen does
         not change.
         """
-        share = self._validate_share(gpu_share)
         bytes_read = 2.0 * self.model.num_parameters
         memory_bandwidth = 600e9  # A40-class HBM bandwidth, bytes/s
-        return bytes_read / (memory_bandwidth * share)
-
-    @staticmethod
-    def _validate_share(gpu_share: float) -> float:
-        if not 0.0 < gpu_share <= 1.0:
-            raise ValueError("gpu_share must be in (0, 1]")
-        return gpu_share
+        return bytes_read / memory_bandwidth

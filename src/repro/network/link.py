@@ -1,7 +1,7 @@
 """A simulated network link between the KV storage server and the GPU server.
 
 The link integrates a :class:`~repro.network.bandwidth.BandwidthTrace` to
-answer the only question the streamer needs: *how long does it take to push N
+answer the only question a context load needs: *how long does it take to push N
 bytes starting at time t?*  It also reports the throughput actually achieved
 for a completed transfer, which is what CacheGen's adapter uses to estimate
 the bandwidth available to the next chunk (§5.3).
@@ -51,8 +51,9 @@ class NetworkLink:
 
     Example
     -------
+    >>> from repro.network.bandwidth import gbps
     >>> link = NetworkLink(ConstantTrace(gbps(3.0)))
-    >>> link.transfer(num_bytes=3e9 / 8).duration  # one second of payload
+    >>> round(link.transfer(num_bytes=3e9 / 8).duration, 9)  # one second of payload
     1.0
     """
 

@@ -200,6 +200,7 @@ class Driver:
 
     Example
     -------
+    >>> from repro.cluster.workload import WorkloadGenerator
     >>> spec = ServingSpec()
     >>> driver = Driver(spec, workload=WorkloadGenerator(num_contexts=20))
     >>> report = driver.run(num_requests=100)  # doctest: +SKIP

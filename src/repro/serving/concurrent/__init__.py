@@ -1,9 +1,9 @@
 """Event-driven concurrent serving: queueing at the GPU, batched decode.
 
-Every served request is played here, on a discrete-event simulation in which
-contention *emerges* (the method harness's lone-request
-:class:`~repro.streaming.streamer.KVStreamer` models concurrency as a static
-``1/n`` GPU share instead):
+Every served request, and every context load the method harness evaluates
+(:meth:`~repro.baselines.ContextLoadingMethod.evaluate`), is played here, on
+a discrete-event simulation in which contention *emerges* from shared links
+and a serialized GPU — there is no static GPU share anywhere:
 
 * :class:`SimClock` — deterministic event loop over simulated time;
 * :class:`LinkChannel` / :class:`GpuScheduler` — FIFO links and a serialized

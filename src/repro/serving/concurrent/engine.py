@@ -6,8 +6,7 @@
 and the GPU run queue of one
 :class:`~repro.serving.concurrent.simulator.ConcurrentLoadSimulator`.  Each
 response carries a :class:`~repro.metrics.system.QueueingTTFTBreakdown`, so
-TTFT under concurrency decomposes into queueing delay + transfer + compute
-instead of being scaled by a static GPU share.
+TTFT under concurrency decomposes into queueing delay + transfer + compute.
 
 Where a request is served from is the engine's decision
 (:meth:`~repro.serving.engine.ContextLoadingEngine.resolve`), taken in arrival
@@ -21,12 +20,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from ...metrics.system import QueueingTTFTBreakdown
 from ...storage.tiered import COLD
 from ...telemetry.trace import Tracer, emit_timeline_spans
 from ..api.types import ServeRequest, ServeResponse
 from .processes import TIER_CONFIG, ChunkedKVLoad, LoadStage, StaticLoad
-from .resources import DECODE, PREFILL
 from .simulator import ConcurrentLoadSimulator, RequestTimeline
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -201,21 +198,11 @@ def _respond(
     process: ChunkedKVLoad | StaticLoad,
     timeline: RequestTimeline,
 ) -> ServeResponse:
-    ttft = QueueingTTFTBreakdown(
-        network_s=timeline.transfer_s,
-        decode_s=sum(
-            stage.gpu_busy_s for stage in timeline.stages if stage.gpu_kind == DECODE
-        ),
-        compute_s=sum(
-            stage.gpu_busy_s for stage in timeline.stages if stage.gpu_kind == PREFILL
-        ),
-        queueing_s=timeline.queueing_s,
-    )
     return engine.respond(
         submission,
         resolution,
         process.configs if resolution.use_kv else ["text"],
-        ttft=ttft,
+        ttft=timeline.ttft,
         transmitted_bytes=timeline.served_bytes,
         arrival_s=timeline.arrival_s,
         finish_s=timeline.finish_s,

@@ -7,10 +7,10 @@ prefill).  The simulator asks the process for its next stage only when the
 previous one finished, passing the throughput measured on this request's own
 transfers and the number of requests currently in flight — so adaptive
 processes decide chunk by chunk against live, scheduler-derived contention.
-The method harness's :class:`~repro.streaming.streamer.KVStreamer` times a
-lone request with a static ``1/n`` share instead;
-``tests/serving/test_executor_agreement.py`` holds the two to the same
-per-chunk decisions.
+Every timed context load is one of these: the serving path builds them in
+:func:`~repro.serving.concurrent.engine.serve_batch`, and every
+:class:`~repro.baselines.ContextLoadingMethod` of the method harness
+describes its load as one (:meth:`~repro.baselines.ContextLoadingMethod.load`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from ...llm.compute_model import ComputeModel
 from ...network.link import NetworkLink
 from ...streaming.adaptation import AdaptationPolicy, StreamDecision, TEXT_CONFIG
 from ...streaming.chunking import PreparedChunk
-from ...streaming.streamer import materialise
 from .resources import DECODE, PREFILL
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "ChunkedKVLoad",
     "PROMPT_CONFIG",
     "TIER_CONFIG",
+    "materialise",
 ]
 
 #: Stage name of the final user-prompt prefill.
@@ -104,10 +104,10 @@ class LoadProcess(Protocol):
 
 
 class StaticLoad:
-    """A fixed stage list — the text and quantization baselines.
+    """A fixed stage list — the text path and every baseline method.
 
-    The text baseline is one stage (ship the text, prefill the context); the
-    uniform-quantization baseline is one transfer of the fixed-width tensors.
+    The text path is one stage (ship the text, prefill the context); a
+    baseline ships its representation and runs whatever GPU work it needs.
     A trailing prompt-prefill stage models the user's new question.
     """
 
@@ -125,6 +125,16 @@ class StaticLoad:
         return stage
 
     @staticmethod
+    def with_prompt(
+        stage: LoadStage, compute: ComputeModel, prompt_tokens: int = 0
+    ) -> "StaticLoad":
+        """``stage``, then the prefill of a ``prompt_tokens``-token question (none at 0)."""
+        stages = [stage]
+        if prompt_tokens > 0:
+            stages.append(_prompt_stage(compute, prompt_tokens))
+        return StaticLoad(stages)
+
+    @staticmethod
     def text_load(
         num_tokens: int,
         text_bytes: float,
@@ -132,27 +142,16 @@ class StaticLoad:
         prompt_tokens: int = 0,
     ) -> "StaticLoad":
         """Ship the context as text and prefill it (plus the prompt)."""
-        stages = [
+        return StaticLoad.with_prompt(
             LoadStage(
                 config=TEXT_CONFIG,
                 num_bytes=text_bytes,
                 gpu_kind=PREFILL,
                 gpu_s=compute.prefill_delay(num_tokens),
-            )
-        ]
-        if prompt_tokens > 0:
-            stages.append(_prompt_stage(compute, prompt_tokens))
-        return StaticLoad(stages)
-
-    @staticmethod
-    def quant_load(
-        num_bytes: float, compute: ComputeModel, prompt_tokens: int = 0
-    ) -> "StaticLoad":
-        """Ship uniformly quantized tensors (rescaling cost is negligible)."""
-        stages = [LoadStage(config="quant", num_bytes=num_bytes)]
-        if prompt_tokens > 0:
-            stages.append(_prompt_stage(compute, prompt_tokens))
-        return StaticLoad(stages)
+            ),
+            compute,
+            prompt_tokens,
+        )
 
 
 def _prompt_stage(compute: ComputeModel, prompt_tokens: int) -> LoadStage:
@@ -166,7 +165,9 @@ def _prompt_stage(compute: ComputeModel, prompt_tokens: int) -> LoadStage:
 class ChunkedKVLoad:
     """CacheGen's chunked KV streaming as a load process.
 
-    The §5.3 streaming loop of every served request: before
+    The §5.3 streaming loop of every KV load, served
+    (:func:`~repro.serving.concurrent.engine.serve_batch`) or evaluated
+    (:class:`~repro.baselines.CacheGenMethod`): before
     each chunk the adaptation policy picks a configuration from the measured
     throughput and the remaining SLO budget; KV chunks become transfer+decode
     stages, text fallbacks become transfer+prefill stages.  Decisions are
@@ -273,3 +274,20 @@ class ChunkedKVLoad:
     def materialise(self, decoder: CacheGenDecoder) -> KVCache:
         """The KV cache the model ends up with, given the decisions made."""
         return materialise(self.prepared, self.configs, decoder)
+
+
+def materialise(
+    chunks: Sequence[PreparedChunk], configs: Sequence[str], decoder: CacheGenDecoder
+) -> KVCache:
+    """The KV cache the model ends up with when ``chunks`` arrive as ``configs``."""
+    if len(configs) != len(chunks):
+        raise RuntimeError("cannot materialise an unfinished load")
+    return KVCache.concat(
+        [
+            # Recomputing from text reproduces the lossless KV slice.
+            chunk.chunk.kv
+            if config == TEXT_CONFIG
+            else decoder.decode(chunk.encodings[config])
+            for chunk, config in zip(chunks, configs)
+        ]
+    )

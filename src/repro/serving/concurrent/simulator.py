@@ -9,9 +9,10 @@ requests (one request's transfer runs while another's decode occupies the
 GPU), not within a request; the batched decode of co-located requests recoups
 what the strict per-request ordering gives up.
 
-This is the engine room shared by
-:func:`~repro.serving.concurrent.engine.serve_batch` and the Figure 12
-concurrency experiment.
+This is the one timing loop of the repository: every served request
+(:func:`~repro.serving.concurrent.engine.serve_batch`) and every context
+load the method harness evaluates
+(:meth:`~repro.baselines.ContextLoadingMethod.evaluate`) is played here.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Deque
 
+from ...metrics.system import QueueingTTFTBreakdown
 from ...network.link import NetworkLink, TransferResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -28,8 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from ..fleet.dispatch import DispatchPolicy
     from ..fleet.pool import GpuWorkerPool
 from .events import SimClock
-from .processes import TIER_CONFIG, LoadProcess, LoadStage
-from .resources import GpuScheduler, GpuTask, LinkChannel
+from .processes import PROMPT_CONFIG, TIER_CONFIG, LoadProcess, LoadStage
+from .resources import DECODE, PREFILL, GpuScheduler, GpuTask, LinkChannel
 
 __all__ = ["StageRecord", "RequestTimeline", "ConcurrentLoadSimulator"]
 
@@ -117,6 +119,28 @@ class RequestTimeline:
     def configs(self) -> list[str]:
         return [stage.config for stage in self.stages]
 
+    @property
+    def ttft(self) -> QueueingTTFTBreakdown:
+        """TTFT split into transfer, decode busy, prefill busy and queueing time."""
+        return QueueingTTFTBreakdown(
+            network_s=self.transfer_s,
+            decode_s=sum(
+                stage.gpu_busy_s for stage in self.stages if stage.gpu_kind == DECODE
+            ),
+            compute_s=sum(
+                stage.gpu_busy_s for stage in self.stages if stage.gpu_kind == PREFILL
+            ),
+            queueing_s=self.queueing_s,
+        )
+
+    @property
+    def loading_s(self) -> float:
+        """Time until the context was loaded: TTFT less the user-prompt stage."""
+        for stage in self.stages:
+            if stage.config == PROMPT_CONFIG:
+                return stage.enqueued_s - self.arrival_s
+        return self.total_s
+
 
 class _RequestState:
     """Mutable per-request bookkeeping while the simulation runs."""
@@ -150,7 +174,7 @@ class ConcurrentLoadSimulator:
         admitted FIFO as earlier requests finish (``None`` means unbounded).
     initial_throughput_bps:
         Throughput assumed for a request's first chunk, before it has measured
-        anything (same role as in the single-request streamer).
+        anything.
     gpu_workers:
         GPU workers behind the compute stage.  The default of 1 (with the
         default dispatch and no autoscale) runs the original single

@@ -55,10 +55,10 @@ from ..network.link import NetworkLink
 from ..storage.eviction import EvictionPolicy, make_policy
 from ..storage.kv_store import KVCacheStore, StoredContext
 from ..storage.tiered import DiskKVStore, PlacementPolicy, TieredKVStore
-from ..streaming.adaptation import AdaptationPolicy, FixedLevelPolicy, SLOAwareAdapter
-from ..streaming.streamer import materialise
+from ..streaming.adaptation import AdaptationPolicy, choose_policy
 from .api.types import ServeRequest, ServeResponse
 from .concurrent.engine import serve_batch
+from .concurrent.processes import materialise
 from .concurrent.simulator import ConcurrentLoadSimulator
 from .pipeline import IngestReport
 
@@ -541,11 +541,12 @@ class ContextLoadingEngine:
         """The one policy choice of a KV read: pinned, SLO-aware, or default level."""
         # A degraded read pins the (cheaper) level the resilience layer chose
         # — adaptation would climb back to the level that just timed out.
-        if level_override is not None:
-            return FixedLevelPolicy(level_name=level_override)
-        if slo_s is not None:
-            return SLOAwareAdapter(level_names=[level.name for level in self.config.levels])
-        return FixedLevelPolicy(level_name=self.config.default_level.name)
+        return choose_policy(
+            [level.name for level in self.config.levels],
+            slo_s,
+            fixed_level=level_override or self.config.default_level.name,
+            adaptive=level_override is None,
+        )
 
     def prompt_tokens(self, question: str) -> int:
         return max(self._parts.llm.tokenizer.count_tokens(question), 1)

@@ -1,4 +1,8 @@
-"""KV cache streaming: chunking, bandwidth adaptation, and the streamer."""
+"""KV cache streaming: chunking and bandwidth adaptation.
+
+The loop that streams the chunks is the event engine's
+:class:`~repro.serving.concurrent.processes.ChunkedKVLoad`.
+"""
 
 from .adaptation import (
     TEXT_CONFIG,
@@ -6,21 +10,19 @@ from .adaptation import (
     FixedLevelPolicy,
     SLOAwareAdapter,
     StreamDecision,
+    choose_policy,
 )
 from .chunking import ContextChunk, PreparedChunk, prepare_chunks, split_context
-from .streamer import KVStreamer, StreamedChunk, StreamingResult
 
 __all__ = [
     "AdaptationPolicy",
     "ContextChunk",
     "FixedLevelPolicy",
-    "KVStreamer",
     "PreparedChunk",
     "SLOAwareAdapter",
     "StreamDecision",
-    "StreamedChunk",
-    "StreamingResult",
     "TEXT_CONFIG",
+    "choose_policy",
     "prepare_chunks",
     "split_context",
 ]

@@ -1,4 +1,4 @@
-"""The KV streamer's bandwidth-adaptation logic (Algorithm 1, §5.3 / §C.1).
+"""CacheGen's bandwidth-adaptation logic (Algorithm 1, §5.3 / §C.1).
 
 Before sending each context chunk, the adapter estimates the available
 throughput from the previous chunk's measured throughput, computes the time
@@ -22,7 +22,14 @@ from typing import Protocol, Sequence
 
 from .chunking import PreparedChunk
 
-__all__ = ["StreamDecision", "AdaptationPolicy", "SLOAwareAdapter", "FixedLevelPolicy", "TEXT_CONFIG"]
+__all__ = [
+    "StreamDecision",
+    "AdaptationPolicy",
+    "SLOAwareAdapter",
+    "FixedLevelPolicy",
+    "TEXT_CONFIG",
+    "choose_policy",
+]
 
 #: Sentinel configuration name for the text / recompute fallback.
 TEXT_CONFIG = "text"
@@ -175,3 +182,17 @@ class SLOAwareAdapter:
                 config=TEXT_CONFIG, expected_delay_s=per_chunk_recompute, feasible=False
             )
         return fallback
+
+
+def choose_policy(
+    level_names: Sequence[str], slo_s: float | None, fixed_level: str, adaptive: bool = True
+) -> AdaptationPolicy:
+    """The policy of one KV load: SLO-aware when adapting against an SLO, else ``fixed_level``.
+
+    Adaptation only has a deadline to work against when an SLO is set
+    (Figures 7 and 13); without one every chunk streams at ``fixed_level``,
+    the paper's default encoding level in its headline results.
+    """
+    if adaptive and slo_s is not None:
+        return SLOAwareAdapter(level_names=list(level_names))
+    return FixedLevelPolicy(level_name=fixed_level)

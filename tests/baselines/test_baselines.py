@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from repro.baselines import (
     UniformQuantizationBaseline,
 )
 from repro.datasets.base import ContextRecord
+from repro.llm import ComputeModel
 from repro.network import ConstantTrace, NetworkLink, gbps
+from repro.serving.concurrent import ConcurrentLoadSimulator
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +109,7 @@ class TestCacheGenMethod:
     def test_extras_report_configs(self, request_, cachegen):
         result = cachegen.evaluate(request_)
         assert len(result.extras["configs"]) >= 1
-        assert result.extras["loading_delay_s"] > 0
+        assert result.loading_delay_s > 0
 
     def test_static_variant_uses_fixed_level(self, encoder, request_):
         static = CacheGenMethod(encoder, adaptive=False, fixed_level="low")
@@ -200,21 +204,62 @@ class TestIntrusiveBaselines:
         assert result.quality.value <= 0.5 + 1e-6
 
 
-class TestConcurrencyAndSharing:
-    def test_concurrency_slows_every_method(self, record, llm, kv, compute_model, quality_model, encoder):
-        def build(concurrency, gpu_share):
-            return LoadRequest(
-                record=record,
-                llm=llm,
-                reference_kv=kv,
-                link=NetworkLink(ConstantTrace(gbps(3))),
-                compute_model=compute_model,
-                quality_model=quality_model,
-                gpu_share=gpu_share,
-                concurrency=concurrency,
-            )
+def _every_method(encoder) -> list:
+    """Every method of ``Workbench.standard_methods()`` and every other baseline."""
+    return [
+        TextContextBaseline(),
+        UniformQuantizationBaseline(8),
+        CacheGenMethod(encoder),
+        H2OBaseline(),
+        ScissorhandsBaseline(),
+        LLMLinguaBaseline(),
+        GistingBaseline(),
+        SmallerModelBaseline(),
+        CacheGenOnCompressionBaseline(H2OBaseline(), encoder),
+    ]
 
+
+class TestLoadingDelay:
+    def test_loading_delay_is_ttft_less_the_prompt_prefill(self, request_, encoder):
+        """Every method's loading delay leaves out the same thing: the prompt prefill."""
+        prompt_tokens = request_.record.prompt_tokens
+        for method in _every_method(encoder):
+            compute = (
+                ComputeModel(method.small_model, request_.compute_model.gpu)
+                if isinstance(method, SmallerModelBaseline)
+                else request_.compute_model
+            )
+            result = method.evaluate(request_)
+            assert result.ttft_s - result.loading_delay_s == pytest.approx(
+                compute.prefill_delay(prompt_tokens), rel=1e-9
+            ), method.name
+            assert 0.0 < result.loading_delay_s < result.ttft_s, method.name
+
+    def test_a_lone_load_never_queues(self, request_, encoder):
+        for method in _every_method(encoder):
+            assert method.evaluate(request_).breakdown.queueing_s == pytest.approx(
+                0.0, abs=1e-12
+            ), method.name
+
+
+class TestConcurrencyAndSharing:
+    """Figure 19's staging: n copies of a load, each on its own link, one GPU."""
+
+    @staticmethod
+    def mean_ttft(method, request_, n: int) -> float:
+        simulator = ConcurrentLoadSimulator()
+        for _ in range(n):
+            method.stage(simulator, replace(request_, link=NetworkLink(ConstantTrace(gbps(3)))))
+        timelines = simulator.run()
+        assert len({id(simulator.channels[key].link) for key in simulator.channels}) == n
+        return sum(timeline.ttft.total_s for timeline in timelines) / n
+
+    def test_one_staged_load_is_the_lone_evaluation(self, request_, encoder):
         for method in (TextContextBaseline(), UniformQuantizationBaseline(8), CacheGenMethod(encoder)):
-            single = method.evaluate(build(1, 1.0)).ttft_s
-            loaded = method.evaluate(build(4, 0.25)).ttft_s
-            assert loaded > single
+            assert self.mean_ttft(method, request_, 1) == method.evaluate(request_).ttft_s
+
+    def test_concurrency_slows_every_method(self, request_, encoder):
+        for method in _every_method(encoder):
+            single = self.mean_ttft(method, request_, 1)
+            loaded = self.mean_ttft(method, request_, 4)
+            assert loaded > single, method.name

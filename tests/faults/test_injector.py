@@ -145,9 +145,11 @@ class TestComponentSwaps:
         proxy = backend.engine._parts.compute
         assert proxy is not base
         assert proxy.decode_delay(64) == pytest.approx(base.decode_delay(64) * 4.0)
-        # The proxy must mirror the full ComputeModel signature (gpu_share).
-        assert proxy.prefill_delay(64, gpu_share=0.5) == pytest.approx(
-            base.prefill_delay(64, gpu_share=0.5) * 4.0
+        # The proxy must scale every modeled delay of the ComputeModel.
+        assert proxy.prefill_delay(64) == pytest.approx(base.prefill_delay(64) * 4.0)
+        assert proxy.encode_delay(64) == pytest.approx(base.encode_delay(64) * 4.0)
+        assert proxy.per_token_decode_delay() == pytest.approx(
+            base.per_token_decode_delay() * 4.0
         )
         injector.apply_due(2.0)
         assert backend.engine._parts.compute is base

@@ -36,15 +36,10 @@ class TestDelays:
         """Calibration anchor from the paper's introduction."""
         assert 1.0 < compute_model.prefill_delay(3_000) < 3.5
 
-    def test_gpu_share_scales_delay(self, compute_model):
-        full = compute_model.prefill_delay(5_000, gpu_share=1.0)
-        half = compute_model.prefill_delay(5_000, gpu_share=0.5)
-        assert half == pytest.approx(2 * full)
-
-    @pytest.mark.parametrize("share", [0.0, -0.5, 1.5])
-    def test_invalid_share(self, compute_model, share):
-        with pytest.raises(ValueError):
-            compute_model.prefill_delay(100, gpu_share=share)
+    def test_prefill_is_its_flops_at_the_effective_throughput(self, compute_model):
+        assert compute_model.prefill_delay(5_000) == pytest.approx(
+            compute_model.prefill_flops(5_000) / compute_model.gpu.effective_flops
+        )
 
     def test_decode_much_faster_than_prefill(self, compute_model):
         assert compute_model.decode_delay(9_400) < 0.2 * compute_model.prefill_delay(9_400)

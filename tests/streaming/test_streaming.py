@@ -1,15 +1,18 @@
-"""Tests for chunking, adaptation and the KV streamer."""
+"""Tests for chunking, adaptation and CacheGen's chunked KV load."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines import CacheGenMethod, LoadRequest
+from repro.datasets.base import ContextRecord
 from repro.network import ConstantTrace, NetworkLink, StepTrace, gbps
+from repro.serving.concurrent import ChunkedKVLoad, ConcurrentLoadSimulator
 from repro.streaming import (
     TEXT_CONFIG,
     FixedLevelPolicy,
-    KVStreamer,
     SLOAwareAdapter,
+    choose_policy,
     prepare_chunks,
     split_context,
 )
@@ -18,11 +21,6 @@ from repro.streaming import (
 @pytest.fixture(scope="module")
 def prepared(encoder, kv):
     return prepare_chunks(kv, encoder)
-
-
-@pytest.fixture(scope="module")
-def streamer(decoder, compute_model):
-    return KVStreamer(decoder, compute_model, initial_throughput_bps=gbps(3))
 
 
 @pytest.fixture()
@@ -98,6 +96,16 @@ class TestAdaptation:
         with pytest.raises(ValueError):
             adapter.decide([], throughput_bps=1.0, remaining_time_s=1.0, recompute_time_s=1.0)
 
+    @pytest.mark.parametrize(
+        "slo_s, adaptive, expected",
+        [(1.0, True, SLOAwareAdapter), (None, True, FixedLevelPolicy), (1.0, False, FixedLevelPolicy)],
+    )
+    def test_one_policy_choice(self, slo_s, adaptive, expected):
+        policy = choose_policy(["high", "low"], slo_s, "low", adaptive=adaptive)
+        assert type(policy) is expected
+        if expected is FixedLevelPolicy:
+            assert policy.level_name == "low"
+
     def test_fixed_policy_always_same_level(self, prepared):
         policy = FixedLevelPolicy("low")
         decision = policy.decide(
@@ -106,56 +114,88 @@ class TestAdaptation:
         assert decision.config == "low"
 
 
-class TestStreamer:
-    def test_stream_reconstructs_all_tokens(self, streamer, prepared, kv, fast_link):
-        result = streamer.stream(prepared, fast_link, FixedLevelPolicy("medium"))
-        assert result.kv is not None
-        assert result.kv.num_tokens == kv.num_tokens
-        assert len(result.chunks) == len(prepared)
+class TestChunkedLoad:
+    """CacheGen's chunked KV load, evaluated alone on the event engine."""
 
-    def test_reconstruction_close_to_reference(self, streamer, prepared, kv, fast_link):
-        result = streamer.stream(prepared, fast_link, FixedLevelPolicy("medium"))
-        distortion = kv.normalized_distortion_per_layer(result.kv)
+    @pytest.fixture(scope="class")
+    def load_request(self, llm, kv, compute_model, quality_model):
+        def build(link: NetworkLink, slo_s: float | None = None) -> LoadRequest:
+            record = ContextRecord(
+                context_id="test-context",
+                num_tokens=kv.num_tokens,
+                prompt_tokens=32,
+                task="qa_accuracy",
+                question="What was the first topic?",
+            )
+            return LoadRequest(
+                record=record,
+                llm=llm,
+                reference_kv=kv,
+                link=link,
+                compute_model=compute_model,
+                quality_model=quality_model,
+                slo_s=slo_s,
+            )
+
+        return build
+
+    @pytest.fixture(scope="class")
+    def medium(self, encoder):
+        return CacheGenMethod(encoder, adaptive=False, fixed_level="medium")
+
+    @staticmethod
+    def played(method: CacheGenMethod, request: LoadRequest) -> ChunkedKVLoad:
+        """``method``'s load of ``request``, after it ran alone on the event engine."""
+        simulator = ConcurrentLoadSimulator()
+        process = method.stage(simulator, request)
+        simulator.run()
+        return process
+
+    def test_load_reconstructs_all_tokens(self, medium, load_request, prepared, kv, decoder, fast_link):
+        process = self.played(medium, load_request(fast_link))
+        assert process.configs == ["medium"] * len(prepared)
+        assert process.materialise(decoder).num_tokens == kv.num_tokens
+
+    def test_reconstruction_close_to_reference(self, medium, load_request, kv, decoder, fast_link):
+        process = self.played(medium, load_request(fast_link))
+        distortion = kv.normalized_distortion_per_layer(process.materialise(decoder))
         assert float(distortion.mean()) < 0.1
 
-    def test_total_time_positive_and_ordered(self, streamer, prepared, fast_link):
-        result = streamer.stream(prepared, fast_link, FixedLevelPolicy("medium"))
-        assert result.total_time_s >= result.network_time_s > 0
+    def test_loading_delay_positive_and_ordered(self, medium, load_request, fast_link):
+        result = medium.evaluate(load_request(fast_link))
+        assert result.loading_delay_s >= result.breakdown.network_s > 0
 
-    def test_slower_link_longer_delay(self, streamer, prepared):
-        fast = streamer.stream(prepared, NetworkLink(ConstantTrace(gbps(10))), FixedLevelPolicy("medium"))
-        slow = streamer.stream(prepared, NetworkLink(ConstantTrace(gbps(0.5))), FixedLevelPolicy("medium"))
-        assert slow.total_time_s > fast.total_time_s
+    def test_slower_link_longer_delay(self, medium, load_request):
+        fast = medium.evaluate(load_request(NetworkLink(ConstantTrace(gbps(10)))))
+        slow = medium.evaluate(load_request(NetworkLink(ConstantTrace(gbps(0.5)))))
+        assert slow.loading_delay_s > fast.loading_delay_s
 
-    def test_slo_violation_flag(self, streamer, prepared):
-        slow_link = NetworkLink(ConstantTrace(gbps(0.05)))
-        result = streamer.stream(prepared, slow_link, FixedLevelPolicy("high"), slo_s=0.05)
-        assert result.slo_violated
+    def test_slo_violation_flag(self, encoder, load_request):
+        high = CacheGenMethod(encoder, adaptive=False, fixed_level="high")
+        result = high.evaluate(load_request(NetworkLink(ConstantTrace(gbps(0.05))), slo_s=0.05))
+        assert result.loading_delay_s > 0.05
 
-    def test_adaptive_switches_under_bandwidth_drop(self, streamer, prepared, adapter):
+    def test_adaptive_switches_under_bandwidth_drop(self, encoder, load_request):
         """Under a severe, lasting drop the adapter changes configuration."""
         trace = StepTrace(gbps(3), gbps(0.01), gbps(0.01), drop_at_s=0.02, recover_at_s=60.0)
-        result = streamer.stream(prepared, NetworkLink(trace), adapter, slo_s=0.2)
-        assert len(set(result.configs)) > 1
+        result = CacheGenMethod(encoder).evaluate(load_request(NetworkLink(trace), slo_s=0.2))
+        assert len(set(result.extras["configs"])) > 1
 
-    def test_adaptive_meets_slo_better_than_static(self, streamer, prepared, adapter):
+    def test_adaptive_meets_slo_better_than_static(self, encoder, load_request):
         """Adaptation beats streaming the highest level through an outage."""
         trace = StepTrace(gbps(3), gbps(0.01), gbps(0.01), drop_at_s=0.02, recover_at_s=60.0)
-        adaptive = streamer.stream(prepared, NetworkLink(trace), adapter, slo_s=0.2)
-        static = streamer.stream(
-            prepared, NetworkLink(trace), FixedLevelPolicy("high"), slo_s=0.2
-        )
-        assert adaptive.total_time_s < static.total_time_s
+        request = load_request(NetworkLink(trace), slo_s=0.2)
+        adaptive = CacheGenMethod(encoder).evaluate(request)
+        static = CacheGenMethod(encoder, adaptive=False, fixed_level="high").evaluate(request)
+        assert adaptive.loading_delay_s < static.loading_delay_s
 
-    def test_empty_chunks_rejected(self, streamer, fast_link, adapter):
+    def test_empty_chunks_rejected(self, adapter, compute_model):
         with pytest.raises(ValueError):
-            streamer.stream([], fast_link, adapter)
+            ChunkedKVLoad([], adapter, compute_model)
 
-    def test_text_chunks_are_lossless(self, decoder, compute_model, prepared, kv):
-        streamer = KVStreamer(decoder, compute_model, initial_throughput_bps=gbps(0.001))
+    def test_text_chunks_are_lossless(self, encoder, load_request, kv, decoder):
         link = NetworkLink(ConstantTrace(gbps(0.001)))
-        adapter = SLOAwareAdapter(level_names=["high", "medium", "low", "lowest"])
-        result = streamer.stream(prepared, link, adapter, slo_s=60.0)
-        assert all(config == TEXT_CONFIG for config in result.configs)
-        distortion = kv.normalized_distortion_per_layer(result.kv)
+        process = self.played(CacheGenMethod(encoder), load_request(link, slo_s=60.0))
+        assert all(config == TEXT_CONFIG for config in process.configs)
+        distortion = kv.normalized_distortion_per_layer(process.materialise(decoder))
         assert float(distortion.mean()) == pytest.approx(0.0, abs=1e-9)
