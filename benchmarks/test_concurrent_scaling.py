@@ -9,21 +9,16 @@ share to hide behind), and the TTFT decomposition must stay exact.
 
 from __future__ import annotations
 
-from repro.core import CacheGenConfig
 from repro.serving import ServeRequest
-from repro.serving.api import Backend, ServingSpec
-from repro.serving.engine import ContextLoadingEngine
+from repro.serving.api import ServingSpec, build_backend
 
 CONCURRENCY_LEVELS = (1, 2, 4, 8)
 NUM_TOKENS = 3_000
 
 
 def _run_scaling() -> dict[int, list]:
-    engine = ContextLoadingEngine(
-        "mistral-7b", config=CacheGenConfig(chunk_tokens=512)
-    )
-    concurrent = Backend(ServingSpec(max_decode_batch=16), engine=engine)
-    engine.ingest("ctx", NUM_TOKENS)
+    concurrent = build_backend(ServingSpec(chunk_tokens=512, max_decode_batch=16))
+    concurrent.ingest("ctx", NUM_TOKENS)
     responses = {}
     for n in CONCURRENCY_LEVELS:
         for _ in range(n):

@@ -129,8 +129,6 @@ class ShardedKVStore:
         The cluster's storage nodes.  Node ids must be unique.
     replication_factor:
         Number of replicas per context (capped at the node count).
-    vnodes:
-        Virtual points per node on the placement ring.
     """
 
     def __init__(
@@ -138,7 +136,6 @@ class ShardedKVStore:
         encoder: CacheGenEncoder,
         nodes: Sequence[StorageNode],
         replication_factor: int = 2,
-        vnodes: int = 64,
     ) -> None:
         if not nodes:
             raise ValueError("a cluster needs at least one storage node")
@@ -150,7 +147,7 @@ class ShardedKVStore:
         self.encoder = encoder
         self.replication_factor = replication_factor
         self._nodes: dict[str, StorageNode] = {node.node_id: node for node in nodes}
-        self.ring = ConsistentHashRing(ids, vnodes=vnodes)
+        self.ring = ConsistentHashRing(ids)
         #: Context lengths ever ingested — survives eviction so the frontend
         #: can fall back to the text path without being told the length again.
         self._catalogue: dict[str, int] = {}

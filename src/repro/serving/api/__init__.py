@@ -6,8 +6,8 @@ This package is the single public serving surface of the repo:
   (model, codec levels, store topology single/tiered/cluster, node count,
   replication, tier sizes, links, batching, admission, GPU fleet);
 * :class:`Backend` — ``ingest`` / ``submit`` / ``run`` / ``report`` over the
-  engine :func:`build_engine` builds for the spec's topology, every run
-  played on the event simulation, speaking
+  one engine built from the spec (``Backend(spec)``, or
+  :func:`build_backend`), every run played on the event simulation, speaking
   :class:`ServeRequest` / :class:`ServeResponse` / :class:`RunReport`;
 * :func:`profile_codec` — the offline codec profile a backend is built
   around, taken once per model and process and shared by every backend
@@ -17,9 +17,9 @@ This package is the single public serving surface of the repo:
   interleaved with queries, pluggable admission/shedding) through any
   backend.
 
-``backends`` and ``driver`` are loaded lazily (PEP 562): the engines they
-build import :mod:`.types` themselves, so the eager surface of this package
-must stay limited to the leaf modules.
+``backends`` and ``driver`` are loaded lazily (PEP 562): the engine they
+build imports :mod:`.spec` and :mod:`.types` itself, so the eager surface of
+this package must stay limited to those leaf modules.
 """
 
 from __future__ import annotations
@@ -41,14 +41,12 @@ __all__ = [
     "ServingSpec",
     "TokenBucketAdmission",
     "build_backend",
-    "build_engine",
     "profile_codec",
     "serve",
 ]
 
 _LAZY = {
     "Backend": ".backends",
-    "build_engine": ".backends",
     "build_backend": ".backends",
     "profile_codec": "..engine",
     "AdmissionPolicy": ".driver",

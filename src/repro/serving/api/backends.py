@@ -6,10 +6,11 @@ running serving stack and speaks the unified request/response shapes
 :class:`~repro.serving.api.types.ServeResponse` objects with one schema).  It
 has two parts:
 
-* the **engine** (:func:`build_engine`) owns the store topology — one
-  :class:`~repro.serving.engine.ContextLoadingEngine` over a sharded,
-  replicated, optionally tiered store of one or more nodes — and with it
-  routing (``resolve``) and every state tap (``cluster``, ``stores``,
+* the **engine** — the one
+  :class:`~repro.serving.engine.ContextLoadingEngine` built from the spec,
+  here and nowhere else — owns the store topology (a sharded, replicated,
+  optionally tiered store of one or more nodes) and with it routing
+  (``resolve``) and every state tap (``cluster``, ``stores``,
   ``tier_counters``);
 * the **executor** is :func:`~repro.serving.concurrent.engine.serve_batch`:
   every :meth:`Backend.run` plays its staged requests on one event
@@ -24,8 +25,6 @@ from typing import Sequence
 from ...core.encoder import FittedCodec
 from ...faults.resilience import ResilienceManager
 from ...metrics.cluster import TierState
-from ...network.bandwidth import ConstantTrace, gbps
-from ...network.link import NetworkLink
 from ...telemetry.slo import AlertEngine, SLOObjective
 from ...telemetry.timeseries import TimeSeriesRecorder, auto_window_s
 from ...telemetry.trace import Tracer
@@ -36,49 +35,7 @@ from ..pipeline import IngestReport
 from .spec import ServingSpec
 from .types import RunReport, ServeRequest, ServeResponse
 
-__all__ = ["Backend", "build_engine", "build_backend"]
-
-
-def _constant_link(bandwidth_gbps: float) -> NetworkLink:
-    return NetworkLink(ConstantTrace(gbps(bandwidth_gbps)))
-
-
-def build_engine(spec: ServingSpec, codec: FittedCodec | None = None) -> ContextLoadingEngine:
-    """The engine a spec declares; its single topology is one node on the serving link.
-
-    ``codec`` is the offline profile to encode with; omitted, the engine
-    takes the one :func:`~repro.serving.engine.profile_codec` keeps for the
-    spec's model and codec configuration, so every engine of one model in a
-    process shares a single profile.
-    """
-    if spec.topology == "single":
-        # Text fallbacks and KV reads share the one serving link.
-        link = spec.link or _constant_link(spec.bandwidth_gbps)
-        node_links = None
-    else:
-        link = (
-            _constant_link(spec.text_bandwidth_gbps)
-            if spec.text_bandwidth_gbps is not None
-            else None
-        )
-        speeds = spec.node_bandwidths_gbps or (spec.bandwidth_gbps,) * spec.num_nodes
-        node_links = [_constant_link(speed) for speed in speeds]
-    return ContextLoadingEngine(
-        spec.model,
-        link,
-        config=spec.resolved_config(),
-        gpu=spec.gpu,
-        base_quality=dict(spec.base_quality) if spec.base_quality is not None else None,
-        node_links=node_links,
-        replication_factor=spec.replication,
-        max_bytes_per_node=spec.max_bytes_per_node,
-        eviction_policy=spec.eviction_policy,
-        cold_bytes_per_node=spec.cold_bytes_per_node,
-        # Read only by nodes that have a cold tier.
-        tier_links=[_constant_link(spec.tier_bandwidth_gbps) for _ in range(spec.num_nodes)],
-        placement=spec.placement,
-        codec=codec,
-    )
+__all__ = ["Backend", "build_backend"]
 
 
 class Backend:
@@ -87,15 +44,19 @@ class Backend:
     Parameters
     ----------
     spec:
-        The deployment; the event executor's settings (batching, admission,
-        GPU fleet) are read from it at every :meth:`run`.
-    engine:
-        The engine to serve through; built from ``spec`` when omitted.
+        The deployment: the engine is built from it, and the event
+        executor's settings (batching, admission, GPU fleet) are read from it
+        at every :meth:`run`.
+    codec:
+        The offline profile to encode with; omitted, the engine takes the
+        one :func:`~repro.serving.engine.profile_codec` keeps for the spec's
+        model and codec configuration, so every engine of one model in a
+        process shares a single profile.
     """
 
-    def __init__(self, spec: ServingSpec, engine: ContextLoadingEngine | None = None) -> None:
+    def __init__(self, spec: ServingSpec, codec: FittedCodec | None = None) -> None:
         self.spec = spec
-        self.engine = engine if engine is not None else build_engine(spec)
+        self.engine = ContextLoadingEngine(spec, codec)
         self.tracer: Tracer | None = None
         self.simcheck = None
         #: SimClock factory of the event executor's simulators; the simcheck
@@ -135,17 +96,6 @@ class Backend:
             self.clock_factory = None
         self.simcheck = monitor
 
-    # ---------------------------------------------------------------- topology
-    def mark_down(self, node_id: str) -> None:
-        self.engine.cluster.mark_down(node_id)
-
-    def mark_up(self, node_id: str) -> None:
-        self.engine.cluster.mark_up(node_id)
-
-    def replicas_for(self, context_id: str) -> list[str]:
-        """Node ids holding replicas of a context."""
-        return list(self.engine.cluster.replicas_for(context_id))
-
     # ------------------------------------------------------------------- serve
     def ingest(self, context_id: str, num_tokens: int) -> IngestReport:
         """Prefill + encode + store a context (offline path, not simulated)."""
@@ -175,14 +125,10 @@ class Backend:
         return serve_batch(self.engine, staged, sim)
 
     # ------------------------------------------------------------------ report
-    def total_evictions(self) -> int:
-        return self.engine.cluster.total_evictions()
-
     def report(
         self,
         responses: Sequence[ServeResponse],
         *,
-        slo_s: float | None = None,
         shed: int = 0,
         hard_failures: int = 0,
         ingests: int = 0,
@@ -203,13 +149,13 @@ class Backend:
         report = RunReport.from_responses(
             responses,
             spec=self.spec,
-            slo_s=slo_s if slo_s is not None else self.spec.slo_s,
+            slo_s=self.spec.slo_s,
             shed=shed,
             hard_failures=hard_failures,
             ingests=ingests,
             failed_ingests=failed_ingests,
             replication_bytes=replication_bytes,
-            total_evictions=self.total_evictions() - evictions_before,
+            total_evictions=engine.cluster.total_evictions() - evictions_before,
             tier=TierState(
                 demotions=tier_now.demotions - before.demotions,
                 promotions=tier_now.promotions - before.promotions,
@@ -250,4 +196,4 @@ def build_backend(spec: ServingSpec, *, codec: FittedCodec | None = None) -> Bac
     >>> len(backend.engine.stores())
     4
     """
-    return Backend(spec, build_engine(spec, codec))
+    return Backend(spec, codec)

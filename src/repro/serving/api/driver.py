@@ -287,7 +287,8 @@ class Driver:
         tracer = self.tracer
         monitor = self._simcheck_monitor()
         backend.attach_simcheck(monitor)
-        evictions_before = backend.total_evictions()
+        cluster = backend.engine.cluster
+        evictions_before = cluster.total_evictions()
         tier_before = backend.engine.tier_counters()
         # Under capacity pressure an ingest can evict a context a pending
         # request was routed to at *its* arrival: serve what has already
@@ -296,7 +297,6 @@ class Driver:
         capacity = backend.spec.max_bytes_per_node
         ingest_is_barrier = capacity is not None
 
-        cluster = backend.engine.cluster
         manager: ResilienceManager | None = backend.resilience
         injector: FaultInjector | None = None
         if self.faults is not None:
@@ -369,7 +369,7 @@ class Driver:
                 if fault_due:
                     injector.apply_due(request.arrival_s)
                 if index in self.node_failures:
-                    backend.mark_down(self.node_failures[index])
+                    cluster.mark_down(self.node_failures[index])
                     if tracer is not None:
                         tracer.instant(
                             "node down",
@@ -379,7 +379,7 @@ class Driver:
                             node=self.node_failures[index],
                         )
                 if index in self.node_recoveries:
-                    backend.mark_up(self.node_recoveries[index])
+                    cluster.mark_up(self.node_recoveries[index])
                     if tracer is not None:
                         tracer.instant(
                             "node up",

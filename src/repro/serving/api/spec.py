@@ -3,9 +3,10 @@
 A :class:`ServingSpec` is the single description of *what to serve with*:
 model, codec levels, store topology (single node / tiered nodes / cluster),
 node count and replication, tier sizes and link speeds, batching, admission
-limits and the GPU fleet.  It is frozen and fully validated at construction, so a
-spec that constructs is a spec every backend can build — the error surface
-lives here, not spread over three constructors.
+limits and the GPU fleet.  It is frozen and fully validated at construction,
+and it is the only thing :class:`~repro.serving.engine.ContextLoadingEngine`
+is built from, so a spec that constructs is a deployment that builds and
+serves: the error surface lives here and nowhere else.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from typing import Mapping
 
 from ...core.config import CacheGenConfig
 from ...llm.compute_model import A40, GPUSpec
+from ...llm.model_config import ModelConfig, get_model_config
 from ...network.link import NetworkLink
 from ..fleet.autoscale import AutoscaleSpec
 from ..fleet.dispatch import DISPATCH_POLICIES
+from .types import _require_count, _require_finite
 
 __all__ = ["ServingSpec", "TOPOLOGIES", "EVICTION_POLICIES", "PLACEMENT_POLICIES"]
 
@@ -36,7 +39,8 @@ class ServingSpec:
     Parameters
     ----------
     model:
-        Serving model name (or a :class:`~repro.llm.model_config.ModelConfig`).
+        Serving model name (or a :class:`~repro.llm.model_config.ModelConfig`),
+        resolved at construction (:meth:`resolved_model`).
     topology:
         ``"single"`` — one engine, one store, one link;
         ``"tiered"`` — a cluster whose nodes each run a hot tier over a cold
@@ -53,10 +57,11 @@ class ServingSpec:
         Codec settings.  ``levels`` restricts the configured encoding levels
         to the named subset (order preserved); ``config`` supplies a full
         :class:`~repro.core.config.CacheGenConfig` the conveniences refine.
-    bandwidth_gbps / node_bandwidths_gbps / tier_bandwidth_gbps / text_bandwidth_gbps:
+    bandwidth_gbps / node_bandwidths_gbps / tier_bandwidth_gbps:
         Link speeds: the serving link (or one per node for heterogeneous
-        clusters), the per-node tier link, and the document-store link used by
-        the text fallback.
+        clusters) and the per-node tier link.  The single topology's text
+        fallback shares its serving link; a cluster's document store sits
+        behind a default 3 Gbps link.
     link:
         Escape hatch: a fully custom :class:`~repro.network.NetworkLink` for
         the single-node serving link (e.g. a random or stepped trace).
@@ -120,7 +125,6 @@ class ServingSpec:
     bandwidth_gbps: float = 3.0
     node_bandwidths_gbps: tuple[float, ...] | None = None
     tier_bandwidth_gbps: float = 1.0
-    text_bandwidth_gbps: float | None = None
     link: NetworkLink | None = None
     concurrency: int = 1
     max_decode_batch: int = 16
@@ -141,10 +145,15 @@ class ServingSpec:
             raise ValueError(
                 f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}"
             )
-        if self.num_nodes < 1:
-            raise ValueError("num_nodes must be at least 1")
-        if self.replication < 1:
-            raise ValueError("replication must be at least 1")
+        for name in ("num_nodes", "replication", "concurrency", "max_decode_batch", "gpu_workers"):
+            _require_count(name, getattr(self, name))
+        for name in ("chunk_tokens", "admission_limit"):
+            _require_count(name, getattr(self, name), optional=True)
+        for name in ("bandwidth_gbps", "tier_bandwidth_gbps"):
+            _require_finite(name, getattr(self, name))
+        for name in ("max_bytes_per_node", "cold_bytes_per_node", "slo_s"):
+            _require_finite(name, getattr(self, name), optional=True)
+        _require_finite("batch_overhead", self.batch_overhead, allow_zero=True)
         if self.replication > self.num_nodes:
             raise ValueError(
                 f"replication={self.replication} exceeds num_nodes={self.num_nodes}"
@@ -161,11 +170,8 @@ class ServingSpec:
                 f"unknown placement policy {self.placement!r}; "
                 f"expected one of {PLACEMENT_POLICIES}"
             )
-        hot_bytes, cold_bytes = self.max_bytes_per_node, self.cold_bytes_per_node
-        if cold_bytes is not None:
-            if cold_bytes <= 0:
-                raise ValueError("cold_bytes_per_node must be positive")
-            if hot_bytes is None:
+        if self.cold_bytes_per_node is not None:
+            if self.max_bytes_per_node is None:
                 raise ValueError(
                     "a cold tier demotes from a bounded hot tier: "
                     "cold_bytes_per_node requires max_bytes_per_node"
@@ -174,35 +180,17 @@ class ServingSpec:
                 raise ValueError(
                     "the single topology has no tier link; use topology='tiered'"
                 )
-        if self.topology == "tiered" and cold_bytes is None:
+        if self.topology == "tiered" and self.cold_bytes_per_node is None:
             raise ValueError(
                 "the tiered topology needs a cold tier (set cold_bytes_per_node)"
             )
-        if hot_bytes is not None and hot_bytes <= 0:
-            raise ValueError("max_bytes_per_node must be positive")
-        if self.chunk_tokens is not None and self.chunk_tokens <= 0:
-            raise ValueError("chunk_tokens must be positive")
-        if self.bandwidth_gbps <= 0 or self.tier_bandwidth_gbps <= 0:
-            raise ValueError("link bandwidths must be positive")
-        if self.text_bandwidth_gbps is not None and self.text_bandwidth_gbps <= 0:
-            raise ValueError("text_bandwidth_gbps must be positive")
         if self.node_bandwidths_gbps is not None:
             if len(self.node_bandwidths_gbps) != self.num_nodes:
                 raise ValueError("node_bandwidths_gbps must name one speed per node")
-            if any(b <= 0 for b in self.node_bandwidths_gbps):
-                raise ValueError("node bandwidths must be positive")
+            for speed in self.node_bandwidths_gbps:
+                _require_finite("node_bandwidths_gbps", speed)
         if self.link is not None and self.topology != "single":
             raise ValueError("a custom link only applies to the single topology")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be at least 1")
-        if self.max_decode_batch < 1:
-            raise ValueError("max_decode_batch must be at least 1")
-        if self.batch_overhead < 0:
-            raise ValueError("batch_overhead must be non-negative")
-        if self.admission_limit is not None and self.admission_limit <= 0:
-            raise ValueError("admission_limit must be positive")
-        if self.gpu_workers < 1:
-            raise ValueError("gpu_workers must be at least 1")
         if self.dispatch_policy not in DISPATCH_POLICIES:
             raise ValueError(
                 f"unknown dispatch policy {self.dispatch_policy!r}; "
@@ -215,8 +203,6 @@ class ServingSpec:
                 f"gpu_workers={self.gpu_workers} outside the autoscale bounds "
                 f"[{self.autoscale.min_workers}, {self.autoscale.max_workers}]"
             )
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
         if self.resilience is not None:
             from ...faults.resilience import ResiliencePolicy
 
@@ -227,8 +213,23 @@ class ServingSpec:
                     "resilience policies act on cluster replica reads; "
                     "the single topology has no replicas to retry against"
                 )
-        # Codec levels are validated by actually resolving the config once.
+        # The model and the codec levels are validated by resolving them once.
+        self.resolved_model()
         self.resolved_config()
+
+    # ------------------------------------------------------------------- model
+    def resolved_model(self) -> ModelConfig:
+        """The :class:`~repro.llm.model_config.ModelConfig` ``model`` names."""
+        if isinstance(self.model, ModelConfig):
+            return self.model
+        if not isinstance(self.model, str):
+            raise TypeError(
+                f"model must be a model name or a ModelConfig, not {type(self.model).__name__}"
+            )
+        try:
+            return get_model_config(self.model)
+        except KeyError as error:
+            raise ValueError(error.args[0]) from None
 
     # ------------------------------------------------------------------- codec
     def resolved_config(self) -> CacheGenConfig:
@@ -241,6 +242,8 @@ class ServingSpec:
         if self.chunk_tokens is not None:
             config = config.replace(chunk_tokens=self.chunk_tokens)
         if self.levels is not None:
+            if not self.levels:
+                raise ValueError("levels must name at least one encoding level")
             known = {level.name: level for level in config.levels}
             unknown = [name for name in self.levels if name not in known]
             if unknown:

@@ -15,6 +15,8 @@ Every backend — one node or a cluster — speaks the same three objects:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -27,7 +29,7 @@ from ...metrics.cluster import (
     storage_cost_per_request,
     summarize_latencies,
 )
-from ...llm.quality import GenerationQuality
+from ...llm.quality import TASK_METRICS, GenerationQuality
 from ...metrics.system import QueueingTTFTBreakdown
 from ...storage.cost import TieredCostModel
 from ...storage.tiered import COLD, HOT
@@ -38,6 +40,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 __all__ = ["ServeRequest", "ServeResponse", "RunReport"]
 
 
+def _require_count(name: str, value: object, *, optional: bool = False) -> None:
+    """``value`` is an integer of at least 1 (or ``None`` when ``optional``)."""
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
+def _require_finite(
+    name: str, value: object, *, optional: bool = False, allow_zero: bool = False
+) -> None:
+    """``value`` is a finite positive number (zero too with ``allow_zero``)."""
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, not {value!r}")
+    if not math.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
+        bound = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be a finite {bound} number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ServeRequest:
     """One query submitted to a serving backend.
@@ -45,7 +70,8 @@ class ServeRequest:
     ``num_tokens`` is required for contexts that were never ingested (the
     text fallback needs the length); for ingested contexts it is ignored.
     ``session_id`` marks the request as part of a chat session; the fleet's
-    sticky dispatch keeps a session's GPU work on one worker.
+    sticky dispatch keeps a session's GPU work on one worker.  Its length,
+    times and task are validated here: a request that constructs can be served.
 
     Example
     -------
@@ -65,8 +91,11 @@ class ServeRequest:
     def __post_init__(self) -> None:
         if not self.context_id:
             raise ValueError("context_id must be non-empty")
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be non-negative")
+        _require_finite("arrival_s", self.arrival_s, allow_zero=True)
+        _require_count("num_tokens", self.num_tokens, optional=True)
+        _require_finite("slo_s", self.slo_s, optional=True)
+        if self.task not in TASK_METRICS:
+            raise ValueError(f"unknown task {self.task!r}; known tasks: {sorted(TASK_METRICS)}")
 
     @classmethod
     def from_workload(cls, request, slo_s: float | None = None) -> "ServeRequest":

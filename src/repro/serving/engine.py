@@ -1,15 +1,20 @@
 """End-to-end context-loading engine (the §6 serving integration).
 
 This is the component an application framework (the paper integrates with
-LangChain) talks to:
+LangChain) talks to, through :class:`~repro.serving.api.backends.Backend`,
+which builds it from a :class:`~repro.serving.api.spec.ServingSpec` — the
+engine's only constructor argument besides an injected codec profile:
 
 * :meth:`ContextLoadingEngine.ingest` computes a context's KV cache once
   (``calculate_kv``), encodes it at every level and stores the bitstreams
   (``store_kv``);
-* :meth:`ContextLoadingEngine.query` answers a question against a context —
-  if its KV cache is stored, the engine streams and decodes it (adapting to
-  bandwidth and an optional TTFT SLO) and calls ``generate_with_kv``;
-  otherwise it falls back to fetching the text and prefilling.
+* :meth:`ContextLoadingEngine.resolve` decides, once per request, where it is
+  served from — a :class:`Resolution`: stream the stored KV cache from which
+  replica, or fall back to fetching the text and prefilling, and why.  The
+  executor (:func:`~repro.serving.concurrent.engine.serve_batch`) plays the
+  decision on the event engine, adapting the streamed levels to bandwidth
+  and an optional TTFT SLO, and :meth:`ContextLoadingEngine.respond` calls
+  ``generate_with_kv`` on what arrived.
 
 The bitstreams live in one :class:`~repro.cluster.sharded_store.ShardedKVStore`
 (``engine.cluster``) however many storage nodes stand behind it: the paper's
@@ -18,13 +23,6 @@ engine's own ``link``.  Ingests are encoded once and replicated onto the
 store; when a replica is down the lookup fails over along the hash ring, and
 when every replica has lost the context the engine falls back to the text
 path, so a degraded store degrades TTFT, never availability.
-
-Routing is decided once, in :meth:`ContextLoadingEngine.resolve`: it maps a
-request to a :class:`Resolution` (stream the stored KV from which replica, or
-fall back to text, and why).  The executor
-(:func:`~repro.serving.concurrent.engine.serve_batch`, of which :meth:`serve`
-is the one-request case) plays the decision on the event engine and builds its
-responses with :meth:`respond`.
 
 The engine also follows §7.3's observation that for short contexts loading
 the text can be faster than loading the KV cache: when the estimated
@@ -37,7 +35,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..cluster.node import StorageNode
 from ..cluster.sharded_store import ShardedKVStore
@@ -46,20 +44,20 @@ from ..core.kv_cache import KVCache
 from ..core.config import CacheGenConfig
 from ..core.decoder import CacheGenDecoder
 from ..core.encoder import CacheGenEncoder, FittedCodec, _fit_fields
-from ..llm.compute_model import A40, ComputeModel, GPUSpec
+from ..llm.compute_model import ComputeModel
 from ..llm.model_config import ModelConfig, get_model_config
 from ..llm.quality import QualityModel
 from ..llm.synthetic_model import GenerationResult, SyntheticLLM
 from ..metrics.cluster import TierState, tier_state
+from ..network.bandwidth import ConstantTrace, gbps
 from ..network.link import NetworkLink
-from ..storage.eviction import EvictionPolicy, make_policy
+from ..storage.eviction import make_policy
 from ..storage.kv_store import KVCacheStore, StoredContext
-from ..storage.tiered import DiskKVStore, PlacementPolicy, TieredKVStore
+from ..storage.tiered import DiskKVStore, TieredKVStore
 from ..streaming.adaptation import AdaptationPolicy, choose_policy
+from .api.spec import ServingSpec
 from .api.types import ServeRequest, ServeResponse
-from .concurrent.engine import serve_batch
 from .concurrent.processes import materialise
-from .concurrent.simulator import ConcurrentLoadSimulator
 from .pipeline import IngestReport
 
 __all__ = ["Resolution", "ContextLoadingEngine", "profile_codec"]
@@ -82,6 +80,10 @@ _REFERENCE_CACHE_ENTRIES = 128
 #: ``_fit_fields``.  Unbounded: one entry per distinct key, and a run uses one
 #: key per model.
 _PROFILES: dict[tuple[ModelConfig, tuple], FittedCodec] = {}
+
+
+def _constant_link(bandwidth_gbps: float) -> NetworkLink:
+    return NetworkLink(ConstantTrace(gbps(bandwidth_gbps)))
 
 
 def _profile_key(model: ModelConfig, config: CacheGenConfig) -> str:
@@ -201,140 +203,83 @@ class Resolution:
 class ContextLoadingEngine:
     """Serves queries over reusable long contexts with CacheGen underneath.
 
-    Parameters
-    ----------
-    model:
-        Serving model (name or :class:`ModelConfig`).
-    link:
-        Network link to the document store, used by the text fallback — and,
-        when ``node_links`` is omitted, the one storage node's serving link
-        too, so text and KV bytes share one channel.  Defaults to a fresh
-        3 Gbps link.
-    config:
-        Codec/streamer configuration; defaults to the paper's settings.
-    gpu:
-        GPU specification of the serving node.
-    base_quality:
-        Optional per-task lossless quality overrides for the quality surrogate.
-    node_links:
-        The storage nodes: their number (each on a default 3 Gbps link), or
-        one :class:`NetworkLink` per node for heterogeneous clusters.
-        ``None`` (the default) is one node on ``link`` itself.
-    replication_factor:
-        Replicas per context.
-    max_bytes_per_node:
-        Capacity budget of each node's store; ``None`` means unbounded.
-    eviction_policy:
-        Policy name (``"lru"``, ``"lfu"``, ``"cost"``) or a factory returning a
-        fresh :class:`EvictionPolicy` per node (policies hold per-node state
-        and must not be shared).
-    cold_bytes_per_node:
-        Capacity of each node's cold (disk/object-store) tier.  ``None`` (the
-        default) keeps nodes single-tier; with a cold tier attached, hot-tier
-        capacity evictions demote instead of drop and cold hits promote back.
-        Requires ``max_bytes_per_node`` (an unbounded hot tier never demotes).
-    tier_links:
-        One tier link per node modeling its disk/object-store read path;
-        defaults to each :class:`~repro.storage.tiered.DiskKVStore`'s 1 Gbps
-        constant link.
-    placement:
-        Tier-admission policy for new contexts (``"hot"``, ``"cost"``, or a
-        factory returning a fresh policy per node).
-    codec:
-        The offline profile to encode with; when omitted, the process-wide
-        one :func:`profile_codec` keeps for this model and configuration
-        (loaded or profiled on first use).  ``ValueError`` if it was profiled for
-        another model, model shape or codec configuration.
+    Built from a :class:`~repro.serving.api.spec.ServingSpec` and nothing
+    else: the spec's model, codec configuration, GPU and quality overrides,
+    and one storage node per ``num_nodes`` (hot store, plus a cold tier
+    behind its own tier link when ``cold_bytes_per_node`` is set) on a ring
+    with ``replication`` replicas.  The single topology's one node serves over
+    the engine's own ``link``, so text and KV bytes share one channel; a
+    cluster's nodes each have their own link and its text fallback reads a
+    default 3 Gbps one.  :class:`~repro.serving.api.backends.Backend` builds
+    it; requests reach it through the event executor, which calls
+    :meth:`resolve` and :meth:`respond`.
+
+    ``codec`` is the offline profile to encode with; when omitted, the
+    process-wide one :func:`profile_codec` keeps for this model and
+    configuration (loaded or profiled on first use).  ``ValueError`` if it
+    was profiled for another model, model shape or codec configuration.
 
     Example
     -------
-    >>> engine = ContextLoadingEngine("mistral-7b", node_links=4, replication_factor=2)
-    >>> engine.ingest("doc-1", num_tokens=8_000)  # doctest: +SKIP
-    >>> engine.query("doc-1", "what changed?").ttft.total_s  # doctest: +SKIP
+    >>> from repro.serving.api import ServingSpec, build_backend
+    >>> spec = ServingSpec(topology="cluster", num_nodes=4, replication=2)
+    >>> engine = build_backend(spec).engine  # doctest: +SKIP
+    >>> sorted(engine.stores())  # doctest: +SKIP
+    ['node-0', 'node-1', 'node-2', 'node-3']
     """
 
-    def __init__(
-        self,
-        model: ModelConfig | str,
-        link: NetworkLink | None = None,
-        config: CacheGenConfig | None = None,
-        gpu: GPUSpec = A40,
-        base_quality: dict[str, float] | None = None,
-        *,
-        node_links: int | Sequence[NetworkLink] | None = None,
-        replication_factor: int = 1,
-        max_bytes_per_node: float | None = None,
-        eviction_policy: str | Callable[[], EvictionPolicy] = "lru",
-        cold_bytes_per_node: float | None = None,
-        tier_links: Sequence[NetworkLink] | None = None,
-        placement: str | Callable[[], PlacementPolicy] = "hot",
-        vnodes: int = 64,
-        codec: FittedCodec | None = None,
-    ) -> None:
-        if isinstance(model, str):
-            model = get_model_config(model)
-        self.model = model
-        self.link = link or NetworkLink()
-        self.config = config or CacheGenConfig()
+    def __init__(self, spec: ServingSpec, codec: FittedCodec | None = None) -> None:
+        model = self.model = spec.resolved_model()
+        config = self.config = spec.resolved_config()
         if codec is None:
-            codec = profile_codec(model, self.config)
+            codec = profile_codec(model, config)
         else:
-            codec.check(self.config, model)
+            codec.check(config, model)
 
+        base_quality = dict(spec.base_quality) if spec.base_quality is not None else None
         quality_model = QualityModel(num_layers=model.sim_layers, base_values=base_quality)
         llm = SyntheticLLM(model, quality_model=quality_model)
-        encoder = CacheGenEncoder(self.config, codec=codec)
+        encoder = CacheGenEncoder(config, codec=codec)
         self._parts = _EngineComponents(
             llm=llm,
-            compute=ComputeModel(model, gpu),
+            compute=ComputeModel(model, spec.gpu),
             encoder=encoder,
             decoder=CacheGenDecoder(encoder),
         )
         self._reference_cache: OrderedDict[tuple[str, int], KVCache] = OrderedDict()
 
-        if node_links is None:
-            links = [self.link]
-        elif isinstance(node_links, int):
-            links = [NetworkLink() for _ in range(node_links)]
+        if spec.topology == "single":
+            # Text fallbacks and KV reads share the one serving link.
+            self.link = spec.link or _constant_link(spec.bandwidth_gbps)
+            node_links = [self.link]
         else:
-            links = list(node_links)
-        if not links:
-            raise ValueError("node_links must name at least one node")
-        hot_bytes, cold_bytes = max_bytes_per_node, cold_bytes_per_node
-        if cold_bytes is not None and hot_bytes is None:
-            raise ValueError(
-                "a cold tier needs a bounded hot tier (set max_bytes_per_node)"
+            self.link = NetworkLink()
+            speeds = spec.node_bandwidths_gbps or (spec.bandwidth_gbps,) * spec.num_nodes
+            node_links = [_constant_link(speed) for speed in speeds]
+
+        def new_store() -> KVCacheStore | TieredKVStore:
+            hot = KVCacheStore(
+                encoder,
+                max_bytes=spec.max_bytes_per_node,
+                eviction_policy=make_policy(spec.eviction_policy),
             )
-        if tier_links is not None and len(tier_links) != len(links):
-            raise ValueError("tier_links must name one link per node")
-
-        def new_policy() -> EvictionPolicy:
-            if isinstance(eviction_policy, str):
-                return make_policy(eviction_policy)
-            return eviction_policy()
-
-        def new_store(tier_link: NetworkLink | None) -> KVCacheStore | TieredKVStore:
-            hot = KVCacheStore(encoder, max_bytes=hot_bytes, eviction_policy=new_policy())
-            if cold_bytes is None:
+            if spec.cold_bytes_per_node is None:
                 return hot
-            cold = DiskKVStore(max_bytes=cold_bytes, eviction_policy=new_policy(), link=tier_link)
-            return TieredKVStore(
-                hot, cold, placement=placement if isinstance(placement, str) else placement()
+            cold = DiskKVStore(
+                max_bytes=spec.cold_bytes_per_node,
+                eviction_policy=make_policy(spec.eviction_policy),
+                link=_constant_link(spec.tier_bandwidth_gbps),
             )
+            return TieredKVStore(hot, cold, placement=spec.placement)
 
         #: The sharded store every read and write goes through.
         self.cluster = ShardedKVStore(
             encoder,
             [
-                StorageNode(
-                    node_id=f"node-{i}",
-                    store=new_store(tier_links[i] if tier_links is not None else None),
-                    link=node_link,
-                )
-                for i, node_link in enumerate(links)
+                StorageNode(node_id=f"node-{i}", store=new_store(), link=link)
+                for i, link in enumerate(node_links)
             ],
-            replication_factor=replication_factor,
-            vnodes=vnodes,
+            replication_factor=spec.replication,
         )
 
     # ---------------------------------------------------------------- topology
@@ -551,29 +496,7 @@ class ContextLoadingEngine:
     def prompt_tokens(self, question: str) -> int:
         return max(self._parts.llm.tokenizer.count_tokens(question), 1)
 
-    # ------------------------------------------------------------------- query
-    def query(
-        self,
-        context_id: str,
-        question: str,
-        num_tokens: int | None = None,
-        task: str = "qa_accuracy",
-        slo_s: float | None = None,
-    ) -> ServeResponse:
-        """Answer a question against a context, loading its KV cache if stored.
-
-        ``num_tokens`` is only required for contexts that were never ingested
-        (the engine then falls back to the text path).
-        """
-        return self.serve(
-            ServeRequest(context_id, question, num_tokens=num_tokens, task=task, slo_s=slo_s)
-        )
-
-    def serve(self, request: ServeRequest) -> ServeResponse:
-        """One request alone on a fresh event simulation."""
-        (response,) = serve_batch(self, [request], ConcurrentLoadSimulator())
-        return response
-
+    # ----------------------------------------------------------------- respond
     def respond(
         self, request: ServeRequest, resolution: Resolution, configs: Sequence[str], **timing
     ) -> ServeResponse:

@@ -198,9 +198,6 @@ class TieredKVStore:
         store's ``capacity_evict_sink``.
     cold:
         The disk tier.
-    promote_on_hit:
-        Whether a cold hit copies the context back to hot.  Promotion counts
-        as a use for the hot policy (recency and frequency are refreshed).
     placement:
         Admission policy name (``"hot"``, ``"cost"``) or instance deciding the
         tier a new context starts in.
@@ -210,7 +207,6 @@ class TieredKVStore:
         self,
         hot: KVCacheStore,
         cold: DiskKVStore | None = None,
-        promote_on_hit: bool = True,
         placement: str | PlacementPolicy = "hot",
     ) -> None:
         if hot.max_bytes is None:
@@ -218,7 +214,6 @@ class TieredKVStore:
         self.hot = hot
         # Explicit None check: an empty store is len()==0 and would be falsy.
         self.cold = DiskKVStore() if cold is None else cold
-        self.promote_on_hit = promote_on_hit
         self.placement: PlacementPolicy = (
             make_placement(placement) if isinstance(placement, str) else placement
         )
@@ -391,15 +386,14 @@ class TieredKVStore:
             return self.hot.get_context(context_id)
         stored = self.cold.get_context(context_id)
         self.stats.cold_hits += 1
-        if self.promote_on_hit:
-            size = stored.total_bytes()
-            if self.hot.max_bytes is None or size <= self.hot.max_bytes:
-                self.cold.evict(context_id)
-                self.hot.store_prepared(stored)
-                self.stats.promotions += 1
-                self.stats.promoted_bytes += size
-                self.stats.promotion_transfer_s += self.cold.read_delay_s(size)
-                self._tier_event("promotion", context_id, size)
+        size = stored.total_bytes()
+        if self.hot.max_bytes is None or size <= self.hot.max_bytes:
+            self.cold.evict(context_id)
+            self.hot.store_prepared(stored)
+            self.stats.promotions += 1
+            self.stats.promoted_bytes += size
+            self.stats.promotion_transfer_s += self.cold.read_delay_s(size)
+            self._tier_event("promotion", context_id, size)
         return stored
 
     def peek_context(self, context_id: str) -> StoredContext:

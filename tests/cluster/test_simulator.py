@@ -116,7 +116,7 @@ class TestRepeatedRuns:
         # Eviction counts are per-run deltas that sum to the cluster total.
         assert (
             first.total_evictions + second.total_evictions
-            == driver.backend.total_evictions()
+            == driver.backend.engine.cluster.total_evictions()
         )
         # The warm cache does not re-ingest contexts that are still resident.
         assert second.ingests <= first.ingests

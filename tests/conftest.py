@@ -19,7 +19,7 @@ from hypothesis import settings
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, KVCache
 from repro.llm import MISTRAL_7B, ComputeModel, QualityModel, SyntheticLLM
 from repro.network import ConstantTrace, NetworkLink, gbps
-from repro.serving.api import profile_codec
+from repro.serving.api import ServeRequest, ServeResponse, profile_codec
 
 #: Context length used by most tests — small enough to be fast, large enough
 #: to span several anchor groups and more than one streaming chunk.
@@ -37,6 +37,13 @@ _SIMCHECK_DIRS = ("tests/serving", "tests/cluster", "tests/simcheck", "tests/fau
 settings.register_profile("tier1", max_examples=25, deadline=None)
 settings.register_profile("codec-fuzz", max_examples=250, deadline=None, derandomize=True)
 settings.load_profile("tier1")
+
+
+def serve_one(backend, request: ServeRequest) -> ServeResponse:
+    """``request`` alone through ``backend``'s event executor (one ``run``)."""
+    backend.submit(request)
+    (response,) = backend.run()
+    return response
 
 
 def pytest_configure(config) -> None:

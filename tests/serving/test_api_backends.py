@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from repro.core import CacheGenConfig
 from repro.serving import ServeRequest, ServeResponse, ServingSpec
 from repro.serving.api import build_backend, serve
-from repro.serving.engine import ContextLoadingEngine
 
 BASE = ServingSpec(model="mistral-7b", chunk_tokens=256)
 REQUESTS = [
@@ -130,24 +130,8 @@ class TestOneExecutor:
             assert (one.arrival_s, one.finish_s) == (eight.arrival_s, eight.finish_s)
 
 
-class TestDeprecationShims:
-    """Direct construction of an engine builds the same stack as the spec."""
-
-    def test_engine_shim_matches_single_backend(self, fitted_codec):
-        spec = BASE.with_(max_bytes_per_node=5e8, eviction_policy="lfu")
-        backend = build_backend(spec, codec=fitted_codec())
-        legacy = ContextLoadingEngine(
-            "mistral-7b",
-            config=CacheGenConfig(chunk_tokens=256),
-            max_bytes_per_node=5e8,
-            eviction_policy="lfu",
-            codec=fitted_codec(),
-        )
-        assert backend.engine.config == legacy.config
-        (ours,), (theirs,) = backend.engine.stores().values(), legacy.stores().values()
-        assert ours.max_bytes == theirs.max_bytes
-        assert type(ours.eviction_policy) is type(theirs.eviction_policy)
-        assert backend.engine.model.name == legacy.model.name
+class TestRunBuildsItsSimulator:
+    """Every ``run`` plays on a simulator built from the spec's executor settings."""
 
     def test_event_backend_builds_sim_from_spec(self, fitted_codec):
         spec = BASE.with_(concurrency=4, max_decode_batch=8, admission_limit=2)
@@ -160,34 +144,53 @@ class TestDeprecationShims:
         assert sim.batch_overhead == spec.batch_overhead
         assert sim.admission_limit == 2
 
-    def test_cluster_shim_matches_cluster_backend(self, fitted_codec):
-        spec = BASE.with_(
-            topology="tiered",
-            num_nodes=3,
-            replication=2,
-            max_bytes_per_node=2e8,
-            cold_bytes_per_node=8e8,
-            eviction_policy="lfu",
-        )
-        backend = build_backend(spec, codec=fitted_codec())
-        legacy = ContextLoadingEngine(
-            "mistral-7b",
-            node_links=3,
-            replication_factor=2,
-            max_bytes_per_node=2e8,
-            cold_bytes_per_node=8e8,
-            eviction_policy="lfu",
-            config=CacheGenConfig(chunk_tokens=256),
-            codec=fitted_codec(),
-        )
-        built = backend.engine
-        assert set(built.cluster.nodes) == set(legacy.cluster.nodes)
-        assert (
-            built.cluster.replication_factor == legacy.cluster.replication_factor == 2
-        )
-        for node_id, ours in built.stores().items():
-            theirs = legacy.stores()[node_id]
-            assert type(ours) is type(theirs)
-            assert ours.hot.max_bytes == theirs.hot.max_bytes == 2e8
-            assert ours.cold.max_bytes == theirs.cold.max_bytes == 8e8
-        assert built.config == legacy.config
+
+class TestOneWayIn:
+    """A deployment is declared once, as a spec; the engine is built in one place."""
+
+    REPO = Path(__file__).resolve().parents[2]
+    REMOVED = "build_engine"
+
+    def _trees(self):
+        for top in ("src", "tests", "benchmarks", "examples"):
+            for path in sorted((self.REPO / top).rglob("*.py")):
+                yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def test_the_engine_is_constructed_only_in_backend_init(self):
+        class Calls(ast.NodeVisitor):
+            def __init__(self):
+                self.scope: list[str] = []
+                self.sites: list[str] = []
+
+            def scoped(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = scoped
+
+            def visit_Call(self, node):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "ContextLoadingEngine":
+                    self.sites.append(".".join(self.scope))
+                self.generic_visit(node)
+
+        sites = []
+        for path, tree in self._trees():
+            calls = Calls()
+            calls.visit(tree)
+            sites += [f"{path.relative_to(self.REPO)}:{scope}" for scope in calls.sites]
+        assert sites == ["src/repro/serving/api/backends.py:Backend.__init__"]
+
+    def test_the_removed_engine_factory_is_named_nowhere(self):
+        this_file = Path(__file__).resolve()
+        sites = []
+        for path, tree in self._trees():
+            for node in ast.walk(tree):
+                names = {getattr(node, key, None) for key in ("id", "attr", "name", "arg")}
+                if isinstance(node, ast.Constant) and path != this_file:
+                    names.add(node.value)
+                if self.REMOVED in names:
+                    sites.append(f"{path.relative_to(self.REPO)}:{node.lineno}")
+        assert sites == []

@@ -163,7 +163,7 @@ class TestDriver:
         backend = build_backend(spec, codec=fitted_codec())
         backend.ingest("failover-doc", 640)
         primary = backend.engine.cluster.replicas_for("failover-doc")[0]
-        backend.mark_down(primary)
+        backend.engine.cluster.mark_down(primary)
         backend.submit(ServeRequest("failover-doc", "Q?", num_tokens=640))
         backend.submit(ServeRequest("failover-doc", "Q again?", num_tokens=640))
         responses = backend.run()

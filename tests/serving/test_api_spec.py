@@ -1,11 +1,51 @@
-"""ServingSpec: construction-time validation and derived configuration."""
+"""ServingSpec and ServeRequest: construction-time validation, derived configuration."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import CacheGenConfig
-from repro.serving.api import ServingSpec
+from repro.serving.api import ServeRequest, ServingSpec
+
+NAN, INF = float("nan"), float("inf")
+
+#: Specs that used to construct and then fail to build or serve: an
+#: ``IndexError``, a ``KeyError`` or ``TypeError`` at build, a meaningless
+#: TTFT, or every request a silent hard failure.  name -> (fields, error, match)
+UNSERVABLE_SPECS = {
+    "no levels": ({"levels": ()}, ValueError, "levels"),
+    "unknown model": ({"model": "no-such-model"}, ValueError, "no-such-model"),
+    "model of another type": ({"model": 7}, TypeError, "model"),
+    "fractional node count": (
+        {"topology": "cluster", "num_nodes": 2.5}, TypeError, "num_nodes"
+    ),
+    "NaN bandwidth": ({"bandwidth_gbps": NAN}, ValueError, "bandwidth_gbps"),
+    "infinite tier bandwidth": (
+        {"tier_bandwidth_gbps": INF}, ValueError, "tier_bandwidth_gbps"
+    ),
+    "NaN node bandwidth": (
+        {"topology": "cluster", "num_nodes": 2, "node_bandwidths_gbps": (3.0, NAN)},
+        ValueError,
+        "node_bandwidths_gbps",
+    ),
+    "NaN hot capacity": ({"max_bytes_per_node": NAN}, ValueError, "max_bytes_per_node"),
+    "NaN batch overhead": ({"batch_overhead": NAN}, ValueError, "batch_overhead"),
+    "NaN SLO": ({"slo_s": NAN}, ValueError, "slo_s"),
+    "fractional GPU fleet": ({"gpu_workers": 1.5}, TypeError, "gpu_workers"),
+    "fractional chunk": ({"chunk_tokens": 256.5}, TypeError, "chunk_tokens"),
+}
+
+#: Requests that used to construct and then raise mid-run, serve silently
+#: against a meaningless SLO, or become a silent hard failure.
+UNSERVABLE_REQUESTS = {
+    "no tokens": ({"num_tokens": 0}, ValueError, "num_tokens"),
+    "negative tokens": ({"num_tokens": -5}, ValueError, "num_tokens"),
+    "fractional tokens": ({"num_tokens": 320.5}, TypeError, "num_tokens"),
+    "NaN arrival": ({"arrival_s": NAN}, ValueError, "arrival_s"),
+    "zero SLO": ({"slo_s": 0}, ValueError, "slo_s"),
+    "negative SLO": ({"slo_s": -1}, ValueError, "slo_s"),
+    "unknown task": ({"task": "bogus"}, ValueError, "bogus"),
+}
 
 
 class TestValidation:
@@ -81,6 +121,22 @@ class TestValidation:
     def test_unknown_default_level_rejected(self):
         with pytest.raises(ValueError, match="default level"):
             ServingSpec(default_level="ultra")
+
+
+@pytest.mark.parametrize(
+    "fields, error, match", UNSERVABLE_SPECS.values(), ids=list(UNSERVABLE_SPECS)
+)
+def test_a_spec_that_cannot_serve_does_not_construct(fields, error, match):
+    with pytest.raises(error, match=match):
+        ServingSpec(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields, error, match", UNSERVABLE_REQUESTS.values(), ids=list(UNSERVABLE_REQUESTS)
+)
+def test_a_request_that_cannot_be_served_does_not_construct(fields, error, match):
+    with pytest.raises(error, match=match):
+        ServeRequest("doc", "Q?", **fields)
 
 
 class TestCodecResolution:

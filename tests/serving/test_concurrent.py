@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import serve_one
 from repro.network import ConstantTrace, NetworkLink, gbps
 from repro.serving import ServeRequest
-from repro.serving.api import Backend, ServingSpec
+from repro.serving.api import ServingSpec, build_backend
 from repro.serving.concurrent import (
     ConcurrentLoadSimulator,
     DECODE,
@@ -22,7 +23,6 @@ from repro.serving.concurrent import (
     SimClock,
     StaticLoad,
 )
-from repro.serving.engine import ContextLoadingEngine
 
 TOKENS = 2_200
 
@@ -210,15 +210,14 @@ class TestExactQueueing:
 # -------------------------------------------------------------------- engine
 def _query(concurrent, context_id, question, **fields):
     """One request alone through the event engine."""
-    concurrent.submit(ServeRequest(context_id, question, **fields))
-    return concurrent.run()[0]
+    return serve_one(concurrent, ServeRequest(context_id, question, **fields))
 
 
 @pytest.fixture(scope="module")
-def concurrent_engine():
-    engine = ContextLoadingEngine("mistral-7b")
-    engine.ingest("report-2023", TOKENS)
-    return Backend(ServingSpec(), engine=engine)
+def concurrent_engine(fitted_codec):
+    backend = build_backend(ServingSpec(), codec=fitted_codec())
+    backend.ingest("report-2023", TOKENS)
+    return backend
 
 
 class TestConcurrentEngine:
@@ -278,17 +277,17 @@ class TestConcurrentEngine:
 
 class TestClusterConcurrency:
     @pytest.fixture(scope="class")
-    def cluster_engine(self):
-        from repro.core import CacheGenConfig
-
-        frontend = ContextLoadingEngine(
-            "mistral-7b",
-            node_links=[NetworkLink(ConstantTrace(gbps(3.0))) for _ in range(3)],
-            replication_factor=2,
-            config=CacheGenConfig(chunk_tokens=1_024),
+    def cluster_engine(self, fitted_codec):
+        spec = ServingSpec(
+            topology="cluster",
+            num_nodes=3,
+            replication=2,
+            node_bandwidths_gbps=(3.0, 3.0, 3.0),
+            chunk_tokens=1_024,
         )
-        frontend.ingest("doc", TOKENS)
-        return Backend(ServingSpec(), engine=frontend)
+        backend = build_backend(spec, codec=fitted_codec())
+        backend.ingest("doc", TOKENS)
+        return backend
 
     def test_co_arriving_requests_spread_over_replicas(self, cluster_engine):
         replicas = set(cluster_engine.engine.cluster.replicas_for("doc"))
@@ -314,25 +313,21 @@ class TestColdTierConcurrency:
     TIER_GBPS = 1.0
 
     @pytest.fixture(scope="class")
-    def tiered_engine(self):
-        from repro.core import CacheGenConfig
-
-        config = CacheGenConfig(chunk_tokens=1_024)
-        probe = ContextLoadingEngine("mistral-7b", config=config)
+    def tiered_engine(self, fitted_codec):
+        probe = build_backend(ServingSpec(chunk_tokens=1_024), codec=fitted_codec()).engine
         probe.ingest("probe", TOKENS)
         one = float(next(iter(probe.cluster.nodes.values())).store.storage_bytes())
-        frontend = ContextLoadingEngine(
-            "mistral-7b",
-            node_links=[NetworkLink(ConstantTrace(gbps(3.0))) for _ in range(2)],
-            replication_factor=2,
+        spec = ServingSpec(
+            topology="tiered",
+            num_nodes=2,
+            replication=2,
+            node_bandwidths_gbps=(3.0, 3.0),
             max_bytes_per_node=1.2 * one,
             cold_bytes_per_node=10 * one,
-            tier_links=[
-                NetworkLink(ConstantTrace(gbps(self.TIER_GBPS))) for _ in range(2)
-            ],
-            config=config,
+            tier_bandwidth_gbps=self.TIER_GBPS,
+            chunk_tokens=1_024,
         )
-        return Backend(ServingSpec(), engine=frontend)
+        return build_backend(spec, codec=fitted_codec())
 
     def _demote_everywhere(self, engine, context_id: str) -> None:
         for node in engine.engine.cluster.nodes.values():

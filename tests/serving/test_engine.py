@@ -5,16 +5,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import CacheGenConfig
+from conftest import serve_one
 from repro.network import ConstantTrace, NetworkLink, gbps
-from repro.serving.engine import ContextLoadingEngine
+from repro.serving.api import ServeRequest, ServingSpec, build_backend
 
 TOKENS = 2_200
 
 
+def query(backend, context_id, question, **fields):
+    return serve_one(backend, ServeRequest(context_id, question, **fields))
+
+
 @pytest.fixture(scope="module")
-def engine():
-    return ContextLoadingEngine("mistral-7b")
+def backend(fitted_codec):
+    return build_backend(ServingSpec(), codec=fitted_codec())
+
+
+@pytest.fixture(scope="module")
+def engine(backend):
+    return backend.engine
 
 
 @pytest.fixture(scope="module")
@@ -35,84 +44,85 @@ class TestIngest:
 
 
 class TestQuery:
-    def test_query_uses_kv_cache(self, engine, ingested):
-        response = engine.query("report-2023", "Summarise the revenue drivers.")
+    def test_query_uses_kv_cache(self, backend, ingested):
+        response = query(backend, "report-2023", "Summarise the revenue drivers.")
         assert response.used_kv_cache
         assert response.ttft_s > 0
         assert response.quality.relative_quality > 0.95
         assert response.transmitted_bytes > 0
 
-    def test_query_not_ingested_falls_back_to_text(self, engine):
-        response = engine.query("unknown-doc", "What is this?", num_tokens=1_500)
+    def test_query_not_ingested_falls_back_to_text(self, backend):
+        response = query(backend, "unknown-doc", "What is this?", num_tokens=1_500)
         assert not response.used_kv_cache
         assert response.chunk_configs == ["text"]
 
-    def test_query_unknown_without_length_rejected(self, engine):
+    def test_query_unknown_without_length_rejected(self, backend):
         with pytest.raises(ValueError, match="'unknown-doc-2' was never ingested"):
-            engine.query("unknown-doc-2", "What is this?")
+            query(backend, "unknown-doc-2", "What is this?")
 
-    def test_the_one_node_serves_and_is_named(self, engine, ingested):
+    def test_the_one_node_serves_and_is_named(self, backend, engine, ingested):
         assert list(engine.cluster.nodes) == ["node-0"]
         assert engine.cluster.node("node-0").link is engine.link
         assert ingested.replica_node_ids == ("node-0",)
         assert ingested.replicated_bytes == ingested.total_stored_bytes
-        response = engine.query("report-2023", "Who wrote it?")
+        response = query(backend, "report-2023", "Who wrote it?")
         assert response.served_by == "node-0"
         assert response.attempted_node_ids == () and not response.failed_over
 
-    def test_query_with_slo(self, engine, ingested):
-        response = engine.query("report-2023", "Any risks mentioned?", slo_s=2.0)
+    def test_query_with_slo(self, backend, ingested):
+        response = query(backend, "report-2023", "Any risks mentioned?", slo_s=2.0)
         assert response.ttft_s > 0
         assert response.used_kv_cache
 
-    def test_kv_path_faster_than_text_path(self, engine, ingested):
-        kv_response = engine.query("report-2023", "Summarise.")
-        text_response = engine.query("fresh-doc", "Summarise.", num_tokens=2_200)
+    def test_kv_path_faster_than_text_path(self, backend, ingested):
+        kv_response = query(backend, "report-2023", "Summarise.")
+        text_response = query(backend, "fresh-doc", "Summarise.", num_tokens=2_200)
         assert kv_response.ttft_s < text_response.ttft_s
 
-    def test_accepts_model_config_instance(self):
+    def test_accepts_model_config_instance(self, fitted_codec):
         from repro.llm import MISTRAL_7B
 
-        engine = ContextLoadingEngine(MISTRAL_7B)
+        engine = build_backend(ServingSpec(model=MISTRAL_7B), codec=fitted_codec()).engine
         assert engine.model is MISTRAL_7B
 
 
 class TestEvictedContext:
     def test_evicted_context_answers_from_text_degraded(self, fitted_codec):
         """The store forgets the bitstreams, not the length: no ``ValueError`` mid-run."""
-        config = CacheGenConfig(chunk_tokens=256)
-        probe = ContextLoadingEngine("mistral-7b", config=config, codec=fitted_codec())
+        spec = ServingSpec(chunk_tokens=256)
+        probe = build_backend(spec, codec=fitted_codec())
         one = probe.ingest("probe", 640).total_stored_bytes
-        engine = ContextLoadingEngine(
-            "mistral-7b", config=config, max_bytes_per_node=1.5 * one, codec=fitted_codec()
-        )
+        backend = build_backend(spec.with_(max_bytes_per_node=1.5 * one), codec=fitted_codec())
+        engine = backend.engine
         engine.ingest("a", 640)
         engine.ingest("b", 640)  # evicts "a"
         assert "a" not in engine.cluster and "b" in engine.cluster
-        response = engine.query("a", "?")
+        response = query(backend, "a", "?")
         assert not response.used_kv_cache and response.chunk_configs == ["text"]
         assert response.degraded and response.degrade_cause == "evicted"
         assert response.attempted_node_ids == ("node-0",)
-        assert engine.query("b", "?").used_kv_cache
+        assert query(backend, "b", "?").used_kv_cache
 
 
 class TestReplaceLink:
     def test_swaps_the_text_link_and_the_nodes_serving_over_it(self, fitted_codec):
-        engine = ContextLoadingEngine("mistral-7b", codec=fitted_codec())
+        engine = build_backend(ServingSpec(), codec=fitted_codec()).engine
         slow = NetworkLink(ConstantTrace(gbps(0.5)))
         engine.replace_link(slow)
         assert engine.link is slow and engine.cluster.node("node-0").link is slow
 
     def test_leaves_nodes_on_their_own_links_alone(self, fitted_codec):
-        engine = ContextLoadingEngine("mistral-7b", node_links=2, codec=fitted_codec())
+        spec = ServingSpec(topology="cluster", num_nodes=2)
+        engine = build_backend(spec, codec=fitted_codec()).engine
         before = [node.link for node in engine.cluster.nodes.values()]
         engine.replace_link(NetworkLink(ConstantTrace(gbps(0.5))))
         assert [node.link for node in engine.cluster.nodes.values()] == before
 
 
 class TestReferenceMemoization:
-    def test_reference_kv_computed_once_per_context(self, monkeypatch):
-        engine = ContextLoadingEngine("mistral-7b")
+    def test_reference_kv_computed_once_per_context(self, monkeypatch, fitted_codec):
+        backend = build_backend(ServingSpec(), codec=fitted_codec())
+        engine = backend.engine
         calls: list[str] = []
         original = engine.llm.calculate_kv
 
@@ -123,24 +133,28 @@ class TestReferenceMemoization:
         monkeypatch.setattr(engine.llm, "calculate_kv", counting)
         engine.ingest("memo-doc", 2_200)
         assert calls.count("memo-doc") == 1
-        engine.query("memo-doc", "First question?")
-        engine.query("memo-doc", "Second question?")
+        query(backend, "memo-doc", "First question?")
+        query(backend, "memo-doc", "Second question?")
         # Repeated queries reuse the reference computed at ingest instead of
         # re-prefilling the whole context every time.
         assert calls.count("memo-doc") == 1
 
 
 @pytest.fixture(scope="module")
-def cluster_engine(fitted_codec) -> ContextLoadingEngine:
-    config = CacheGenConfig(chunk_tokens=1_024)
-    links = [NetworkLink(ConstantTrace(gbps(3.0))) for _ in range(3)]
-    return ContextLoadingEngine(
-        "mistral-7b",
-        node_links=links,
-        replication_factor=2,
-        config=config,
-        codec=fitted_codec(),
+def cluster_backend(fitted_codec):
+    spec = ServingSpec(
+        topology="cluster",
+        num_nodes=3,
+        replication=2,
+        node_bandwidths_gbps=(3.0, 3.0, 3.0),
+        chunk_tokens=1_024,
     )
+    return build_backend(spec, codec=fitted_codec())
+
+
+@pytest.fixture(scope="module")
+def cluster_engine(cluster_backend):
+    return cluster_backend.engine
 
 
 @pytest.fixture(scope="module")
@@ -161,18 +175,18 @@ class TestReplicatedIngest:
 
 
 class TestClusterQuery:
-    def test_served_from_replica(self, cluster_engine, replicated):
-        response = cluster_engine.query("report-2023", "Summarise the revenue drivers.")
+    def test_served_from_replica(self, cluster_backend, replicated):
+        response = query(cluster_backend, "report-2023", "Summarise the revenue drivers.")
         assert response.used_kv_cache
         assert response.served_by == replicated.replica_node_ids[0]
         assert not response.failed_over
         assert response.quality.relative_quality > 0.95
 
-    def test_failover_to_backup_replica(self, cluster_engine, replicated):
+    def test_failover_to_backup_replica(self, cluster_backend, cluster_engine, replicated):
         primary, backup = replicated.replica_node_ids
         cluster_engine.cluster.mark_down(primary)
         try:
-            response = cluster_engine.query("report-2023", "Any risks?")
+            response = query(cluster_backend, "report-2023", "Any risks?")
             assert response.used_kv_cache
             assert response.served_by == backup
             assert response.failed_over
@@ -180,12 +194,14 @@ class TestClusterQuery:
         finally:
             cluster_engine.cluster.mark_up(primary)
 
-    def test_whole_cluster_down_falls_back_to_text(self, cluster_engine, replicated):
+    def test_whole_cluster_down_falls_back_to_text(
+        self, cluster_backend, cluster_engine, replicated
+    ):
         for node_id in cluster_engine.cluster.nodes:
             cluster_engine.cluster.mark_down(node_id)
         try:
             # num_tokens omitted on purpose: the catalogue remembers it.
-            response = cluster_engine.query("report-2023", "Still there?")
+            response = query(cluster_backend, "report-2023", "Still there?")
             assert not response.used_kv_cache
             assert response.served_by is None
             assert response.chunk_configs == ["text"]
@@ -193,10 +209,10 @@ class TestClusterQuery:
             for node_id in cluster_engine.cluster.nodes:
                 cluster_engine.cluster.mark_up(node_id)
 
-    def test_unknown_context_needs_num_tokens(self, cluster_engine):
+    def test_unknown_context_needs_num_tokens(self, cluster_backend):
         with pytest.raises(ValueError):
-            cluster_engine.query("never-seen", "What is this?")
-        response = cluster_engine.query("never-seen-2", "What is this?", num_tokens=1_500)
+            query(cluster_backend, "never-seen", "What is this?")
+        response = query(cluster_backend, "never-seen-2", "What is this?", num_tokens=1_500)
         assert not response.used_kv_cache
 
     def test_unknown_node_rejected(self, cluster_engine):
@@ -206,88 +222,76 @@ class TestClusterQuery:
 
 class TestHeterogeneousLinks:
     def test_slow_replica_slower_than_fast_replica(self, fitted_codec):
-        config = CacheGenConfig(chunk_tokens=1_024)
-        links = [NetworkLink(ConstantTrace(gbps(3.0))), NetworkLink(ConstantTrace(gbps(0.4)))]
-        engine = ContextLoadingEngine(
-            "mistral-7b",
-            node_links=links,
-            replication_factor=2,
-            config=config,
-            codec=fitted_codec(),
+        spec = ServingSpec(
+            topology="cluster",
+            num_nodes=2,
+            replication=2,
+            node_bandwidths_gbps=(3.0, 0.4),
+            chunk_tokens=1_024,
         )
-        report = engine.ingest("doc", TOKENS)
+        backend = build_backend(spec, codec=fitted_codec())
+        report = backend.ingest("doc", TOKENS)
         assert set(report.replica_node_ids) == {"node-0", "node-1"}
-        fast = engine.query("doc", "q?")
-        engine.cluster.mark_down(fast.served_by)
-        slow = engine.query("doc", "q?")
+        fast = query(backend, "doc", "q?")
+        backend.engine.cluster.mark_down(fast.served_by)
+        slow = query(backend, "doc", "q?")
         by_node = {fast.served_by: fast, slow.served_by: slow}
         assert by_node["node-1"].ttft_s > by_node["node-0"].ttft_s
 
 
 class TestTieredNodes:
     @pytest.fixture()
-    def tight_engine(self, fitted_codec):
+    def tight_backend(self, fitted_codec):
         """Hot tiers sized so two long contexts cannot both stay hot."""
-        config = CacheGenConfig(chunk_tokens=1_024)
-        probe = ContextLoadingEngine("mistral-7b", config=config, codec=fitted_codec())
+        probe = build_backend(ServingSpec(chunk_tokens=1_024), codec=fitted_codec()).engine
         probe.ingest("probe", TOKENS)
         one = float(next(iter(probe.cluster.nodes.values())).store.storage_bytes())
-        links = [NetworkLink(ConstantTrace(gbps(3.0))) for _ in range(2)]
-        return ContextLoadingEngine(
-            "mistral-7b",
-            node_links=links,
-            replication_factor=2,
+        spec = ServingSpec(
+            topology="tiered",
+            num_nodes=2,
+            replication=2,
+            node_bandwidths_gbps=(3.0, 3.0),
             max_bytes_per_node=1.2 * one,
             cold_bytes_per_node=10 * one,
-            config=config,
-            codec=fitted_codec(),
+            chunk_tokens=1_024,
         )
+        return build_backend(spec, codec=fitted_codec())
 
-    def test_pressure_demotes_and_cold_hit_serves_kv(self, tight_engine):
-        tight_engine.ingest("doc-a", TOKENS)
-        tight_engine.ingest("doc-b", TOKENS)  # demotes doc-a on both nodes
-        for node in tight_engine.cluster.nodes.values():
+    def test_pressure_demotes_and_cold_hit_serves_kv(self, tight_backend):
+        tight_backend.ingest("doc-a", TOKENS)
+        tight_backend.ingest("doc-b", TOKENS)  # demotes doc-a on both nodes
+        for node in tight_backend.engine.cluster.nodes.values():
             assert node.store.eviction_count == 0
-        response = tight_engine.query("doc-a", "What does it say?")
+        response = query(tight_backend, "doc-a", "What does it say?")
         assert response.used_kv_cache
         assert response.served_tier == "cold"
         assert response.tier_transfer_s > 0.0
         # The tier read is part of the reported TTFT's network component.
         assert response.ttft.network_s >= response.tier_transfer_s
 
-    def test_cold_hit_slower_than_hot_hit_faster_than_text(self, tight_engine):
-        tight_engine.ingest("doc-a", TOKENS)
-        hot = tight_engine.query("doc-a", "Q?")
+    def test_cold_hit_slower_than_hot_hit_faster_than_text(self, tight_backend):
+        tight_backend.ingest("doc-a", TOKENS)
+        hot = query(tight_backend, "doc-a", "Q?")
         assert hot.served_tier == "hot"
-        tight_engine.ingest("doc-b", TOKENS)  # demotes doc-a
-        cold = tight_engine.query("doc-a", "Q?")
+        tight_backend.ingest("doc-b", TOKENS)  # demotes doc-a
+        cold = query(tight_backend, "doc-a", "Q?")
         assert cold.served_tier == "cold"
         assert cold.ttft_s > hot.ttft_s
-        text = tight_engine.query("doc-x", "Q?", num_tokens=TOKENS)
+        text = query(tight_backend, "doc-x", "Q?", num_tokens=TOKENS)
         assert cold.ttft_s < text.ttft_s
 
-    def test_promotion_visible_on_next_query(self, tight_engine):
-        tight_engine.ingest("doc-a", TOKENS)
-        tight_engine.ingest("doc-b", TOKENS)
-        first = tight_engine.query("doc-a", "Q?")
-        second = tight_engine.query("doc-a", "Q?")
+    def test_promotion_visible_on_next_query(self, tight_backend):
+        tight_backend.ingest("doc-a", TOKENS)
+        tight_backend.ingest("doc-b", TOKENS)
+        first = query(tight_backend, "doc-a", "Q?")
+        second = query(tight_backend, "doc-a", "Q?")
         assert first.served_tier == "cold"
         assert second.served_tier == "hot"
         assert second.ttft_s < first.ttft_s
 
     def test_cold_tier_requires_bounded_hot_tier(self, fitted_codec):
         with pytest.raises(ValueError):
-            ContextLoadingEngine(
-                "mistral-7b", node_links=2, cold_bytes_per_node=1e9, codec=fitted_codec()
-            )
-
-    def test_tier_links_must_match_node_count(self, fitted_codec):
-        with pytest.raises(ValueError):
-            ContextLoadingEngine(
-                "mistral-7b",
-                node_links=2,
-                max_bytes_per_node=1e9,
-                cold_bytes_per_node=1e9,
-                tier_links=[NetworkLink()],
+            build_backend(
+                ServingSpec(topology="cluster", num_nodes=2, cold_bytes_per_node=1e9),
                 codec=fitted_codec(),
             )

@@ -20,7 +20,6 @@ from repro.llm import MISTRAL_7B, SyntheticLLM
 from repro.serving import engine as engine_module
 from repro.serving.api import ServeRequest, ServingSpec, build_backend, profile_codec
 from repro.serving.api.driver import Driver
-from repro.serving.engine import ContextLoadingEngine
 from repro.simcheck.race import run_report_digest
 
 BASE = ServingSpec(model="mistral-7b", chunk_tokens=256)
@@ -267,7 +266,7 @@ def test_codec_of_another_model_shape_is_refused_at_construction(fitted_codec):
     """It used to construct, then die at the first ingest on a context-count mismatch."""
     narrow = dataclasses.replace(MISTRAL_7B, sim_channels=16)
     with pytest.raises(ValueError, match="32 layers x 32 channels, not 32 x 16"):
-        ContextLoadingEngine(narrow, config=CacheGenConfig(), codec=fitted_codec())
+        build_backend(ServingSpec(model=narrow), codec=fitted_codec())
 
 
 def test_nothing_reachable_from_a_codec_is_writable(fitted_codec):

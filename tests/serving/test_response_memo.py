@@ -18,6 +18,7 @@ from unittest import mock
 
 import pytest
 
+from conftest import serve_one
 from repro.core import KVCache
 from repro.faults import Corruption, FaultSchedule, ResiliencePolicy, RetryPolicy
 from repro.serving.api import Driver, ServeRequest, ServingSpec, build_backend
@@ -204,7 +205,9 @@ def test_text_fallback_needs_no_distortion_pass(fitted_codec):
         )
     with counting_evaluations() as calls:
         responses = concurrent.run()
-        single = backend.engine.query("never-ingested", "Question 3?", num_tokens=320)
+        single = serve_one(
+            backend, ServeRequest("never-ingested", "Question 3?", num_tokens=320)
+        )
     assert calls.call_count == 0
     reference = backend.engine.llm.calculate_kv("never-ingested", 320)
     expected = backend.engine.llm.generate_with_kv(reference, reference_kv=reference)
@@ -225,9 +228,9 @@ class TestMemoLifetime:
         first_record = store.peek_context("doc")
         assert first_record.generations == {}
         with counting_evaluations() as calls:
-            first = engine.query("doc", "a?")
-            again = engine.query("doc", "b?")
-            other_task = engine.query("doc", "c?", task="qa_f1")
+            first = serve_one(backend, ServeRequest("doc", "a?"))
+            again = serve_one(backend, ServeRequest("doc", "b?"))
+            other_task = serve_one(backend, ServeRequest("doc", "c?", task="qa_f1"))
         assert calls.call_count == 2
         assert again.quality is first.quality  # one shared, frozen result
         assert other_task.quality != first.quality
@@ -239,7 +242,7 @@ class TestMemoLifetime:
         assert recreated is not first_record
         assert recreated.generations == {}
         with counting_evaluations() as calls:
-            after = engine.query("doc", "d?")
+            after = serve_one(backend, ServeRequest("doc", "d?"))
         assert calls.call_count == 1
         assert after.quality == first.quality
         assert len(first_record.generations) == 2  # the dead record is untouched
@@ -247,7 +250,7 @@ class TestMemoLifetime:
     def test_shared_generation_cannot_be_mutated(self, fitted_codec):
         backend = build_backend(BASE.with_(adaptive=False), codec=fitted_codec())
         backend.engine.ingest("doc", 160)
-        backend.engine.query("doc", "a?")
+        serve_one(backend, ServeRequest("doc", "a?"))
         (store,) = backend.engine.stores().values()
         (generation,) = store.peek_context("doc").generations.values()
         with pytest.raises(AttributeError):
@@ -265,7 +268,7 @@ class TestMemoLifetime:
         store = frontend.cluster.nodes["node-0"].store
         frontend.ingest("victim", 320)
         record = store.peek_context("victim")
-        first = frontend.query("victim", "a?")
+        first = serve_one(backend, ServeRequest("victim", "a?"))
         assert first.used_kv_cache and len(record.generations) == 1
 
         for i in range(3):  # push the victim out of the hot tier
@@ -276,7 +279,7 @@ class TestMemoLifetime:
         assert len(record.generations) == 1
 
         with counting_evaluations() as calls:
-            cold_hit = frontend.query("victim", "b?")
+            cold_hit = serve_one(backend, ServeRequest("victim", "b?"))
         assert cold_hit.served_tier == "cold" and calls.call_count == 0
         assert cold_hit.quality is first.quality
         assert store.tier_of("victim") == "hot"  # promoted by the read

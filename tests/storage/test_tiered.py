@@ -158,15 +158,6 @@ class TestPromotion:
         assert store.tier_of("big") == COLD
         assert store.stats.promotions == 0
 
-    def test_promotion_can_be_disabled(self):
-        store = _tiered(promote_on_hit=False)
-        store.store_prepared(_ctx("a", 100.0))
-        store.store_prepared(_ctx("b", 200.0))
-        store.get_context("a")
-        assert store.tier_of("a") == COLD
-        assert store.stats.cold_hits == 1
-        assert store.stats.promotions == 0
-
 
 class TestHeadroom:
     def test_in_flight_demotions_shrink_headroom(self):

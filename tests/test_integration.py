@@ -13,8 +13,9 @@ import repro
 from repro import NetworkLink, StepTrace, gbps
 from repro.baselines import CacheGenMethod, TextContextBaseline, UniformQuantizationBaseline
 from repro.datasets import LongChatDataset
+from conftest import serve_one
 from repro.experiments.common import Workbench, default_link
-from repro.serving.engine import ContextLoadingEngine
+from repro.serving.api import ServeRequest, ServingSpec, build_backend
 
 
 def test_version_exposed():
@@ -101,20 +102,24 @@ class TestPaperHeadlineClaims:
 class TestEndToEndEngine:
     def test_rag_style_reuse(self):
         """Ingest once, query twice — the second query must not pay prefill."""
-        engine = ContextLoadingEngine("mistral-7b")
-        engine.ingest("earnings-q4", 3_000)
-        first = engine.query("earnings-q4", "Summarise the earnings report.")
-        second = engine.query("earnings-q4", "What were the top revenue sources?")
+        backend = build_backend(ServingSpec())
+        backend.ingest("earnings-q4", 3_000)
+        first = serve_one(backend, ServeRequest("earnings-q4", "Summarise the earnings report."))
+        second = serve_one(
+            backend, ServeRequest("earnings-q4", "What were the top revenue sources?")
+        )
         assert first.used_kv_cache and second.used_kv_cache
-        text_path = engine.query("fresh-earnings", "Summarise.", num_tokens=3_000)
+        text_path = serve_one(
+            backend, ServeRequest("fresh-earnings", "Summarise.", num_tokens=3_000)
+        )
         assert second.ttft_s < text_path.ttft_s
 
     def test_engine_under_bandwidth_drop_meets_slo(self):
         """With an SLO and a mid-transfer bandwidth drop, the engine adapts."""
         trace = StepTrace(gbps(2), gbps(0.1), gbps(1), drop_at_s=0.1, recover_at_s=1.0)
-        engine = ContextLoadingEngine("mistral-7b", link=NetworkLink(trace))
-        engine.ingest("doc", 3_000)
-        response = engine.query("doc", "What is discussed?", slo_s=1.0)
+        backend = build_backend(ServingSpec(link=NetworkLink(trace)))
+        backend.ingest("doc", 3_000)
+        response = serve_one(backend, ServeRequest("doc", "What is discussed?", slo_s=1.0))
         assert response.used_kv_cache
         assert len(set(response.chunk_configs)) >= 1
 
