@@ -19,8 +19,7 @@ import numpy as np
 
 from .config import CacheGenConfig
 from .delta import DeltaDecomposition, anchor_positions, reconstruct_from_deltas
-from .encoder import CacheGenEncoder, EncodedKV, EncodedTensorStream
-from .entropy_codec import decode_payloads
+from .encoder import CacheGenEncoder, EncodedKV, EncodedTensorStream, _decode_symbols
 from .kv_cache import KVCache
 
 __all__ = ["CacheGenDecoder"]
@@ -62,22 +61,7 @@ class CacheGenDecoder:
         """
         streams = (encoded.k_stream, encoded.v_stream)
         if encoded.k_stream.delta_payload.exact:
-            models = self._encoder.model_for_level(encoded.level)
-            # One batch per call: the payloads share a loop and two tables.
-            coded = [
-                (model, payload)
-                for stream in streams
-                for model, payload in (
-                    (models.delta_model, stream.delta_payload),
-                    (models.anchor_model, stream.anchor_payload),
-                )
-                if payload is not None
-            ]
-            symbols = iter(decode_payloads(coded))
-            pairs = [
-                (next(symbols), None if stream.anchor_payload is None else next(symbols))
-                for stream in streams
-            ]
+            pairs = _decode_symbols(self._encoder.model_for_level(encoded.level), streams)
         elif encoded.source is None:
             raise ValueError(
                 f"estimated encoding at level {encoded.level.name!r} has no source: it stores "

@@ -25,8 +25,8 @@ import numpy as np
 
 from .config import CacheGenConfig, EncodingLevel
 from .delta import anchor_positions, compute_deltas
-from .entropy_codec import EntropyEncodedPayload, encode_payloads
-from .kv_cache import KVCache
+from .entropy_codec import EntropyEncodedPayload, decode_payloads, encode_payloads
+from .kv_cache import KVCache, squared_error_per_layer
 from .probability_model import ScoringScratch, SymbolProbabilityModel
 from .quantization import (
     QuantizedTensor,
@@ -85,7 +85,9 @@ class EncodedKV:
     """One KV cache (or chunk) encoded into CacheGen bitstreams.
 
     An exact encoding decodes from its bitstreams.  An estimated one keeps
-    payload sizes, not symbols, and decodes by quantizing ``source`` again.
+    payload sizes, not symbols, and decodes by quantizing ``source`` again;
+    one that :meth:`CacheGenEncoder.encode_with_errors` made keeps no source,
+    since its reads are scored from the error statistics taken beside it.
     """
 
     model_name: str
@@ -98,8 +100,8 @@ class EncodedKV:
     scale_factor: float
     full_layers: int
     full_channels: int
-    #: The cache an estimated encoding encoded (in a store, the very chunk its
-    #: record holds); ``None`` when exact.
+    #: The cache an estimated encoding encoded; ``None`` when exact or when
+    #: its error statistics were taken instead.
     source: KVCache | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -369,6 +371,60 @@ def _codec_from_arrays(arrays: Mapping[str, np.ndarray], config: CacheGenConfig)
     return _assemble(_scalar(arrays, "model_name", "U"), (layers, channels), config, level_models)
 
 
+def _decode_symbols(
+    models: LevelCodecModel, streams: tuple[EncodedTensorStream, ...]
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """``(delta, anchor)`` symbols of each exactly coded stream, off its bitstreams."""
+    # One batch per call: the payloads share a loop and two tables.
+    coded = [
+        (model, payload)
+        for stream in streams
+        for model, payload in (
+            (models.delta_model, stream.delta_payload),
+            (models.anchor_model, stream.anchor_payload),
+        )
+        if payload is not None
+    ]
+    symbols = iter(decode_payloads(coded))
+    return [
+        (next(symbols), None if stream.anchor_payload is None else next(symbols))
+        for stream in streams
+    ]
+
+
+def _squared_error(
+    original: np.ndarray,
+    stream: EncodedTensorStream,
+    delta_symbols: np.ndarray,
+    anchor_symbols: np.ndarray | None,
+    group_size: int,
+) -> np.ndarray:
+    """Per-layer float64 ``sum((decoded - original) ** 2)`` of one K or V tensor.
+
+    ``decoded`` is what ``CacheGenDecoder`` reconstructs from the symbols,
+    value for value: each token's float32 delta added to its group's float32
+    anchor.  It is taken group by group here, not scattered into a tensor.
+    """
+    deltas = delta_symbols.astype(np.float32) * stream.delta_scale[:, None, :]
+    if anchor_symbols is None:
+        return squared_error_per_layer(deltas, original)
+    anchors = anchor_symbols.astype(np.float32) * stream.anchor_scale[:, None, :]
+    layers, tokens, channels = original.shape
+    groups = tokens // group_size  # complete groups
+    body = groups * (group_size - 1)  # their non-anchor tokens, first in ``deltas``
+    error = squared_error_per_layer(anchors, original[:, ::group_size])
+    if groups:
+        decoded = anchors[:, :groups, None] + deltas[:, :body].reshape(
+            layers, groups, group_size - 1, channels
+        )
+        grouped = original[:, : groups * group_size].reshape(layers, groups, group_size, channels)
+        error += squared_error_per_layer(decoded, grouped[:, :, 1:])
+    if body < deltas.shape[1]:  # the last, partial group
+        decoded = anchors[:, groups, None] + deltas[:, body:]
+        error += squared_error_per_layer(decoded, original[:, groups * group_size + 1 :])
+    return error
+
+
 @dataclass
 class _PreparedTensor:
     """What quantizing one K or V tensor needs that no encoding level changes."""
@@ -397,6 +453,9 @@ class _PreparedKV:
     kv: KVCache
     #: Preparations of ``kv.k`` and ``kv.v``; ``None`` until first encoded.
     tensors: tuple[_PreparedTensor, _PreparedTensor] | None = None
+    #: Level name -> :func:`_squared_error` of K plus V at that level, filled
+    #: by :meth:`CacheGenEncoder.encode` when not ``None``.
+    errors: dict[str, np.ndarray] | None = None
 
     @property
     def nbytes(self) -> int:
@@ -548,6 +607,22 @@ class CacheGenEncoder:
             for tensor, (delta, anchor), payload in zip(prepared.tensors, quantized, payloads)
         )
         kv = prepared.kv
+        if prepared.errors is not None:
+            # Exact: a real decode of the bitstreams, so every stored byte is
+            # proved once.  Estimated: the symbols just quantized.
+            streams = (k_stream, v_stream)
+            pairs = (
+                _decode_symbols(models, streams)
+                if payloads[0].exact
+                else [
+                    (delta.symbols, None if anchor is None else anchor.symbols)
+                    for delta, anchor in quantized
+                ]
+            )
+            prepared.errors[level.name] = sum(
+                _squared_error(tensor, stream, delta, anchor, self.config.group_size)
+                for tensor, stream, (delta, anchor) in zip((kv.k, kv.v), streams, pairs)
+            )
         return EncodedKV(
             model_name=kv.model_name,
             level=level,
@@ -559,13 +634,30 @@ class CacheGenEncoder:
             scale_factor=kv.scale_factor,
             full_layers=kv.full_layers,
             full_channels=kv.full_channels,
-            source=None if payloads[0].exact else kv,
+            source=None if payloads[0].exact or prepared.errors is not None else kv,
         )
 
     def encode_all_levels(self, kv: KVCache) -> dict[str, EncodedKV]:
         """Encode a KV cache at every configured level (offline preparation)."""
         prepared = _PreparedKV(kv)
         return {level.name: self.encode(prepared, level) for level in self.config.levels}
+
+    def encode_with_errors(
+        self, kv: KVCache
+    ) -> tuple[dict[str, EncodedKV], dict[str, np.ndarray]]:
+        """:meth:`encode_all_levels`, plus each level's per-layer squared error.
+
+        The error of a level is ``sum((decoded - kv) ** 2)`` over tokens and
+        channels, K and V added, in float64, where ``decoded`` holds exactly
+        the float32 values :class:`~repro.core.decoder.CacheGenDecoder` gives:
+        it is taken from the symbols :meth:`encode` quantized (exact coding:
+        decoded back from the bitstreams), never by quantizing again.  With
+        it a read is scored without the tensor, so the encodings keep no
+        ``source``.
+        """
+        prepared = _PreparedKV(kv, errors={})
+        encodings = {level.name: self.encode(prepared, level) for level in self.config.levels}
+        return encodings, prepared.errors
 
     # ------------------------------------------------------------ inner pieces
     def _level(self, level: EncodingLevel | str | int | None) -> EncodingLevel:
