@@ -137,6 +137,9 @@ class QualityModel:
             raise ValueError(
                 f"expected {self.num_layers} per-layer distortions, got {len(layer_distortion)}"
             )
+        # NaN compares false with everything, so it would pass a ``< 0`` test.
+        if not np.all(np.isfinite(layer_distortion)):
+            raise ValueError(f"distortions must be finite, got {layer_distortion}")
         if np.any(layer_distortion < 0):
             raise ValueError("distortions must be non-negative")
         return float(np.dot(self.layer_sensitivity(), layer_distortion))

@@ -72,6 +72,12 @@ class TestScoring:
         with pytest.raises(ValueError):
             model.score("qa_accuracy", np.full(LAYERS, -0.1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_distortion_rejected(self, bad):
+        """NaN used to pass the non-negativity check and score ``nan`` silently."""
+        with pytest.raises(ValueError, match="finite"):
+            QualityModel(4).score("qa_accuracy", [0.1, bad, 0.0, 0.0])
+
     def test_custom_base_values(self):
         model = QualityModel(num_layers=4, base_values={"qa_f1": 0.5})
         assert model.score("qa_f1", np.zeros(4)).value == pytest.approx(0.5)
