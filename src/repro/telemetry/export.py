@@ -21,6 +21,7 @@ can rely on monotonic ``ts``.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -74,6 +75,72 @@ def _track_layout(tracer: Tracer) -> dict[str, tuple[int, int]]:
     return layout
 
 
+def _iter_chrome_events(tracer: Tracer) -> Iterator[dict[str, Any]]:
+    """The trace events of :func:`chrome_trace_events`, built one at a time.
+
+    Only the timestamps are held for the sort: a stable sort of ``(ts,
+    index)`` over spans, then instants, then samples, which is the order a
+    stable sort of the built events by ``ts`` gives.
+    """
+    layout = _track_layout(tracer)
+    for pid, name in ((REQUESTS_PID, "requests"), (RESOURCES_PID, "resources")):
+        yield {"ph": "M", "name": "process_name", "pid": pid, "tid": 0, "args": {"name": name}}
+    for track, (pid, tid) in layout.items():
+        yield {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid, "args": {"name": track}}
+
+    spans, instants, samples = tracer.spans, tracer.instants, tracer.samples
+    stamps = [
+        *(_us(span.start_s) for span in spans),
+        *(_us(instant.at_s) for instant in instants),
+        *(_us(sample.at_s) for sample in samples),
+    ]
+    first_sample = len(spans) + len(instants)
+    for index in sorted(range(len(stamps)), key=stamps.__getitem__):
+        ts = stamps[index]
+        if index < len(spans):
+            span = spans[index]
+            pid, tid = layout[span.track]
+            event: dict[str, Any] = {
+                "ph": "X",
+                "name": span.name,
+                "cat": span.category or "span",
+                "pid": pid,
+                "tid": tid,
+                "ts": ts,
+                "dur": _us(span.dur_s),
+            }
+            args = dict(span.args)
+            if span.request_id is not None:
+                args.setdefault("request_id", span.request_id)
+            if args:
+                event["args"] = args
+        elif index < first_sample:
+            instant = instants[index - len(spans)]
+            pid, tid = layout[instant.track]
+            event = {
+                "ph": "i",
+                "name": instant.name,
+                "cat": instant.category or "instant",
+                "pid": pid,
+                "tid": tid,
+                "ts": ts,
+                "s": "t",
+            }
+            if instant.args:
+                event["args"] = dict(instant.args)
+        else:
+            sample = samples[index - first_sample]
+            event = {
+                "ph": "C",
+                "name": f"{sample.track} {sample.name}",
+                "pid": layout[sample.track][0],
+                "tid": 0,
+                "ts": ts,
+                "args": {sample.name: sample.value},
+            }
+        yield event
+
+
 def chrome_trace_events(tracer: Tracer) -> list[dict[str, Any]]:
     """Render the tracer as a flat, time-sorted trace-event list.
 
@@ -81,92 +148,18 @@ def chrome_trace_events(tracer: Tracer) -> list[dict[str, Any]]:
     every span ("X"), instant ("i") and counter sample ("C") ordered by
     timestamp.
     """
-    layout = _track_layout(tracer)
-    events: list[dict[str, Any]] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": REQUESTS_PID,
-            "tid": 0,
-            "args": {"name": "requests"},
-        },
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": RESOURCES_PID,
-            "tid": 0,
-            "args": {"name": "resources"},
-        },
-    ]
-    for track, (pid, tid) in layout.items():
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": track},
-            }
-        )
+    return list(_iter_chrome_events(tracer))
 
-    timed: list[dict[str, Any]] = []
-    for span in tracer.spans:
-        pid, tid = layout[span.track]
-        event: dict[str, Any] = {
-            "ph": "X",
-            "name": span.name,
-            "cat": span.category or "span",
-            "pid": pid,
-            "tid": tid,
-            "ts": _us(span.start_s),
-            "dur": _us(span.dur_s),
-        }
-        args = dict(span.args)
-        if span.request_id is not None:
-            args.setdefault("request_id", span.request_id)
-        if args:
-            event["args"] = args
-        timed.append(event)
-    for instant in tracer.instants:
-        pid, tid = layout[instant.track]
-        event = {
-            "ph": "i",
-            "name": instant.name,
-            "cat": instant.category or "instant",
-            "pid": pid,
-            "tid": tid,
-            "ts": _us(instant.at_s),
-            "s": "t",
-        }
-        if instant.args:
-            event["args"] = dict(instant.args)
-        timed.append(event)
-    for sample in tracer.samples:
-        pid, _tid = layout[sample.track]
-        timed.append(
-            {
-                "ph": "C",
-                "name": f"{sample.track} {sample.name}",
-                "pid": pid,
-                "tid": 0,
-                "ts": _us(sample.at_s),
-                "args": {sample.name: sample.value},
-            }
-        )
 
-    timed.sort(key=lambda event: event["ts"])
-    events.extend(timed)
-    return events
+def _trace_trailer(tracer: Tracer) -> dict[str, Any]:
+    """What follows ``traceEvents`` in the trace object."""
+    return {"displayTimeUnit": "ms", "otherData": {"metrics": tracer.metrics.snapshot()}}
 
 
 def to_chrome_trace(tracer: Tracer) -> dict[str, Any]:
     """The full Chrome trace object (``json.dump`` it, or use
     :func:`write_chrome_trace`)."""
-    return {
-        "traceEvents": chrome_trace_events(tracer),
-        "displayTimeUnit": "ms",
-        "otherData": {"metrics": tracer.metrics.snapshot()},
-    }
+    return {"traceEvents": chrome_trace_events(tracer), **_trace_trailer(tracer)}
 
 
 def write_chrome_trace(tracer: Tracer, path: str | Path) -> Path:
@@ -181,16 +174,16 @@ def write_chrome_trace(tracer: Tracer, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # The bytes ``json.dump`` writes, without its pure-Python encoder (a write
-    # per token) and without holding ``json.dumps`` of a whole run: the events,
-    # which lead the object, go through the C encoder a batch at a time.
-    trace = to_chrome_trace(tracer)
-    events = trace.pop("traceEvents")
+    # per token) and without holding the run's events: they are built, and go
+    # through the C encoder, a batch at a time.
+    events = _iter_chrome_events(tracer)
     with path.open("w", encoding="utf-8") as handle:
         handle.write('{"traceEvents": [')
-        for first in range(0, len(events), _EVENT_BATCH):
-            batch = json.dumps(events[first : first + _EVENT_BATCH])
-            handle.write(", " * (first > 0) + batch[1:-1])
-        handle.write("], " + json.dumps(trace)[1:] + "\n")
+        separator = ""
+        while batch := list(islice(events, _EVENT_BATCH)):
+            handle.write(separator + json.dumps(batch)[1:-1])
+            separator = ", "
+        handle.write("], " + json.dumps(_trace_trailer(tracer))[1:] + "\n")
     return path
 
 
