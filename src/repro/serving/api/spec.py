@@ -24,6 +24,16 @@ from .types import _require_count, _require_finite
 
 __all__ = ["ServingSpec", "TOPOLOGIES", "EVICTION_POLICIES", "PLACEMENT_POLICIES"]
 
+
+def _require_servable(config: CacheGenConfig) -> None:
+    """``ValueError`` for a codec configuration no served context can be coded under."""
+    if config.probability_grouping == "token":
+        raise ValueError(
+            'probability_grouping="token" cannot serve: a per-token-position model needs '
+            "every tensor to have the profile's token count, and contexts and chunks vary "
+            "in length; it exists for the Figure 5 grouping-entropy analysis only"
+        )
+
 #: Store topologies a spec can declare.
 TOPOLOGIES = ("single", "tiered", "cluster")
 #: Known eviction-policy names (mirrors :func:`repro.storage.eviction.make_policy`).
@@ -215,7 +225,7 @@ class ServingSpec:
                 )
         # The model and the codec levels are validated by resolving them once.
         self.resolved_model()
-        self.resolved_config()
+        _require_servable(self.resolved_config())
 
     # ------------------------------------------------------------------- model
     def resolved_model(self) -> ModelConfig:

@@ -55,7 +55,7 @@ from ..storage.eviction import make_policy
 from ..storage.kv_store import KVCacheStore, StoredContext
 from ..storage.tiered import DiskKVStore, TieredKVStore
 from ..streaming.adaptation import AdaptationPolicy, choose_policy
-from .api.spec import ServingSpec
+from .api.spec import ServingSpec, _require_servable
 from .api.types import ServeRequest, ServeResponse
 from .concurrent.processes import materialise
 from .pipeline import IngestReport
@@ -143,12 +143,7 @@ def profile_codec(model: ModelConfig | str, config: CacheGenConfig | None = None
         config = CacheGenConfig()
     elif not isinstance(config, CacheGenConfig):
         raise TypeError(f"config must be a CacheGenConfig or None, not {type(config).__name__}")
-    if config.probability_grouping == "token":
-        raise ValueError(
-            'probability_grouping="token" cannot serve: a per-token-position model needs '
-            "every tensor to have the profile's token count, and contexts and chunks vary "
-            "in length; it exists for the Figure 5 grouping-entropy analysis only"
-        )
+    _require_servable(config)
     key = (model, _fit_fields(config))
     codec = _PROFILES.get(key)
     if codec is None:

@@ -308,8 +308,7 @@ def test_codec_for_another_model_or_configuration_is_refused(changes, message, f
             CacheGenEncoder(BASE.with_(**changes).resolved_config(), codec=fitted_codec())
 
 
-def test_token_grouping_is_refused_when_the_backend_is_built():
-    """It used to build, then die at the first ingest on a context-count mismatch."""
-    spec = ServingSpec(config=CacheGenConfig(probability_grouping="token"))
+def test_token_grouping_is_refused_when_the_spec_is_constructed():
+    """It used to construct, then fail when the backend was built."""
     with pytest.raises(ValueError, match="Figure 5"):
-        build_backend(spec)
+        ServingSpec(config=CacheGenConfig(probability_grouping="token"))
