@@ -14,10 +14,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any
 
-from ..core.decoder import CacheGenDecoder
+import numpy as np
+
 from ..core.encoder import CacheGenEncoder
 from ..llm.quality import GenerationQuality
-from ..serving.concurrent.processes import ChunkedKVLoad
+from ..serving.concurrent.processes import ChunkedKVLoad, distortion
 from ..streaming.adaptation import choose_policy
 from ..streaming.chunking import PreparedChunk, prepare_chunks
 from .base import ContextLoadingMethod, LoadRequest
@@ -54,16 +55,18 @@ class CacheGenMethod(ContextLoadingMethod):
         name: str | None = None,
     ) -> None:
         self.encoder = encoder
-        self.decoder = CacheGenDecoder(encoder)
         self.adaptive = adaptive
         self.fixed_level = fixed_level or encoder.config.default_level.name
         self.name = name or ("cachegen" if adaptive else "cachegen-static")
-        self._prepared_cache: OrderedDict[tuple[str, str, int], list[PreparedChunk]] = OrderedDict()
+        #: ``(model, context, tokens) -> (prepared chunks, reference variance)``.
+        self._prepared_cache: OrderedDict[
+            tuple[str, str, int], tuple[list[PreparedChunk], np.ndarray]
+        ] = OrderedDict()
 
     # -------------------------------------------------------------------- load
     def load(self, request: LoadRequest) -> ChunkedKVLoad:
         return ChunkedKVLoad(
-            self._prepared_chunks(request),
+            self._prepared_chunks(request)[0],
             policy=choose_policy(
                 [level.name for level in self.encoder.config.levels],
                 request.slo_s,
@@ -78,17 +81,19 @@ class CacheGenMethod(ContextLoadingMethod):
     def outcome(
         self, request: LoadRequest, process: ChunkedKVLoad
     ) -> tuple[GenerationQuality, dict[str, Any]]:
-        distortion = request.reference_kv.normalized_distortion_per_layer(
-            process.materialise(self.decoder)
+        variance = self._prepared_chunks(request)[1]
+        quality = request.quality_model.score(
+            task=request.task,
+            layer_distortion=distortion(process.prepared, process.configs, variance),
         )
-        quality = request.quality_model.score(task=request.task, layer_distortion=distortion)
         return quality, {
             "configs": process.configs,
             "decode_flops": request.compute_model.decode_flops(request.num_tokens),
         }
 
     # ------------------------------------------------------------------ pieces
-    def _prepared_chunks(self, request: LoadRequest) -> list[PreparedChunk]:
+    def _prepared_chunks(self, request: LoadRequest) -> tuple[list[PreparedChunk], np.ndarray]:
+        """The context's chunks and the reference variance its reads are scored by."""
         key = (
             request.reference_kv.model_name,
             request.record.context_id,
@@ -97,7 +102,8 @@ class CacheGenMethod(ContextLoadingMethod):
         if key in self._prepared_cache:
             self._prepared_cache.move_to_end(key)
             return self._prepared_cache[key]
-        prepared = prepare_chunks(request.reference_kv, self.encoder)
+        reference = request.reference_kv
+        prepared = prepare_chunks(reference, self.encoder), reference.variance_per_layer()
         self._prepared_cache[key] = prepared
         while len(self._prepared_cache) > self._CACHE_SIZE:
             self._prepared_cache.popitem(last=False)
@@ -106,5 +112,5 @@ class CacheGenMethod(ContextLoadingMethod):
     # --------------------------------------------------------------- accessors
     def default_level_bytes(self, request: LoadRequest) -> float:
         """Compressed bytes of the context at the default encoding level."""
-        prepared = self._prepared_chunks(request)
+        prepared, _ = self._prepared_chunks(request)
         return sum(chunk.bytes_for_level(self.fixed_level) for chunk in prepared)

@@ -20,7 +20,6 @@ from ..core.encoder import CacheGenEncoder
 from ..core.kv_cache import KVCache
 from ..storage.kv_store import CapacityError, StoredContext
 from ..storage.tiered import COLD, HOT
-from ..streaming.chunking import prepare_chunks
 from .hash_ring import ConsistentHashRing
 from .node import StorageNode
 
@@ -301,12 +300,7 @@ class ShardedKVStore:
         favour of the next node in ring order, so a degraded cluster keeps
         accepting writes as long as one live node can hold the context.
         """
-        stored = StoredContext(
-            context_id=context_id,
-            model_name=kv.model_name,
-            num_tokens=kv.num_tokens,
-            chunks=prepare_chunks(kv, self.encoder),
-        )
+        stored = StoredContext.encode(context_id, kv, self.encoder)
         target_replicas = max(min(self.replication_factor, len(self.live_nodes())), 1)
         placed: list[str] = []
         skipped: list[str] = []

@@ -26,7 +26,7 @@ import numpy as np
 from .config import CacheGenConfig, EncodingLevel
 from .delta import anchor_positions, compute_deltas
 from .entropy_codec import EntropyEncodedPayload, decode_payloads, encode_payloads
-from .kv_cache import KVCache, squared_error_per_layer
+from .kv_cache import KVCache
 from .probability_model import ScoringScratch, SymbolProbabilityModel
 from .quantization import (
     QuantizedTensor,
@@ -392,8 +392,39 @@ def _decode_symbols(
     ]
 
 
+def _error_reference(original: np.ndarray, group_size: int | None) -> tuple[np.ndarray, ...]:
+    """``original`` as :func:`_squared_error` diffs decodes against it.
+
+    Float64 and token-major, ``(tokens, layers, channels)``, the layout the
+    encoder's delta symbols come in: the anchor tokens and the other tokens
+    (with delta encoding, ``group_size`` set), or every token (without).
+    """
+    tokens = original.transpose(1, 0, 2)
+    if group_size is None:
+        return (tokens.astype(np.float64),)
+    others = np.ones(len(tokens), dtype=bool)
+    others[::group_size] = False
+    return tokens[::group_size].astype(np.float64), tokens[others].astype(np.float64)
+
+
+def _token_major_sum_of_squares(decoded: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Per-layer float64 ``sum((decoded - reference) ** 2)`` of token-major arrays."""
+    diff = decoded.astype(np.float64)
+    diff -= reference
+    return np.einsum("tlc,tlc->l", diff, diff)
+
+
+def _dequantize(symbols: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``symbols * scale`` in float32 as the decoder takes it, but token-major."""
+    values = symbols.transpose(1, 0, 2).astype(np.float32, order="C")
+    tokens, layers, channels = values.shape
+    rows = values.reshape(tokens, layers * channels)  # a view: one row per token
+    rows *= np.broadcast_to(scale, (layers, channels)).reshape(-1)
+    return values
+
+
 def _squared_error(
-    original: np.ndarray,
+    reference: tuple[np.ndarray, ...],
     stream: EncodedTensorStream,
     delta_symbols: np.ndarray,
     anchor_symbols: np.ndarray | None,
@@ -403,26 +434,24 @@ def _squared_error(
 
     ``decoded`` is what ``CacheGenDecoder`` reconstructs from the symbols,
     value for value: each token's float32 delta added to its group's float32
-    anchor.  It is taken group by group here, not scattered into a tensor.
+    anchor.  It is built token-major against :func:`_error_reference` of the
+    original, without scattering the deltas into a tensor.
     """
-    deltas = delta_symbols.astype(np.float32) * stream.delta_scale[:, None, :]
+    deltas = _dequantize(delta_symbols, stream.delta_scale)
     if anchor_symbols is None:
-        return squared_error_per_layer(deltas, original)
-    anchors = anchor_symbols.astype(np.float32) * stream.anchor_scale[:, None, :]
-    layers, tokens, channels = original.shape
-    groups = tokens // group_size  # complete groups
-    body = groups * (group_size - 1)  # their non-anchor tokens, first in ``deltas``
-    error = squared_error_per_layer(anchors, original[:, ::group_size])
-    if groups:
-        decoded = anchors[:, :groups, None] + deltas[:, :body].reshape(
-            layers, groups, group_size - 1, channels
-        )
-        grouped = original[:, : groups * group_size].reshape(layers, groups, group_size, channels)
-        error += squared_error_per_layer(decoded, grouped[:, :, 1:])
-    if body < deltas.shape[1]:  # the last, partial group
-        decoded = anchors[:, groups, None] + deltas[:, body:]
-        error += squared_error_per_layer(decoded, original[:, groups * group_size + 1 :])
-    return error
+        (original,) = reference
+        return _token_major_sum_of_squares(deltas, original)
+    anchor_reference, others_reference = reference
+    anchors = _dequantize(anchor_symbols, stream.anchor_scale)
+    width, row = group_size - 1, anchors.shape[1] * anchors.shape[2]
+    groups = (len(anchors) + len(deltas)) // group_size  # complete groups
+    body = deltas[: groups * width].reshape(groups, width, row)
+    body += anchors[:groups].reshape(groups, 1, row)
+    if groups * width < len(deltas):  # the last, partial group
+        deltas[groups * width :] += anchors[groups]
+    return _token_major_sum_of_squares(anchors, anchor_reference) + (
+        _token_major_sum_of_squares(deltas, others_reference)
+    )
 
 
 @dataclass
@@ -439,6 +468,8 @@ class _PreparedTensor:
     #: ``id(anchor model) -> anchor payload``, filled as levels are encoded:
     #: levels that share an anchor model share the payload.
     anchor_payloads: dict[int, EntropyEncodedPayload] = field(default_factory=dict)
+    #: :func:`_error_reference` of the tensor, once error statistics are taken.
+    error_reference: tuple[np.ndarray, ...] | None = None
 
 
 @dataclass
@@ -619,9 +650,15 @@ class CacheGenEncoder:
                     for delta, anchor in quantized
                 ]
             )
+            group_size = self.config.group_size
+            for tensor, original in zip(prepared.tensors, (kv.k, kv.v)):
+                if tensor.error_reference is None:
+                    tensor.error_reference = _error_reference(
+                        original, group_size if self.config.use_delta else None
+                    )
             prepared.errors[level.name] = sum(
-                _squared_error(tensor, stream, delta, anchor, self.config.group_size)
-                for tensor, stream, (delta, anchor) in zip((kv.k, kv.v), streams, pairs)
+                _squared_error(tensor.error_reference, stream, delta, anchor, group_size)
+                for tensor, stream, (delta, anchor) in zip(prepared.tensors, streams, pairs)
             )
         return EncodedKV(
             model_name=kv.model_name,

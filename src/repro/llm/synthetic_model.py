@@ -19,7 +19,8 @@ integrates with serving frameworks through (§6):
 
 * :meth:`SyntheticLLM.calculate_kv` — prefill a context into a KV cache.
 * :meth:`SyntheticLLM.generate_with_kv` — generate a response given a
-  (possibly lossy) KV cache, returning the response together with its quality.
+  (possibly lossy) KV cache, returning the response together with its quality
+  (:meth:`SyntheticLLM.generate` does so from the cache's size and distortion).
 """
 
 from __future__ import annotations
@@ -253,6 +254,45 @@ class SyntheticLLM:
             surrogate scores the generation from the per-layer reconstruction
             error between ``kv`` and ``reference_kv``; if omitted the cache is
             assumed lossless.
+        task, token_keep_fraction, important_token_coverage, max_new_tokens:
+            As for :meth:`generate`.
+        """
+        if reference_kv is not None:
+            distortion = reference_kv.normalized_distortion_per_layer(kv)
+        else:
+            distortion = np.zeros(kv.num_layers)
+        return self.generate(
+            kv.num_tokens,
+            distortion,
+            task=task,
+            token_keep_fraction=token_keep_fraction,
+            important_token_coverage=important_token_coverage,
+            max_new_tokens=max_new_tokens,
+        )
+
+    def generate(
+        self,
+        num_tokens: int,
+        layer_distortion: Optional[np.ndarray] = None,
+        task: str = "qa_accuracy",
+        token_keep_fraction: float = 1.0,
+        important_token_coverage: float = 1.0,
+        max_new_tokens: int = 32,
+    ) -> GenerationResult:
+        """Generate a response from a ``num_tokens``-token context's KV cache.
+
+        The response depends on the delivered cache only through its size and
+        its per-layer distortion, so a caller that knows both (a stored
+        record's error statistics give the distortion) needs no tensor.
+
+        Parameters
+        ----------
+        num_tokens:
+            Context tokens the KV cache covers.
+        layer_distortion:
+            Per-layer normalized distortion of the cache against the lossless
+            one (:meth:`~repro.core.kv_cache.KVCache.normalized_distortion_per_layer`);
+            ``None`` for a lossless cache.
         task:
             One of the task names understood by :class:`QualityModel`
             (``"qa_accuracy"``, ``"qa_f1"``, ``"perplexity"``).
@@ -265,23 +305,21 @@ class SyntheticLLM:
         max_new_tokens:
             Length of the synthetic response.
         """
-        if reference_kv is not None:
-            distortion = reference_kv.normalized_distortion_per_layer(kv)
-        else:
-            distortion = np.zeros(kv.num_layers)
+        if layer_distortion is None:
+            layer_distortion = np.zeros(self.quality_model.num_layers)
         quality = self.quality_model.score(
             task=task,
-            layer_distortion=distortion,
+            layer_distortion=layer_distortion,
             token_keep_fraction=token_keep_fraction,
             important_token_coverage=important_token_coverage,
         )
-        text = self._render_response(kv, quality, max_new_tokens)
+        text = self._render_response(num_tokens, quality, max_new_tokens)
         return GenerationResult(text=text, quality=quality, num_generated_tokens=max_new_tokens)
 
-    def _render_response(self, kv: KVCache, quality: GenerationQuality, n: int) -> str:
+    def _render_response(self, num_tokens: int, quality: GenerationQuality, n: int) -> str:
         """Render a deterministic placeholder response string."""
         status = "faithful" if quality.relative_quality > 0.95 else "degraded"
         return (
             f"[{self.config.name}] {status} response generated from a "
-            f"{kv.num_tokens}-token context ({n} tokens)."
+            f"{num_tokens}-token context ({n} tokens)."
         )

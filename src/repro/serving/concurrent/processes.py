@@ -15,8 +15,10 @@ describes its load as one (:meth:`~repro.baselines.ContextLoadingMethod.load`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
+
+import numpy as np
 
 from ...core.decoder import CacheGenDecoder
 from ...core.kv_cache import KVCache
@@ -33,6 +35,7 @@ __all__ = [
     "ChunkedKVLoad",
     "PROMPT_CONFIG",
     "TIER_CONFIG",
+    "distortion",
     "materialise",
 ]
 
@@ -271,23 +274,53 @@ class ChunkedKVLoad:
     def configs(self) -> list[str]:
         return [decision.config for decision in self.decisions]
 
-    def materialise(self, decoder: CacheGenDecoder) -> KVCache:
+    def materialise(self, decoder: CacheGenDecoder, reference: KVCache) -> KVCache:
         """The KV cache the model ends up with, given the decisions made."""
-        return materialise(self.prepared, self.configs, decoder)
+        return materialise(self.prepared, self.configs, decoder, reference)
+
+
+def distortion(
+    chunks: Sequence[PreparedChunk], configs: Sequence[str], variance: np.ndarray
+) -> np.ndarray:
+    """Per-layer distortion of the KV cache ``chunks`` deliver as ``configs``.
+
+    ``reference.normalized_distortion_per_layer(materialise(chunks, configs,
+    decoder, reference))`` up to float64 summation order, taken from the
+    chunks' error statistics alone: ``variance`` is the reference's
+    :meth:`~repro.core.kv_cache.KVCache.variance_per_layer`, and a chunk
+    recomputed from text adds no error.
+    """
+    if len(configs) != len(chunks):
+        raise RuntimeError("cannot score an unfinished load")
+    error = np.zeros_like(variance)
+    for chunk, config in zip(chunks, configs):
+        if config != TEXT_CONFIG:
+            error += chunk.squared_error[config]
+    channels = next(iter(chunks[0].encodings.values())).sim_shape[2]
+    elements = 2 * sum(chunk.num_tokens for chunk in chunks) * channels
+    return error / elements / np.maximum(variance, 1e-12)
 
 
 def materialise(
-    chunks: Sequence[PreparedChunk], configs: Sequence[str], decoder: CacheGenDecoder
+    chunks: Sequence[PreparedChunk],
+    configs: Sequence[str],
+    decoder: CacheGenDecoder,
+    reference: KVCache,
 ) -> KVCache:
-    """The KV cache the model ends up with when ``chunks`` arrive as ``configs``."""
+    """The KV cache the model ends up with when ``chunks`` of ``reference`` arrive as ``configs``.
+
+    The tensor path :func:`distortion` is checked against.  Stored chunks
+    keep no tensor, so the lossless ``reference`` gives each text chunk
+    (recomputing reproduces it) and each estimated encoding the source it
+    decodes by quantizing again.
+    """
     if len(configs) != len(chunks):
         raise RuntimeError("cannot materialise an unfinished load")
-    return KVCache.concat(
-        [
-            # Recomputing from text reproduces the lossless KV slice.
-            chunk.chunk.kv
-            if config == TEXT_CONFIG
-            else decoder.decode(chunk.encodings[config])
-            for chunk, config in zip(chunks, configs)
-        ]
-    )
+    delivered = []
+    for chunk, config in zip(chunks, configs):
+        lossless = reference.slice_tokens(chunk.chunk.token_start, chunk.chunk.token_end)
+        if config == TEXT_CONFIG:
+            delivered.append(lossless)
+        else:
+            delivered.append(decoder.decode(replace(chunk.encodings[config], source=lossless)))
+    return KVCache.concat(delivered)

@@ -5,16 +5,17 @@ LangChain) talks to, through :class:`~repro.serving.api.backends.Backend`,
 which builds it from a :class:`~repro.serving.api.spec.ServingSpec` — the
 engine's only constructor argument besides an injected codec profile:
 
-* :meth:`ContextLoadingEngine.ingest` computes a context's KV cache once
+* :meth:`ContextLoadingEngine.ingest` computes a context's KV cache
   (``calculate_kv``), encodes it at every level and stores the bitstreams
-  (``store_kv``);
+  (``store_kv``) with the error statistics reads are scored from; the
+  tensor is not kept;
 * :meth:`ContextLoadingEngine.resolve` decides, once per request, where it is
   served from — a :class:`Resolution`: stream the stored KV cache from which
   replica, or fall back to fetching the text and prefilling, and why.  The
   executor (:func:`~repro.serving.concurrent.engine.serve_batch`) plays the
   decision on the event engine, adapting the streamed levels to bandwidth
-  and an optional TTFT SLO, and :meth:`ContextLoadingEngine.respond` calls
-  ``generate_with_kv`` on what arrived.
+  and an optional TTFT SLO, and :meth:`ContextLoadingEngine.respond`
+  answers from what arrived.
 
 The bitstreams live in one :class:`~repro.cluster.sharded_store.ShardedKVStore`
 (``engine.cluster``) however many storage nodes stand behind it: the paper's
@@ -32,17 +33,13 @@ contexts.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from ..cluster.node import StorageNode
 from ..cluster.sharded_store import ShardedKVStore
-from ..core.kv_cache import KVCache
-
 from ..core.config import CacheGenConfig
-from ..core.decoder import CacheGenDecoder
 from ..core.encoder import CacheGenEncoder, FittedCodec, _fit_fields
 from ..llm.compute_model import ComputeModel
 from ..llm.model_config import ModelConfig, get_model_config
@@ -57,7 +54,7 @@ from ..storage.tiered import DiskKVStore, TieredKVStore
 from ..streaming.adaptation import AdaptationPolicy, choose_policy
 from .api.spec import ServingSpec, _require_servable
 from .api.types import ServeRequest, ServeResponse
-from .concurrent.processes import materialise
+from .concurrent.processes import distortion
 from .pipeline import IngestReport
 
 __all__ = ["Resolution", "ContextLoadingEngine", "profile_codec"]
@@ -70,11 +67,6 @@ _PROFILE_TOKENS = 1_500
 #: model, written by ``scripts/build_profiles.py`` (mistral-7b's, the one the
 #: served workloads use).
 _PROFILE_DIR = Path(__file__).with_name("profiles")
-
-#: Number of lossless reference KV caches the engine keeps memoized.  The
-#: reference is needed on every KV-path query to score generation quality;
-#: recomputing it would re-pay the whole prefill the cache exists to avoid.
-_REFERENCE_CACHE_ENTRIES = 128
 
 #: Every profile loaded or taken in this process, by resolved model and
 #: ``_fit_fields``.  Unbounded: one entry per distinct key, and a run uses one
@@ -161,7 +153,6 @@ class _EngineComponents:
     llm: SyntheticLLM
     compute: ComputeModel
     encoder: CacheGenEncoder
-    decoder: CacheGenDecoder
 
 
 @dataclass
@@ -239,9 +230,7 @@ class ContextLoadingEngine:
             llm=llm,
             compute=ComputeModel(model, spec.gpu),
             encoder=encoder,
-            decoder=CacheGenDecoder(encoder),
         )
-        self._reference_cache: OrderedDict[tuple[str, int], KVCache] = OrderedDict()
 
         if spec.topology == "single":
             # Text fallbacks and KV reads share the one serving link.
@@ -314,50 +303,25 @@ class ContextLoadingEngine:
         return self._parts.encoder
 
     @property
-    def decoder(self) -> CacheGenDecoder:
-        return self._parts.decoder
-
-    @property
     def compute_model(self) -> ComputeModel:
         return self._parts.compute
 
-    # --------------------------------------------------------------- reference
-    def _reference_kv(self, context_id: str, num_tokens: int) -> KVCache:
-        """Lossless KV cache of a context, memoized across ingest and queries.
-
-        ``calculate_kv`` is deterministic in ``(context_id, num_tokens)``, so
-        the memo stays valid even if the stored bitstreams are evicted and the
-        context is later re-ingested.  The memo is LRU-bounded so long
-        simulations do not hold every context's tensors in memory.
-        """
-        key = (context_id, num_tokens)
-        cache = self._reference_cache
-        kv = cache.get(key)
-        if kv is None:
-            kv = self._parts.llm.calculate_kv(context_id, num_tokens)
-            cache[key] = kv
-            if len(cache) > _REFERENCE_CACHE_ENTRIES:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(key)
-        return kv
-
+    # ---------------------------------------------------------------- scoring
     def _generate_from_stored(
         self, stored: StoredContext, configs: Sequence[str], task: str
     ) -> GenerationResult:
         """Response to a read of ``stored`` whose chunks arrived as ``configs``.
 
-        The delivered tensor — and so the response — is fixed by the record
-        and the per-chunk configurations, so each is decoded, assembled and
-        scored against the lossless reference once and remembered on the
-        record (see :attr:`StoredContext.generations`).
+        Scored from the record's error statistics, no tensor decoded.  The
+        response is fixed by the record and the per-chunk configurations, so
+        it is remembered on the record (see :attr:`StoredContext.generations`).
         """
         key = (tuple(configs), task)
         generation = stored.generations.get(key)
         if generation is None:
-            generation = stored.generations[key] = self._parts.llm.generate_with_kv(
-                materialise(stored.chunks, configs, self._parts.decoder),
-                reference_kv=self._reference_kv(stored.context_id, stored.num_tokens),
+            generation = stored.generations[key] = self._parts.llm.generate(
+                stored.num_tokens,
+                distortion(stored.chunks, configs, stored.variance),
                 task=task,
             )
         return generation
@@ -371,7 +335,9 @@ class ContextLoadingEngine:
         wall-clock measurement: ingest is part of the simulated world, and a
         host-time read here would leak nondeterminism into traces and reports.
         """
-        placement = self.cluster.store_kv(context_id, self._reference_kv(context_id, num_tokens))
+        placement = self.cluster.store_kv(
+            context_id, self._parts.llm.calculate_kv(context_id, num_tokens)
+        )
         stored = placement.stored
         return IngestReport(
             context_id=context_id,
@@ -504,10 +470,7 @@ class ContextLoadingEngine:
             generation = self._generate_from_stored(resolution.stored, configs, request.task)
         else:
             # Recomputing from text hands the model the lossless cache itself.
-            generation = self._parts.llm.generate_with_kv(
-                self._reference_kv(request.context_id, resolution.num_tokens),
-                task=request.task,
-            )
+            generation = self._parts.llm.generate(resolution.num_tokens, task=request.task)
         return ServeResponse(
             context_id=request.context_id,
             question=request.question,

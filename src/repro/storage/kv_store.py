@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from ..core.encoder import CacheGenEncoder, EncodedKV
 from ..core.kv_cache import KVCache
 from ..llm.synthetic_model import GenerationResult
@@ -33,12 +35,21 @@ class CapacityError(ValueError):
 
 @dataclass
 class StoredContext:
-    """All stored representations of one context."""
+    """All stored representations of one context.
+
+    A record holds no tensor: per chunk its sizes (and bitstreams under exact
+    coding) and error statistics, and per context ``variance``, which is all
+    a read is scored from
+    (:func:`~repro.serving.concurrent.processes.distortion`).
+    """
 
     context_id: str
     model_name: str
     num_tokens: int
     chunks: list[PreparedChunk] = field(default_factory=list)
+    #: Per-layer variance of the lossless KV cache, K and V pooled
+    #: (:meth:`KVCache.variance_per_layer`).
+    variance: np.ndarray | None = field(default=None, compare=False, repr=False)
     #: ``GenerationResult`` of the reads served off this record, keyed by
     #: ``(per-chunk configs, task)`` — the record is immutable once encoded, so
     #: the result is a pure function of that key.  The memo lives and dies with
@@ -47,6 +58,17 @@ class StoredContext:
     generations: dict[tuple[tuple[str, ...], str], GenerationResult] = field(
         default_factory=dict, compare=False, repr=False
     )
+
+    @classmethod
+    def encode(cls, context_id: str, kv: KVCache, encoder: CacheGenEncoder) -> "StoredContext":
+        """``kv`` chunked and encoded at every level, with its error statistics."""
+        return cls(
+            context_id=context_id,
+            model_name=kv.model_name,
+            num_tokens=kv.num_tokens,
+            chunks=prepare_chunks(kv, encoder),
+            variance=kv.variance_per_layer(),
+        )
 
     @property
     def num_chunks(self) -> int:
@@ -118,13 +140,7 @@ class KVCacheStore:
         KV cache is split into context chunks and each chunk is encoded at
         every encoding level.
         """
-        stored = StoredContext(
-            context_id=context_id,
-            model_name=kv.model_name,
-            num_tokens=kv.num_tokens,
-            chunks=prepare_chunks(kv, self.encoder),
-        )
-        return self.store_prepared(stored)
+        return self.store_prepared(StoredContext.encode(context_id, kv, self.encoder))
 
     def store_prepared(self, stored: StoredContext) -> StoredContext:
         """Store an already-encoded context (used by replication, which must

@@ -312,15 +312,7 @@ class TieredKVStore:
     # ------------------------------------------------------------------ writes
     def store_kv(self, context_id: str, kv: KVCache) -> StoredContext:
         """Encode and store a context (hot-tier encoder, tiered placement)."""
-        from ..streaming.chunking import prepare_chunks
-
-        stored = StoredContext(
-            context_id=context_id,
-            model_name=kv.model_name,
-            num_tokens=kv.num_tokens,
-            chunks=prepare_chunks(kv, self.hot.encoder),
-        )
-        return self.store_prepared(stored)
+        return self.store_prepared(StoredContext.encode(context_id, kv, self.hot.encoder))
 
     def store_prepared(self, stored: StoredContext) -> StoredContext:
         """Store an encoded context on the tier the placement policy picks.

@@ -6,12 +6,18 @@ the streamer can later pick a per-chunk configuration: one of the encoding
 levels, or the raw text of the chunk (to be recomputed by the LLM).  Chunks
 are encoded independently, so chunks sent at different levels can be decoded
 independently and concatenated (§5.3).
+
+A prepared chunk keeps no tensor: its encodings (sizes, scales, and
+bitstreams under exact coding) and, per level, the squared error its decode
+would have, from which a read is scored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from ..core.encoder import CacheGenEncoder, EncodedKV
 from ..core.kv_cache import KVCache
@@ -21,12 +27,11 @@ __all__ = ["ContextChunk", "PreparedChunk", "split_context", "prepare_chunks"]
 
 @dataclass
 class ContextChunk:
-    """One chunk of consecutive context tokens and its KV slice."""
+    """One chunk of consecutive context tokens: ``[token_start, token_end)``."""
 
     index: int
     token_start: int
     token_end: int
-    kv: KVCache
 
     @property
     def num_tokens(self) -> int:
@@ -40,16 +45,21 @@ class PreparedChunk:
     Attributes
     ----------
     chunk:
-        The underlying chunk (with its lossless KV slice, used both as the
-        decode reference and as the result of the text/recompute fallback).
+        The chunk's place in the context.
     encodings:
         Mapping from encoding level name to the encoded bitstream.
+    squared_error:
+        Mapping from encoding level name to the per-layer float64 sum of
+        squared K and V error of the chunk decoded at that level
+        (:meth:`~repro.core.encoder.CacheGenEncoder.encode_with_errors`).
+        The text fallback recomputes the chunk losslessly.
     text_bytes:
         Size of the chunk in text form, for the recompute fallback.
     """
 
     chunk: ContextChunk
     encodings: Mapping[str, EncodedKV]
+    squared_error: Mapping[str, np.ndarray]
     text_bytes: int
 
     @property
@@ -69,16 +79,14 @@ class PreparedChunk:
 
 
 def split_context(kv: KVCache, chunk_tokens: int) -> list[ContextChunk]:
-    """Split a context's KV cache into chunks of ``chunk_tokens`` tokens."""
+    """Split a context's tokens into chunks of ``chunk_tokens``."""
     if chunk_tokens <= 0:
         raise ValueError("chunk_tokens must be positive")
-    chunks = []
-    for index, start in enumerate(range(0, kv.num_tokens, chunk_tokens)):
-        end = min(start + chunk_tokens, kv.num_tokens)
-        chunks.append(
-            ContextChunk(index=index, token_start=start, token_end=end, kv=kv.slice_tokens(start, end))
-        )
-    return chunks
+    tokens = kv.num_tokens
+    return [
+        ContextChunk(index=index, token_start=start, token_end=min(start + chunk_tokens, tokens))
+        for index, start in enumerate(range(0, tokens, chunk_tokens))
+    ]
 
 
 def prepare_chunks(
@@ -109,11 +117,14 @@ def prepare_chunks(
     )
     prepared = []
     for chunk in split_context(kv, cfg.chunk_tokens):
-        encodings = encoder.encode_all_levels(chunk.kv)
+        encodings, squared_error = encoder.encode_with_errors(
+            kv.slice_tokens(chunk.token_start, chunk.token_end)
+        )
         prepared.append(
             PreparedChunk(
                 chunk=chunk,
                 encodings=encodings,
+                squared_error=squared_error,
                 text_bytes=int(round(chunk.num_tokens * bytes_per_token)),
             )
         )

@@ -3,6 +3,7 @@ node and over many, failover, text fallback, tiers."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from conftest import serve_one
@@ -119,8 +120,8 @@ class TestReplaceLink:
         assert [node.link for node in engine.cluster.nodes.values()] == before
 
 
-class TestReferenceMemoization:
-    def test_reference_kv_computed_once_per_context(self, monkeypatch, fitted_codec):
+class TestReferenceComputation:
+    def test_reference_kv_computed_once_per_ingest(self, monkeypatch, fitted_codec):
         backend = build_backend(ServingSpec(), codec=fitted_codec())
         engine = backend.engine
         calls: list[str] = []
@@ -133,11 +134,21 @@ class TestReferenceMemoization:
         monkeypatch.setattr(engine.llm, "calculate_kv", counting)
         engine.ingest("memo-doc", 2_200)
         assert calls.count("memo-doc") == 1
+        (store,) = engine.stores().values()
+        first = store.peek_context("memo-doc")
         query(backend, "memo-doc", "First question?")
         query(backend, "memo-doc", "Second question?")
-        # Repeated queries reuse the reference computed at ingest instead of
-        # re-prefilling the whole context every time.
+        # Reads are scored from the record's statistics: no prefill at all.
         assert calls.count("memo-doc") == 1
+        # A re-ingest prefills again, deterministically: the same statistics.
+        engine.ingest("memo-doc", 2_200)
+        assert calls.count("memo-doc") == 2
+        again = store.peek_context("memo-doc")
+        assert again is not first
+        assert np.array_equal(again.variance, first.variance)
+        for old, new in zip(first.chunks, again.chunks):
+            for level, error in old.squared_error.items():
+                assert np.array_equal(new.squared_error[level], error)
 
 
 @pytest.fixture(scope="module")

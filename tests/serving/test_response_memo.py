@@ -3,11 +3,13 @@
 The serving engines remember the :class:`GenerationResult` of a read on the
 stored record it was served from (``StoredContext.generations``).  Nothing in
 production can switch that off, so the oracle lives here: every response of a
-seeded stream is recomputed from scratch — prefill, encode, decode the levels
-its ``chunk_configs`` name, concatenate, score against the lossless reference —
-and must compare ``==`` on ``quality`` and ``text``.  Next to the exactness
-column sits the work metric: distortion evaluations performed vs responses
-served.
+seeded stream is recomputed from scratch — prefill, encode, score the levels
+its ``chunk_configs`` name from the fresh chunks' error statistics — and must
+compare ``==`` on ``quality`` and ``text``.  The same response is also
+recomputed the long way — decode, concatenate, diff against the lossless
+reference — and must agree on ``text`` and, to float64 summation order, on
+``quality``.  Next to the exactness column sits the work metric: distortion
+evaluations performed vs responses served.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from unittest import mock
 import pytest
 
 from conftest import serve_one
-from repro.core import KVCache
+import repro.serving.engine
+from repro.core import CacheGenDecoder
 from repro.faults import Corruption, FaultSchedule, ResiliencePolicy, RetryPolicy
 from repro.serving.api import Driver, ServeRequest, ServingSpec, build_backend
+from repro.serving.concurrent.processes import distortion, materialise
 from repro.streaming import TEXT_CONFIG, prepare_chunks
 
 BASE = ServingSpec(model="mistral-7b", chunk_tokens=128)
@@ -72,13 +76,8 @@ def _stream(num_requests: int, num_contexts: int, prefix: str) -> list[ServeRequ
 
 
 def counting_evaluations():
-    """Spy on ``normalized_distortion_per_layer``: ``.call_count`` inside the block."""
-    return mock.patch.object(
-        KVCache,
-        "normalized_distortion_per_layer",
-        autospec=True,
-        side_effect=KVCache.normalized_distortion_per_layer,
-    )
+    """Spy on the engine's read scoring: ``.call_count`` inside the block."""
+    return mock.patch.object(repro.serving.engine, "distortion", side_effect=distortion)
 
 
 def _drive(backend, requests, **driver_kwargs):
@@ -96,6 +95,7 @@ class Oracle:
 
     def __init__(self, engine) -> None:
         self.engine = engine
+        self.decoder = CacheGenDecoder(engine.encoder)
         self._contexts: dict[tuple[str, int], tuple] = {}
 
     def _context(self, context_id: str, num_tokens: int):
@@ -106,24 +106,26 @@ class Oracle:
         return self._contexts[key]
 
     def generation(self, request: ServeRequest, response):
+        """``(from the statistics, from the tensors)`` generations of ``response``."""
         reference, chunks = self._context(request.context_id, request.num_tokens)
-        delivered = reference
-        if response.used_kv_cache:
-            assert len(response.chunk_configs) == len(chunks)
-            delivered = KVCache.concat(
-                [
-                    chunk.chunk.kv
-                    if config == TEXT_CONFIG
-                    else self.engine.decoder.decode(chunk.encodings[config])
-                    for chunk, config in zip(chunks, response.chunk_configs)
-                ]
+        llm, configs = self.engine.llm, response.chunk_configs
+        if not response.used_kv_cache:
+            assert configs == ["text"]
+            # The lossless fallback is scored the long way too (a tensor diffed
+            # against itself): it must equal a generation with no distortion.
+            return (
+                llm.generate(request.num_tokens, task=request.task),
+                llm.generate_with_kv(reference, reference_kv=reference, task=request.task),
             )
-        else:
-            assert response.chunk_configs == ["text"]
-        # The lossless fallback is scored the long way too (a tensor diffed
-        # against itself): passing ``reference_kv=None`` must not move it.
-        return self.engine.llm.generate_with_kv(
-            delivered, reference_kv=reference, task=request.task
+        assert len(configs) == len(chunks)
+        delivered = materialise(chunks, configs, self.decoder, reference)
+        return (
+            llm.generate(
+                reference.num_tokens,
+                distortion(chunks, configs, reference.variance_per_layer()),
+                task=request.task,
+            ),
+            llm.generate_with_kv(delivered, reference_kv=reference, task=request.task),
         )
 
     def check(self, requests, responses) -> None:
@@ -131,9 +133,13 @@ class Oracle:
         for response in responses:
             request = by_question[response.question]
             assert request.context_id == response.context_id
-            expected = self.generation(request, response)
+            expected, long_way = self.generation(request, response)
             assert response.quality == expected.quality
-            assert response.text == expected.text
+            assert response.text == expected.text == long_way.text
+            for name in ("value", "relative_quality"):
+                assert getattr(response.quality, name) == pytest.approx(
+                    getattr(long_way.quality, name), rel=1e-12, abs=0
+                )
 
 
 def _distinct_reads(requests, responses) -> set:
@@ -196,19 +202,23 @@ def test_every_response_equals_its_recomputation(name, fitted_codec):
 
 
 def test_text_fallback_needs_no_distortion_pass(fitted_codec):
-    """Never-ingested contexts re-prefill from text: lossless, zero evaluations."""
+    """Never-ingested contexts re-prefill from text: lossless, zero evaluations,
+    and no KV cache computed to answer them."""
     backend = build_backend(BASE.with_(concurrency=4), codec=fitted_codec())
     concurrent = backend
     for i in range(3):
         concurrent.submit(
             ServeRequest("never-ingested", f"Question {i}?", 0.1 * i, num_tokens=320)
         )
-    with counting_evaluations() as calls:
+    llm = backend.engine.llm
+    with counting_evaluations() as calls, mock.patch.object(
+        llm, "calculate_kv", side_effect=llm.calculate_kv
+    ) as prefills:
         responses = concurrent.run()
         single = serve_one(
             backend, ServeRequest("never-ingested", "Question 3?", num_tokens=320)
         )
-    assert calls.call_count == 0
+    assert calls.call_count == 0 and prefills.call_count == 0
     reference = backend.engine.llm.calculate_kv("never-ingested", 320)
     expected = backend.engine.llm.generate_with_kv(reference, reference_kv=reference)
     for response in [*responses, single]:

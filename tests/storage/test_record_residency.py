@@ -1,54 +1,85 @@
 """What a stored record keeps resident.
 
-A record holds each chunk's lossless tensor once.  Its estimated encodings
-store sizes and scales, not symbols: each points back at that tensor as its
-``source`` and decodes by quantizing it again.
+A record holds no tensor.  Per chunk it keeps sizes and scales (bitstreams
+too under exact coding) and, per level, the per-layer squared error of its
+decode; per context, the per-layer variance of the lossless cache.  Reads are
+scored from those statistics, so an estimated encoding keeps no ``source``
+and cannot be decoded.
 """
 
 from __future__ import annotations
+
+import gc
+import types
 
 import numpy as np
 import pytest
 
 from repro import ServeRequest, ServingSpec, build_backend
-from repro.core import CacheGenDecoder, CacheGenEncoder
-from repro.core.encoder import EncodedTensorStream
+from repro.core import CacheGenDecoder
+
+#: Objects the walk does not enter: code and modules lead to every global.
+_OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, str, bytes)
 
 
-def _payloads(stream: EncodedTensorStream):
-    return [p for p in (stream.delta_payload, stream.anchor_payload) if p is not None]
+def _reachable_arrays(root) -> dict[int, np.ndarray]:
+    """Every ndarray reachable from ``root``, views' bases included, by id."""
+    arrays: dict[int, np.ndarray] = {}
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _OPAQUE):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj, np.ndarray):
+                arrays[id(obj)] = obj
+                obj = obj.base
+            continue
+        stack.extend(gc.get_referents(obj))
+    return arrays
 
 
 @pytest.mark.parametrize("topology", ["single", "cluster"])
-def test_records_hold_the_chunk_tensor_once(fitted_codec, topology):
+def test_no_record_or_engine_holds_a_token_sized_array(fitted_codec, topology):
     backend = build_backend(ServingSpec(chunk_tokens=256, topology=topology), codec=fitted_codec())
+    engine = backend.engine
+    before = _reachable_arrays(engine)
     for context_id, num_tokens in (("resident-a", 640), ("resident-b", 300)):
         backend.ingest(context_id, num_tokens)
-    records = 0
-    for store in backend.engine.stores().values():
-        for context_id in store.context_ids():
-            records += 1
-            for chunk in store.peek_context(context_id).chunks:
-                kv = chunk.chunk.kv
-                for encoded in chunk.encodings.values():
-                    for stream in (encoded.k_stream, encoded.v_stream):
-                        for payload in _payloads(stream):
-                            assert not payload.exact
-                            assert not any(
-                                isinstance(value, np.ndarray) for value in vars(payload).values()
-                            )
-                    assert np.shares_memory(encoded.source.k, kv.k)
-                    assert np.shares_memory(encoded.source.v, kv.v)
-    assert records >= 2
-    # Reads decode from the source the records point at.
     backend.submit(ServeRequest("resident-a", "question?", num_tokens=640))
     (response,) = backend.run()
-    assert response.ttft_s > 0
+    assert response.used_kv_cache
+
+    model = engine.model
+    # Scales are (layers, channels); statistics and bin sizes are per layer.
+    per_layer = model.sim_layers * model.sim_channels
+    # The codec scores its probability tables on first use: token-independent.
+    before.update(_reachable_arrays(engine.encoder.codec))
+    new = [a for key, a in _reachable_arrays(engine).items() if key not in before]
+    assert new, "the records must be reachable from the engine"
+    assert max(a.size for a in new) <= per_layer, sorted({a.shape for a in new})
+
+    records = [
+        store.peek_context(context_id)
+        for store in engine.stores().values()
+        for context_id in store.context_ids()
+    ]
+    assert len(records) >= 2
+    for record in records:
+        assert record.variance.shape == (model.sim_layers,)
+        for chunk in record.chunks:
+            assert set(chunk.squared_error) == set(chunk.encodings)
+            for encoded in chunk.encodings.values():
+                assert not encoded.k_stream.delta_payload.exact
+                assert encoded.source is None
 
 
-def test_estimated_encoding_without_source_refuses_to_decode(fitted_codec, kv):
-    encoder = CacheGenEncoder(codec=fitted_codec())
-    encoded = encoder.encode(kv.slice_tokens(0, 40), "low")
-    encoded.source = None
+def test_a_stored_estimated_encoding_refuses_to_decode(fitted_codec):
+    backend = build_backend(ServingSpec(chunk_tokens=256), codec=fitted_codec())
+    backend.ingest("no-source", 300)
+    (store,) = backend.engine.stores().values()
+    encoded = store.peek_context("no-source").chunks[0].encodings["low"]
     with pytest.raises(ValueError, match="no source: it stores only sizes"):
-        CacheGenDecoder(encoder).decode(encoded)
+        CacheGenDecoder(backend.engine.encoder).decode(encoded)

@@ -2,13 +2,12 @@
 
 Ingest takes, per chunk and level, the per-layer squared error of the chunk's
 decode (:meth:`CacheGenEncoder.encode_with_errors`), and per context the
-per-layer variance of the lossless cache.  Their sum over chunks, over
-``2 * tokens * channels`` and the variance, is the per-layer distortion of any
-per-chunk configuration mix.  The oracle is the tensor path: decode every
-chunk at its configuration, concatenate, and take
-``normalized_distortion_per_layer`` against the reference in float64.  The two
-agree to 1e-12 relative: they add the same float64 squared errors in another
-order.
+per-layer variance of the lossless cache.  :func:`distortion` turns those into
+the per-layer distortion of any per-chunk configuration mix.  The oracle is
+the tensor path: decode every chunk at its configuration, concatenate
+(:func:`materialise`), and take ``normalized_distortion_per_layer`` against the
+reference in float64.  The two agree to 1e-12 relative: they add the same
+float64 squared errors in another order.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from hypothesis import strategies as st
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, KVCache
 from repro.core.kv_cache import squared_error_per_layer
 from repro.serving.api import profile_codec
-
-TEXT_CONFIG = "text"
+from repro.serving.concurrent.processes import distortion, materialise
+from repro.streaming import TEXT_CONFIG, prepare_chunks
 
 REL = 1e-12
 LAYERS, CHANNELS = 4, 8
@@ -66,23 +65,17 @@ def _encoder(codecs, variant: str, chunk_tokens: int) -> CacheGenEncoder:
 
 def _check(encoder: CacheGenEncoder, kv: KVCache, choose) -> None:
     """Statistics distortion == tensor distortion, for the configs ``choose`` picks."""
+    chunks = prepare_chunks(kv, encoder)
     names = [level.name for level in encoder.config.levels] + [TEXT_CONFIG]
-    decoder = CacheGenDecoder(encoder)
-    error = np.zeros(kv.num_layers)
-    delivered = []
-    for index, chunk in enumerate(kv.split_tokens(encoder.config.chunk_tokens)):
-        config = choose(names, index)
-        _, errors = encoder.encode_with_errors(chunk)
-        if config == TEXT_CONFIG:
-            delivered.append(chunk)
-        else:
-            error = error + errors[config]
-            delivered.append(decoder.decode(encoder.encode(chunk, config)))
-    elements = 2 * kv.num_tokens * kv.num_channels
-    got = error / elements / np.maximum(kv.variance_per_layer(), 1e-12)
-    want = kv.normalized_distortion_per_layer(KVCache.concat(delivered))
+    configs = [choose(names, index) for index in range(len(chunks))]
+    got = distortion(chunks, configs, kv.variance_per_layer())
+    want = kv.normalized_distortion_per_layer(
+        materialise(chunks, configs, CacheGenDecoder(encoder), kv)
+    )
     assert got.dtype == want.dtype == np.float64
     np.testing.assert_allclose(got, want, rtol=REL, atol=0)
+    if all(config == TEXT_CONFIG for config in configs):
+        assert not got.any()
 
 
 @settings(

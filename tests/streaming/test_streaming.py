@@ -154,11 +154,11 @@ class TestChunkedLoad:
     def test_load_reconstructs_all_tokens(self, medium, load_request, prepared, kv, decoder, fast_link):
         process = self.played(medium, load_request(fast_link))
         assert process.configs == ["medium"] * len(prepared)
-        assert process.materialise(decoder).num_tokens == kv.num_tokens
+        assert process.materialise(decoder, kv).num_tokens == kv.num_tokens
 
     def test_reconstruction_close_to_reference(self, medium, load_request, kv, decoder, fast_link):
         process = self.played(medium, load_request(fast_link))
-        distortion = kv.normalized_distortion_per_layer(process.materialise(decoder))
+        distortion = kv.normalized_distortion_per_layer(process.materialise(decoder, kv))
         assert float(distortion.mean()) < 0.1
 
     def test_loading_delay_positive_and_ordered(self, medium, load_request, fast_link):
@@ -197,5 +197,5 @@ class TestChunkedLoad:
         link = NetworkLink(ConstantTrace(gbps(0.001)))
         process = self.played(CacheGenMethod(encoder), load_request(link, slo_s=60.0))
         assert all(config == TEXT_CONFIG for config in process.configs)
-        distortion = kv.normalized_distortion_per_layer(process.materialise(decoder))
+        distortion = kv.normalized_distortion_per_layer(process.materialise(decoder, kv))
         assert float(distortion.mean()) == pytest.approx(0.0, abs=1e-9)
