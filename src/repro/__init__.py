@@ -42,59 +42,6 @@ Public entry points
   cluster with a multi-tenant serving frontend and workload generator.
 """
 
-from .cluster import WorkloadGenerator
-from .core import (
-    CacheGenConfig,
-    CacheGenDecoder,
-    CacheGenEncoder,
-    EncodingLevel,
-    FittedCodec,
-    KVCache,
-)
-from .faults import (
-    BreakerPolicy,
-    Corruption,
-    FaultSchedule,
-    GpuStraggler,
-    HedgePolicy,
-    LinkDegradation,
-    NodeCrash,
-    ResiliencePolicy,
-    ResilienceReport,
-    RetryPolicy,
-)
-from .llm import ComputeModel, ModelConfig, QualityModel, SyntheticLLM, get_model_config
-from .network import ConstantTrace, NetworkLink, RandomTrace, StepTrace, gbps
-from .serving import (
-    AutoscaleSpec,
-    DispatchPolicy,
-    Driver,
-    GpuWorkerPool,
-    LeastLoadedDispatch,
-    LocalityDispatch,
-    RunReport,
-    ServeRequest,
-    ServeResponse,
-    ServingSpec,
-    StickyDispatch,
-    build_backend,
-    make_dispatch,
-    profile_codec,
-    serve,
-)
-from .streaming import SLOAwareAdapter, prepare_chunks
-from .telemetry import (
-    AlertEngine,
-    SLOObjective,
-    TimeSeriesRecorder,
-    Tracer,
-    render_dashboard,
-    render_diff_dashboard,
-    write_chrome_trace,
-    write_dashboard,
-    write_jsonl,
-)
-
 __version__ = "2.0.0"
 
 __all__ = [
@@ -153,3 +100,108 @@ __all__ = [
     "write_dashboard",
     "write_jsonl",
 ]
+
+
+def _lazy_exports(package: str, sources: dict[str, tuple[str, ...]]) -> tuple:
+    """Return a package's PEP 562 ``(__getattr__, __dir__)`` pair.
+
+    ``sources`` maps a module path relative to ``package`` (``".trace"``) to
+    the public names that module defines.  Importing the package then imports
+    none of them: the first read of a name imports its module and caches the
+    value in the package namespace, so later reads are plain global lookups.
+    ``__all__``, ``dir()`` and ``from package import *`` see every name, and
+    a submodule not imported yet resolves as an attribute too
+    (``repro.serving`` after a bare ``import repro``).  The helper lives here,
+    not in a module of its own, because every subpackage has already loaded
+    this one.
+
+    Example::
+
+        __getattr__, __dir__ = _lazy_exports(__name__, {".trace": ("Tracer",)})
+    """
+    import sys
+    from importlib import import_module
+
+    namespace = sys.modules[package].__dict__
+    owner = {name: module for module, names in sources.items() for name in names}
+
+    def __getattr__(name: str):
+        module = owner.get(name)
+        if module is not None:
+            value = getattr(import_module(module, package), name)
+            namespace[name] = value
+            return value
+        if not name.startswith("__"):
+            submodule = f"{package}.{name}"
+            try:
+                return import_module(submodule)
+            except ModuleNotFoundError as error:
+                if error.name != submodule:
+                    raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(owner))
+
+    return __getattr__, __dir__
+
+
+# Each name is imported from its subpackage on first use, so ``import
+# repro.core`` loads the codec and nothing above it.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".cluster": ("WorkloadGenerator",),
+        ".core": (
+            "CacheGenConfig",
+            "CacheGenDecoder",
+            "CacheGenEncoder",
+            "EncodingLevel",
+            "FittedCodec",
+            "KVCache",
+        ),
+        ".faults": (
+            "BreakerPolicy",
+            "Corruption",
+            "FaultSchedule",
+            "GpuStraggler",
+            "HedgePolicy",
+            "LinkDegradation",
+            "NodeCrash",
+            "ResiliencePolicy",
+            "ResilienceReport",
+            "RetryPolicy",
+        ),
+        ".llm": ("ComputeModel", "ModelConfig", "QualityModel", "SyntheticLLM", "get_model_config"),
+        ".network": ("ConstantTrace", "NetworkLink", "RandomTrace", "StepTrace", "gbps"),
+        ".serving": (
+            "AutoscaleSpec",
+            "DispatchPolicy",
+            "Driver",
+            "GpuWorkerPool",
+            "LeastLoadedDispatch",
+            "LocalityDispatch",
+            "RunReport",
+            "ServeRequest",
+            "ServeResponse",
+            "ServingSpec",
+            "StickyDispatch",
+            "build_backend",
+            "make_dispatch",
+            "profile_codec",
+            "serve",
+        ),
+        ".streaming": ("SLOAwareAdapter", "prepare_chunks"),
+        ".telemetry": (
+            "AlertEngine",
+            "SLOObjective",
+            "TimeSeriesRecorder",
+            "Tracer",
+            "render_dashboard",
+            "render_diff_dashboard",
+            "write_chrome_trace",
+            "write_dashboard",
+            "write_jsonl",
+        ),
+    },
+)

@@ -424,7 +424,7 @@ def _dequantize(symbols: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _squared_error(
-    reference: tuple[np.ndarray, ...],
+    tensor: _PreparedTensor,
     stream: EncodedTensorStream,
     delta_symbols: np.ndarray,
     anchor_symbols: np.ndarray | None,
@@ -434,24 +434,32 @@ def _squared_error(
 
     ``decoded`` is what ``CacheGenDecoder`` reconstructs from the symbols,
     value for value: each token's float32 delta added to its group's float32
-    anchor.  It is built token-major against :func:`_error_reference` of the
-    original, without scattering the deltas into a tensor.
+    anchor.  It is built token-major against the tensor's
+    :func:`_error_reference`, without scattering the deltas into a tensor.
+    Levels of one ``anchor_bits`` have the same anchor symbols and scales, so
+    the anchors are dequantized and their error summed once per
+    ``anchor_bits``.
     """
     deltas = _dequantize(delta_symbols, stream.delta_scale)
     if anchor_symbols is None:
-        (original,) = reference
+        (original,) = tensor.error_reference
         return _token_major_sum_of_squares(deltas, original)
-    anchor_reference, others_reference = reference
-    anchors = _dequantize(anchor_symbols, stream.anchor_scale)
+    anchor_reference, others_reference = tensor.error_reference
+    bits = stream.anchor_bits
+    if bits not in tensor.anchor_errors:
+        anchors = _dequantize(anchor_symbols, stream.anchor_scale)
+        tensor.anchor_errors[bits] = (
+            anchors,
+            _token_major_sum_of_squares(anchors, anchor_reference),
+        )
+    anchors, anchor_error = tensor.anchor_errors[bits]
     width, row = group_size - 1, anchors.shape[1] * anchors.shape[2]
     groups = (len(anchors) + len(deltas)) // group_size  # complete groups
     body = deltas[: groups * width].reshape(groups, width, row)
     body += anchors[:groups].reshape(groups, 1, row)
     if groups * width < len(deltas):  # the last, partial group
         deltas[groups * width :] += anchors[groups]
-    return _token_major_sum_of_squares(anchors, anchor_reference) + (
-        _token_major_sum_of_squares(deltas, others_reference)
-    )
+    return anchor_error + _token_major_sum_of_squares(deltas, others_reference)
 
 
 @dataclass
@@ -470,6 +478,9 @@ class _PreparedTensor:
     anchor_payloads: dict[int, EntropyEncodedPayload] = field(default_factory=dict)
     #: :func:`_error_reference` of the tensor, once error statistics are taken.
     error_reference: tuple[np.ndarray, ...] | None = None
+    #: ``anchor_bits -> (dequantized anchors, their per-layer squared error)``,
+    #: filled by :func:`_squared_error` as levels are encoded.
+    anchor_errors: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 @dataclass
@@ -657,7 +668,7 @@ class CacheGenEncoder:
                         original, group_size if self.config.use_delta else None
                     )
             prepared.errors[level.name] = sum(
-                _squared_error(tensor.error_reference, stream, delta, anchor, group_size)
+                _squared_error(tensor, stream, delta, anchor, group_size)
                 for tensor, stream, (delta, anchor) in zip(prepared.tensors, streams, pairs)
             )
         return EncodedKV(

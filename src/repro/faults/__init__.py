@@ -9,27 +9,7 @@ breakers, background re-replication, graceful degradation).  The run's
 :class:`ResilienceReport` rides on ``RunReport.resilience``.
 """
 
-from .injector import FaultInjector, ScaledTrace
-from .resilience import (
-    BreakerPolicy,
-    CircuitBreaker,
-    FaultOutcome,
-    HedgePolicy,
-    ReadOutcome,
-    ResilienceManager,
-    ResiliencePolicy,
-    ResilienceReport,
-    RetryPolicy,
-)
-from .schedule import (
-    Corruption,
-    FaultEvent,
-    FaultSchedule,
-    FaultSpec,
-    GpuStraggler,
-    LinkDegradation,
-    NodeCrash,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "NodeCrash",
@@ -51,3 +31,32 @@ __all__ = [
     "FaultInjector",
     "ScaledTrace",
 ]
+
+# Names resolve on first use: the serving path loads these modules only for a
+# run that injects faults or carries a resilience policy.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".injector": ("FaultInjector", "ScaledTrace"),
+        ".resilience": (
+            "BreakerPolicy",
+            "CircuitBreaker",
+            "FaultOutcome",
+            "HedgePolicy",
+            "ReadOutcome",
+            "ResilienceManager",
+            "ResiliencePolicy",
+            "ResilienceReport",
+            "RetryPolicy",
+        ),
+        ".schedule": (
+            "Corruption",
+            "FaultEvent",
+            "FaultSchedule",
+            "FaultSpec",
+            "GpuStraggler",
+            "LinkDegradation",
+            "NodeCrash",
+        ),
+    },
+)

@@ -1,24 +1,6 @@
 """Quality, system, entropy, QoE and cluster metrics used by the harness."""
 
-from .cluster import (
-    EMPTY_LATENCY_SUMMARY,
-    LatencySummary,
-    NodeSummary,
-    hit_ratio,
-    slo_attainment,
-    summarize_latencies,
-)
-from .entropy import empirical_entropy_bits, grouped_entropy, grouping_entropy_comparison
-from .qoe import mean_opinion_score
-from .quality import QualitySummary, accuracy, f1_score, perplexity, summarize_quality
-from .stats import percentiles
-from .system import (
-    QueueingTTFTBreakdown,
-    TTFTBreakdown,
-    size_reduction,
-    slo_violation_rate,
-    speedup,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "EMPTY_LATENCY_SUMMARY",
@@ -43,3 +25,30 @@ __all__ = [
     "summarize_quality",
     "summarize_latencies",
 ]
+
+# Names resolve on first use: the cluster and serving layers read only the
+# cluster, stats and system metrics.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".cluster": (
+            "EMPTY_LATENCY_SUMMARY",
+            "LatencySummary",
+            "NodeSummary",
+            "hit_ratio",
+            "slo_attainment",
+            "summarize_latencies",
+        ),
+        ".entropy": ("empirical_entropy_bits", "grouped_entropy", "grouping_entropy_comparison"),
+        ".qoe": ("mean_opinion_score",),
+        ".quality": ("QualitySummary", "accuracy", "f1_score", "perplexity", "summarize_quality"),
+        ".stats": ("percentiles",),
+        ".system": (
+            "QueueingTTFTBreakdown",
+            "TTFTBreakdown",
+            "size_reduction",
+            "slo_violation_rate",
+            "speedup",
+        ),
+    },
+)

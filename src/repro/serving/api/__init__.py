@@ -24,6 +24,7 @@ this package must stay limited to those leaf modules.
 
 from __future__ import annotations
 
+from ... import _lazy_exports
 from ..fleet.autoscale import AutoscaleSpec
 from .spec import ServingSpec
 from .types import RunReport, ServeRequest, ServeResponse
@@ -45,30 +46,18 @@ __all__ = [
     "serve",
 ]
 
-_LAZY = {
-    "Backend": ".backends",
-    "build_backend": ".backends",
-    "profile_codec": "..engine",
-    "AdmissionPolicy": ".driver",
-    "AdmitAll": ".driver",
-    "TokenBucketAdmission": ".driver",
-    "ConcurrencyLimitAdmission": ".driver",
-    "Driver": ".driver",
-    "serve": ".driver",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(module_name, __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".backends": ("Backend", "build_backend"),
+        "..engine": ("profile_codec",),
+        ".driver": (
+            "AdmissionPolicy",
+            "AdmitAll",
+            "ConcurrencyLimitAdmission",
+            "Driver",
+            "TokenBucketAdmission",
+            "serve",
+        ),
+    },
+)

@@ -20,20 +20,22 @@ has two parts:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ...core.encoder import FittedCodec
-from ...faults.resilience import ResilienceManager
 from ...metrics.cluster import TierState
 from ...telemetry.slo import AlertEngine, SLOObjective
 from ...telemetry.timeseries import TimeSeriesRecorder, auto_window_s
-from ...telemetry.trace import Tracer
 from ..concurrent.engine import serve_batch
 from ..concurrent.simulator import ConcurrentLoadSimulator
 from ..engine import ContextLoadingEngine
 from ..pipeline import IngestReport
 from .spec import ServingSpec
 from .types import RunReport, ServeRequest, ServeResponse
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ...faults.resilience import ResilienceManager
+    from ...telemetry.trace import Tracer
 
 __all__ = ["Backend", "build_backend"]
 
@@ -68,6 +70,8 @@ class Backend:
         #: the spec carries a resilience policy or the driver injects faults).
         self.resilience: ResilienceManager | None = None
         if spec.resilience is not None:
+            from ...faults.resilience import ResilienceManager
+
             self.resilience = ResilienceManager(spec.resilience)
             self.engine.cluster.resilience = self.resilience
         self._staged: list[ServeRequest] = []

@@ -20,16 +20,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import replace
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 from ...core.encoder import FittedCodec
-from ...faults import FaultInjector, FaultSchedule, ResilienceManager, ResilienceReport
 from ...storage.kv_store import CapacityError
-from ...telemetry.slo import SLOObjective
-from ...telemetry.trace import Tracer
 from .backends import Backend, build_backend
 from .spec import ServingSpec
 from .types import RunReport, ServeRequest
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ...faults import FaultInjector, FaultSchedule, ResilienceManager
+    from ...telemetry.slo import SLOObjective
+    from ...telemetry.trace import Tracer
 
 __all__ = [
     "AdmissionPolicy",
@@ -233,8 +235,12 @@ class Driver:
         self.reingest_on_miss = reingest_on_miss
         self.node_failures = dict(node_failures or {})
         self.node_recoveries = dict(node_recoveries or {})
-        if faults is not None and not isinstance(faults, FaultSchedule):
-            raise TypeError("faults must be a FaultSchedule (or None)")
+        if faults is not None:
+            # Fault injection loads only for a run that asks for it.
+            from ...faults import FaultInjector, FaultSchedule
+
+            if not isinstance(faults, FaultSchedule):
+                raise TypeError("faults must be a FaultSchedule (or None)")
         self.faults = faults
         self.max_batch = max_batch
         self.window_s = window_s
@@ -300,6 +306,8 @@ class Driver:
         manager: ResilienceManager | None = backend.resilience
         injector: FaultInjector | None = None
         if self.faults is not None:
+            from ...faults import FaultInjector, ResilienceManager
+
             if manager is None:
                 # A schedule without a spec-level policy still needs fault
                 # bookkeeping (MTTR, corruption clears): a bare manager.
@@ -484,6 +492,8 @@ class Driver:
         report.segment_boundaries = tuple(segment_boundaries)
         report.segment_boundary_times_s = tuple(segment_times)
         if manager is not None:
+            from ...faults import ResilienceReport
+
             counts = manager.counters()
             report.resilience = ResilienceReport(
                 offered=len(requests),

@@ -21,12 +21,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ...storage.tiered import COLD
-from ...telemetry.trace import Tracer, emit_timeline_spans
 from ..api.types import ServeRequest, ServeResponse
 from .processes import TIER_CONFIG, ChunkedKVLoad, LoadStage, StaticLoad
 from .simulator import ConcurrentLoadSimulator, RequestTimeline
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    from ...telemetry.trace import Tracer
     from ..engine import ContextLoadingEngine, Resolution
 
 __all__ = ["serve_batch"]
@@ -115,6 +115,8 @@ def _emit_request_spans(
     responses: list[ServeResponse],
 ) -> None:
     """One root span per request, plus failover instants and TTFT metrics."""
+    from ...telemetry.trace import emit_timeline_spans
+
     metrics = tracer.metrics
     for submission, resolution, timeline, response in zip(
         submissions, resolutions, timelines, responses

@@ -19,6 +19,7 @@ the pool for you.
 
 from __future__ import annotations
 
+from ... import _lazy_exports
 from .autoscale import AutoscaleSpec
 from .dispatch import (
     DISPATCH_POLICIES,
@@ -44,19 +45,4 @@ __all__ = [
 # GpuWorkerPool pulls in the concurrent engine's resources; load it lazily so
 # importing the fleet package (e.g. from api.spec for AutoscaleSpec) cannot
 # re-enter a partially initialised serving package.
-_LAZY = {"GpuWorkerPool": ".pool", "POOL_TRACK": ".pool"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from importlib import import_module
-
-        module = import_module(_LAZY[name], __package__)
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)
+__getattr__, __dir__ = _lazy_exports(__name__, {".pool": ("GpuWorkerPool", "POOL_TRACK")})

@@ -30,38 +30,7 @@ Typical use::
                     alerts=report.alerts)
 """
 
-from .dashboard import render_dashboard, render_diff_dashboard, write_dashboard
-from .export import (
-    chrome_trace_events,
-    iter_jsonl_events,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .slo import (
-    Alert,
-    AlertEngine,
-    BurnRateRule,
-    HitRatioCollapse,
-    QueueDepthBuildup,
-    ShedStorm,
-    SLOObjective,
-    default_burn_rules,
-    default_detectors,
-)
-from .timeseries import TimeSeriesRecorder, WindowStats, auto_window_s
-from .trace import (
-    COMPUTE,
-    DECODE,
-    QUEUEING,
-    TRANSFER,
-    CounterSample,
-    InstantEvent,
-    Span,
-    Tracer,
-    emit_timeline_spans,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "COMPUTE",
@@ -98,3 +67,43 @@ __all__ = [
     "write_dashboard",
     "write_jsonl",
 ]
+
+# Names resolve on first use: a run without a tracer never loads the trace,
+# registry, export or dashboard modules.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".dashboard": ("render_dashboard", "render_diff_dashboard", "write_dashboard"),
+        ".export": (
+            "chrome_trace_events",
+            "iter_jsonl_events",
+            "to_chrome_trace",
+            "write_chrome_trace",
+            "write_jsonl",
+        ),
+        ".registry": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        ".slo": (
+            "Alert",
+            "AlertEngine",
+            "BurnRateRule",
+            "HitRatioCollapse",
+            "QueueDepthBuildup",
+            "ShedStorm",
+            "SLOObjective",
+            "default_burn_rules",
+            "default_detectors",
+        ),
+        ".timeseries": ("TimeSeriesRecorder", "WindowStats", "auto_window_s"),
+        ".trace": (
+            "COMPUTE",
+            "DECODE",
+            "QUEUEING",
+            "TRANSFER",
+            "CounterSample",
+            "InstantEvent",
+            "Span",
+            "Tracer",
+            "emit_timeline_spans",
+        ),
+    },
+)

@@ -48,26 +48,67 @@ def test_serving_loads_no_scipy():
     assert result.returncode == 0, result.stderr
 
 
-def test_cluster_package_loads_no_serving_module():
-    """The store layer sits below the serving stack: ``repro.cluster`` imports none of it.
-
-    ``import repro`` loads every package, so the child registers a bare
-    ``repro`` namespace and imports the sub-package alone.
-    """
+def _run_cold(script: str) -> None:
+    """Run ``script`` in a fresh interpreter that imports ``repro`` from this tree."""
     src = Path(repro.__file__).resolve().parents[1]
-    script = (
-        "import sys, types\n"
-        "pkg = types.ModuleType('repro')\n"
-        f"pkg.__path__ = [{str(src / 'repro')!r}]\n"
-        "sys.modules['repro'] = pkg\n"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(src), "PATH": ""},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_cluster_package_loads_no_serving_module():
+    """The store layer sits below the serving stack: ``repro.cluster`` imports none of it."""
+    _run_cold(
+        "import sys\n"
         "import repro.cluster\n"
         "loaded = sorted(name for name in sys.modules if name.startswith('repro.serving'))\n"
         "assert not loaded, loaded\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+
+
+def test_codec_loads_no_layer_above_it():
+    """The codec and the synthetic LLM import nothing but their own packages and ``repro``."""
+    _run_cold(
+        "import sys\n"
+        "import repro.core, repro.llm\n"
+        "loaded = sorted(\n"
+        "    name for name in sys.modules\n"
+        "    if name.startswith('repro.') and name.split('.')[1] not in ('core', 'llm')\n"
+        ")\n"
+        "assert not loaded, loaded\n"
     )
-    assert result.returncode == 0, result.stderr
+
+
+def test_plain_serve_loads_no_fault_or_export_module():
+    """A run without faults, resilience or a tracer loads neither fault injection nor export."""
+    _run_cold(
+        "import sys, repro\n"
+        "spec = repro.ServingSpec(chunk_tokens=256)\n"
+        "request = repro.ServeRequest('doc', 'Q?', num_tokens=320)\n"
+        "assert len(repro.serve(spec, [request]).responses) == 1\n"
+        "banned = ('repro.faults', 'repro.telemetry.dashboard', 'repro.telemetry.export')\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith(banned))\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_bare_import_resolves_every_export_on_use():
+    """``import repro`` loads no subpackage, yet every exported name is reachable."""
+    _run_cold(
+        "import sys, repro\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('repro.'))\n"
+        "assert not loaded, loaded\n"
+        "assert set(repro.__all__) <= set(dir(repro)), set(repro.__all__) - set(dir(repro))\n"
+        "namespace = {}\n"
+        "exec('from repro import *', namespace)\n"
+        "for name in repro.__all__:\n"
+        "    assert namespace[name] is getattr(repro, name), name\n"
+    )
 
 
 class TestPaperHeadlineClaims:
