@@ -17,8 +17,7 @@ from __future__ import annotations
 import os
 
 from repro import CacheGenDecoder, CacheGenEncoder, ConstantTrace, NetworkLink, SyntheticLLM, gbps
-from repro.core.quantization import vectorwise_quantize
-from repro.core.kv_cache import KVCache
+from repro.baselines.uniform_quant import quantization_distortion
 from repro.llm import ComputeModel, MISTRAL_7B
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
@@ -53,7 +52,9 @@ def main() -> None:
     transfer = link.transfer(encoded.compressed_bytes)
     decode_delay = compute.decode_delay(context_tokens)
     decoded = decoder.decode(encoded)
-    result = llm.generate_with_kv(decoded, reference_kv=kv, task="qa_accuracy")
+    result = llm.generate(
+        kv.num_tokens, kv.normalized_distortion_per_layer(decoded), task="qa_accuracy"
+    )
     print(
         f"\nCacheGen: {encoded.compressed_bytes / 1e6:.1f} MB, "
         f"transfer {transfer.duration:.2f}s + decode {decode_delay:.2f}s, "
@@ -61,12 +62,9 @@ def main() -> None:
     )
 
     # 5. Baselines.
-    q_k, q_v = vectorwise_quantize(kv.k, 8), vectorwise_quantize(kv.v, 8)
-    quant_kv = KVCache(q_k.dequantize(), q_v.dequantize(), model_name=kv.model_name,
-                       full_layers=kv.full_layers, full_channels=kv.full_channels)
     quant_bytes = kv.full_num_elements  # 8 bits/element
     quant_transfer = link.transfer(quant_bytes)
-    quant_quality = llm.generate_with_kv(quant_kv, reference_kv=kv).quality
+    quant_quality = llm.generate(kv.num_tokens, quantization_distortion(kv, 8)).quality
     print(
         f"8-bit quant: {quant_bytes / 1e6:.1f} MB, transfer {quant_transfer.duration:.2f}s, "
         f"relative quality {quant_quality.relative_quality:.3f}"

@@ -14,13 +14,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any
 
-import numpy as np
-
 from ..core.encoder import CacheGenEncoder
 from ..llm.quality import GenerationQuality
 from ..serving.concurrent.processes import ChunkedKVLoad, distortion
+from ..storage.kv_store import StoredContext
 from ..streaming.adaptation import choose_policy
-from ..streaming.chunking import PreparedChunk, prepare_chunks
 from .base import ContextLoadingMethod, LoadRequest
 
 __all__ = ["CacheGenMethod"]
@@ -58,15 +56,13 @@ class CacheGenMethod(ContextLoadingMethod):
         self.adaptive = adaptive
         self.fixed_level = fixed_level or encoder.config.default_level.name
         self.name = name or ("cachegen" if adaptive else "cachegen-static")
-        #: ``(model, context, tokens) -> (prepared chunks, reference variance)``.
-        self._prepared_cache: OrderedDict[
-            tuple[str, str, int], tuple[list[PreparedChunk], np.ndarray]
-        ] = OrderedDict()
+        #: ``(model, context, tokens) ->`` the record a serving store would keep.
+        self._records: OrderedDict[tuple[str, str, int], StoredContext] = OrderedDict()
 
     # -------------------------------------------------------------------- load
     def load(self, request: LoadRequest) -> ChunkedKVLoad:
         return ChunkedKVLoad(
-            self._prepared_chunks(request)[0],
+            self._stored(request).chunks,
             policy=choose_policy(
                 [level.name for level in self.encoder.config.levels],
                 request.slo_s,
@@ -81,10 +77,11 @@ class CacheGenMethod(ContextLoadingMethod):
     def outcome(
         self, request: LoadRequest, process: ChunkedKVLoad
     ) -> tuple[GenerationQuality, dict[str, Any]]:
-        variance = self._prepared_chunks(request)[1]
         quality = request.quality_model.score(
             task=request.task,
-            layer_distortion=distortion(process.prepared, process.configs, variance),
+            layer_distortion=distortion(
+                process.prepared, process.configs, self._stored(request).variance
+            ),
         )
         return quality, {
             "configs": process.configs,
@@ -92,25 +89,19 @@ class CacheGenMethod(ContextLoadingMethod):
         }
 
     # ------------------------------------------------------------------ pieces
-    def _prepared_chunks(self, request: LoadRequest) -> tuple[list[PreparedChunk], np.ndarray]:
-        """The context's chunks and the reference variance its reads are scored by."""
-        key = (
-            request.reference_kv.model_name,
-            request.record.context_id,
-            request.num_tokens,
-        )
-        if key in self._prepared_cache:
-            self._prepared_cache.move_to_end(key)
-            return self._prepared_cache[key]
-        reference = request.reference_kv
-        prepared = prepare_chunks(reference, self.encoder), reference.variance_per_layer()
-        self._prepared_cache[key] = prepared
-        while len(self._prepared_cache) > self._CACHE_SIZE:
-            self._prepared_cache.popitem(last=False)
-        return prepared
+    def _stored(self, request: LoadRequest) -> StoredContext:
+        """The context chunked and encoded at every level, with its error statistics."""
+        key = (request.reference_kv.model_name, request.record.context_id, request.num_tokens)
+        if key in self._records:
+            self._records.move_to_end(key)
+            return self._records[key]
+        stored = StoredContext.encode(request.record.context_id, request.reference_kv, self.encoder)
+        self._records[key] = stored
+        while len(self._records) > self._CACHE_SIZE:
+            self._records.popitem(last=False)
+        return stored
 
     # --------------------------------------------------------------- accessors
     def default_level_bytes(self, request: LoadRequest) -> float:
         """Compressed bytes of the context at the default encoding level."""
-        prepared, _ = self._prepared_chunks(request)
-        return sum(chunk.bytes_for_level(self.fixed_level) for chunk in prepared)
+        return self._stored(request).total_bytes(self.fixed_level)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.decoder import CacheGenDecoder
+import numpy as np
+
 from ..core.encoder import CacheGenEncoder, EncodedKV
-from ..core.kv_cache import KVCache
+from ..core.kv_cache import normalized_distortion
 from ..llm.attention import TokenSelection
 from ..llm.quality import GenerationQuality
 from ..serving.concurrent.processes import LoadProcess, LoadStage, StaticLoad
@@ -46,37 +47,40 @@ class CacheGenOnCompressionBaseline(ContextLoadingMethod):
     ) -> None:
         self.inner = inner
         self.encoder = encoder
-        self.decoder = CacheGenDecoder(encoder)
         self.level = level or encoder.config.default_level.name
         self.name = f"cachegen+{inner.name}"
-        self._last: tuple[LoadRequest, KVCache, TokenSelection, EncodedKV] | None = None
+        self._last: tuple[LoadRequest, TokenSelection, EncodedKV, np.ndarray] | None = None
 
-    def _encoded(self, request: LoadRequest) -> tuple[KVCache, TokenSelection, EncodedKV]:
-        """The inner method's surviving KV cache, its selection and its encoding.
+    def _encoded(self, request: LoadRequest) -> tuple[TokenSelection, EncodedKV, np.ndarray]:
+        """The inner method's selection, its survivors' encoding and that encoding's distortion.
 
-        Memoized for the last request: :meth:`load` sizes the transfer from
-        the encoding and :meth:`outcome` decodes it.
+        The distortion comes from the encoder's error statistics, as a stored
+        chunk's does.  Memoized for the last request: :meth:`load` sizes the
+        transfer from the encoding and :meth:`outcome` scores it.
         """
         if self._last is None or self._last[0] is not request:
             kept, selection = self.inner.kept_cache(request)
-            self._last = (request, kept, selection, self.encoder.encode(kept, self.level))
+            encodings, errors = self.encoder.encode_with_errors(kept)
+            variance = kept.variance_per_layer()
+            elements = 2 * kept.num_tokens * kept.num_channels
+            distortion = normalized_distortion(errors[self.level], elements, variance)
+            self._last = (request, selection, encodings[self.level], distortion)
         return self._last[1:]
 
     def load(self, request: LoadRequest) -> StaticLoad:
-        kept, _, encoded = self._encoded(request)
+        selection, encoded, _ = self._encoded(request)
         stage = LoadStage(
             config=self.level,
             num_bytes=encoded.compressed_bytes,
             gpu_kind=DECODE,
-            gpu_s=request.compute_model.decode_delay(kept.num_tokens),
+            gpu_s=request.compute_model.decode_delay(selection.num_kept),
         )
         return self.then_prompt(request, stage)
 
     def outcome(
         self, request: LoadRequest, process: LoadProcess
     ) -> tuple[GenerationQuality, dict[str, Any]]:
-        kept, selection, encoded = self._encoded(request)
-        distortion = kept.normalized_distortion_per_layer(self.decoder.decode(encoded))
+        selection, encoded, distortion = self._encoded(request)
         quality = request.quality_model.score(
             task=request.task,
             layer_distortion=distortion,

@@ -13,6 +13,7 @@ be further encoded by CacheGen (see
 from __future__ import annotations
 
 import abc
+from dataclasses import replace
 from typing import Any
 
 from ..core.kv_cache import KVCache
@@ -20,7 +21,7 @@ from ..llm.attention import TokenSelection, select_heavy_hitters
 from ..llm.quality import GenerationQuality
 from ..serving.concurrent.processes import LoadProcess, LoadStage, StaticLoad
 from .base import ContextLoadingMethod, LoadRequest
-from .uniform_quant import quantize_dequantize, quantized_bytes
+from .uniform_quant import quantization_distortion, quantized_bytes
 
 __all__ = ["TokenDroppingBaseline", "H2OBaseline", "ScissorhandsBaseline"]
 
@@ -54,14 +55,8 @@ class TokenDroppingBaseline(ContextLoadingMethod):
     def kept_cache(self, request: LoadRequest) -> tuple[KVCache, TokenSelection]:
         """The lossless KV cache of the surviving tokens, and their selection."""
         selection = self.select_tokens(request)
-        kept = KVCache(
-            k=request.reference_kv.k[:, selection.kept_positions, :],
-            v=request.reference_kv.v[:, selection.kept_positions, :],
-            model_name=request.reference_kv.model_name,
-            full_layers=request.reference_kv.full_layers,
-            full_channels=request.reference_kv.full_channels,
-        )
-        return kept, selection
+        kv, positions = request.reference_kv, selection.kept_positions
+        return replace(kv, k=kv.k[:, positions, :], v=kv.v[:, positions, :]), selection
 
     def load(self, request: LoadRequest) -> StaticLoad:
         kept, _ = self.kept_cache(request)
@@ -72,12 +67,9 @@ class TokenDroppingBaseline(ContextLoadingMethod):
         self, request: LoadRequest, process: LoadProcess
     ) -> tuple[GenerationQuality, dict[str, Any]]:
         kept, selection = self.kept_cache(request)
-        distortion = kept.normalized_distortion_per_layer(
-            quantize_dequantize(kept, self.num_bits)
-        )
         quality = request.quality_model.score(
             task=request.task,
-            layer_distortion=distortion,
+            layer_distortion=quantization_distortion(kept, self.num_bits),
             token_keep_fraction=selection.keep_fraction,
             important_token_coverage=selection.attention_coverage,
         )
@@ -98,17 +90,12 @@ class H2OBaseline(TokenDroppingBaseline):
         roughly 45% on LongChat, matching Table 1's 282 MB vs 622 MB).
     num_bits:
         Quantization bit width applied to the surviving tokens' KV.
-    idealized:
-        Kept for documentation purposes: the offline stage is allowed to use
-        the prompt's attention scores (always True in this reproduction,
-        matching the paper's idealized comparison).
     """
 
     name = "h2o"
 
-    def __init__(self, keep_fraction: float = 0.45, num_bits: int = 8, idealized: bool = True) -> None:
+    def __init__(self, keep_fraction: float = 0.45, num_bits: int = 8) -> None:
         super().__init__(keep_fraction, num_bits)
-        self.idealized = idealized
 
     def select_tokens(self, request: LoadRequest) -> TokenSelection:
         scores = request.llm.attention_scores(request.record.context_id, request.num_tokens)
@@ -126,4 +113,4 @@ class ScissorhandsBaseline(H2OBaseline):
     name = "scissorhands"
 
     def __init__(self, keep_fraction: float = 0.3, num_bits: int = 8) -> None:
-        super().__init__(keep_fraction=keep_fraction, num_bits=num_bits, idealized=True)
+        super().__init__(keep_fraction=keep_fraction, num_bits=num_bits)

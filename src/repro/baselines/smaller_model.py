@@ -16,7 +16,7 @@ from ..llm.quality import GenerationQuality, QualityModel
 from ..llm.synthetic_model import SyntheticLLM
 from ..serving.concurrent.processes import LoadProcess, LoadStage, StaticLoad
 from .base import ContextLoadingMethod, LoadRequest
-from .uniform_quant import quantize_dequantize
+from .uniform_quant import quantization_distortion
 
 __all__ = ["SmallerModelBaseline"]
 
@@ -62,11 +62,8 @@ class SmallerModelBaseline(ContextLoadingMethod):
         small_kv = SyntheticLLM(self.small_model).calculate_kv(
             request.record.context_id, request.num_tokens
         )
-        distortion = small_kv.normalized_distortion_per_layer(
-            quantize_dequantize(small_kv, self.num_bits)
-        )
         quality = self._small_quality_model(request).score(
-            task=request.task, layer_distortion=distortion
+            task=request.task, layer_distortion=quantization_distortion(small_kv, self.num_bits)
         )
         return quality, {"small_model": self.small_model.name, "bits_per_element": self.num_bits}
 

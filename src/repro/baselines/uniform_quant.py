@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.kv_cache import KVCache
+import numpy as np
+
+from ..core.kv_cache import KVCache, normalized_distortion, squared_error_per_layer
 from ..core.quantization import vectorwise_quantize
 from ..llm.quality import GenerationQuality
 from ..serving.concurrent.processes import LoadProcess, LoadStage, StaticLoad
 from .base import ContextLoadingMethod, LoadRequest
 
-__all__ = ["UniformQuantizationBaseline", "quantized_bytes", "quantize_dequantize"]
+__all__ = ["UniformQuantizationBaseline", "quantization_distortion", "quantized_bytes"]
 
 
 def quantized_bytes(kv: KVCache, num_bits: int) -> float:
@@ -28,16 +30,14 @@ def quantized_bytes(kv: KVCache, num_bits: int) -> float:
     return payload_bytes + metadata_bytes
 
 
-def quantize_dequantize(kv: KVCache, num_bits: int) -> KVCache:
-    """The cache the receiver rescales out of ``kv`` quantized to ``num_bits``."""
-    q_k = vectorwise_quantize(kv.k, num_bits)
-    q_v = vectorwise_quantize(kv.v, num_bits)
-    return KVCache(
-        k=q_k.dequantize(),
-        v=q_v.dequantize(),
-        model_name=kv.model_name,
-        full_layers=kv.full_layers,
-        full_channels=kv.full_channels,
+def quantization_distortion(kv: KVCache, num_bits: int) -> np.ndarray:
+    """Per-layer distortion of ``kv`` quantized to ``num_bits`` and rescaled."""
+    squared = sum(
+        squared_error_per_layer(tensor, vectorwise_quantize(tensor, num_bits).dequantize())
+        for tensor in (kv.k, kv.v)
+    )
+    return normalized_distortion(
+        squared, 2 * kv.num_tokens * kv.num_channels, kv.variance_per_layer()
     )
 
 
@@ -64,7 +64,6 @@ class UniformQuantizationBaseline(ContextLoadingMethod):
     def outcome(
         self, request: LoadRequest, process: LoadProcess
     ) -> tuple[GenerationQuality, dict[str, Any]]:
-        lossy = quantize_dequantize(request.reference_kv, self.num_bits)
-        distortion = request.reference_kv.normalized_distortion_per_layer(lossy)
+        distortion = quantization_distortion(request.reference_kv, self.num_bits)
         quality = request.quality_model.score(task=request.task, layer_distortion=distortion)
         return quality, {"bits_per_element": self.num_bits}

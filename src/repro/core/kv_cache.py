@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["KVCache", "squared_error_per_layer"]
+__all__ = ["KVCache", "normalized_distortion", "squared_error_per_layer"]
 
 #: Bytes per element of an uncompressed KV cache.  The paper (and common
 #: serving stacks) keep KV caches in fp16, i.e. two bytes per element.
@@ -186,11 +186,7 @@ class KVCache:
     # same squared errors differ.
     def mse_per_layer(self, other: "KVCache") -> np.ndarray:
         """Mean squared error against ``other`` for each layer (K and V pooled)."""
-        self._check_compatible(other)
-        squared = squared_error_per_layer(self.k, other.k) + squared_error_per_layer(
-            self.v, other.v
-        )
-        return squared / (2 * self.num_tokens * self.num_channels)
+        return self._squared_error(other) / (2 * self.num_tokens * self.num_channels)
 
     def variance_per_layer(self) -> np.ndarray:
         """Per-layer variance of the cache values (K and V pooled)."""
@@ -200,12 +196,18 @@ class KVCache:
 
     def normalized_distortion_per_layer(self, other: "KVCache") -> np.ndarray:
         """Per-layer MSE normalised by per-layer variance (dimensionless)."""
-        var = np.maximum(self.variance_per_layer(), 1e-12)
-        return self.mse_per_layer(other) / var
+        return normalized_distortion(
+            self._squared_error(other),
+            2 * self.num_tokens * self.num_channels,
+            self.variance_per_layer(),
+        )
 
-    def _check_compatible(self, other: "KVCache") -> None:
+    def _squared_error(self, other: "KVCache") -> np.ndarray:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        return squared_error_per_layer(self.k, other.k) + squared_error_per_layer(
+            self.v, other.v
+        )
 
     # ------------------------------------------------------------------ dunder
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -221,3 +223,14 @@ def squared_error_per_layer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = np.subtract(a, b, dtype=np.float64)
     diff *= diff
     return diff.reshape(diff.shape[0], -1).sum(axis=1)
+
+
+def normalized_distortion(
+    squared_error: np.ndarray, num_elements: int, variance: np.ndarray
+) -> np.ndarray:
+    """Per-layer MSE over variance: the one distortion every method is scored by.
+
+    ``squared_error`` sums over ``num_elements`` values per layer, K and V
+    added; ``variance`` is the lossless cache's :meth:`KVCache.variance_per_layer`.
+    """
+    return squared_error / num_elements / np.maximum(variance, 1e-12)

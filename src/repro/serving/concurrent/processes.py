@@ -21,7 +21,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ...core.decoder import CacheGenDecoder
-from ...core.kv_cache import KVCache
+from ...core.kv_cache import KVCache, normalized_distortion
 from ...llm.compute_model import ComputeModel
 from ...network.link import NetworkLink
 from ...streaming.adaptation import AdaptationPolicy, StreamDecision, TEXT_CONFIG
@@ -298,7 +298,7 @@ def distortion(
             error += chunk.squared_error[config]
     channels = next(iter(chunks[0].encodings.values())).sim_shape[2]
     elements = 2 * sum(chunk.num_tokens for chunk in chunks) * channels
-    return error / elements / np.maximum(variance, 1e-12)
+    return normalized_distortion(error, elements, variance)
 
 
 def materialise(

@@ -18,16 +18,7 @@ fronts:
   :func:`repro.simcheck.runtime.enable_default` or ``REPRO_SIMCHECK=1``.
 """
 
-from .lint import ALL_RULES, LintViolation, lint_paths, lint_source
-from .race import RaceReport, check_spec_order_independence, find_order_race
-from .sanitizers import (
-    ClockSanitizer,
-    SimcheckConfig,
-    SimcheckError,
-    SimcheckMonitor,
-    SimcheckReport,
-    SimcheckViolation,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "ALL_RULES",
@@ -44,3 +35,20 @@ __all__ = [
     "SimcheckReport",
     "SimcheckViolation",
 ]
+
+# Names resolve on first use: a plain serve() loads neither lint nor race.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".lint": ("ALL_RULES", "LintViolation", "lint_paths", "lint_source"),
+        ".race": ("RaceReport", "check_spec_order_independence", "find_order_race"),
+        ".sanitizers": (
+            "ClockSanitizer",
+            "SimcheckConfig",
+            "SimcheckError",
+            "SimcheckMonitor",
+            "SimcheckReport",
+            "SimcheckViolation",
+        ),
+    },
+)

@@ -19,6 +19,7 @@ from repro.baselines import (
     TextContextBaseline,
     UniformQuantizationBaseline,
 )
+from repro.core import CacheGenEncoder
 from repro.datasets.base import ContextRecord
 from repro.llm import ComputeModel
 from repro.network import ConstantTrace, NetworkLink, gbps
@@ -116,12 +117,21 @@ class TestCacheGenMethod:
         result = static.evaluate(request_)
         assert set(result.extras["configs"]) == {"low"}
 
-    def test_prepared_chunk_cache_reused(self, encoder, request_):
+    def test_prepared_chunk_cache_reused(self, encoder, request_, monkeypatch):
+        """A second evaluation of one request encodes nothing."""
+        calls = []
+        encode = CacheGenEncoder.encode
+        monkeypatch.setattr(
+            CacheGenEncoder,
+            "encode",
+            lambda self, *args, **kwargs: calls.append(1) or encode(self, *args, **kwargs),
+        )
         method = CacheGenMethod(encoder)
         method.evaluate(request_)
-        first = method._prepared_cache
+        assert calls
+        calls.clear()
         method.evaluate(request_)
-        assert method._prepared_cache is first and len(first) == 1
+        assert calls == []
 
 
 class TestTokenDroppingBaselines:

@@ -39,6 +39,34 @@ settings.register_profile("codec-fuzz", max_examples=250, deadline=None, derando
 settings.load_profile("tier1")
 
 
+#: CacheGen configuration variants by name: the paper's codec, its ablations,
+#: exact coding, and a group size that leaves ragged last groups.  The oracles
+#: that score encodings from error statistics run over every one.
+CODEC_VARIANTS = {
+    "default": {},
+    "no-delta": {"use_delta": False},
+    "no-ac": {"use_arithmetic_coding": False},
+    "no-layerwise": {"use_layerwise_quant": False},
+    "exact": {"exact_entropy_coding": True},
+    "group-3": {"group_size": 3},
+}
+
+
+def random_walk_kv(seed: int, num_tokens: int, layers: int = 4, channels: int = 8) -> KVCache:
+    """A random walk over tokens, so deltas are smaller than values."""
+    rng = np.random.default_rng(seed)
+    k, v = (
+        np.cumsum(rng.standard_normal((layers, num_tokens, channels)), axis=1) for _ in range(2)
+    )
+    return KVCache(k=k, v=v, model_name="random-walk")
+
+
+def variant_encoder(codecs, variant: str, chunk_tokens: int) -> CacheGenEncoder:
+    """An encoder of ``CODEC_VARIANTS[variant]`` on its fitted codec in ``codecs``."""
+    config = CacheGenConfig(chunk_tokens=chunk_tokens, **CODEC_VARIANTS[variant])
+    return CacheGenEncoder(config, codec=codecs[variant])
+
+
 def serve_one(backend, request: ServeRequest) -> ServeResponse:
     """``request`` alone through ``backend``'s event executor (one ``run``)."""
     backend.submit(request)
@@ -118,6 +146,16 @@ def fitted_codec():
 @pytest.fixture(scope="session")
 def decoder(encoder: CacheGenEncoder) -> CacheGenDecoder:
     return CacheGenDecoder(encoder)
+
+
+@pytest.fixture(scope="session")
+def variant_codecs():
+    """One small fitted codec per :data:`CODEC_VARIANTS` entry, keyed by name."""
+    samples = [random_walk_kv(seed, 60) for seed in range(2)]
+    return {
+        name: CacheGenEncoder(CacheGenConfig(**changes)).fit(samples).codec
+        for name, changes in CODEC_VARIANTS.items()
+    }
 
 
 @pytest.fixture(scope="session")

@@ -91,7 +91,8 @@ def test_plain_serve_loads_no_fault_or_export_module():
         "spec = repro.ServingSpec(chunk_tokens=256)\n"
         "request = repro.ServeRequest('doc', 'Q?', num_tokens=320)\n"
         "assert len(repro.serve(spec, [request]).responses) == 1\n"
-        "banned = ('repro.faults', 'repro.telemetry.dashboard', 'repro.telemetry.export')\n"
+        "banned = ('repro.faults', 'repro.telemetry.dashboard', 'repro.telemetry.export',\n"
+        "          'repro.simcheck.lint', 'repro.simcheck.race')\n"
         "loaded = sorted(name for name in sys.modules if name.startswith(banned))\n"
         "assert not loaded, loaded\n"
     )
