@@ -26,13 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import CacheGenConfig
-from repro.llm import MISTRAL_7B, ModelConfig
+from repro.llm import LLAMA_7B, LLAMA_34B, LLAMA_70B, MISTRAL_7B, ModelConfig
 from repro.serving.engine import _PROFILE_DIR, _fit_profile, _profile_key
 
-#: The models whose default profile ships: the one every served workload,
-#: example and default ``ServingSpec`` uses.  Add a model, and its file, in the
+#: The models whose default profile ships: mistral-7b, which every served
+#: workload, example and default ``ServingSpec`` uses, and the llama models the
+#: experiments' ``Workbench``es code with.  Add a model, and its file, in the
 #: change that gives its default profile a caller.
-SHIPPED: list[ModelConfig] = [MISTRAL_7B]
+SHIPPED: list[ModelConfig] = [MISTRAL_7B, LLAMA_7B, LLAMA_34B, LLAMA_70B]
 
 
 def write(model: ModelConfig, directory: Path) -> Path:

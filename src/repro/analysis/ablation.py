@@ -4,16 +4,18 @@ Starting from the uniform-quantization strawman, the paper progressively adds
 (1) arithmetic coding with per-(channel, layer) probability models, (2)
 change-based (anchor/delta) encoding, and (3) layer-wise quantization, and
 plots the size-quality point of each variant.  The encoder exposes each idea
-as a configuration switch, so the ablation is a configuration sweep.
+as a configuration switch, so the ablation is a configuration sweep; the
+caller supplies each variant's offline profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from ..core.config import CacheGenConfig
 from ..core.decoder import CacheGenDecoder
-from ..core.encoder import CacheGenEncoder
+from ..core.encoder import CacheGenEncoder, FittedCodec
 from ..core.kv_cache import KVCache
 from ..llm.quality import QualityModel
 
@@ -43,7 +45,7 @@ class AblationPoint:
 
 def codec_ablation(
     kv: KVCache,
-    sample_caches: list[KVCache],
+    codecs: Mapping[str, FittedCodec],
     quality_model: QualityModel,
     task: str = "qa_accuracy",
     level: str = "medium",
@@ -54,8 +56,9 @@ def codec_ablation(
     ----------
     kv:
         The KV cache being encoded.
-    sample_caches:
-        Offline profiling caches used to fit each variant's encoder.
+    codecs:
+        Each variant's offline profile, by variant name, taken under its
+        :data:`ABLATION_VARIANTS` configuration.
     quality_model:
         Quality surrogate for the evaluated task.
     task, level:
@@ -64,8 +67,7 @@ def codec_ablation(
     points: list[AblationPoint] = []
     baseline_bpe: float | None = None
     for variant, config in ABLATION_VARIANTS.items():
-        encoder = CacheGenEncoder(config)
-        encoder.fit(sample_caches)
+        encoder = CacheGenEncoder(config, codec=codecs[variant])
         decoder = CacheGenDecoder(encoder)
         encoded = encoder.encode(kv, level)
         decoded = decoder.decode(encoded)

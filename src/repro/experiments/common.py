@@ -1,9 +1,10 @@
 """Shared infrastructure for the evaluation-reproduction experiments.
 
 Every table/figure module builds on the same pieces: a model + dataset
-workbench that generates reference KV caches, a fitted CacheGen encoder, the
-standard set of methods to compare, and a uniform result container that the
-benchmark harness can print as the rows/series the paper reports.
+workbench that generates reference KV caches, a CacheGen encoder on the
+model's offline profile, the standard set of methods to compare, and a
+uniform result container that the benchmark harness can print as the
+rows/series the paper reports.
 """
 
 from __future__ import annotations
@@ -21,18 +22,22 @@ from ..baselines import (
     UniformQuantizationBaseline,
 )
 from ..core.config import CacheGenConfig
-from ..core.encoder import CacheGenEncoder, FittedCodec
+from ..core.encoder import CacheGenEncoder
 from ..core.kv_cache import KVCache
 from ..datasets import get_dataset
 from ..datasets.base import ContextRecord, SyntheticDataset
-from ..llm.compute_model import A40, ComputeModel, GPUSpec
+from ..llm.compute_model import ComputeModel
 from ..llm.model_config import ModelConfig, get_model_config
 from ..llm.quality import QualityModel
 from ..llm.synthetic_model import SyntheticLLM
 from ..network.bandwidth import ConstantTrace, gbps
 from ..network.link import NetworkLink
+from ..serving.engine import profile_codec
 
 __all__ = ["ExperimentResult", "Workbench", "default_link", "experiment_cli"]
+
+#: Reference KV caches a workbench keeps; the least recently used goes first.
+_KV_CACHE_SIZE = 4
 
 
 @dataclass
@@ -87,10 +92,13 @@ def default_link(bandwidth_gbps: float = 3.0) -> NetworkLink:
 class Workbench:
     """Prepares everything needed to evaluate methods on one model + dataset.
 
-    The workbench owns the synthetic LLM, its compute model, a fitted CacheGen
-    encoder, a small set of dataset records, and a cache of reference KV
-    caches.  Experiments ask it for :class:`LoadRequest` objects and evaluate
-    any :class:`ContextLoadingMethod` against them.
+    The workbench owns the synthetic LLM, its compute model on an A40, a
+    CacheGen encoder, a small set of dataset records, and a memo of the last
+    few reference KV caches.  Its encoder codes with the model's one offline
+    profile, :func:`~repro.serving.engine.profile_codec`'s, the codec every
+    engine and backend of that model serves with; the workbench fits nothing.
+    Experiments ask it for :class:`LoadRequest` objects and evaluate any
+    :class:`ContextLoadingMethod` against them.
 
     Parameters
     ----------
@@ -102,15 +110,8 @@ class Workbench:
         How many of the dataset's contexts to evaluate (the paper uses the
         full datasets; the reproduction defaults to a handful per point to
         keep the benchmark suite fast — increase for tighter estimates).
-    gpu:
-        GPU spec for the compute model.
     context_token_cap:
         Optional cap on context lengths (used by fast test settings).
-    profile_tokens / profile_samples:
-        Size of the offline encoder-profiling workload.
-    codec:
-        An offline profile taken earlier for this model and ``codec_config``;
-        the workbench then profiles nothing itself.
     """
 
     def __init__(
@@ -118,25 +119,17 @@ class Workbench:
         model: ModelConfig | str = "mistral-7b",
         dataset: SyntheticDataset | str = "longchat",
         num_contexts: int = 3,
-        gpu: GPUSpec = A40,
-        codec_config: CacheGenConfig | None = None,
         context_token_cap: int | None = None,
-        profile_tokens: int = 1_000,
-        profile_samples: int = 2,
-        kv_cache_size: int = 4,
-        codec: FittedCodec | None = None,
     ) -> None:
         self.model = get_model_config(model) if isinstance(model, str) else model
         self.dataset = get_dataset(dataset) if isinstance(dataset, str) else dataset
-        self.gpu = gpu
-        self.codec_config = codec_config or CacheGenConfig()
 
         base_values = {self.dataset.task: self.dataset.base_quality_for(self.model.name)}
         self.quality_model = QualityModel(
             num_layers=self.model.sim_layers, base_values=base_values
         )
         self.llm = SyntheticLLM(self.model, quality_model=self.quality_model)
-        self.compute = ComputeModel(self.model, gpu)
+        self.compute = ComputeModel(self.model)
 
         records = self.dataset.records(num_contexts)
         if context_token_cap is not None:
@@ -152,19 +145,8 @@ class Workbench:
             ]
         self.records: list[ContextRecord] = records
 
-        if codec is None:
-            self.encoder = CacheGenEncoder(self.codec_config).fit(
-                [
-                    self.llm.calculate_kv(f"__profile-{i}", profile_tokens)
-                    for i in range(profile_samples)
-                ]
-            )
-        else:
-            codec.check(self.codec_config, self.model)
-            self.encoder = CacheGenEncoder(self.codec_config, codec=codec)
-
+        self.encoder = CacheGenEncoder(CacheGenConfig(), codec=profile_codec(self.model))
         self._kv_cache: OrderedDict[str, KVCache] = OrderedDict()
-        self._kv_cache_size = max(kv_cache_size, 1)
 
     # --------------------------------------------------------------- KV caches
     def reference_kv(self, record: ContextRecord) -> KVCache:
@@ -175,7 +157,7 @@ class Workbench:
             return self._kv_cache[key]
         kv = self.llm.calculate_kv(record.context_id, record.num_tokens)
         self._kv_cache[key] = kv
-        while len(self._kv_cache) > self._kv_cache_size:
+        while len(self._kv_cache) > _KV_CACHE_SIZE:
             self._kv_cache.popitem(last=False)
         return kv
 

@@ -12,7 +12,9 @@ degrades encoding levels chunk by chunk); the no-adaptation rows stream the
 fixed default level and are judged against the same SLO afterwards.  The
 quantization baseline has no engine path and keeps its method harness, whose
 loads the same event engine times.  Every row holds the SLO to the loading
-delay: TTFT less the prompt prefill.
+delay, TTFT less the prompt prefill, which both harnesses read off the
+request's event timeline (``MethodResult.loading_delay_s``,
+``ServeResponse.loading_s``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..baselines import UniformQuantizationBaseline
 from ..metrics.system import slo_violation_rate
 from ..network.bandwidth import RandomTrace, gbps
 from ..network.link import NetworkLink
-from ..serving.api import ServeRequest, ServingSpec, build_backend, profile_codec
+from ..serving.api import ServeRequest, ServingSpec, build_backend
 from .common import ExperimentResult, Workbench
 
 __all__ = ["run_figure13"]
@@ -42,14 +44,11 @@ def run_figure13(
     max_gbps: float = 10.0,
 ) -> ExperimentResult:
     """Reproduce Figure 13 (SLO violation rate and quality per method)."""
-    # The workbench and the backend serve one model: one offline profile for both.
-    codec = profile_codec(model)
     workbench = Workbench(
         model=model,
         dataset=dataset,
         num_contexts=num_contexts,
         context_token_cap=context_token_cap,
-        codec=codec,
     )
     records = workbench.records
     quant = UniformQuantizationBaseline(8)
@@ -66,14 +65,13 @@ def run_figure13(
             )
         },
     )
-    backend = build_backend(spec, codec=codec)
-    engine = backend.engine
+    backend = build_backend(spec)
     for record in records:
         backend.ingest(record.context_id, record.num_tokens)
 
     def serve_rows(link: NetworkLink, slo_s: float | None) -> list:
         """Each record served alone: one run — one fresh event clock — per request."""
-        engine.replace_link(link)
+        backend.engine.replace_link(link)
         responses = []
         for record in records:
             backend.submit(
@@ -112,13 +110,7 @@ def run_figure13(
                 else:
                     adaptive = method_name == "cachegen"
                     for response in serve_rows(link, slo if adaptive else None):
-                        # The SLO applies to the context-loading delay, the
-                        # re-prefill of a tail sent as text included; the prompt
-                        # prefill is excluded, as in the method harness.
-                        prompt_tokens = engine.prompt_tokens(response.question)
-                        delays.append(
-                            response.ttft_s - engine.compute_model.prefill_delay(prompt_tokens)
-                        )
+                        delays.append(response.loading_s)
                         qualities.append(response.quality.value)
             result.add_row(
                 slo_s=slo,

@@ -68,7 +68,7 @@ def run_figure14(
     # (c) offline preparation delay: quantizing vs CacheGen encoding.
     reference = workbench.reference_kv(record)
     quant_delay = compute.encode_flops(num_tokens) / compute.gpu.effective_flops
-    encode_delay = compute.encode_delay(num_tokens) * len(workbench.codec_config.levels)
+    encode_delay = compute.encode_delay(num_tokens) * len(workbench.encoder.config.levels)
     result.add_row(panel="offline_delay", method="quantization", delay_s=quant_delay)
     result.add_row(panel="offline_delay", method="cachegen", delay_s=encode_delay)
 

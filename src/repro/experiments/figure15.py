@@ -8,7 +8,8 @@ point.
 
 from __future__ import annotations
 
-from ..analysis.ablation import codec_ablation
+from ..analysis.ablation import ABLATION_VARIANTS, codec_ablation
+from ..serving.engine import profile_codec
 from .common import ExperimentResult, Workbench
 
 __all__ = ["run_figure15"]
@@ -28,15 +29,16 @@ def run_figure15(
         num_contexts=num_contexts,
         context_token_cap=context_token_cap,
     )
-    sample_caches = [
-        workbench.llm.calculate_kv(f"__ablation-profile-{i}", 1_000) for i in range(2)
-    ]
+    codecs = {
+        variant: profile_codec(workbench.model, config)
+        for variant, config in ABLATION_VARIANTS.items()
+    }
 
     accumulator: dict[str, list[tuple[float, float, float]]] = {}
     for record in workbench.records:
         kv = workbench.reference_kv(record)
         for point in codec_ablation(
-            kv, sample_caches, workbench.quality_model, task=workbench.dataset.task, level=level
+            kv, codecs, workbench.quality_model, task=workbench.dataset.task, level=level
         ):
             accumulator.setdefault(point.variant, []).append(
                 (point.bits_per_element, point.relative_size, point.quality)

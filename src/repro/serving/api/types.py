@@ -141,6 +141,8 @@ class ServeResponse:
     #: Simulated arrival / first-token times.
     arrival_s: float = 0.0
     finish_s: float = 0.0
+    #: Time until the context was loaded: TTFT less the user-prompt stage.
+    loading_s: float = 0.0
     #: Tier the serving replica held the context in (None for the text path).
     served_tier: str | None = None
     #: Serialized cold-tier read time inside the TTFT's transfer component.

@@ -208,5 +208,6 @@ def _respond(
         transmitted_bytes=timeline.served_bytes,
         arrival_s=timeline.arrival_s,
         finish_s=timeline.finish_s,
+        loading_s=timeline.loading_s,
         tier_transfer_s=timeline.tier_transfer_s,
     )

@@ -64,13 +64,13 @@ _PROFILE_SAMPLES = 2
 _PROFILE_TOKENS = 1_500
 
 #: Shipped default profiles as integer counts, one ``<model name>.npz`` a
-#: model, written by ``scripts/build_profiles.py`` (mistral-7b's, the one the
-#: served workloads use).
+#: model, written by ``scripts/build_profiles.py`` (the models the served
+#: workloads and the experiments use).
 _PROFILE_DIR = Path(__file__).with_name("profiles")
 
 #: Every profile loaded or taken in this process, by resolved model and
 #: ``_fit_fields``.  Unbounded: one entry per distinct key, and a run uses one
-#: key per model.
+#: key per model and fit configuration.
 _PROFILES: dict[tuple[ModelConfig, tuple], FittedCodec] = {}
 
 
@@ -100,11 +100,12 @@ def profile_codec(model: ModelConfig | str, config: CacheGenConfig | None = None
     by, so it is memoized on exactly that: the first call for a key produces
     it, every later one returns the same immutable codec, whatever
     ``chunk_tokens``, default level or entropy-coding switches it passes.
-    Every engine and backend built without ``codec=`` shares it through here.
+    Every engine and backend built without ``codec=``, and every experiment
+    ``Workbench``, shares it through here.
 
-    The first call loads rather than fits when it can.  mistral-7b's default
-    profile is committed as integer counts
-    (``repro/serving/profiles/<model name>.npz``, written by
+    The first call loads rather than fits when it can.  The default profiles
+    of mistral-7b, llama-7b, llama-34b and llama-70b are committed as integer
+    counts (``repro/serving/profiles/<model name>.npz``, written by
     ``scripts/build_profiles.py``); a file saved under the request's key —
     the resolved ``ModelConfig``, the fit fields and the sample recipe — is
     read in ≈15 ms and is, bit for bit, the codec a fit would produce.  Any
@@ -464,7 +465,8 @@ class ContextLoadingEngine:
         """The answer once the context arrived as ``configs``.
 
         ``timing`` is the executor's half of the response (``ttft``, bytes,
-        arrival/finish, tier transfer); the routing half is ``resolution``'s.
+        arrival/finish, loading, tier transfer); the routing half is
+        ``resolution``'s.
         """
         if resolution.use_kv:
             generation = self._generate_from_stored(resolution.stored, configs, request.task)

@@ -49,13 +49,19 @@ class TestInsight3:
         assert entropies["layer"] < entropies["global"] + 1e-9
 
 
+@pytest.fixture(scope="module")
+def ablation_codecs(fitted_codec):
+    """Each variant's offline profile, as Figure 15 takes it."""
+    return {variant: fitted_codec(config=config) for variant, config in ABLATION_VARIANTS.items()}
+
+
 class TestAblation:
-    def test_all_variants_evaluated(self, kv, sample_caches, quality_model):
-        points = codec_ablation(kv, sample_caches, quality_model)
+    def test_all_variants_evaluated(self, kv, ablation_codecs, quality_model):
+        points = codec_ablation(kv, ablation_codecs, quality_model)
         assert [p.variant for p in points] == list(ABLATION_VARIANTS)
 
-    def test_ac_shrinks_and_full_design_best_quality(self, kv, sample_caches, quality_model):
-        points = {p.variant: p for p in codec_ablation(kv, sample_caches, quality_model)}
+    def test_ac_shrinks_and_full_design_best_quality(self, kv, ablation_codecs, quality_model):
+        points = {p.variant: p for p in codec_ablation(kv, ablation_codecs, quality_model)}
         assert points["quant+ac"].bits_per_element < points["default-quant"].bits_per_element
         assert points["cachegen"].quality >= points["quant+ac"].quality
         assert points["cachegen"].quality >= points["quant+ac+change"].quality - 1e-6

@@ -80,6 +80,7 @@ def _assert_agrees_with_the_harness(backend, method, link: NetworkLink, slo_s, n
     assert served.quality == evaluated.quality
     assert served.queueing_s == pytest.approx(0.0, abs=1e-12)  # alone: nothing to wait for
     assert served.ttft_s == pytest.approx(evaluated.ttft_s, abs=1e-12)
+    assert served.loading_s == pytest.approx(evaluated.loading_delay_s, abs=1e-12)
     for component in ("network_s", "decode_s", "compute_s"):
         assert getattr(served.ttft, component) == pytest.approx(
             getattr(evaluated.breakdown, component), abs=1e-12

@@ -1,13 +1,15 @@
 """One offline codec profile per model and process: same results, nothing writable.
 
-mistral-7b's default profile is loaded from the counts file shipped in
-``repro/serving/profiles`` rather than fitted; these tests hold the loaded
-codec to a fresh fit, array for array, and every other key to a fit of its own.
+Each shipped model's default profile is loaded from its counts file in
+``repro/serving/profiles`` rather than fitted; these tests hold every loaded
+codec to a fresh fit, array for array, every other key to a fit of its own,
+and the experiments' ``Workbench`` to the same profile the backends serve with.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import itertools
 from dataclasses import FrozenInstanceError
 from pathlib import Path
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import CacheGenConfig, CacheGenEncoder, FittedCodec
+from repro.experiments.common import Workbench
 from repro.llm import MISTRAL_7B, SyntheticLLM
 from repro.serving import engine as engine_module
 from repro.serving.api import ServeRequest, ServingSpec, build_backend, profile_codec
@@ -35,6 +38,21 @@ REQUESTS = [
     ServeRequest(f"doc-{i % 3}", f"Q{i}?", arrival_s=0.05 * i, num_tokens=(640, 320)[i % 2])
     for i in range(6)
 ]
+
+
+def _shipped_models() -> list:
+    """``SHIPPED`` of ``scripts/build_profiles.py``: the models whose profile file ships."""
+    path = Path(__file__).resolve().parents[2] / "scripts" / "build_profiles.py"
+    spec = importlib.util.spec_from_file_location("build_profiles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SHIPPED
+
+
+SHIPPED = _shipped_models()
+#: Every model a ``Workbench`` is built for in ``python -m repro.experiments all``
+#: (Figures 8, 10 and 18 and the mistral-7b experiments).
+WORKBENCH_MODELS = ["mistral-7b", "llama-7b", "llama-34b", "llama-70b"]
 
 
 def digest(backend) -> tuple:
@@ -197,14 +215,25 @@ def test_arguments_of_another_type_are_refused(args, message, fits):
     assert fits == []
 
 
-def test_memoized_profile_equals_a_fresh_fit(fresh_codec, fits):
-    """The staleness guard of the shipped mistral-7b file: what ``profile_codec``
-    loads is a fresh fit, bit for bit.  A change that moves the profile reruns
+@pytest.mark.parametrize("model", SHIPPED, ids=lambda model: model.name)
+def test_memoized_profile_equals_a_fresh_fit(model, fits):
+    """The staleness guard of every shipped file: what ``profile_codec`` loads
+    is a fresh fit, bit for bit.  A change that moves the profile reruns
     ``scripts/build_profiles.py``."""
-    memoized = profile_codec(MISTRAL_7B, BASE.resolved_config())
+    memoized = profile_codec(model)
     assert fits == []
-    assert memoized is not fresh_codec
-    assert_same_codec(memoized, fresh_codec)
+    fresh = CacheGenEncoder(CacheGenConfig()).fit(profile_samples(model)).codec
+    assert memoized is not fresh
+    assert_same_codec(memoized, fresh)
+
+
+@pytest.mark.parametrize("model", WORKBENCH_MODELS)
+def test_a_workbench_codes_with_the_served_profile(model, fits, loads):
+    """An experiment's encoder is the model's one profile, loaded from its file."""
+    workbench = Workbench(model=model, num_contexts=1)
+    assert fits == []
+    assert loads == [f"{model}.npz"]
+    assert workbench.encoder.codec is profile_codec(model)
 
 
 def test_a_profile_file_of_another_key_is_fitted_over(fresh_codec, fits, loads, profile_dir):
