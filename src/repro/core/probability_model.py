@@ -12,11 +12,12 @@ bitstream by up to 53% versus a single global distribution.
 compares (Figure 5): ``"channel_layer"`` (CacheGen's choice), ``"layer"``,
 ``"channel"``, ``"token"`` and ``"global"``.
 
-A model keeps only the band of symbol values its samples span: every other
-column of the ``(contexts, ALPHABET_SIZE)`` table holds the smoothing constant
-alone, so it is implied rather than stored.  Every dense table a model hands
-out is rebuilt from the band and equals, bit for bit, the table a dense fit
-would hold.
+A model keeps only the band of symbol values its samples span, as the
+integer counts its fit took: every other column of the ``(contexts,
+ALPHABET_SIZE)`` table holds the smoothing constant alone, so it is implied
+rather than stored, and every smoothed value is derived where it is read.
+Every dense table a model hands out is rebuilt from the counts and equals,
+bit for bit, the table a dense fit would hold.
 """
 
 from __future__ import annotations
@@ -116,27 +117,28 @@ def _band_counts(
 
 
 def _densify(rows: np.ndarray, lo: int, smoothing: float, out: np.ndarray) -> np.ndarray:
-    """Band ``rows`` (first column: symbol ``lo``) as full-alphabet smoothed counts.
+    """Integer band ``rows`` (first column: symbol ``lo``) as full-alphabet smoothed counts.
 
     Written into the first ``len(rows)`` rows of ``out``, which is returned
-    cut to them.  A column outside the band holds what a dense fit puts there,
-    ``0 + smoothing``, which is ``smoothing`` exactly.
+    cut to them.  A column inside the band holds ``count + smoothing``, one
+    outside it what a dense fit puts there, ``0 + smoothing``, which is
+    ``smoothing`` exactly.
     """
     dense = out[: len(rows)]
     dense.fill(smoothing)
-    dense[:, lo + SYMBOL_OFFSET : lo + SYMBOL_OFFSET + rows.shape[1]] = rows
+    np.add(rows, smoothing, out=dense[:, lo + SYMBOL_OFFSET : lo + SYMBOL_OFFSET + rows.shape[1]])
     return dense
 
 
-def _dense_blocks(band: np.ndarray, lo: int, smoothing: float):
+def _dense_blocks(counts: np.ndarray, lo: int, smoothing: float):
     """``(first context, its dense block)``, ``_TABLE_BLOCK`` contexts at a time.
 
     Every block is written into the same buffer, so each is only valid until
     the next is yielded.
     """
     buffer = np.empty((_TABLE_BLOCK, ALPHABET_SIZE))
-    for first in range(0, len(band), _TABLE_BLOCK):
-        yield first, _densify(band[first : first + _TABLE_BLOCK], lo, smoothing, buffer)
+    for first in range(0, len(counts), _TABLE_BLOCK):
+        yield first, _densify(counts[first : first + _TABLE_BLOCK], lo, smoothing, buffer)
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -165,7 +167,7 @@ class ScoringScratch:
         return self._buffer[:size].reshape(shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class SymbolProbabilityModel:
     """Per-context categorical distribution over quantized symbols.
 
@@ -175,21 +177,29 @@ class SymbolProbabilityModel:
     length of new data, or :meth:`cumulative_counts` to drive the exact
     arithmetic coder.
 
-    Only the band of symbol values the fit saw is stored: the default
-    mistral-7b profile's symbols span 24-255 of the 511 columns, so its six
-    models hold ≈10 MiB once scored where dense tables held ≈48 MiB.  The
-    dense tables (:attr:`counts`, :meth:`probabilities`,
-    :meth:`log2_probabilities`) are rebuilt on each call for the dense-formula
-    oracles and the Figure 5 analysis; scoring and coding never build one.
+    Only the band of symbol values the fit saw is stored, and only as the
+    integer counts the fit took: the default mistral-7b profile's symbols span
+    24-255 of the 511 columns, so its six models hold 0.9 MiB of counts, and
+    4.8 MiB more of log-probability tables once scored, where dense float
+    tables held ≈48 MiB.  The smoothed :attr:`band` and the dense tables
+    (:attr:`counts`, :meth:`probabilities`, :meth:`log2_probabilities`) are
+    rebuilt on each call for the dense-formula oracles and the Figure 5
+    analysis; scoring and coding never build one.
+
+    Two models are ``==`` when they hold the same grouping, band position,
+    shape, smoothing and integer counts — what
+    :meth:`~repro.core.encoder.FittedCodec.save` writes, from which every
+    other table is derived.
 
     Attributes
     ----------
     grouping:
         Which tensor dimensions define a context.
-    band:
-        Smoothed (context, symbol) counts of the symbols ``lo .. lo + width - 1``,
-        shape ``(num_contexts, width)``; read-only.  Every symbol outside the
-        band has the count ``smoothing``.
+    band_counts:
+        Raw (unsmoothed) (context, symbol) counts of the symbols ``lo .. lo +
+        width - 1``, shape ``(num_contexts, width)``, in the narrowest unsigned
+        integer dtype that holds them; read-only.  Every symbol outside the
+        band has the count 0.
     lo:
         The smallest symbol the fit saw (the band's first column).
     totals:
@@ -204,7 +214,7 @@ class SymbolProbabilityModel:
     """
 
     grouping: Grouping
-    band: np.ndarray
+    band_counts: np.ndarray
     lo: int
     totals: np.ndarray
     shape: tuple[int, int, int]
@@ -300,24 +310,41 @@ class SymbolProbabilityModel:
         if not (math.isfinite(smoothing) and smoothing > 0):
             raise ValueError(f"smoothing must be finite and positive, not {smoothing!r}")
         smoothing = float(smoothing)
-        band = counts.astype(np.int64, copy=False) + smoothing
+        # A copy, so the caller's array stays theirs to write.
+        counts = counts.astype(np.min_scalar_type(counts.max(initial=0)))
         # Each row summed as its dense form, so totals match a dense fit's bit for bit.
-        totals = np.empty(len(band))
-        for first, block in _dense_blocks(band, lo, smoothing):
+        totals = np.empty(len(counts))
+        for first, block in _dense_blocks(counts, lo, smoothing):
             totals[first : first + len(block)] = block.sum(axis=1)
         return cls(
             grouping=grouping,
-            band=_read_only(band),
+            band_counts=_read_only(counts),
             lo=lo,
             totals=_read_only(totals),
             shape=shape,  # type: ignore[arg-type]
             smoothing=smoothing,
         )
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SymbolProbabilityModel):
+            return NotImplemented
+        mine = (self.grouping, self.lo, self.shape, self.smoothing)
+        theirs = (other.grouping, other.lo, other.shape, other.smoothing)
+        return mine == theirs and np.array_equal(self.band_counts, other.band_counts)
+
     # ------------------------------------------------------------------ props
     @property
     def num_contexts(self) -> int:
-        return self.band.shape[0]
+        return self.band_counts.shape[0]
+
+    @property
+    def band(self) -> np.ndarray:
+        """Smoothed (context, symbol) counts of the band, ``band_counts + smoothing``.
+
+        Float64, shape ``(num_contexts, width)``; built per call, read-only.
+        Every symbol outside the band has the count ``smoothing``.
+        """
+        return _read_only(np.add(self.band_counts, self.smoothing, dtype=np.float64))
 
     @property
     def counts(self) -> np.ndarray:
@@ -338,7 +365,7 @@ class SymbolProbabilityModel:
 
     def _dense_counts(self) -> np.ndarray:
         return _densify(
-            self.band, self.lo, self.smoothing, np.empty((self.num_contexts, ALPHABET_SIZE))
+            self.band_counts, self.lo, self.smoothing, np.empty((self.num_contexts, ALPHABET_SIZE))
         )
 
     def _probabilities(self) -> np.ndarray:
@@ -352,7 +379,8 @@ class SymbolProbabilityModel:
         :meth:`log2_probabilities`, so each value is the dense table's.
         """
         if self._log_band is None:
-            table = np.divide(self.band, self.totals[:, None])
+            table = np.add(self.band_counts, self.smoothing, dtype=np.float64)
+            np.divide(table, self.totals[:, None], out=table)
             self._log_band = _read_only(np.log2(table, out=table))
             self._log_outside = _read_only(np.log2(self.smoothing / self.totals))
         assert self._log_outside is not None
@@ -390,7 +418,7 @@ class SymbolProbabilityModel:
         # The model's band as data columns [start, stop); the rest lie outside it.
         width = hi - lo + 1
         start = min(max(self.lo - lo, 0), width)
-        stop = min(max(self.lo + self.band.shape[1] - lo, start), width)
+        stop = min(max(self.lo + self.band_counts.shape[1] - lo, start), width)
         table = self.scratch.table((num_ctx, ALPHABET_SIZE))
         columns = table[:, lo + SYMBOL_OFFSET : hi + SYMBOL_OFFSET + 1]
         try:
@@ -457,16 +485,19 @@ class SymbolProbabilityModel:
         # column ``start``, then the band's running sum up to ``stop``, then
         # ``s - stop`` more out-of-band ones.
         start = self.lo + SYMBOL_OFFSET
-        stop = start + self.band.shape[1]
+        width = self.band_counts.shape[1]
+        stop = start + width
         cum = np.multiply(outside, np.arange(ALPHABET_SIZE + 1, dtype=np.int32))
-        # The band's frequencies a block of contexts at a time, so the float
-        # temporary stays a cache-sized buffer however wide the band.
-        block_rows = max(1, _BLOCK_VALUES // max(1, self.band.shape[1]))
-        buffer = np.empty((min(block_rows, self.num_contexts), self.band.shape[1]))
+        # The band's frequencies a block of contexts at a time, smoothed into
+        # one float buffer, so the float temporary stays cache-sized however
+        # wide the band.
+        block_rows = max(1, _BLOCK_VALUES // max(1, width))
+        buffer = np.empty((min(block_rows, self.num_contexts), width))
         for first in range(0, self.num_contexts, block_rows):
             rows = slice(first, first + block_rows)
-            band = self.band[rows]
-            block = np.divide(band, self.totals[rows, None], out=buffer[: len(band)])
+            counts = self.band_counts[rows]
+            block = np.add(counts, self.smoothing, out=buffer[: len(counts)])
+            block /= self.totals[rows, None]
             block *= scale
             np.rint(block, out=block)
             block += 1.0

@@ -185,14 +185,18 @@ class SyntheticLLM:
         fast = self._stationary_ar1(context_rng, (layers, tokens, channels), rho)
         slow = self._stationary_ar1(context_rng, (layers, tokens, channels), self.SLOW_CORRELATION)
 
-        # scale * (mean + SLOW_STD * slow + FAST_STD * fast), combined into
-        # ``slow``'s buffer in that order.
-        slow *= self.SLOW_STD
-        slow += mean[:, None, :]
-        fast *= self.FAST_STD
-        slow += fast
-        slow *= scale[:, None, :]
-        return slow.astype(np.float32)
+        # scale * (mean + SLOW_STD * slow + FAST_STD * fast), combined in that
+        # order into ``slow``'s buffer one layer at a time and cast straight
+        # into the float32 output, so no full-size temporary is made.
+        out = np.empty((layers, tokens, channels), dtype=np.float32)
+        for layer, (slow_layer, fast_layer) in enumerate(zip(slow, fast)):
+            slow_layer *= self.SLOW_STD
+            slow_layer += mean[layer]
+            fast_layer *= self.FAST_STD
+            slow_layer += fast_layer
+            slow_layer *= scale[layer]
+            out[layer] = slow_layer
+        return out
 
     @staticmethod
     def _stationary_ar1(
@@ -210,10 +214,12 @@ class SyntheticLLM:
             series[:, t] += rho * series[:, t - 1]
         # The zero initial condition leaves early tokens with reduced variance;
         # add an independently drawn stationary start decayed by rho**t so the
-        # process has unit variance at every position.
+        # process has unit variance at every position.  It is added a layer at
+        # a time, so its product is never a full-size temporary.
         start = rng.standard_normal(size=(layers, 1, channels))
-        decay = np.power(rho, np.arange(tokens, dtype=np.float64))[None, :, None]
-        series += start * decay
+        decay = np.power(rho, np.arange(tokens, dtype=np.float64))[:, None]
+        for layer_series, layer_start in zip(series, start):
+            layer_series += layer_start * decay
         return series
 
     # --------------------------------------------------------------- attention

@@ -210,7 +210,8 @@ class TestBandedEqualsDenseFit:
 
     def test_default_profile_holds_its_band_only(self, llm):
         """Six models of ``(1024, 511)`` dense counts and log-probabilities were
-        47.9 MiB; banded, with every level scored, they are 9.7 MiB."""
+        47.9 MiB; banded, as integer counts with every level scored, they are
+        5.8 MiB."""
         codec = profile_codec("mistral-7b")
         CacheGenEncoder(CacheGenConfig(), codec=codec).encode_all_levels(
             llm.calculate_kv("banded-profile", 64)

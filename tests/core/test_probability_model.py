@@ -108,6 +108,67 @@ class TestFromCounts:
             SymbolProbabilityModel.from_counts(**{**self.VALID, **changes})
 
 
+class TestEquality:
+    """``==`` used to raise: the generated ``__eq__`` compared numpy fields."""
+
+    def test_two_fits_of_the_same_symbols_are_equal(self, rng):
+        data = symbol_tensor(rng)
+        first, second = SymbolProbabilityModel.fit(data), SymbolProbabilityModel.fit(data)
+        assert first is not second
+        assert first == second and not first != second
+
+    def test_counts_that_differ_in_one_cell_are_unequal(self, rng):
+        model = SymbolProbabilityModel.fit(symbol_tensor(rng))
+        counts = model.band_counts.copy()
+        counts[5, 2] += 1
+        other = SymbolProbabilityModel.from_counts(counts, model.lo, model.shape)
+        assert model != other and not model == other
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"lo": -4}, {"shape": (1, 51, 4)}, {"smoothing": 0.2}, {"grouping": "channel"}],
+        ids=["lo", "shape", "smoothing", "grouping"],
+    )
+    def test_every_saved_field_takes_part(self, changes):
+        # One layer, so "channel" induces the same 4 contexts as "channel_layer".
+        fields = {"counts": np.arange(12).reshape(4, 3), "lo": -1, "shape": (1, 50, 4)}
+        model = SymbolProbabilityModel.from_counts(**fields)
+        other = SymbolProbabilityModel.from_counts(**{**fields, **changes})
+        assert model != other
+
+    def test_the_count_dtype_and_derived_tables_take_no_part(self, rng):
+        data = symbol_tensor(rng)
+        model = SymbolProbabilityModel.fit(data)
+        wide = SymbolProbabilityModel.from_counts(
+            model.band_counts.astype(np.int64), model.lo, model.shape
+        )
+        model.cross_entropy_bits(data)  # fills the log-probability tables
+        assert model == wide
+
+
+class TestIntegerCounts:
+    def test_counts_are_kept_in_the_narrowest_unsigned_dtype(self):
+        for peak, dtype in [(0, np.uint8), (255, np.uint8), (256, np.uint16), (1 << 16, np.uint32)]:
+            counts = np.zeros((12, 3), dtype=np.int64)
+            counts[0, 0] = peak
+            model = SymbolProbabilityModel.from_counts(counts, -1, (3, 50, 4))
+            assert model.band_counts.dtype == dtype
+            assert model.band_counts[0, 0] == peak
+
+    def test_the_callers_counts_stay_writable_and_unshared(self):
+        counts = np.ones((12, 3), dtype=np.uint8)
+        model = SymbolProbabilityModel.from_counts(counts, -1, (3, 50, 4))
+        counts[0, 0] = 7
+        assert model.band_counts[0, 0] == 1 and not model.band_counts.flags.writeable
+
+    def test_band_is_counts_plus_smoothing_rebuilt_per_call(self, rng):
+        model = SymbolProbabilityModel.fit(symbol_tensor(rng), smoothing=0.3)
+        band = model.band
+        assert band.dtype == np.float64 and not band.flags.writeable
+        assert np.array_equal(band, model.band_counts.astype(np.float64) + 0.3)
+        assert model.band is not band
+
+
 class TestNonIntegerSymbolsRejected:
     """A float tensor used to die in ``np.bincount``; a bool one was fitted as 0/1."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,27 @@ class TestBitIdenticalSynthesis:
 
         ours = SyntheticLLM._stationary_ar1(np.random.default_rng(7), shape, rho)
         assert ours.tobytes() == reference(np.random.default_rng(7)).tobytes()
+
+
+@pytest.mark.parametrize("num_tokens", [480, 1500])
+def test_synthesis_keeps_no_full_size_temporary(llm, num_tokens):
+    """Alive at the peak: the two float64 series of a tensor and the float32
+    K and V.  The decayed start term and the combination of the series are
+    worked a layer at a time (one layer's float64 slice is under 0.4 MB at
+    1500 tokens)."""
+    llm.calculate_kv("warm-up", 8)
+    layers, channels = llm.config.sim_layers, llm.config.sim_channels
+    elements = layers * num_tokens * channels
+    bound = 2 * elements * 8 + 2 * elements * 4 + 0.5e6
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        kv = llm.calculate_kv("memory-bound", num_tokens)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert kv.k.dtype == kv.v.dtype == np.float32
+    assert peak <= bound, f"peak {peak / 1e6:.2f} MB over the {bound / 1e6:.2f} MB bound"
 
 
 class TestStatisticalProperties:

@@ -227,6 +227,43 @@ def test_memoized_profile_equals_a_fresh_fit(model, fits):
     assert_same_codec(memoized, fresh)
 
 
+@pytest.mark.parametrize("model", SHIPPED, ids=lambda model: model.name)
+def test_loaded_models_equal_a_fresh_fits(model, fits):
+    """``==`` is value equality over what a profile file holds; it used to raise."""
+    loaded = profile_codec(model)
+    fresh = CacheGenEncoder(CacheGenConfig()).fit(profile_samples(model)).codec
+    for name, models in loaded.level_models.items():
+        expected = fresh.level_models[name]
+        assert models.delta_model == expected.delta_model
+        assert models.anchor_model == expected.anchor_model
+        assert models == expected
+    assert loaded == fresh
+
+
+@pytest.mark.parametrize("model", SHIPPED, ids=lambda model: model.name)
+def test_a_loaded_profile_holds_integer_counts(model, fits):
+    """The smoothed band is derived where it is read; until a model scores it
+    holds no float table, only its integer counts and per-context totals."""
+    codec = profile_codec(model)
+    assert fits == []
+    levels = codec.level_models.values()
+    models = {id(m): m for level in levels for m in (level.delta_model, level.anchor_model)}
+    for held in models.values():
+        arrays = [array for array in vars(held).values() if isinstance(array, np.ndarray)]
+        assert [array.dtype.kind for array in arrays] == ["u", "f"]
+        assert held.band_counts.ndim == 2 and held.totals.ndim == 1
+        band = held.band
+        assert not band.flags.writeable
+        assert band.dtype == np.float64
+        assert np.array_equal(band, held.band_counts.astype(np.float64) + held.smoothing)
+    # Scoring builds the log-probability tables, the one 2-D float a model keeps.
+    held = codec.level_models["medium"].delta_model
+    layers, channels = codec.sim_dims
+    held.cross_entropy_bits(np.zeros((layers, 4, channels), dtype=np.int16))
+    floats = [a for a in vars(held).values() if isinstance(a, np.ndarray) and a.ndim == 2]
+    assert [a.dtype for a in floats] == [np.uint16, np.float64]
+
+
 @pytest.mark.parametrize("model", WORKBENCH_MODELS)
 def test_a_workbench_codes_with_the_served_profile(model, fits, loads):
     """An experiment's encoder is the model's one profile, loaded from its file."""
