@@ -42,19 +42,25 @@ has no table, which is the classic single-stream format.
 
 The coder is *static*: frequencies come from a pre-computed cumulative table
 (optionally a different table row per symbol context), exactly like CacheGen's
-offline-profiled distributions.  Tables are held as ``int32`` — the largest
-admissible total is ``2**30`` — so a ``(1024, 511)`` model's is 2 MiB.  The
-caller derives them per call, from a fitted model's symbol band, and drops
+offline-profiled distributions.  The one table form is a :class:`BandTable`:
+the cumulative counts over a band of symbols, plus one frequency per row that
+every symbol outside the band has.  A fitted model's symbols span 20-255 of
+the 511 columns, so its ``(1024, 511)`` table is 0.1-1 MiB of ``int32`` (the
+largest admissible total is ``2**30``) where the dense one was 2 MiB, and
+the coder checks and searches that band alone.  A dense ``cum_freq`` is the
+band table that starts at symbol 0 and covers the whole alphabet.  The caller
+derives the tables per call, from a fitted model's symbol band, and drops
 them with the coder: nothing is resident.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ArithmeticEncoder", "ArithmeticDecoder"]
+__all__ = ["ArithmeticEncoder", "ArithmeticDecoder", "BandTable"]
 
 _PRECISION = 32
 _HALF = 1 << (_PRECISION - 1)
@@ -82,22 +88,114 @@ _LANE_PAD = 8
 _WINDOW_BITS = 40
 
 
-def _as_cum_table(cum_freq: np.ndarray) -> np.ndarray:
-    """``cum_freq`` validated, as a 2-D ``int32`` table (any admissible total fits)."""
-    cum = np.asarray(cum_freq)
-    if cum.dtype != np.int32:
-        cum = cum.astype(np.int64)
-    if cum.ndim == 1:
-        cum = cum[None, :]
-    if cum.ndim != 2:
-        raise ValueError("cumulative frequency table must be 1-D or 2-D")
-    if np.any(cum[:, 0] != 0):
+@dataclass(frozen=True, eq=False)
+class BandTable:
+    """A cumulative frequency table held over the band of symbols ``start .. stop - 1``.
+
+    ``band[r, i]`` is the dense table's ``cum[r, start + i]`` for ``i`` in
+    ``0 .. width``, and every symbol outside the band has its row's one
+    frequency ``outside[r]``, so the dense row is, for any ``s`` in ``0 ..
+    alphabet``, with ``e = s - start`` and ``i = clip(e, 0, width)``::
+
+        cum[r, s] = band[r, i] + outside[r] * (e - i)
+
+    The coders take it as it is; :meth:`dense` expands it.
+
+    Example
+    -------
+    >>> table = BandTable(np.array([[2, 8, 9]]), np.array([1]), start=2, alphabet=5)
+    >>> table.dense().tolist(), table.totals.tolist()
+    ([[0, 1, 2, 8, 9, 10]], [10])
+    """
+
+    band: np.ndarray
+    outside: np.ndarray
+    start: int
+    alphabet: int
+
+    @property
+    def width(self) -> int:
+        """Symbols in the band."""
+        return self.band.shape[1] - 1
+
+    @property
+    def stop(self) -> int:
+        """The first symbol past the band."""
+        return self.start + self.width
+
+    @property
+    def totals(self) -> np.ndarray:
+        """Each row's total frequency, ``int64``."""
+        return self.band[:, -1] + (self.alphabet - self.stop) * self.outside.astype(np.int64)
+
+    def dense(self) -> np.ndarray:
+        """The ``(rows, alphabet + 1)`` cumulative table, in the band's dtype."""
+        outside = self.outside[:, None]
+        cum = np.multiply(outside, np.arange(self.alphabet + 1), dtype=self.band.dtype)
+        cum[:, self.start : self.stop + 1] = self.band
+        cum[:, self.stop + 1 :] += self.band[:, -1:] - self.stop * outside
+        return cum
+
+
+def _as_cum_table(cum_freq: BandTable | np.ndarray) -> BandTable:
+    """``cum_freq`` validated, as a band table of ``int32`` counts (any admissible total fits).
+
+    A dense table is the band table whose band is all of it.
+    """
+    if isinstance(cum_freq, BandTable):
+        table = cum_freq
+    else:
+        cum = np.asarray(cum_freq)
+        if cum.dtype != np.int32:
+            cum = cum.astype(np.int64)
+        if cum.ndim == 1:
+            cum = cum[None, :]
+        if cum.ndim != 2:
+            raise ValueError("cumulative frequency table must be 1-D or 2-D")
+        table = BandTable(cum, np.ones(len(cum), dtype=np.int64), 0, cum.shape[1] - 1)
+    band, outside = np.asarray(table.band), np.asarray(table.outside)
+    if band.dtype != np.int32:
+        band = band.astype(np.int64)
+    outside = outside.astype(np.int64)
+    if band.ndim != 2 or band.shape[1] < 1 or outside.shape != (len(band),):
+        raise ValueError("a band table holds one band row and one outside frequency per row")
+    start, alphabet = int(table.start), int(table.alphabet)
+    if not 0 <= start <= start + band.shape[1] - 1 <= alphabet:
+        raise ValueError("the band must lie within the alphabet")
+    if np.any(band[:, 0] != start * outside):
         raise ValueError("cumulative frequencies must start at 0")
-    if np.any(cum[:, 1:] <= cum[:, :-1]):
+    if np.any(band[:, 1:] <= band[:, :-1]) or np.any(outside < 1):
         raise ValueError("every symbol must have a strictly positive frequency")
-    if np.any(cum[:, -1] > MAX_TOTAL_FREQUENCY):
+    table = BandTable(band, outside, start, alphabet)
+    if np.any(table.totals > MAX_TOTAL_FREQUENCY):
         raise ValueError("total frequency exceeds the coder's precision budget")
-    return np.ascontiguousarray(cum, dtype=np.int32)
+    return BandTable(np.ascontiguousarray(band, dtype=np.int32), outside, start, alphabet)
+
+
+def _bounds(table: BandTable, rows: np.ndarray, offsets: np.ndarray):
+    """``(cum[rows, s], cum[rows, s + 1])`` of the symbols ``s = table.start + offsets``."""
+    band, width = table.band, table.width
+    flat = band.ravel()
+    at = rows * (width + 1)
+    if not len(offsets) or (offsets.min() >= 0 and offsets.max() < width):
+        at += offsets
+        return flat[at], flat[1:][at]
+    # Some symbols lie outside the band: the others are looked up, and those
+    # take the closed form.  Each column past the band's edge adds the row's
+    # out-of-band frequency, so ``cum[s + 1]`` is ``cum[s]`` plus that.
+    past = (offsets < 0) | (offsets >= width)
+    if width:
+        at += np.where(past, 0, offsets)
+        low, high = flat[at], flat[1:][at]
+    else:
+        low, high = np.empty_like(at, dtype=band.dtype), np.empty_like(at, dtype=band.dtype)
+    past = np.flatnonzero(past)
+    position, rows = offsets[past], rows[past]
+    edge = np.where(position < 0, 0, width)
+    frequency = table.outside[rows]
+    low[past] = band[rows, edge] + frequency * (position - edge)
+    high[past] = low[past] + frequency
+    return low, high
 
 
 def _as_count(value, name: str, minimum: int) -> int:
@@ -116,17 +214,20 @@ def _as_integers(values: Sequence[int], name: str) -> np.ndarray:
     return values.astype(np.int64, copy=False).ravel()
 
 
-def _side_by_side(parts: Sequence[np.ndarray], lanes: Sequence[int], filler: int) -> np.ndarray:
+def _side_by_side(
+    parts: Sequence[np.ndarray], lanes: Sequence[int], filler: int, dtype: type = np.int32
+) -> np.ndarray:
     """Per-symbol values of every payload as one ``(steps, sum(lanes))`` matrix.
 
     Row ``j`` is what the lanes code at step ``j``.  A payload's lanes are
     adjacent columns, and its lane ``l`` owns its symbols ``l, l + lanes,
     ...``, so its rows are contiguous slices.  The lanes short of a symbol —
     in a payload's ragged last step, and on every step past it when another
-    payload has more — get ``filler``.
+    payload has more — get ``filler``.  Every value the coders lay out this
+    way fits ``int32``: table entries and totals are at most ``2**30``.
     """
     steps = max(-(-len(values) // width) for values, width in zip(parts, lanes))
-    matrix = np.full((steps, sum(lanes)), filler, dtype=np.int64)
+    matrix = np.full((steps, sum(lanes)), filler, dtype=dtype)
     first = 0
     for values, width in zip(parts, lanes):
         whole, ragged = divmod(len(values), width)
@@ -151,12 +252,16 @@ def _renormalise(low: np.ndarray, span: np.ndarray):
     """
     high = low + span
     high -= 1
-    differing = np.frexp(low ^ high)[1]
+    # In int64: a lookup by an int32 index array converts it first, every time.
+    differing = np.frexp(low ^ high)[1].astype(np.int64)
     # Zero where the E3 run continues, so the run stops at the top set bit.
     np.bitwise_or(~low, high, out=high)
     high &= _SUFFIX_MASK[differing]
-    shifts = _MOST_SHIFTS[differing] - np.frexp(high)[1]
-    return differing, shifts, (low << shifts) & _BELOW_TOP, span << shifts
+    shifts = _MOST_SHIFTS[differing]
+    shifts -= np.frexp(high)[1]
+    low = low << shifts
+    low &= _BELOW_TOP
+    return differing, shifts, low, span << shifts
 
 
 def _varints(values: np.ndarray) -> bytes:
@@ -204,7 +309,7 @@ class _LaneCoder:
 
     def __init__(
         self,
-        cum_freq: np.ndarray | Sequence[np.ndarray],
+        cum_freq: BandTable | np.ndarray | Sequence[BandTable | np.ndarray],
         lanes: int | Sequence[int] = 1,
         sizes: Sequence[int] | None = None,
     ) -> None:
@@ -218,7 +323,7 @@ class _LaneCoder:
         for table in cum_freq:
             if id(table) not in validated:
                 validated[id(table)] = _as_cum_table(table)
-        self._tables = [validated[id(table)] for table in cum_freq]
+        self._tables: list[BandTable] = [validated[id(table)] for table in cum_freq]
         self._lanes = [_as_count(width, "lanes", 1) for width in lanes]
         self._sizes = None if sizes is None else [_as_count(size, "sizes", 0) for size in sizes]
 
@@ -233,7 +338,7 @@ class _LaneCoder:
     def _contexts(self, contexts: Sequence[int] | None, num_symbols: int) -> list[np.ndarray]:
         """Per payload, the validated table row of every symbol."""
         if contexts is None:
-            if any(len(table) > 1 for table in self._tables):
+            if any(len(table.band) > 1 for table in self._tables):
                 raise ValueError("contexts are required when a table has more than one row")
             contexts = np.zeros(num_symbols, dtype=np.int64)
         else:
@@ -242,7 +347,7 @@ class _LaneCoder:
                 raise ValueError("contexts must have one entry per symbol")
         parts = self._split(contexts)
         for rows, table in zip(parts, self._tables):
-            if len(rows) and (rows.min() < 0 or rows.max() >= len(table)):
+            if len(rows) and (rows.min() < 0 or rows.max() >= len(table.band)):
                 raise ValueError("context out of range")
         return parts
 
@@ -253,8 +358,9 @@ class ArithmeticEncoder(_LaneCoder):
     Parameters
     ----------
     cum_freq:
-        Either a single cumulative frequency table of shape ``(alphabet+1,)``
-        or a per-context table of shape ``(num_contexts, alphabet+1)``.
+        A :class:`BandTable`, or a dense cumulative frequency table: either
+        a single one of shape ``(alphabet+1,)`` or a per-context one of shape
+        ``(num_contexts, alphabet+1)``.
     lanes:
         Number of independent streams.  Lane ``l`` codes symbols ``l, l +
         lanes, ...``; the decoder must be built with the same count.
@@ -300,17 +406,15 @@ class ArithmeticEncoder(_LaneCoder):
         lanes = self._lanes
         symbols = _as_integers(symbols, "symbols")
         cum_low, cum_high, total = [], [], []
-        for values, rows, cum in zip(
+        for values, rows, table in zip(
             self._split(symbols), self._contexts(contexts, len(symbols)), self._tables
         ):
-            width = cum.shape[1]
-            if len(values) and (values.min() < 0 or values.max() >= width - 1):
+            if len(values) and (values.min() < 0 or values.max() >= table.alphabet):
                 raise ValueError("symbol out of alphabet range")
-            flat = cum.ravel()
-            at = rows * width + values
-            cum_low.append(flat[at])
-            cum_high.append(flat[at + 1])
-            total.append(cum[:, -1][rows])
+            low, high = _bounds(table, rows, values - table.start)
+            cum_low.append(low)
+            cum_high.append(high)
+            total.append(table.totals[rows])
         # The filler is a symbol of probability one: it leaves ``[low, high]``
         # as it is and emits nothing, so neither a ragged last step nor a
         # payload with fewer steps than another needs a special case.
@@ -321,17 +425,20 @@ class ArithmeticEncoder(_LaneCoder):
 
         # One record per (step, lane): the top ``count`` bits of ``word`` were
         # emitted, the first of them followed by ``owed`` opposite bits.  Two
-        # more rows hold each lane's termination and its byte padding.
-        word = np.zeros((steps + 2, num_lanes), dtype=np.int64)
-        count = np.zeros((steps + 2, num_lanes), dtype=np.int64)
-        owed = np.zeros((steps + 2, num_lanes), dtype=np.int64)
+        # more rows hold each lane's termination and its byte padding.  Each
+        # in the narrowest type that holds it: the smaller a call's arrays,
+        # the fewer pages it faults in.
+        word = np.zeros((steps + 2, num_lanes), dtype=np.uint32)
+        count = np.zeros((steps + 2, num_lanes), dtype=np.int8)
+        owed = np.zeros((steps + 2, num_lanes), dtype=np.int32)
         low = np.zeros(num_lanes, dtype=np.int64)
         span = np.full(num_lanes, 1 << _PRECISION, dtype=np.int64)
         pending = owed[0]
         for step in range(steps):
             below = span * cum_low[step] // total[step]
             span = span * cum_high[step] // total[step] - below
-            low = np.add(low, below, out=word[step])
+            low += below
+            word[step] = low
             differing, shifts, low, span = _renormalise(low, span)
             emitted = np.subtract(_PRECISION, differing, out=count[step])
             # The first emitted bit settles the pending ones; E3 shifts add to them.
@@ -354,7 +461,7 @@ class ArithmeticEncoder(_LaneCoder):
 def _pack(word: np.ndarray, count: np.ndarray, owed: np.ndarray) -> bytes:
     """Lay the recorded bits out lane by lane, byte-align each lane, add the table.
 
-    The records are ``(steps + 2, lanes)`` ``int64`` arrays whose last row,
+    The records are ``(steps + 2, lanes)`` integer arrays whose last row,
     all zeros, stands for each lane's byte padding.  A record of ``count >
     0`` is the top bit ``t`` of ``word``, ``owed`` copies of ``1 - t``, then
     the next ``count - 1`` bits of ``word``.  As a number that is ``word >> (32 - count)`` plus
@@ -369,14 +476,14 @@ def _pack(word: np.ndarray, count: np.ndarray, owed: np.ndarray) -> bytes:
     lanes = word.shape[1]
     # Per record, the bits its lane has written through it.
     emits = count > 0
-    written = count + owed
+    written = np.add(count, owed, dtype=np.int64)
     written *= emits
     np.cumsum(written, axis=0, out=written)
     lane_bytes = -(-written[-2] // 8)
     written += 8 * (np.cumsum(lane_bytes) - lane_bytes)
     at = np.flatnonzero(emits)
     end = written.ravel()[at]
-    word, count, owed = (part.ravel()[at].view(np.uint64) for part in (word, count, owed))
+    word, count, owed = (part.ravel()[at].astype(np.uint64) for part in (word, count, owed))
 
     value = word >> (_PRECISION - count)
     # Ones past bit 63 shift out, so a run longer than the word is a word of them.
@@ -398,6 +505,35 @@ def _pack(word: np.ndarray, count: np.ndarray, owed: np.ndarray) -> bytes:
         _fill_ones(words, start + 1 - top, np.where(top, start + 1, end[long] - 64))
     payload = words.astype(">u8").tobytes()[: int(lane_bytes.sum())]
     return _varints(lane_bytes[: lanes - 1]) + payload
+
+
+def _past_the_band(
+    lower: np.ndarray,
+    upper: np.ndarray,
+    scaled: np.ndarray,
+    outside: np.ndarray,
+    stride: int,
+    found: np.ndarray,
+) -> None:
+    """Resolve, in place, the lanes whose search fell off either end of their row's band.
+
+    ``scaled`` is each lane's key within its row and ``outside`` its row's
+    out-of-band frequency.  Below the band ``upper`` read the band's first
+    entry, ``cum[start]``; above it ``lower`` read its last, ``cum[stop]``.
+    Every symbol further out adds ``outside``, so the symbol lies ``shift =
+    (scaled - edge) // outside`` symbols past that edge (negative below), and
+    its bounds follow.  ``found`` holds the search's hit, the edge's entry
+    below the band and the one past it above; the symbol's own hit is
+    ``shift`` further, and one more below.
+    """
+    lanes = np.flatnonzero((lower < 0) | (upper >= stride))
+    below = lower[lanes] < 0
+    edge = np.where(below, upper[lanes], lower[lanes])
+    frequency = outside[lanes]
+    shift = (scaled[lanes] - edge) // frequency
+    lower[lanes] = edge + shift * frequency
+    upper[lanes] = lower[lanes] + frequency
+    found[lanes] += shift + below
 
 
 def _fill_ones(words: np.ndarray, first: np.ndarray, stop: np.ndarray) -> None:
@@ -433,33 +569,43 @@ class ArithmeticDecoder(_LaneCoder):
 
     def __init__(
         self,
-        cum_freq: np.ndarray | Sequence[np.ndarray],
+        cum_freq: BandTable | np.ndarray | Sequence[BandTable | np.ndarray],
         lanes: int | Sequence[int] = 1,
         sizes: Sequence[int] | None = None,
     ) -> None:
         super().__init__(cum_freq, lanes, sizes)
-        # The distinct tables flattened end to end, row ``r`` of them offset by
-        # ``r * stride``: a row holds values below ``stride``, so rows do not
-        # overlap and one sorted search finds a symbol within its own row.
+        # The distinct tables' band rows end to end, row ``r`` of them offset
+        # by ``r * stride``, between a sentinel below every key and one above:
+        # a row holds values below ``stride``, so rows do not overlap and one
+        # sorted search finds a symbol within its own row's band, or lands
+        # just before or just after it (see :meth:`decode`).
         distinct = list({id(table): table for table in self._tables}.values())
-        self._stride = 1 + max(int(table[:, -1].max()) for table in distinct)
-        num_rows = sum(len(table) for table in distinct)
+        largest = max(int(table.totals.max(initial=0)) for table in distinct)
+        # A power of two, so one test of ``lower | upper`` tells an edge hit.
+        self._stride = 1 << largest.bit_length()
+        num_rows = sum(len(table.band) for table in distinct)
         # Half the bytes to fault in and to search whenever the largest key fits.
         fits = num_rows * self._stride <= np.iinfo(np.int32).max
-        self._search = np.empty(
-            sum(table.size for table in distinct), dtype=np.int32 if fits else np.int64
+        entries = np.empty(
+            3 + sum(table.band.size for table in distinct), dtype=np.int32 if fits else np.int64
         )
-        #: ``id(table) -> (number of its first row, flat position of that row)``.
+        # ``_below[hit]`` is ``_search[hit - 1]``: the same entries, one place later.
+        self._search, self._below = entries[1:], entries[:-1]
+        self._search[0], self._search[-1] = -1, num_rows * self._stride
+        #: Per row of the search table, the frequency of a symbol outside its band.
+        self._outside = np.concatenate([table.outside for table in distinct])
+        #: ``id(table) -> (number of its first row, search position of that row)``.
         self._origin: dict[int, tuple[int, int]] = {}
-        row, entry = 0, 0
+        row, entry = 0, 1
         for table in distinct:
+            band = table.band
             # Offsets in the search table's own type: an int32 add runs at twice the speed.
-            offset = ((row + np.arange(len(table))) * self._stride).astype(self._search.dtype)
-            block = self._search[entry : entry + table.size].reshape(table.shape)
-            np.add(table, offset[:, None], out=block)
+            offset = ((row + np.arange(len(band))) * self._stride).astype(self._search.dtype)
+            block = self._search[entry : entry + band.size].reshape(band.shape)
+            np.add(band, offset[:, None], out=block)
             self._origin[id(table)] = row, entry
-            row += len(table)
-            entry += table.size
+            row += len(band)
+            entry += band.size
 
     def decode(
         self,
@@ -472,17 +618,19 @@ class ArithmeticDecoder(_LaneCoder):
         For a batch ``data`` holds one byte string per payload and
         ``num_symbols`` is the total over the payloads.
         """
-        lanes, search = self._lanes, self._search
+        lanes, search, below_hit = self._lanes, self._search, self._below
+        stride, outside = self._stride, self._outside
         n = _as_count(num_symbols, "num_symbols", 0)
         streams = data if self._batched else [data]
         if len(streams) != len(lanes):
             raise ValueError(f"the batch holds {len(lanes)} payloads, not {len(streams)}")
         row_number, row_start, total = [], [], []
-        for rows, cum in zip(self._contexts(contexts, n), self._tables):
-            row, entry = self._origin[id(cum)]
-            row_number.append(row + rows)
-            row_start.append(entry + rows * cum.shape[1])
-            total.append(cum[:, -1][rows])
+        for rows, table in zip(self._contexts(contexts, n), self._tables):
+            row, entry = self._origin[id(table)]
+            row_number.append((row + rows) * stride)
+            # Where symbol 0 of each row would sit, were the row dense.
+            row_start.append(entry + rows * (table.width + 1) - table.start)
+            total.append(table.totals[rows])
         sizes = [len(rows) for rows in total]
         bodies, lengths = zip(
             *(
@@ -507,9 +655,9 @@ class ArithmeticDecoder(_LaneCoder):
         # ragged last step, or past their payload's last — decode one more
         # (the first table's first row, from whatever bits they have left),
         # and it is dropped.  Any bits decode, so that is safe.
-        row_start = _side_by_side(row_start, lanes, filler=0)
-        key_offset = _side_by_side(row_number, lanes, filler=0) * self._stride
-        total = _side_by_side(total, lanes, filler=int(self._tables[0][0, -1]))
+        row_start = _side_by_side(row_start, lanes, filler=0, dtype=search.dtype)
+        key_offset = _side_by_side(row_number, lanes, filler=0, dtype=search.dtype)
+        total = _side_by_side(total, lanes, filler=int(self._tables[0].totals[0]))
         found = np.empty_like(row_start)
 
         low = np.zeros(num_lanes, dtype=np.int64)
@@ -524,9 +672,18 @@ class ArithmeticDecoder(_LaneCoder):
             scaled += offset
             key = scaled.astype(search.dtype, copy=False)
             hit = found[step] = np.searchsorted(search, key, side="right")
-            above = span * (search[hit] - offset) // denominator
-            hit -= 1
-            below = span * (search[hit] - offset) // denominator
+            upper = search[hit] - offset
+            lower = below_hit[hit] - offset
+            # In its row's band both bounds lie in [0, stride).  A hit before
+            # the band's first entry reads the row (or sentinel) below, a
+            # negative ``lower``; one past its last reads the row above, an
+            # ``upper`` of at least ``stride``.  Either sets a bit of -stride.
+            if np.bitwise_or.reduce(lower | upper) & -stride:
+                _past_the_band(
+                    lower, upper, scaled - offset, outside[offset // stride], stride, found[step]
+                )
+            above = span * upper // denominator
+            below = span * lower // denominator
             low += below
             _, shifts, low, span = _renormalise(low, above - below)
             window = windows[base + np.minimum(cursor >> 3, lane_bytes)]
@@ -534,8 +691,8 @@ class ArithmeticDecoder(_LaneCoder):
             ahead = ((ahead - below) << shifts) | fresh
             cursor += shifts
 
-        # ``ahead`` never leaves ``[0, span)`` whatever the bytes, so every search
-        # lands inside its own row: any data decodes to in-alphabet symbols.
+        # ``ahead`` never leaves ``[0, span)`` whatever the bytes, so a key never
+        # leaves ``[0, total)`` of its row: any data decodes to in-alphabet symbols.
         found -= row_start + 1
         symbols, first = [], 0
         for size, width in zip(sizes, lanes):

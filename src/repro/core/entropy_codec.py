@@ -13,9 +13,12 @@ Two backends are provided (see ``docs/ARCHITECTURE.md``, "Codec"):
   consecutive payloads as fit ``MAX_LANES`` together, and one cumulative
   table per model, derived for the call and dropped with it.  What a call
   costs besides its coding loops follows the data, not the 511-symbol
-  alphabet: a table's floats are worked over the model's fitted symbol band
-  only (:meth:`~repro.core.probability_model.SymbolProbabilityModel.cumulative_counts`),
-  and the emitted bits are assembled a 64-bit word at a time.
+  alphabet: a table is a :class:`~repro.core.arithmetic_coder.BandTable`,
+  derived, checked and searched over the model's fitted symbol band only
+  (:meth:`~repro.core.probability_model.SymbolProbabilityModel.cumulative_band`:
+  0.1-1 MiB a model where the dense table is 2 MiB), and the emitted bits are
+  assembled a 64-bit word at a time.  Exact payloads are checked by the
+  estimated path's rule: 3-D integer tensors within ``±SYMBOL_CLIP``.
 * **Estimated** — compute the ideal code length (the model cross-entropy) of
   the symbol stream, which is what one arithmetic-coded stream achieves up to
   a few bytes of termination overhead.  Every stored size and every figure
@@ -37,8 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder
-from .probability_model import SYMBOL_OFFSET, SymbolProbabilityModel
+from .arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder, BandTable
+from .probability_model import SYMBOL_OFFSET, SymbolProbabilityModel, _symbol_range
 
 __all__ = [
     "EntropyCodec",
@@ -101,9 +104,11 @@ def encode_payloads(
     """Entropy-code ``(model, (layers, tokens, channels) symbol tensor)`` pairs, in order.
 
     With ``exact`` the tensors are batched through the arithmetic coder: every
-    model's cumulative table is derived once, however many tensors use it, and
+    model's band table is derived once, however many tensors use it, and
     the lanes of a batch's payloads advance in one loop (see :func:`_batches`).
-    Each bitstream is what the tensor gets when coded alone.
+    Each bitstream is what the tensor gets when coded alone.  Both ways a
+    tensor that is not 3-D, holds no integers (a ``bool`` is none either) or
+    leaves ``±SYMBOL_CLIP`` raises the same ``ValueError``.
     """
     if not exact:
         return [
@@ -112,15 +117,15 @@ def encode_payloads(
             )
             for model, symbols in tensors
         ]
-    if any(symbols.ndim != 3 for _, symbols in tensors):
-        raise ValueError("symbols must be 3-D (layers, tokens, channels)")
+    for _, symbols in tensors:
+        _symbol_range(symbols)
     models = [model for model, _ in tensors]
     shapes = [tuple(symbols.shape) for _, symbols in tensors]
     streams: list[bytes] = []
     for batch, coder in _coders(ArithmeticEncoder, models, shapes):
         symbols = _end_to_end([symbols.ravel() for _, symbols in tensors[batch]])
         streams += coder.encode(
-            symbols.astype(np.int64) + SYMBOL_OFFSET, _contexts(models[batch], shapes[batch])
+            np.add(symbols, SYMBOL_OFFSET, dtype=np.int64), _contexts(models[batch], shapes[batch])
         )
     return [
         EntropyEncodedPayload(bits=float(len(data) * 8), shape=shape, exact=True, data=data)
@@ -185,10 +190,10 @@ def _coders(kind: type, models: Sequence[SymbolProbabilityModel], shapes: Sequen
     Every model's table is derived once for all batches, when the first of
     them is asked for, and dropped with the last.
     """
-    tables: dict[int, np.ndarray] = {}
+    tables: dict[int, BandTable] = {}
     for model in models:
         if id(model) not in tables:
-            tables[id(model)] = model.cumulative_counts()
+            tables[id(model)] = model.cumulative_band()
     sizes = [math.prod(shape) for shape in shapes]
     lanes = [lane_count(size) for size in sizes]
     for batch in _batches(lanes):
@@ -217,7 +222,7 @@ class EntropyCodec:
         If True, run the real arithmetic coder; otherwise report the ideal
         code length only (such a payload cannot be decoded).
 
-    Each exact call derives the model's cumulative table and drops it; to code
+    Each exact call derives the model's band table and drops it; to code
     several payloads for the price of one table and one loop, hand them to
     :func:`encode_payloads` / :func:`decode_payloads` together, as
     :meth:`CacheGenEncoder.encode` does with a chunk's.

@@ -29,7 +29,7 @@ from typing import Literal
 
 import numpy as np
 
-from .arithmetic_coder import MAX_TOTAL_FREQUENCY
+from .arithmetic_coder import MAX_TOTAL_FREQUENCY, BandTable
 from .quantization import SYMBOL_CLIP
 
 __all__ = [
@@ -47,7 +47,7 @@ Grouping = Literal["channel_layer", "layer", "channel", "token", "global"]
 #: [0, ALPHABET_SIZE) by adding SYMBOL_OFFSET.
 SYMBOL_OFFSET = SYMBOL_CLIP
 ALPHABET_SIZE = 2 * SYMBOL_CLIP + 1
-#: The largest ``quantize_total`` :meth:`SymbolProbabilityModel.cumulative_counts`
+#: The largest ``quantize_total`` :meth:`SymbolProbabilityModel.cumulative_band`
 #: takes: rounding each of the ``ALPHABET_SIZE`` frequencies to the nearest
 #: integer adds at most half a count apiece, so the total stays within the
 #: arithmetic coder's ``MAX_TOTAL_FREQUENCY``.
@@ -58,7 +58,7 @@ _VALID_GROUPINGS = ("channel_layer", "layer", "channel", "token", "global")
 #: Contexts a dense table is rebuilt from the band at a time (the fit's row
 #: totals): 64 rows of float64 frequencies are 256 KiB.
 _TABLE_BLOCK = 64
-#: Band values :meth:`SymbolProbabilityModel.cumulative_counts` turns into
+#: Band values :meth:`SymbolProbabilityModel.cumulative_band` turns into
 #: frequencies at a time: as many contexts as a dense block holds values.
 _BLOCK_VALUES = _TABLE_BLOCK * ALPHABET_SIZE
 
@@ -174,7 +174,7 @@ class SymbolProbabilityModel:
     Build one with :meth:`fit` from one or more symbol tensors (or with
     :meth:`from_counts` from the counts a fit took), then use
     :meth:`cross_entropy_bits` to measure the ideal (arithmetic-coding) code
-    length of new data, or :meth:`cumulative_counts` to drive the exact
+    length of new data, or :meth:`cumulative_band` to drive the exact
     arithmetic coder.
 
     Only the band of symbol values the fit saw is stored, and only as the
@@ -449,25 +449,26 @@ class SymbolProbabilityModel:
         return float((ctx_weights * per_ctx).sum())
 
     # -------------------------------------------------------- arithmetic coding
-    def cumulative_counts(self, quantize_total: int = 1 << 16) -> np.ndarray:
-        """Integer cumulative frequency tables for the arithmetic coder.
+    def cumulative_band(self, quantize_total: int = 1 << 16) -> BandTable:
+        """Integer cumulative frequency tables for the arithmetic coder, over the band.
 
-        Returns an ``int32`` array of shape ``(num_contexts, ALPHABET_SIZE +
-        1)`` where row ``c`` is the cumulative frequency of symbols under
-        context ``c``, scaled so every symbol has frequency >= 1 and the total
-        is ``quantize_total`` give or take the rounding, which adds at most
-        ``ALPHABET_SIZE // 2``: the largest admissible ``quantize_total`` is
-        :data:`MAX_QUANTIZE_TOTAL`, so every table fits the coder's budget.
+        The :class:`~repro.core.arithmetic_coder.BandTable` of the
+        ``(num_contexts, ALPHABET_SIZE + 1)`` ``int32`` table whose row ``c``
+        is the cumulative frequency of symbols under context ``c``, scaled so
+        every symbol has frequency >= 1 and the total is ``quantize_total``
+        give or take the rounding, which adds at most ``ALPHABET_SIZE // 2``:
+        the largest admissible ``quantize_total`` is :data:`MAX_QUANTIZE_TOTAL`,
+        so every table fits the coder's budget.
 
         Each frequency is the dense formula's ``rint(p * (quantize_total -
         ALPHABET_SIZE)) + 1``, but the floats are worked over the band only:
         every symbol outside it has its context's one out-of-band frequency,
-        derived once, and its columns are filled by integer multiples of it.
-        The integer sums are exact, so the table is the dense one's bit for
-        bit, at a cost that follows the band's width: 0.7-2 ms for a
-        ``(1024, 511)`` table whose band is 17-255 symbols wide, where
-        working every column took 3.1-3.6 ms.  Nothing of it is kept on the
-        model: the table is 2 MiB, derived per call.
+        derived once, and only the band's columns are summed.  The integer
+        sums are exact, so :meth:`cumulative_counts`, its dense expansion, is
+        the dense derivation's table bit for bit.  It costs what the band's
+        width does, and so does the table: 0.1-1 MiB for a ``(1024, 511)``
+        model whose band is 20-255 symbols wide, where the dense table is
+        2 MiB.  Nothing of it is kept on the model: it is derived per call.
         """
         if not 2 * ALPHABET_SIZE <= quantize_total <= MAX_QUANTIZE_TOTAL:
             raise ValueError(
@@ -479,15 +480,13 @@ class SymbolProbabilityModel:
         outside *= scale
         np.rint(outside, out=outside)
         outside += 1.0
-        outside = outside.astype(np.int32)[:, None]
-        # ``cum[:, s]`` sums the frequencies of the symbols below ``s``, never
-        # more than the total: ``s`` out-of-band ones up to the band's first
-        # column ``start``, then the band's running sum up to ``stop``, then
-        # ``s - stop`` more out-of-band ones.
+        outside = outside.astype(np.int32)
+        # ``band[:, i]`` sums the frequencies of the symbols below ``start +
+        # i``: ``start`` out-of-band ones, then the band's running sum.
         start = self.lo + SYMBOL_OFFSET
         width = self.band_counts.shape[1]
-        stop = start + width
-        cum = np.multiply(outside, np.arange(ALPHABET_SIZE + 1, dtype=np.int32))
+        band = np.empty((self.num_contexts, width + 1), dtype=np.int32)
+        np.multiply(outside, start, out=band[:, 0])
         # The band's frequencies a block of contexts at a time, smoothed into
         # one float buffer, so the float temporary stays cache-sized however
         # wide the band.
@@ -501,11 +500,18 @@ class SymbolProbabilityModel:
             block *= scale
             np.rint(block, out=block)
             block += 1.0
-            cum[rows, start + 1 : stop + 1] = block
-        running = cum[:, start : stop + 1]
-        np.cumsum(running, axis=1, out=running)
-        cum[:, stop + 1 :] += cum[:, stop, None] - stop * outside
-        return cum
+            band[rows, 1:] = block
+        np.cumsum(band, axis=1, out=band)
+        return BandTable(band, outside, start, ALPHABET_SIZE)
+
+    def cumulative_counts(self, quantize_total: int = 1 << 16) -> np.ndarray:
+        """The dense ``int32`` table :meth:`cumulative_band` stands for.
+
+        Shape ``(num_contexts, ALPHABET_SIZE + 1)``, expanded from the band
+        table, 2 MiB for a ``(1024, 511)`` model, built per call: for the
+        dense-formula oracles, not for the coder.
+        """
+        return self.cumulative_band(quantize_total).dense()
 
     def context_ids_for(self, shape: tuple[int, int, int]) -> np.ndarray:
         """Per-element context ids for a tensor of ``shape`` under this grouping."""

@@ -7,6 +7,11 @@ payload alone — which ``test_lane_coder.py`` holds, lane by lane, to the scala
 coder — and the decoder returns what the single-payload decoder returns,
 garbage included.
 
+A fitted model hands the coder a band table: cumulative counts over the
+symbols its fit saw, and one frequency for every symbol outside them.  The
+coder holds no other form, so it must code a band table exactly as it codes
+the dense table the band stands for, symbols outside the band included.
+
 The golden at the bottom pins the bitstream itself: the sha256 of the four
 payloads of one fixed chunk at every level.  A change to the lane geometry,
 the table quantisation or the coder's arithmetic shows up there as a reviewed
@@ -27,7 +32,7 @@ from hypothesis import strategies as st
 from test_lane_coder import TABLE_KINDS, random_symbols, random_table
 
 from repro.core import CacheGenDecoder, CacheGenEncoder, arithmetic_coder
-from repro.core.arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder
+from repro.core.arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder, BandTable
 from repro.core.entropy_codec import (
     EntropyCodec,
     _batches,
@@ -35,6 +40,8 @@ from repro.core.entropy_codec import (
     encode_payloads,
     lane_count,
 )
+from repro.core.probability_model import ALPHABET_SIZE, SymbolProbabilityModel
+from repro.core.quantization import SYMBOL_CLIP
 
 #: One payload of a drawn batch: which of the two tables, symbols, lanes.
 payloads = st.tuples(st.integers(0, 1), st.integers(0, 600), st.integers(1, 12))
@@ -110,6 +117,110 @@ def test_payloads_of_one_table_object_share_its_validation(monkeypatch):
     first, second = np.array([0, 5, 9, 10]), np.array([0, 1, 2])
     ArithmeticDecoder([first, second, first, second], [2, 1, 2, 1], [5, 0, 6, 3])
     assert sorted(validated) == sorted([id(first), id(second)])
+
+
+# ------------------------------------------------------------ band tables
+def narrow_band(rng, lo: int, span: int, tokens: int) -> BandTable:
+    """The band table of a model fitted on ``tokens`` tokens of symbols in ``lo .. lo + span``."""
+    fitted = rng.integers(lo, min(lo + span, SYMBOL_CLIP) + 1, size=(2, tokens, 3))
+    table = SymbolProbabilityModel.fit(fitted).cumulative_band()
+    assert table.width == (fitted.max() - fitted.min() + 1 if tokens else 0)
+    return table
+
+
+def wide_symbols(rng, start: int, stop: int, size: int) -> np.ndarray:
+    """Alphabet indices below, inside and above the band ``start .. stop - 1``.
+
+    A third each, where the alphabet has symbols on that side.
+    """
+    sides = [(0, start), (start, stop), (stop, ALPHABET_SIZE)]
+    sides = [side for side in sides if side[1] > side[0]]
+    picked = rng.integers(0, len(sides), size=size)
+    low = np.array([side[0] for side in sides])[picked]
+    high = np.array([side[1] for side in sides])[picked]
+    return low + (rng.random(size) * (high - low)).astype(np.int64)
+
+
+def outside(table: BandTable) -> int:
+    """A symbol outside the band: the first if the band leaves it, else the last."""
+    return 0 if table.start > 0 else table.alphabet - 1
+
+
+@example(seed=0, spans=(18, 0), tokens=(5, 0), drawn=[(40, 3), (7, 1), (30, 2)])
+@example(seed=1, spans=(0, 510), tokens=(1, 4), drawn=[(1, 1), (0, 2), (1, 1)])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spans=st.tuples(st.integers(0, 2 * SYMBOL_CLIP), st.integers(0, 2 * SYMBOL_CLIP)),
+    tokens=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    drawn=st.lists(st.tuples(st.integers(1, 300), st.integers(1, 9)), min_size=3, max_size=5),
+)
+def test_band_tables_code_as_their_dense_tables(seed, spans, tokens, drawn):
+    """Two models fitted on narrow data, coded on wide data in one batch beside
+    a dense table, the first and the last band table in the search table each
+    with an out-of-band symbol in its edge row: the bytes, the decode and the
+    decode of garbage are the dense tables' exactly.  Zero tokens fit a model
+    whose band is empty, so that every symbol lies outside it."""
+    rng = np.random.default_rng(seed)
+    first, last = (
+        narrow_band(rng, int(rng.integers(-SYMBOL_CLIP, SYMBOL_CLIP + 1)), span, count)
+        for span, count in zip(spans, tokens)
+    )
+    other = random_table(rng, "small", 2, ALPHABET_SIZE)
+    # The first payload's table leads the search table, the last one's ends it.
+    tables = [first] + [(other, first)[index % 2] for index in range(len(drawn) - 2)] + [last]
+    dense = {id(first): first.dense(), id(last): last.dense(), id(other): other}
+    dense_tables = [dense[id(table)] for table in tables]
+    sizes = [size for size, _ in drawn]
+    lanes = [width for _, width in drawn]
+    symbols, contexts = [], []
+    for table, size in zip(tables, sizes):
+        if table is other:
+            symbols.append(wide_symbols(rng, 0, ALPHABET_SIZE, size))
+        else:
+            symbols.append(wide_symbols(rng, table.start, table.stop, size))
+        contexts.append(rng.integers(0, len(dense[id(table)]), size=size))
+    symbols[0][0], contexts[0][0] = outside(first), 0
+    symbols[-1][0], contexts[-1][0] = outside(last), len(last.band) - 1
+    flat_symbols, flat_contexts = np.concatenate(symbols), np.concatenate(contexts)
+
+    streams = ArithmeticEncoder(tables, lanes, sizes).encode(flat_symbols, flat_contexts)
+    assert streams == ArithmeticEncoder(dense_tables, lanes, sizes).encode(
+        flat_symbols, flat_contexts
+    )
+    decoded = ArithmeticDecoder(tables, lanes, sizes).decode(streams, sum(sizes), flat_contexts)
+    for got, want in zip(decoded, symbols):
+        np.testing.assert_array_equal(got, want)
+
+    garbage = []
+    for width in lanes:
+        lengths = rng.integers(0, 12, size=width)
+        body = rng.integers(0, 256, size=int(lengths.sum()), dtype=np.uint8)
+        garbage.append(bytes(lengths[:-1].astype(np.uint8)) + body.tobytes())
+    got = ArithmeticDecoder(tables, lanes, sizes).decode(garbage, sum(sizes), flat_contexts)
+    want = ArithmeticDecoder(dense_tables, lanes, sizes).decode(garbage, sum(sizes), flat_contexts)
+    for band_decode, dense_decode in zip(got, want):
+        np.testing.assert_array_equal(band_decode, dense_decode)
+        assert np.all((0 <= band_decode) & (band_decode < ALPHABET_SIZE))
+
+
+def test_a_band_table_is_checked_as_its_dense_table_is():
+    """The coder keeps every check of the dense form: a table starts at 0,
+    every frequency (the out-of-band one too) is at least 1, and the total
+    stays within the precision budget."""
+    good = BandTable(np.array([[4, 9, 11]]), np.array([2]), start=2, alphabet=6)
+    symbols = [0, 1, 2, 3, 4, 5]
+    assert ArithmeticEncoder(good).encode(symbols) == ArithmeticEncoder(good.dense()).encode(
+        symbols
+    )
+    for table, message in (
+        (BandTable(np.array([[5, 9, 11]]), np.array([2]), 2, 6), "start at 0"),
+        (BandTable(np.array([[4, 9, 9]]), np.array([2]), 2, 6), "strictly positive"),
+        (BandTable(np.array([[0, 9, 11]]), np.array([0]), 2, 6), "strictly positive"),
+        (BandTable(np.array([[2, 2**30, 2**30 + 1]]), np.array([1]), 2, 6), "precision budget"),
+        (BandTable(np.array([[4, 9, 11]]), np.array([2]), 5, 6), "within the alphabet"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ArithmeticDecoder(table)
 
 
 # ----------------------------------------------------------------- the codec

@@ -85,6 +85,28 @@ class TestExactBackend:
             codec.decode(payload)
 
 
+@pytest.mark.parametrize(
+    "symbols",
+    [
+        np.full((2, 5, 3), 0.7),
+        np.ones((2, 5, 3), dtype=bool),
+        np.full((2, 5, 3), 256),
+        np.full((2, 5, 3), -256, dtype=np.int16),
+        np.zeros((5, 3), dtype=int),
+    ],
+    ids=["float", "bool", "above the clip", "below the clip", "2-D"],
+)
+def test_both_backends_refuse_the_same_tensors(model, symbols):
+    """No tensor the estimate refuses is coded exactly: a float is not rounded
+    to an integer, a bool is not a 0/1 symbol, and an out-of-range value is not
+    wrapped into the alphabet."""
+    errors = []
+    for exact in (False, True):
+        with pytest.raises(ValueError) as raised:
+            EntropyCodec(model, exact=exact).encode(symbols)
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1]
+
 
 def test_num_bytes_property(small_symbols, model):
     payload = EntropyCodec(model).encode(small_symbols)
