@@ -27,7 +27,7 @@ from .config import CacheGenConfig, EncodingLevel
 from .delta import anchor_positions, compute_deltas
 from .entropy_codec import EntropyEncodedPayload, decode_payloads, encode_payloads
 from .kv_cache import KVCache
-from .probability_model import ScoringScratch, SymbolProbabilityModel
+from .probability_model import SymbolProbabilityModel
 from .quantization import (
     QuantizedTensor,
     bin_quantize,
@@ -173,11 +173,9 @@ class FittedCodec:
     every model's counts, totals and log-probability tables are read-only.
     The default mistral-7b profile holds 0.9 MiB of them when loaded and
     5.8 MiB once scored, because each model keeps only the integer counts of
-    the symbol band its samples span.  The one
-    :class:`~repro.core.probability_model.ScoringScratch` (4 MiB) is shared
-    too, which is safe because the stack is single-threaded and the scratch is
-    all zeros between ``cross_entropy_bits`` calls, whichever encoder made the
-    call.
+    the symbol band its samples span.  Scoring holds nothing beyond those
+    tables: each ``cross_entropy_bits`` call works in arrays of its own, the
+    size of the band of symbols it is given.
 
     A profile is determined by its models' integer counts, so :meth:`save`
     writes those (≈0.2 MiB compressed for a default profile) and :meth:`load`
@@ -264,11 +262,10 @@ class FittedCodec:
         ``None`` when the file was saved under another key.  ``key`` must name
         ``config``'s fit fields: it is the only check that the file was
         profiled for them.  The codec equals the saved one bit for bit: every
-        model comes out of :meth:`SymbolProbabilityModel.from_counts`, the
-        levels of one ``anchor_bits`` share one anchor model and every model
-        one scoring scratch, as after a fit.  A file that cannot be read, or
-        lacks or garbles a field, raises ``ValueError`` naming the file and
-        the field.
+        model comes out of :meth:`SymbolProbabilityModel.from_counts`, and the
+        levels of one ``anchor_bits`` share one anchor model, as after a fit.
+        A file that cannot be read, or lacks or garbles a field, raises
+        ``ValueError`` naming the file and the field.
         """
         try:
             with np.load(path, allow_pickle=False) as archive:
@@ -289,13 +286,7 @@ def _assemble(
     config: CacheGenConfig,
     level_models: dict[str, LevelCodecModel],
 ) -> FittedCodec:
-    """The codec of ``level_models``, every model sharing one scoring scratch."""
-    # Models are scored one at a time, so one scratch table serves them all.
-    scratch = ScoringScratch()
-    for models in level_models.values():
-        for model in (models.delta_model, models.anchor_model):
-            if model is not None:
-                model.scratch = scratch
+    """The codec of ``level_models``, fitted under ``config``."""
     return FittedCodec(
         model_name=model_name,
         sim_dims=sim_dims,

@@ -34,7 +34,6 @@ from .quantization import SYMBOL_CLIP
 
 __all__ = [
     "SymbolProbabilityModel",
-    "ScoringScratch",
     "Grouping",
     "ALPHABET_SIZE",
     "SYMBOL_OFFSET",
@@ -146,25 +145,24 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-class ScoringScratch:
-    """The zeroed work table of :meth:`SymbolProbabilityModel.cross_entropy_bits`.
+def _fold_sum(table: np.ndarray) -> float:
+    """Sum of a non-empty 2-D float table in the order scores are defined in.
 
-    A flat float64 buffer, all zeros between calls, allocated when a model
-    first scores (a model that is only fitted, or only drives the exact coder,
-    never pays for it) and grown to the largest table asked for.  Models that
-    are scored one after another — an encoder's — can share one instance;
-    sharing across threads is not safe.
+    The rows are folded pairwise in place — the upper half added onto the
+    lower, an odd last row onto the row below the half — until one row is
+    left, whose columns are then summed left to right.  Elementwise adds and
+    one sequential scan fix the order, so the sum does not depend on numpy's
+    reduction strategy, and a column of zeros anywhere leaves it unchanged.
+    ``table`` is overwritten.
     """
-
-    def __init__(self) -> None:
-        self._buffer: np.ndarray | None = None
-
-    def table(self, shape: tuple[int, int]) -> np.ndarray:
-        """The buffer viewed as a C-contiguous table of ``shape``, all zeros."""
-        size = shape[0] * shape[1]
-        if self._buffer is None or self._buffer.size < size:
-            self._buffer = np.zeros(size)
-        return self._buffer[:size].reshape(shape)
+    rows = len(table)
+    while rows > 1:
+        half = rows // 2
+        table[:half] += table[half : 2 * half]
+        if rows % 2:
+            table[half - 1] += table[rows - 1]
+        rows = half
+    return float(np.add.accumulate(table[0])[-1])
 
 
 @dataclass(eq=False)
@@ -208,9 +206,6 @@ class SymbolProbabilityModel:
     shape:
         The (layers, tokens, channels) shape the model was fit on.  Only the
         dimensions participating in the grouping must match at scoring time.
-    scratch:
-        Work table of :meth:`cross_entropy_bits`; the model's own unless it
-        was handed one to share (see :class:`ScoringScratch`).
     """
 
     grouping: Grouping
@@ -219,7 +214,6 @@ class SymbolProbabilityModel:
     totals: np.ndarray
     shape: tuple[int, int, int]
     smoothing: float = 0.1
-    scratch: ScoringScratch = field(default_factory=ScoringScratch, repr=False, compare=False)
     #: ``log2 p`` over the band, and per context of any symbol outside it;
     #: computed at the first score.
     _log_band: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -393,15 +387,16 @@ class SymbolProbabilityModel:
         This is the length an arithmetic coder driven by this model attains up
         to a few bytes of termination overhead.
 
-        The value is ``-(data_counts * log2_probabilities()).sum()`` over the
-        full ``(num_contexts, ALPHABET_SIZE)`` table, but only the columns
-        between the smallest and the largest symbol present are counted and
-        multiplied, each by the band's log-probability where the model's band
-        covers it and by the context's out-of-band one where it does not; the
-        rest of the zeroed scratch table already holds their products.  The
-        operands are the dense formula's, the sum runs over the same table
-        shape, and adding a zero to a partial sum is exact, so the result is
-        bit-identical to the dense formula.
+        The value is ``-(data_counts * log2_probabilities())`` over the full
+        ``(num_contexts, ALPHABET_SIZE)`` table, summed in one fixed order:
+        the rows (contexts) folded pairwise in place, then the one row left
+        summed left to right (see :func:`_fold_sum`).  A column no symbol
+        reaches holds zeros and folds to a zero, which changes no partial sum,
+        so only the columns between the smallest and the largest symbol
+        present are counted and multiplied — each by the band's
+        log-probability where the model's band covers it and by the context's
+        out-of-band one where it does not — and the result equals the full
+        table's bit for bit.
         """
         symbols = np.asarray(symbols)
         data_range = _symbol_range(symbols)
@@ -419,17 +414,13 @@ class SymbolProbabilityModel:
         width = hi - lo + 1
         start = min(max(self.lo - lo, 0), width)
         stop = min(max(self.lo + self.band_counts.shape[1] - lo, start), width)
-        table = self.scratch.table((num_ctx, ALPHABET_SIZE))
-        columns = table[:, lo + SYMBOL_OFFSET : hi + SYMBOL_OFFSET + 1]
-        try:
-            inside = slice(lo + start - self.lo, lo + stop - self.lo)
-            np.multiply(data_counts[:, start:stop], log_band[:, inside], out=columns[:, start:stop])
-            outside = log_outside[:, None]
-            np.multiply(data_counts[:, :start], outside, out=columns[:, :start])
-            np.multiply(data_counts[:, stop:], outside, out=columns[:, stop:])
-            return float(-table.sum())
-        finally:
-            columns[...] = 0.0
+        products = np.empty((num_ctx, width))
+        inside = slice(lo + start - self.lo, lo + stop - self.lo)
+        np.multiply(data_counts[:, start:stop], log_band[:, inside], out=products[:, start:stop])
+        outside = log_outside[:, None]
+        np.multiply(data_counts[:, :start], outside, out=products[:, :start])
+        np.multiply(data_counts[:, stop:], outside, out=products[:, stop:])
+        return -_fold_sum(products)
 
     def bits_per_element(self, symbols: np.ndarray) -> float:
         """Average ideal code length per symbol."""

@@ -174,26 +174,41 @@ def _keyed(rows: list[dict[str, Any]], width: int) -> dict[str, dict[str, Any]]:
     return keyed
 
 
+def _cell_moves(before: dict[str, Any], after: dict[str, Any]) -> list[str]:
+    """``column: was -> now`` for every cell of a row that moved."""
+    moves = []
+    for column in dict.fromkeys([*before, *after]):
+        was, now = before.get(column, _ABSENT), after.get(column, _ABSENT)
+        if _same_cell(was, now):
+            continue
+        size = (
+            f" (rel {_relative_gap(was, now):.1e})" if _is_number(was) and _is_number(now) else ""
+        )
+        moves.append(f"{column}: {was!r} -> {now!r}{size}")
+    return moves
+
+
 def diff_rows(reference: list[dict[str, Any]], rows: list[dict[str, Any]]) -> list[str]:
-    """Every row added or removed and every cell that moved, one line each."""
+    """Every row added or removed and every cell that moved, one line each.
+
+    A key may take in a measured cell (Figure 18's ``kv_size_mb``), so a
+    removed row is first paired, in table order, with an added row equal to
+    it cell for cell: a key that moved within ``REL_TOL`` is no move.
+    """
     width = _key_width(reference)
     old, new = _keyed(reference, width), _keyed(rows, width)
-    moves = [f"row [{key}] removed" for key in old if key not in new]
-    moves += [f"row [{key}] added" for key in new if key not in old]
+    removed = [key for key in old if key not in new]
+    added = [key for key in new if key not in old]
+    for key in list(removed):
+        twin = next((other for other in added if not _cell_moves(old[key], new[other])), None)
+        if twin is not None:
+            removed.remove(key)
+            added.remove(twin)
+    moves = [f"row [{key}] removed" for key in removed]
+    moves += [f"row [{key}] added" for key in added]
     for key, before in old.items():
-        after = new.get(key)
-        if after is None:
-            continue
-        for column in dict.fromkeys([*before, *after]):
-            was, now = before.get(column, _ABSENT), after.get(column, _ABSENT)
-            if _same_cell(was, now):
-                continue
-            size = (
-                f" (rel {_relative_gap(was, now):.1e})"
-                if _is_number(was) and _is_number(now)
-                else ""
-            )
-            moves.append(f"row [{key}] {column}: {was!r} -> {now!r}{size}")
+        if key in new:
+            moves += [f"row [{key}] {move}" for move in _cell_moves(before, new[key])]
     return moves
 
 

@@ -112,9 +112,7 @@ def profile_codec(model: ModelConfig | str, config: CacheGenConfig | None = None
     other key (another model shape, ``group_size``, levels or ablation
     switch) is fitted: two 1500-token sample prefills and one table fit per
     level, ≈0.5 s.  An entry (0.9 MiB of integer counts when loaded, 5.8 MiB
-    once its log-probability tables are scored) lives as long as the process;
-    the sharing assumes the single-threaded stack the codec's scoring scratch
-    already does.
+    once its log-probability tables are scored) lives as long as the process.
 
     ``TypeError`` for a ``model`` that is neither a name nor a
     :class:`ModelConfig`, or a ``config`` that is neither ``None`` nor a

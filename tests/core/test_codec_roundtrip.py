@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from test_ingest_fast_path import DenseFit, assert_tables_equal, dense_cross_entropy_bits
+from test_ingest_fast_path import DenseFit, assert_scores_dense, assert_tables_equal
 
 from repro.core import CacheGenDecoder, CacheGenEncoder, KVCache
 from repro.core.arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder, _split_lanes
@@ -111,8 +111,7 @@ def test_banded_model_equals_dense_fit(seed, grouping, fit_lo, fit_span, lo, spa
     width = max(int(t.max()) for t in fitted) - model.lo + 1 if tokens else 0
     assert model.band.shape[1] == width
     assert_tables_equal(model, dense)
-    symbols = draw(lo, span)
-    assert model.cross_entropy_bits(symbols) == dense_cross_entropy_bits(dense, symbols)
+    assert_scores_dense(model, draw(lo, span), dense)
 
 
 def test_one_table_per_model_per_call(codecs, kv, monkeypatch):

@@ -5,14 +5,24 @@ chunk again, so every decoded tensor must be the one the codec produced when
 the payloads still carried their symbols.  The digests below were taken from
 that implementation; any change to quantization, delta decomposition,
 reconstruction or the size estimate moves one of them.
+
+The size hashed is the one the digests were taken with: under arithmetic
+coding, numpy's pairwise sum of each payload's dense products
+(``pairwise_dense_bits`` in ``test_ingest_fast_path.py``).  The live
+``payload_bits`` sums those products in a fixed order instead
+(``dense_cross_entropy_bits`` there); each is checked to equal that order's
+dense oracle and to lie within 1e-12 of the pairwise size it stands in for.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
+from test_ingest_fast_path import dense_products, fold_sum
 
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder
 from repro.serving.api import profile_codec
@@ -67,6 +77,39 @@ DIGESTS = {
 }
 
 
+@dataclass(frozen=True)
+class _DenseLogs:
+    """A model's grouping and dense ``log2`` table, derived once per digest."""
+
+    grouping: str
+    table: np.ndarray
+
+    def log2_probabilities(self) -> np.ndarray:
+        return self.table
+
+
+def _oracle_bits(encoder, chunk, level, dense: dict) -> tuple[float, float]:
+    """``(fold, pairwise)``: ``payload_bits`` of ``chunk`` at ``level`` from the
+    dense products, summed stream by stream as ``EncodedKV.payload_bits`` does.
+
+    ``dense`` caches each model's :class:`_DenseLogs` by ``id``.
+    """
+    models = encoder.model_for_level(level)
+    fold, pairwise = [], []
+    for delta, anchor in encoder.quantize(chunk, level):
+        tables = []
+        for model, quantized in ((models.delta_model, delta), (models.anchor_model, anchor)):
+            if quantized is None:
+                continue
+            if id(model) not in dense:
+                dense[id(model)] = _DenseLogs(model.grouping, model.log2_probabilities())
+            tables.append(dense_products(dense[id(model)], quantized.symbols))
+        fold.append(sum(-fold_sum(table) for table in tables))
+        # pairwise_dense_bits, from the one table both sums share
+        pairwise.append(sum(float(-table.sum()) for table in tables))
+    return sum(fold), sum(pairwise)
+
+
 def _digest(llm, variant: str, chunk_tokens: int, num_tokens: int) -> str:
     """Hash each level's decoded K and V bytes and its ``payload_bits``, chunk by chunk.
 
@@ -76,13 +119,18 @@ def _digest(llm, variant: str, chunk_tokens: int, num_tokens: int) -> str:
     config = CacheGenConfig(chunk_tokens=chunk_tokens, **VARIANTS[variant])
     encoder = CacheGenEncoder(config, codec=profile_codec("mistral-7b", config))
     decoder = CacheGenDecoder(encoder)
-    digest = hashlib.sha256()
+    digest, dense = hashlib.sha256(), {}
     kv = llm.calculate_kv("digest-context", num_tokens)
     for chunk in kv.split_tokens(chunk_tokens):
         for name, encoded in encoder.encode_all_levels(chunk).items():
+            bits = encoded.payload_bits
+            if config.use_arithmetic_coding:
+                fold, bits = _oracle_bits(encoder, chunk, name, dense)
+                assert encoded.payload_bits == fold
+                assert abs(fold - bits) <= 1e-12 * abs(bits)
             decoded = decoder.decode(encoded)
             digest.update(name.encode())
-            digest.update(struct.pack("<d", encoded.payload_bits))
+            digest.update(struct.pack("<d", bits))
             digest.update(decoded.k.tobytes() + decoded.v.tobytes())
     return digest.hexdigest()
 

@@ -8,11 +8,16 @@ All of them must give *equal* results — not close ones — to the plain
 formulations: the dense ``(num_contexts, 511)`` fit, table derivation and
 scoring formula kept here as the reference (:class:`DenseFit`,
 :func:`dense_cross_entropy_bits`), and ``encode`` called once per level on the
-cache itself.
+cache itself.  A score is the dense products summed in one fixed order (rows
+folded pairwise, then columns left to right); numpy's pairwise sum of the
+same products, the order scores were once defined by, stays within 1e-12 of
+it (:func:`pairwise_dense_bits`).
 """
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +26,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.serving.engine
 from repro import ServeRequest, ServingSpec, serve
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodingLevel
 from repro.core.encoder import _PreparedKV
@@ -29,6 +35,7 @@ from repro.core.probability_model import (
     MAX_QUANTIZE_TOTAL,
     SYMBOL_OFFSET,
     SymbolProbabilityModel,
+    _fold_sum,
 )
 from repro.serving.engine import profile_codec
 from repro.streaming import prepare_chunks
@@ -92,10 +99,48 @@ class DenseFit:
         return cum
 
 
-def dense_cross_entropy_bits(model, symbols: np.ndarray) -> float:
-    """The formula the fast path replaced: histogram and multiply the whole table."""
+def dense_products(model, symbols: np.ndarray) -> np.ndarray:
+    """``data_counts * log2 p`` over the whole ``(num_contexts, 511)`` table."""
     counts = dense_histogram(symbols, model.grouping)
-    return float(-(counts.astype(np.float64) * model.log2_probabilities()).sum())
+    return counts.astype(np.float64) * model.log2_probabilities()
+
+
+def fold_sum(table: np.ndarray) -> float:
+    """The order a score is summed in: fold the rows pairwise (an odd last row
+    onto the row below the half), then add the last row's columns left to right."""
+    rows = np.array(table, dtype=np.float64)
+    while len(rows) > 1:
+        half = len(rows) // 2
+        folded = rows[:half] + rows[half : 2 * half]
+        if len(rows) % 2:
+            folded[-1] = folded[-1] + rows[-1]
+        rows = folded
+    total, *rest = rows[0].tolist()
+    for value in rest:
+        total += value
+    return total
+
+
+def dense_cross_entropy_bits(model, symbols: np.ndarray) -> float:
+    """The defining formula: histogram and multiply the whole table, then fold
+    it; 0.0 for a table with no contexts."""
+    products = dense_products(model, symbols)
+    return -fold_sum(products) if len(products) else 0.0
+
+
+def pairwise_dense_bits(model, symbols: np.ndarray) -> float:
+    """The formula scores were defined by before the fold: numpy's pairwise sum."""
+    return float(-dense_products(model, symbols).sum())
+
+
+def assert_scores_dense(model, symbols: np.ndarray, dense=None) -> None:
+    """``model``'s score of ``symbols`` is the dense fold of ``dense`` (default:
+    the model's own tables), and within 1e-12 of their pairwise sum."""
+    dense = model if dense is None else dense
+    bits = model.cross_entropy_bits(symbols)
+    assert bits == dense_cross_entropy_bits(dense, symbols)
+    pairwise = pairwise_dense_bits(dense, symbols)
+    assert abs(bits - pairwise) <= 1e-12 * abs(pairwise)
 
 
 def random_symbols(rng, shape, lo, hi, dtype=np.int32):
@@ -124,8 +169,7 @@ class TestCrossEntropyEqualsDenseFormula:
             if np.iinfo(np.int8).min <= lo and hi <= np.iinfo(np.int8).max:
                 dtypes.insert(0, np.int8)  # how estimated payloads carry such a range
             for dtype in dtypes:
-                symbols = random_symbols(rng, shape, lo, hi, dtype)
-                assert model.cross_entropy_bits(symbols) == dense_cross_entropy_bits(model, symbols)
+                assert_scores_dense(model, random_symbols(rng, shape, lo, hi, dtype))
 
     @pytest.mark.parametrize("grouping", GROUPINGS)
     def test_non_contiguous_view(self, grouping):
@@ -135,9 +179,8 @@ class TestCrossEntropyEqualsDenseFormula:
         # Token-major memory, as the boolean token mask of the delta step leaves it.
         symbols = random_symbols(rng, (20, 6, 8), -30, 30).transpose(1, 0, 2)
         assert not symbols.flags.c_contiguous
-        assert model.cross_entropy_bits(symbols) == dense_cross_entropy_bits(model, symbols)
-        strided = random_symbols(rng, (6, 40, 8), -30, 30)[:, ::2, :]
-        assert model.cross_entropy_bits(strided) == dense_cross_entropy_bits(model, strided)
+        assert_scores_dense(model, symbols)
+        assert_scores_dense(model, random_symbols(rng, (6, 40, 8), -30, 30)[:, ::2, :])
 
     def test_fit_counts_equal_dense_histogram(self):
         rng = np.random.default_rng(11)
@@ -194,9 +237,7 @@ class TestBandedEqualsDenseFit:
         dense = DenseFit.fit([fitted], grouping)
         assert (model.lo, model.band.shape[1]) == (-9, 19)
         for lo, hi in SCORED_RANGES:
-            symbols = random_symbols(rng, shape, lo, hi, np.int16)
-            assert model.cross_entropy_bits(symbols) == dense_cross_entropy_bits(dense, symbols)
-        assert not model.scratch.table((model.num_contexts, ALPHABET_SIZE)).any()
+            assert_scores_dense(model, random_symbols(rng, shape, lo, hi, np.int16), dense)
 
     def test_model_of_no_symbols_is_all_smoothing(self):
         """Fitted on empty tensors, the band is empty and every symbol lies outside it."""
@@ -206,7 +247,7 @@ class TestBandedEqualsDenseFit:
         assert model.band.shape == (6, 0)
         assert_tables_equal(model, dense)
         symbols = random_symbols(np.random.default_rng(4), (2, 7, 3), -255, 255)
-        assert model.cross_entropy_bits(symbols) == dense_cross_entropy_bits(dense, symbols)
+        assert_scores_dense(model, symbols, dense)
 
     def test_default_profile_holds_its_band_only(self, llm):
         """Six models of ``(1024, 511)`` dense counts and log-probabilities were
@@ -275,7 +316,7 @@ def test_cumulative_counts_equal_the_dense_derivation(seed, grouping, band, skew
     )
 
 
-class TestScratchIsLeftClean:
+class TestScoresAreStateless:
     def test_order_of_calls_does_not_matter(self):
         rng = np.random.default_rng(5)
         shape = (8, 30, 8)
@@ -283,13 +324,11 @@ class TestScratchIsLeftClean:
         narrow = random_symbols(rng, shape, -3, 3)
         wide = random_symbols(rng, shape, -255, 255)
         one_sided = random_symbols(rng, shape, 100, 140)
-        expected = {id(s): dense_cross_entropy_bits(model, s) for s in (narrow, wide, one_sided)}
         for order in ((narrow, wide, one_sided), (one_sided, wide, narrow), (wide, narrow, wide)):
             for symbols in order:
-                assert model.cross_entropy_bits(symbols) == expected[id(symbols)]
-        assert not model.scratch.table(model.counts.shape).any()
+                assert_scores_dense(model, symbols)
 
-    def test_clean_after_rejected_input(self):
+    def test_unchanged_after_rejected_input(self):
         rng = np.random.default_rng(6)
         shape = (4, 10, 4)
         model = fitted_model(rng, shape, "channel_layer")
@@ -303,17 +342,85 @@ class TestScratchIsLeftClean:
             model.cross_entropy_bits(symbols[0])
         with pytest.raises(ValueError, match="induces 20 contexts but model has 16"):
             model.cross_entropy_bits(random_symbols(rng, (5, 10, 4), -50, 50))
-        assert not model.scratch.table(model.counts.shape).any()
         assert model.cross_entropy_bits(symbols) == expected
+        assert_scores_dense(model, symbols)
 
-    def test_encoder_models_share_one_scratch(self, encoder):
-        models = [
-            model
-            for level_models in encoder.level_models.values()
-            for model in (level_models.delta_model, level_models.anchor_model)
-        ]
-        assert all(model.scratch is models[0].scratch for model in models)
-        assert not models[0].scratch.table(models[0].counts.shape).any()
+
+class TestFoldEdges:
+    """The fold's edge cases: one context, odd context counts, one column."""
+
+    @pytest.mark.parametrize(
+        "grouping, shape",
+        [
+            ("global", (3, 7, 5)),  # one context: nothing to fold
+            ("layer", (3, 7, 5)),  # 3: the odd row joins the row below the half
+            ("channel", (3, 7, 7)),  # 7: odd at two levels of the fold
+            ("channel_layer", (3, 7, 5)),  # 15: odd at every level
+            ("token", (2, 1, 3)),  # one token, one context
+        ],
+    )
+    @pytest.mark.parametrize("symbol_range", [(4, 4), (-255, -255), (-2, 3), (-255, 255)])
+    def test_scores(self, grouping, shape, symbol_range):
+        rng = np.random.default_rng(30 + GROUPINGS.index(grouping))
+        model = fitted_model(rng, shape, grouping)
+        assert_scores_dense(model, random_symbols(rng, shape, *symbol_range))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 6, 7, 13, 64])
+    @pytest.mark.parametrize("width", [1, 2, 9])
+    def test_order(self, rows, width):
+        """Values of mixed magnitude, where every order sums differently."""
+        rng = np.random.default_rng(rows * 10 + width)
+        table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-8, 9, (rows, width))
+        assert _fold_sum(table.copy()) == fold_sum(table)
+
+    def test_zero_columns_change_nothing(self):
+        rng = np.random.default_rng(8)
+        band = -rng.random((13, 5))
+        padded = np.zeros((13, 40))
+        padded[:, 17:22] = band
+        assert _fold_sum(padded) == _fold_sum(band.copy()) == fold_sum(band)
+
+
+def test_scoring_holds_the_log_tables_alone(llm, monkeypatch):
+    """A freshly loaded profile scores every level of a 128-token chunk: what
+    stays allocated is the log-probability tables the first scores build, and
+    each call's peak is its counts, its products and its flat bin index."""
+    monkeypatch.setattr(repro.serving.engine, "_PROFILES", {})
+    encoder = CacheGenEncoder(CacheGenConfig(), codec=profile_codec("mistral-7b"))
+    kv = llm.calculate_kv("scoring-residency", 128)
+    payloads = []
+    for level in encoder.config.levels:
+        models = encoder.model_for_level(level)
+        for delta, anchor in encoder.quantize(kv, level):
+            payloads += [(models.delta_model, delta.symbols), (models.anchor_model, anchor.symbols)]
+    models = list({id(model): model for model, _ in payloads}.values())
+    assert len(models) == 6 and all(model._log_band is None for model in models)
+
+    def log_table_bytes():
+        return sum(
+            model._log_band.nbytes + model._log_outside.nbytes
+            for model in models
+            if model._log_band is not None
+        )
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for model, symbols in payloads:
+            held, built = tracemalloc.get_traced_memory()[0], log_table_bytes()
+            tracemalloc.reset_peak()
+            model.cross_entropy_bits(symbols)
+            peak = tracemalloc.get_traced_memory()[1] - held
+            width = int(symbols.max()) - int(symbols.min()) + 1
+            table = model.num_contexts * width * 8  # int64 counts, float64 products
+            call = 2 * table + symbols.size * 8 + (log_table_bytes() - built)
+            assert peak <= call + 256 * 2**10
+        del model, symbols
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= log_table_bytes() + 64 * 2**10
 
 
 def assert_streams_equal(left, right):

@@ -153,6 +153,38 @@ class TestDiff:
             "row [method='b'] mttr_s: 1.0 -> None",
         ]
 
+    @staticmethod
+    def figure18_rows(kv_size_mb: float = 357.5149736583372) -> list[dict]:
+        """Figure 18's shape: the leading cells repeat, so the key takes in ``kv_size_mb``."""
+        rows = []
+        for panel, dataset, baseline in (
+            ("context_selection", "triviaqa", "scissorhands"),
+            ("gisting", "longchat", "gisting"),
+        ):
+            key = {"panel": panel, "dataset": dataset}
+            for size in (524.8, 315.1):
+                rows.append({**key, "method": baseline, "kv_size_mb": size, "quality": size / 700})
+            for offset, level in enumerate(("high", "low")):
+                method, size = f"cachegen-{level}", kv_size_mb - 100 * offset
+                rows.append({**key, "method": method, "kv_size_mb": size, "quality": 0.7})
+        return rows
+
+    def test_a_key_cell_moved_within_the_tolerance_reads_equal(self):
+        rows = self.figure18_rows()
+        noisy = self.figure18_rows(357.5149736583372 * (1 + 1e-15))
+        assert noisy != rows
+        assert diff_rows(rows, noisy) == []
+
+    def test_a_key_cell_moved_beyond_the_tolerance_is_reported(self):
+        rows = self.figure18_rows()
+        moves = diff_rows(rows, self.figure18_rows(357.5149736583372 * (1 + 1e-6)))
+        assert len(moves) == 8
+        assert moves[0] == (
+            "row [panel='context_selection', dataset='triviaqa', method='cachegen-high', "
+            "kv_size_mb=357.5149736583372] removed"
+        )
+        assert sum(move.endswith(" added") for move in moves) == 4
+
     def test_rows_no_prefix_tells_apart_are_numbered(self):
         rows = [{"method": "a", "x": 1.0}, {"method": "a", "x": 1.0}]
         assert diff_rows(rows, rows[:1]) == ["row [method='a', x=1.0 #2] removed"]

@@ -99,14 +99,12 @@ def assert_same_codec(loaded, fitted) -> None:
             tables = [(m.band, m.totals, m.counts, m.cumulative_counts()) for m in (model, want)]
             for got, wanted in zip(*tables):
                 assert got.dtype == wanted.dtype and np.array_equal(got, wanted)
-    # Levels of one anchor_bits share one anchor model, and every model one scratch.
+    # Levels of one anchor_bits share one anchor model.
     levels = list(loaded.level_models.values())
     for a, b in itertools.combinations(levels, 2):
         if a.anchor_model is not None:
             same_bits = a.level.anchor_bits == b.level.anchor_bits
             assert (a.anchor_model is b.anchor_model) == same_bits
-    held = [m for level in levels for m in (level.delta_model, level.anchor_model)]
-    assert len({id(model.scratch) for model in held if model is not None}) == 1
 
 
 @pytest.fixture(scope="module")
