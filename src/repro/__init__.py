@@ -11,16 +11,18 @@ Public entry points
 * :class:`repro.ServingSpec` / :func:`repro.serve` — the unified serving API:
   declare the deployment (codec levels, store topology single/tiered/cluster,
   node count, replication, batching, admission) once, then drive any
-  backend with the same requests and get one :class:`repro.RunReport` shape.
+  backend with the same requests and get one
+  :class:`~repro.serving.api.RunReport` shape.
   The first backend of a model loads its codec profile (mistral-7b's
   default one ships with the package) or profiles it;
   :func:`repro.profile_codec` keeps that profile for the process, so later
   backends reuse it.
-* :class:`repro.core.CacheGenEncoder` / :class:`repro.core.CacheGenDecoder` —
-  the codec itself.
-* :class:`repro.SLOAwareAdapter` — the per-chunk bandwidth adaptation of
-  encoded chunks.  One event engine (:mod:`repro.serving.concurrent`) times
-  every context load, served or evaluated by the method harness.
+* :class:`repro.CacheGenEncoder` / :class:`repro.CacheGenDecoder` — the
+  codec itself.
+* :class:`repro.streaming.SLOAwareAdapter` — the per-chunk bandwidth
+  adaptation of encoded chunks.  One event engine
+  (:mod:`repro.serving.concurrent`) times every context load, served or
+  evaluated by the method harness.
 * :class:`repro.Tracer` / :func:`repro.write_chrome_trace` — full-run
   telemetry: per-request spans, resource timelines, a metrics registry, and
   Perfetto-loadable trace export (``serve(..., tracer=Tracer())``).
@@ -33,67 +35,50 @@ Public entry points
   (``serve(..., faults=...)``) answered by retries, hedged reads, circuit
   breakers, background re-replication and graceful degradation, reported on
   ``report.resilience``.
-* :class:`repro.GpuWorkerPool` / :class:`repro.AutoscaleSpec` — multi-GPU
+* :class:`repro.serving.fleet.GpuWorkerPool` / :class:`repro.AutoscaleSpec` — multi-GPU
   fleet serving: set ``gpu_workers`` / ``dispatch_policy`` / ``autoscale`` on
   the spec and the event engine dispatches across a pool of GPU workers.
 * :mod:`repro.baselines` — every method the paper compares against.
 * :mod:`repro.experiments` — one module per table/figure of the evaluation.
 * :mod:`repro.cluster` — sharded, replicated, capacity-bounded KV-cache
   cluster with a multi-tenant serving frontend and workload generator.
+
+``repro`` exports the names that examples, README snippets, scripts and CI
+import from it; every other public class lives in its subpackage
+(``repro.core``, ``repro.llm``, ``repro.network``, ``repro.serving``,
+``repro.streaming``, ``repro.faults``, ``repro.telemetry``).
 """
 
 __version__ = "2.0.0"
 
 __all__ = [
-    "AlertEngine",
     "AutoscaleSpec",
-    "BreakerPolicy",
     "CacheGenConfig",
     "CacheGenDecoder",
     "CacheGenEncoder",
     "ComputeModel",
     "ConstantTrace",
     "Corruption",
-    "DispatchPolicy",
     "Driver",
-    "EncodingLevel",
     "FaultSchedule",
-    "FittedCodec",
-    "GpuStraggler",
-    "GpuWorkerPool",
-    "HedgePolicy",
-    "KVCache",
-    "LeastLoadedDispatch",
     "LinkDegradation",
-    "LocalityDispatch",
-    "ModelConfig",
     "NetworkLink",
     "NodeCrash",
-    "QualityModel",
-    "RandomTrace",
     "ResiliencePolicy",
     "ResilienceReport",
-    "RetryPolicy",
-    "RunReport",
-    "SLOAwareAdapter",
     "SLOObjective",
     "ServeRequest",
     "ServeResponse",
     "ServingSpec",
     "StepTrace",
-    "StickyDispatch",
     "SyntheticLLM",
-    "TimeSeriesRecorder",
     "Tracer",
     "WorkloadGenerator",
     "__version__",
     "build_backend",
     "gbps",
     "get_model_config",
-    "make_dispatch",
-    "prepare_chunks",
     "profile_codec",
-    "render_dashboard",
     "render_diff_dashboard",
     "serve",
     "write_chrome_trace",
@@ -102,14 +87,14 @@ __all__ = [
 ]
 
 
-def _lazy_exports(package: str, sources: dict[str, tuple[str, ...]]) -> tuple:
-    """Return a package's PEP 562 ``(__getattr__, __dir__)`` pair.
+def _lazy_exports(package: str, sources: dict[str, tuple[str, ...]]):
+    """Return a package's PEP 562 ``__getattr__``.
 
     ``sources`` maps a module path relative to ``package`` (``".trace"``) to
     the public names that module defines.  Importing the package then imports
     none of them: the first read of a name imports its module and caches the
     value in the package namespace, so later reads are plain global lookups.
-    ``__all__``, ``dir()`` and ``from package import *`` see every name, and
+    ``__all__`` and ``from package import *`` see every name, and
     a submodule not imported yet resolves as an attribute too
     (``repro.serving`` after a bare ``import repro``).  The helper lives here,
     not in a module of its own, because every subpackage has already loaded
@@ -117,7 +102,7 @@ def _lazy_exports(package: str, sources: dict[str, tuple[str, ...]]) -> tuple:
 
     Example::
 
-        __getattr__, __dir__ = _lazy_exports(__name__, {".trace": ("Tracer",)})
+        __getattr__ = _lazy_exports(__name__, {".trace": ("Tracer",)})
     """
     import sys
     from importlib import import_module
@@ -140,64 +125,39 @@ def _lazy_exports(package: str, sources: dict[str, tuple[str, ...]]) -> tuple:
                     raise
         raise AttributeError(f"module {package!r} has no attribute {name!r}")
 
-    def __dir__() -> list[str]:
-        return sorted(set(namespace) | set(owner))
-
-    return __getattr__, __dir__
+    return __getattr__
 
 
 # Each name is imported from its subpackage on first use, so ``import
 # repro.core`` loads the codec and nothing above it.
-__getattr__, __dir__ = _lazy_exports(
+__getattr__ = _lazy_exports(
     __name__,
     {
         ".cluster": ("WorkloadGenerator",),
-        ".core": (
-            "CacheGenConfig",
-            "CacheGenDecoder",
-            "CacheGenEncoder",
-            "EncodingLevel",
-            "FittedCodec",
-            "KVCache",
-        ),
+        ".core": ("CacheGenConfig", "CacheGenDecoder", "CacheGenEncoder"),
         ".faults": (
-            "BreakerPolicy",
             "Corruption",
             "FaultSchedule",
-            "GpuStraggler",
-            "HedgePolicy",
             "LinkDegradation",
             "NodeCrash",
             "ResiliencePolicy",
             "ResilienceReport",
-            "RetryPolicy",
         ),
-        ".llm": ("ComputeModel", "ModelConfig", "QualityModel", "SyntheticLLM", "get_model_config"),
-        ".network": ("ConstantTrace", "NetworkLink", "RandomTrace", "StepTrace", "gbps"),
+        ".llm": ("ComputeModel", "SyntheticLLM", "get_model_config"),
+        ".network": ("ConstantTrace", "NetworkLink", "StepTrace", "gbps"),
         ".serving": (
             "AutoscaleSpec",
-            "DispatchPolicy",
             "Driver",
-            "GpuWorkerPool",
-            "LeastLoadedDispatch",
-            "LocalityDispatch",
-            "RunReport",
             "ServeRequest",
             "ServeResponse",
             "ServingSpec",
-            "StickyDispatch",
             "build_backend",
-            "make_dispatch",
             "profile_codec",
             "serve",
         ),
-        ".streaming": ("SLOAwareAdapter", "prepare_chunks"),
         ".telemetry": (
-            "AlertEngine",
             "SLOObjective",
-            "TimeSeriesRecorder",
             "Tracer",
-            "render_dashboard",
             "render_diff_dashboard",
             "write_chrome_trace",
             "write_dashboard",

@@ -174,6 +174,3 @@ class ContextLoadingMethod(abc.ABC):
             task=request.task,
             layer_distortion=np.zeros(request.reference_kv.num_layers),
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"

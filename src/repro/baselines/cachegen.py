@@ -102,6 +102,3 @@ class CacheGenMethod(ContextLoadingMethod):
         return stored
 
     # --------------------------------------------------------------- accessors
-    def default_level_bytes(self, request: LoadRequest) -> float:
-        """Compressed bytes of the context at the default encoding level."""
-        return self._stored(request).total_bytes(self.fixed_level)

@@ -15,14 +15,13 @@ else):
 
 from .hash_ring import ConsistentHashRing
 from .node import StorageNode
-from .sharded_store import Lookup, Placement, RebalanceReport, ShardedKVStore
+from .sharded_store import Lookup, Placement, ShardedKVStore
 from .workload import Request, WorkloadGenerator
 
 __all__ = [
     "ConsistentHashRing",
     "Lookup",
     "Placement",
-    "RebalanceReport",
     "Request",
     "ShardedKVStore",
     "StorageNode",

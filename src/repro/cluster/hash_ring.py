@@ -48,16 +48,6 @@ class ConsistentHashRing:
             self.add_node(node_id)
 
     # ----------------------------------------------------------------- topology
-    @property
-    def node_ids(self) -> list[str]:
-        return sorted(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._nodes
-
     def add_node(self, node_id: str) -> None:
         if node_id in self._nodes:
             raise ValueError(f"node {node_id!r} is already on the ring")
@@ -68,19 +58,7 @@ class ConsistentHashRing:
             self._points.insert(idx, point)
             self._owners.insert(idx, node_id)
 
-    def remove_node(self, node_id: str) -> None:
-        if node_id not in self._nodes:
-            raise KeyError(f"node {node_id!r} is not on the ring")
-        self._nodes.discard(node_id)
-        keep = [i for i, owner in enumerate(self._owners) if owner != node_id]
-        self._points = [self._points[i] for i in keep]
-        self._owners = [self._owners[i] for i in keep]
-
     # ------------------------------------------------------------------- lookup
-    def node_for(self, key: str) -> str:
-        """The physical node owning ``key`` (its clockwise successor point)."""
-        return self.nodes_for(key, 1)[0]
-
     def nodes_for(self, key: str, count: int) -> list[str]:
         """Preference-ordered distinct nodes for ``key``.
 

@@ -143,7 +143,3 @@ class StorageNode:
             hot_bytes=store.hot_bytes() if tiered else float(store.storage_bytes()),
             cold_bytes=store.cold_bytes() if tiered else 0.0,
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "up" if self.up else "down"
-        return f"StorageNode({self.node_id!r}, {state}, {len(self.store)} contexts)"

@@ -23,7 +23,7 @@ from ..storage.tiered import COLD, HOT
 from .hash_ring import ConsistentHashRing
 from .node import StorageNode
 
-__all__ = ["Placement", "Lookup", "RebalanceReport", "ShardedKVStore"]
+__all__ = ["Placement", "Lookup", "ShardedKVStore"]
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,6 @@ class Lookup:
         return self.tier == COLD
 
 
-@dataclass(frozen=True)
-class RebalanceReport:
-    """What a proactive rebalance after a topology change moved."""
-
-    node_id: str
-    contexts_moved: int
-    replicas_dropped: int
-    bytes_moved: float
-
-
 @dataclass
 class ClusterStats:
     """Running counters over the whole cluster."""
@@ -110,8 +100,6 @@ class ClusterStats:
     #: Reads that detected (and evicted) a corrupted replica.
     corruption_failures: int = 0
     skipped_replicas: int = 0
-    rebalanced_contexts: int = 0
-    rebalance_bytes: float = 0.0
     #: Lookups located at each node (the node *held* the context; whether the
     #: frontend then served from it is the node's own hits counter).
     per_node_locates: dict[str, int] = field(default_factory=dict)
@@ -189,100 +177,6 @@ class ShardedKVStore:
             known = ", ".join(sorted(self._nodes))
             raise KeyError(f"unknown node {node_id!r}; cluster nodes: {known}") from None
 
-    def add_node(self, node: StorageNode, rebalance: bool = True) -> RebalanceReport:
-        """Join a new node and proactively migrate the contexts it now owns.
-
-        Consistent hashing remaps ~``1/n`` of the keyspace onto the new node;
-        waiting for natural churn to move those contexts causes a miss spike
-        right after every scale-up.  With ``rebalance`` (the default), every
-        resident context whose new replica set includes the joining node is
-        copied onto it immediately (shipping the already-encoded bitstreams,
-        never re-encoding), and replicas on nodes that fell out of the
-        context's replica set are dropped so the replication factor — and the
-        cluster's byte budget — stay steady.
-        """
-        if node.node_id in self._nodes:
-            raise ValueError(f"node {node.node_id!r} is already in the cluster")
-        self._nodes[node.node_id] = node
-        self.ring.add_node(node.node_id)
-        if not rebalance:
-            return RebalanceReport(
-                node_id=node.node_id, contexts_moved=0, replicas_dropped=0, bytes_moved=0.0
-            )
-        return self._rebalance_onto(node)
-
-    def _rebalance_onto(self, node: StorageNode) -> RebalanceReport:
-        resident = sorted(
-            {
-                context_id
-                for other in self._nodes.values()
-                for context_id in other.store.context_ids()
-            }
-        )
-        moved = dropped = 0
-        bytes_moved = 0.0
-        for context_id in resident:
-            replica_set = self._target_replica_set(context_id)
-            if node.node_id not in replica_set or context_id in node.store:
-                continue
-            holders = [
-                other
-                for other in self._nodes.values()
-                if other is not node and context_id in other.store
-            ]
-            if not holders:
-                continue
-            stored = holders[0].store.peek_context(context_id)
-            # Never migrate under capacity pressure: store_prepared would
-            # evict (or, on a tiered node, demote) earlier migrants from the
-            # joining node after their displaced old replicas are already
-            # gone, leaving contexts under-replicated or silently colder.
-            # Rebalance fills the node, it never churns it.  The headroom
-            # accessor also counts in-flight demotions — bytes evicted from
-            # the hot tier whose write-back to cold has not landed yet still
-            # occupy node memory, so ignoring them would over-fill the node.
-            store = node.store
-            if store.migration_headroom_bytes() < stored.total_bytes():
-                continue
-            try:
-                store.store_prepared(stored)
-            except CapacityError:
-                continue
-            moved += 1
-            bytes_moved += stored.total_bytes()
-            # The new node displaced the last member of the old replica set;
-            # drop copies that no longer belong so replication stays at factor.
-            for holder in holders:
-                if holder.node_id not in replica_set:
-                    holder.store.evict(context_id)
-                    dropped += 1
-        self.stats.rebalanced_contexts += moved
-        self.stats.rebalance_bytes += bytes_moved
-        return RebalanceReport(
-            node_id=node.node_id,
-            contexts_moved=moved,
-            replicas_dropped=dropped,
-            bytes_moved=bytes_moved,
-        )
-
-    def _target_replica_set(self, context_id: str) -> set[str]:
-        """The first ``replication_factor`` live nodes in ring order."""
-        target_size = max(min(self.replication_factor, len(self.live_nodes())), 1)
-        chosen: set[str] = set()
-        for node_id in self.ring.preference_order(context_id):
-            if self._nodes[node_id].up:
-                chosen.add(node_id)
-                if len(chosen) == target_size:
-                    break
-        return chosen
-
-    def remove_node(self, node_id: str) -> StorageNode:
-        """Permanently remove a node (and its placements) from the cluster."""
-        node = self.node(node_id)
-        del self._nodes[node_id]
-        self.ring.remove_node(node_id)
-        return node
-
     def mark_down(self, node_id: str) -> None:
         self.node(node_id).mark_down()
 
@@ -333,10 +227,6 @@ class ShardedKVStore:
             replica_node_ids=tuple(placed),
             skipped_node_ids=tuple(skipped),
         )
-
-    def evict(self, context_id: str) -> int:
-        """Explicitly drop a context from every replica; returns replicas hit."""
-        return sum(1 for node in self._nodes.values() if node.store.evict(context_id))
 
     # -------------------------------------------------------------------- reads
     def __contains__(self, context_id: str) -> bool:
@@ -591,10 +481,6 @@ class ShardedKVStore:
         return None
 
     # --------------------------------------------------------------- accounting
-    def storage_bytes(self) -> float:
-        """Bytes resident across the cluster (replicas counted once each)."""
-        return sum(float(node.store.storage_bytes()) for node in self._nodes.values())
-
     def total_evictions(self) -> int:
         return sum(node.eviction_count for node in self._nodes.values())
 

@@ -106,10 +106,6 @@ class WorkloadGenerator:
     def context_tokens(self, rank: int) -> int:
         return int(self._lengths[rank])
 
-    def popularity(self) -> np.ndarray:
-        """The Zipf pmf over context ranks (hottest first)."""
-        return self._popularity.copy()
-
     def generate(self, num_requests: int) -> list[Request]:
         """The first ``num_requests`` requests of this workload's sequence."""
         return list(self.iter_requests(num_requests))

@@ -13,7 +13,6 @@ from .delta import (
     anchor_positions,
     compute_deltas,
     consecutive_delta_variance_ratio,
-    delta_variance_ratio,
     reconstruct_from_deltas,
 )
 from .encoder import (
@@ -23,16 +22,14 @@ from .encoder import (
     FittedCodec,
     LevelCodecModel,
 )
-from .entropy_codec import EntropyCodec, EntropyEncodedPayload
+from .entropy_codec import EntropyEncodedPayload
 from .kv_cache import KVCache
 from .probability_model import ALPHABET_SIZE, SYMBOL_OFFSET, SymbolProbabilityModel
 from .quantization import (
     SYMBOL_CLIP,
     QuantizedTensor,
-    bin_dequantize,
     bin_quantize,
     layer_bin_sizes,
-    vectorwise_dequantize,
     vectorwise_quantize,
 )
 
@@ -48,7 +45,6 @@ __all__ = [
     "EncodedKV",
     "EncodedTensorStream",
     "EncodingLevel",
-    "EntropyCodec",
     "EntropyEncodedPayload",
     "FittedCodec",
     "KVCache",
@@ -58,11 +54,9 @@ __all__ = [
     "SYMBOL_OFFSET",
     "SymbolProbabilityModel",
     "anchor_positions",
-    "bin_dequantize",
     "bin_quantize",
     "compute_deltas",
     "layer_bin_sizes",
     "reconstruct_from_deltas",
-    "vectorwise_dequantize",
     "vectorwise_quantize",
 ]

@@ -62,17 +62,6 @@ class EncodingLevel:
                 f"entropy-coded over the alphabet [-{SYMBOL_CLIP}, {SYMBOL_CLIP}]"
             )
 
-    def scaled(self, factor: float, name: str | None = None) -> "EncodingLevel":
-        """A copy of this level with all bin sizes multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return EncodingLevel(
-            name=name or f"{self.name}x{factor:g}",
-            delta_bins=tuple(b * factor for b in self.delta_bins),
-            anchor_bits=self.anchor_bits,
-        )
-
-
 #: Encoding levels available to the streamer, highest quality first.  Level
 #: "medium" is the paper's default (bins 0.5 / 1.0 / 1.5).
 DEFAULT_LEVELS: tuple[EncodingLevel, ...] = (
@@ -149,12 +138,6 @@ class CacheGenConfig:
     @property
     def default_level(self) -> EncodingLevel:
         return self.levels[self.default_level_index]
-
-    def level_by_name(self, name: str) -> EncodingLevel:
-        for level in self.levels:
-            if level.name == name:
-                return level
-        raise KeyError(f"unknown encoding level {name!r}")
 
     def level_index(self, level: "EncodingLevel | str | int") -> int:
         """Resolve a level reference (object, name or index) to its index.

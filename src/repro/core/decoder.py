@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import CacheGenConfig
 from .delta import DeltaDecomposition, anchor_positions, reconstruct_from_deltas
 from .encoder import CacheGenEncoder, EncodedKV, EncodedTensorStream, _decode_symbols
 from .kv_cache import KVCache
@@ -38,7 +37,7 @@ class CacheGenDecoder:
 
     Example
     -------
-    >>> encoder = CacheGenEncoder(CacheGenConfig())
+    >>> encoder = CacheGenEncoder()
     >>> encoder.fit([reference_kv])  # doctest: +SKIP
     >>> decoder = CacheGenDecoder(encoder)
     >>> kv = decoder.decode(encoder.encode(reference_kv, level="high"))  # doctest: +SKIP
@@ -46,10 +45,6 @@ class CacheGenDecoder:
 
     def __init__(self, encoder: CacheGenEncoder) -> None:
         self._encoder = encoder
-
-    @property
-    def config(self) -> CacheGenConfig:
-        return self._encoder.config
 
     # ----------------------------------------------------------------- decode
     def decode(self, encoded: EncodedKV) -> KVCache:

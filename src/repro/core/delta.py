@@ -54,10 +54,6 @@ class DeltaDecomposition:
     group_size: int
     num_tokens: int
 
-    @property
-    def num_groups(self) -> int:
-        return self.anchors.shape[1]
-
 
 def compute_deltas(tensor: np.ndarray, group_size: int = DEFAULT_GROUP_SIZE) -> DeltaDecomposition:
     """Decompose a ``(layers, tokens, channels)`` tensor into anchors and deltas.
@@ -120,27 +116,6 @@ def consecutive_delta_variance_ratio(tensor: np.ndarray) -> float:
     if tensor.shape[1] < 2:
         raise ValueError("need at least two tokens to compute consecutive deltas")
     deltas = np.diff(tensor, axis=1)
-    original_var = float(np.var(tensor))
-    delta_var = float(np.var(deltas))
-    if delta_var <= 0:
-        return float("inf")
-    return original_var / delta_var
-
-
-def delta_variance_ratio(tensor: np.ndarray, group_size: int = DEFAULT_GROUP_SIZE) -> float:
-    """Ratio of original-value variance to anchor-group delta variance.
-
-    This measures the locality the codec actually exploits: deltas are taken
-    against the group's anchor token (up to ``group_size - 1`` positions
-    away), so the ratio is somewhat smaller than the consecutive-token ratio
-    of Figure 3 but must remain well above 1 for change-based encoding to pay
-    off.
-    """
-    decomposition = compute_deltas(tensor, group_size)
-    positions = anchor_positions(decomposition.num_tokens, group_size)
-    mask = np.ones(decomposition.num_tokens, dtype=bool)
-    mask[positions] = False
-    deltas = decomposition.deltas[:, mask, :]
     original_var = float(np.var(tensor))
     delta_var = float(np.var(deltas))
     if delta_var <= 0:

@@ -476,7 +476,7 @@ class _PreparedTensor:
 class _PreparedKV:
     """A KV cache together with the level-independent half of its encoding.
 
-    :meth:`CacheGenEncoder.encode_all_levels` and :meth:`CacheGenEncoder.fit`
+    :meth:`CacheGenEncoder.encode_with_errors` and :meth:`CacheGenEncoder.fit`
     quantize one in place of the cache at every level; the first fills
     ``tensors`` and the others reuse them, so a cache is decomposed once.
     """
@@ -517,7 +517,8 @@ class CacheGenEncoder:
     'medium'
     >>> encoder.encode(kv_chunk, "low").payload_bits < encoder.encode(kv_chunk).payload_bits
     True
-    >>> list(encoder.encode_all_levels(kv_chunk))   # one preparation, every level
+    >>> encodings, errors = encoder.encode_with_errors(kv_chunk)   # one preparation, every level
+    >>> list(encodings)
     ['high', 'medium', 'low', 'lowest']
     """
 
@@ -534,10 +535,6 @@ class CacheGenEncoder:
     @property
     def is_fitted(self) -> bool:
         return self.codec is not None
-
-    @property
-    def level_models(self) -> Mapping[str, LevelCodecModel]:
-        return dict(self.codec.level_models) if self.codec is not None else {}
 
     def fit(self, sample_caches: list[KVCache]) -> "CacheGenEncoder":
         """Profile per-(layer, channel) symbol distributions from sample caches.
@@ -604,7 +601,7 @@ class CacheGenEncoder:
     ) -> EncodedKV:
         """Encode a KV cache (or chunk) at the given encoding level.
 
-        :meth:`quantize`, then entropy-code.  :meth:`encode_all_levels` passes
+        :meth:`quantize`, then entropy-code.  :meth:`encode_with_errors` passes
         the cache wrapped in the preparation its levels share.
         """
         self._require_fitted()
@@ -674,15 +671,10 @@ class CacheGenEncoder:
             source=None if payloads[0].exact or prepared.errors is not None else kv,
         )
 
-    def encode_all_levels(self, kv: KVCache) -> dict[str, EncodedKV]:
-        """Encode a KV cache at every configured level (offline preparation)."""
-        prepared = _PreparedKV(kv)
-        return {level.name: self.encode(prepared, level) for level in self.config.levels}
-
     def encode_with_errors(
         self, kv: KVCache
     ) -> tuple[dict[str, EncodedKV], dict[str, np.ndarray]]:
-        """:meth:`encode_all_levels`, plus each level's per-layer squared error.
+        """Encode a KV cache at every level, with each level's per-layer squared error.
 
         The error of a level is ``sum((decoded - kv) ** 2)`` over tokens and
         channels, K and V added, in float64, where ``decoded`` holds exactly

@@ -44,7 +44,6 @@ from .arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder, BandTable
 from .probability_model import SYMBOL_OFFSET, SymbolProbabilityModel, _symbol_range
 
 __all__ = [
-    "EntropyCodec",
     "EntropyEncodedPayload",
     "encode_payloads",
     "decode_payloads",
@@ -92,10 +91,6 @@ class EntropyEncodedPayload:
     shape: tuple[int, int, int]
     exact: bool
     data: bytes | None = None
-
-    @property
-    def num_bytes(self) -> float:
-        return self.bits / 8.0
 
 
 def encode_payloads(
@@ -209,33 +204,3 @@ def _contexts(models: Sequence[SymbolProbabilityModel], shapes: Sequence[tuple])
 def _end_to_end(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """The flat arrays of a batch's payloads as one; a batch of one is not copied."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-class EntropyCodec:
-    """Encode/decode quantized symbol tensors with one probability model.
-
-    Parameters
-    ----------
-    model:
-        The fitted symbol probability model (typically channel/layer grouped).
-    exact:
-        If True, run the real arithmetic coder; otherwise report the ideal
-        code length only (such a payload cannot be decoded).
-
-    Each exact call derives the model's band table and drops it; to code
-    several payloads for the price of one table and one loop, hand them to
-    :func:`encode_payloads` / :func:`decode_payloads` together, as
-    :meth:`CacheGenEncoder.encode` does with a chunk's.
-    """
-
-    def __init__(self, model: SymbolProbabilityModel, exact: bool = False) -> None:
-        self.model = model
-        self.exact = exact
-
-    def encode(self, symbols: np.ndarray) -> EntropyEncodedPayload:
-        """Entropy-code a (layers, tokens, channels) symbol tensor."""
-        return encode_payloads([(self.model, np.asarray(symbols))], self.exact)[0]
-
-    def decode(self, payload: EntropyEncodedPayload) -> np.ndarray:
-        """Recover the symbols of an exact payload (lossless); ``ValueError`` if estimated."""
-        return decode_payloads([(self.model, payload)])[0]

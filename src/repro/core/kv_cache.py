@@ -14,7 +14,7 @@ the *full-model* sizes the paper reports (see ``docs/ARCHITECTURE.md``, "Codec")
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -146,10 +146,6 @@ class KVCache:
             chunks.append(self.slice_tokens(start, min(start + chunk_tokens, self.num_tokens)))
         return chunks
 
-    def iter_token_groups(self, group_size: int) -> Iterator["KVCache"]:
-        """Iterate over token groups of ``group_size`` (anchor-group granularity)."""
-        yield from self.split_tokens(group_size)
-
     @staticmethod
     def concat(caches: Sequence["KVCache"]) -> "KVCache":
         """Concatenate caches along the token dimension.
@@ -181,12 +177,6 @@ class KVCache:
         )
 
     # ------------------------------------------------------------------ errors
-    # Differences and sums are float64: a float32 accumulation is off by ~1e-7
-    # relative on a few hundred tokens, more than any two ways of summing the
-    # same squared errors differ.
-    def mse_per_layer(self, other: "KVCache") -> np.ndarray:
-        """Mean squared error against ``other`` for each layer (K and V pooled)."""
-        return self._squared_error(other) / (2 * self.num_tokens * self.num_channels)
 
     def variance_per_layer(self) -> np.ndarray:
         """Per-layer variance of the cache values (K and V pooled)."""
@@ -207,14 +197,6 @@ class KVCache:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         return squared_error_per_layer(self.k, other.k) + squared_error_per_layer(
             self.v, other.v
-        )
-
-    # ------------------------------------------------------------------ dunder
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"KVCache(model={self.model_name!r}, layers={self.num_layers}, "
-            f"tokens={self.num_tokens}, channels={self.num_channels}, "
-            f"full_size={self.full_nbytes / 1e6:.1f} MB)"
         )
 
 

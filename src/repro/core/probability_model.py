@@ -180,7 +180,7 @@ class SymbolProbabilityModel:
     24-255 of the 511 columns, so its six models hold 0.9 MiB of counts, and
     4.8 MiB more of log-probability tables once scored, where dense float
     tables held ≈48 MiB.  The smoothed :attr:`band` and the dense tables
-    (:attr:`counts`, :meth:`probabilities`, :meth:`log2_probabilities`) are
+    (:attr:`counts`, :meth:`probabilities`) are
     rebuilt on each call for the dense-formula oracles and the Figure 5
     analysis; scoring and coding never build one.
 
@@ -352,11 +352,6 @@ class SymbolProbabilityModel:
         """Normalized per-context probabilities; built per call, read-only."""
         return _read_only(self._probabilities())
 
-    def log2_probabilities(self) -> np.ndarray:
-        """``log2`` of :meth:`probabilities`; built per call, read-only."""
-        table = self._probabilities()
-        return _read_only(np.log2(table, out=table))
-
     def _dense_counts(self) -> np.ndarray:
         return _densify(
             self.band_counts, self.lo, self.smoothing, np.empty((self.num_contexts, ALPHABET_SIZE))
@@ -370,7 +365,7 @@ class SymbolProbabilityModel:
         """``log2 p`` over the band, and per context of every symbol outside it.
 
         The same divisions and logarithms, element for element, as
-        :meth:`log2_probabilities`, so each value is the dense table's.
+        ``log2`` of :meth:`probabilities`, so each value is the dense table's.
         """
         if self._log_band is None:
             table = np.add(self.band_counts, self.smoothing, dtype=np.float64)
@@ -387,7 +382,7 @@ class SymbolProbabilityModel:
         This is the length an arithmetic coder driven by this model attains up
         to a few bytes of termination overhead.
 
-        The value is ``-(data_counts * log2_probabilities())`` over the full
+        The value is ``-(data_counts * log2(probabilities()))`` over the full
         ``(num_contexts, ALPHABET_SIZE)`` table, summed in one fixed order:
         the rows (contexts) folded pairwise in place, then the one row left
         summed left to right (see :func:`_fold_sum`).  A column no symbol
@@ -421,11 +416,6 @@ class SymbolProbabilityModel:
         np.multiply(data_counts[:, :start], outside, out=products[:, :start])
         np.multiply(data_counts[:, stop:], outside, out=products[:, stop:])
         return -_fold_sum(products)
-
-    def bits_per_element(self, symbols: np.ndarray) -> float:
-        """Average ideal code length per symbol."""
-        symbols = np.asarray(symbols)
-        return self.cross_entropy_bits(symbols) / symbols.size
 
     def entropy_bits_per_symbol(self) -> float:
         """Average entropy (bits/symbol) of the fitted distributions.

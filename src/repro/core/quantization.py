@@ -22,9 +22,7 @@ import numpy as np
 __all__ = [
     "QuantizedTensor",
     "vectorwise_quantize",
-    "vectorwise_dequantize",
     "bin_quantize",
-    "bin_dequantize",
     "layer_bin_sizes",
     "layer_std",
     "SYMBOL_CLIP",
@@ -66,17 +64,9 @@ class QuantizedTensor:
     num_bits: int | None = None
     bin_sizes: np.ndarray | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.symbols.shape
-
     def dequantize(self) -> np.ndarray:
         """Recover the (lossy) floating-point tensor."""
         return self.symbols.astype(np.float32) * self.scale[:, None, :].astype(np.float32)
-
-    def metadata_bytes(self) -> int:
-        """Bytes of side information (scales stored as fp16)."""
-        return 2 * self.scale.size
 
 
 def _validate_tensor(tensor: np.ndarray) -> np.ndarray:
@@ -103,11 +93,6 @@ def vectorwise_quantize(tensor: np.ndarray, num_bits: int) -> QuantizedTensor:
     symbols = np.rint(tensor / scale[:, None, :])
     symbols = np.clip(symbols, -max_symbol, max_symbol, out=symbols).astype(SYMBOL_DTYPE)
     return QuantizedTensor(symbols=symbols, scale=scale, mode="vectorwise", num_bits=num_bits)
-
-
-def vectorwise_dequantize(quantized: QuantizedTensor) -> np.ndarray:
-    """Inverse of :func:`vectorwise_quantize` (lossy)."""
-    return quantized.dequantize()
 
 
 def layer_bin_sizes(num_layers: int, group_bins: Sequence[float] = (0.5, 1.0, 1.5)) -> np.ndarray:
@@ -182,8 +167,3 @@ def bin_quantize(
         mode="bin",
         bin_sizes=bin_sizes.astype(np.float64),
     )
-
-
-def bin_dequantize(quantized: QuantizedTensor) -> np.ndarray:
-    """Inverse of :func:`bin_quantize` (lossy)."""
-    return quantized.dequantize()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -95,12 +95,6 @@ class SyntheticDataset:
             )
             for index, length in enumerate(lengths)
         ]
-
-    def __iter__(self) -> Iterator[ContextRecord]:
-        return iter(self.records())
-
-    def __len__(self) -> int:
-        return self.size
 
     # ------------------------------------------------------------------ lengths
     def _sample_lengths(self, rng: np.random.Generator, count: int) -> np.ndarray:

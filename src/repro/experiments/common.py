@@ -52,10 +52,6 @@ class ExperimentResult:
     def add_row(self, **values: Any) -> None:
         self.rows.append(values)
 
-    def column(self, key: str) -> list[Any]:
-        """Values of one column across all rows."""
-        return [row.get(key) for row in self.rows]
-
     def filter(self, **criteria: Any) -> list[dict[str, Any]]:
         """Rows matching all of the given column values."""
         return [

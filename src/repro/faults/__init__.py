@@ -1,7 +1,7 @@
 """Deterministic fault injection and self-healing serving.
 
 Declare *what goes wrong* with a :class:`FaultSchedule` (node crashes, link
-degradation and flapping, straggler GPUs, corrupted replicas — all on the
+degradation and flapping, corrupted replicas — all on the
 simulated clock), thread it through ``Driver(faults=...)``, and configure *how
 the system answers* with a :class:`ResiliencePolicy` on the serving spec
 (retries with seeded-jitter backoff, hedged replica reads, per-node circuit
@@ -14,7 +14,6 @@ from .. import _lazy_exports
 __all__ = [
     "NodeCrash",
     "LinkDegradation",
-    "GpuStraggler",
     "Corruption",
     "FaultSpec",
     "FaultEvent",
@@ -34,7 +33,7 @@ __all__ = [
 
 # Names resolve on first use: the serving path loads these modules only for a
 # run that injects faults or carries a resilience policy.
-__getattr__, __dir__ = _lazy_exports(
+__getattr__ = _lazy_exports(
     __name__,
     {
         ".injector": ("FaultInjector", "ScaledTrace"),
@@ -54,7 +53,6 @@ __getattr__, __dir__ = _lazy_exports(
             "FaultEvent",
             "FaultSchedule",
             "FaultSpec",
-            "GpuStraggler",
             "LinkDegradation",
             "NodeCrash",
         ),

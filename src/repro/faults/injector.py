@@ -4,8 +4,7 @@ The :class:`FaultInjector` is driven by the
 :class:`~repro.serving.api.driver.Driver`: at every arrival whose time passes
 the next compiled event, the driver closes the current simulation segment and
 the injector mutates the backend in place — marking nodes down/up, swapping a
-link's bandwidth trace for a :class:`ScaledTrace`, swapping the engine's
-compute model for a :class:`_StragglerCompute` proxy, or poisoning a stored
+link's bandwidth trace for a :class:`ScaledTrace`, or poisoning a stored
 replica so its next read fails the integrity check.  Everything is an in-place
 swap of a modeled component, so with no schedule attached the serving stack
 runs byte-identically to a fault-free build.
@@ -17,8 +16,6 @@ from ..network.bandwidth import BandwidthTrace
 from .resilience import FaultOutcome, ResilienceManager
 from .schedule import (
     CORRUPT,
-    GPU_NORMAL,
-    GPU_SLOW,
     LINK_DEGRADE,
     LINK_RESTORE,
     NODE_DOWN,
@@ -44,38 +41,6 @@ class ScaledTrace(BandwidthTrace):
 
     def bandwidth_at(self, time_s: float) -> float:
         return self.base.bandwidth_at(time_s) * self.factor
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ScaledTrace({self.base!r}, factor={self.factor})"
-
-
-class _StragglerCompute:
-    """Delay-scaling proxy over a :class:`~repro.llm.compute_model.ComputeModel`.
-
-    Every modeled GPU delay is multiplied by ``slowdown``; everything else
-    (flops accounting, specs) delegates to the base model untouched.
-    """
-
-    def __init__(self, base, slowdown: float) -> None:
-        if slowdown <= 1.0:
-            raise ValueError("slowdown must be above 1.0")
-        self.base = base
-        self.slowdown = slowdown
-
-    def prefill_delay(self, num_tokens: int) -> float:
-        return self.base.prefill_delay(num_tokens) * self.slowdown
-
-    def decode_delay(self, num_tokens: int) -> float:
-        return self.base.decode_delay(num_tokens) * self.slowdown
-
-    def encode_delay(self, num_tokens: int) -> float:
-        return self.base.encode_delay(num_tokens) * self.slowdown
-
-    def per_token_decode_delay(self) -> float:
-        return self.base.per_token_decode_delay() * self.slowdown
-
-    def __getattr__(self, name):
-        return getattr(self.base, name)
 
 
 class FaultInjector:
@@ -109,10 +74,8 @@ class FaultInjector:
         self.tracer = tracer
         self._events = list(schedule.events())
         self._next = 0
-        self._engine = backend.engine
         self._cluster = backend.engine.cluster
         self._base_traces: dict[int, tuple[object, BandwidthTrace]] = {}
-        self._base_compute = None
         self.outcomes: dict[str, FaultOutcome] = {}
         self.validate(schedule, self._cluster)
 
@@ -129,10 +92,6 @@ class FaultInjector:
     def due(self, now_s: float) -> bool:
         """Whether any unapplied event is at or before ``now_s``."""
         return self._next < len(self._events) and self._events[self._next].at_s <= now_s
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self._events)
 
     def apply_due(self, now_s: float) -> list[FaultEvent]:
         """Apply every event at or before ``now_s``; returns those applied."""
@@ -164,15 +123,6 @@ class FaultInjector:
                 entry = self._base_traces.get(id(link))
                 if entry is not None:
                     link.trace = entry[1]
-        elif event.action == GPU_SLOW:
-            if self._base_compute is None:
-                self._base_compute = self._engine._parts.compute
-            self._engine._parts.compute = _StragglerCompute(
-                self._base_compute, event.factor
-            )
-        elif event.action == GPU_NORMAL:
-            if self._base_compute is not None:
-                self._engine._parts.compute = self._base_compute
         elif event.action == CORRUPT:
             self._corrupt(event)
         else:  # pragma: no cover - the schedule compiler owns the vocabulary

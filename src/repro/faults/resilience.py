@@ -289,19 +289,6 @@ class ResilienceReport:
         return self.served / eligible if eligible > 0 else 1.0
 
     @property
-    def degraded_ratio(self) -> float:
-        return self.degraded / self.served if self.served else 0.0
-
-    @property
-    def mttr_s(self) -> dict[str, float]:
-        """Recovery time per cleared fault, keyed by fault id."""
-        return {
-            fault.fault_id: fault.mttr_s
-            for fault in self.faults
-            if fault.mttr_s is not None
-        }
-
-    @property
     def mean_mttr_s(self) -> float | None:
         cleared = [fault.mttr_s for fault in self.faults if fault.mttr_s is not None]
         return sum(cleared) / len(cleared) if cleared else None
@@ -418,10 +405,6 @@ class ResilienceManager:
     @property
     def breaker_trips(self) -> int:
         return sum(breaker.trips for breaker in self._breakers.values())
-
-    def breaker_state(self, node_id: str) -> str:
-        breaker = self._breakers.get(node_id)
-        return breaker.state if breaker is not None else CircuitBreaker.CLOSED
 
     def node_allowed(self, node_id: str) -> bool:
         """Breaker gate consulted during replica lookup (counts rejections)."""
@@ -621,10 +604,6 @@ class ResilienceManager:
                     node=repair.node_id,
                     bytes=repair.num_bytes,
                 )
-
-    @property
-    def pending_repairs(self) -> int:
-        return len(self._pending_repairs)
 
     def drain(self, cluster, now_s: float, tracer=None) -> None:
         """Run repair to completion after the arrival stream ends.

@@ -1,22 +1,20 @@
 """Declarative, deterministic fault schedules for the serving simulation.
 
 A :class:`FaultSchedule` is a set of fault specifications — node crashes,
-link degradation (with optional flapping), straggler GPUs, corrupted stored
-contexts — compiled into a sorted stream of :class:`FaultEvent` clock events.
-Every event carries a simulated-time instant; the
+link degradation (with optional flapping), corrupted stored contexts —
+compiled into a sorted stream of :class:`FaultEvent` clock events.  Every
+event carries a simulated-time instant; the
 :class:`~repro.serving.api.driver.Driver` applies events at arrival-order
 boundaries, so the same schedule against the same spec and workload replays
 identically (there is no wall-clock or hidden RNG anywhere in the layer).
 
-The four fault kinds map onto the failure domains of the serving stack:
+The three fault kinds map onto the failure domains of the serving stack:
 
 * :class:`NodeCrash` — a storage node goes down (its contents stay, like a
   reboot) and optionally recovers later;
 * :class:`LinkDegradation` — a link's bandwidth is cut to ``factor`` of its
   provisioned trace for a window; ``flaps > 0`` splits the window into
   alternating degraded/healthy sub-windows (route flapping);
-* :class:`GpuStraggler` — the GPU compute model slows down by ``slowdown``
-  for a window (a straggling worker, thermal throttling, a noisy neighbour);
 * :class:`Corruption` — a stored replica of a context fails its integrity
   check on the next read (bit rot, a truncated object), forcing failover.
 """
@@ -29,7 +27,6 @@ from typing import Iterator, Sequence, Union
 __all__ = [
     "NodeCrash",
     "LinkDegradation",
-    "GpuStraggler",
     "Corruption",
     "FaultSpec",
     "FaultEvent",
@@ -41,12 +38,10 @@ NODE_DOWN = "node_down"
 NODE_UP = "node_up"
 LINK_DEGRADE = "link_degrade"
 LINK_RESTORE = "link_restore"
-GPU_SLOW = "gpu_slow"
-GPU_NORMAL = "gpu_normal"
 CORRUPT = "corrupt"
 
 #: Actions that inject a fault (the rest clear one).
-_INJECT_ACTIONS = frozenset({NODE_DOWN, LINK_DEGRADE, GPU_SLOW, CORRUPT})
+_INJECT_ACTIONS = frozenset({NODE_DOWN, LINK_DEGRADE, CORRUPT})
 
 
 def _require_window(at_s: float, until_s: float) -> None:
@@ -134,35 +129,6 @@ class LinkDegradation:
 
 
 @dataclass(frozen=True)
-class GpuStraggler:
-    """The GPU compute model runs ``slowdown`` times slower for a window.
-
-    Example
-    -------
-    >>> straggler = GpuStraggler(at_s=5.0, until_s=15.0, slowdown=4.0)
-    >>> straggler.kind
-    'gpu'
-    """
-
-    at_s: float
-    until_s: float
-    slowdown: float
-
-    def __post_init__(self) -> None:
-        _require_window(self.at_s, self.until_s)
-        if self.slowdown <= 1.0:
-            raise ValueError("slowdown must be above 1.0")
-
-    @property
-    def kind(self) -> str:
-        return "gpu"
-
-    @property
-    def target(self) -> str:
-        return "gpu"
-
-
-@dataclass(frozen=True)
 class Corruption:
     """A stored replica of ``context_id`` fails its integrity check.
 
@@ -198,7 +164,7 @@ class Corruption:
         return f"{self.context_id}@{where}"
 
 
-FaultSpec = Union[NodeCrash, LinkDegradation, GpuStraggler, Corruption]
+FaultSpec = Union[NodeCrash, LinkDegradation, Corruption]
 
 
 @dataclass(frozen=True)
@@ -251,11 +217,6 @@ def _compile(fault: FaultSpec, fault_id: str) -> list[FaultEvent]:
                 )
         events.append(FaultEvent(fault.until_s, LINK_RESTORE, fault_id, node_id=fault.node_id))
         return events
-    if isinstance(fault, GpuStraggler):
-        return [
-            FaultEvent(fault.at_s, GPU_SLOW, fault_id, factor=fault.slowdown),
-            FaultEvent(fault.until_s, GPU_NORMAL, fault_id),
-        ]
     if isinstance(fault, Corruption):
         return [
             FaultEvent(
@@ -276,7 +237,7 @@ class FaultSchedule:
     ----------
     faults:
         The fault specifications (:class:`NodeCrash`, :class:`LinkDegradation`,
-        :class:`GpuStraggler`, :class:`Corruption`).
+        :class:`Corruption`).
     seed:
         Seed of the resilience layer's jitter RNG when the driver builds one
         implicitly (a spec-level :class:`~repro.faults.resilience.
@@ -312,15 +273,5 @@ class FaultSchedule:
         """The specification a compiled event's ``fault_id`` refers to."""
         return self._by_id[fault_id]
 
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    def __bool__(self) -> bool:
-        return bool(self.faults)
-
     def __iter__(self) -> Iterator[FaultSpec]:
         return iter(self.faults)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kinds = ", ".join(f"{fault.kind}@{fault.at_s:g}s" for fault in self.faults)
-        return f"FaultSchedule([{kinds}], seed={self.seed})"

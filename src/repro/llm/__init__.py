@@ -15,7 +15,7 @@ from .model_config import (
 )
 from .quality import TASK_METRICS, GenerationQuality, QualityModel
 from .synthetic_model import GenerationResult, SyntheticLLM
-from .tokenizer import SyntheticTokenizer, Tokenization
+from .tokenizer import SyntheticTokenizer
 
 __all__ = [
     "A100",
@@ -37,7 +37,6 @@ __all__ = [
     "SyntheticTokenizer",
     "TASK_METRICS",
     "TokenSelection",
-    "Tokenization",
     "coverage_of",
     "get_model_config",
     "select_heavy_hitters",

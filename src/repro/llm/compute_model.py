@@ -127,14 +127,3 @@ class ComputeModel:
         """Seconds for the offline encoder to encode ``num_tokens``."""
         throughput = self.gpu.peak_tflops * 1e12 * self.CODEC_UTILIZATION
         return self.encode_flops(num_tokens) / throughput
-
-    def per_token_decode_delay(self) -> float:
-        """Seconds to generate one output token (autoregressive decoding).
-
-        Dominated by reading the model weights once per token; used only to
-        model the marginal delay after the first token, which CacheGen does
-        not change.
-        """
-        bytes_read = 2.0 * self.model.num_parameters
-        memory_bandwidth = 600e9  # A40-class HBM bandwidth, bytes/s
-        return bytes_read / memory_bandwidth

@@ -89,26 +89,11 @@ class ModelConfig:
         """Number of fp elements (K and V) stored per context token."""
         return 2 * self.num_layers * self.kv_channels
 
-    @property
-    def kv_bytes_per_token_fp16(self) -> int:
-        """Uncompressed fp16 KV bytes per context token."""
-        return 2 * self.kv_elements_per_token
-
     def kv_cache_bytes(self, num_tokens: int, bits_per_element: float = 16.0) -> float:
         """KV cache size in bytes for ``num_tokens`` at ``bits_per_element``."""
         if num_tokens < 0:
             raise ValueError("num_tokens must be non-negative")
         return self.kv_elements_per_token * num_tokens * bits_per_element / 8.0
-
-    # --------------------------------------------------------------- simulation
-    @property
-    def sim_scale_factor(self) -> float:
-        """Full-model elements per simulated element."""
-        return (self.num_layers * self.kv_channels) / (self.sim_layers * self.sim_channels)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
 
 MISTRAL_7B = ModelConfig(
     name="mistral-7b",

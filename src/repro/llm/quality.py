@@ -65,10 +65,6 @@ class GenerationQuality:
     base_value: float
     relative_quality: float
 
-    @property
-    def higher_is_better(self) -> bool:
-        return TASK_METRICS[self.task][1]
-
 
 class QualityModel:
     """Maps KV distortion and token retention to task quality.

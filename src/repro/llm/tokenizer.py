@@ -1,78 +1,23 @@
 """A small deterministic tokenizer used by the synthetic LLM substrate.
 
 The real CacheGen operates on token sequences produced by the model's own
-(BPE) tokenizer.  For the reproduction we only need a tokenizer that is
-deterministic, reversible, and roughly word-level so that context lengths in
-tokens track the paper's datasets.  The implementation is a whitespace /
-punctuation splitter with a stable hash-based vocabulary assignment.
+(BPE) tokenizer.  For the reproduction we only need a deterministic, roughly
+word-level token count, so that prompt lengths in tokens track the paper's
+datasets.  The implementation is a whitespace / punctuation splitter.
 """
 
 from __future__ import annotations
 
 import re
-import zlib
-from dataclasses import dataclass
 
-__all__ = ["SyntheticTokenizer", "Tokenization"]
+__all__ = ["SyntheticTokenizer"]
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 
-@dataclass(frozen=True)
-class Tokenization:
-    """Result of tokenizing a piece of text."""
-
-    token_ids: tuple[int, ...]
-    tokens: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.token_ids)
-
-
 class SyntheticTokenizer:
-    """Deterministic word-level tokenizer with a fixed-size hashed vocabulary.
-
-    Parameters
-    ----------
-    vocab_size:
-        Size of the hashed vocabulary.  Token ids are in ``[0, vocab_size)``.
-    """
-
-    def __init__(self, vocab_size: int = 32_000) -> None:
-        if vocab_size < 2:
-            raise ValueError("vocab_size must be at least 2")
-        self.vocab_size = vocab_size
-
-    def tokenize(self, text: str) -> Tokenization:
-        """Split ``text`` into tokens and assign stable ids."""
-        tokens = tuple(_TOKEN_RE.findall(text))
-        token_ids = tuple(self.token_to_id(tok) for tok in tokens)
-        return Tokenization(token_ids=token_ids, tokens=tokens)
-
-    def token_to_id(self, token: str) -> int:
-        """Stable hash of a token string into the vocabulary range."""
-        return zlib.crc32(token.encode("utf-8")) % self.vocab_size
+    """Deterministic word-level tokenizer: words and punctuation marks."""
 
     def count_tokens(self, text: str) -> int:
-        """Number of tokens ``text`` would tokenize into."""
+        """Number of tokens ``text`` splits into."""
         return len(_TOKEN_RE.findall(text))
-
-    def detokenize(self, tokens: tuple[str, ...]) -> str:
-        """Re-join tokens into text (lossy w.r.t. original whitespace)."""
-        out: list[str] = []
-        for tok in tokens:
-            if out and re.match(r"\w", tok):
-                out.append(" ")
-            out.append(tok)
-        return "".join(out)
-
-    def text_bytes_for_tokens(self, num_tokens: int, bytes_per_token: float = 4.5) -> int:
-        """Approximate UTF-8 byte length of a ``num_tokens``-token text.
-
-        Used by the streaming adapter to account for the cost of sending a
-        chunk in text form instead of as an encoded KV bitstream.  English
-        text averages ~4-5 bytes per token.
-        """
-        if num_tokens < 0:
-            raise ValueError("num_tokens must be non-negative")
-        return int(round(num_tokens * bytes_per_token))

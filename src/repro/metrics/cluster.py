@@ -26,7 +26,6 @@ __all__ = [
     "summarize_latencies",
     "slo_attainment",
     "hit_ratio",
-    "tier_hit_ratios",
     "tier_state",
     "storage_cost_per_request",
 ]
@@ -42,12 +41,6 @@ class LatencySummary:
     p95_s: float
     p99_s: float
     max_s: float
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"n={self.count} mean={self.mean_s:.3f}s p50={self.p50_s:.3f}s "
-            f"p95={self.p95_s:.3f}s p99={self.p99_s:.3f}s max={self.max_s:.3f}s"
-        )
 
 
 @dataclass(frozen=True)
@@ -78,16 +71,6 @@ class NodeSummary:
     @property
     def hit_ratio(self) -> float:
         return hit_ratio(self.hits, self.requests_routed)
-
-    @property
-    def hot_hit_ratio(self) -> float:
-        """Fraction of routed requests served from the hot tier."""
-        return hit_ratio(self.hot_hits, self.requests_routed)
-
-    @property
-    def cold_hit_ratio(self) -> float:
-        """Fraction of routed requests served off the cold tier."""
-        return hit_ratio(self.cold_hits, self.requests_routed)
 
 
 @dataclass(frozen=True)
@@ -175,14 +158,6 @@ def hit_ratio(hits: int, total: int) -> float:
     if total == 0:
         return 0.0
     return hits / total
-
-
-def tier_hit_ratios(hot_hits: int, cold_hits: int, num_requests: int) -> tuple[float, float]:
-    """Per-tier hit ratios of a run (hot, cold) over all requests."""
-    return (
-        hit_ratio(hot_hits, num_requests),
-        hit_ratio(cold_hits, num_requests),
-    )
 
 
 def storage_cost_per_request(

@@ -16,19 +16,9 @@ import numpy as np
 from ..core.probability_model import Grouping, SymbolProbabilityModel
 from ..core.quantization import bin_quantize
 
-__all__ = ["grouped_entropy", "grouping_entropy_comparison", "empirical_entropy_bits"]
+__all__ = ["grouped_entropy", "grouping_entropy_comparison"]
 
 _DEFAULT_GROUPINGS: tuple[Grouping, ...] = ("global", "token", "channel", "layer", "channel_layer")
-
-
-def empirical_entropy_bits(values: np.ndarray) -> float:
-    """Empirical Shannon entropy (bits/symbol) of an integer symbol array."""
-    values = np.asarray(values).ravel()
-    if values.size == 0:
-        raise ValueError("no symbols")
-    _, counts = np.unique(values, return_counts=True)
-    probs = counts / counts.sum()
-    return float(-(probs * np.log2(probs)).sum())
 
 
 def grouped_entropy(

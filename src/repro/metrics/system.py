@@ -18,8 +18,6 @@ __all__ = [
     "TTFTBreakdown",
     "QueueingTTFTBreakdown",
     "slo_violation_rate",
-    "size_reduction",
-    "speedup",
 ]
 
 
@@ -44,10 +42,6 @@ class TTFTBreakdown:
     def __post_init__(self) -> None:
         if min(self.network_s, self.decode_s, self.compute_s) < 0:
             raise ValueError("delay components must be non-negative")
-
-    @property
-    def total_s(self) -> float:
-        return self.network_s + self.decode_s + self.compute_s
 
 
 @dataclass(frozen=True)
@@ -91,17 +85,3 @@ def slo_violation_rate(ttfts: Sequence[float], slo_s: float) -> float:
         )
         return 0.0
     return float(np.mean(ttfts > slo_s))
-
-
-def size_reduction(baseline_bytes: float, compressed_bytes: float) -> float:
-    """Size-reduction factor ("CacheGen reduces KV cache size by 3.5-4.3x")."""
-    if baseline_bytes <= 0 or compressed_bytes <= 0:
-        raise ValueError("sizes must be positive")
-    return baseline_bytes / compressed_bytes
-
-
-def speedup(baseline_seconds: float, new_seconds: float) -> float:
-    """Delay-reduction factor ("3.2-3.7x faster than the quantization baseline")."""
-    if baseline_seconds <= 0 or new_seconds <= 0:
-        raise ValueError("delays must be positive")
-    return baseline_seconds / new_seconds

@@ -45,13 +45,6 @@ class BandwidthTrace:
         """Available throughput in bits/s at ``time_s``."""
         raise NotImplementedError
 
-    def average_bandwidth(self, start_s: float, end_s: float, resolution_s: float = 0.01) -> float:
-        """Mean throughput over a window (bits/s)."""
-        if end_s <= start_s:
-            return self.bandwidth_at(start_s)
-        points = np.arange(start_s, end_s, resolution_s)
-        return float(np.mean([self.bandwidth_at(t) for t in points]))
-
 
 @dataclass(frozen=True)
 class ConstantTrace(BandwidthTrace):

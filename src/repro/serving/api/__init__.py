@@ -34,7 +34,6 @@ __all__ = [
     "AdmitAll",
     "AutoscaleSpec",
     "Backend",
-    "ConcurrencyLimitAdmission",
     "Driver",
     "RunReport",
     "ServeRequest",
@@ -46,7 +45,7 @@ __all__ = [
     "serve",
 ]
 
-__getattr__, __dir__ = _lazy_exports(
+__getattr__ = _lazy_exports(
     __name__,
     {
         ".backends": ("Backend", "build_backend"),
@@ -54,7 +53,6 @@ __getattr__, __dir__ = _lazy_exports(
         ".driver": (
             "AdmissionPolicy",
             "AdmitAll",
-            "ConcurrencyLimitAdmission",
             "Driver",
             "TokenBucketAdmission",
             "serve",

@@ -37,7 +37,6 @@ __all__ = [
     "AdmissionPolicy",
     "AdmitAll",
     "TokenBucketAdmission",
-    "ConcurrencyLimitAdmission",
     "Driver",
     "serve",
 ]
@@ -98,41 +97,6 @@ class TokenBucketAdmission:
         return False
 
 
-class ConcurrencyLimitAdmission:
-    """Shed arrivals that would exceed a modeled in-flight limit.
-
-    Open-loop drivers do not know true completion times up front, so the
-    policy models each admitted request as busy for ``est_service_s`` and
-    sheds an arrival when ``max_inflight`` modeled requests are still busy.
-    """
-
-    def __init__(self, max_inflight: int, est_service_s: float) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
-        if est_service_s <= 0:
-            raise ValueError("est_service_s must be positive")
-        self.max_inflight = max_inflight
-        self.est_service_s = est_service_s
-        self._departures: list[float] = []
-
-    def reset(self) -> None:
-        """Start a fresh run: no modeled requests in flight.
-
-        Without this, departures timed on a previous run's (absolute) clock
-        would pin every slot busy forever once the next run's arrival clock
-        restarts at zero.
-        """
-        self._departures = []
-
-    def admit(self, request: ServeRequest) -> bool:
-        now = request.arrival_s
-        self._departures = [d for d in self._departures if d > now]
-        if len(self._departures) >= self.max_inflight:
-            return False
-        self._departures.append(now + self.est_service_s)
-        return True
-
-
 class Driver:
     """Replays an arrival process end to end through any backend.
 
@@ -157,7 +121,7 @@ class Driver:
         ``"node-0"``; with it down, queries degrade to text.
     faults:
         Optional :class:`~repro.faults.FaultSchedule`.  Its compiled events
-        (node crashes, link degradation, straggler GPUs, corrupted replicas)
+        (node crashes, link degradation, corrupted replicas)
         are applied on the simulated clock: at the first arrival past an
         event's time the driver closes the current segment and mutates the
         backend in place.  Fault and recovery instants land on the tracer's

@@ -11,7 +11,7 @@ serves: the error surface lives here and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from ...core.config import CacheGenConfig
@@ -37,7 +37,7 @@ def _require_servable(config: CacheGenConfig) -> None:
 #: Store topologies a spec can declare.
 TOPOLOGIES = ("single", "tiered", "cluster")
 #: Known eviction-policy names (mirrors :func:`repro.storage.eviction.make_policy`).
-EVICTION_POLICIES = ("lru", "lfu", "cost")
+EVICTION_POLICIES = ("lru", "cost")
 #: Known tier-placement names (mirrors :func:`repro.storage.tiered.make_placement`).
 PLACEMENT_POLICIES = ("hot", "cost")
 
@@ -276,7 +276,3 @@ class ServingSpec:
                 )
             config = config.replace(default_level_index=names.index(self.default_level))
         return config
-
-    def with_(self, **changes) -> "ServingSpec":
-        """A modified copy (convenience over :func:`dataclasses.replace`)."""
-        return replace(self, **changes)

@@ -74,6 +74,3 @@ class SimClock:
             self._now = at
             callback()
         return self._now
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimClock(now={self._now:.6f}, pending={len(self._heap)})"

@@ -87,17 +87,9 @@ class RequestTimeline:
         return sum(stage.transfer_end_s - stage.transfer_start_s for stage in self.stages)
 
     @property
-    def compute_s(self) -> float:
-        return sum(stage.gpu_busy_s for stage in self.stages)
-
-    @property
     def total_s(self) -> float:
         """End-to-end latency from arrival to last stage completion."""
         return self.finish_s - self.arrival_s
-
-    @property
-    def total_bytes(self) -> float:
-        return sum(stage.num_bytes for stage in self.stages)
 
     @property
     def served_bytes(self) -> float:
@@ -114,10 +106,6 @@ class RequestTimeline:
             for stage in self.stages
             if stage.config == TIER_CONFIG
         )
-
-    @property
-    def configs(self) -> list[str]:
-        return [stage.config for stage in self.stages]
 
     @property
     def ttft(self) -> QueueingTTFTBreakdown:

@@ -45,4 +45,4 @@ __all__ = [
 # GpuWorkerPool pulls in the concurrent engine's resources; load it lazily so
 # importing the fleet package (e.g. from api.spec for AutoscaleSpec) cannot
 # re-enter a partially initialised serving package.
-__getattr__, __dir__ = _lazy_exports(__name__, {".pool": ("GpuWorkerPool", "POOL_TRACK")})
+__getattr__ = _lazy_exports(__name__, {".pool": ("GpuWorkerPool", "POOL_TRACK")})

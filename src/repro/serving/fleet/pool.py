@@ -25,7 +25,7 @@ breathing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from ..concurrent.events import SimClock
 from ..concurrent.resources import GpuScheduler, GpuTask
@@ -108,10 +108,6 @@ class GpuWorkerPool:
         self._sample_pool_size()
 
     # ------------------------------------------------------------------ state
-    @property
-    def workers(self) -> Sequence[GpuScheduler]:
-        """The active workers, in worker-index order."""
-        return tuple(self._workers)
 
     @property
     def size(self) -> int:
@@ -122,26 +118,6 @@ class GpuWorkerPool:
     def queue_depth(self) -> int:
         """Tasks queued or running across the whole pool."""
         return sum(worker.queue_depth for worker in self._workers)
-
-    def _all_workers(self) -> list[GpuScheduler]:
-        return self._workers + self._retired
-
-    # Aggregate counters mirroring the bare scheduler's stats surface.
-    @property
-    def total_busy_s(self) -> float:
-        return sum(worker.total_busy_s for worker in self._all_workers())
-
-    @property
-    def total_wait_s(self) -> float:
-        return sum(worker.total_wait_s for worker in self._all_workers())
-
-    @property
-    def tasks_run(self) -> int:
-        return sum(worker.tasks_run for worker in self._all_workers())
-
-    @property
-    def batches_run(self) -> int:
-        return sum(worker.batches_run for worker in self._all_workers())
 
     # ----------------------------------------------------------------- submit
     def submit(self, task: GpuTask) -> GpuScheduler:

@@ -14,8 +14,7 @@ fronts:
   invariant checks on traced runs (span sums == TTFT breakdown, busy ≤
   elapsed, gauges ≥ 0, store bytes ≤ capacity) and an event-order race
   detector that perturbs same-timestamp tie-breaks.  Enable per run with
-  ``serve(..., simcheck=True)``, per process with
-  :func:`repro.simcheck.runtime.enable_default` or ``REPRO_SIMCHECK=1``.
+  ``serve(..., simcheck=True)``, per process with ``REPRO_SIMCHECK=1``.
 """
 
 from .. import _lazy_exports
@@ -37,7 +36,7 @@ __all__ = [
 ]
 
 # Names resolve on first use: a plain serve() loads neither lint nor race.
-__getattr__, __dir__ = _lazy_exports(
+__getattr__ = _lazy_exports(
     __name__,
     {
         ".lint": ("ALL_RULES", "LintViolation", "lint_paths", "lint_source"),

@@ -100,7 +100,6 @@ class Rule:
 
     def visit(self, tree: ast.AST, ctx: "_ModuleContext") -> Iterator[tuple[ast.AST, str]]:
         raise NotImplementedError
-        yield  # pragma: no cover
 
 
 class _ModuleContext:

@@ -3,43 +3,27 @@
 The :class:`~repro.serving.api.driver.Driver` takes an explicit ``simcheck=``
 argument, but most sanitized runs come from the test suite, where threading a
 flag through every ``serve()`` call would be noise.  This module holds the
-*default*: the pytest fixture (or ``REPRO_SIMCHECK=1`` in the environment)
-turns sanitizers on for every driver run that did not say otherwise.
-
->>> from repro.simcheck.runtime import enabled, default_config
->>> with enabled():
-...     assert default_config() is not None
+*default*: ``REPRO_SIMCHECK=1`` in the environment (or the test suite's
+fixture, which sets ``_default``) turns sanitizers on for every driver run
+that did not say otherwise.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 
 from .sanitizers import SimcheckConfig
 
-__all__ = ["enable_default", "disable_default", "default_config", "enabled"]
+__all__ = ["default_config"]
 
+#: The process-wide config; ``None`` defers to ``REPRO_SIMCHECK``.
 _default: SimcheckConfig | None = None
-
-
-def enable_default(config: SimcheckConfig | None = None) -> SimcheckConfig:
-    """Make every subsequent driver run sanitized unless it opts out."""
-    global _default
-    _default = config or SimcheckConfig()
-    return _default
-
-
-def disable_default() -> None:
-    """Back to opt-in sanitizers."""
-    global _default
-    _default = None
 
 
 def default_config() -> SimcheckConfig | None:
     """The config a driver run uses when built with ``simcheck=None``.
 
-    Resolution order: :func:`enable_default` wins, then the ``REPRO_SIMCHECK``
+    Resolution order: a set ``_default`` wins, then the ``REPRO_SIMCHECK``
     environment variable (any value but ``0``/empty enables strict checks),
     then ``None`` (sanitizers off).
     """
@@ -49,15 +33,3 @@ def default_config() -> SimcheckConfig | None:
     if env and env != "0":
         return SimcheckConfig()
     return None
-
-
-@contextmanager
-def enabled(config: SimcheckConfig | None = None):
-    """Context manager form of :func:`enable_default` (used by the fixture)."""
-    global _default
-    previous = _default
-    enable_default(config)
-    try:
-        yield _default
-    finally:
-        _default = previous

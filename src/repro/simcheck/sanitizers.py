@@ -151,12 +151,8 @@ class SimcheckReport:
     past_schedules: int = 0
     spans_matched: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def format(self) -> str:
-        if self.ok:
+        if not self.violations:
             return (
                 f"simcheck ok: {', '.join(self.checks_run) or 'no checks'} "
                 f"({self.clocks} clock(s), {self.spans_matched} span tree(s))"
@@ -226,6 +222,6 @@ class SimcheckMonitor:
             result.checks_run.append("capacity")
             result.violations.extend(invariants.check_store_capacity(backend))
         report.simcheck = result
-        if config.strict and not result.ok:
+        if config.strict and result.violations:
             raise SimcheckError(result.format())
         return result

@@ -1,7 +1,7 @@
 """Storage substrate: KV cache stores (hot and tiered), eviction and cost."""
 
 from .cost import CostAnalysis, CostModel, PricingModel, TieredCostModel, TieredPricingModel
-from .eviction import CostAwarePolicy, EvictionPolicy, LFUPolicy, LRUPolicy, make_policy
+from .eviction import CostAwarePolicy, EvictionPolicy, LRUPolicy, make_policy
 from .kv_store import CapacityError, KVCacheStore, StoredContext
 from .tiered import (
     COLD,
@@ -27,7 +27,6 @@ __all__ = [
     "DiskKVStore",
     "EvictionPolicy",
     "KVCacheStore",
-    "LFUPolicy",
     "LRUPolicy",
     "PlacementPolicy",
     "PricingModel",

@@ -6,12 +6,10 @@ finite.  :class:`~repro.storage.kv_store.KVCacheStore` therefore accepts a
 ``max_bytes`` budget and an :class:`EvictionPolicy` deciding *which* context to
 drop when a new one does not fit.
 
-Three policies are provided:
+Two policies are provided:
 
 * :class:`LRUPolicy` — evict the least recently used context (the classic
   cache-network placement policy, e.g. Icarus' LRU node caches);
-* :class:`LFUPolicy` — evict the least frequently used context, breaking ties
-  by recency;
 * :class:`CostAwarePolicy` — evict the context whose *retention value* is
   lowest, where value is the recompute cost saved per month (observed access
   rate x Appendix E's per-request recompute price) divided by its monthly
@@ -32,7 +30,7 @@ from .cost import CostModel
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .kv_store import StoredContext
 
-__all__ = ["EvictionPolicy", "LRUPolicy", "LFUPolicy", "CostAwarePolicy", "make_policy"]
+__all__ = ["EvictionPolicy", "LRUPolicy", "CostAwarePolicy", "make_policy"]
 
 
 class EvictionPolicy(ABC):
@@ -77,31 +75,6 @@ class LRUPolicy(EvictionPolicy):
         if not contexts:
             raise ValueError("no contexts to evict")
         return min(contexts, key=self._recency)
-
-
-class LFUPolicy(EvictionPolicy):
-    """Evict the least frequently used context, breaking ties by recency."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._uses: dict[str, int] = {}
-
-    def on_store(self, context_id: str, stored: "StoredContext") -> None:
-        super().on_store(context_id, stored)
-        self._uses[context_id] = self._uses.get(context_id, 0) + 1
-
-    def on_access(self, context_id: str) -> None:
-        super().on_access(context_id)
-        self._uses[context_id] = self._uses.get(context_id, 0) + 1
-
-    def on_evict(self, context_id: str) -> None:
-        super().on_evict(context_id)
-        self._uses.pop(context_id, None)
-
-    def select_victim(self, contexts: Mapping[str, "StoredContext"]) -> str:
-        if not contexts:
-            raise ValueError("no contexts to evict")
-        return min(contexts, key=lambda cid: (self._uses.get(cid, 0), self._recency(cid)))
 
 
 class CostAwarePolicy(EvictionPolicy):
@@ -156,14 +129,13 @@ class CostAwarePolicy(EvictionPolicy):
 
 _POLICY_FACTORIES = {
     "lru": LRUPolicy,
-    "lfu": LFUPolicy,
     "cost": CostAwarePolicy,
     "cost_aware": CostAwarePolicy,
 }
 
 
 def make_policy(name: str) -> EvictionPolicy:
-    """Instantiate an eviction policy by name (``"lru"``, ``"lfu"``, ``"cost"``)."""
+    """Instantiate an eviction policy by name (``"lru"``, ``"cost"``)."""
     try:
         return _POLICY_FACTORIES[name.lower()]()
     except KeyError:

@@ -1,10 +1,10 @@
-"""KV cache storage: the ``store_kv`` / ``get_kv`` interfaces of §6.
+"""KV cache storage: the ``store_kv`` / ``get_context`` interfaces of §6.
 
 CacheGen keeps, per context, a dictionary mapping chunk ids to the encoded
 bitstreams of the chunk's K and V tensors at every encoding level.  The store
-lives on a (remote) storage server; the streamer calls ``get_kv`` to fetch a
-chunk's bitstream at a chosen level.  This module implements an in-memory
-store with byte accounting.
+lives on a (remote) storage server; the streamer calls ``get_context`` to
+fetch a context's chunks and streams each at a chosen level.  This module
+implements an in-memory store with byte accounting.
 
 The store is optionally *capacity bounded*: give it ``max_bytes`` and an
 :class:`~repro.storage.eviction.EvictionPolicy` and it evicts old contexts to
@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from ..core.encoder import CacheGenEncoder, EncodedKV
+from ..core.encoder import CacheGenEncoder
 from ..core.kv_cache import KVCache
 from ..llm.synthetic_model import GenerationResult
 from ..streaming.chunking import PreparedChunk, prepare_chunks
@@ -86,7 +86,7 @@ class StoredContext:
 
 
 class KVCacheStore:
-    """In-memory KV cache store exposing ``store_kv`` and ``get_kv``.
+    """In-memory KV cache store exposing ``store_kv`` and ``get_context``.
 
     Parameters
     ----------
@@ -247,13 +247,6 @@ class KVCacheStore:
         except KeyError:
             raise KeyError(f"context {context_id!r} is not in the KV store") from None
 
-    def get_kv(self, context_id: str, chunk_id: int, level_name: str) -> EncodedKV:
-        """Fetch the encoded bitstream of one chunk at one encoding level."""
-        stored = self.get_context(context_id)
-        if not 0 <= chunk_id < stored.num_chunks:
-            raise IndexError(f"chunk {chunk_id} out of range for context {context_id!r}")
-        return stored.chunks[chunk_id].encodings[level_name]
-
     def get_chunks(self, context_id: str) -> list[PreparedChunk]:
         """All prepared chunks of a context (what the streamer consumes)."""
         return list(self.get_context(context_id).chunks)
@@ -267,15 +260,10 @@ class KVCacheStore:
         """Number of capacity-pressure evictions (explicit removals excluded)."""
         return self._eviction_count
 
-    @property
-    def evicted_context_ids(self) -> list[str]:
-        """Context ids evicted under capacity pressure, oldest first."""
-        return list(self._evicted_ids)
-
     def migration_headroom_bytes(self) -> float:
         """Bytes a migration can add without triggering capacity eviction.
 
-        Rebalancing (``ShardedKVStore.add_node``) must fill a node, never
+        A repair (``ShardedKVStore.plan_repair``) must fill a node, never
         churn it; this is the budget it may fill.  Unbounded stores report
         infinite headroom.
         """

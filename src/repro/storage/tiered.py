@@ -22,15 +22,15 @@ bytes occupy node memory until the write-back completes.  The tiered store
 models this with an *in-flight demotion buffer*: victims enter the buffer
 when evicted and drain to cold at the next serving operation
 (:meth:`TieredKVStore.flush_demotions`).  Buffered bytes count against the
-hot tier's migration headroom — which is what keeps
-``ShardedKVStore.add_node`` rebalancing from over-filling a node whose
-write-back has not caught up.
+hot tier's migration headroom — which is what keeps a repair
+(``ShardedKVStore.plan_repair``) from over-filling a node whose write-back has
+not caught up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol
+from typing import Mapping, Protocol
 
 from ..core.kv_cache import KVCache
 from ..network.bandwidth import ConstantTrace
@@ -242,14 +242,6 @@ class TieredKVStore:
             ).inc(1, store=self.trace_track)
 
     # -------------------------------------------------------------- tier plumbing
-    @property
-    def encoder(self):
-        return self.hot.encoder
-
-    @property
-    def max_bytes(self) -> float | None:
-        """The hot tier's budget (what placement and migration press against)."""
-        return self.hot.max_bytes
 
     @property
     def tier_link(self) -> NetworkLink:
@@ -273,11 +265,6 @@ class TieredKVStore:
             return
         self._pending[stored.context_id] = stored
         self._pending_bytes += stored.total_bytes()
-
-    @property
-    def pending_demotion_bytes(self) -> float:
-        """Bytes evicted from hot but not yet written back to cold."""
-        return self._pending_bytes
 
     def flush_demotions(self) -> int:
         """Drain the in-flight demotion buffer to the cold tier.
@@ -358,12 +345,6 @@ class TieredKVStore:
         resident.update(self._pending)
         return len(resident)
 
-    def context_ids(self) -> Iterable[str]:
-        resident = dict.fromkeys(self.hot.context_ids())
-        resident.update(dict.fromkeys(self._pending))
-        resident.update(dict.fromkeys(self.cold.context_ids()))
-        return resident.keys()
-
     def get_context(self, context_id: str) -> StoredContext:
         """Serve a context, promoting it to hot on a cold hit.
 
@@ -397,13 +378,6 @@ class TieredKVStore:
             return pending
         return self.cold.peek_context(context_id)
 
-    def get_kv(self, context_id: str, chunk_id: int, level_name: str):
-        """Fetch one chunk's bitstream at one level (promotes on a cold hit)."""
-        stored = self.get_context(context_id)
-        if not 0 <= chunk_id < stored.num_chunks:
-            raise IndexError(f"chunk {chunk_id} out of range for context {context_id!r}")
-        return stored.chunks[chunk_id].encodings[level_name]
-
     def get_chunks(self, context_id: str):
         return list(self.get_context(context_id).chunks)
 
@@ -427,7 +401,7 @@ class TieredKVStore:
         """Hot-tier bytes a migration can add without forcing demotions.
 
         In-flight demotions still occupy node memory until their write-back
-        lands, so they shrink the headroom — ignoring them is how a rebalance
+        lands, so they shrink the headroom — ignoring them is how a repair
         over-fills a node's hot tier.
         """
         assert self.hot.max_bytes is not None
@@ -446,8 +420,3 @@ class TieredKVStore:
     @property
     def promotion_count(self) -> int:
         return self.stats.promotions
-
-    @property
-    def evicted_context_ids(self) -> list[str]:
-        """Contexts dropped from the cold tier under capacity pressure."""
-        return self.cold.evicted_context_ids

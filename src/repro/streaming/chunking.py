@@ -63,19 +63,12 @@ class PreparedChunk:
     text_bytes: int
 
     @property
-    def index(self) -> int:
-        return self.chunk.index
-
-    @property
     def num_tokens(self) -> int:
         return self.chunk.num_tokens
 
     def bytes_for_level(self, level_name: str) -> float:
         """Compressed bytes of this chunk at a given level."""
         return self.encodings[level_name].compressed_bytes
-
-    def level_names(self) -> list[str]:
-        return list(self.encodings)
 
 
 def split_context(kv: KVCache, chunk_tokens: int) -> list[ContextChunk]:

@@ -55,14 +55,12 @@ __all__ = [
     "Tracer",
     "WindowStats",
     "auto_window_s",
-    "chrome_trace_events",
     "default_burn_rules",
     "default_detectors",
     "emit_timeline_spans",
     "iter_jsonl_events",
     "render_dashboard",
     "render_diff_dashboard",
-    "to_chrome_trace",
     "write_chrome_trace",
     "write_dashboard",
     "write_jsonl",
@@ -70,14 +68,12 @@ __all__ = [
 
 # Names resolve on first use: a run without a tracer never loads the trace,
 # registry, export or dashboard modules.
-__getattr__, __dir__ = _lazy_exports(
+__getattr__ = _lazy_exports(
     __name__,
     {
         ".dashboard": ("render_dashboard", "render_diff_dashboard", "write_dashboard"),
         ".export": (
-            "chrome_trace_events",
             "iter_jsonl_events",
-            "to_chrome_trace",
             "write_chrome_trace",
             "write_jsonl",
         ),

@@ -28,8 +28,6 @@ from typing import Any, Iterator
 from .trace import Tracer
 
 __all__ = [
-    "chrome_trace_events",
-    "to_chrome_trace",
     "write_chrome_trace",
     "iter_jsonl_events",
     "write_jsonl",
@@ -76,7 +74,7 @@ def _track_layout(tracer: Tracer) -> dict[str, tuple[int, int]]:
 
 
 def _iter_chrome_events(tracer: Tracer) -> Iterator[dict[str, Any]]:
-    """The trace events of :func:`chrome_trace_events`, built one at a time.
+    """The trace events of the Chrome trace, built one at a time.
 
     Only the timestamps are held for the sort: a stable sort of ``(ts,
     index)`` over spans, then instants, then samples, which is the order a
@@ -141,25 +139,9 @@ def _iter_chrome_events(tracer: Tracer) -> Iterator[dict[str, Any]]:
         yield event
 
 
-def chrome_trace_events(tracer: Tracer) -> list[dict[str, Any]]:
-    """Render the tracer as a flat, time-sorted trace-event list.
-
-    Metadata ("M") events naming the processes and threads come first, then
-    every span ("X"), instant ("i") and counter sample ("C") ordered by
-    timestamp.
-    """
-    return list(_iter_chrome_events(tracer))
-
-
 def _trace_trailer(tracer: Tracer) -> dict[str, Any]:
     """What follows ``traceEvents`` in the trace object."""
     return {"displayTimeUnit": "ms", "otherData": {"metrics": tracer.metrics.snapshot()}}
-
-
-def to_chrome_trace(tracer: Tracer) -> dict[str, Any]:
-    """The full Chrome trace object (``json.dump`` it, or use
-    :func:`write_chrome_trace`)."""
-    return {"traceEvents": chrome_trace_events(tracer), **_trace_trailer(tracer)}
 
 
 def write_chrome_trace(tracer: Tracer, path: str | Path) -> Path:

@@ -23,8 +23,7 @@ reports, tests and the JSONL export can serialize directly.
 from __future__ import annotations
 
 import random
-import re
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..metrics.stats import percentiles
 
@@ -54,9 +53,6 @@ class _Metric:
         self.name = name
         self.help = help
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}({self.name!r})"
-
 
 class Counter(_Metric):
     """A labeled, monotonically increasing total."""
@@ -77,10 +73,6 @@ class Counter(_Metric):
     def value(self, **labels: object) -> float:
         """Current total of one label set (0.0 if never incremented)."""
         return self._values.get(_label_key(labels), 0.0)
-
-    def total(self) -> float:
-        """Sum over every label set."""
-        return sum(self._values.values())
 
     def snapshot(self) -> dict[str, float]:
         return {_label_str(key): value for key, value in sorted(self._values.items())}
@@ -111,11 +103,6 @@ class Gauge(_Metric):
         entry["min"] = min(entry["min"], float(value))
         entry["max"] = max(entry["max"], float(value))
         entry["samples"] += 1
-
-    def value(self, **labels: object) -> float:
-        """Last sampled level (0.0 if never set)."""
-        entry = self._values.get(_label_key(labels))
-        return entry["last"] if entry is not None else 0.0
 
     def max(self, **labels: object) -> float:
         """Peak sampled level (0.0 if never set)."""
@@ -181,18 +168,6 @@ class Histogram(_Metric):
         if slot < self.max_samples:
             samples[slot] = value
 
-    def count(self, **labels: object) -> int:
-        """Observations recorded (exact even when the reservoir is bounded)."""
-        return self._observed.get(_label_key(labels), 0)
-
-    def values(self, **labels: object) -> list[float]:
-        """The retained observations of one label set (a copy).
-
-        In exact mode this is every observation; in reservoir mode it is the
-        current (at most ``max_samples``-sized) uniform sample.
-        """
-        return list(self._samples.get(_label_key(labels), ()))
-
     def summary(self, **labels: object) -> dict[str, float]:
         """Count / mean / max plus the configured percentiles of a label set.
 
@@ -253,18 +228,6 @@ class MetricsRegistry:
             raise TypeError(f"metric {name!r} is a {metric.kind}, not a histogram")
         return metric
 
-    def get(self, name: str) -> _Metric | None:
-        return self._metrics.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __iter__(self) -> Iterator[_Metric]:
-        return iter(self._metrics.values())
-
     def snapshot(self) -> dict[str, dict]:
         """All metrics as one plain, JSON-serializable dict.
 
@@ -280,76 +243,3 @@ class MetricsRegistry:
             }
             for name, metric in sorted(self._metrics.items())
         }
-
-    def to_prometheus_text(self) -> str:
-        """The registry in the Prometheus text exposition format.
-
-        Counters and gauges map directly; histograms render as summaries
-        (``quantile``-labeled series plus ``_sum``/``_count``).  Metric and
-        label order is deterministic (sorted), matching :meth:`snapshot`.
-        """
-        lines: list[str] = []
-        type_map = {"counter": "counter", "gauge": "gauge", "histogram": "summary"}
-        for name, metric in sorted(self._metrics.items()):
-            prom = _prom_name(name)
-            if metric.help:
-                lines.append(f"# HELP {prom} {_prom_escape_help(metric.help)}")
-            lines.append(f"# TYPE {prom} {type_map[metric.kind]}")
-            if isinstance(metric, Counter):
-                for key, value in sorted(metric._values.items()):
-                    lines.append(f"{prom}{_prom_labels(key)} {_prom_value(value)}")
-            elif isinstance(metric, Gauge):
-                for key, entry in sorted(metric._values.items()):
-                    lines.append(
-                        f"{prom}{_prom_labels(key)} {_prom_value(entry['last'])}"
-                    )
-            elif isinstance(metric, Histogram):
-                for key in sorted(metric._samples):
-                    summary = metric.summary(**dict(key))
-                    for q in metric.qs:
-                        quantile = ("quantile", f"{q / 100.0:g}")
-                        lines.append(
-                            f"{prom}{_prom_labels(key + (quantile,))}"
-                            f" {_prom_value(summary[f'p{q:g}'])}"
-                        )
-                    lines.append(
-                        f"{prom}_sum{_prom_labels(key)}"
-                        f" {_prom_value(metric._sum.get(key, 0.0))}"
-                    )
-                    lines.append(
-                        f"{prom}_count{_prom_labels(key)} {summary['count']}"
-                    )
-        return "\n".join(lines) + "\n" if lines else ""
-
-
-_PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
-_PROM_LABEL_INVALID = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def _prom_name(name: str) -> str:
-    prom = _PROM_INVALID.sub("_", name)
-    if prom and prom[0].isdigit():
-        prom = "_" + prom
-    return prom
-
-
-def _prom_labels(key: LabelKey) -> str:
-    if not key:
-        return ""
-    pairs = ",".join(
-        f'{_PROM_LABEL_INVALID.sub("_", label)}="{_prom_escape_value(value)}"'
-        for label, value in key
-    )
-    return "{" + pairs + "}"
-
-
-def _prom_escape_value(value: str) -> str:
-    return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
-
-
-def _prom_escape_help(text: str) -> str:
-    return text.replace("\\", r"\\").replace("\n", r"\n")
-
-
-def _prom_value(value: float) -> str:
-    return f"{value:g}"

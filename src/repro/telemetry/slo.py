@@ -161,17 +161,6 @@ class Alert:
     peak: float
     details: str = ""
 
-    @property
-    def active(self) -> bool:
-        """Still firing when the run ended."""
-        return self.resolved_at_s is None
-
-    @property
-    def duration_s(self) -> float | None:
-        if self.resolved_at_s is None:
-            return None
-        return self.resolved_at_s - self.fired_at_s
-
 
 def _collapse_active(
     windows: Sequence[WindowStats],

@@ -6,14 +6,14 @@ hit-ratio collapse after a node dies, or a shed storm building up.  The
 :class:`TimeSeriesRecorder` makes degradation **time-local**: it aggregates
 per-request samples and resource activity into tumbling simulated-time
 windows (``[k·w, (k+1)·w)`` keyed by arrival time), each summarized as one
-:class:`WindowStats` — arrival rate, shed count, TTFT count/mean/percentiles,
-hot/cold/miss traffic, per-resource utilization and peak queue depth.
+:class:`WindowStats` — arrival rate, shed count, TTFT samples and percentiles,
+hot/cold/text traffic, per-resource utilization and peak queue depth.
 
 Exact-consistency guarantees (asserted by the tests):
 
 * with a **single window** covering the whole run, the window's aggregates
   equal the ``RunReport`` summary exactly — same counts, same hit ratios, and
-  bit-identical TTFT mean/percentiles, because samples are kept in recording
+  bit-identical TTFT percentiles, because samples are kept in recording
   order and summarized through the shared
   :func:`repro.metrics.stats.percentiles` helper;
 * with **multiple windows**, the per-window counts sum to the whole-run
@@ -34,9 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..metrics.stats import percentiles
 
@@ -46,10 +44,6 @@ __all__ = ["WindowStats", "TimeSeriesRecorder", "auto_window_s"]
 #: swimlanes and the driver's bookkeeping tracks.  Everything else (links,
 #: GPU schedulers, storage nodes, tier channels) gets a utilization lane.
 _NON_RESOURCE_PREFIXES = ("request:", "ingest", "admission", "cluster")
-
-#: Percentile ranks every window summarizes (p95 rides along so a single
-#: window recombines to the ``RunReport``'s p50/p95/p99 exactly).
-DEFAULT_QS = (50.0, 90.0, 95.0, 99.0)
 
 
 def auto_window_s(duration_s: float, target_windows: int = 60) -> float:
@@ -115,34 +109,7 @@ class WindowStats:
     def hit_ratio(self) -> float:
         return self.kv_served / self.served if self.served else 0.0
 
-    @property
-    def hot_hit_ratio(self) -> float:
-        return self.hot_served / self.served if self.served else 0.0
-
-    @property
-    def cold_hit_ratio(self) -> float:
-        return self.cold_served / self.served if self.served else 0.0
-
-    @property
-    def miss_ratio(self) -> float:
-        """Fraction of served requests that degraded to the text path."""
-        return self.text_served / self.served if self.served else 0.0
-
     # -------------------------------------------------------------------- TTFT
-    @property
-    def ttft_count(self) -> int:
-        return len(self.ttft_samples)
-
-    @property
-    def ttft_mean_s(self) -> float:
-        if not self.ttft_samples:
-            return 0.0
-        return float(np.asarray(self.ttft_samples, dtype=np.float64).mean())
-
-    @property
-    def ttft_max_s(self) -> float:
-        return max(self.ttft_samples) if self.ttft_samples else 0.0
-
     def ttft_percentile(self, q: float) -> float:
         """One TTFT percentile of the window (0.0 when nothing was served)."""
         return percentiles(self.ttft_samples, (q,))[0]
@@ -158,36 +125,6 @@ class WindowStats:
             return 0.0
         return self.busy_s.get(track, 0.0) / self.width_s
 
-    def summary(self, qs: Sequence[float] = DEFAULT_QS) -> dict[str, Any]:
-        """The window as one plain JSON-serializable dict."""
-        out: dict[str, Any] = {
-            "index": self.index,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "arrivals": self.arrivals,
-            "served": self.served,
-            "kv_served": self.kv_served,
-            "text_served": self.text_served,
-            "hot_served": self.hot_served,
-            "cold_served": self.cold_served,
-            "shed": self.shed,
-            "arrival_rate_rps": self.arrival_rate_rps,
-            "hit_ratio": self.hit_ratio,
-            "ttft_count": self.ttft_count,
-            "ttft_mean_s": self.ttft_mean_s,
-            "ttft_max_s": self.ttft_max_s,
-            "utilization": {
-                track: self.utilization(track) for track in sorted(self.busy_s)
-            },
-            "max_queue_depth": dict(sorted(self.max_queue_depth.items())),
-        }
-        if self.pool_size is not None:
-            out["pool_size"] = self.pool_size
-        ranks = percentiles(self.ttft_samples, qs)
-        for q, value in zip(qs, ranks):
-            out[f"ttft_p{q:g}_s"] = value
-        return out
-
 
 class TimeSeriesRecorder:
     """Aggregates request/shed/resource events into tumbling windows.
@@ -196,19 +133,18 @@ class TimeSeriesRecorder:
     `record_queue_depth`) or build it whole from a finished run
     (:meth:`from_run`) or a tracer (:meth:`from_tracer`); then read
     :meth:`windows` (a contiguous series — quiet windows are materialized
-    empty, not skipped) and :meth:`totals` (the whole-run recombination).
+    empty, not skipped).
 
     Example
     -------
     >>> recorder = TimeSeriesRecorder.from_tracer(tracer, window_s=0.5)  # doctest: +SKIP
-    >>> [window.ttft_p95_s for window in recorder.windows()]  # doctest: +SKIP
+    >>> [window.ttft_percentile(95.0) for window in recorder.windows()]  # doctest: +SKIP
     """
 
-    def __init__(self, window_s: float, *, qs: Sequence[float] = DEFAULT_QS) -> None:
+    def __init__(self, window_s: float) -> None:
         if window_s <= 0:
             raise ValueError("window_s must be positive")
         self.window_s = float(window_s)
-        self.qs = tuple(qs)
         self._windows: dict[int, WindowStats] = {}
         self._max_index = -1
 
@@ -313,61 +249,6 @@ class TimeSeriesRecorder:
             return []
         return [self._window(index) for index in range(self._max_index + 1)]
 
-    def resource_tracks(self) -> list[str]:
-        """Every resource track any window saw, sorted."""
-        tracks: set[str] = set()
-        for window in self._windows.values():
-            tracks.update(window.busy_s)
-            tracks.update(window.max_queue_depth)
-        return sorted(tracks)
-
-    @property
-    def duration_s(self) -> float:
-        """Extent of the covered series (end of the last window)."""
-        return (self._max_index + 1) * self.window_s if self._max_index >= 0 else 0.0
-
-    def totals(self) -> dict[str, Any]:
-        """Recombine every window into whole-run aggregates.
-
-        The TTFT summary concatenates the windows' raw samples (in window
-        order, which for a single window is recording order) and summarizes
-        them through the same shared percentile helper the ``RunReport``
-        uses — so a single window covering the run matches the report
-        exactly, and multi-window percentiles match because percentiles are
-        order-insensitive.
-        """
-        windows = self.windows()
-        ttfts: list[float] = []
-        for window in windows:
-            ttfts.extend(window.ttft_samples)
-        served = sum(w.served for w in windows)
-        shed = sum(w.shed for w in windows)
-        kv = sum(w.kv_served for w in windows)
-        arr = np.asarray(ttfts, dtype=np.float64)
-        p50, p95, p99 = percentiles(ttfts, (50.0, 95.0, 99.0))
-        return {
-            "num_requests": served + shed,
-            "served": served,
-            "shed": shed,
-            "kv_served": kv,
-            "text_served": sum(w.text_served for w in windows),
-            "hot_served": sum(w.hot_served for w in windows),
-            "cold_served": sum(w.cold_served for w in windows),
-            "hit_ratio": kv / served if served else 0.0,
-            "hot_hit_ratio": (
-                sum(w.hot_served for w in windows) / served if served else 0.0
-            ),
-            "cold_hit_ratio": (
-                sum(w.cold_served for w in windows) / served if served else 0.0
-            ),
-            "ttft_count": len(ttfts),
-            "ttft_mean_s": float(arr.mean()) if arr.size else 0.0,
-            "ttft_max_s": float(arr.max()) if arr.size else 0.0,
-            "ttft_p50_s": p50,
-            "ttft_p95_s": p95,
-            "ttft_p99_s": p99,
-        }
-
     # ------------------------------------------------------------ construction
     @classmethod
     def from_run(
@@ -378,7 +259,6 @@ class TimeSeriesRecorder:
         shed_times: Sequence[float] = (),
         tracer=None,
         duration_s: float | None = None,
-        qs: Sequence[float] = DEFAULT_QS,
     ) -> "TimeSeriesRecorder":
         """Build the series a serving run produced.
 
@@ -387,7 +267,7 @@ class TimeSeriesRecorder:
         refused requests; ``tracer`` (optional) contributes the resource
         lanes; ``duration_s`` extends trailing quiet time.
         """
-        recorder = cls(window_s, qs=qs)
+        recorder = cls(window_s)
         for response in responses:
             recorder.record_response(response)
         for at_s in shed_times:
@@ -404,7 +284,6 @@ class TimeSeriesRecorder:
         tracer,
         *,
         window_s: float,
-        qs: Sequence[float] = DEFAULT_QS,
     ) -> "TimeSeriesRecorder":
         """Rebuild the series from a tracer alone (no responses needed).
 
@@ -413,7 +292,7 @@ class TimeSeriesRecorder:
         annotations); sheds from the driver's ``shed`` instants; resource
         lanes from the resource-track spans and queue-depth samples.
         """
-        recorder = cls(window_s, qs=qs)
+        recorder = cls(window_s)
         for span in tracer.spans:
             if span.parent is None and span.category == "request":
                 tier = span.args.get("tier")
@@ -443,12 +322,6 @@ class TimeSeriesRecorder:
                 self.record_pool_size(sample.at_s, sample.value)
             elif _is_resource_track(sample.track):
                 self.record_queue_depth(sample.track, sample.at_s, sample.value)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TimeSeriesRecorder(window_s={self.window_s}, "
-            f"windows={self._max_index + 1})"
-        )
 
 
 def _is_resource_track(track: str) -> bool:

@@ -68,11 +68,6 @@ class Span:
     def end_s(self) -> float:
         return self.start_s + self.dur_s
 
-    def end(self, at_s: float) -> "Span":
-        """Close the span at ``at_s`` (clamped so durations stay non-negative)."""
-        self.dur_s = max(at_s - self.start_s, 0.0)
-        return self
-
     def annotate(self, **args: Any) -> "Span":
         self.args.update(args)
         return self
@@ -119,7 +114,7 @@ class Tracer:
     -------
     >>> tracer = Tracer()
     >>> report = serve(spec, requests=requests, tracer=tracer)  # doctest: +SKIP
-    >>> tracer.spans_for_request(0)  # doctest: +SKIP
+    >>> [span.name for span in tracer.spans if span.request_id == 0]  # doctest: +SKIP
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
@@ -224,29 +219,10 @@ class Tracer:
         self.register_track(track)
 
     # ----------------------------------------------------------------- queries
-    def spans_on(self, track: str) -> list[Span]:
-        return [span for span in self.spans if span.track == track]
-
-    def spans_for_request(self, request_id: int) -> list[Span]:
-        return [span for span in self.spans if span.request_id == request_id]
 
     def root_spans(self) -> list[Span]:
         """Spans with no parent (one per traced request, plus resource spans)."""
         return [span for span in self.spans if span.parent is None]
-
-    def find_spans(self, name: str | None = None, category: str | None = None) -> list[Span]:
-        return [
-            span
-            for span in self.spans
-            if (name is None or span.name == name)
-            and (category is None or span.category == category)
-        ]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Tracer(spans={len(self.spans)}, instants={len(self.instants)}, "
-            f"samples={len(self.samples)}, tracks={len(self._tracks)})"
-        )
 
 
 # --------------------------------------------------------------------- helpers

@@ -8,6 +8,7 @@ order whenever nothing was shed and nothing failed hard.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -43,7 +44,7 @@ def _run(driver: Driver, num_requests: int):
 
 
 def _failure_run():
-    driver = Driver(SPEC.with_(slo_s=1.0), _workload(), node_failures={25: "node-1"})
+    driver = Driver(replace(SPEC, slo_s=1.0), _workload(), node_failures={25: "node-1"})
     return _run(driver, NUM_REQUESTS)
 
 
@@ -94,7 +95,7 @@ class TestRun:
 class TestBlackout:
     def test_total_blackout_degrades_to_text_without_failures(self):
         driver = Driver(
-            SPEC.with_(num_nodes=2),
+            replace(SPEC, num_nodes=2),
             _workload(seed=3),
             node_failures={5: "node-0", 7: "node-1"},
         )

@@ -55,7 +55,24 @@ class TestShape:
 
     def test_uniform_when_alpha_zero(self):
         workload = WorkloadGenerator(num_contexts=10, zipf_alpha=0.0, seed=1)
-        assert np.allclose(workload.popularity(), 0.1)
+        counts = np.zeros(10)
+        for request in workload.generate(5_000):
+            counts[int(request.context_id.rsplit("-", 1)[1])] += 1
+        assert np.all(np.abs(counts / counts.sum() - 0.1) < 0.02)
+
+    def test_mean_gap_follows_arrival_rate(self):
+        workload = WorkloadGenerator(arrival_rate_per_s=4.0, seed=3)
+        arrivals = [request.arrival_s for request in workload.generate(4_000)]
+        assert arrivals[-1] / len(arrivals) == pytest.approx(0.25, rel=0.05)
+
+    def test_prefix_and_rank_name_the_context(self):
+        workload = WorkloadGenerator(num_contexts=3, context_prefix="doc", seed=2)
+        assert workload.context_id(2) == "doc-0002"
+        assert {request.context_id for request in workload.generate(50)} <= {
+            "doc-0000",
+            "doc-0001",
+            "doc-0002",
+        }
 
     def test_sessions_round_robin(self, workload):
         requests = workload.generate(16)

@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, KVCache
+from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodedKV, KVCache
+from repro.core.encoder import _PreparedKV
 from repro.llm import MISTRAL_7B, ComputeModel, QualityModel, SyntheticLLM
 from repro.network import ConstantTrace, NetworkLink, gbps
 from repro.serving.api import ServeRequest, ServeResponse, profile_codec
+from repro.telemetry.export import _iter_chrome_events, _trace_trailer
 
 #: Context length used by most tests — small enough to be fast, large enough
 #: to span several anchor groups and more than one streaming chunk.
@@ -67,6 +69,26 @@ def variant_encoder(codecs, variant: str, chunk_tokens: int) -> CacheGenEncoder:
     return CacheGenEncoder(config, codec=codecs[variant])
 
 
+def encode_all_levels(encoder: CacheGenEncoder, kv: KVCache) -> dict[str, EncodedKV]:
+    """``kv`` encoded at every configured level, one preparation for all.
+
+    What ``encode_with_errors`` does without the error statistics, so each
+    encoding keeps ``kv`` as the source it decodes from.
+    """
+    prepared = _PreparedKV(kv)
+    return {level.name: encoder.encode(prepared, level) for level in encoder.config.levels}
+
+
+def chrome_trace_events(tracer) -> list[dict]:
+    """Every Chrome trace event ``write_chrome_trace`` writes, in one list."""
+    return list(_iter_chrome_events(tracer))
+
+
+def to_chrome_trace(tracer) -> dict:
+    """The whole Chrome trace object ``write_chrome_trace`` writes, in memory."""
+    return {"traceEvents": chrome_trace_events(tracer), **_trace_trailer(tracer)}
+
+
 def serve_one(backend, request: ServeRequest) -> ServeResponse:
     """``request`` alone through ``backend``'s event executor (one ``run``)."""
     backend.submit(request)
@@ -90,15 +112,12 @@ def pytest_collection_modifyitems(config, items) -> None:
 
 
 @pytest.fixture(autouse=True)
-def _simcheck_sanitizers(request):
+def _simcheck_sanitizers(request, monkeypatch):
     """Enable strict runtime sanitizers for tests marked ``simcheck``."""
-    if request.node.get_closest_marker("simcheck") is None:
-        yield
-        return
-    from repro.simcheck.runtime import enabled
+    if request.node.get_closest_marker("simcheck") is not None:
+        from repro.simcheck import SimcheckConfig, runtime
 
-    with enabled():
-        yield
+        monkeypatch.setattr(runtime, "_default", SimcheckConfig())
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,6 @@ from test_lane_coder import TABLE_KINDS, random_symbols, random_table
 from repro.core import CacheGenDecoder, CacheGenEncoder, arithmetic_coder
 from repro.core.arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder, BandTable
 from repro.core.entropy_codec import (
-    EntropyCodec,
     _batches,
     decode_payloads,
     encode_payloads,
@@ -241,7 +240,7 @@ def test_payloads_share_a_loop_while_their_lanes_fit():
 @pytest.mark.parametrize("tokens", [1, 23, 65])
 def test_a_chunk_is_one_batch_of_what_its_payloads_are_alone(exact_encoder, encoder, kv, tokens):
     """K-delta, V-delta, K-anchor, V-anchor through ``CacheGenEncoder.encode``
-    are the bytes each gets from a one-payload ``EntropyCodec``.  One token is
+    are the bytes each gets coded alone.  One token is
     the chunk whose delta payloads are empty; 65 are two batches."""
     chunk = kv.slice_tokens(0, tokens)
     for level in encoder.config.levels:
@@ -254,7 +253,7 @@ def test_a_chunk_is_one_batch_of_what_its_payloads_are_alone(exact_encoder, enco
                 (models.anchor_model, got.anchor_payload, anchor.symbols),
             ):
                 assert payload.shape == symbols.shape
-                assert payload.data == EntropyCodec(model, exact=True).encode(symbols).data
+                assert payload.data == encode_payloads([(model, symbols)], True)[0].data
         decoded = CacheGenDecoder(exact_encoder).decode(exact)
         reference = CacheGenDecoder(encoder).decode(estimated)
         assert np.array_equal(decoded.k, reference.k) and np.array_equal(decoded.v, reference.v)

@@ -28,6 +28,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from test_ingest_fast_path import DenseFit, assert_scores_dense, assert_tables_equal
 
+from conftest import encode_all_levels
 from repro.core import CacheGenDecoder, CacheGenEncoder, KVCache
 from repro.core.arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder, _split_lanes
 from repro.core.entropy_codec import LANE_SYMBOLS, MAX_LANES, lane_count
@@ -145,14 +146,14 @@ def test_one_table_per_model_per_call(codecs, kv, monkeypatch):
     # Levels that share an anchor model share its payloads: within one
     # preparation only the first of them codes (and derives a table for) anchors.
     del derived[:], coders[:]
-    exact.encode_all_levels(chunk)
+    encode_all_levels(exact, chunk)
     anchor_models = {id(exact.model_for_level(level).anchor_model) for level in LEVELS}
     assert len(derived) == len(LEVELS) + len(anchor_models) < 2 * len(LEVELS)
     assert coders == [ArithmeticEncoder] * len(LEVELS)
 
     del derived[:], coders[:]
     estimated_decoder.decode(estimated.encode(chunk, "low"))
-    estimated.encode_all_levels(chunk)
+    encode_all_levels(estimated, chunk)
     assert derived == [] and coders == []
 
 

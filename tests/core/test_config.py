@@ -24,16 +24,6 @@ class TestEncodingLevel:
         with pytest.raises(ValueError, match="alphabet"):
             EncodingLevel(name="x", delta_bins=(1.0,), anchor_bits=bits)
 
-    def test_scaled(self):
-        level = EncodingLevel(name="x", delta_bins=(0.5, 1.0))
-        scaled = level.scaled(2.0)
-        assert scaled.delta_bins == (1.0, 2.0)
-        assert scaled.anchor_bits == level.anchor_bits
-
-    def test_scaled_invalid_factor(self):
-        with pytest.raises(ValueError):
-            EncodingLevel(name="x", delta_bins=(1.0,)).scaled(0.0)
-
     def test_default_levels_ordered_high_to_low(self):
         sizes = [sum(level.delta_bins) for level in DEFAULT_LEVELS]
         assert sizes == sorted(sizes)
@@ -67,12 +57,6 @@ class TestCacheGenConfig:
         with pytest.raises(ValueError):
             CacheGenConfig(levels=(level, level))
 
-    def test_level_by_name(self):
-        config = CacheGenConfig()
-        assert config.level_by_name("medium").name == "medium"
-        with pytest.raises(KeyError):
-            config.level_by_name("nope")
-
     @pytest.mark.parametrize("ref,expected", [(0, 0), ("medium", 1), ("lowest", 3)])
     def test_level_index(self, ref, expected):
         assert CacheGenConfig().level_index(ref) == expected
@@ -80,6 +64,18 @@ class TestCacheGenConfig:
     def test_level_index_object(self):
         config = CacheGenConfig()
         assert config.level_index(config.levels[2]) == 2
+
+    def test_level_index_unknown_name_or_level(self):
+        config = CacheGenConfig()
+        with pytest.raises(ValueError):
+            config.level_index("nope")
+        with pytest.raises(ValueError):
+            config.level_index(EncodingLevel(name="elsewhere", delta_bins=(1.0,)))
+
+    def test_default_level_follows_its_index(self):
+        config = CacheGenConfig(default_level_index=2)
+        assert config.default_level is config.levels[2]
+        assert config.level_index(config.default_level) == 2
 
     def test_level_index_out_of_range(self):
         with pytest.raises(IndexError):

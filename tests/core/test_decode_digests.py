@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from test_ingest_fast_path import dense_products, fold_sum
 
+from conftest import encode_all_levels
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder
 from repro.serving.api import profile_codec
 
@@ -102,7 +103,7 @@ def _oracle_bits(encoder, chunk, level, dense: dict) -> tuple[float, float]:
             if quantized is None:
                 continue
             if id(model) not in dense:
-                dense[id(model)] = _DenseLogs(model.grouping, model.log2_probabilities())
+                dense[id(model)] = _DenseLogs(model.grouping, np.log2(model.probabilities()))
             tables.append(dense_products(dense[id(model)], quantized.symbols))
         fold.append(sum(-fold_sum(table) for table in tables))
         # pairwise_dense_bits, from the one table both sums share
@@ -113,7 +114,7 @@ def _oracle_bits(encoder, chunk, level, dense: dict) -> tuple[float, float]:
 def _digest(llm, variant: str, chunk_tokens: int, num_tokens: int) -> str:
     """Hash each level's decoded K and V bytes and its ``payload_bits``, chunk by chunk.
 
-    Chunks are encoded as a store prepares them (:meth:`encode_all_levels`,
+    Chunks are encoded as a store prepares them (``encode_all_levels`` in ``conftest``,
     one preparation for all levels) and decoded one level at a time.
     """
     config = CacheGenConfig(chunk_tokens=chunk_tokens, **VARIANTS[variant])
@@ -122,7 +123,7 @@ def _digest(llm, variant: str, chunk_tokens: int, num_tokens: int) -> str:
     digest, dense = hashlib.sha256(), {}
     kv = llm.calculate_kv("digest-context", num_tokens)
     for chunk in kv.split_tokens(chunk_tokens):
-        for name, encoded in encoder.encode_all_levels(chunk).items():
+        for name, encoded in encode_all_levels(encoder, chunk).items():
             bits = encoded.payload_bits
             if config.use_arithmetic_coding:
                 fold, bits = _oracle_bits(encoder, chunk, name, dense)

@@ -11,7 +11,6 @@ from repro.core.delta import (
     anchor_positions,
     compute_deltas,
     consecutive_delta_variance_ratio,
-    delta_variance_ratio,
     reconstruct_from_deltas,
 )
 
@@ -72,10 +71,17 @@ class TestVarianceRatios:
             ratio = consecutive_delta_variance_ratio(tensor)
             assert 2.2 < ratio < 3.2
 
-    def test_anchor_group_ratio_above_one(self, kv):
-        """Anchor-group deltas must still be meaningfully smaller than originals."""
-        assert delta_variance_ratio(kv.k) > 1.5
-        assert delta_variance_ratio(kv.v) > 1.5
+    @pytest.mark.parametrize("which", ["k", "v"])
+    def test_anchor_group_ratio_above_one(self, kv, which):
+        """Anchor-group deltas must still be meaningfully smaller than originals:
+        deltas reach up to ``group_size - 1`` tokens back, so the ratio sits
+        below the consecutive one of Figure 3 but well above 1."""
+        tensor = getattr(kv, which)
+        decomposition = compute_deltas(tensor)
+        mask = np.ones(decomposition.num_tokens, dtype=bool)
+        mask[anchor_positions(decomposition.num_tokens, decomposition.group_size)] = False
+        ratio = np.var(tensor) / np.var(decomposition.deltas[:, mask, :])
+        assert 1.5 < ratio < consecutive_delta_variance_ratio(tensor)
 
     def test_consecutive_requires_two_tokens(self):
         with pytest.raises(ValueError):

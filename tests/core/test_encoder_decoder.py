@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import encode_all_levels
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodingLevel
 
 
@@ -19,7 +20,7 @@ class TestFitAndValidation:
             CacheGenEncoder(small_config).fit([])
 
     def test_fit_creates_models_per_level(self, encoder):
-        assert set(encoder.level_models) == {level.name for level in encoder.config.levels}
+        assert set(encoder.codec.level_models) == {level.name for level in encoder.config.levels}
 
     def test_is_fitted(self, encoder, small_config):
         assert encoder.is_fitted
@@ -68,7 +69,7 @@ class TestEncode:
         assert sizes == sorted(sizes, reverse=True)
 
     def test_encode_all_levels(self, encoder, kv):
-        encodings = encoder.encode_all_levels(kv)
+        encodings = encode_all_levels(encoder, kv)
         assert set(encodings) == {level.name for level in encoder.config.levels}
 
     def test_scale_factor_extrapolation(self, encoder, kv):

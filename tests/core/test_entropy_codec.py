@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import encode_all_levels
 from repro.core import CacheGenConfig, CacheGenEncoder
-from repro.core.entropy_codec import EntropyCodec, lane_count
+from repro.core.entropy_codec import decode_payloads, encode_payloads, lane_count
 from repro.core.probability_model import SymbolProbabilityModel
 
 
@@ -14,6 +15,15 @@ from repro.core.probability_model import SymbolProbabilityModel
 #: entry (two varint bytes hold lane lengths below 16 KiB), up to seven bits of
 #: byte padding, and the two termination bits.
 LANE_OVERHEAD_BITS = 16 + 7 + 2
+
+
+def encode(model, symbols, exact=False):
+    """One payload coded alone."""
+    return encode_payloads([(model, np.asarray(symbols))], exact)[0]
+
+
+def decode(model, payload):
+    return decode_payloads([(model, payload)])[0]
 
 
 @pytest.fixture(scope="module")
@@ -31,16 +41,14 @@ class TestEstimatedBackend:
     def test_payload_is_a_size_and_refuses_to_decode(self, small_symbols, model):
         """An estimated payload keeps no symbols: only its EncodedKV, which holds
         the encoded chunk, can be decoded."""
-        codec = EntropyCodec(model, exact=False)
-        payload = codec.encode(small_symbols)
+        payload = encode(model, small_symbols)
         assert payload.data is None
         assert not any(isinstance(value, np.ndarray) for value in vars(payload).values())
         with pytest.raises(ValueError, match="decode the EncodedKV"):
-            codec.decode(payload)
+            decode(model, payload)
 
     def test_bits_match_cross_entropy(self, small_symbols, model):
-        codec = EntropyCodec(model, exact=False)
-        payload = codec.encode(small_symbols)
+        payload = encode(model, small_symbols)
         assert payload.bits == pytest.approx(model.cross_entropy_bits(small_symbols))
 
     def test_default_levels_store_sizes_and_their_source(self, fitted_codec, llm):
@@ -48,7 +56,7 @@ class TestEstimatedBackend:
         points at the one chunk it encoded, from which it decodes."""
         encoder = CacheGenEncoder(CacheGenConfig(), codec=fitted_codec())
         kv = llm.calculate_kv("sizes-and-source", 256)
-        encodings = encoder.encode_all_levels(kv)
+        encodings = encode_all_levels(encoder, kv)
         assert list(encodings) == ["high", "medium", "low", "lowest"]
         for encoded in encodings.values():
             assert encoded.source is kv
@@ -58,31 +66,29 @@ class TestEstimatedBackend:
 
     def test_rejects_non_3d(self, model):
         with pytest.raises(ValueError):
-            EntropyCodec(model).encode(np.zeros((3, 4), dtype=int))
+            encode(model, np.zeros((3, 4), dtype=int))
 
 
 class TestExactBackend:
     def test_roundtrip_lossless(self, small_symbols, model):
-        codec = EntropyCodec(model, exact=True)
-        payload = codec.encode(small_symbols)
+        payload = encode(model, small_symbols, exact=True)
         assert payload.exact and payload.data is not None
-        np.testing.assert_array_equal(codec.decode(payload), small_symbols)
+        np.testing.assert_array_equal(decode(model, payload), small_symbols)
 
     def test_exact_size_close_to_estimate(self, small_symbols, model):
         """The real AC bitstream is the estimate plus a few bytes, plus what its lanes cost."""
-        estimated = EntropyCodec(model, exact=False).encode(small_symbols)
-        exact = EntropyCodec(model, exact=True).encode(small_symbols)
+        estimated = encode(model, small_symbols)
+        exact = encode(model, small_symbols, exact=True)
         lanes = lane_count(small_symbols.size)
         assert lanes == 2
         assert exact.bits <= estimated.bits * 1.02 + 64 + lanes * LANE_OVERHEAD_BITS
         assert exact.bits == 8 * len(exact.data)  # the lane table is part of the size
 
     def test_missing_bitstream_rejected(self, small_symbols, model):
-        codec = EntropyCodec(model, exact=True)
-        payload = codec.encode(small_symbols)
+        payload = encode(model, small_symbols, exact=True)
         payload.data = None
         with pytest.raises(ValueError):
-            codec.decode(payload)
+            decode(model, payload)
 
 
 @pytest.mark.parametrize(
@@ -103,11 +109,6 @@ def test_both_backends_refuse_the_same_tensors(model, symbols):
     errors = []
     for exact in (False, True):
         with pytest.raises(ValueError) as raised:
-            EntropyCodec(model, exact=exact).encode(symbols)
+            encode(model, symbols, exact)
         errors.append(str(raised.value))
     assert errors[0] == errors[1]
-
-
-def test_num_bytes_property(small_symbols, model):
-    payload = EntropyCodec(model).encode(small_symbols)
-    assert payload.num_bytes == pytest.approx(payload.bits / 8.0)

@@ -3,7 +3,7 @@
 A model stores only the band of symbol values its fit saw,
 ``cumulative_counts`` works floats over that band alone,
 ``cross_entropy_bits`` counts and multiplies only the band of symbol values
-present, and ``encode_all_levels`` prepares a cache once for every level.
+present, and ``encode_with_errors`` prepares a cache once for every level.
 All of them must give *equal* results — not close ones — to the plain
 formulations: the dense ``(num_contexts, 511)`` fit, table derivation and
 scoring formula kept here as the reference (:class:`DenseFit`,
@@ -27,6 +27,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.serving.engine
+from conftest import encode_all_levels
 from repro import ServeRequest, ServingSpec, serve
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodingLevel
 from repro.core.encoder import _PreparedKV
@@ -99,10 +100,18 @@ class DenseFit:
         return cum
 
 
+def dense_log2_probabilities(model) -> np.ndarray:
+    """``log2 p`` over the whole table: a dense reference's own, or the
+    logarithm of a banded model's dense expansion."""
+    if hasattr(model, "log2_probabilities"):
+        return model.log2_probabilities()
+    return np.log2(model.probabilities())
+
+
 def dense_products(model, symbols: np.ndarray) -> np.ndarray:
     """``data_counts * log2 p`` over the whole ``(num_contexts, 511)`` table."""
     counts = dense_histogram(symbols, model.grouping)
-    return counts.astype(np.float64) * model.log2_probabilities()
+    return counts.astype(np.float64) * dense_log2_probabilities(model)
 
 
 def fold_sum(table: np.ndarray) -> float:
@@ -201,7 +210,7 @@ class TestCrossEntropyEqualsDenseFormula:
 
 def assert_tables_equal(model: SymbolProbabilityModel, dense: DenseFit) -> None:
     assert np.array_equal(model.counts, dense.counts)
-    assert np.array_equal(model.log2_probabilities(), dense.log2_probabilities())
+    assert np.array_equal(np.log2(model.probabilities()), dense.log2_probabilities())
     assert np.array_equal(model.cumulative_counts(), dense.cumulative_counts())
 
 
@@ -254,8 +263,8 @@ class TestBandedEqualsDenseFit:
         47.9 MiB; banded, as integer counts with every level scored, they are
         5.8 MiB."""
         codec = profile_codec("mistral-7b")
-        CacheGenEncoder(CacheGenConfig(), codec=codec).encode_all_levels(
-            llm.calculate_kv("banded-profile", 64)
+        encode_all_levels(
+            CacheGenEncoder(CacheGenConfig(), codec=codec), llm.calculate_kv("banded-profile", 64)
         )
         models = {
             id(model): model
@@ -473,7 +482,7 @@ class TestAllLevelsEqualsOneLevelAtATime:
         encoder = CacheGenEncoder(CacheGenConfig(**ABLATIONS[ablation])).fit(sample_caches)
         for num_tokens in (128, 12, 1):
             kv = llm.calculate_kv(f"fast-path-{num_tokens}", num_tokens)
-            together = encoder.encode_all_levels(kv)
+            together = encode_all_levels(encoder, kv)
             assert list(together) == [level.name for level in encoder.config.levels]
             for name, encoded in together.items():
                 assert_encodings_equal(encoded, encoder.encode(kv, name))
@@ -492,7 +501,7 @@ class TestAllLevelsEqualsOneLevelAtATime:
         samples = [llm.calculate_kv(f"tiny-profile-{i}", 24) for i in range(2)]
         encoder = CacheGenEncoder(CacheGenConfig(exact_entropy_coding=True)).fit(samples)
         kv = llm.calculate_kv("tiny", 11)
-        for name, encoded in encoder.encode_all_levels(kv).items():
+        for name, encoded in encode_all_levels(encoder, kv).items():
             alone = encoder.encode(kv, name)
             assert encoded.source is None
             assert encoded.k_stream.delta_payload.data == alone.k_stream.delta_payload.data
@@ -502,18 +511,18 @@ class TestAllLevelsEqualsOneLevelAtATime:
 
 class TestAnchorModelSharing:
     def test_default_levels_share_the_eight_bit_model(self, encoder):
-        models = encoder.level_models
+        models = encoder.codec.level_models
         assert models["high"].anchor_model is models["medium"].anchor_model
         assert models["low"].anchor_model is models["medium"].anchor_model
         assert models["lowest"].anchor_model is not models["medium"].anchor_model
 
     def test_payload_reuse_follows_the_model(self, llm, sample_caches):
         encoder = CacheGenEncoder(CacheGenConfig(levels=MIXED_ANCHOR_LEVELS)).fit(sample_caches)
-        models = encoder.level_models
+        models = encoder.codec.level_models
         assert models["a"].anchor_model is models["c"].anchor_model
         assert models["b"].anchor_model is not models["a"].anchor_model
         kv = llm.calculate_kv("mixed-anchor-bits", 64)
-        encodings = encoder.encode_all_levels(kv)
+        encodings = encode_all_levels(encoder, kv)
         payload = {name: e.k_stream.anchor_payload for name, e in encodings.items()}
         assert payload["a"] is payload["c"]
         assert payload["b"] is not payload["a"]

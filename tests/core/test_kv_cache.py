@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import KVCache
+from repro.core.kv_cache import squared_error_per_layer
 
 
 def make_cache(layers=4, tokens=30, channels=8, full_layers=0, full_channels=0, seed=0):
@@ -135,15 +136,44 @@ class TestSlicing:
 
 
 class TestErrors:
-    def test_mse_zero_for_identical(self):
+    def test_distortion_zero_for_identical(self):
         cache = make_cache()
-        np.testing.assert_allclose(cache.mse_per_layer(cache), 0.0)
+        np.testing.assert_array_equal(cache.normalized_distortion_per_layer(cache.copy()), 0.0)
 
-    def test_mse_positive_for_noise(self):
+    def test_distortion_positive_in_every_noisy_layer(self):
         cache = make_cache()
         noisy = cache.copy()
         noisy.k += 0.1
-        assert np.all(cache.mse_per_layer(noisy) > 0)
+        distortion = cache.normalized_distortion_per_layer(noisy)
+        assert distortion.shape == (cache.num_layers,)
+        assert np.all(distortion > 0)
+
+    def test_distortion_only_in_the_layer_that_changed(self):
+        cache = make_cache()
+        noisy = cache.copy()
+        noisy.v[2] += 0.1
+        distortion = cache.normalized_distortion_per_layer(noisy)
+        assert distortion[2] > 0
+        assert np.all(np.delete(distortion, 2) == 0)
+
+    def test_distortion_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            make_cache(4, 30, 8).normalized_distortion_per_layer(make_cache(4, 20, 8))
+
+    def test_distortion_is_mse_over_variance(self):
+        """A constant offset ``c`` on K alone is an MSE of ``c**2 / 2`` over K and V."""
+        cache = make_cache()
+        noisy = cache.copy()
+        noisy.k += 0.5
+        expected = 0.25 / 2 / cache.variance_per_layer()
+        np.testing.assert_allclose(cache.normalized_distortion_per_layer(noisy), expected, rtol=1e-5)
+
+    def test_squared_error_per_layer_sums_all_but_the_layer_axis(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))
+        np.testing.assert_allclose(
+            squared_error_per_layer(a, b), ((a - b) ** 2).sum(axis=(1, 2))
+        )
 
     def test_normalized_distortion_scale_invariant(self):
         cache = make_cache()
@@ -155,10 +185,6 @@ class TestErrors:
         noisy_scaled = KVCache(noisy.k * 10, noisy.v * 10)
         d2 = scaled.normalized_distortion_per_layer(noisy_scaled)
         np.testing.assert_allclose(d1, d2, rtol=1e-4)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            make_cache(4, 30, 8).mse_per_layer(make_cache(4, 20, 8))
 
 
 @settings(max_examples=20, deadline=None)

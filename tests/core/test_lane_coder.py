@@ -137,7 +137,7 @@ def level_payloads(encoder: CacheGenEncoder, kv):
             payloads[level.name, name] = (
                 model.cumulative_counts(),
                 quantized.symbols.ravel().astype(np.int64) + SYMBOL_OFFSET,
-                model.context_ids_for(quantized.shape).ravel(),
+                model.context_ids_for(quantized.symbols.shape).ravel(),
             )
     return payloads
 

@@ -196,7 +196,7 @@ class TestScoring:
     def test_bits_per_element_close_to_entropy(self, rng):
         data = symbol_tensor(rng, tokens=400)
         model = SymbolProbabilityModel.fit(data)
-        bpe = model.bits_per_element(data)
+        bpe = model.cross_entropy_bits(data) / data.size
         assert 0 < bpe < np.log2(ALPHABET_SIZE)
 
     def test_matched_model_beats_mismatched(self, rng):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from repro.core.quantization import (
     SYMBOL_CLIP,
     SYMBOL_DTYPE,
-    bin_dequantize,
     bin_quantize,
     layer_bin_sizes,
-    vectorwise_dequantize,
     vectorwise_quantize,
 )
 
@@ -37,7 +35,7 @@ class TestVectorwise:
     def test_error_bounded_by_half_step(self, rng, bits):
         tensor = rng.normal(size=(2, 80, 5)).astype(np.float32)
         quantized = vectorwise_quantize(tensor, bits)
-        recovered = vectorwise_dequantize(quantized)
+        recovered = quantized.dequantize()
         step = quantized.scale[:, None, :]
         assert np.all(np.abs(recovered - tensor) <= step / 2 + 1e-6)
 
@@ -64,11 +62,6 @@ class TestVectorwise:
     def test_invalid_bits(self, bits):
         with pytest.raises(ValueError):
             vectorwise_quantize(np.zeros((1, 2, 3)), bits)
-
-    def test_metadata_bytes(self, rng):
-        tensor = rng.normal(size=(4, 10, 6)).astype(np.float32)
-        quantized = vectorwise_quantize(tensor, 8)
-        assert quantized.metadata_bytes() == 2 * 4 * 6
 
 
 class TestLayerBins:
@@ -99,7 +92,7 @@ class TestBinQuantize:
         tensor = rng.normal(size=(3, 60, 5)).astype(np.float32)
         bins = layer_bin_sizes(3, (0.5, 1.0, 1.5))
         quantized = bin_quantize(tensor, bins)
-        recovered = bin_dequantize(quantized)
+        recovered = quantized.dequantize()
         per_layer_step = quantized.scale[:, 0]
         for layer in range(3):
             assert np.max(np.abs(recovered[layer] - tensor[layer])) <= per_layer_step[layer] / 2 + 1e-6

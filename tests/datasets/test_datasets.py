@@ -36,7 +36,7 @@ class TestFactory:
 @pytest.mark.parametrize("name", sorted(ALL_DATASETS))
 class TestTable2Statistics:
     def test_size_matches(self, name):
-        assert len(get_dataset(name)) == EXPECTED_STATS[name]["size"]
+        assert get_dataset(name).size == EXPECTED_STATS[name]["size"]
 
     def test_median_close_to_paper(self, name):
         stats = get_dataset(name).length_statistics()
@@ -62,6 +62,24 @@ class TestRecords:
     def test_limit_respected(self):
         assert len(TriviaQADataset().records(7)) == 7
 
+    def test_limit_beyond_size_returns_every_record(self):
+        dataset = LongChatDataset()
+        assert len(dataset.records(dataset.size + 10)) == dataset.size
+
+    def test_a_limit_is_a_prefix_of_the_whole_dataset(self):
+        dataset = NarrativeQADataset()
+        assert dataset.records(5) == dataset.records()[:5]
+
+    def test_seed_changes_the_lengths(self):
+        a = [r.num_tokens for r in TriviaQADataset(seed=0).records(20)]
+        b = [r.num_tokens for r in TriviaQADataset(seed=1).records(20)]
+        assert a != b
+
+    def test_statistics_of_a_limited_draw(self):
+        stats = WikiTextDataset().length_statistics(limit=10)
+        assert stats["size"] == 10
+        assert stats["median"] <= stats["p95"]
+
     def test_context_ids_unique(self):
         ids = [r.context_id for r in NarrativeQADataset().records(50)]
         assert len(set(ids)) == 50
@@ -78,7 +96,3 @@ class TestRecords:
         dataset = WikiTextDataset()
         assert dataset.base_quality_for("llama-70b") < dataset.base_quality_for("llama-3b")
         assert dataset.base_quality_for("unknown-model") == dataset.default_base_quality
-
-    def test_iteration_protocol(self):
-        dataset = LongChatDataset()
-        assert len(list(iter(dataset))) == len(dataset)

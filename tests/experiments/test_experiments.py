@@ -65,7 +65,7 @@ class TestHarnessBasics:
         result = ExperimentResult(name="x", description="demo")
         result.add_row(a=1, b=2.5)
         result.add_row(a=2, b=3.5)
-        assert result.column("a") == [1, 2]
+        assert [row["a"] for row in result.rows] == [1, 2]
         assert result.filter(a=2)[0]["b"] == 3.5
         assert "demo" in result.format_table()
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 
+from conftest import to_chrome_trace
 from repro.cluster import WorkloadGenerator
 from repro.faults import (
     Corruption,
@@ -16,7 +18,6 @@ from repro.faults import (
 )
 from repro.serving.api import ServeRequest, ServingSpec, serve
 from repro.telemetry import Tracer
-from repro.telemetry.export import to_chrome_trace
 
 CLUSTER_SPEC = ServingSpec(
     topology="cluster",
@@ -67,7 +68,7 @@ class TestDeterminism:
 
     def test_no_faults_means_byte_identical_traces(self, fitted_codec):
         """With no schedule the fault layer must add zero trace overhead."""
-        spec = CLUSTER_SPEC.with_(resilience=None)
+        spec = replace(CLUSTER_SPEC, resilience=None)
         exports = []
         for _ in range(2):
             tracer = Tracer()
@@ -88,7 +89,7 @@ class TestDeterminism:
     def test_failover_instants_carry_a_cause_label(self, chaos_run):
         """Crash-window failovers are visible in the trace, cause included."""
         tracer = Tracer()
-        report = chaos_run(spec=CLUSTER_SPEC.with_(replication=1), tracer=tracer)
+        report = chaos_run(spec=replace(CLUSTER_SPEC, replication=1), tracer=tracer)
         events = to_chrome_trace(tracer)["traceEvents"]
         lookups = [
             event
@@ -170,7 +171,7 @@ class TestSegments:
 
     def test_no_faults_no_boundaries(self, fitted_codec):
         report = serve(
-            CLUSTER_SPEC.with_(resilience=None),
+            replace(CLUSTER_SPEC, resilience=None),
             workload=workload(),
             num_requests=8,
             codec=fitted_codec(),
@@ -185,7 +186,7 @@ class TestRepairAndCorruption:
         assert resilience.repairs_completed > 0
         assert resilience.repair_bytes > 0.0
         # The crash fault cleared (node_up), so its MTTR is the window width.
-        assert resilience.mttr_s["fault-0"] == pytest.approx(6.0)
+        assert resilience.faults[0].mttr_s == pytest.approx(6.0)
 
     def test_corrupted_replica_detected_on_read_and_repaired(self, chaos_run):
         faults = FaultSchedule([Corruption("ctx-0000", at_s=2.0)])
@@ -195,13 +196,13 @@ class TestRepairAndCorruption:
         assert resilience.repairs_completed >= 1
         assert report.hard_failures == 0
         # Detection + repair resolves the fault's MTTR in-run.
-        assert "fault-0" in resilience.mttr_s
+        assert resilience.faults[0].mttr_s is not None
 
     def test_replication_two_keeps_goodput_through_the_crash(self, chaos_run):
         """The experiment's acceptance shape, at test scale."""
         degraded_by_replication = {}
         for replication in (1, 2):
-            spec = CLUSTER_SPEC.with_(replication=replication)
+            spec = replace(CLUSTER_SPEC, replication=replication)
             report = chaos_run(spec=spec)
             degraded_by_replication[replication] = report.degraded
         assert degraded_by_replication[2] < degraded_by_replication[1]

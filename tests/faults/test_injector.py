@@ -8,13 +8,11 @@ from repro.faults import (
     Corruption,
     FaultInjector,
     FaultSchedule,
-    GpuStraggler,
     LinkDegradation,
     NodeCrash,
     ResilienceManager,
     ScaledTrace,
 )
-from repro.llm import MISTRAL_7B, ComputeModel
 from repro.network import ConstantTrace, gbps
 from repro.serving.api import Driver, ServeRequest, ServingSpec, build_backend
 
@@ -93,14 +91,14 @@ class TestTiming:
         applied = injector.apply_due(2.0)
         assert [event.action for event in applied] == ["node_down"]
         assert not injector.due(4.0)
-        assert not injector.exhausted
+        assert injector.due(5.0)
 
     def test_drain_applies_everything_left(self, cluster_injector):
         schedule = FaultSchedule([NodeCrash("node-0", at_s=2.0, recover_at_s=5.0)])
         _, injector = cluster_injector(schedule)
         applied = injector.drain()
         assert [event.action for event in applied] == ["node_down", "node_up"]
-        assert injector.exhausted
+        assert not injector.due(float("inf"))
 
 
 class TestComponentSwaps:
@@ -135,32 +133,6 @@ class TestComponentSwaps:
         assert all(
             isinstance(node.link.trace, ScaledTrace) for node in cluster.nodes.values()
         )
-
-    def test_gpu_straggler_swaps_compute_and_restores(self, fitted_codec):
-        schedule = FaultSchedule([GpuStraggler(at_s=1.0, until_s=2.0, slowdown=4.0)])
-        backend = build_backend(SINGLE_SPEC, codec=fitted_codec())
-        injector = FaultInjector(schedule, backend, ResilienceManager(None))
-        base = backend.engine._parts.compute
-        injector.apply_due(1.0)
-        proxy = backend.engine._parts.compute
-        assert proxy is not base
-        assert proxy.decode_delay(64) == pytest.approx(base.decode_delay(64) * 4.0)
-        # The proxy must scale every modeled delay of the ComputeModel.
-        assert proxy.prefill_delay(64) == pytest.approx(base.prefill_delay(64) * 4.0)
-        assert proxy.encode_delay(64) == pytest.approx(base.encode_delay(64) * 4.0)
-        assert proxy.per_token_decode_delay() == pytest.approx(
-            base.per_token_decode_delay() * 4.0
-        )
-        injector.apply_due(2.0)
-        assert backend.engine._parts.compute is base
-
-    def test_straggler_proxy_delegates_everything_else(self):
-        from repro.faults.injector import _StragglerCompute
-
-        base = ComputeModel(MISTRAL_7B)
-        proxy = _StragglerCompute(base, slowdown=2.0)
-        assert proxy.model is base.model
-        assert proxy.gpu is base.gpu
 
     def test_corruption_poisons_a_replica(self, cluster_injector):
         schedule = FaultSchedule([Corruption("ctx-a", at_s=1.0)])
@@ -202,7 +174,7 @@ class TestOutcomes:
         schedule = FaultSchedule(
             [
                 NodeCrash("node-0", at_s=5.0, recover_at_s=6.0),
-                GpuStraggler(at_s=1.0, until_s=2.0, slowdown=2.0),
+                LinkDegradation(at_s=1.0, until_s=2.0, factor=0.5),
             ]
         )
         _, injector = cluster_injector(schedule)

@@ -7,7 +7,6 @@ import pytest
 from repro.faults import (
     Corruption,
     FaultSchedule,
-    GpuStraggler,
     LinkDegradation,
     NodeCrash,
 )
@@ -31,10 +30,6 @@ class TestSpecValidation:
             LinkDegradation(at_s=1.0, until_s=2.0, factor=0.0)
         with pytest.raises(ValueError):
             LinkDegradation(at_s=1.0, until_s=2.0, factor=0.5, flaps=-1)
-
-    def test_gpu_straggler_rejects_speedups(self):
-        with pytest.raises(ValueError):
-            GpuStraggler(at_s=1.0, until_s=2.0, slowdown=1.0)
 
     def test_corruption_rejects_empty_context(self):
         with pytest.raises(ValueError):
@@ -75,7 +70,7 @@ class TestCompilation:
         schedule = FaultSchedule(
             [
                 NodeCrash("node-1", at_s=3.0),
-                GpuStraggler(at_s=1.0, until_s=2.0, slowdown=4.0),
+                LinkDegradation(at_s=1.0, until_s=2.0, factor=0.5),
                 Corruption("ctx", at_s=0.5),
             ]
         )
@@ -98,6 +93,5 @@ class TestCompilation:
         assert NodeCrash("node-3", at_s=0.0).kind == "crash"
         assert NodeCrash("node-3", at_s=0.0).target == "node-3"
         assert LinkDegradation(at_s=0.0, until_s=1.0, factor=0.5).target == "serving-link"
-        assert GpuStraggler(at_s=0.0, until_s=1.0, slowdown=2.0).kind == "gpu"
         assert Corruption("ctx", at_s=0.0).target == "ctx@replica"
         assert Corruption("ctx", at_s=0.0, node_id="node-1").target == "ctx@node-1"

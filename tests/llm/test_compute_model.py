@@ -54,9 +54,12 @@ class TestDelays:
         a100 = ComputeModel(MISTRAL_7B, A100)
         assert a100.prefill_delay(4_000) < a40.prefill_delay(4_000)
 
+    def test_decode_delay_positive_and_growing(self, compute_model):
+        assert 0 < compute_model.decode_delay(1_000) < compute_model.decode_delay(9_400)
+
+    def test_encode_flops_grow_with_tokens(self, compute_model):
+        assert 0 < compute_model.encode_flops(1_000) < compute_model.encode_flops(2_000)
+
     def test_encode_delay_small(self, compute_model):
         """Offline encode delay is sub-second-ish per context (Figure 14c)."""
         assert compute_model.encode_delay(9_400) < 1.0
-
-    def test_per_token_decode_delay_positive(self, compute_model):
-        assert 0 < compute_model.per_token_decode_delay() < 0.5

@@ -25,7 +25,10 @@ class TestSizes:
         assert MISTRAL_7B.kv_elements_per_token == 2 * 32 * 1024
 
     def test_bytes_per_token_fp16(self):
-        assert MISTRAL_7B.kv_bytes_per_token_fp16 == 2 * MISTRAL_7B.kv_elements_per_token
+        assert MISTRAL_7B.kv_cache_bytes(1) == 2 * MISTRAL_7B.kv_elements_per_token
+
+    def test_70b_larger_than_7b(self):
+        assert LLAMA_70B.kv_cache_bytes(1) > MISTRAL_7B.kv_cache_bytes(1)
 
     def test_mistral_8bit_cache_matches_table1(self):
         """Table 1: the 8-bit quantized cache of a ~9.4K LongChat context is ~622 MB."""
@@ -37,8 +40,12 @@ class TestSizes:
         size_gb = LLAMA_34B.kv_cache_bytes(80_000, bits_per_element=16) / 1e9
         assert 10 < size_gb < 25
 
-    def test_70b_larger_than_7b(self):
-        assert LLAMA_70B.kv_bytes_per_token_fp16 > MISTRAL_7B.kv_bytes_per_token_fp16
+    @pytest.mark.parametrize("config", list(MODELS.values()), ids=lambda c: c.name)
+    def test_cache_bytes_linear_in_tokens_and_bits(self, config):
+        one = config.kv_cache_bytes(1, bits_per_element=8)
+        assert config.kv_cache_bytes(0) == 0.0
+        assert config.kv_cache_bytes(1_000, bits_per_element=8) == pytest.approx(1_000 * one)
+        assert config.kv_cache_bytes(1_000, bits_per_element=16) == pytest.approx(2_000 * one)
 
     def test_negative_tokens_rejected(self):
         with pytest.raises(ValueError):
@@ -53,8 +60,6 @@ class TestSimulationDims:
         assert config.sim_layers <= config.num_layers
 
     @pytest.mark.parametrize("config", list(MODELS.values()), ids=lambda c: c.name)
-    def test_scale_factor_consistent(self, config):
-        expected = (config.num_layers * config.kv_channels) / (
-            config.sim_layers * config.sim_channels
-        )
-        assert config.sim_scale_factor == pytest.approx(expected)
+    def test_sim_dims_no_larger_than_the_model(self, config):
+        assert config.sim_channels <= config.kv_channels
+        assert config.sim_layers == min(config.num_layers, 32)

@@ -1,73 +1,24 @@
-"""Tests for quality, system, entropy, QoE and cluster-aggregate metrics."""
+"""Tests for system, entropy, QoE and cluster-aggregate metrics."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.llm import QualityModel
 from repro.metrics import (
+    QueueingTTFTBreakdown,
     TTFTBreakdown,
     hit_ratio,
     slo_attainment,
     summarize_latencies,
-    accuracy,
-    empirical_entropy_bits,
-    f1_score,
     grouping_entropy_comparison,
     mean_opinion_score,
-    perplexity,
-    size_reduction,
     slo_violation_rate,
-    speedup,
-    summarize_quality,
 )
-
-
-class TestQualityMetrics:
-    def test_accuracy(self):
-        assert accuracy([True, True, False, False]) == 0.5
-        with pytest.raises(ValueError):
-            accuracy([])
-
-    def test_f1(self):
-        assert f1_score(1.0, 1.0) == 1.0
-        assert f1_score(0.5, 0.0) == 0.0
-        assert f1_score(0.5, 1.0) == pytest.approx(2 / 3)
-        with pytest.raises(ValueError):
-            f1_score(1.5, 0.5)
-
-    def test_perplexity(self):
-        assert perplexity([0.0, 0.0]) == pytest.approx(1.0)
-        assert perplexity([-1.0]) == pytest.approx(np.e)
-        with pytest.raises(ValueError):
-            perplexity([])
-
-    def test_summarize_quality(self):
-        model = QualityModel(num_layers=4)
-        qualities = [model.score("qa_accuracy", np.full(4, d)) for d in (0.0, 0.1)]
-        summary = summarize_quality(qualities)
-        assert summary.count == 2
-        assert 0 < summary.mean_value <= 1.0
-        assert summary.metric == "accuracy"
-
-    def test_summarize_mixed_tasks_rejected(self):
-        model = QualityModel(num_layers=4)
-        qualities = [
-            model.score("qa_accuracy", np.zeros(4)),
-            model.score("perplexity", np.zeros(4)),
-        ]
-        with pytest.raises(ValueError):
-            summarize_quality(qualities)
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_quality([])
 
 
 class TestSystemMetrics:
     def test_breakdown_total(self):
-        breakdown = TTFTBreakdown(network_s=1.0, decode_s=0.25, compute_s=0.5)
+        breakdown = QueueingTTFTBreakdown(network_s=1.0, decode_s=0.25, compute_s=0.5)
         assert breakdown.total_s == pytest.approx(1.75)
 
     def test_breakdown_negative_rejected(self):
@@ -84,27 +35,8 @@ class TestSystemMetrics:
         with pytest.warns(RuntimeWarning):
             assert slo_violation_rate([], 0.5) == 0.0
 
-    def test_size_reduction_and_speedup(self):
-        assert size_reduction(622e6, 176e6) == pytest.approx(3.53, abs=0.01)
-        assert speedup(3.2, 1.0) == pytest.approx(3.2)
-        with pytest.raises(ValueError):
-            size_reduction(0, 1)
-        with pytest.raises(ValueError):
-            speedup(1, 0)
-
 
 class TestEntropyMetrics:
-    def test_empirical_entropy_uniform(self, rng):
-        symbols = rng.integers(0, 16, size=20_000)
-        assert empirical_entropy_bits(symbols) == pytest.approx(4.0, abs=0.05)
-
-    def test_empirical_entropy_constant(self):
-        assert empirical_entropy_bits(np.zeros(100, dtype=int)) == 0.0
-
-    def test_empirical_entropy_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_entropy_bits(np.array([]))
-
     def test_grouping_comparison_insight3(self, kv):
         """Channel/layer grouping lowers entropy far more than token grouping."""
         entropies = grouping_entropy_comparison(kv.k)

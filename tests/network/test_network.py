@@ -42,6 +42,16 @@ class TestTraces:
         with pytest.raises(ValueError):
             PiecewiseTrace(times=times, bandwidths_bps=bws)
 
+    def test_piecewise_breakpoint_starts_the_next_segment(self):
+        trace = PiecewiseTrace(times=(0.0, 2.0), bandwidths_bps=(2e9, 1e9))
+        assert trace.bandwidth_at(2.0) == 1e9
+        assert trace.bandwidth_at(-1.0) == 2e9
+
+    @pytest.mark.parametrize("drop_at_s,recover_at_s", [(0.0, 4.0), (4.0, 2.0), (3.0, 3.0)])
+    def test_step_trace_invalid_times(self, drop_at_s, recover_at_s):
+        with pytest.raises(ValueError):
+            StepTrace(gbps(2), gbps(0.2), gbps(1), drop_at_s, recover_at_s)
+
     def test_step_trace_matches_figure7(self):
         trace = StepTrace(gbps(2), gbps(0.2), gbps(1), drop_at_s=2, recover_at_s=4)
         assert trace.bandwidth_at(0.5) == gbps(2)
@@ -55,15 +65,24 @@ class TestTraces:
             assert trace_a.min_bps <= trace_a.bandwidth_at(t) <= trace_a.max_bps
             assert trace_a.bandwidth_at(t) == trace_b.bandwidth_at(t)
 
+    def test_random_trace_holds_within_an_interval_and_past_its_horizon(self):
+        trace = RandomTrace(interval_s=0.5, horizon_s=2.0, seed=3)
+        assert trace.bandwidth_at(1.0) == trace.bandwidth_at(1.49)
+        assert trace.bandwidth_at(-3.0) == trace.bandwidth_at(0.0)
+        assert trace.bandwidth_at(100.0) == trace.bandwidth_at(2.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"min_bps": 0.0}, {"min_bps": 5e9, "max_bps": 5e9}, {"interval_s": 0.0}, {"horizon_s": 0.0}],
+    )
+    def test_random_trace_invalid(self, kwargs):
+        with pytest.raises(ValueError):
+            RandomTrace(**kwargs)
+
     def test_random_trace_different_seeds_differ(self):
         samples_a = [RandomTrace(seed=1).bandwidth_at(t) for t in range(10)]
         samples_b = [RandomTrace(seed=2).bandwidth_at(t) for t in range(10)]
         assert samples_a != samples_b
-
-    def test_average_bandwidth(self):
-        trace = PiecewiseTrace(times=(0.0, 1.0), bandwidths_bps=(1e9, 3e9))
-        assert trace.average_bandwidth(0.0, 2.0) == pytest.approx(2e9, rel=0.05)
-
 
 class TestLink:
     def test_transfer_duration_constant_link(self):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -23,9 +23,9 @@ def reports(fitted_codec):
     """The same workload served through all three backends."""
     return {
         "single": serve(BASE, REQUESTS, codec=fitted_codec()),
-        "concurrent": serve(BASE.with_(concurrency=3), REQUESTS, codec=fitted_codec()),
+        "concurrent": serve(replace(BASE, concurrency=3), REQUESTS, codec=fitted_codec()),
         "cluster": serve(
-            BASE.with_(topology="cluster", num_nodes=2, replication=2, concurrency=3),
+            replace(BASE, topology="cluster", num_nodes=2, replication=2, concurrency=3),
             REQUESTS,
             codec=fitted_codec(),
         ),
@@ -122,7 +122,7 @@ class TestOneExecutor:
 
     def test_declared_concurrency_changes_nothing(self, fitted_codec):
         alone = self._serve(BASE, fitted_codec())
-        declared = self._serve(BASE.with_(concurrency=8), fitted_codec())
+        declared = self._serve(replace(BASE, concurrency=8), fitted_codec())
         for one, eight in zip(alone, declared, strict=True):
             assert one.ttft == eight.ttft
             assert list(one.chunk_configs) == list(eight.chunk_configs)
@@ -134,7 +134,7 @@ class TestRunBuildsItsSimulator:
     """Every ``run`` plays on a simulator built from the spec's executor settings."""
 
     def test_event_backend_builds_sim_from_spec(self, fitted_codec):
-        spec = BASE.with_(concurrency=4, max_decode_batch=8, admission_limit=2)
+        spec = replace(BASE, concurrency=4, max_decode_batch=8, admission_limit=2)
         backend = build_backend(spec, codec=fitted_codec())
         assert backend.last_sim is None
         backend.submit(ServeRequest("never-ingested", "Q?", num_tokens=320))

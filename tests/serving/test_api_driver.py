@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import WorkloadGenerator
 from repro.serving.api import (
-    ConcurrencyLimitAdmission,
     Driver,
     ServeRequest,
     ServingSpec,
@@ -43,24 +44,15 @@ class TestAdmissionPolicies:
         driver = Driver(
             build_backend(SPEC, codec=fitted_codec()),
             workload,
-            admission=ConcurrencyLimitAdmission(max_inflight=2, est_service_s=3.0),
+            admission=TokenBucketAdmission(rate_per_s=1.0, burst=2),
         )
         first = driver.run(8)
         second = driver.run(8)
         assert len(first.responses) > 0
-        # Without reset, run 1's absolute-clock departures would pin every
-        # slot busy forever and run 2 would shed 100% of its arrivals.
+        # Without reset, run 2 would start from run 1's drained bucket and
+        # its last arrival instant, shedding differently.
         assert len(second.responses) == len(first.responses)
         assert second.shed == first.shed
-
-    def test_concurrency_limit_models_departures(self):
-        policy = ConcurrencyLimitAdmission(max_inflight=2, est_service_s=1.0)
-        assert policy.admit(ServeRequest("c", "q", arrival_s=0.0))
-        assert policy.admit(ServeRequest("c", "q", arrival_s=0.1))
-        assert not policy.admit(ServeRequest("c", "q", arrival_s=0.2))
-        # After the modeled service time the slots free up again.
-        assert policy.admit(ServeRequest("c", "q", arrival_s=1.5))
-
 
 class TestDriver:
     def test_open_loop_run_exposes_steady_state_queueing(self, fitted_codec):
@@ -212,7 +204,7 @@ class TestDriver:
         all ingests ran before any serving, A's queries would degrade to the
         text path; the ingest barrier keeps them KV-served.
         """
-        spec = SPEC.with_(max_bytes_per_node=30e6)
+        spec = replace(SPEC, max_bytes_per_node=30e6)
         requests = [
             ServeRequest("ctx-a", "Q0?", arrival_s=0.0, num_tokens=320),
             ServeRequest("ctx-a", "Q1?", arrival_s=0.1, num_tokens=320),
@@ -247,8 +239,8 @@ class TestDriver:
 
     def test_spec_slo_reaches_the_request_without_dropping_its_session(self):
         """Filling in the spec's SLO must keep every other request field."""
-        spec = SPEC.with_(
-            slo_s=1.0, concurrency=4, gpu_workers=2, dispatch_policy="sticky"
+        spec = replace(
+            SPEC, slo_s=1.0, concurrency=4, gpu_workers=2, dispatch_policy="sticky"
         )
         requests = [
             ServeRequest(

@@ -158,11 +158,3 @@ class TestCodecResolution:
         config = ServingSpec(config=base, chunk_tokens=256).resolved_config()
         assert config.chunk_tokens == 256
         assert config.group_size == 5
-
-
-class TestCopies:
-    def test_with_derives_modified_copy(self):
-        spec = ServingSpec()
-        other = spec.with_(concurrency=8)
-        assert spec.concurrency == 1
-        assert other.concurrency == 8

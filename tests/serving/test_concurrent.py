@@ -155,7 +155,9 @@ class TestExactQueueing:
             )
         for timeline in simulator.run():
             assert timeline.total_s == pytest.approx(
-                timeline.queueing_s + timeline.transfer_s + timeline.compute_s,
+                timeline.queueing_s
+                + timeline.transfer_s
+                + sum(stage.gpu_busy_s for stage in timeline.stages),
                 rel=1e-12,
             )
 
@@ -385,7 +387,7 @@ class TestColdTierConcurrency:
         self._demote_everywhere(engine, "tier-q-b")
         # Force both onto one node so they share its tier link.
         cluster = engine.engine.cluster
-        only = cluster.ring.node_for("tier-q-a")
+        only = cluster.ring.nodes_for("tier-q-a", 1)[0]
         for node_id in cluster.nodes:
             if node_id != only:
                 cluster.mark_down(node_id)

@@ -3,6 +3,8 @@ node and over many, failover, text fallback, tiers."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,7 @@ class TestEvictedContext:
         spec = ServingSpec(chunk_tokens=256)
         probe = build_backend(spec, codec=fitted_codec())
         one = probe.ingest("probe", 640).total_stored_bytes
-        backend = build_backend(spec.with_(max_bytes_per_node=1.5 * one), codec=fitted_codec())
+        backend = build_backend(replace(spec, max_bytes_per_node=1.5 * one), codec=fitted_codec())
         engine = backend.engine
         engine.ingest("a", 640)
         engine.ingest("b", 640)  # evicts "a"

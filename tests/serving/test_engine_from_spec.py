@@ -29,7 +29,7 @@ DEPLOYMENTS = {
     "single-bounded": ServingSpec(
         chunk_tokens=CHUNK_TOKENS,
         max_bytes_per_node=1e8,
-        eviction_policy="lfu",
+        eviction_policy="lru",
         bandwidth_gbps=1.5,
     ),
     "single-custom-link": ServingSpec(

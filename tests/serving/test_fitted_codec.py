@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import itertools
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +28,10 @@ from repro.simcheck.race import run_report_digest
 BASE = ServingSpec(model="mistral-7b", chunk_tokens=256)
 SPECS = {
     "single": BASE,
-    "cluster": BASE.with_(topology="cluster", num_nodes=2, replication=2, concurrency=2),
+    "cluster": replace(BASE, topology="cluster", num_nodes=2, replication=2, concurrency=2),
     # The hot tier holds one 640-token context, so later ingests demote.
-    "tiered": BASE.with_(
-        topology="tiered", num_nodes=2, max_bytes_per_node=60e6, cold_bytes_per_node=400e6
+    "tiered": replace(
+        BASE, topology="tiered", num_nodes=2, max_bytes_per_node=60e6, cold_bytes_per_node=400e6
     ),
 }
 REQUESTS = [
@@ -348,7 +348,7 @@ def test_nothing_reachable_from_a_codec_is_writable(fitted_codec):
         for model in (models.delta_model, models.anchor_model):
             held = [array for array in vars(model).values() if isinstance(array, np.ndarray)]
             assert len(held) == 4  # band, totals and the two log-probability tables
-            dense = [model.counts, model.probabilities(), model.log2_probabilities()]
+            dense = [model.counts, model.probabilities()]
             for table in held + dense:
                 assert not table.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -366,10 +366,10 @@ def test_nothing_reachable_from_a_codec_is_writable(fitted_codec):
 )
 def test_codec_for_another_model_or_configuration_is_refused(changes, message, fitted_codec):
     with pytest.raises(ValueError, match=message):
-        build_backend(BASE.with_(**changes), codec=fitted_codec())
+        build_backend(replace(BASE, **changes), codec=fitted_codec())
     if "model" not in changes:
         with pytest.raises(ValueError, match=message):
-            CacheGenEncoder(BASE.with_(**changes).resolved_config(), codec=fitted_codec())
+            CacheGenEncoder(replace(BASE, **changes).resolved_config(), codec=fitted_codec())
 
 
 def test_token_grouping_is_refused_when_the_spec_is_constructed():

@@ -51,6 +51,15 @@ def _task(request_id: int, **kwargs) -> GpuTask:
     return GpuTask(request_id=request_id, **kwargs)
 
 
+def pool_total(pool: GpuWorkerPool, counter: str) -> float:
+    """A scheduler counter summed over a pool's workers, retired ones included."""
+    return sum(getattr(worker, counter) for worker in pool._workers + pool._retired)
+
+
+def timeline_compute_s(timeline) -> float:
+    return sum(stage.gpu_busy_s for stage in timeline.stages)
+
+
 def _link(gbps_rate: float = 10.0) -> NetworkLink:
     return NetworkLink(ConstantTrace(gbps(gbps_rate)))
 
@@ -148,7 +157,7 @@ class TestLocalityCoBatching:
                 )
             )
         clock.run()
-        return max(finish.values()), pool.batches_run
+        return max(finish.values()), pool_total(pool, "batches_run")
 
     def test_batched_beats_spread(self):
         # Locality keeps each batching domain whole on one worker: one launch
@@ -178,7 +187,7 @@ class TestGpuWorkerPool:
         assert pool.queue_depth == 3
         clock.run()
         assert pool.queue_depth == 0
-        assert pool.tasks_run == 3
+        assert pool_total(pool, "tasks_run") == 3
 
     @staticmethod
     def _stage_requests(sim: ConcurrentLoadSimulator) -> None:
@@ -220,12 +229,12 @@ class TestGpuWorkerPool:
             assert a.total_s == b.total_s  # simcheck: ignore[SIM004]
             assert a.queueing_s == b.queueing_s  # simcheck: ignore[SIM004]
             assert a.transfer_s == b.transfer_s  # simcheck: ignore[SIM004]
-            assert a.compute_s == b.compute_s  # simcheck: ignore[SIM004]
+            assert timeline_compute_s(a) == timeline_compute_s(b)  # simcheck: ignore[SIM004]
         # The aggregate counters mirror the bare scheduler's exactly.
-        assert pooled.gpu.total_busy_s == bare.gpu.total_busy_s  # simcheck: ignore[SIM004]
-        assert pooled.gpu.total_wait_s == bare.gpu.total_wait_s  # simcheck: ignore[SIM004]
-        assert pooled.gpu.tasks_run == bare.gpu.tasks_run
-        assert pooled.gpu.batches_run == bare.gpu.batches_run
+        assert pool_total(pooled.gpu, "total_busy_s") == bare.gpu.total_busy_s  # simcheck: ignore[SIM004]
+        assert pool_total(pooled.gpu, "total_wait_s") == bare.gpu.total_wait_s  # simcheck: ignore[SIM004]
+        assert pool_total(pooled.gpu, "tasks_run") == bare.gpu.tasks_run
+        assert pool_total(pooled.gpu, "batches_run") == bare.gpu.batches_run
 
     def test_more_workers_strictly_reduce_queueing_at_high_load(self):
         def mean_queueing(gpu_workers: int) -> float:
@@ -302,7 +311,7 @@ class TestAutoscaler:
         # Retirement waits out the idle horizon after the last completion.
         last_up = max(at for at, kind, _ in pool.scale_events if kind == "worker online")
         assert min(downs) >= last_up + 0.0
-        assert pool.tasks_run == 10  # retired workers keep their stats counted
+        assert pool_total(pool, "tasks_run") == 10  # retired workers keep their stats counted
 
     def test_sticky_sessions_survive_scale_down(self):
         spec = AutoscaleSpec(min_workers=1, max_workers=2, idle_s=0.2, warmup_s=0.0)

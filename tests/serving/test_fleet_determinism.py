@@ -14,9 +14,10 @@ import json
 
 import pytest
 
+from conftest import to_chrome_trace
 from repro.serving import AutoscaleSpec
 from repro.serving.api import ServeRequest, ServingSpec, serve
-from repro.telemetry import Tracer, to_chrome_trace
+from repro.telemetry import Tracer
 
 
 def fleet_requests() -> list[ServeRequest]:

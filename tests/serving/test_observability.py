@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.metrics.stats import percentiles
 from repro.serving.api import (
     Driver,
     ServeRequest,
@@ -41,13 +42,11 @@ class TestRunReportConsistency:
         assert window.hit_ratio == report.hit_ratio
 
     def test_single_window_percentiles_are_bit_exact(self, report):
-        totals = report.timeseries.totals()
-        assert totals["ttft_p50_s"] == report.ttft.p50_s
-        assert totals["ttft_p95_s"] == report.ttft.p95_s
-        assert totals["ttft_p99_s"] == report.ttft.p99_s
-        assert totals["ttft_mean_s"] == report.ttft.mean_s
-        assert totals["ttft_max_s"] == report.ttft.max_s
-        assert totals["hit_ratio"] == report.hit_ratio
+        (window,) = report.timeseries.windows()
+        assert window.ttft_percentile(50.0) == report.ttft.p50_s
+        assert window.ttft_percentile(95.0) == report.ttft.p95_s
+        assert window.ttft_percentile(99.0) == report.ttft.p99_s
+        assert max(window.ttft_samples) == report.ttft.max_s
 
     def test_multi_window_sums_match_the_report(self, report):
         split = serve(SPEC, make_requests(), window_s=0.5)
@@ -57,8 +56,12 @@ class TestRunReportConsistency:
         assert sum(w.kv_served for w in windows) == split.kv_served
         assert sum(w.shed for w in windows) == split.shed
         assert sum(w.arrivals for w in windows) == split.num_requests
-        # Same run, different windowing: identical recombined totals.
-        assert split.timeseries.totals() == report.timeseries.totals()
+        # Same run, different windowing: the windows' samples recombine to the
+        # whole run's percentiles.
+        qs = (50.0, 95.0, 99.0)
+        (whole,) = report.timeseries.windows()
+        recombined = [ttft for w in windows for ttft in w.ttft_samples]
+        assert percentiles(recombined, qs) == percentiles(whole.ttft_samples, qs)
 
     def test_shed_arrivals_are_windowed_too(self):
         report = serve(

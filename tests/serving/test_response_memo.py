@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -29,7 +30,7 @@ from repro.serving.concurrent.processes import distortion, materialise
 from repro.streaming import TEXT_CONFIG, prepare_chunks
 
 BASE = ServingSpec(model="mistral-7b", chunk_tokens=128)
-CLUSTER = BASE.with_(topology="cluster", num_nodes=2, replication=2)
+CLUSTER = replace(BASE, topology="cluster", num_nodes=2, replication=2)
 #: Tight enough that the SLO adapter mixes encoding levels and text.
 TIGHT_SLO_S = 0.05
 #: Every read times out on every replica, so each one degrades to the
@@ -43,7 +44,12 @@ TOKENS = (160, 320, 480)
 
 
 def _stores(backend):
-    return list(backend.engine.stores().values())
+    """Every single-tier store: each node's, or a tiered node's hot and cold tiers."""
+    return [
+        tier
+        for store in backend.engine.stores().values()
+        for tier in ((store.hot, store.cold) if hasattr(store, "hot") else (store,))
+    ]
 
 
 def _records(backend):
@@ -154,24 +160,24 @@ def _distinct_reads(requests, responses) -> set:
 DEFAULT_LEVEL = BASE.resolved_config().default_level.name
 #: name -> (spec, the configs its KV reads must use; ``None`` = SLO-adapted mix).
 ORACLE_SPECS = {
-    "single-slo": (BASE.with_(slo_s=TIGHT_SLO_S), None),
-    "concurrent-slo": (BASE.with_(concurrency=4, slo_s=TIGHT_SLO_S), None),
-    "cluster-slo": (CLUSTER.with_(concurrency=4, slo_s=TIGHT_SLO_S), None),
-    "single-fixed-level": (BASE.with_(adaptive=False), {DEFAULT_LEVEL}),
+    "single-slo": (replace(BASE, slo_s=TIGHT_SLO_S), None),
+    "concurrent-slo": (replace(BASE, concurrency=4, slo_s=TIGHT_SLO_S), None),
+    "cluster-slo": (replace(CLUSTER, concurrency=4, slo_s=TIGHT_SLO_S), None),
+    "single-fixed-level": (replace(BASE, adaptive=False), {DEFAULT_LEVEL}),
     "concurrent-fixed-level": (
-        BASE.with_(concurrency=4, adaptive=False),
+        replace(BASE, concurrency=4, adaptive=False),
         {DEFAULT_LEVEL},
     ),
     "cluster-fixed-level": (
-        CLUSTER.with_(concurrency=4, adaptive=False),
+        replace(CLUSTER, concurrency=4, adaptive=False),
         {DEFAULT_LEVEL},
     ),
     "cluster-degraded": (
-        CLUSTER.with_(concurrency=4, adaptive=False, resilience=ALWAYS_DEGRADE),
+        replace(CLUSTER, concurrency=4, adaptive=False, resilience=ALWAYS_DEGRADE),
         {"lowest"},
     ),
     "cluster-default-degraded": (
-        CLUSTER.with_(adaptive=False, resilience=ALWAYS_DEGRADE),
+        replace(CLUSTER, adaptive=False, resilience=ALWAYS_DEGRADE),
         {"lowest"},
     ),
 }
@@ -204,7 +210,7 @@ def test_every_response_equals_its_recomputation(name, fitted_codec):
 def test_text_fallback_needs_no_distortion_pass(fitted_codec):
     """Never-ingested contexts re-prefill from text: lossless, zero evaluations,
     and no KV cache computed to answer them."""
-    backend = build_backend(BASE.with_(concurrency=4), codec=fitted_codec())
+    backend = build_backend(replace(BASE, concurrency=4), codec=fitted_codec())
     concurrent = backend
     for i in range(3):
         concurrent.submit(
@@ -231,7 +237,7 @@ class TestMemoLifetime:
     """The memo is the record's: no invalidation code, so none to get wrong."""
 
     def test_reingest_starts_empty_and_hits_share_one_result(self, fitted_codec):
-        backend = build_backend(BASE.with_(adaptive=False), codec=fitted_codec())
+        backend = build_backend(replace(BASE, adaptive=False), codec=fitted_codec())
         engine = backend.engine
         engine.ingest("doc", 320)
         (store,) = engine.stores().values()
@@ -258,7 +264,7 @@ class TestMemoLifetime:
         assert len(first_record.generations) == 2  # the dead record is untouched
 
     def test_shared_generation_cannot_be_mutated(self, fitted_codec):
-        backend = build_backend(BASE.with_(adaptive=False), codec=fitted_codec())
+        backend = build_backend(replace(BASE, adaptive=False), codec=fitted_codec())
         backend.engine.ingest("doc", 160)
         serve_one(backend, ServeRequest("doc", "a?"))
         (store,) = backend.engine.stores().values()
@@ -269,8 +275,8 @@ class TestMemoLifetime:
             generation.quality.value = 0.0
 
     def test_demotion_and_promotion_keep_the_records_memo(self, fitted_codec):
-        spec = BASE.with_(
-            topology="tiered", num_nodes=1, replication=1, adaptive=False,
+        spec = replace(
+            BASE, topology="tiered", num_nodes=1, replication=1, adaptive=False,
             max_bytes_per_node=30e6, cold_bytes_per_node=200e6,
         )
         backend = build_backend(spec, codec=fitted_codec())
@@ -297,8 +303,8 @@ class TestMemoLifetime:
 
     def test_ingest_churn_shape_then_oracle(self, fitted_codec):
         """Hot eviction -> demotion -> cold eviction -> re-ingest, then check."""
-        spec = BASE.with_(
-            topology="tiered", num_nodes=1, replication=1, concurrency=4,
+        spec = replace(
+            BASE, topology="tiered", num_nodes=1, replication=1, concurrency=4,
             slo_s=TIGHT_SLO_S, max_bytes_per_node=60e6, cold_bytes_per_node=120e6,
             placement="cost", eviction_policy="cost",
         )
@@ -324,8 +330,8 @@ class TestMemoLifetime:
         self._check_bounded(backend, requests, report.responses)
 
     def test_corruption_and_repair_then_oracle(self, fitted_codec):
-        spec = BASE.with_(
-            topology="cluster", num_nodes=3, replication=2, concurrency=4,
+        spec = replace(
+            BASE, topology="cluster", num_nodes=3, replication=2, concurrency=4,
             slo_s=TIGHT_SLO_S, resilience=ResiliencePolicy(),
         )
         requests = _stream(24, num_contexts=3, prefix="heal")

@@ -15,7 +15,7 @@ import warnings
 import pytest
 
 from repro.cluster import WorkloadGenerator
-from repro.faults import FaultSchedule, GpuStraggler, LinkDegradation, NodeCrash
+from repro.faults import FaultSchedule, LinkDegradation, NodeCrash
 from repro.serving.api import Driver, ServingSpec, build_backend
 from repro.telemetry import Tracer
 
@@ -30,7 +30,6 @@ FAULTS = FaultSchedule(
     [
         NodeCrash("node-0", at_s=CRASH_S, recover_at_s=RECOVER_S),
         LinkDegradation(at_s=9.0, until_s=13.0, factor=0.25),
-        GpuStraggler(at_s=14.0, until_s=17.0, slowdown=3.0),
     ]
 )
 

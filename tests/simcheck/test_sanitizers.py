@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from dataclasses import replace
 
 import pytest
 
@@ -137,7 +138,7 @@ class TestInvariantChecks:
     def test_corrupted_span_tree_is_rejected(self, fitted_codec):
         """Tamper one child span's duration: the breakdown check must notice."""
         tracer = Tracer()
-        report = serve(SPEC.with_(concurrency=2), REQUESTS, tracer=tracer, codec=fitted_codec())
+        report = serve(replace(SPEC, concurrency=2), REQUESTS, tracer=tracer, codec=fitted_codec())
         clean_matched, clean = check_span_breakdowns(tracer, report.responses)
         assert clean == [] and clean_matched == len(REQUESTS)
 
@@ -166,10 +167,10 @@ class TestInvariantChecks:
 
     def test_store_over_capacity_is_flagged(self, fitted_codec):
         """Each topology's stores reach the check through ``engine.stores()``."""
-        cluster = SPEC.with_(topology="cluster", num_nodes=2, replication=2)
+        cluster = replace(SPEC, topology="cluster", num_nodes=2, replication=2)
         # The hot tier holds one 640-token context, so the second one demotes.
-        tiered = SPEC.with_(
-            topology="tiered", max_bytes_per_node=60e6, cold_bytes_per_node=400e6
+        tiered = replace(
+            SPEC, topology="tiered", max_bytes_per_node=60e6, cold_bytes_per_node=400e6
         )
         requests = [
             ServeRequest(f"doc-{i}", "Q?", arrival_s=0.05 * i, num_tokens=640)
@@ -196,7 +197,7 @@ class TestInvariantChecks:
     def test_real_backends_end_within_capacity(self, fitted_codec):
         for spec in (
             SPEC,
-            SPEC.with_(topology="cluster", num_nodes=2, replication=2, concurrency=2),
+            replace(SPEC, topology="cluster", num_nodes=2, replication=2, concurrency=2),
         ):
             backend = build_backend(spec, codec=fitted_codec())
             Driver(backend, REQUESTS, simcheck=False).run()
@@ -205,11 +206,11 @@ class TestInvariantChecks:
 
 class TestDriverIntegration:
     def test_simcheck_true_attaches_clean_report(self, fitted_codec):
-        backend = build_backend(SPEC.with_(concurrency=2), codec=fitted_codec())
+        backend = build_backend(replace(SPEC, concurrency=2), codec=fitted_codec())
         tracer = Tracer()
         report = Driver(backend, REQUESTS, tracer=tracer, simcheck=True).run()
         result = report.simcheck
-        assert result is not None and result.ok
+        assert result is not None and not result.violations
         assert set(result.checks_run) == {"clock", "gauges", "spans", "capacity"}
         assert result.clocks == 1
         assert result.spans_matched == len(REQUESTS)
@@ -220,8 +221,8 @@ class TestDriverIntegration:
         "spec",
         [
             SPEC,
-            SPEC.with_(concurrency=2),
-            SPEC.with_(topology="cluster", num_nodes=2, replication=2, concurrency=2),
+            replace(SPEC, concurrency=2),
+            replace(SPEC, topology="cluster", num_nodes=2, replication=2, concurrency=2),
         ],
         ids=["single", "concurrent", "cluster"],
     )
@@ -230,7 +231,7 @@ class TestDriverIntegration:
         tracer = Tracer()
         backend = build_backend(spec, codec=fitted_codec())
         report = Driver(backend, REQUESTS, tracer=tracer, simcheck=True).run()
-        assert report.simcheck.ok
+        assert not report.simcheck.violations
         assert "spans" in report.simcheck.checks_run
         assert report.simcheck.spans_matched == len(report.responses)
 
@@ -244,10 +245,10 @@ class TestDriverIntegration:
         tracer = Tracer()
         backend = build_backend(SPEC, codec=fitted_codec())
         report = Driver(backend, overlapping, tracer=tracer, simcheck=True).run()
-        assert report.simcheck.ok
+        assert not report.simcheck.violations
         assert {"gauges", "spans"} <= set(report.simcheck.checks_run)
         assert report.simcheck.spans_matched == len(overlapping)
-        assert tracer.spans_on("link:node-0") and tracer.spans_on("gpu")
+        assert {"link:node-0", "gpu"} <= {span.track for span in tracer.spans}
         assert report.queueing.max_s > 0
 
     def test_simcheck_false_disables_everything(self, fitted_codec):
@@ -255,9 +256,9 @@ class TestDriverIntegration:
         assert report.simcheck is None
 
     def test_untraced_run_skips_tracer_checks(self, fitted_codec):
-        backend = build_backend(SPEC.with_(concurrency=2), codec=fitted_codec())
+        backend = build_backend(replace(SPEC, concurrency=2), codec=fitted_codec())
         report = Driver(backend, REQUESTS, simcheck=True).run()
-        assert report.simcheck.ok
+        assert not report.simcheck.violations
         assert set(report.simcheck.checks_run) == {"clock", "capacity"}
 
     def test_runtime_default_reaches_prebuilt_drivers(self, monkeypatch, fitted_codec):
@@ -268,10 +269,11 @@ class TestDriverIntegration:
         monkeypatch.setattr(runtime, "_default", None)
         monkeypatch.delenv("REPRO_SIMCHECK", raising=False)
         driver = Driver(build_backend(SPEC, codec=fitted_codec()), REQUESTS)
-        with runtime.enabled():
-            inside = driver.run()
+        monkeypatch.setattr(runtime, "_default", SimcheckConfig())
+        inside = driver.run()
+        monkeypatch.setattr(runtime, "_default", None)
         outside = driver.run()
-        assert inside.simcheck is not None and inside.simcheck.ok
+        assert inside.simcheck is not None and not inside.simcheck.violations
         assert outside.simcheck is None
 
     def test_env_var_enables_default(self, monkeypatch, fitted_codec):
@@ -299,7 +301,7 @@ class TestMonitorStrictness:
     def make_failing_run(self, fitted_codec):
         """A finished run whose trace has been corrupted after the fact."""
         tracer = Tracer()
-        report = serve(SPEC.with_(concurrency=2), REQUESTS, tracer=tracer, codec=fitted_codec())
+        report = serve(replace(SPEC, concurrency=2), REQUESTS, tracer=tracer, codec=fitted_codec())
         victim = next(
             child
             for root in tracer.root_spans()
@@ -320,6 +322,6 @@ class TestMonitorStrictness:
         tracer, report = self.make_failing_run(fitted_codec)
         monitor = SimcheckMonitor(SimcheckConfig(strict=False))
         result = monitor.finalize(report, tracer=tracer)
-        assert not result.ok
+        assert result.violations
         assert report.simcheck is result
         assert "violation" in result.format()

@@ -12,7 +12,6 @@ from repro.storage import (
     CostAwarePolicy,
     CostModel,
     KVCacheStore,
-    LFUPolicy,
     LRUPolicy,
     PricingModel,
     StoredContext,
@@ -38,18 +37,20 @@ class TestKVCacheStore:
         expected_chunks = -(-kv.num_tokens // encoder.config.chunk_tokens)
         assert stored.num_chunks == expected_chunks
 
-    def test_get_kv_returns_encoded_chunk(self, store):
-        encoded = store.get_kv("ctx-1", 0, "medium")
-        assert encoded.level.name == "medium"
-        assert encoded.compressed_bytes > 0
-
-    def test_get_kv_bad_chunk(self, store):
-        with pytest.raises(IndexError):
-            store.get_kv("ctx-1", 99, "medium")
-
     def test_get_unknown_context(self, store):
         with pytest.raises(KeyError):
             store.get_context("nope")
+
+    def test_get_chunks_returns_every_encoded_chunk(self, store):
+        chunks = store.get_chunks("ctx-1")
+        assert len(chunks) == store.peek_context("ctx-1").num_chunks
+        for chunk in chunks:
+            assert chunk.encodings["medium"].level.name == "medium"
+            assert chunk.encodings["medium"].compressed_bytes > 0
+
+    def test_get_chunks_unknown_context(self, store):
+        with pytest.raises(KeyError, match="not in the KV store"):
+            store.get_chunks("nope")
 
     def test_total_bytes_per_level_smaller_than_all(self, store):
         stored = store.get_context("ctx-1")
@@ -103,19 +104,7 @@ class TestCapacityBoundedStore:
         store.store_prepared(_fake_context("c", 100.0))
         assert "b" not in store
         assert "a" in store and "c" in store
-        assert store.evicted_context_ids == ["b"]
-
-    def test_lfu_evicts_least_frequently_used(self):
-        store = self._store(LFUPolicy())
-        store.store_prepared(_fake_context("a", 100.0))
-        store.store_prepared(_fake_context("b", 100.0))
-        for _ in range(3):
-            store.get_context("a")
-        store.get_context("b")
-        # "b" is less frequently used even though it was touched more recently.
-        store.store_prepared(_fake_context("c", 100.0))
-        assert "b" not in store
-        assert "a" in store and "c" in store
+        assert list(store._evicted_ids) == ["b"]
 
     def test_cost_aware_evicts_lowest_retention_value(self):
         store = self._store(CostAwarePolicy())
@@ -159,7 +148,6 @@ class TestCapacityBoundedStore:
 
     def test_make_policy_names(self):
         assert isinstance(make_policy("lru"), LRUPolicy)
-        assert isinstance(make_policy("lfu"), LFUPolicy)
         assert isinstance(make_policy("cost"), CostAwarePolicy)
         with pytest.raises(KeyError):
             make_policy("random")

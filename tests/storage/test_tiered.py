@@ -14,7 +14,6 @@ from repro.storage import (
     CostAwarePolicy,
     DiskKVStore,
     KVCacheStore,
-    LFUPolicy,
     LRUPolicy,
     StoredContext,
     TieredCostModel,
@@ -46,7 +45,7 @@ def _tiered(
 
 
 class TestDemotion:
-    @pytest.mark.parametrize("policy_cls", [LRUPolicy, LFUPolicy, CostAwarePolicy])
+    @pytest.mark.parametrize("policy_cls", [LRUPolicy, CostAwarePolicy])
     def test_capacity_pressure_demotes_instead_of_dropping(self, policy_cls):
         store = _tiered(policy_cls())
         store.store_prepared(_ctx("a", 100.0))
@@ -61,11 +60,11 @@ class TestDemotion:
         store = _tiered()
         store.store_prepared(_ctx("a", 100.0))
         store.store_prepared(_ctx("b", 200.0))  # demotes "a" (in flight)
-        assert store.pending_demotion_bytes == pytest.approx(100.0)
+        assert store._pending_bytes == pytest.approx(100.0)
         assert store.tier_of("a") == COLD
         flushed = store.flush_demotions()
         assert flushed == 1
-        assert store.pending_demotion_bytes == 0.0
+        assert store._pending_bytes == 0.0
         assert "a" in store.cold
         assert store.stats.demotions == 1
         assert store.stats.demoted_bytes == pytest.approx(100.0)
@@ -92,7 +91,7 @@ class TestDemotion:
         store.store_prepared(_ctx("small", 100.0))  # evicts "big"; cold can't hold it
         assert store.tier_of("big") is None
         assert "big" not in store
-        assert store.pending_demotion_bytes == 0.0
+        assert store._pending_bytes == 0.0
         assert store.eviction_count == 1  # a true loss, counted
         assert store.stats.demotion_drops == 1
         assert store.stats.demotions == 0
@@ -134,13 +133,13 @@ class TestPromotion:
         assert store.tier_of("a") == HOT
         assert store.tier_of("c") == COLD
 
-    def test_promotion_reregisters_lfu_state(self):
+    def test_promotion_reregisters_policy_state(self):
         """Demotion clears hot-policy state; promotion re-registers the
         context as freshly used (frequency restarts, recency is newest)."""
-        policy = LFUPolicy()
+        policy = CostAwarePolicy()
         store = _tiered(policy, hot_bytes=250.0)
         store.store_prepared(_ctx("a", 100.0))
-        store.store_prepared(_ctx("b", 200.0))  # demotes "a": LFU state dropped
+        store.store_prepared(_ctx("b", 200.0))  # demotes "a": its use count dropped
         assert "a" not in policy._uses
         store.get_context("a")  # promotes: back in the books, most recent
         assert policy._uses["a"] == 1
@@ -192,6 +191,27 @@ class TestTieredSurface:
         assert len(store) == 0
         assert float(store.storage_bytes()) == 0.0
 
+    def test_membership_spans_tiers(self):
+        store = _tiered()
+        store.store_prepared(_ctx("a", 100.0))
+        store.store_prepared(_ctx("b", 200.0))  # demotes "a"
+        assert store.tier_of("a") == COLD and store.tier_of("b") == HOT
+        store.flush_demotions()
+        assert "a" in store and "b" in store and "c" not in store
+        assert store.tier_of("c") is None
+        assert len(store) == 2
+
+    def test_get_chunks_promotes_a_cold_context(self):
+        store = _tiered()
+        store.store_prepared(_ctx("a", 100.0))
+        store.store_prepared(_ctx("b", 100.0))
+        store.store_prepared(_ctx("c", 100.0))  # demotes "a"
+        store.flush_demotions()
+        assert store.tier_of("a") == COLD
+        assert len(store.get_chunks("a")) == 1
+        assert store.tier_of("a") == HOT
+        assert store.stats.promotions == 1 and store.stats.cold_hits == 1
+
     def test_peek_does_not_promote(self):
         store = _tiered()
         store.store_prepared(_ctx("a", 100.0))
@@ -201,13 +221,6 @@ class TestTieredSurface:
         assert store.peek_context("a").context_id == "a"  # cold
         assert store.tier_of("a") == COLD
         assert store.stats.promotions == 0
-
-    def test_context_ids_spans_tiers(self):
-        store = _tiered()
-        store.store_prepared(_ctx("a", 100.0))
-        store.store_prepared(_ctx("b", 200.0))
-        assert set(store.context_ids()) == {"a", "b"}
-        assert len(store) == 2
 
     def test_restore_keeps_single_resident_copy(self):
         store = _tiered()

@@ -41,7 +41,7 @@ class TestChunking:
     def test_prepare_chunks_has_all_levels(self, prepared, encoder):
         level_names = {level.name for level in encoder.config.levels}
         for chunk in prepared:
-            assert set(chunk.level_names()) == level_names
+            assert set(chunk.encodings) == level_names
 
     def test_prepared_sizes_ordered_by_level(self, prepared):
         for chunk in prepared:

@@ -5,11 +5,10 @@ import tracemalloc
 
 import pytest
 
+from conftest import chrome_trace_events, to_chrome_trace
 from repro.telemetry import (
     Tracer,
-    chrome_trace_events,
     iter_jsonl_events,
-    to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
 )

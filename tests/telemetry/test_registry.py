@@ -15,7 +15,7 @@ class TestCounter:
         assert counter.value(link="node-0") == 150
         assert counter.value(link="node-1") == 7
         assert counter.value(link="node-9") == 0.0
-        assert counter.total() == 157
+        assert sum(counter.snapshot().values()) == 157
 
     def test_rejects_negative_increments(self):
         counter = Counter("evictions")
@@ -34,14 +34,20 @@ class TestGauge:
         gauge = Gauge("queue_depth")
         for depth in (2, 5, 1):
             gauge.set(depth, gpu="gpu")
-        assert gauge.value(gpu="gpu") == 1
+        assert gauge.snapshot()["gpu=gpu"]["last"] == 1
         assert gauge.max(gpu="gpu") == 5
         entry = gauge.snapshot()["gpu=gpu"]
         assert entry["min"] == 1 and entry["samples"] == 3
 
+    def test_max_keeps_the_peak_after_the_level_falls(self):
+        gauge = Gauge("queue_depth")
+        gauge.set(7)
+        gauge.set(-2)
+        assert gauge.max() == 7
+        assert gauge.snapshot()[""] == {"last": -2.0, "min": -2.0, "max": 7.0, "samples": 2}
+
     def test_unset_label_reads_zero(self):
         gauge = Gauge("queue_depth")
-        assert gauge.value(gpu="other") == 0.0
         assert gauge.max(gpu="other") == 0.0
 
 
@@ -58,16 +64,19 @@ class TestHistogram:
         assert summary["count"] == 5
         assert summary["max"] == 0.9
 
+    def test_label_sets_summarize_independently(self):
+        histogram = Histogram("ttft_s")
+        for value in (1.0, 3.0):
+            histogram.observe(value, path="kv")
+        histogram.observe(10.0, path="text")
+        assert histogram.summary(path="kv")["mean"] == 2.0
+        assert histogram.summary(path="text")["count"] == 1
+        assert list(histogram.snapshot()) == ["path=kv", "path=text"]
+
     def test_empty_summary_is_all_zero(self):
         """Idle resources must snapshot cleanly, mirroring summarize_latencies."""
         summary = Histogram("ttft_s").summary()
         assert summary == {"count": 0, "mean": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-    def test_values_returns_a_copy(self):
-        histogram = Histogram("ttft_s")
-        histogram.observe(1.0)
-        histogram.values().append(2.0)
-        assert histogram.count() == 1
 
 
 class TestHistogramReservoir:
@@ -75,8 +84,7 @@ class TestHistogramReservoir:
         histogram = Histogram("ttft_s", max_samples=100)
         for i in range(10_000):
             histogram.observe(float(i))
-        assert histogram.count() == 10_000
-        assert len(histogram.values()) == 100
+        assert len(histogram._samples[()]) == 100
         summary = histogram.summary()
         assert summary["count"] == 10_000
         assert summary["mean"] == pytest.approx(4999.5)
@@ -87,7 +95,7 @@ class TestHistogramReservoir:
             histogram = Histogram(name, max_samples=16)
             for i in range(1000):
                 histogram.observe(float(i))
-            return histogram.values()
+            return histogram._samples[()]
 
         assert build("ttft_s") == build("ttft_s")
         assert build("ttft_s") != build("decode_s")
@@ -96,7 +104,7 @@ class TestHistogramReservoir:
         histogram = Histogram("ttft_s", max_samples=100)
         for i in range(10):
             histogram.observe(float(i))
-        assert histogram.values() == [float(i) for i in range(10)]
+        assert histogram._samples[()] == [float(i) for i in range(10)]
 
     def test_rejects_non_positive_capacity(self):
         with pytest.raises(ValueError, match="max_samples"):
@@ -108,61 +116,26 @@ class TestHistogramReservoir:
         assert registry.histogram("ttft_s") is histogram
         for i in range(100):
             histogram.observe(float(i))
-        assert len(histogram.values()) == 8
+        assert len(histogram._samples[()]) == 8
         registry.counter("requests")
         with pytest.raises(TypeError, match="counter"):
             registry.histogram("requests")
 
 
-class TestPrometheusText:
-    def build(self):
-        registry = MetricsRegistry()
-        registry.counter("requests_total", help='served "requests"').inc(3, path="kv")
-        registry.gauge("queue_depth").set(4, gpu="gpu-0")
-        histogram = registry.histogram("ttft_s", help="first token latency")
-        for value in (0.1, 0.2, 0.3, 0.4):
-            histogram.observe(value)
-        return registry
-
-    def test_exposition_format(self):
-        text = self.build().to_prometheus_text()
-        lines = text.splitlines()
-        assert "# TYPE requests_total counter" in lines
-        # HELP text escapes backslash/newline only; quotes stay literal.
-        assert '# HELP requests_total served "requests"' in lines
-        assert 'requests_total{path="kv"} 3' in lines
-        assert "# TYPE queue_depth gauge" in lines
-        assert 'queue_depth{gpu="gpu-0"} 4' in lines
-        assert "# TYPE ttft_s summary" in lines
-        assert 'ttft_s{quantile="0.5"}' in "\n".join(lines)
-        assert "ttft_s_sum 1" in text
-        assert "ttft_s_count 4" in text
-        assert text.endswith("\n")
-
-    def test_metric_names_are_sanitized(self):
-        registry = MetricsRegistry()
-        registry.counter("link:node-0/bytes").inc(1)
-        text = registry.to_prometheus_text()
-        # '-' and '/' are illegal in exposition names; ':' is legal.
-        assert "link:node_0_bytes 1" in text
-
-    def test_output_is_deterministic_across_insertion_order(self):
+class TestMetricsRegistry:
+    def test_snapshot_is_deterministic_across_insertion_order(self):
         forward = MetricsRegistry()
         forward.counter("a").inc(1, x="1")
         forward.counter("b").inc(2)
         backward = MetricsRegistry()
         backward.counter("b").inc(2)
         backward.counter("a").inc(1, x="1")
-        assert forward.to_prometheus_text() == backward.to_prometheus_text()
+        assert forward.snapshot() == backward.snapshot()
         assert list(forward.snapshot()) == list(backward.snapshot())
 
-
-class TestMetricsRegistry:
     def test_get_or_create_returns_the_same_metric(self):
         registry = MetricsRegistry()
         assert registry.counter("requests") is registry.counter("requests")
-        assert registry.get("requests") is not None
-        assert registry.get("missing") is None
 
     def test_kind_conflicts_raise(self):
         registry = MetricsRegistry()
@@ -183,4 +156,4 @@ class TestMetricsRegistry:
         assert snapshot["requests"]["help"] == "served requests"
         assert snapshot["requests"]["values"] == {"path=kv": 2.0}
         assert snapshot["ttft_s"]["values"][""]["count"] == 1
-        assert sorted(registry.names()) == ["depth", "requests", "ttft_s"]
+        assert sorted(snapshot) == ["depth", "requests", "ttft_s"]

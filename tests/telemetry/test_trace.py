@@ -12,16 +12,15 @@ class TestSpan:
         assert span.dur_s == 0.25
         assert span.end_s == 1.25
 
-    def test_end_clamps_to_non_negative(self):
-        tracer = Tracer()
-        span = tracer.span("x", track="t", start_s=2.0)
-        span.end(1.5)
-        assert span.dur_s == 0.0
-
     def test_end_s_keyword_computes_duration(self):
         tracer = Tracer()
         span = tracer.span("x", track="t", start_s=1.0, end_s=3.5)
         assert span.dur_s == 2.5
+
+    def test_end_before_start_clamps_to_zero(self):
+        span = Tracer().span("x", track="t", start_s=2.0, end_s=1.5)
+        assert span.dur_s == 0.0
+        assert span.end_s == 2.0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -34,6 +33,15 @@ class TestSpan:
         assert child in root.children
         assert child.request_id == 0
         assert [s.name for s in root.walk()] == ["request", "wait"]
+
+    def test_walk_is_depth_first(self):
+        tracer = Tracer()
+        root = tracer.span("root", track="t", start_s=0.0)
+        first = tracer.span("first", track="t", start_s=0.0, parent=root)
+        tracer.span("inner", track="t", start_s=0.0, parent=first)
+        tracer.span("second", track="t", start_s=0.0, parent=root)
+        assert [s.name for s in root.walk()] == ["root", "first", "inner", "second"]
+        assert tracer.root_spans() == [root]
 
     def test_annotate_merges_args(self):
         tracer = Tracer()
@@ -68,8 +76,5 @@ class TestTracer:
         root = tracer.span("request", track="request:7", start_s=0.0, request_id=7)
         tracer.span("gpu wait", track="request:7", start_s=0.0, category=QUEUEING, parent=root)
         tracer.span("batch decode", track="gpu", start_s=0.0, category="decode")
-        assert len(tracer.spans_on("request:7")) == 2
-        assert len(tracer.spans_for_request(7)) == 2
-        assert tracer.root_spans() == [root, tracer.spans_on("gpu")[0]]
-        assert tracer.find_spans(name="gpu wait")[0].category == QUEUEING
-        assert tracer.find_spans(category="decode")[0].name == "batch decode"
+        gpu = [span for span in tracer.spans if span.track == "gpu"]
+        assert tracer.root_spans() == [root, gpu[0]]

@@ -31,28 +31,59 @@ def _load_script(name: str):
     return module
 
 
+#: Public names that left ``repro.__all__`` because nothing imports them from
+#: ``repro``; the audit still holds them to the same docstring bar.
+SUBPACKAGE_EXPORTS = {
+    "AlertEngine": "repro.telemetry",
+    "BreakerPolicy": "repro.faults",
+    "DispatchPolicy": "repro.serving",
+    "EncodingLevel": "repro.core",
+    "FittedCodec": "repro.core",
+    "GpuWorkerPool": "repro.serving",
+    "HedgePolicy": "repro.faults",
+    "KVCache": "repro.core",
+    "LeastLoadedDispatch": "repro.serving",
+    "LocalityDispatch": "repro.serving",
+    "ModelConfig": "repro.llm",
+    "QualityModel": "repro.llm",
+    "RandomTrace": "repro.network",
+    "RetryPolicy": "repro.faults",
+    "RunReport": "repro.serving",
+    "SLOAwareAdapter": "repro.streaming",
+    "StickyDispatch": "repro.serving",
+    "TimeSeriesRecorder": "repro.telemetry",
+    "make_dispatch": "repro.serving",
+    "prepare_chunks": "repro.streaming",
+    "render_dashboard": "repro.telemetry",
+}
+
+
+def _audited() -> dict[str, object]:
+    """Every name ``repro`` exports, plus the subpackage exports above."""
+    import repro
+
+    names = {name: getattr(repro, name) for name in repro.__all__ if name != "__version__"}
+    for name, module in SUBPACKAGE_EXPORTS.items():
+        assert name not in names, f"{name} is exported from repro again"
+        names[name] = getattr(importlib.import_module(module), name)
+    return names
+
+
 class TestDocstringAudit:
     def test_every_export_has_a_docstring(self):
-        import repro
-
-        missing = [
-            name
-            for name in repro.__all__
-            if name != "__version__" and not inspect.getdoc(getattr(repro, name))
-        ]
+        missing = [name for name, obj in _audited().items() if not inspect.getdoc(obj)]
         assert missing == []
 
     def test_every_export_docstring_has_an_example(self):
-        import repro
-
-        missing = []
-        for name in repro.__all__:
-            if name == "__version__":
-                continue
-            doc = inspect.getdoc(getattr(repro, name)) or ""
-            if ">>>" not in doc:
-                missing.append(name)
+        missing = [
+            name for name, obj in _audited().items() if ">>>" not in (inspect.getdoc(obj) or "")
+        ]
         assert missing == []
+
+    def test_the_audit_covers_every_public_name(self):
+        # repro's 31 exports and the 21 subpackage ones: the 52 documented
+        # classes and functions, none dropped from the audit.
+        assert len(_audited()) == 52
 
 
 class TestGeneratedApiDocs:
