@@ -66,6 +66,7 @@ README_SECTIONS = (
     "Fleet serving & autoscaling",
     "Resilience: fault injection & self-healing",
     "The unified serving API",
+    "Storage hierarchy (hot / cold tiers)",
 )
 #: The allow-list group that ``benchmarks.perf.tracing.TARGETS`` decides.
 PINNED = "pinned"

@@ -1,18 +1,18 @@
 """One storage node of the KV-cache cluster.
 
 A node bundles the three things the cluster layers need to reason about
-per-node behaviour: a capacity-bounded :class:`~repro.storage.KVCacheStore`,
-the :class:`~repro.network.NetworkLink` between this node and the GPU server
-(links may be heterogeneous — a near node on a 10 Gbps LAN, a far one behind a
-congested WAN), and liveness plus serving statistics.
+per-node behaviour: its :class:`~repro.storage.TieredKVStore` (a hot tier,
+optionally backed by a cold one), the :class:`~repro.network.NetworkLink`
+between this node and the GPU server (links may be heterogeneous — a near node
+on a 10 Gbps LAN, a far one behind a congested WAN), and liveness plus serving
+statistics.
 """
 
 from __future__ import annotations
 
 from ..metrics.cluster import NodeSummary
 from ..network.link import NetworkLink
-from ..storage.kv_store import KVCacheStore
-from ..storage.tiered import COLD, HOT, TieredKVStore
+from ..storage.tiered import COLD, TieredKVStore
 
 __all__ = ["StorageNode"]
 
@@ -25,9 +25,8 @@ class StorageNode:
     node_id:
         Stable identifier used for hash-ring placement.
     store:
-        The node's capacity-bounded KV cache store — in-memory only, or a
-        :class:`~repro.storage.tiered.TieredKVStore` with a disk tier behind
-        the memory budget.
+        The node's KV cache store: a hot tier, with or without a disk tier
+        behind the memory budget.
     link:
         Network link from this node to the GPU server.  Defaults to the
         3 Gbps constant link the paper's headline evaluation uses.
@@ -36,7 +35,7 @@ class StorageNode:
     def __init__(
         self,
         node_id: str,
-        store: KVCacheStore | TieredKVStore,
+        store: TieredKVStore,
         link: NetworkLink | None = None,
     ) -> None:
         if not node_id:
@@ -90,23 +89,6 @@ class StorageNode:
         """
         return self.link.estimate_transfer_time(num_bytes)
 
-    # ------------------------------------------------------------------- tiers
-    @property
-    def tiered(self) -> bool:
-        return isinstance(self.store, TieredKVStore)
-
-    def tier_of(self, context_id: str) -> str | None:
-        """Which tier holds a context ("hot" for a single-tier node)."""
-        if self.tiered:
-            return self.store.tier_of(context_id)
-        return HOT if context_id in self.store else None
-
-    def cold_read_delay_s(self, num_bytes: float) -> float:
-        """Modeled tier-link read time (zero on a single-tier node)."""
-        if self.tiered:
-            return self.store.cold_read_delay_s(num_bytes)
-        return 0.0
-
     # -------------------------------------------------------------- accounting
     def record_hit(self, num_bytes: float, tier: str = "hot") -> None:
         """A query was served from this node's cache (from the given tier)."""
@@ -126,20 +108,19 @@ class StorageNode:
 
     def summary(self) -> NodeSummary:
         store = self.store
-        tiered = self.tiered
         return NodeSummary(
             node_id=self.node_id,
             requests_routed=self.requests_routed,
             hits=self.hits,
             evictions=self.eviction_count,
             bytes_served=self.bytes_served,
-            stored_bytes=float(store.storage_bytes()),
+            stored_bytes=store.storage_bytes(),
             contexts_resident=len(store),
             up=self.up,
             hot_hits=self.hits - self.cold_hits,
             cold_hits=self.cold_hits,
-            demotions=store.demotion_count if tiered else 0,
-            promotions=store.promotion_count if tiered else 0,
-            hot_bytes=store.hot_bytes() if tiered else float(store.storage_bytes()),
-            cold_bytes=store.cold_bytes() if tiered else 0.0,
+            demotions=store.stats.demotions,
+            promotions=store.stats.promotions,
+            hot_bytes=store.hot_bytes(),
+            cold_bytes=store.cold_bytes(),
         )

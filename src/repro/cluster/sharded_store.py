@@ -281,7 +281,7 @@ class ShardedKVStore:
                     attempted.append(node_id)
                     cause = cause or "breaker"
                 continue
-            tier = node.tier_of(context_id)
+            tier = node.store.tier_of(context_id)
             if tier is None:
                 if not candidates:
                     node.record_miss()
@@ -302,7 +302,7 @@ class ShardedKVStore:
             num_bytes = node.store.peek_context(context_id).total_bytes(level_name)
             service = node.estimated_service_s(num_bytes)
             if node_tier == COLD:
-                service += node.cold_read_delay_s(num_bytes)
+                service += node.store.cold_read_delay_s(num_bytes)
             return service
 
         def intrinsic_service_of(node: StorageNode, node_tier: str) -> float:
@@ -312,7 +312,7 @@ class ShardedKVStore:
             num_bytes = node.store.peek_context(context_id).total_bytes(level_name)
             service = node.intrinsic_service_s(num_bytes)
             if node_tier == COLD:
-                service += node.cold_read_delay_s(num_bytes)
+                service += node.store.cold_read_delay_s(num_bytes)
             return service
 
         while candidates:

@@ -107,7 +107,15 @@ class WorkloadGenerator:
         return int(self._lengths[rank])
 
     def generate(self, num_requests: int) -> list[Request]:
-        """The first ``num_requests`` requests of this workload's sequence."""
+        """``num_requests`` requests of this workload.
+
+        The arrival times (and sessions) of ``generate(n)`` are the first
+        ``n`` of ``generate(m)`` for any ``m >= n``, but the contexts are not:
+        every inter-arrival is drawn before the popularity ranks, so the rank
+        stream depends on ``num_requests`` (for ``WorkloadGenerator(seed=42)``,
+        2 of the 50 context ids of ``generate(50)`` match the first 50 of
+        ``generate(200)``).
+        """
         return list(self.iter_requests(num_requests))
 
     def iter_requests(self, num_requests: int) -> Iterator[Request]:

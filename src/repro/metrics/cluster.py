@@ -47,8 +47,8 @@ class LatencySummary:
 class NodeSummary:
     """Cache behaviour of one storage node over a cluster run.
 
-    The tier fields stay zero for single-tier nodes: ``hits`` then equals
-    ``hot_hits`` and ``evictions`` counts outright drops.  On a tiered node
+    The tier fields stay zero for nodes without a cold tier: ``hits`` then
+    equals ``hot_hits`` and ``evictions`` counts outright drops.  On a tiered node
     ``evictions`` counts only cold-tier drops (true losses); hot-tier
     capacity pressure shows up as ``demotions`` instead.
     """
@@ -77,8 +77,8 @@ class NodeSummary:
 class TierState:
     """Cumulative tier counters and resident bytes of a set of storage nodes.
 
-    Single-tier nodes contribute their resident bytes as hot; their demotion
-    and promotion counts are zero by construction.
+    Nodes without a cold tier contribute their resident bytes as hot; their
+    demotion and promotion counts are zero by construction.
     """
 
     demotions: int
@@ -88,22 +88,19 @@ class TierState:
 
 
 def tier_state(nodes) -> TierState:
-    """Aggregate the tier counters/bytes across nodes (duck-typed).
+    """Aggregate the tier counters/bytes across nodes.
 
-    Accepts anything iterable of :class:`~repro.cluster.node.StorageNode`-like
-    objects (``tiered``, ``store``); the :class:`~repro.serving.api.RunReport`
-    assembly takes its tier accounting from here.
+    Accepts anything iterable of :class:`~repro.cluster.node.StorageNode`s;
+    the :class:`~repro.serving.api.RunReport` assembly takes its tier
+    accounting from here.
     """
     demotions = promotions = 0
     hot = cold = 0.0
     for node in nodes:
-        if node.tiered:
-            demotions += node.store.demotion_count
-            promotions += node.store.promotion_count
-            hot += node.store.hot_bytes()
-            cold += node.store.cold_bytes()
-        else:
-            hot += float(node.store.storage_bytes())
+        demotions += node.store.stats.demotions
+        promotions += node.store.stats.promotions
+        hot += node.store.hot_bytes()
+        cold += node.store.cold_bytes()
     return TierState(
         demotions=demotions, promotions=promotions, hot_bytes=hot, cold_bytes=cold
     )

@@ -82,11 +82,8 @@ class Backend:
         self.tracer = tracer
         self.engine.cluster.tracer = tracer
         for label, store in self.engine.stores().items():
-            # A TieredKVStore wraps an inner hot store that emits its own events.
-            for traced in (store, getattr(store, "hot", None)):
-                if traced is not None:
-                    traced.tracer = tracer
-                    traced.trace_track = f"storage:{label}"
+            store.tracer = tracer
+            store.trace_track = f"storage:{label}"
 
     def attach_simcheck(self, monitor) -> None:
         """Record the monitor; the event executor runs on its sanitized clocks.

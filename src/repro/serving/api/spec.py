@@ -18,6 +18,8 @@ from ...core.config import CacheGenConfig
 from ...llm.compute_model import A40, GPUSpec
 from ...llm.model_config import ModelConfig, get_model_config
 from ...network.link import NetworkLink
+from ...storage.eviction import POLICIES
+from ...storage.tiered import PLACEMENTS
 from ..fleet.autoscale import AutoscaleSpec
 from ..fleet.dispatch import DISPATCH_POLICIES
 from .types import _require_count, _require_finite
@@ -36,10 +38,10 @@ def _require_servable(config: CacheGenConfig) -> None:
 
 #: Store topologies a spec can declare.
 TOPOLOGIES = ("single", "tiered", "cluster")
-#: Known eviction-policy names (mirrors :func:`repro.storage.eviction.make_policy`).
-EVICTION_POLICIES = ("lru", "cost")
-#: Known tier-placement names (mirrors :func:`repro.storage.tiered.make_placement`).
-PLACEMENT_POLICIES = ("hot", "cost")
+#: Known eviction-policy names (the keys of :data:`repro.storage.eviction.POLICIES`).
+EVICTION_POLICIES = tuple(POLICIES)
+#: Known tier-placement names (the keys of :data:`repro.storage.tiered.PLACEMENTS`).
+PLACEMENT_POLICIES = tuple(PLACEMENTS)
 
 
 @dataclass(frozen=True)

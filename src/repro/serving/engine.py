@@ -50,7 +50,7 @@ from ..network.bandwidth import ConstantTrace, gbps
 from ..network.link import NetworkLink
 from ..storage.eviction import make_policy
 from ..storage.kv_store import KVCacheStore, StoredContext
-from ..storage.tiered import DiskKVStore, TieredKVStore
+from ..storage.tiered import TieredKVStore
 from ..streaming.adaptation import AdaptationPolicy, choose_policy
 from .api.spec import ServingSpec, _require_servable
 from .api.types import ServeRequest, ServeResponse
@@ -241,20 +241,25 @@ class ContextLoadingEngine:
             speeds = spec.node_bandwidths_gbps or (spec.bandwidth_gbps,) * spec.num_nodes
             node_links = [_constant_link(speed) for speed in speeds]
 
-        def new_store() -> KVCacheStore | TieredKVStore:
+        def new_store() -> TieredKVStore:
             hot = KVCacheStore(
                 encoder,
                 max_bytes=spec.max_bytes_per_node,
                 eviction_policy=make_policy(spec.eviction_policy),
             )
-            if spec.cold_bytes_per_node is None:
-                return hot
-            cold = DiskKVStore(
-                max_bytes=spec.cold_bytes_per_node,
-                eviction_policy=make_policy(spec.eviction_policy),
-                link=_constant_link(spec.tier_bandwidth_gbps),
+            cold = None
+            if spec.cold_bytes_per_node is not None:
+                cold = KVCacheStore(
+                    None,
+                    max_bytes=spec.cold_bytes_per_node,
+                    eviction_policy=make_policy(spec.eviction_policy),
+                )
+            return TieredKVStore(
+                hot,
+                cold,
+                placement=spec.placement,
+                tier_link=_constant_link(spec.tier_bandwidth_gbps),
             )
-            return TieredKVStore(hot, cold, placement=spec.placement)
 
         #: The sharded store every read and write goes through.
         self.cluster = ShardedKVStore(
@@ -267,7 +272,7 @@ class ContextLoadingEngine:
         )
 
     # ---------------------------------------------------------------- topology
-    def stores(self) -> dict[str, KVCacheStore | TieredKVStore]:
+    def stores(self) -> dict[str, TieredKVStore]:
         """Every bitstream store the engine reads, by node id (trace tracks are
         ``storage:<node id>``)."""
         return {node_id: node.store for node_id, node in self.cluster.nodes.items()}
@@ -288,9 +293,7 @@ class ContextLoadingEngine:
         labels = {id(self.link): "serving"}
         for node_id, node in self.cluster.nodes.items():
             labels[id(node.link)] = node_id
-            tier_link = getattr(node.store, "tier_link", None)
-            if tier_link is not None:
-                labels[id(tier_link)] = f"tier:{node_id}"
+            labels[id(node.store.tier_link)] = f"tier:{node_id}"
         return labels
 
     # ------------------------------------------------------------------ access
@@ -367,7 +370,7 @@ class ContextLoadingEngine:
             # tier-link transfer of the default level's bitstreams.
             tier_read_s = 0.0
             if lookup.cold_hit:
-                tier_read_s = node.cold_read_delay_s(
+                tier_read_s = node.store.cold_read_delay_s(
                     stored.total_bytes(self.config.default_level.name)
                 )
             if not self._prefer_text_path(

@@ -235,43 +235,26 @@ def check_span_breakdowns(
     return matched, violations
 
 
-def _check_one_store(store, label: str) -> list[SimcheckViolation]:
-    violations: list[SimcheckViolation] = []
-    max_bytes = getattr(store, "max_bytes", None)
-    storage_bytes = getattr(store, "storage_bytes", None)
-    if max_bytes is None or storage_bytes is None:
-        return violations
-    used = storage_bytes() if callable(storage_bytes) else storage_bytes
-    if used > max_bytes and not _close(used, max_bytes):
-        violations.append(
-            SimcheckViolation(
-                check="capacity",
-                message=(
-                    f"store {label} holds {used:.0f} bytes over its "
-                    f"{max_bytes:.0f}-byte capacity"
-                ),
-            )
-        )
-    return violations
-
-
 def check_store_capacity(backend) -> list[SimcheckViolation]:
-    """No store ends a run holding more bytes than its declared capacity.
+    """No tier ends a run holding more bytes than its declared capacity.
 
-    The stores are the engine's ``stores()`` tap; a tiered one is checked
-    hot and cold independently.
+    The stores are the engine's ``stores()`` tap; each node's hot tier and,
+    if it has one, its cold tier are checked independently.
     """
     violations: list[SimcheckViolation] = []
     for label, store in backend.engine.stores().items():
-        violations.extend(_expand_tiers(store, f"node {label!r}"))
+        for name, tier in (("hot", store.hot), ("cold", store.cold)):
+            if tier is None or tier.max_bytes is None:
+                continue
+            used = tier.storage_bytes()
+            if used > tier.max_bytes and not _close(used, tier.max_bytes):
+                violations.append(
+                    SimcheckViolation(
+                        check="capacity",
+                        message=(
+                            f"store node {label!r} {name} tier holds {used:.0f} bytes "
+                            f"over its {tier.max_bytes:.0f}-byte capacity"
+                        ),
+                    )
+                )
     return violations
-
-
-def _expand_tiers(store, label: str) -> list[SimcheckViolation]:
-    hot = getattr(store, "hot", None)
-    cold = getattr(store, "cold", None)
-    if hot is not None and cold is not None:
-        return _check_one_store(hot, f"{label} hot tier") + _check_one_store(
-            cold, f"{label} cold tier"
-        )
-    return _check_one_store(store, label)

@@ -1,4 +1,5 @@
-"""Storage substrate: KV cache stores (hot and tiered), eviction and cost."""
+"""Storage substrate: the node store (a hot tier plus an optional cold tier),
+eviction, placement and cost."""
 
 from .cost import CostAnalysis, CostModel, PricingModel, TieredCostModel, TieredPricingModel
 from .eviction import CostAwarePolicy, EvictionPolicy, LRUPolicy, make_policy
@@ -8,7 +9,6 @@ from .tiered import (
     HOT,
     AlwaysHotPlacement,
     CostAwarePlacement,
-    DiskKVStore,
     PlacementPolicy,
     TieredKVStore,
     TierStats,
@@ -24,7 +24,6 @@ __all__ = [
     "CostAwarePlacement",
     "CostAwarePolicy",
     "CostModel",
-    "DiskKVStore",
     "EvictionPolicy",
     "KVCacheStore",
     "LRUPolicy",

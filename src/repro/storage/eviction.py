@@ -30,7 +30,7 @@ from .cost import CostModel
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .kv_store import StoredContext
 
-__all__ = ["EvictionPolicy", "LRUPolicy", "CostAwarePolicy", "make_policy"]
+__all__ = ["EvictionPolicy", "LRUPolicy", "CostAwarePolicy", "POLICIES", "make_policy"]
 
 
 class EvictionPolicy(ABC):
@@ -127,17 +127,14 @@ class CostAwarePolicy(EvictionPolicy):
         )
 
 
-_POLICY_FACTORIES = {
-    "lru": LRUPolicy,
-    "cost": CostAwarePolicy,
-    "cost_aware": CostAwarePolicy,
-}
+#: Eviction policies by the name a spec gives them.
+POLICIES = {"lru": LRUPolicy, "cost": CostAwarePolicy}
 
 
 def make_policy(name: str) -> EvictionPolicy:
     """Instantiate an eviction policy by name (``"lru"``, ``"cost"``)."""
     try:
-        return _POLICY_FACTORIES[name.lower()]()
+        return POLICIES[name]()
     except KeyError:
-        known = ", ".join(sorted(_POLICY_FACTORIES))
+        known = ", ".join(sorted(POLICIES))
         raise KeyError(f"unknown eviction policy {name!r}; known policies: {known}") from None

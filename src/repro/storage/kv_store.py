@@ -4,19 +4,22 @@ CacheGen keeps, per context, a dictionary mapping chunk ids to the encoded
 bitstreams of the chunk's K and V tensors at every encoding level.  The store
 lives on a (remote) storage server; the streamer calls ``get_context`` to
 fetch a context's chunks and streams each at a chosen level.  This module
-implements an in-memory store with byte accounting.
+implements one in-memory *tier* with byte accounting; a cluster node
+(:class:`~repro.storage.tiered.TieredKVStore`) is a hot tier plus an optional
+cold one.
 
-The store is optionally *capacity bounded*: give it ``max_bytes`` and an
+A tier is optionally *capacity bounded*: give it ``max_bytes`` and an
 :class:`~repro.storage.eviction.EvictionPolicy` and it evicts old contexts to
-make room for new ones, which is what the cluster nodes in
-:mod:`repro.cluster` rely on.  Stored bytes are tracked as a running total so
-``storage_bytes()`` is O(1) no matter how many contexts are resident.
+make room for new ones, handing each victim to ``capacity_evict_sink`` (the
+node demotes it, or drops and reports it).  Stored bytes are tracked as a
+running total so ``storage_bytes()`` is O(1) no matter how many contexts are
+resident.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -86,33 +89,27 @@ class StoredContext:
 
 
 class KVCacheStore:
-    """In-memory KV cache store exposing ``store_kv`` and ``get_context``.
+    """One in-memory tier exposing ``store_kv`` and ``get_context``.
 
     Parameters
     ----------
     encoder:
         Fitted CacheGen encoder used by ``store_kv`` to chunk and encode
-        contexts at every level.
+        contexts at every level (``None`` for a tier that is only ever handed
+        encoded contexts, such as a cold tier).
     max_bytes:
         Optional byte budget over all stored contexts (all encoding levels).
-        ``None`` (the default) means unbounded, which preserves the original
-        single-node behaviour.
+        ``None`` (the default) means unbounded.
     eviction_policy:
         Policy consulted when a store over budget must pick a victim.
         Defaults to LRU when ``max_bytes`` is set.
-    capacity_evict_sink:
-        Optional callback receiving every context removed under capacity
-        pressure.  A :class:`~repro.storage.tiered.TieredKVStore` installs one
-        to *demote* victims to its cold tier instead of losing them; without a
-        sink, capacity evictions drop the context outright.
     """
 
     def __init__(
         self,
-        encoder: CacheGenEncoder,
+        encoder: CacheGenEncoder | None,
         max_bytes: float | None = None,
         eviction_policy: EvictionPolicy | None = None,
-        capacity_evict_sink: Callable[[StoredContext], None] | None = None,
     ) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive (or None for unbounded)")
@@ -121,16 +118,12 @@ class KVCacheStore:
         if eviction_policy is None and max_bytes is not None:
             eviction_policy = LRUPolicy()
         self.eviction_policy = eviction_policy
-        self.capacity_evict_sink = capacity_evict_sink
+        #: Receives every context removed under capacity pressure; the node
+        #: holding this tier installs it (without one, the victim is gone).
+        self.capacity_evict_sink: Callable[[StoredContext], None] | None = None
         self._contexts: dict[str, StoredContext] = {}
         self._total_bytes = 0.0
         self._eviction_count = 0
-        self._evicted_ids: list[str] = []
-
-    #: Optional telemetry hookup (set by ``Backend.attach_tracer``): capacity
-    #: evictions that truly drop a context emit an instant on ``trace_track``.
-    tracer = None
-    trace_track = "storage"
 
     # ------------------------------------------------------------------ writes
     def store_kv(self, context_id: str, kv: KVCache) -> StoredContext:
@@ -176,24 +169,8 @@ class KVCacheStore:
             self.eviction_policy.on_evict(context_id)
         if capacity_eviction:
             self._eviction_count += 1
-            self._evicted_ids.append(context_id)
             if self.capacity_evict_sink is not None:
-                # A sink turns the eviction into a demotion; the tiered store
-                # emits that event itself when the write-back lands.
                 self.capacity_evict_sink(stored)
-            else:
-                tracer = self.tracer
-                if tracer is not None:
-                    tracer.instant(
-                        "eviction",
-                        track=self.trace_track,
-                        category="storage",
-                        context_id=context_id,
-                        bytes=stored.total_bytes(),
-                    )
-                    tracer.metrics.counter(
-                        "evictions", "contexts dropped under capacity pressure"
-                    ).inc(1, store=self.trace_track)
         return True
 
     def _enforce_capacity(self, protect: str) -> None:
@@ -252,36 +229,11 @@ class KVCacheStore:
         return list(self.get_context(context_id).chunks)
 
     # --------------------------------------------------------------- accounting
-    def context_ids(self) -> Iterable[str]:
-        return self._contexts.keys()
-
     @property
     def eviction_count(self) -> int:
         """Number of capacity-pressure evictions (explicit removals excluded)."""
         return self._eviction_count
 
-    def migration_headroom_bytes(self) -> float:
-        """Bytes a migration can add without triggering capacity eviction.
-
-        A repair (``ShardedKVStore.plan_repair``) must fill a node, never
-        churn it; this is the budget it may fill.  Unbounded stores report
-        infinite headroom.
-        """
-        if self.max_bytes is None:
-            return float("inf")
-        return max(self.max_bytes - self._total_bytes, 0.0)
-
-    def storage_bytes(self, per_level: bool = False) -> float | Mapping[str, float]:
-        """Total stored bytes, optionally broken down by encoding level.
-
-        The total is maintained incrementally on every store/evict, so the
-        common (``per_level=False``) call is O(1).
-        """
-        if not per_level:
-            return self._total_bytes
-        totals: dict[str, float] = {}
-        for ctx in self._contexts.values():
-            for chunk in ctx.chunks:
-                for name, encoded in chunk.encodings.items():
-                    totals[name] = totals.get(name, 0.0) + encoded.compressed_bytes
-        return totals
+    def storage_bytes(self) -> float:
+        """Total stored bytes over all levels, kept as a running total (O(1))."""
+        return self._total_bytes

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import ShardedKVStore, StorageNode
 from repro.network import ConstantTrace, NetworkLink, gbps
-from repro.storage import DiskKVStore, KVCacheStore, LRUPolicy, TieredKVStore
+from repro.storage import KVCacheStore, LRUPolicy, TieredKVStore
 
 
 def _node(
@@ -17,7 +17,7 @@ def _node(
 ) -> StorageNode:
     return StorageNode(
         node_id,
-        KVCacheStore(encoder, max_bytes=max_bytes, eviction_policy=LRUPolicy()),
+        TieredKVStore(KVCacheStore(encoder, max_bytes=max_bytes, eviction_policy=LRUPolicy())),
         link=link,
     )
 
@@ -154,8 +154,8 @@ def _tiered_node(
     tier_link: NetworkLink | None = None,
 ) -> StorageNode:
     hot = KVCacheStore(encoder, max_bytes=hot_bytes, eviction_policy=LRUPolicy())
-    cold = DiskKVStore(max_bytes=cold_bytes, link=tier_link)
-    return StorageNode(node_id, TieredKVStore(hot, cold), link=link)
+    cold = KVCacheStore(None, max_bytes=cold_bytes)
+    return StorageNode(node_id, TieredKVStore(hot, cold, tier_link=tier_link), link=link)
 
 
 class TestTieredCluster:

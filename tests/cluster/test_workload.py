@@ -28,6 +28,14 @@ class TestDeterminism:
         )
         assert workload.generate(100) != other.generate(100)
 
+    def test_arrivals_are_a_prefix_but_contexts_are_not(self):
+        workload = WorkloadGenerator(seed=42)
+        short, long = workload.generate(50), workload.generate(200)
+        assert [r.arrival_s for r in short] == [r.arrival_s for r in long[:50]]
+        assert [r.session_id for r in short] == [r.session_id for r in long[:50]]
+        # The ranks are drawn after every inter-arrival, so they move with n.
+        assert sum(a.context_id == b.context_id for a, b in zip(short, long)) == 2
+
     def test_context_lengths_are_stable(self, workload):
         requests = workload.generate(200)
         lengths: dict[str, int] = {}

@@ -18,7 +18,7 @@ from repro.network import NetworkLink
 from repro.network.bandwidth import ConstantTrace, gbps
 from repro.serving.api import ServeRequest, ServingSpec, build_backend
 from repro.storage.eviction import make_policy
-from repro.storage.tiered import TieredKVStore, make_placement
+from repro.storage.tiered import make_placement
 
 CHUNK_TOKENS = 256
 CONTEXT_TOKENS = 320
@@ -130,10 +130,9 @@ class TestTheEngineIsItsSpec:
         policy = type(make_policy(spec.eviction_policy))
         for store in backend.engine.stores().values():
             tiered = spec.cold_bytes_per_node is not None
-            assert isinstance(store, TieredKVStore) == tiered
-            hot = store.hot if tiered else store
-            assert hot.max_bytes == spec.max_bytes_per_node
-            assert type(hot.eviction_policy) is policy
+            assert (store.cold is not None) == tiered
+            assert store.hot.max_bytes == spec.max_bytes_per_node
+            assert type(store.hot.eviction_policy) is policy
             if tiered:
                 assert store.cold.max_bytes == spec.cold_bytes_per_node
                 assert type(store.cold.eviction_policy) is policy

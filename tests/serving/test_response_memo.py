@@ -43,22 +43,15 @@ ALWAYS_DEGRADE = ResiliencePolicy(
 TOKENS = (160, 320, 480)
 
 
-def _stores(backend):
-    """Every single-tier store: each node's, or a tiered node's hot and cold tiers."""
-    return [
-        tier
-        for store in backend.engine.stores().values()
-        for tier in ((store.hot, store.cold) if hasattr(store, "hot") else (store,))
-    ]
-
-
-def _records(backend):
-    """Every resident stored record over all nodes and tiers, replicas once."""
+def _records(backend, requests):
+    """Every resident stored record of the requests' contexts over all nodes
+    and tiers, replicas once."""
     records = {}
-    for store in _stores(backend):
-        for context_id in store.context_ids():
-            record = store.peek_context(context_id)
-            records[id(record)] = record
+    for store in backend.engine.stores().values():
+        for context_id in {request.context_id for request in requests}:
+            if context_id in store:
+                record = store.peek_context(context_id)
+                records[id(record)] = record
     return list(records.values())
 
 
@@ -204,7 +197,7 @@ def test_every_response_equals_its_recomputation(name, fitted_codec):
     distinct = _distinct_reads(requests, report.responses)
     print(f"{name}: {evaluations} evaluations for {len(report.responses)} responses")
     assert evaluations == len(distinct) < len(kv_served)
-    assert sum(len(record.generations) for record in _records(backend)) == len(distinct)
+    assert sum(len(record.generations) for record in _records(backend, requests)) == len(distinct)
 
 
 def test_text_fallback_needs_no_distortion_pass(fitted_codec):
@@ -347,7 +340,9 @@ class TestMemoLifetime:
         # Repair ships the surviving replica's record, memo and all: the
         # replicas of one ingest stay one object, scored once between them.
         replicas = [
-            store.peek_context(hottest) for store in _stores(backend) if hottest in store
+            store.peek_context(hottest)
+            for store in backend.engine.stores().values()
+            if hottest in store
         ]
         assert len(replicas) == 2 and replicas[0] is replicas[1]
         assert evaluations == len(_distinct_reads(requests, report.responses))
@@ -358,5 +353,5 @@ class TestMemoLifetime:
         observed: dict[str, set] = {}
         for context_id, configs, task in _distinct_reads(requests, responses):
             observed.setdefault(context_id, set()).add((configs, task))
-        for record in _records(backend):
+        for record in _records(backend, requests):
             assert set(record.generations) <= observed.get(record.context_id, set())

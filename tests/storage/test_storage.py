@@ -15,6 +15,7 @@ from repro.storage import (
     LRUPolicy,
     PricingModel,
     StoredContext,
+    TieredKVStore,
     make_policy,
 )
 
@@ -56,11 +57,6 @@ class TestKVCacheStore:
         stored = store.get_context("ctx-1")
         assert stored.total_bytes("medium") < stored.total_bytes()
 
-    def test_storage_bytes_breakdown(self, store):
-        per_level = store.storage_bytes(per_level=True)
-        assert set(per_level) == {"high", "medium", "low", "lowest"}
-        assert store.storage_bytes() == pytest.approx(sum(per_level.values()))
-
     def test_evict(self, encoder, kv):
         store = KVCacheStore(encoder)
         store.store_kv("temp", kv)
@@ -90,24 +86,30 @@ def _fake_context(context_id: str, num_bytes: float, num_tokens: int = 1_000) ->
 
 
 class TestCapacityBoundedStore:
-    """Capacity accounting and the pluggable eviction policies."""
+    """Capacity accounting and the pluggable eviction policies, on a bare tier
+    and on a node without a cold tier (which must behave exactly as its tier)."""
 
-    def _store(self, policy, max_bytes=250.0):
-        # The encoder is never used: contexts enter via store_prepared.
-        return KVCacheStore(encoder=None, max_bytes=max_bytes, eviction_policy=policy)
+    @pytest.fixture(params=["tier", "node"])
+    def make(self, request):
+        def make(policy, max_bytes=250.0):
+            # The encoder is never used: contexts enter via store_prepared.
+            tier = KVCacheStore(encoder=None, max_bytes=max_bytes, eviction_policy=policy)
+            return tier if request.param == "tier" else TieredKVStore(tier)
 
-    def test_lru_evicts_least_recently_used(self):
-        store = self._store(LRUPolicy())
+        return make
+
+    def test_lru_evicts_least_recently_used(self, make):
+        store = make(LRUPolicy())
         store.store_prepared(_fake_context("a", 100.0))
         store.store_prepared(_fake_context("b", 100.0))
         store.get_context("a")  # refresh a
         store.store_prepared(_fake_context("c", 100.0))
         assert "b" not in store
         assert "a" in store and "c" in store
-        assert list(store._evicted_ids) == ["b"]
+        assert store.eviction_count == 1
 
-    def test_cost_aware_evicts_lowest_retention_value(self):
-        store = self._store(CostAwarePolicy())
+    def test_cost_aware_evicts_lowest_retention_value(self, make):
+        store = make(CostAwarePolicy())
         # Same access counts: "bulky" costs 10x the storage of "lean" for the
         # same recompute savings, so it goes first.
         store.store_prepared(_fake_context("bulky", 100.0, num_tokens=1_000))
@@ -116,8 +118,8 @@ class TestCapacityBoundedStore:
         assert "bulky" not in store
         assert "lean" in store and "c" in store
 
-    def test_eviction_cascades_until_budget_met(self):
-        store = self._store(LRUPolicy(), max_bytes=250.0)
+    def test_eviction_cascades_until_budget_met(self, make):
+        store = make(LRUPolicy(), max_bytes=250.0)
         store.store_prepared(_fake_context("a", 100.0))
         store.store_prepared(_fake_context("b", 100.0))
         store.store_prepared(_fake_context("big", 240.0))
@@ -126,21 +128,22 @@ class TestCapacityBoundedStore:
         assert store.eviction_count == 2
         assert store.storage_bytes() == pytest.approx(240.0)
 
-    def test_oversized_context_rejected(self):
-        store = self._store(LRUPolicy(), max_bytes=250.0)
+    def test_oversized_context_rejected(self, make):
+        store = make(LRUPolicy(), max_bytes=250.0)
         with pytest.raises(CapacityError):
             store.store_prepared(_fake_context("huge", 251.0))
         assert store.storage_bytes() == 0.0
+        assert "huge" not in store
 
-    def test_restore_replaces_without_counting_eviction(self):
-        store = self._store(LRUPolicy())
+    def test_restore_replaces_without_counting_eviction(self, make):
+        store = make(LRUPolicy())
         store.store_prepared(_fake_context("a", 100.0))
         store.store_prepared(_fake_context("a", 120.0))
         assert store.storage_bytes() == pytest.approx(120.0)
         assert store.eviction_count == 0
 
-    def test_unbounded_store_never_evicts(self):
-        store = KVCacheStore(encoder=None, eviction_policy=LRUPolicy())
+    def test_unbounded_store_never_evicts(self, make):
+        store = make(LRUPolicy(), max_bytes=None)
         for i in range(10):
             store.store_prepared(_fake_context(f"ctx-{i}", 1e9))
         assert len(store) == 10
@@ -149,8 +152,9 @@ class TestCapacityBoundedStore:
     def test_make_policy_names(self):
         assert isinstance(make_policy("lru"), LRUPolicy)
         assert isinstance(make_policy("cost"), CostAwarePolicy)
-        with pytest.raises(KeyError):
-            make_policy("random")
+        for unknown in ("random", "cost_aware", "LRU"):
+            with pytest.raises(KeyError):
+                make_policy(unknown)
 
     def test_invalid_max_bytes(self):
         with pytest.raises(ValueError):
