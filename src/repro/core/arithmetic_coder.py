@@ -48,9 +48,12 @@ every symbol outside the band has.  A fitted model's symbols span 20-255 of
 the 511 columns, so its ``(1024, 511)`` table is 0.1-1 MiB of ``int32`` (the
 largest admissible total is ``2**30``) where the dense one was 2 MiB, and
 the coder checks and searches that band alone.  A dense ``cum_freq`` is the
-band table that starts at symbol 0 and covers the whole alphabet.  The caller
-derives the tables per call, from a fitted model's symbol band, and drops
-them with the coder: nothing is resident.
+band table that starts at symbol 0 and covers the whole alphabet.  A fitted
+model derives its table once, at its first exact call, and keeps it
+read-only (:func:`_kept_table`): the coder takes a kept table as it is,
+without checking it again.  Nothing else outlives a call: the decoder's
+search table and every per-step array are built for the call and dropped
+with the coder.
 """
 
 from __future__ import annotations
@@ -77,6 +80,11 @@ _SUFFIX_MASK = ((1 << _COUNTS) - 1) >> 1
 _MOST_SHIFTS = np.where(_COUNTS == 0, _PRECISION, _PRECISION - 1)
 # Lookup by a shift count s: the mask of the s bits a decoder lane shifts in.
 _ONES = (1 << _COUNTS) - 1
+#: Scalars the step loops take as 0-d arrays: numpy converts a Python int
+#: operand on every call.
+_ONE_0D, _BELOW_TOP_0D = np.array(1), np.array(_BELOW_TOP)
+#: Lookup by ``differing``: the bits a step emits, in its ``int8`` record's type.
+_EMITTED = (_PRECISION - _COUNTS).astype(np.int8)
 #: ``_ONE_RUNS[m]``: the ``m`` lowest bits of a 64-bit word set, and
 #: ``_TOP_BITS[m]`` its ``m`` highest.
 _ONE_RUNS = np.array([(1 << m) - 1 for m in range(65)], dtype=np.uint64)
@@ -137,11 +145,18 @@ class BandTable:
         return cum
 
 
+class _KeptTable(BandTable):
+    """A band table :func:`_kept_table` has validated, its arrays read-only."""
+
+
 def _as_cum_table(cum_freq: BandTable | np.ndarray) -> BandTable:
     """``cum_freq`` validated, as a band table of ``int32`` counts (any admissible total fits).
 
-    A dense table is the band table whose band is all of it.
+    A dense table is the band table whose band is all of it.  A table
+    :func:`_kept_table` returned has passed already and is returned as it is.
     """
+    if isinstance(cum_freq, _KeptTable):
+        return cum_freq
     if isinstance(cum_freq, BandTable):
         table = cum_freq
     else:
@@ -170,6 +185,19 @@ def _as_cum_table(cum_freq: BandTable | np.ndarray) -> BandTable:
     if np.any(table.totals > MAX_TOTAL_FREQUENCY):
         raise ValueError("total frequency exceeds the coder's precision budget")
     return BandTable(np.ascontiguousarray(band, dtype=np.int32), outside, start, alphabet)
+
+
+def _kept_table(table: BandTable) -> BandTable:
+    """``table`` validated once for good, to be kept and coded with for the life of the process.
+
+    The validated table's arrays are made read-only, so nothing can undo
+    its check, and :func:`_as_cum_table` passes it from then on without
+    another.  ``table`` must own its arrays: they are frozen in place.
+    """
+    checked = _as_cum_table(table)
+    checked.band.flags.writeable = False
+    checked.outside.flags.writeable = False
+    return _KeptTable(checked.band, checked.outside, checked.start, checked.alphabet)
 
 
 def _bounds(table: BandTable, rows: np.ndarray, offsets: np.ndarray):
@@ -239,9 +267,10 @@ def _side_by_side(
 
 
 def _renormalise(low: np.ndarray, span: np.ndarray):
-    """Closed-form WNC renormalisation of every lane's ``[low, low + span)``.
+    """Closed-form WNC renormalisation of every lane's ``[low, low + span)``, in place.
 
-    Returns ``(differing, shifts, low, span)``.  ``differing`` is the bit
+    Returns ``(differing, shifts, low, span)``, the last two the arrays it
+    was given, renormalised.  ``differing`` is the bit
     length of ``low ^ high``, ``high`` the interval's last value: the ``32 -
     differing`` bits above it are shared, and each is one E1/E2 shift that
     emits it.  Below the first differing bit (``low`` 0, ``high`` 1), every
@@ -251,7 +280,7 @@ def _renormalise(low: np.ndarray, span: np.ndarray):
     and the constants are the bits of ``low`` that leave it below half.
     """
     high = low + span
-    high -= 1
+    high -= _ONE_0D
     # In int64: a lookup by an int32 index array converts it first, every time.
     differing = np.frexp(low ^ high)[1].astype(np.int64)
     # Zero where the E3 run continues, so the run stops at the top set bit.
@@ -259,9 +288,10 @@ def _renormalise(low: np.ndarray, span: np.ndarray):
     high &= _SUFFIX_MASK[differing]
     shifts = _MOST_SHIFTS[differing]
     shifts -= np.frexp(high)[1]
-    low = low << shifts
-    low &= _BELOW_TOP
-    return differing, shifts, low, span << shifts
+    low <<= shifts
+    low &= _BELOW_TOP_0D
+    span <<= shifts
+    return differing, shifts, low, span
 
 
 def _varints(values: np.ndarray) -> bytes:
@@ -435,12 +465,16 @@ class ArithmeticEncoder(_LaneCoder):
         span = np.full(num_lanes, 1 << _PRECISION, dtype=np.int64)
         pending = owed[0]
         for step in range(steps):
-            below = span * cum_low[step] // total[step]
-            span = span * cum_high[step] // total[step] - below
+            denominator = total[step]
+            below = span * cum_low[step]
+            below //= denominator
+            span *= cum_high[step]
+            span //= denominator
+            span -= below
             low += below
             word[step] = low
             differing, shifts, low, span = _renormalise(low, span)
-            emitted = np.subtract(_PRECISION, differing, out=count[step])
+            emitted = _EMITTED.take(differing, out=count[step])
             # The first emitted bit settles the pending ones; E3 shifts add to them.
             pending = np.add(pending * (emitted == 0), shifts - emitted, out=owed[step + 1])
         # Termination: disambiguate the final interval with its second bit,
@@ -665,13 +699,17 @@ class ArithmeticDecoder(_LaneCoder):
         # ``ahead`` is the scalar decoder's ``value - low``; it shifts like an
         # E1, E2 or E3 alike because those subtract the same from both.
         ahead = windows[base] >> (_WINDOW_BITS - _PRECISION)
-        cursor = np.full(num_lanes, _PRECISION, dtype=np.int64)
+        # Each lane's next unread bit, counted from the start of ``padded``,
+        # and the last byte a window may start at: past its lane's end a
+        # window reads zeros.
+        cursor = 8 * base + _PRECISION
+        last_byte = base + lane_bytes
         for step in range(len(found)):
-            denominator, offset = total[step], key_offset[step]
+            denominator, offset = total[step].astype(np.int64), key_offset[step]
             scaled = ((ahead + 1) * denominator - 1) // span
-            scaled += offset
-            key = scaled.astype(search.dtype, copy=False)
-            hit = found[step] = np.searchsorted(search, key, side="right")
+            key = scaled.astype(search.dtype)
+            key += offset
+            hit = found[step] = search.searchsorted(key, side="right")
             upper = search[hit] - offset
             lower = below_hit[hit] - offset
             # In its row's band both bounds lie in [0, stride).  A hit before
@@ -680,13 +718,13 @@ class ArithmeticDecoder(_LaneCoder):
             # ``upper`` of at least ``stride``.  Either sets a bit of -stride.
             if np.bitwise_or.reduce(lower | upper) & -stride:
                 _past_the_band(
-                    lower, upper, scaled - offset, outside[offset // stride], stride, found[step]
+                    lower, upper, scaled, outside[offset // stride], stride, found[step]
                 )
             above = span * upper // denominator
             below = span * lower // denominator
             low += below
             _, shifts, low, span = _renormalise(low, above - below)
-            window = windows[base + np.minimum(cursor >> 3, lane_bytes)]
+            window = windows[np.minimum(cursor >> 3, last_byte)]
             fresh = (window >> (_WINDOW_BITS - (cursor & 7) - shifts)) & _ONES[shifts]
             ahead = ((ahead - below) << shifts) | fresh
             cursor += shifts

@@ -170,12 +170,15 @@ class FittedCodec:
     and :func:`~repro.serving.engine.profile_codec` hands every engine of one
     model the same one for the life of the process.
     Nothing reachable from it can be written: the dataclasses are frozen and
-    every model's counts, totals and log-probability tables are read-only.
-    The default mistral-7b profile holds 0.9 MiB of them when loaded and
-    5.8 MiB once scored, because each model keeps only the integer counts of
-    the symbol band its samples span.  Scoring holds nothing beyond those
-    tables: each ``cross_entropy_bits`` call works in arrays of its own, the
-    size of the band of symbols it is given.
+    every model's counts, totals, log-probability and coder tables are
+    read-only.  The default mistral-7b profile holds 0.9 MiB of them when
+    loaded, 5.8 MiB once scored and 8.3 MiB once it has also coded exactly
+    (the models' ``int32`` coder tables, 2.5 MiB), because each model keeps
+    only the integer counts of the symbol band its samples span.  Neither
+    scoring nor exact coding holds anything beyond those tables: each
+    ``cross_entropy_bits`` call works in arrays of its own, the size of the
+    band of symbols it is given, and each exact call in arrays its coder
+    drops.
 
     A profile is determined by its models' integer counts, so :meth:`save`
     writes those (≈0.2 MiB compressed for a default profile) and :meth:`load`

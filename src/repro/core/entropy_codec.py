@@ -10,14 +10,18 @@ Two backends are provided (see ``docs/ARCHITECTURE.md``, "Codec"):
   :func:`encode_payloads` / :func:`decode_payloads` take everything one
   encode or decode call has to code — a chunk's K-delta, V-delta, K-anchor,
   V-anchor — and batch it: one lock-step loop over the lanes of as many
-  consecutive payloads as fit ``MAX_LANES`` together, and one cumulative
-  table per model, derived for the call and dropped with it.  What a call
-  costs besides its coding loops follows the data, not the 511-symbol
-  alphabet: a table is a :class:`~repro.core.arithmetic_coder.BandTable`,
-  derived, checked and searched over the model's fitted symbol band only
+  consecutive payloads as fit ``MAX_LANES`` together.  Every model codes
+  with one cumulative table, derived and checked at its first exact call
+  and kept on the model from then on, as CacheGen profiles its
+  distributions once per LLM (§5.2): what a call costs besides its coding
+  loops is neither a derivation nor the 511-symbol alphabet.  A table is a
+  :class:`~repro.core.arithmetic_coder.BandTable`, held and searched over the
+  model's fitted symbol band only
   (:meth:`~repro.core.probability_model.SymbolProbabilityModel.cumulative_band`:
-  0.1-1 MiB a model where the dense table is 2 MiB), and the emitted bits are
-  assembled a 64-bit word at a time.  Exact payloads are checked by the
+  0.1-1 MiB a model where the dense table is 2 MiB; 2.1-2.5 MiB for a
+  profile's six models), and the emitted bits are assembled a 64-bit word
+  at a time.  Only exact coding builds the tables, so serving, which sizes
+  chunks by the estimate, never holds one.  Exact payloads are checked by the
   estimated path's rule: 3-D integer tensors within ``±SYMBOL_CLIP``.
 * **Estimated** — compute the ideal code length (the model cross-entropy) of
   the symbol stream, which is what one arithmetic-coded stream achieves up to
@@ -40,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder, BandTable
+from .arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder
 from .probability_model import SYMBOL_OFFSET, SymbolProbabilityModel, _symbol_range
 
 __all__ = [
@@ -182,17 +186,14 @@ def _batches(lanes: Sequence[int]) -> list[slice]:
 def _coders(kind: type, models: Sequence[SymbolProbabilityModel], shapes: Sequence[tuple]):
     """``(batch, its arithmetic coder of one direction)`` over one payload per ``(model, shape)``.
 
-    Every model's table is derived once for all batches, when the first of
-    them is asked for, and dropped with the last.
+    Every model codes with the table it keeps (derived at its first exact
+    call), so payloads of one model hand the coder one table object.
     """
-    tables: dict[int, BandTable] = {}
-    for model in models:
-        if id(model) not in tables:
-            tables[id(model)] = model.cumulative_band()
     sizes = [math.prod(shape) for shape in shapes]
     lanes = [lane_count(size) for size in sizes]
     for batch in _batches(lanes):
-        yield batch, kind([tables[id(model)] for model in models[batch]], lanes[batch], sizes[batch])
+        tables = [model._coder_table() for model in models[batch]]
+        yield batch, kind(tables, lanes[batch], sizes[batch])
 
 
 def _contexts(models: Sequence[SymbolProbabilityModel], shapes: Sequence[tuple]) -> np.ndarray:

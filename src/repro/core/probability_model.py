@@ -29,7 +29,7 @@ from typing import Literal
 
 import numpy as np
 
-from .arithmetic_coder import MAX_TOTAL_FREQUENCY, BandTable
+from .arithmetic_coder import MAX_TOTAL_FREQUENCY, BandTable, _kept_table
 from .quantization import SYMBOL_CLIP
 
 __all__ = [
@@ -177,12 +177,13 @@ class SymbolProbabilityModel:
 
     Only the band of symbol values the fit saw is stored, and only as the
     integer counts the fit took: the default mistral-7b profile's symbols span
-    24-255 of the 511 columns, so its six models hold 0.9 MiB of counts, and
-    4.8 MiB more of log-probability tables once scored, where dense float
-    tables held ≈48 MiB.  The smoothed :attr:`band` and the dense tables
-    (:attr:`counts`, :meth:`probabilities`) are
-    rebuilt on each call for the dense-formula oracles and the Figure 5
-    analysis; scoring and coding never build one.
+    24-255 of the 511 columns, so its six models hold 0.9 MiB of counts,
+    4.8 MiB more of log-probability tables once scored, and 2.5 MiB more of
+    ``int32`` coder tables once coded exactly, where dense float tables held
+    ≈48 MiB.  Those two kinds of table are built at their first use and
+    kept; the smoothed :attr:`band` and the dense tables (:attr:`counts`,
+    :meth:`probabilities`) are rebuilt on each call for the dense-formula
+    oracles and the Figure 5 analysis; scoring and coding never build one.
 
     Two models are ``==`` when they hold the same grouping, band position,
     shape, smoothing and integer counts — what
@@ -218,6 +219,9 @@ class SymbolProbabilityModel:
     #: computed at the first score.
     _log_band: np.ndarray | None = field(default=None, repr=False, compare=False)
     _log_outside: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: The exact coder's :meth:`cumulative_band`, validated and read-only;
+    #: derived at the first exact encode or decode.
+    _band_table: BandTable | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -252,6 +256,8 @@ class SymbolProbabilityModel:
                 if counts.shape != total_counts.shape:
                     raise ValueError("all symbol tensors must induce the same context set")
                 total_counts += counts
+            # Gone before the next tensor is counted: two tables at a time, not three.
+            del counts
         assert total_counts is not None
         return cls.from_counts(total_counts, lo, tensors[0].shape, grouping, smoothing)
 
@@ -449,7 +455,8 @@ class SymbolProbabilityModel:
         the dense derivation's table bit for bit.  It costs what the band's
         width does, and so does the table: 0.1-1 MiB for a ``(1024, 511)``
         model whose band is 20-255 symbols wide, where the dense table is
-        2 MiB.  Nothing of it is kept on the model: it is derived per call.
+        2 MiB.  Each call derives a new table; the exact coder's, at the
+        default total, is derived once and kept on the model.
         """
         if not 2 * ALPHABET_SIZE <= quantize_total <= MAX_QUANTIZE_TOTAL:
             raise ValueError(
@@ -484,6 +491,16 @@ class SymbolProbabilityModel:
             band[rows, 1:] = block
         np.cumsum(band, axis=1, out=band)
         return BandTable(band, outside, start, ALPHABET_SIZE)
+
+    def _coder_table(self) -> BandTable:
+        """The exact coder's table: :meth:`cumulative_band` at its default total.
+
+        Derived and validated at the first call and kept, read-only, for every
+        later encode and decode of this model.
+        """
+        if self._band_table is None:
+            self._band_table = _kept_table(self.cumulative_band())
+        return self._band_table
 
     def cumulative_counts(self, quantize_total: int = 1 << 16) -> np.ndarray:
         """The dense ``int32`` table :meth:`cumulative_band` stands for.

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from test_ingest_fast_path import DenseFit, assert_scores_dense, assert_tables_equal
 
 from conftest import encode_all_levels
-from repro.core import CacheGenDecoder, CacheGenEncoder, KVCache
+from repro.core import CacheGenDecoder, CacheGenEncoder, FittedCodec, KVCache
 from repro.core.arithmetic_coder import ArithmeticDecoder, ArithmeticEncoder, _split_lanes
 from repro.core.entropy_codec import LANE_SYMBOLS, MAX_LANES, lane_count
 from repro.core.probability_model import SymbolProbabilityModel
@@ -115,13 +115,36 @@ def test_banded_model_equals_dense_fit(seed, grouping, fit_lo, fit_span, lo, spa
     assert_scores_dense(model, draw(lo, span), dense)
 
 
-def test_one_table_per_model_per_call(codecs, kv, monkeypatch):
+@pytest.fixture
+def fresh_codecs(encoder: CacheGenEncoder, tmp_path):
+    """``codecs`` on a copy of the profile whose models have coded nothing yet."""
+    path = tmp_path / "profile.npz"
+    encoder.codec.save(path, "fresh")
+    config = encoder.config.replace(chunk_tokens=CHUNK_TOKENS)
+    codec = FittedCodec.load(path, config, "fresh")
+    exact = CacheGenEncoder(config.replace(exact_entropy_coding=True), codec=codec)
+    estimated = CacheGenEncoder(config, codec=codec)
+    return exact, CacheGenDecoder(exact), estimated, CacheGenDecoder(estimated)
+
+
+def coded_models(encoder: CacheGenEncoder) -> dict[int, SymbolProbabilityModel]:
+    """Every model of ``encoder``'s levels, by ``id``."""
+    return {
+        id(model): model
+        for level in LEVELS
+        for both in [encoder.model_for_level(level)]
+        for model in (both.delta_model, both.anchor_model)
+    }
+
+
+def test_one_table_per_model(fresh_codecs, kv, monkeypatch):
     """K-delta, K-anchor, V-delta and V-anchor of a call are one batch: one
-    coder, one loop, and one band table per model (they cost more to derive
-    than a small chunk costs to code).  The estimated path derives no table
-    and builds no coder at all."""
-    exact, exact_decoder, estimated, estimated_decoder = codecs
-    derived, coders = [], []
+    coder and one loop.  A model derives its band table at its first exact
+    call and keeps it, so over two full rounds — every level encoded and
+    decoded — each model derives it exactly once.  The estimated path
+    derives no table and builds no coder at all."""
+    exact, exact_decoder, estimated, estimated_decoder = fresh_codecs
+    derived, coders, handed = [], [], []
     derive = SymbolProbabilityModel.cumulative_band
     monkeypatch.setattr(
         SymbolProbabilityModel,
@@ -130,11 +153,13 @@ def test_one_table_per_model_per_call(codecs, kv, monkeypatch):
     )
     for kind in (ArithmeticEncoder, ArithmeticDecoder):
         build = kind.__init__
-        monkeypatch.setattr(
-            kind,
-            "__init__",
-            lambda coder, *args, _build=build: coders.append(type(coder)) or _build(coder, *args),
-        )
+
+        def spy(coder, tables, *args, _build=build):
+            coders.append(type(coder))
+            handed.append(len(tables))
+            _build(coder, tables, *args)
+
+        monkeypatch.setattr(kind, "__init__", spy)
     chunk = kv.slice_tokens(0, 30)
     models = exact.model_for_level("low")
     both = sorted([id(models.delta_model), id(models.anchor_model)])
@@ -142,14 +167,20 @@ def test_one_table_per_model_per_call(codecs, kv, monkeypatch):
     encoded = exact.encode(chunk, "low")
     assert sorted(derived) == both and coders == [ArithmeticEncoder]
     exact_decoder.decode(encoded)
-    assert sorted(derived[2:]) == both and coders[1:] == [ArithmeticDecoder]
+    assert sorted(derived) == both and coders[1:] == [ArithmeticDecoder]
+    del coders[:], handed[:]
+    for _ in range(2):
+        for level in LEVELS:
+            exact_decoder.decode(exact.encode(chunk, level))
+    assert sorted(derived) == sorted(coded_models(exact))
+    assert coders == [ArithmeticEncoder, ArithmeticDecoder] * (2 * len(LEVELS))
     # Levels that share an anchor model share its payloads: within one
-    # preparation only the first of them codes (and derives a table for) anchors.
-    del derived[:], coders[:]
+    # preparation only the first of them codes anchors.
+    del coders[:], handed[:]
     encode_all_levels(exact, chunk)
     anchor_models = {id(exact.model_for_level(level).anchor_model) for level in LEVELS}
-    assert len(derived) == len(LEVELS) + len(anchor_models) < 2 * len(LEVELS)
     assert coders == [ArithmeticEncoder] * len(LEVELS)
+    assert sum(handed) == 2 * (len(LEVELS) + len(anchor_models)) < 4 * len(LEVELS)
 
     del derived[:], coders[:]
     estimated_decoder.decode(estimated.encode(chunk, "low"))
@@ -157,23 +188,48 @@ def test_one_table_per_model_per_call(codecs, kv, monkeypatch):
     assert derived == [] and coders == []
 
 
-#: What exact coding may leave allocated once its results are dropped.  The
-#: coder keeps nothing — every table is derived for a call and dies with it —
-#: so this is slack for interpreter noise, not a table: one model's band
-#: table is 0.07-1 MiB (its dense table 2 MiB), and the ceiling this repo set
-#: itself for all of them is 3 MiB.
+def test_a_model_keeps_its_derived_table(fresh_codecs, kv, monkeypatch):
+    """The table a model keeps is the one ``cumulative_band()`` derives, it
+    is the very object both directions code with, and nothing can write it."""
+    exact, exact_decoder, _, _ = fresh_codecs
+    models = exact.model_for_level("medium")
+    handed = {ArithmeticEncoder: [], ArithmeticDecoder: []}
+    for kind in handed:
+        build = kind.__init__
+
+        def spy(coder, tables, *args, _build=build):
+            handed[type(coder)].extend(tables)
+            _build(coder, tables, *args)
+
+        monkeypatch.setattr(kind, "__init__", spy)
+    exact_decoder.decode(exact.encode(kv.slice_tokens(0, 30), "medium"))
+    for model in (models.delta_model, models.anchor_model):
+        kept, fresh = model._band_table, model.cumulative_band()
+        assert kept is not None and kept is model._coder_table()
+        assert (kept.start, kept.alphabet) == (fresh.start, fresh.alphabet)
+        np.testing.assert_array_equal(kept.band, fresh.band)
+        np.testing.assert_array_equal(kept.outside, fresh.outside)
+        for tables in handed.values():
+            # Its K and V payloads, in the encoder and in the decoder alike.
+            assert sum(table is kept for table in tables) == 2
+        for array in (kept.band, kept.outside):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
+#: What exact coding may leave allocated besides the models' coder tables,
+#: once its results are dropped: slack for interpreter noise, not a table.
+#: One model's band table is 0.07-1 MiB (its dense table 2 MiB).
 RESIDENT_BUDGET_BYTES = 64 * 1024
 
 
-def test_exact_coding_leaves_nothing_resident(codecs, kv):
-    """After an exact encode and decode at every level, the encoder, the
-    decoder and the ``FittedCodec`` (everything else is dropped) hold no more
-    than before: no frequency, cumulative or search table stays behind."""
-    exact, exact_decoder, _, _ = codecs
-    delta_model = exact.model_for_level("low").delta_model
-    assert delta_model.counts.shape == (1024, 511)
-    chunk = kv.slice_tokens(0, 30)
-    exact_decoder.decode(exact.encode(chunk, "low"))  # lazy imports and caches are not residency
+def kept_table_bytes(encoder: CacheGenEncoder) -> int:
+    tables = [model._band_table for model in coded_models(encoder).values()]
+    return sum(table.band.nbytes + table.outside.nbytes for table in tables if table is not None)
+
+
+def traced_round(exact, exact_decoder, chunk) -> tuple[int, int]:
+    """``(held after, peak)`` above what was held before: one exact round at every level."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -184,15 +240,43 @@ def test_exact_coding_leaves_nothing_resident(codecs, kv):
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert after - before <= RESIDENT_BUDGET_BYTES
-    # The tables were there: at the widest level, its two band tables and the
-    # decoder's search table over them, which is as large again.
-    level_models = [exact.model_for_level(level) for level in LEVELS]
+    return after - before, peak - before
+
+
+def test_the_first_exact_round_keeps_the_coder_tables_and_nothing_else(
+    codecs, fresh_codecs, kv
+):
+    """The first exact encode and decode at every level leaves the models'
+    coder tables behind, and at most ``RESIDENT_BUDGET_BYTES`` besides."""
+    exact, exact_decoder, _, _ = fresh_codecs
+    assert exact.model_for_level("low").delta_model.counts.shape == (1024, 511)
+    chunk = kv.slice_tokens(0, 30)
+    # Lazy imports and caches are not residency: a round on other models first.
+    warm, warm_decoder, _, _ = codecs
+    warm_decoder.decode(warm.encode(chunk, "low"))
+    assert kept_table_bytes(exact) == 0
+    held, _ = traced_round(exact, exact_decoder, chunk)
+    tables = kept_table_bytes(exact)
+    assert all(model._band_table is not None for model in coded_models(exact).values())
+    assert 0 < held <= tables + RESIDENT_BUDGET_BYTES
+
+
+def test_a_second_exact_round_leaves_nothing_resident(codecs, kv):
+    """Once every level has coded, another exact round at every level holds
+    no more than before: no frequency, cumulative or search table stays behind."""
+    exact, exact_decoder, _, _ = codecs
+    chunk = kv.slice_tokens(0, 30)
+    for level in LEVELS:  # the tables, lazy imports and caches are not residency
+        exact_decoder.decode(exact.encode(chunk, level))
+    held, peak = traced_round(exact, exact_decoder, chunk)
+    assert held <= RESIDENT_BUDGET_BYTES
+    # The work tables were there: at the widest level, its two band tables'
+    # search table in the decoder, which is as large as they are.
     widest = max(
-        sum(model.cumulative_band().band.nbytes for model in (both.delta_model, both.anchor_model))
-        for both in level_models
+        sum(model._coder_table().band.nbytes for model in (both.delta_model, both.anchor_model))
+        for both in (exact.model_for_level(level) for level in LEVELS)
     )
-    assert peak - before > 2 * widest
+    assert peak > widest
 
 
 class TestLaneOverhead:
