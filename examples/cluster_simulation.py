@@ -10,17 +10,28 @@ The example exercises the unified serving API's arrival-driven driver:
 2. replay a Zipf(α=1) / Poisson multi-tenant workload *open-loop* through the
    driver — requests enter the event simulation at their true arrival times,
    so queueing is steady-state, not an artifact of fixed-size waves,
-3. kill one node mid-stream — queries fail over to replicas or fall back to
-   the text path, so TTFT degrades but every request is served,
+3. kill one node mid-stream with a :class:`repro.faults.NodeCrash` timed at
+   one request's arrival — the fault injector applies it on the simulated
+   clock before that request is routed, so queries from then on fail over to
+   replicas or fall back to the text path: TTFT degrades but every request
+   is served,
 4. print the unified run report: per-node hit ratios, evictions, TTFT and
-   queueing percentiles, arrival rates, bytes moved and SLO attainment.
+   queueing percentiles, arrival rates, bytes moved, SLO attainment and the
+   resilience block (the crash, never recovered in-run).
 """
 
 from __future__ import annotations
 
 import os
 
-from repro import Driver, ServingSpec, WorkloadGenerator, build_backend
+from repro import (
+    Driver,
+    FaultSchedule,
+    NodeCrash,
+    ServingSpec,
+    WorkloadGenerator,
+    build_backend,
+)
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 NUM_REQUESTS = 60 if SMOKE else 240
@@ -50,7 +61,11 @@ def main() -> None:
         token_choices=(700, 1_400, 2_800) if not SMOKE else (350, 700),
         seed=2024,
     )
-    driver = Driver(backend, workload, node_failures={FAIL_AT: FAILED_NODE})
+    # Arrival times are a prefix: request FAIL_AT arrives at the same instant
+    # in generate(NUM_REQUESTS) as in the run the driver replays.
+    fail_at_s = workload.generate(NUM_REQUESTS)[FAIL_AT].arrival_s
+    crash = FaultSchedule([NodeCrash(FAILED_NODE, at_s=fail_at_s)])
+    driver = Driver(backend, workload, faults=crash)
 
     print(
         f"Serving {NUM_REQUESTS} requests open-loop on 4 nodes; "

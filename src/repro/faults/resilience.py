@@ -538,7 +538,8 @@ class ResilienceManager:
     def sweep(self, cluster, now_s: float, tracer=None) -> None:
         """Anti-entropy pass: commit finished repairs, schedule new ones.
 
-        Called by the driver at fault/topology boundaries and at end of run.
+        Called by the driver at every arrival when the policy repairs, and
+        through :meth:`drain` at end of run.
         Scheduling walks the under-replicated contexts in deterministic
         (sorted) order; each repair copies the already-encoded bitstreams
         from a surviving replica onto the next live node in ring order,

@@ -163,22 +163,19 @@ def storage_cost_per_request(
     num_requests: int,
     reprefill_fraction: float = 0.0,
     mean_context_tokens: int = 0,
-    cost_model=None,
 ) -> float:
     """$/GB-derived serving cost per request of a cluster run.
 
     Treats the run's request count as one month of traffic against the bytes
     resident when it ended: storage dollars amortise over the requests, and
-    every full miss re-pays Appendix E's recompute price for the mean context.
-    ``cost_model`` defaults to :class:`~repro.storage.cost.TieredCostModel`'s
-    reference prices.
+    every full miss re-pays Appendix E's recompute price for the mean context,
+    at :class:`~repro.storage.cost.TieredCostModel`'s reference prices.
     """
     from ..storage.cost import TieredCostModel
 
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
-    model = cost_model or TieredCostModel()
-    return model.cost_per_request(
+    return TieredCostModel().cost_per_request(
         hot_bytes=hot_bytes,
         cold_bytes=cold_bytes,
         requests_per_month=float(num_requests),

@@ -14,8 +14,8 @@ This package is the single public serving surface of the repo:
   (``build_backend(spec, codec=...)`` injects another);
 * :class:`Driver` / :func:`serve` — the arrival-driven open-loop runner that
   replays a workload's true Poisson arrival process (ingest events
-  interleaved with queries, pluggable admission/shedding) through any
-  backend.
+  interleaved with queries, optional token-bucket shedding, faults as
+  events on the simulated clock) through any backend.
 
 ``backends`` and ``driver`` are loaded lazily (PEP 562): the engine they
 build imports :mod:`.spec` and :mod:`.types` itself, so the eager surface of
@@ -30,8 +30,6 @@ from .spec import ServingSpec
 from .types import RunReport, ServeRequest, ServeResponse
 
 __all__ = [
-    "AdmissionPolicy",
-    "AdmitAll",
     "AutoscaleSpec",
     "Backend",
     "Driver",
@@ -50,12 +48,6 @@ __getattr__ = _lazy_exports(
     {
         ".backends": ("Backend", "build_backend"),
         "..engine": ("profile_codec",),
-        ".driver": (
-            "AdmissionPolicy",
-            "AdmitAll",
-            "Driver",
-            "TokenBucketAdmission",
-            "serve",
-        ),
+        ".driver": ("Driver", "TokenBucketAdmission", "serve"),
     },
 )

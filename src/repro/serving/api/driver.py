@@ -6,21 +6,24 @@ queries enter one continuous event simulation with their absolute arrival
 times, and queueing emerges from the schedule — there are no fixed-size waves
 whose boundaries would drain the system and hide steady-state queueing.
 
-Admission is pluggable: an :class:`AdmissionPolicy` sees every arrival and
-may shed it (open-loop load shedding); shed requests are counted in the
+An optional :class:`TokenBucketAdmission` sees every arrival and may shed it
+(open-loop load shedding); shed requests are counted in the
 :class:`~repro.serving.api.types.RunReport` and never enter the simulation.
 
-Topology events (node failures/recoveries) split the run into segments: each
-segment is one continuous simulation, and the event applies at the boundary.
-Cross-segment queueing state resets — exactly the semantics of a node dying
-at that point in the arrival stream.
+A :class:`~repro.faults.FaultSchedule` is the one way to change a run's
+topology: node crashes and recoveries, link degradation and corrupted
+replicas are events on the simulated clock.  The first arrival at or past an
+event's time closes the current segment (one continuous simulation), and the
+event applies at that boundary, before the arrival is routed.  Cross-segment
+queueing state resets — exactly the semantics of a node dying at that point
+in the arrival stream.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ...core.encoder import FittedCodec
 from ...storage.kv_store import CapacityError
@@ -34,34 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ...telemetry.trace import Tracer
 
 __all__ = [
-    "AdmissionPolicy",
-    "AdmitAll",
     "TokenBucketAdmission",
     "Driver",
     "serve",
 ]
-
-
-class AdmissionPolicy(Protocol):
-    """Decides, per arrival, whether a request is served or shed."""
-
-    def admit(self, request: ServeRequest) -> bool:
-        """True to serve the request, False to shed it.
-
-        Called once per arrival, in arrival order; policies may keep state
-        keyed on ``request.arrival_s`` (the clock only moves forward within
-        one run).  A workload generator restarts its arrival clock on every
-        :meth:`Driver.run`, so stateful policies should also implement
-        ``reset()`` — the driver calls it at the start of each run.
-        """
-        ...
-
-
-class AdmitAll:
-    """The default policy: every arrival is served."""
-
-    def admit(self, request: ServeRequest) -> bool:
-        return True
 
 
 class TokenBucketAdmission:
@@ -69,7 +48,9 @@ class TokenBucketAdmission:
 
     The bucket refills at ``rate_per_s`` and holds at most ``burst`` tokens;
     an arrival that finds the bucket empty is shed.  This bounds the rate the
-    backend sees regardless of the offered load.
+    backend sees regardless of the offered load.  :meth:`admit` is called once
+    per arrival, in arrival order; the driver calls :meth:`reset` at the start
+    of every run, because a workload generator restarts its arrival clock.
     """
 
     def __init__(self, rate_per_s: float, burst: int = 1) -> None:
@@ -110,27 +91,20 @@ class Driver:
         ``iter_requests`` supplies the arrival process) or any iterable of
         :class:`ServeRequest` / workload ``Request`` objects.
     admission:
-        Pluggable shedding hook; defaults to :class:`AdmitAll`.
-    reingest_on_miss:
-        Re-ingest a known context that was served from text because every
-        replica lost it, so placement keeps following popularity across
-        :meth:`run` calls.
-    node_failures / node_recoveries:
-        Request index -> node id, applied at that arrival.  Each event closes
-        the current simulation segment.  The single topology's one node is
-        ``"node-0"``; with it down, queries degrade to text.
+        Optional :class:`TokenBucketAdmission` shedding arrivals; ``None``
+        (default) serves every arrival.
     faults:
-        Optional :class:`~repro.faults.FaultSchedule`.  Its compiled events
-        (node crashes, link degradation, corrupted replicas)
-        are applied on the simulated clock: at the first arrival past an
-        event's time the driver closes the current segment and mutates the
-        backend in place.  Fault and recovery instants land on the tracer's
-        ``"faults"`` track, per-fault MTTR and the resilience counters ride
-        on ``report.resilience``.  ``None`` (default) keeps the fault-free
-        fast path byte-identical.
-    max_batch:
-        Optional cap on requests per simulation segment.  ``None`` (default)
-        runs the whole stream as one continuous open-loop simulation.
+        Optional :class:`~repro.faults.FaultSchedule`, the one way to change
+        the topology mid-run.  Its compiled events (node crashes and
+        recoveries, link degradation, corrupted replicas) are applied on the
+        simulated clock: at the first arrival at or past an event's time the
+        driver closes the current segment and mutates the backend in place,
+        so that arrival is already routed around a crashed node.  The single
+        topology's one node is ``"node-0"``; with it down, queries degrade to
+        text.  Fault and recovery instants land on the tracer's ``"faults"``
+        track, per-fault MTTR and the resilience counters ride on
+        ``report.resilience``.  ``None`` (default) keeps the fault-free fast
+        path byte-identical.
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`.  When given, it is
         wired through the backend (engines, stores, simulated resources), the
@@ -158,6 +132,10 @@ class Driver:
 
     Notes
     -----
+    After the last response, a known context that was served from text
+    because every replica lost it is re-ingested, so placement keeps
+    following popularity across :meth:`run` calls.
+
     On capacity-bounded deployments (``spec.max_bytes_per_node`` set) every
     first-touch ingest is also a segment boundary: pending requests are
     served against the store state current at *their* arrival before the
@@ -177,12 +155,8 @@ class Driver:
         backend: Backend | ServingSpec,
         workload=None,
         *,
-        admission: AdmissionPolicy | None = None,
-        reingest_on_miss: bool = True,
-        node_failures: Mapping[int, str] | None = None,
-        node_recoveries: Mapping[int, str] | None = None,
+        admission: TokenBucketAdmission | None = None,
         faults: FaultSchedule | None = None,
-        max_batch: int | None = None,
         tracer: Tracer | None = None,
         window_s: float | None = None,
         slos: Sequence[SLOObjective] = (),
@@ -190,32 +164,22 @@ class Driver:
     ) -> None:
         if isinstance(backend, ServingSpec):
             backend = build_backend(backend)
-        if max_batch is not None and max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
         self.backend = backend
         self.tracer = tracer
         self.workload = workload
-        self.admission = admission or AdmitAll()
-        self.reingest_on_miss = reingest_on_miss
-        self.node_failures = dict(node_failures or {})
-        self.node_recoveries = dict(node_recoveries or {})
+        self.admission = admission
         if faults is not None:
             # Fault injection loads only for a run that asks for it.
             from ...faults import FaultInjector, FaultSchedule
 
             if not isinstance(faults, FaultSchedule):
                 raise TypeError("faults must be a FaultSchedule (or None)")
+            # A node id the backend does not have fails here, not mid-run.
+            FaultInjector.validate(faults, backend.engine.cluster)
         self.faults = faults
-        self.max_batch = max_batch
         self.window_s = window_s
         self.slos = tuple(slos)
         self.simcheck = simcheck
-        # A node id the backend does not have fails here, not mid-run.
-        cluster = backend.engine.cluster
-        for node_id in (*self.node_failures.values(), *self.node_recoveries.values()):
-            cluster.node(node_id)
-        if faults is not None:
-            FaultInjector.validate(faults, cluster)
         # ``None`` detaches whatever an earlier driver of this backend attached.
         backend.attach_tracer(tracer)
         #: Contexts ever ingested — persists across run() calls.
@@ -251,9 +215,9 @@ class Driver:
         """Serve the arrival stream open-loop and report the outcome."""
         backend = self.backend
         requests = self._requests(num_requests)
-        reset = getattr(self.admission, "reset", None)
-        if callable(reset):
-            reset()
+        admission = self.admission
+        if admission is not None:
+            admission.reset()
         tracer = self.tracer
         monitor = self._simcheck_monitor()
         backend.attach_simcheck(monitor)
@@ -325,12 +289,11 @@ class Driver:
                 manager.now = max(manager.now, request.arrival_s)
                 if repair_enabled:
                     manager.sweep(cluster, request.arrival_s, tracer)
-            fault_due = injector is not None and injector.due(request.arrival_s)
-            if fault_due or index in self.node_failures or index in self.node_recoveries:
+            if injector is not None and injector.due(request.arrival_s):
                 flush()
                 if not segment_boundaries:
                     warnings.warn(
-                        "a topology/fault event closes the current simulation "
+                        "a fault event closes the current simulation "
                         "segment: queued link and GPU backlog does not carry "
                         "across the boundary (indices are recorded on "
                         "RunReport.segment_boundaries)",
@@ -338,29 +301,8 @@ class Driver:
                     )
                 segment_boundaries.append(index)
                 segment_times.append(request.arrival_s)
-                if fault_due:
-                    injector.apply_due(request.arrival_s)
-                if index in self.node_failures:
-                    cluster.mark_down(self.node_failures[index])
-                    if tracer is not None:
-                        tracer.instant(
-                            "node down",
-                            track="cluster",
-                            at_s=request.arrival_s,
-                            category="cluster",
-                            node=self.node_failures[index],
-                        )
-                if index in self.node_recoveries:
-                    cluster.mark_up(self.node_recoveries[index])
-                    if tracer is not None:
-                        tracer.instant(
-                            "node up",
-                            track="cluster",
-                            at_s=request.arrival_s,
-                            category="cluster",
-                            node=self.node_recoveries[index],
-                        )
-            if not self.admission.admit(request):
+                injector.apply_due(request.arrival_s)
+            if admission is not None and not admission.admit(request):
                 shed += 1
                 shed_times.append(request.arrival_s)
                 if tracer is not None:
@@ -412,8 +354,6 @@ class Driver:
                             "ingested_bytes", "bytes written at ingest"
                         ).inc(report.total_stored_bytes)
             pending.append(request)
-            if self.max_batch is not None and len(pending) >= self.max_batch:
-                flush()
         flush()
 
         if injector is not None:
@@ -423,11 +363,10 @@ class Driver:
             manager.drain(cluster, manager.now, tracer)
         fault_outcomes = injector.finalize() if injector is not None else ()
 
-        if self.reingest_on_miss:
-            ingests_, failed_, bytes_ = self._reingest_missed(responses)
-            ingests += ingests_
-            failed_ingests += failed_
-            replication_bytes += bytes_
+        ingests_, failed_, bytes_ = self._reingest_missed(responses)
+        ingests += ingests_
+        failed_ingests += failed_
+        replication_bytes += bytes_
 
         served_tokens = [
             self._known_tokens[r.context_id]
@@ -529,7 +468,7 @@ def serve(
     *,
     workload=None,
     num_requests: int | None = None,
-    admission: AdmissionPolicy | None = None,
+    admission: TokenBucketAdmission | None = None,
     tracer: Tracer | None = None,
     codec: FittedCodec | None = None,
     **driver_kwargs,

@@ -17,7 +17,6 @@ from typing import Mapping
 from ...core.config import CacheGenConfig
 from ...llm.compute_model import A40, GPUSpec
 from ...llm.model_config import ModelConfig, get_model_config
-from ...network.link import NetworkLink
 from ...storage.eviction import POLICIES
 from ...storage.tiered import PLACEMENTS
 from ..fleet.autoscale import AutoscaleSpec
@@ -74,9 +73,6 @@ class ServingSpec:
         clusters) and the per-node tier link.  The single topology's text
         fallback shares its serving link; a cluster's document store sits
         behind a default 3 Gbps link.
-    link:
-        Escape hatch: a fully custom :class:`~repro.network.NetworkLink` for
-        the single-node serving link (e.g. a random or stepped trace).
     concurrency:
         Declared, selects nothing: every request is played on the event
         engine, where queueing emerges from the shared links and GPU run
@@ -137,7 +133,6 @@ class ServingSpec:
     bandwidth_gbps: float = 3.0
     node_bandwidths_gbps: tuple[float, ...] | None = None
     tier_bandwidth_gbps: float = 1.0
-    link: NetworkLink | None = None
     concurrency: int = 1
     max_decode_batch: int = 16
     batch_overhead: float = 0.2
@@ -201,8 +196,6 @@ class ServingSpec:
                 raise ValueError("node_bandwidths_gbps must name one speed per node")
             for speed in self.node_bandwidths_gbps:
                 _require_finite("node_bandwidths_gbps", speed)
-        if self.link is not None and self.topology != "single":
-            raise ValueError("a custom link only applies to the single topology")
         if self.dispatch_policy not in DISPATCH_POLICIES:
             raise ValueError(
                 f"unknown dispatch policy {self.dispatch_policy!r}; "

@@ -230,9 +230,10 @@ class RunReport:
     #: Text fallbacks of *known* contexts by cause ("node_down", "corruption",
     #: "timeout", "evicted"); the §7.3 short-context preference not included.
     fallback_causes: dict = field(default_factory=dict)
-    #: Request indices where the driver closed a simulation segment (topology
-    #: or fault events).  Queueing state resets at each boundary — exclude
-    #: windows spanning one from fine-grained latency analysis.
+    #: Request indices where the driver closed a simulation segment: the
+    #: first arrival at or past a fault event's time.  Queueing state resets
+    #: at each boundary — exclude windows spanning one from fine-grained
+    #: latency analysis.
     segment_boundaries: tuple = ()
     #: Simulated-clock instants of those boundaries (same order).  Resource
     #: spans from before a boundary may overlap spans after it — backlog does
@@ -286,7 +287,6 @@ class RunReport:
         node_summaries: Sequence[NodeSummary] = (),
         mean_context_tokens: int = 0,
         min_duration_s: float = 0.0,
-        cost_model=None,
     ) -> "RunReport":
         """Assemble the report shared by every backend and the driver.
 
@@ -298,10 +298,10 @@ class RunReport:
         ttfts = [r.ttft_s for r in responses]
         kv_served = sum(1 for r in responses if r.used_kv_cache)
         text_served = len(responses) - kv_served
-        degraded = sum(1 for r in responses if getattr(r, "degraded", False))
+        degraded = sum(1 for r in responses if r.degraded)
         fallback_causes: dict[str, int] = {}
         for r in responses:
-            cause = getattr(r, "degrade_cause", None)
+            cause = r.degrade_cause
             if cause is not None:
                 fallback_causes[cause] = fallback_causes.get(cause, 0) + 1
         hot_served = sum(1 for r in responses if r.served_tier == HOT)
@@ -320,12 +320,10 @@ class RunReport:
                 len(responses),
                 reprefill_fraction=text_served / len(responses) if responses else 0.0,
                 mean_context_tokens=mean_context_tokens,
-                cost_model=cost_model,
             )
             if responses
             else 0.0
         )
-        model = cost_model or TieredCostModel()
         return cls(
             num_requests=num_requests,
             ttft=summarize_latencies(ttfts) if ttfts else EMPTY_LATENCY_SUMMARY,
@@ -354,7 +352,7 @@ class RunReport:
             promotions=tier.promotions,
             hot_bytes=tier.hot_bytes,
             cold_bytes=tier.cold_bytes,
-            storage_cost_usd_per_month=model.monthly_storage_cost(
+            storage_cost_usd_per_month=TieredCostModel().monthly_storage_cost(
                 tier.hot_bytes, tier.cold_bytes
             ),
             cost_usd_per_request=cost_per_request,

@@ -160,7 +160,7 @@ class GpuScheduler:
     ----------
     clock:
         The simulation clock.
-    max_batch_size:
+    max_decode_batch:
         Maximum number of decodes coalesced into one batched launch (``B`` in
         §5.3).
     batch_overhead:
@@ -173,17 +173,17 @@ class GpuScheduler:
     def __init__(
         self,
         clock: SimClock,
-        max_batch_size: int = 16,
+        max_decode_batch: int = 16,
         batch_overhead: float = 0.2,
         tracer: "Tracer | None" = None,
         track: str = "gpu",
     ) -> None:
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
+        if max_decode_batch < 1:
+            raise ValueError("max_decode_batch must be at least 1")
         if not 0.0 <= batch_overhead <= 1.0:
             raise ValueError("batch_overhead must be in [0, 1]")
         self.clock = clock
-        self.max_batch_size = max_batch_size
+        self.max_decode_batch = max_decode_batch
         self.batch_overhead = batch_overhead
         self.tracer = tracer
         self.track = track
@@ -252,7 +252,7 @@ class GpuScheduler:
                 task
                 for task in self._queue
                 if task.kind == DECODE and task.batch_key == head.batch_key
-            ][: self.max_batch_size]
+            ][: self.max_decode_batch]
         else:
             batch = [head]
         chosen = {id(task) for task in batch}

@@ -280,7 +280,7 @@ class ConcurrentLoadSimulator:
             gpu = GpuWorkerPool(
                 clock,
                 num_workers=self.gpu_workers,
-                max_batch_size=self.max_decode_batch,
+                max_decode_batch=self.max_decode_batch,
                 batch_overhead=self.batch_overhead,
                 dispatch=self.dispatch_policy,
                 autoscale=self.autoscale,
@@ -291,7 +291,7 @@ class ConcurrentLoadSimulator:
         else:
             gpu = GpuScheduler(
                 clock,
-                max_batch_size=self.max_decode_batch,
+                max_decode_batch=self.max_decode_batch,
                 batch_overhead=self.batch_overhead,
                 tracer=tracer,
                 track="gpu",

@@ -234,7 +234,7 @@ class ContextLoadingEngine:
 
         if spec.topology == "single":
             # Text fallbacks and KV reads share the one serving link.
-            self.link = spec.link or _constant_link(spec.bandwidth_gbps)
+            self.link = _constant_link(spec.bandwidth_gbps)
             node_links = [self.link]
         else:
             self.link = NetworkLink()

@@ -50,7 +50,7 @@ class GpuWorkerPool:
         The simulation clock shared with the links and load processes.
     num_workers:
         Initial pool size (the autoscaler may move it within its bounds).
-    max_batch_size / batch_overhead:
+    max_decode_batch / batch_overhead:
         Continuous-batching settings of every worker (see
         :class:`~repro.serving.concurrent.resources.GpuScheduler`).
     dispatch:
@@ -78,7 +78,7 @@ class GpuWorkerPool:
         clock: SimClock,
         num_workers: int = 1,
         *,
-        max_batch_size: int = 16,
+        max_decode_batch: int = 16,
         batch_overhead: float = 0.2,
         dispatch: str | DispatchPolicy = "least-loaded",
         autoscale: AutoscaleSpec | None = None,
@@ -88,7 +88,7 @@ class GpuWorkerPool:
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
         self.clock = clock
-        self.max_batch_size = max_batch_size
+        self.max_decode_batch = max_decode_batch
         self.batch_overhead = batch_overhead
         self.dispatch = make_dispatch(dispatch)
         self.autoscale = autoscale
@@ -158,7 +158,7 @@ class GpuWorkerPool:
     def _spawn_worker(self) -> GpuScheduler:
         worker = GpuScheduler(
             self.clock,
-            max_batch_size=self.max_batch_size,
+            max_decode_batch=self.max_decode_batch,
             batch_overhead=self.batch_overhead,
             tracer=self.tracer,
             track=f"{self.track_prefix}:worker-{self._spawned}",

@@ -71,7 +71,7 @@ def check_tracer_tracks(
     """Gauges never negative; serialized resource tracks never overlap.
 
     ``segment_starts_s`` lists the simulated instants where the driver closed
-    a simulation segment (topology/fault events).  Backlog does not carry
+    a simulation segment (fault events).  Backlog does not carry
     across a boundary, so a span from the old segment may legitimately
     overlap one from the new — the overlap checks run within each segment,
     never across one.

@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster import WorkloadGenerator
+from repro.faults import FaultSchedule, NodeCrash
 from repro.serving.api import Driver, ServingSpec
 
 NUM_REQUESTS = 50
@@ -37,14 +38,27 @@ def _workload(seed: int = 7) -> WorkloadGenerator:
     )
 
 
+def _crashes(workload: WorkloadGenerator, num_requests: int, at: dict) -> FaultSchedule:
+    """Node crashes at the arrivals of the given request indices.
+
+    Arrival times are a prefix, so request ``i`` of ``generate(n)`` arrives
+    when request ``i`` of the driven run does; a crash at that instant
+    applies before the request is routed.
+    """
+    arrivals = [r.arrival_s for r in workload.generate(num_requests)]
+    return FaultSchedule([NodeCrash(node, at_s=arrivals[i]) for i, node in at.items()])
+
+
 def _run(driver: Driver, num_requests: int):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # topology segment notice
+        warnings.simplefilter("ignore", UserWarning)  # fault segment notice
         return driver.run(num_requests)
 
 
 def _failure_run():
-    driver = Driver(replace(SPEC, slo_s=1.0), _workload(), node_failures={25: "node-1"})
+    workload = _workload()
+    crash = _crashes(workload, NUM_REQUESTS, {25: "node-1"})
+    driver = Driver(replace(SPEC, slo_s=1.0), workload, faults=crash)
     return _run(driver, NUM_REQUESTS)
 
 
@@ -94,10 +108,11 @@ class TestRun:
 
 class TestBlackout:
     def test_total_blackout_degrades_to_text_without_failures(self):
+        workload = _workload(seed=3)
         driver = Driver(
             replace(SPEC, num_nodes=2),
-            _workload(seed=3),
-            node_failures={5: "node-0", 7: "node-1"},
+            workload,
+            faults=_crashes(workload, 20, {5: "node-0", 7: "node-1"}),
         )
         report = _run(driver, 20)
         assert report.hard_failures == 0

@@ -51,7 +51,7 @@ class TestValidation:
         schedule = FaultSchedule([Corruption("ctx", at_s=1.0, node_id="node-0")])
         backend = build_backend(SINGLE_SPEC, codec=fitted_codec())
         with pytest.warns(UserWarning, match="closes the current simulation segment"):
-            report = Driver(backend, requests, faults=schedule, reingest_on_miss=False).run()
+            report = Driver(backend, requests, faults=schedule).run()
         clean, corrupted, after = report.responses
         assert clean.used_kv_cache and clean.served_by == "node-0"
         assert not corrupted.used_kv_cache and corrupted.chunk_configs == ["text"]

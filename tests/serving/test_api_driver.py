@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster import WorkloadGenerator
+from repro.faults import FaultSchedule, NodeCrash
 from repro.serving.api import (
     Driver,
     ServeRequest,
@@ -135,13 +136,42 @@ class TestDriver:
         workload = WorkloadGenerator(
             num_contexts=3, token_choices=(640,), arrival_rate_per_s=4.0, seed=9
         )
-        driver = Driver(backend, workload, node_failures={4: "node-0"})
-        report = driver.run(10)
+        # Arrival times are a prefix: request 4 of the run is request 4 here.
+        crash_s = workload.generate(10)[4].arrival_s
+        driver = Driver(backend, workload, faults=FaultSchedule([NodeCrash("node-0", crash_s)]))
+        with pytest.warns(UserWarning, match="closes the current simulation segment"):
+            report = driver.run(10)
+        assert report.segment_boundaries == (4,)
         assert report.hard_failures == 0
         assert not backend.engine.cluster.node("node-0").up
         assert report.kv_served + report.text_served == 10
         # With 2x replication the surviving replica keeps serving from cache.
         assert report.kv_served > 0
+
+    def test_an_arrival_at_a_crash_instant_is_routed_around_the_crash(self, fitted_codec):
+        """A fault at ``at_s`` applies before an arrival at exactly ``at_s``.
+
+        The single topology's one node crashes at t=1 and recovers at t=2:
+        the request arriving at t=1 finds it already down and degrades to
+        text, the one at t=2 finds it already back and reads the KV cache.
+        """
+        requests = [
+            ServeRequest("crash-doc", f"Q{i}?", arrival_s=float(i), num_tokens=640)
+            for i in range(3)
+        ]
+        schedule = FaultSchedule([NodeCrash("node-0", at_s=1.0, recover_at_s=2.0)])
+        backend = build_backend(SPEC, codec=fitted_codec())
+        with pytest.warns(UserWarning, match="closes the current simulation segment"):
+            report = Driver(backend, requests, faults=schedule).run()
+        assert report.segment_boundaries == (1, 2)
+        assert report.segment_boundary_times_s == (1.0, 2.0)
+        before, at_crash, at_recovery = report.responses
+        assert before.used_kv_cache and before.served_by == "node-0"
+        assert not at_crash.used_kv_cache and at_crash.served_by is None
+        assert (at_crash.degraded, at_crash.degrade_cause) == (True, "node_down")
+        assert at_crash.attempted_node_ids == ("node-0",)
+        assert at_recovery.used_kv_cache and not at_recovery.degraded
+
     def test_concurrent_failover_names_attempted_nodes(self, fitted_codec):
         """Every request that fails over names the node it tried first in attempted_node_ids."""
         spec = ServingSpec(
@@ -166,9 +196,10 @@ class TestDriver:
         # The single topology's one node is "node-0"; with it down the
         # queries degrade to text.
         backend = build_backend(SPEC, codec=fitted_codec())
-        Driver(backend, None, node_failures={0: "node-0"})
+        Driver(backend, None, faults=FaultSchedule([NodeCrash("node-0", at_s=0.0)]))
+        crash = NodeCrash("node-1", at_s=1.0, recover_at_s=3.0)
         with pytest.raises(KeyError, match="unknown node 'node-1'"):
-            Driver(backend, None, node_recoveries={3: "node-1"})
+            Driver(backend, None, faults=FaultSchedule([crash]))
 
     def test_tracer_and_simcheck_end_with_their_driver(self, fitted_codec):
         """A reused backend must not keep tracing into an earlier run's tracer."""
@@ -211,7 +242,7 @@ class TestDriver:
             ServeRequest("ctx-b", "Q2?", arrival_s=0.2, num_tokens=320),
             ServeRequest("ctx-b", "Q3?", arrival_s=0.3, num_tokens=320),
         ]
-        report = serve(spec, requests, reingest_on_miss=False, codec=fitted_codec())
+        report = serve(spec, requests, codec=fitted_codec())
         assert report.total_evictions >= 1  # B's ingest displaced A
         assert report.kv_served == 4
 
@@ -228,12 +259,17 @@ class TestDriver:
         assert report.responses[0].context_id == "good-doc"
         assert report.responses[0].used_kv_cache
 
-    def test_max_batch_segments_cover_all_requests(self, fitted_codec):
+    def test_fault_segments_cover_all_requests(self, fitted_codec):
         requests = [
             ServeRequest("seg-doc", f"Q{i}?", arrival_s=0.2 * i, num_tokens=640)
             for i in range(5)
         ]
-        report = serve(SPEC, requests, max_batch=2, codec=fitted_codec())
+        crash = NodeCrash(
+            "node-0", at_s=requests[2].arrival_s, recover_at_s=requests[4].arrival_s
+        )
+        with pytest.warns(UserWarning, match="closes the current simulation segment"):
+            report = serve(SPEC, requests, faults=FaultSchedule([crash]), codec=fitted_codec())
+        assert report.segment_boundaries == (2, 4)
         assert len(report.responses) == 5
         assert [r.question for r in report.responses] == [r.question for r in requests]
 

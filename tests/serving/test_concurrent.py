@@ -59,10 +59,10 @@ class TestSimClock:
 # ----------------------------------------------------------------------- gpu
 class TestGpuScheduler:
     @staticmethod
-    def _run(max_batch_size: int, durations: list[float], batch_overhead: float = 0.2):
+    def _run(max_decode_batch: int, durations: list[float], batch_overhead: float = 0.2):
         """Block the GPU briefly so all decodes queue, then release them."""
         clock = SimClock()
-        gpu = GpuScheduler(clock, max_batch_size=max_batch_size, batch_overhead=batch_overhead)
+        gpu = GpuScheduler(clock, max_decode_batch=max_decode_batch, batch_overhead=batch_overhead)
         finished: dict[int, float] = {}
         gpu.submit(
             GpuTask(request_id=99, kind="prefill", duration_s=0.1, on_complete=lambda *a: None)
@@ -84,8 +84,8 @@ class TestGpuScheduler:
 
     def test_batched_decode_beats_sequential(self):
         durations = [0.03, 0.04, 0.05]
-        batched = self._run(max_batch_size=8, durations=durations)
-        sequential = self._run(max_batch_size=1, durations=durations)
+        batched = self._run(max_decode_batch=8, durations=durations)
+        sequential = self._run(max_decode_batch=1, durations=durations)
         assert max(batched.values()) < max(sequential.values())
         # The batch finishes together: longest member + overhead for the rest.
         expected = 0.1 + max(durations) + 0.2 * (sum(durations) - max(durations))
@@ -95,7 +95,7 @@ class TestGpuScheduler:
 
     def test_different_batch_keys_do_not_batch(self):
         clock = SimClock()
-        gpu = GpuScheduler(clock, max_batch_size=8)
+        gpu = GpuScheduler(clock, max_decode_batch=8)
         finished: dict[int, float] = {}
         gpu.submit(
             GpuTask(request_id=9, kind="prefill", duration_s=0.1, on_complete=lambda *a: None)

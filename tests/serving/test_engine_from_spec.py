@@ -23,6 +23,11 @@ from repro.storage.tiered import make_placement
 CHUNK_TOKENS = 256
 CONTEXT_TOKENS = 320
 
+#: A single-node deployment whose serving link is swapped after the build
+#: (``ContextLoadingEngine.replace_link``, as Figure 13 swaps its traces).
+SINGLE_CUSTOM_LINK = ServingSpec(chunk_tokens=CHUNK_TOKENS)
+CUSTOM_LINK = NetworkLink(ConstantTrace(gbps(0.8)))
+
 #: name -> spec; one of each topology, plus the fields that reshape it.
 DEPLOYMENTS = {
     "single": ServingSpec(chunk_tokens=CHUNK_TOKENS),
@@ -32,9 +37,7 @@ DEPLOYMENTS = {
         eviction_policy="lru",
         bandwidth_gbps=1.5,
     ),
-    "single-custom-link": ServingSpec(
-        chunk_tokens=CHUNK_TOKENS, link=NetworkLink(ConstantTrace(gbps(0.8)))
-    ),
+    "single-custom-link": SINGLE_CUSTOM_LINK,
     "cluster": ServingSpec(
         topology="cluster", num_nodes=3, replication=2, chunk_tokens=CHUNK_TOKENS
     ),
@@ -81,7 +84,10 @@ def _speed_bps(link: NetworkLink) -> float:
 def deployment(request, fitted_codec):
     """``(spec, backend)`` of one freshly built deployment."""
     spec = DEPLOYMENTS[request.param]
-    return spec, build_backend(spec, codec=fitted_codec())
+    backend = build_backend(spec, codec=fitted_codec())
+    if spec is SINGLE_CUSTOM_LINK:
+        backend.engine.replace_link(CUSTOM_LINK)
+    return spec, backend
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +122,8 @@ class TestTheEngineIsItsSpec:
             # Text fallbacks and KV reads share the one serving link.
             (node,) = nodes
             assert node.link is engine.link
-            if spec.link is not None:
-                assert engine.link is spec.link
+            if spec is SINGLE_CUSTOM_LINK:
+                assert engine.link is CUSTOM_LINK
             else:
                 assert _speed_bps(engine.link) == gbps(spec.bandwidth_gbps)
         else:

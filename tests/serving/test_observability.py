@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults import FaultSchedule, NodeCrash
 from repro.metrics.stats import percentiles
 from repro.serving.api import (
     Driver,
@@ -117,8 +118,9 @@ class TestNodeFailureObservability:
         degraded = Driver(
             build_backend(self.spec()),
             list(reqs),
-            node_failures={self.FAIL: primary},
-            node_recoveries={self.RECOVER: primary},
+            faults=FaultSchedule(
+                [NodeCrash(primary, at_s=self.fail_s, recover_at_s=self.recover_s)]
+            ),
             window_s=self.WINDOW,
             slos=[slo],
         ).run()

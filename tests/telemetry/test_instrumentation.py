@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import chrome_trace_events, to_chrome_trace
+from repro.faults import FaultSchedule, NodeCrash
 from repro.serving.api import ServeRequest, ServingSpec, TokenBucketAdmission, serve
 from repro.telemetry import (
     COMPUTE,
@@ -188,12 +189,15 @@ class TestDriverEvents:
             for i in range(6)
         ]
         backend = build_backend(spec)
-        driver = Driver(backend, requests, node_failures={3: "node-0"}, tracer=tracer)
-        report = driver.run()
+        crash = FaultSchedule([NodeCrash("node-0", at_s=requests[3].arrival_s)])
+        driver = Driver(backend, requests, faults=crash, tracer=tracer)
+        with pytest.warns(UserWarning, match="closes the current simulation segment"):
+            report = driver.run()
         assert report.hard_failures == 0
-        downs = [i for i in tracer.instants if i.name == "node down"]
-        assert len(downs) == 1 and downs[0].track == "cluster"
-        assert downs[0].args == {"node": "node-0"}
+        downs = [i for i in tracer.instants if i.name == "node_down"]
+        assert len(downs) == 1 and downs[0].track == "faults"
+        assert downs[0].at_s == requests[3].arrival_s
+        assert downs[0].args == {"fault_id": "fault-0", "node": "node-0"}
         # Requests after the failure still serve from the surviving replica.
         assert report.kv_served > 0
         events = chrome_trace_events(tracer)

@@ -158,7 +158,8 @@ class TestEndToEndEngine:
     def test_engine_under_bandwidth_drop_meets_slo(self):
         """With an SLO and a mid-transfer bandwidth drop, the engine adapts."""
         trace = StepTrace(gbps(2), gbps(0.1), gbps(1), drop_at_s=0.1, recover_at_s=1.0)
-        backend = build_backend(ServingSpec(link=NetworkLink(trace)))
+        backend = build_backend(ServingSpec())
+        backend.engine.replace_link(NetworkLink(trace))
         backend.ingest("doc", 3_000)
         response = serve_one(backend, ServeRequest("doc", "What is discussed?", slo_s=1.0))
         assert response.used_kv_cache
