@@ -2,7 +2,8 @@
 
 Run with ``PYTHONPATH=src python examples/chaos_serving.py``
 (set ``REPRO_SMOKE=1`` for a fast CI-sized run; pass an output path as the
-first argument to also write the Chrome trace for byte-compare checks).
+first argument to also write the Chrome trace there and the JSONL event log
+beside it, ``.jsonl`` in place of its suffix, for byte-compare checks).
 
 The example drives the unified serving API through a scripted outage:
 
@@ -39,6 +40,7 @@ from repro import (
     WorkloadGenerator,
     serve,
     write_chrome_trace,
+    write_jsonl,
 )
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
@@ -106,8 +108,9 @@ def main() -> None:
     assert report.resilience.availability == 1.0
 
     if len(sys.argv) > 1:
-        write_chrome_trace(tracer, sys.argv[1])
-        print(f"\nwrote Chrome trace to {sys.argv[1]}")
+        trace_path = write_chrome_trace(tracer, sys.argv[1])
+        events_path = write_jsonl(tracer, trace_path.with_suffix(".jsonl"))
+        print(f"\nwrote Chrome trace to {trace_path} and event log to {events_path}")
 
 
 if __name__ == "__main__":

@@ -53,13 +53,14 @@ def main() -> None:
         and span.start_s == slowest.arrival_s  # simcheck: ignore[SIM004]
     )
     print(f"slowest request: {slowest.context_id!r} ttft={slowest.ttft_s:.3f}s")
-    print(f"its span tree (track {root.track}):")
+    print(f"its span tree (request {root.request_id}, track {root.track}):")
     for span in root.walk():
-        indent = "  " if span is root else "    "
+        indent = "  " if span.parent is None else "    "
         print(
             f"{indent}{span.name:<24} start={span.start_s:6.3f}s "
-            f"dur={span.dur_s:6.3f}s [{span.category}]"
+            f"end={span.end_s:6.3f}s dur={span.dur_s:6.3f}s [{span.category}]"
         )
+    print(f"  annotations: {root.args}")
 
     # The trace is exact: per-category child-span sums reproduce the
     # response's TTFT decomposition to the last digit.
@@ -79,6 +80,11 @@ def main() -> None:
     gpu_busy = tracer.metrics.counter("gpu_busy_s").value(gpu="gpu")
     depth = tracer.metrics.gauge("gpu_queue_depth").max(gpu="gpu")
     print(f"\ngpu busy time: {gpu_busy:.3f}s, peak gpu queue depth: {depth:.0f}")
+    depths = [sample for sample in tracer.samples if sample.track == "gpu"]
+    print(
+        f"{len(tracer.spans)} spans and {len(tracer.samples)} counter samples recorded; "
+        f"the gpu queue depth was sampled {len(depths)} times"
+    )
 
     out_dir = Path(tempfile.mkdtemp(prefix="repro-trace-"))
     trace_path = write_chrome_trace(tracer, out_dir / "timeline.json")

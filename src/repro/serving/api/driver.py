@@ -213,8 +213,32 @@ class Driver:
     # --------------------------------------------------------------------- run
     def run(self, num_requests: int | None = None) -> RunReport:
         """Serve the arrival stream open-loop and report the outcome."""
-        backend = self.backend
         requests = self._requests(num_requests)
+        backend = self.backend
+        cluster = backend.engine.cluster
+        manager: ResilienceManager | None = backend.resilience
+        borrowed = self.faults is not None and manager is None
+        if borrowed:
+            from ...faults import ResilienceManager
+
+            # A schedule without a spec-level policy still needs fault
+            # bookkeeping (MTTR, corruption clears): a bare manager, attached
+            # for this run only.
+            manager = ResilienceManager(None, seed=self.faults.seed)
+            backend.resilience = manager
+            if cluster.resilience is None:
+                cluster.resilience = manager
+        try:
+            return self._play(requests, manager)
+        finally:
+            if borrowed:
+                backend.resilience = None
+                if cluster.resilience is manager:
+                    cluster.resilience = None
+
+    def _play(self, requests: list[ServeRequest], manager: ResilienceManager | None) -> RunReport:
+        """:meth:`run`'s body, with the run's resilience manager resolved."""
+        backend = self.backend
         admission = self.admission
         if admission is not None:
             admission.reset()
@@ -231,18 +255,10 @@ class Driver:
         capacity = backend.spec.max_bytes_per_node
         ingest_is_barrier = capacity is not None
 
-        manager: ResilienceManager | None = backend.resilience
         injector: FaultInjector | None = None
         if self.faults is not None:
-            from ...faults import FaultInjector, ResilienceManager
+            from ...faults import FaultInjector
 
-            if manager is None:
-                # A schedule without a spec-level policy still needs fault
-                # bookkeeping (MTTR, corruption clears): a bare manager.
-                manager = ResilienceManager(None, seed=self.faults.seed)
-                backend.resilience = manager
-                if cluster.resilience is None:
-                    cluster.resilience = manager
             injector = FaultInjector(self.faults, backend, manager, tracer=tracer)
         counters_before = manager.counters() if manager is not None else None
         repair_enabled = (

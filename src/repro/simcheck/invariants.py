@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+import numpy as np
+
 from .sanitizers import SimcheckViolation
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..serving.api.types import ServeResponse
     from ..serving.concurrent.events import SimClock
-    from ..telemetry.trace import Span, Tracer
+    from ..telemetry.trace import SpanColumns, Tracer
 
 __all__ = [
     "check_clock",
@@ -37,6 +39,10 @@ _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
 #: Tracks whose spans represent serialized resource occupancy.
 _RESOURCE_TRACK_PREFIXES = ("gpu", "link:")
+#: The span categories a request's TTFT breakdown has a field for.
+_BREAKDOWN_CATEGORIES = ("queueing", "transfer", "decode", "compute")
+#: One resource span as ``(start_s, end_s, dur_s)``.
+_Interval = tuple[float, float, float]
 
 
 def _close(a: float, b: float) -> bool:
@@ -74,32 +80,37 @@ def check_tracer_tracks(
     a simulation segment (fault events).  Backlog does not carry
     across a boundary, so a span from the old segment may legitimately
     overlap one from the new — the overlap checks run within each segment,
-    never across one.
+    never across one.  Reads the tracer's columns; builds no span objects.
     """
     violations: list[SimcheckViolation] = []
-    for sample in tracer.samples:
-        if sample.value < 0:
-            violations.append(
-                SimcheckViolation(
-                    check="gauges",
-                    message=(
-                        f"counter {sample.name!r} on {sample.track!r} went "
-                        f"negative ({sample.value}) at t={sample.at_s:.6f}"
-                    ),
-                )
+    samples = tracer.sample_columns()
+    for row in np.flatnonzero(np.asarray(samples.value) < 0).tolist():
+        value = samples.value[row]
+        violations.append(
+            SimcheckViolation(
+                check="gauges",
+                message=(
+                    f"counter {samples.strings[samples.name[row]]!r} on "
+                    f"{samples.tracks[samples.track[row]]!r} went "
+                    f"negative ({value}) at t={samples.at_s[row]:.6f}"
+                ),
             )
-    by_track: dict[str, list["Span"]] = {}
-    for span in tracer.spans:
-        if span.parent is not None:
-            continue
-        if span.track.startswith(_RESOURCE_TRACK_PREFIXES):
-            by_track.setdefault(span.track, []).append(span)
+        )
+    spans = tracer.span_columns()
+    resource = [track.startswith(_RESOURCE_TRACK_PREFIXES) for track in spans.tracks]
+    # Per resource track, its root spans as (start, end, duration).
+    by_track: dict[int, list[tuple[float, float, float]]] = {}
+    for row, (parent, track) in enumerate(zip(spans.parent, spans.track)):
+        if parent < 0 and resource[track]:
+            start, dur = spans.start_s[row], spans.dur_s[row]
+            by_track.setdefault(track, []).append((start, start + dur, dur))
     boundaries = sorted(segment_starts_s)
-    for track, spans in by_track.items():
-        ordered = sorted(spans, key=lambda s: (s.start_s, s.end_s))
+    for track_id, intervals in by_track.items():
+        track = spans.tracks[track_id]
+        ordered = sorted(intervals, key=lambda interval: interval[:2])
         for segment in _split_at(ordered, boundaries):
-            busy = sum(span.dur_s for span in segment)
-            elapsed = segment[-1].end_s - segment[0].start_s
+            busy = sum(dur for _, _, dur in segment)
+            elapsed = segment[-1][1] - segment[0][0]
             if busy > elapsed and not _close(busy, elapsed):
                 violations.append(
                     SimcheckViolation(
@@ -111,55 +122,68 @@ def check_tracer_tracks(
                     )
                 )
             previous_end = None
-            for span in segment:
-                if previous_end is not None and span.start_s < previous_end:
-                    overlap = previous_end - span.start_s
+            for start, end, _ in segment:
+                if previous_end is not None and start < previous_end:
+                    overlap = previous_end - start
                     if overlap > max(_ABS_TOL, _REL_TOL * previous_end):
                         violations.append(
                             SimcheckViolation(
                                 check="busy-time",
                                 message=(
                                     f"track {track!r} spans overlap by {overlap:.3e}s "
-                                    f"around t={span.start_s:.6f}"
+                                    f"around t={start:.6f}"
                                 ),
                             )
                         )
                         break
-                previous_end = max(previous_end or span.end_s, span.end_s)
+                previous_end = max(previous_end or end, end)
     return violations
 
 
-def _split_at(ordered: "list[Span]", boundaries: "list[float]") -> "list[list[Span]]":
-    """Partition start-sorted spans into simulation segments.
+def _split_at(ordered: list[_Interval], boundaries: list[float]) -> list[list[_Interval]]:
+    """Partition start-sorted intervals into simulation segments.
 
-    A span belongs to the segment its *start* falls into; with no boundaries
-    everything is one segment.
+    An interval belongs to the segment its *start* falls into; with no
+    boundaries everything is one segment.
     """
     if not boundaries:
         return [ordered]
-    segments: list[list["Span"]] = []
-    current: list["Span"] = []
+    segments: list[list[_Interval]] = []
+    current: list[_Interval] = []
     upcoming = list(boundaries)
-    for span in ordered:
-        while upcoming and span.start_s >= upcoming[0]:
+    for interval in ordered:
+        while upcoming and interval[0] >= upcoming[0]:
             upcoming.pop(0)
             if current:
                 segments.append(current)
                 current = []
-        current.append(span)
+        current.append(interval)
     if current:
         segments.append(current)
     return segments
 
 
-def _span_sums(root: "Span") -> dict[str, float]:
-    """Per-category duration sums over a request root's descendants."""
-    sums = {"queueing": 0.0, "transfer": 0.0, "decode": 0.0, "compute": 0.0}
-    for span in root.walk():
-        if span is root:
-            continue
-        if span.category in sums:
-            sums[span.category] += span.dur_s
+def _category_sums(spans: "SpanColumns") -> dict[str, np.ndarray]:
+    """Per breakdown category, each root's sum of its descendants' durations.
+
+    Sums run in record order from 0.0, as a walk of a request's one level of
+    children adds them.
+    """
+    parent = np.asarray(spans.parent)
+    rows = np.arange(len(parent))
+    # Each span's root: a root is its own, and pointer jumping reaches the
+    # root of a deeper span.
+    root = np.where(parent < 0, rows, parent)
+    while not np.array_equal(above := root[root], root):
+        root = above
+    ids = {name: index for index, name in enumerate(spans.strings)}
+    category = np.asarray(spans.category)
+    durations = np.asarray(spans.dur_s)
+    child = parent >= 0
+    sums = {}
+    for name in _BREAKDOWN_CATEGORIES:
+        picked = child & (category == ids.get(name, -1))
+        sums[name] = np.bincount(root[picked], weights=durations[picked], minlength=len(parent))
     return sums
 
 
@@ -171,19 +195,26 @@ def check_span_breakdowns(
     Request roots are matched to responses by ``(context_id, arrival)``
     greedily with a tolerance (workloads replay identical requests, so the
     pairing is a multiset match, not positional).  Returns
-    ``(matched_count, violations)``.
+    ``(matched_count, violations)``.  Reads the tracer's columns; builds no
+    span objects.
     """
+    from ..telemetry.trace import args_dict
+
     violations: list[SimcheckViolation] = []
-    roots = [span for span in tracer.root_spans() if span.category == "request"]
-    pool: dict[str, list["Span"]] = {}
-    for root in roots:
-        pool.setdefault(str(root.args.get("context_id")), []).append(root)
+    spans = tracer.span_columns()
+    strings = spans.strings
+    pool: dict[str, list[int]] = {}
+    for row, parent in enumerate(spans.parent):
+        if parent < 0 and strings[spans.category[row]] == "request":
+            context_id = args_dict(spans.args[row]).get("context_id")
+            pool.setdefault(str(context_id), []).append(row)
+    sums = _category_sums(spans)
     matched = 0
     for response in responses:
         candidates = pool.get(response.context_id, [])
         root = None
         for candidate in candidates:
-            if _close(candidate.start_s, response.arrival_s):
+            if _close(spans.start_s[candidate], response.arrival_s):
                 root = candidate
                 break
         if root is None:
@@ -199,7 +230,6 @@ def check_span_breakdowns(
             continue
         candidates.remove(root)
         matched += 1
-        sums = _span_sums(root)
         ttft = response.ttft
         expected = {
             "transfer": ttft.network_s,
@@ -208,19 +238,20 @@ def check_span_breakdowns(
             "queueing": ttft.queueing_s,
         }
         for category, want in expected.items():
-            got = sums[category]
+            got = float(sums[category][root])
             if not _close(got, want):
                 violations.append(
                     SimcheckViolation(
                         check="spans",
                         message=(
-                            f"request {response.context_id!r} (t={root.start_s:.6f}) "
+                            f"request {response.context_id!r} "
+                            f"(t={spans.start_s[root]:.6f}) "
                             f"{category} span sum {got:.9f}s != breakdown "
                             f"{want:.9f}s"
                         ),
                     )
                 )
-        total = root.dur_s
+        total = spans.dur_s[root]
         want_total = ttft.total_s
         if want_total > 0 and not _close(total, want_total):
             violations.append(

@@ -292,16 +292,21 @@ class TimeSeriesRecorder:
         annotations); sheds from the driver's ``shed`` instants; resource
         lanes from the resource-track spans and queue-depth samples.
         """
+        from .trace import args_dict
+
         recorder = cls(window_s)
-        for span in tracer.spans:
-            if span.parent is None and span.category == "request":
-                tier = span.args.get("tier")
+        spans = tracer.span_columns()
+        strings = spans.strings
+        for index, parent in enumerate(spans.parent):
+            if parent < 0 and strings[spans.category[index]] == "request":
+                args = args_dict(spans.args[index])
+                tier = args.get("tier")
                 if tier is None:
-                    tier = span.args.get("served_tier")
+                    tier = args.get("served_tier")
                 recorder.record_request(
-                    span.start_s,
-                    span.dur_s,
-                    used_kv_cache=bool(span.args.get("used_kv_cache", True)),
+                    spans.start_s[index],
+                    spans.dur_s[index],
+                    used_kv_cache=bool(args.get("used_kv_cache", True)),
                     served_tier=tier,
                 )
         for instant in tracer.instants:
@@ -312,16 +317,23 @@ class TimeSeriesRecorder:
         return recorder
 
     def _record_tracer_resources(self, tracer) -> None:
-        for span in tracer.spans:
-            if span.dur_s > 0 and _is_resource_track(span.track):
-                self.record_busy(span.track, span.start_s, span.dur_s)
-        for sample in tracer.samples:
-            if sample.name == "pool_size":
+        spans = tracer.span_columns()
+        tracks = spans.tracks
+        resource = [_is_resource_track(track) for track in tracks]
+        for start_s, dur_s, track in zip(spans.start_s, spans.dur_s, spans.track):
+            if dur_s > 0 and resource[track]:
+                self.record_busy(tracks[track], start_s, dur_s)
+        samples = tracer.sample_columns()
+        names = samples.strings
+        for name, track, at_s, value in zip(
+            samples.name, samples.track, samples.at_s, samples.value
+        ):
+            if names[name] == "pool_size":
                 # Fleet-size counter samples are a series of their own, not a
                 # queue depth of the "gpu-pool" track.
-                self.record_pool_size(sample.at_s, sample.value)
-            elif _is_resource_track(sample.track):
-                self.record_queue_depth(sample.track, sample.at_s, sample.value)
+                self.record_pool_size(at_s, value)
+            elif resource[track]:
+                self.record_queue_depth(tracks[track], at_s, value)
 
 
 def _is_resource_track(track: str) -> bool:

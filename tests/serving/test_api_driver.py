@@ -219,6 +219,32 @@ class TestDriver:
         assert len(tracer.spans) == spans
         assert backend.tracer is None and backend.clock_factory is None
 
+    def test_a_faulted_run_leaves_no_resilience_manager_behind(self, fitted_codec, monkeypatch):
+        """The bare manager a faulted run borrows is detached when it ends, also on an error."""
+        spec = replace(SPEC, topology="cluster", num_nodes=2, replication=2)
+        backend = build_backend(spec, codec=fitted_codec())
+        cluster = backend.engine.cluster
+        requests = [
+            ServeRequest("leak-doc", f"Q{i}?", arrival_s=float(i), num_tokens=320)
+            for i in range(3)
+        ]
+        schedule = FaultSchedule([NodeCrash("node-0", at_s=1.0)])
+        with pytest.warns(UserWarning, match="closes the current simulation segment"):
+            faulted = Driver(backend, requests, faults=schedule).run()
+        assert faulted.resilience is not None
+        assert backend.resilience is None and cluster.resilience is None
+
+        healthy = Driver(backend, requests).run()
+        assert healthy.resilience is None
+
+        def broken_report(*args, **kwargs):
+            raise RuntimeError("report failed")
+
+        monkeypatch.setattr(backend, "report", broken_report)
+        with pytest.warns(UserWarning), pytest.raises(RuntimeError, match="report failed"):
+            Driver(backend, requests, faults=schedule).run()
+        assert backend.resilience is None and cluster.resilience is None
+
     def test_driver_requires_a_workload(self, fitted_codec):
         with pytest.raises(ValueError, match="workload"):
             Driver(build_backend(SPEC, codec=fitted_codec()), None).run()

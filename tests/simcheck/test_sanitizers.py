@@ -21,13 +21,26 @@ from repro.simcheck.invariants import (
     check_store_capacity,
     check_tracer_tracks,
 )
-from repro.telemetry import Tracer
+from repro.telemetry import TRANSFER, Tracer
 
 SPEC = ServingSpec(model="mistral-7b", chunk_tokens=256)
 REQUESTS = [
     ServeRequest("sanitized-doc", f"Q{i}?", arrival_s=0.05 * i, num_tokens=640)
     for i in range(4)
 ]
+
+
+def corrupt_a_request_tree(tracer: Tracer) -> None:
+    """Give the first request root an extra 1 ms child on a breakdown category."""
+    root = next(root for root in tracer.root_spans() if root.category == "request")
+    tracer.span(
+        "injected",
+        track=root.track,
+        start_s=root.start_s,
+        dur_s=1e-3,
+        category=TRANSFER,
+        parent=root,
+    )
 
 
 class TestSimClockClampCounter:
@@ -142,14 +155,7 @@ class TestInvariantChecks:
         clean_matched, clean = check_span_breakdowns(tracer, report.responses)
         assert clean == [] and clean_matched == len(REQUESTS)
 
-        victim = next(
-            child
-            for root in tracer.root_spans()
-            if root.category == "request"
-            for child in root.children
-            if child.dur_s > 0
-        )
-        victim.dur_s += 1e-3
+        corrupt_a_request_tree(tracer)
         _, violations = check_span_breakdowns(tracer, report.responses)
         assert violations
         assert all(v.check == "spans" for v in violations)
@@ -302,14 +308,7 @@ class TestMonitorStrictness:
         """A finished run whose trace has been corrupted after the fact."""
         tracer = Tracer()
         report = serve(replace(SPEC, concurrency=2), REQUESTS, tracer=tracer, codec=fitted_codec())
-        victim = next(
-            child
-            for root in tracer.root_spans()
-            if root.category == "request"
-            for child in root.children
-            if child.dur_s > 0
-        )
-        victim.dur_s += 1e-3
+        corrupt_a_request_tree(tracer)
         return tracer, report
 
     def test_strict_monitor_raises_on_violation(self, fitted_codec):
