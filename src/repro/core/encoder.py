@@ -387,20 +387,25 @@ def _decode_symbols(
 def _error_reference(original: np.ndarray, group_size: int | None) -> tuple[np.ndarray, ...]:
     """``original`` as :func:`_squared_error` diffs decodes against it.
 
-    Float64 and token-major, ``(tokens, layers, channels)``, the layout the
-    encoder's delta symbols come in: the anchor tokens and the other tokens
-    (with delta encoding, ``group_size`` set), or every token (without).
+    Token-major copies in ``original``'s own dtype, ``(tokens, layers,
+    channels)``, the layout the encoder's delta symbols come in: the anchor
+    tokens and the other tokens (with delta encoding, ``group_size`` set), or
+    every token (without).
     """
     tokens = original.transpose(1, 0, 2)
     if group_size is None:
-        return (tokens.astype(np.float64),)
+        return (tokens.copy(),)
     others = np.ones(len(tokens), dtype=bool)
     others[::group_size] = False
-    return tokens[::group_size].astype(np.float64), tokens[others].astype(np.float64)
+    return tokens[::group_size].copy(), tokens[others]
 
 
 def _token_major_sum_of_squares(decoded: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Per-layer float64 ``sum((decoded - reference) ** 2)`` of token-major arrays."""
+    """Per-layer float64 ``sum((decoded - reference) ** 2)`` of token-major arrays.
+
+    ``reference`` is upcast inside the float64 subtract, which is exact, so a
+    float32 reference gives the bits a float64 copy of it would.
+    """
     diff = decoded.astype(np.float64)
     diff -= reference
     return np.einsum("tlc,tlc->l", diff, diff)

@@ -78,8 +78,13 @@ class Backend:
 
     # --------------------------------------------------------------- telemetry
     def attach_tracer(self, tracer: Tracer | None) -> None:
-        """Wire a tracer through the executor and the engine's stores (``None`` detaches)."""
+        """Wire a tracer through the executor and the engine's stores (``None`` detaches).
+
+        The simulator of the last run keeps its statistics but no tracer.
+        """
         self.tracer = tracer
+        if self.last_sim is not None:
+            self.last_sim.detach_tracer()
         self.engine.cluster.tracer = tracer
         for label, store in self.engine.stores().items():
             store.tracer = tracer

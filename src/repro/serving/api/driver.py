@@ -180,8 +180,6 @@ class Driver:
         self.window_s = window_s
         self.slos = tuple(slos)
         self.simcheck = simcheck
-        # ``None`` detaches whatever an earlier driver of this backend attached.
-        backend.attach_tracer(tracer)
         #: Contexts ever ingested — persists across run() calls.
         self._known: set[str] = set()
         self._known_tokens: dict[str, int] = {}
@@ -228,9 +226,14 @@ class Driver:
             backend.resilience = manager
             if cluster.resilience is None:
                 cluster.resilience = manager
+        # Attached for this run only (``None`` detaches whatever an earlier
+        # driver attached): the finished trace rides on the report, and a
+        # backend that outlives the run keeps no path to it.
+        backend.attach_tracer(self.tracer)
         try:
             return self._play(requests, manager)
         finally:
+            backend.attach_tracer(None)
             if borrowed:
                 backend.resilience = None
                 if cluster.resilience is manager:

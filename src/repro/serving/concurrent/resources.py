@@ -280,7 +280,7 @@ class GpuScheduler:
                 dur_s=busy_s,
                 category=head.kind,
                 batch_size=len(batch),
-                request_ids=[task.request_id for task in batch],
+                request_ids=tuple(task.request_id for task in batch),
             )
             tracer.metrics.counter("gpu_busy_s", "seconds each GPU spent launched").inc(
                 busy_s, gpu=self.track

@@ -228,6 +228,16 @@ class ConcurrentLoadSimulator:
         self.pool: "GpuWorkerPool | None" = None
         self.channels: dict[int, LinkChannel] = {}
 
+    def detach_tracer(self) -> None:
+        """Drop the tracer here and from the last run's resources; stats stay."""
+        self.tracer = None
+        if self.pool is not None:
+            self.pool.detach_tracer()
+        elif self.gpu is not None:
+            self.gpu.tracer = None
+        for channel in self.channels.values():
+            channel.tracer = None
+
     @property
     def _fleet_mode(self) -> bool:
         """Whether this run needs the worker pool (vs the bare scheduler).

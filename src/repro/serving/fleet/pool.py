@@ -154,6 +154,12 @@ class GpuWorkerPool:
                 "gpu_pool_scale_events", "autoscaler decisions by kind"
             ).inc(1, kind=name)
 
+    def detach_tracer(self) -> None:
+        """Drop the tracer from the pool and every worker it ever ran."""
+        self.tracer = None
+        for worker in self._workers + self._retired:
+            worker.tracer = None
+
     # ------------------------------------------------------------ pool sizing
     def _spawn_worker(self) -> GpuScheduler:
         worker = GpuScheduler(

@@ -242,10 +242,20 @@ class SampleColumns(NamedTuple):
 
 
 def args_dict(stored: tuple | dict[str, Any]) -> dict[str, Any]:
-    """A new dict of one span's stored arguments (a flat tuple or a dict)."""
+    """A new dict of one span's stored arguments (a flat tuple or a dict).
+
+    A tuple value reads back as a list, a JSON array: sequences such as a
+    batch's request ids are recorded as tuples only so that equal argument
+    tuples pool.
+    """
     if type(stored) is dict:
         return dict(stored)
-    return dict(zip(stored[::2], stored[1::2]))
+    args = dict(zip(stored[::2], stored[1::2]))
+    if tuple in map(type, stored[1::2]):
+        for key, value in args.items():
+            if type(value) is tuple:
+                args[key] = list(value)
+    return args
 
 
 def _intern(ids: dict[str, int], values: list[str], value: str) -> int:

@@ -219,6 +219,30 @@ class TestDriver:
         assert len(tracer.spans) == spans
         assert backend.tracer is None and backend.clock_factory is None
 
+    @pytest.mark.parametrize("gpu_workers", [1, 2])
+    def test_a_backend_keeps_no_path_to_a_finished_runs_tracer(self, fitted_codec, gpu_workers):
+        """Once its report is gone the trace is freed, though the backend lives on."""
+        import gc
+        import weakref
+
+        from repro.telemetry import Tracer
+
+        spec = replace(SPEC, topology="cluster", num_nodes=2, gpu_workers=gpu_workers)
+        backend = build_backend(spec, codec=fitted_codec())
+        requests = [
+            ServeRequest(f"kept-{i % 2}", f"Q{i}?", arrival_s=0.05 * i, num_tokens=320)
+            for i in range(4)
+        ]
+        report = Driver(backend, requests, tracer=Tracer()).run()
+        tracer = weakref.ref(report.telemetry)
+        link_busy_s = [c.total_busy_s for c in backend.last_sim.channels.values()]
+        assert len(tracer().spans) > 0 and sum(link_busy_s) > 0
+        del report
+        gc.collect()
+        assert tracer() is None
+        # The last run's statistics stay.
+        assert [c.total_busy_s for c in backend.last_sim.channels.values()] == link_busy_s
+
     def test_a_faulted_run_leaves_no_resilience_manager_behind(self, fitted_codec, monkeypatch):
         """The bare manager a faulted run borrows is detached when it ends, also on an error."""
         spec = replace(SPEC, topology="cluster", num_nodes=2, replication=2)
