@@ -14,8 +14,11 @@ The paper's codec design rests on three empirical properties of KV caches
 :class:`SyntheticLLM` generates KV caches from an autoregressive (AR(1))
 process whose parameters are drawn per layer and channel, which reproduces all
 three properties (verified by the tests in ``tests/llm`` and the analysis in
-``repro.analysis.insights``).  It also exposes the two interfaces the paper
-integrates with serving frameworks through (§6):
+``repro.analysis.insights``).  The series are drawn token-major, a fixed block
+of tokens at a time, from one random stream per context: the first ``m``
+tokens of an ``n``-token context are exactly the ``m``-token context, and no
+full-size float64 array is built.  It also exposes the two interfaces the
+paper integrates with serving frameworks through (§6):
 
 * :meth:`SyntheticLLM.calculate_kv` — prefill a context into a KV cache.
 * :meth:`SyntheticLLM.generate_with_kv` — generate a response given a
@@ -37,6 +40,12 @@ from .quality import GenerationQuality, QualityModel
 from .tokenizer import SyntheticTokenizer
 
 __all__ = ["SyntheticLLM", "GenerationResult"]
+
+
+#: Tokens :meth:`SyntheticLLM.calculate_kv` draws and filters at a time: a
+#: ``(64, 4, layers, channels)`` float64 block is 2 MiB at 32 x 32.  The
+#: output does not depend on it.
+SYNTHESIS_BLOCK_TOKENS = 64
 
 
 def _stable_seed(*parts: object) -> int:
@@ -63,7 +72,7 @@ class SyntheticLLM:
         Model configuration (or model name) determining dimensions.
     token_correlation:
         AR(1) coefficient of the fast per-token component.  Together with the
-        static and slowly-drifting components (see :meth:`_generate_tensor`)
+        static and slowly-drifting components (see :meth:`_channel_structure`)
         the default reproduces the paper's observation that deltas between
         consecutive tokens have 2.4-2.9x lower variance than the original
         values.
@@ -122,10 +131,48 @@ class SyntheticLLM:
         context_rng = np.random.default_rng(_stable_seed(cfg.name, context_id, "kv"))
 
         layers, channels = cfg.sim_layers, cfg.sim_channels
-        rho = self.token_correlation
+        k_scale, k_mean = self._channel_structure(structure_rng, layers, channels)
+        v_scale, v_mean = self._channel_structure(structure_rng, layers, channels)
+        k = np.empty((layers, num_tokens, channels), dtype=np.float32)
+        v = np.empty((layers, num_tokens, channels), dtype=np.float32)
 
-        k = self._generate_tensor(structure_rng, context_rng, layers, num_tokens, channels, rho)
-        v = self._generate_tensor(structure_rng, context_rng, layers, num_tokens, channels, rho)
+        # The four unit-variance AR(1) series K-fast, K-slow, V-fast, V-slow,
+        # ``y[t] = sqrt(1 - rho^2) * noise[t] + rho * y[t-1]``, side by side
+        # on axis 1 of a token-major block.  ``y[-1]`` is a stationary start,
+        # so every token, the first included, has unit variance.
+        rho = np.array(
+            [self.token_correlation, self.SLOW_CORRELATION] * 2, dtype=np.float64
+        )[:, None, None]
+        gain = np.sqrt(1.0 - rho * rho)
+        state = context_rng.standard_normal(size=(4, layers, channels))
+        block = np.empty((min(SYNTHESIS_BLOCK_TOKENS, num_tokens), 4, layers, channels))
+        carry = np.empty((4, layers, channels))
+        for t0 in range(0, num_tokens, len(block)):
+            # Drawn token-major, block after block, the normals are one
+            # stream: the block length does not change a value, and the first
+            # m tokens of a longer context are the m-token context.
+            series = block[: min(len(block), num_tokens - t0)]
+            context_rng.standard_normal(out=series)
+            series *= gain
+            np.multiply(state, rho, out=carry)
+            series[0] += carry
+            for previous, current in zip(series, series[1:]):
+                np.multiply(previous, rho, out=carry)
+                current += carry
+            state[...] = series[-1]
+            # scale * ((SLOW_STD * slow + mean) + FAST_STD * fast), worked in
+            # the slow series' slots and cast into the float32 output.
+            end = t0 + len(series)
+            for out, fast, slow, scale, mean in (
+                (k, series[:, 0], series[:, 1], k_scale, k_mean),
+                (v, series[:, 2], series[:, 3], v_scale, v_mean),
+            ):
+                slow *= self.SLOW_STD
+                slow += mean
+                fast *= self.FAST_STD
+                slow += fast
+                slow *= scale
+                out[:, t0:end] = slow.transpose(1, 0, 2)
         return KVCache(
             k=k,
             v=v,
@@ -148,22 +195,17 @@ class SyntheticLLM:
     FAST_STD = 1.0
     SLOW_CORRELATION = 0.999
 
-    def _generate_tensor(
-        self,
-        structure_rng: np.random.Generator,
-        context_rng: np.random.Generator,
-        layers: int,
-        tokens: int,
-        channels: int,
-        rho: float,
-    ) -> np.ndarray:
-        """Generate one (layers, tokens, channels) tensor.
+    def _channel_structure(
+        self, structure_rng: np.random.Generator, layers: int, channels: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-(layer, channel) ``(scale, mean)`` of one K or V tensor.
 
-        Each (layer, channel) value is ``scale * (mu + slow(t) + fast(t))``:
+        Each (layer, channel) value is ``scale * (mean + slow(t) + fast(t))``:
 
-        * ``mu`` is a static per-channel offset,
+        * ``mean`` is a static per-channel offset,
         * ``slow(t)`` drifts with near-unit correlation across tokens,
-        * ``fast(t)`` is an AR(1) component with coefficient ``rho``.
+        * ``fast(t)`` is an AR(1) component with coefficient
+          ``token_correlation``.
 
         The static offset and the slow drift are what anchor-based delta
         encoding removes; the fast component sets the variance of the deltas.
@@ -172,55 +214,15 @@ class SyntheticLLM:
         Figure 5's grouping-entropy measurement) rely on.  Scales also grow
         mildly with depth, mirroring that different layers occupy different
         value ranges.  Means and scales come from ``structure_rng`` (seeded by
-        the model, shared across contexts); the token series come from
-        ``context_rng`` (seeded by the context).
+        the model, shared across contexts); the token series come from the
+        context's own generator in :meth:`calculate_kv`.
         """
         layer_scale = 0.6 + 0.08 * np.arange(layers, dtype=np.float64)[:, None]
         channel_scale = np.exp(
             structure_rng.normal(0.0, self.CHANNEL_SCALE_SIGMA, size=(layers, channels))
         )
-        scale = layer_scale * channel_scale
         mean = structure_rng.normal(0.0, self.MEAN_STD, size=(layers, channels))
-
-        fast = self._stationary_ar1(context_rng, (layers, tokens, channels), rho)
-        slow = self._stationary_ar1(context_rng, (layers, tokens, channels), self.SLOW_CORRELATION)
-
-        # scale * (mean + SLOW_STD * slow + FAST_STD * fast), combined in that
-        # order into ``slow``'s buffer one layer at a time and cast straight
-        # into the float32 output, so no full-size temporary is made.
-        out = np.empty((layers, tokens, channels), dtype=np.float32)
-        for layer, (slow_layer, fast_layer) in enumerate(zip(slow, fast)):
-            slow_layer *= self.SLOW_STD
-            slow_layer += mean[layer]
-            fast_layer *= self.FAST_STD
-            slow_layer += fast_layer
-            slow_layer *= scale[layer]
-            out[layer] = slow_layer
-        return out
-
-    @staticmethod
-    def _stationary_ar1(
-        rng: np.random.Generator, shape: tuple[int, int, int], rho: float
-    ) -> np.ndarray:
-        """Unit-variance AR(1) process along the token axis, stationary from t=0."""
-        layers, tokens, channels = shape
-        series = rng.standard_normal(size=shape)
-        # y[t] = sqrt(1 - rho^2) * noise[t] + rho * y[t-1] from a zero initial
-        # condition: the multiply, multiply, add of a first-order IIR filter in
-        # direct form II (``scipy.signal.lfilter([gain], [1, -rho], noise)``),
-        # whose output the tests hold this loop to bit for bit.
-        series *= np.sqrt(1.0 - rho * rho)
-        for t in range(1, tokens):
-            series[:, t] += rho * series[:, t - 1]
-        # The zero initial condition leaves early tokens with reduced variance;
-        # add an independently drawn stationary start decayed by rho**t so the
-        # process has unit variance at every position.  It is added a layer at
-        # a time, so its product is never a full-size temporary.
-        start = rng.standard_normal(size=(layers, 1, channels))
-        decay = np.power(rho, np.arange(tokens, dtype=np.float64))[:, None]
-        for layer_series, layer_start in zip(series, start):
-            layer_series += layer_start * decay
-        return series
+        return layer_scale * channel_scale, mean
 
     # --------------------------------------------------------------- attention
     def attention_scores(self, context_id: str, num_tokens: int) -> np.ndarray:

@@ -282,30 +282,42 @@ def test_payloads_decode_in_order_and_estimated_ones_are_refused(encoder, kv):
 #: arithmetic.  If a change moves them on purpose, say so in the PR.
 GOLDEN = {
     "high": (
-        "629359cbbe0b03dc6f3dbfe53cf75d4f5011182c8e27761ae50dc03c931c96ab",
-        "2506faa06e0f2ac46097fe03079594728e5ec540f60d54a59c7bbe895cf03d9d",
-        "2451118998cf0a4f509460a9f7a123df6805560d3da67c629626403c0a32fec1",
-        "55978dd3e54cd24406395b967bc11ff123571584b9e645a17f87e94198080816",
+        "a319097f6eb5dcd9ae055e64f3befda15e31497170d1e1cd8b0f496160dabaf9",
+        "6f84d9304258f636c4bba6e3f3a6e83d30525e5194446ab082fb28a6969a8234",
+        "b8d46525d9d6f40015195fe91107377c6a8f5fcc7737dcc87ebf840a3c7ed73d",
+        "678b8c9c05f38554d6bde7b4f3ad800b320510626df6ddb5112f6a88a4e52ce2",
     ),
     "medium": (
-        "b76c4b18743f3ef7546b7226fccc8056b66ac381102d13698465d6e64074b685",
-        "2506faa06e0f2ac46097fe03079594728e5ec540f60d54a59c7bbe895cf03d9d",
-        "3bfc3ec869d05b7f2f0907b7cf2bf0872c24b3db1a719bf47be3bf8947ce2058",
-        "55978dd3e54cd24406395b967bc11ff123571584b9e645a17f87e94198080816",
+        "739f2fa96dbb63cde3e5601d4ea76ed93c390473291fb340e453b54f80535868",
+        "6f84d9304258f636c4bba6e3f3a6e83d30525e5194446ab082fb28a6969a8234",
+        "91465716a15f0c2f31b5526a21171ff119fed06b444e0e9854d9ee8e6b391b3d",
+        "678b8c9c05f38554d6bde7b4f3ad800b320510626df6ddb5112f6a88a4e52ce2",
     ),
     "low": (
-        "c66b0a3c1b6aa1021cbd44be1596cc409991a2fd87d672d9d367ca8d1ce44051",
-        "2506faa06e0f2ac46097fe03079594728e5ec540f60d54a59c7bbe895cf03d9d",
-        "67f5549e12d5b9248b565c526af53d51cc1daaa1614105f2feb108e84388f3c7",
-        "55978dd3e54cd24406395b967bc11ff123571584b9e645a17f87e94198080816",
+        "4c97c5a76592e16367bab0319935b74007eebcd8c98e598232d981a97c811c11",
+        "6f84d9304258f636c4bba6e3f3a6e83d30525e5194446ab082fb28a6969a8234",
+        "ae6fbce20d0bd23eb749fec9a13919f7a4cef97b25bd63773240b6bc43342f3f",
+        "678b8c9c05f38554d6bde7b4f3ad800b320510626df6ddb5112f6a88a4e52ce2",
     ),
     "lowest": (
-        "733434a1a6a8f5ae666a68ba92800aa6f0f6fa632e2baf67dc7713d9bd1bb5df",
-        "c7e8ee84958ad36a847a60336b0508ccebdd2e5b019213463fb1ea92974e0d08",
-        "d055272f4dac82529f9a745fea890f5c423f5eba5517b83e5fc892f6dc772e0d",
-        "93e340066461370757f2e953c13d17e076c9acd6fb46b9a42237b35e68b39854",
+        "13b700606d33aee4738d0892cacd0bfbdb939991a3dc75658765829a986c73be",
+        "adb52b956c1505b04241eb63348a27acb973d5f7b4be3f14cdf773fb103242eb",
+        "13f74e1140cc6d34793bff0fdb5ef88ff4558b1d0af2cb54ed0315eb1b2027b1",
+        "44ece35ccc1bae3382b23b9fe4f77391213498711631ded07efdd25f9a9ca4cb",
     ),
 }
+
+#: sha256 of the K and V bytes the golden codes: the 23-token chunk, then the
+#: session's two ``sample_caches`` its profile is fitted on.  A failure here
+#: says the input moved, not the codec.
+GOLDEN_INPUT = "e3b5371caf27423c989bc1c5a9013b28c19eac19cdcf7e6fe72dd43b98c39073"
+
+
+def test_golden_input_tensors(kv, sample_caches):
+    digest = hashlib.sha256()
+    for tensors in (kv.slice_tokens(0, 23), *sample_caches):
+        digest.update(tensors.k.tobytes() + tensors.v.tobytes())
+    assert digest.hexdigest() == GOLDEN_INPUT
 
 
 @pytest.mark.parametrize("level", ["high", "medium", "low", "lowest"])

@@ -39,42 +39,51 @@ VARIANTS = {
 #: ``calculate_kv("digest-context", n)``, keyed by ``(variant, chunk_tokens, n)``;
 #: see :func:`_digest` for what each level contributes.
 DIGESTS = {
-    ("default", 40, 1): "1247f462bc58ad8f2940405736532a06c2b6e673227b922ae2f0174810c72592",
-    ("default", 40, 7): "807d37bc3bbb22f0f682411d9fd6e62db874a6d1c1545246c2b62f406e60b5b7",
-    ("default", 40, 300): "1e99a30ebc37b06b3e9d69398f7f3da442365d7369b309368589da5c1555e9d6",
-    ("default", 40, 1600): "ab2ea0a2ba30d293ec194468ada2ea78816250215307e86783af872140099cf0",
-    ("default", 256, 1): "1247f462bc58ad8f2940405736532a06c2b6e673227b922ae2f0174810c72592",
-    ("default", 256, 7): "807d37bc3bbb22f0f682411d9fd6e62db874a6d1c1545246c2b62f406e60b5b7",
-    ("default", 256, 300): "3e2d4f4077bcd3d51cacd985e1f404a59d045fb90a65305a820d46ed9754b4a3",
-    ("default", 256, 1600): "07b5ebd43fc3ad022f9443b09011468343d77f2af3a848e2aaaf4ee59d2172c8",
-    ("default", 1500, 1): "1247f462bc58ad8f2940405736532a06c2b6e673227b922ae2f0174810c72592",
-    ("default", 1500, 7): "807d37bc3bbb22f0f682411d9fd6e62db874a6d1c1545246c2b62f406e60b5b7",
-    ("default", 1500, 300): "c2c4b69799624bbbb5ac42198a896f6f9132cd3dc1ec185fcce33cdb6dd804da",
-    ("default", 1500, 1600): "ac9eacd4ba58405d5cc18586dcc74c8a83e119d8fd02b2e36e9af7a206ca50a3",
-    ("no-delta", 40, 1): "f438add6c75902c10c16d27d9e893a6fc931916e31c71fd4fe0cbb97f471a7df",
-    ("no-delta", 40, 7): "f5b52e9b0bf5449298cb2c33488c37c523e618ccbcfae64ce4b12ad817204c4f",
-    ("no-delta", 40, 300): "b8ff9fb397b65e427cc8f50666ce3c5cbb7f0e27977c1ab6aead0f02196fec92",
-    ("no-delta", 40, 1600): "cf1c1f62eeb8f3cdd67a3f59fdd72d6b4a7a6b8191fc208074b13588ecdadd09",
-    ("no-delta", 256, 1): "f438add6c75902c10c16d27d9e893a6fc931916e31c71fd4fe0cbb97f471a7df",
-    ("no-delta", 256, 7): "f5b52e9b0bf5449298cb2c33488c37c523e618ccbcfae64ce4b12ad817204c4f",
-    ("no-delta", 256, 300): "cf8f0c8004607ed15833ee7e4fc3dc15161c6c98e4f65ec2455a2507302257c4",
-    ("no-delta", 256, 1600): "b1d5a2b9b796ed93543d1b3bd37030812ee042bd0b856aaf0fbdc699112868e8",
-    ("no-delta", 1500, 1): "f438add6c75902c10c16d27d9e893a6fc931916e31c71fd4fe0cbb97f471a7df",
-    ("no-delta", 1500, 7): "f5b52e9b0bf5449298cb2c33488c37c523e618ccbcfae64ce4b12ad817204c4f",
-    ("no-delta", 1500, 300): "04e96e2b672c42deb2b333f2166527c2d8130a44ddbfe41a76173161040f03e2",
-    ("no-delta", 1500, 1600): "970adbcbfd176daa7b8602f8f51dfe9136cb48dceb9fb461bfc144c3b881117d",
-    ("no-ac", 40, 1): "b30a938e6ccf0bc8b36de5f6157e3c931c30c5ed5b4a8a2fbcd56da6abfd9bed",
-    ("no-ac", 40, 7): "1b8eeef8b318311a883f295006a9a97de00cc8cbd84a725480bbc0818944f0fd",
-    ("no-ac", 40, 300): "33ffd4c8421085dac3157e705f93206a32d2f7708b20a0222d144f14b987bdde",
-    ("no-ac", 40, 1600): "fd7d1e06e7178c97ff77694a536245dda13e4ce6f0d6094be18ce81f79150ed5",
-    ("no-ac", 256, 1): "b30a938e6ccf0bc8b36de5f6157e3c931c30c5ed5b4a8a2fbcd56da6abfd9bed",
-    ("no-ac", 256, 7): "1b8eeef8b318311a883f295006a9a97de00cc8cbd84a725480bbc0818944f0fd",
-    ("no-ac", 256, 300): "ca08f74c59a6c203676c6e885d8176689acd5612e0a6d9e64a5650ad783141fa",
-    ("no-ac", 256, 1600): "8be11558c368e8645c685101f39dd26ff0d4eadb64a09218a3848a4c0df69a40",
-    ("no-ac", 1500, 1): "b30a938e6ccf0bc8b36de5f6157e3c931c30c5ed5b4a8a2fbcd56da6abfd9bed",
-    ("no-ac", 1500, 7): "1b8eeef8b318311a883f295006a9a97de00cc8cbd84a725480bbc0818944f0fd",
-    ("no-ac", 1500, 300): "30a41ed860f0e232ff019f2abd991084305646ea7c5c2d6e9166b0bf6ca7bbe0",
-    ("no-ac", 1500, 1600): "8bb7f69a24c416552c6c98c682d0bd3b906835b9d14913cbd189ffce0f55c777",
+    ("default", 40, 1): "f0e5bd9d1711c0c007f96afa66d9108615c021369b71dcd042f88e9751cef0b5",
+    ("default", 40, 7): "464e98c39e3af23e646edc53d2fb76dbfb233a4c1ad09ce898b6835f0cd9afb9",
+    ("default", 40, 300): "283f7759fb52baeb99d3b6d3226f46363ca07872aa67c7523642ec03116cd2ec",
+    ("default", 40, 1600): "3f7485e90041ac5bf4c1a298dc22317708c143a27860d179dbea0c4ffe2f872b",
+    ("default", 256, 1): "f0e5bd9d1711c0c007f96afa66d9108615c021369b71dcd042f88e9751cef0b5",
+    ("default", 256, 7): "464e98c39e3af23e646edc53d2fb76dbfb233a4c1ad09ce898b6835f0cd9afb9",
+    ("default", 256, 300): "1ca40b8d95193b3d1b5cd4615f29cde23b3ceb4ee1a55902a27af0dc99ef87a0",
+    ("default", 256, 1600): "dd4595cd4e3eedcdc68928d70beaaba4d779f12e2821face8c848290e3a5e498",
+    ("default", 1500, 1): "f0e5bd9d1711c0c007f96afa66d9108615c021369b71dcd042f88e9751cef0b5",
+    ("default", 1500, 7): "464e98c39e3af23e646edc53d2fb76dbfb233a4c1ad09ce898b6835f0cd9afb9",
+    ("default", 1500, 300): "42eb02c1f5589be733e74d13ee77ea23b6f9b7339cc790d520296e45323b953c",
+    ("default", 1500, 1600): "4cb7d173f6b2c6a9fbf2311c86fef85450863baec0137baabe6fff5350e60448",
+    ("no-ac", 40, 1): "a6b28aceef1442f94ce6022ef3f5b1bf62332b890cba84a8e41e28314440de53",
+    ("no-ac", 40, 7): "e86b23ae3da385ede8d0e66a917fe7db67d2e5acfb1a0e73515e87bbf1f03211",
+    ("no-ac", 40, 300): "23abbd8c8a5b035739953afeebc1714253b9b1fc44ad6b9559bc3a0cbe5f63db",
+    ("no-ac", 40, 1600): "11b125b3798b088b1f6b80ee51cb38df3b2a55189fcd29a4a90f74ef9311cce2",
+    ("no-ac", 256, 1): "a6b28aceef1442f94ce6022ef3f5b1bf62332b890cba84a8e41e28314440de53",
+    ("no-ac", 256, 7): "e86b23ae3da385ede8d0e66a917fe7db67d2e5acfb1a0e73515e87bbf1f03211",
+    ("no-ac", 256, 300): "ec73b9395f132adba3f9a358d85bd83db725bb025927c3c544cce840b00a2dfd",
+    ("no-ac", 256, 1600): "2755ff070210d2628aec0dfc5a98cffcb64264a035595ec6f5591c2d927d78bd",
+    ("no-ac", 1500, 1): "a6b28aceef1442f94ce6022ef3f5b1bf62332b890cba84a8e41e28314440de53",
+    ("no-ac", 1500, 7): "e86b23ae3da385ede8d0e66a917fe7db67d2e5acfb1a0e73515e87bbf1f03211",
+    ("no-ac", 1500, 300): "61a8d04617438b407d77d01f4aeaeefedb2e46961525c7c7143ebdcc60d39f3b",
+    ("no-ac", 1500, 1600): "03c31d4c8953e1979c8ba2d9bc40de4333f421e2cbb004acda52f968cfe6bb7e",
+    ("no-delta", 40, 1): "a95c90e001217842ce8bdc32bde3c3f2db695ffd3a1da6ae7aee9d881a0ee8d3",
+    ("no-delta", 40, 7): "3fe54c2b41c55aa2d8c36d02c65a0f80a3a1252ec3cd79a89b0a3398bec07db6",
+    ("no-delta", 40, 300): "e90ffdf9488a54b71ce5791a1634ad16584dd12b1e238843e9bc556eb49580a5",
+    ("no-delta", 40, 1600): "b538c9b846cd493e333b7581b37dcd0d104d2a56afe038c038abcf9cb7cf0cb9",
+    ("no-delta", 256, 1): "a95c90e001217842ce8bdc32bde3c3f2db695ffd3a1da6ae7aee9d881a0ee8d3",
+    ("no-delta", 256, 7): "3fe54c2b41c55aa2d8c36d02c65a0f80a3a1252ec3cd79a89b0a3398bec07db6",
+    ("no-delta", 256, 300): "acfa5ca3629eb02fdc92b90ef7072095aed55097ccce249013d3969acb377f1a",
+    ("no-delta", 256, 1600): "5adc29b77bd4a6e11a068ffa4aaa5b0b86f97d97599d57da42cba9045db0a519",
+    ("no-delta", 1500, 1): "a95c90e001217842ce8bdc32bde3c3f2db695ffd3a1da6ae7aee9d881a0ee8d3",
+    ("no-delta", 1500, 7): "3fe54c2b41c55aa2d8c36d02c65a0f80a3a1252ec3cd79a89b0a3398bec07db6",
+    ("no-delta", 1500, 300): "c2836aae49791d9b7adedfe4afda52e783d766fac802522cfd424040eb889ca4",
+    ("no-delta", 1500, 1600): "b6ba6c0ab536abecfacc13991235acd4e68288e97bddc1f0e29c75b88aa67f78",
+}
+
+#: SHA-256 of ``k.tobytes() + v.tobytes()`` of the tensors those digests code,
+#: by ``n``: a failure here says the input moved, not the codec.
+INPUT_DIGESTS = {
+    1: "9678f6981360ac3a913eb169935f2a7c40e0a656e94ee351b97a7932d3e9e0a7",
+    7: "8a28f1ed4877ed41f3542910edecbfa5fd765151b9aa5ce1fb3b50ee08293da6",
+    300: "85c84ae2d564e9230d3aa721123a79db308452a6be1ca611519bdb3cb684867e",
+    1600: "a3e5a472f2fa645f3d671c556e318a752d5675e36a52488cbd39fce06af19db5",
 }
 
 
@@ -134,6 +143,13 @@ def _digest(llm, variant: str, chunk_tokens: int, num_tokens: int) -> str:
             digest.update(struct.pack("<d", bits))
             digest.update(decoded.k.tobytes() + decoded.v.tobytes())
     return digest.hexdigest()
+
+
+@pytest.mark.parametrize("num_tokens", sorted(INPUT_DIGESTS))
+def test_input_tensors_match_committed_digest(llm, num_tokens):
+    kv = llm.calculate_kv("digest-context", num_tokens)
+    digest = hashlib.sha256(kv.k.tobytes() + kv.v.tobytes()).hexdigest()
+    assert digest == INPUT_DIGESTS[num_tokens]
 
 
 @pytest.mark.parametrize("variant, chunk_tokens, num_tokens", sorted(DIGESTS))

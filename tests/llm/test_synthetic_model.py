@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.delta import consecutive_delta_variance_ratio
-from repro.llm import LLAMA_7B, MISTRAL_7B, SyntheticLLM
+from repro.llm import LLAMA_7B, MISTRAL_7B, SyntheticLLM, synthetic_model
 
 
 class TestCalculateKV:
@@ -49,18 +49,18 @@ class TestCalculateKV:
         assert llm.config is LLAMA_7B
 
 
-class TestBitIdenticalSynthesis:
-    """The AR(1) recursion is hand-rolled so ``import repro`` needs no scipy;
-    every tensor must stay the one the ``lfilter`` formulation produced."""
+class TestTokenMajorSynthesis:
+    """The four AR(1) series are drawn token-major, a block at a time, from
+    one stream: a context is a prefix of every longer one, and the block
+    length changes no value."""
 
     #: SHA-256 of ``k.tobytes() + v.tobytes()`` of
-    #: ``SyntheticLLM("mistral-7b").calculate_kv("digest-context", n)``, taken
-    #: with the ``scipy.signal.lfilter`` implementation this one replaced.
+    #: ``SyntheticLLM("mistral-7b").calculate_kv("digest-context", n)``.
     DIGESTS = {
-        1: "279cf33b737c6f99b210684cce747f3d1640b8b80e79ae0c67c1de78e05dbbab",
-        7: "ac4b49cb3b3919eeef8560904818dca01a018d96db3407d61891e5427930025d",
-        320: "cf45575a68b1b88176f98b0fefb3fe4dcb92e59c401db62be2980a9f070ab485",
-        1500: "71b2c1cf07cfd98c546703c4340ff4002e920553f542ea2964022f8ad78448e0",
+        1: "9678f6981360ac3a913eb169935f2a7c40e0a656e94ee351b97a7932d3e9e0a7",
+        7: "8a28f1ed4877ed41f3542910edecbfa5fd765151b9aa5ce1fb3b50ee08293da6",
+        320: "30f836b8cbba79b9b15d34107754a82f31e4e1615e10e82c9f182acdd160ffc5",
+        1500: "b418280b0e0fd8c73e3bda5ae2c4546890618c9d01a478c90e929589e66098c0",
     }
 
     @pytest.mark.parametrize("num_tokens", sorted(DIGESTS))
@@ -69,33 +69,57 @@ class TestBitIdenticalSynthesis:
         digest = hashlib.sha256(kv.k.tobytes() + kv.v.tobytes()).hexdigest()
         assert digest == self.DIGESTS[num_tokens]
 
-    @pytest.mark.parametrize("rho", [0.0, 0.25, 0.999])
-    @pytest.mark.parametrize("tokens", [1, 2, 40, 640, 2000])
-    def test_stationary_ar1_equals_the_lfilter_formulation(self, rho, tokens):
-        lfilter = pytest.importorskip("scipy.signal").lfilter
-        shape = (4, tokens, 6)
+    @pytest.mark.parametrize(
+        "short, long", [(1, 2), (63, 64), (64, 65), (65, 200), (128, 129), (300, 1500)]
+    )
+    def test_a_context_is_a_prefix_of_every_longer_one(self, llm, short, long):
+        prefix, whole = llm.calculate_kv("prefix", short), llm.calculate_kv("prefix", long)
+        assert prefix.k.tobytes() == whole.k[:, :short].tobytes()
+        assert prefix.v.tobytes() == whole.v[:, :short].tobytes()
 
-        def reference(rng):
-            noise = rng.standard_normal(size=shape)
-            series = lfilter([np.sqrt(1.0 - rho * rho)], [1.0, -rho], noise, axis=1)
-            start = rng.standard_normal(size=(shape[0], 1, shape[2]))
-            decay = np.power(rho, np.arange(tokens, dtype=np.float64))[None, :, None]
-            return series + start * decay
+    @pytest.mark.parametrize("block_tokens", [1, 7, 64, 200])
+    def test_the_block_length_changes_no_value(self, llm, monkeypatch, block_tokens):
+        expected = llm.calculate_kv("blocks", 200)
+        monkeypatch.setattr(synthetic_model, "SYNTHESIS_BLOCK_TOKENS", block_tokens)
+        kv = llm.calculate_kv("blocks", 200)
+        assert kv.k.tobytes() == expected.k.tobytes()
+        assert kv.v.tobytes() == expected.v.tobytes()
 
-        ours = SyntheticLLM._stationary_ar1(np.random.default_rng(7), shape, rho)
-        assert ours.tobytes() == reference(np.random.default_rng(7)).tobytes()
+    @pytest.mark.parametrize("component", ["fast", "slow"])
+    def test_token_zero_has_unit_variance(self, component):
+        """Across contexts, each lane's first token is ``scale * (mean + c)``
+        with the other component switched off; ``c`` must have variance 1,
+        the stationary variance, and not the 1.93 of a start decayed from
+        token 0 instead of token -1."""
+        llm = SyntheticLLM(MISTRAL_7B)
+        if component == "fast":
+            llm.SLOW_STD = 0.0
+        else:
+            llm.FAST_STD, llm.SLOW_STD = 0.0, 1.0
+        layers, channels = llm.config.sim_layers, llm.config.sim_channels
+        structure = np.random.default_rng(
+            synthetic_model._stable_seed(llm.config.name, "channel-structure")
+        )
+        k_scale, _ = llm._channel_structure(structure, layers, channels)
+        v_scale, _ = llm._channel_structure(structure, layers, channels)
+        caches = [llm.calculate_kv(f"variance-{i}", 1) for i in range(200)]
+        for first, scale in (
+            (np.stack([kv.k[:, 0] for kv in caches]), k_scale),
+            (np.stack([kv.v[:, 0] for kv in caches]), v_scale),
+        ):
+            variance = (first.astype(np.float64).var(axis=0, ddof=1) / scale**2).mean()
+            assert variance == pytest.approx(1.0, abs=0.03)
 
 
 @pytest.mark.parametrize("num_tokens", [480, 1500])
 def test_synthesis_keeps_no_full_size_temporary(llm, num_tokens):
-    """Alive at the peak: the two float64 series of a tensor and the float32
-    K and V.  The decayed start term and the combination of the series are
-    worked a layer at a time (one layer's float64 slice is under 0.4 MB at
-    1500 tokens)."""
+    """Alive at the peak: the float32 K and V and one float64 block of the
+    four series, ``(64, 4, layers, channels)``, 2 MiB at 32 x 32."""
     llm.calculate_kv("warm-up", 8)
     layers, channels = llm.config.sim_layers, llm.config.sim_channels
     elements = layers * num_tokens * channels
-    bound = 2 * elements * 8 + 2 * elements * 4 + 0.5e6
+    block = min(synthetic_model.SYNTHESIS_BLOCK_TOKENS, num_tokens) * 4 * layers * channels * 8
+    bound = 2 * elements * 4 + block + 0.5e6
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]

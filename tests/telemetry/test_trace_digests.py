@@ -33,9 +33,9 @@ from repro import (
 NUM_REQUESTS = 40
 SPAN_S = NUM_REQUESTS / 2.0
 
-CHROME_TRACE_SHA256 = "24bf8de8b5360db3a6693b4f7107e9e6be2b4821fe18082a5bf62d2076212738"
-JSONL_SHA256 = "7d14be7fe18732a96137f80be116f776e8b8067c441c726d7a0dcf6c165bf5d4"
-METRICS_SHA256 = "4a1159606591f541a376ff63e2fd57119881115148756717f98d5810117869aa"
+CHROME_TRACE_SHA256 = "8ee44849d3608b96904d0f62ac284329b7f985ea260ca7e43be46231be35b0c2"
+JSONL_SHA256 = "5459d5ba633bf0e826f1e3941eb67260a9c4893dfdf15a908099ef730f8401bd"
+METRICS_SHA256 = "726afb44be87b8cec06e5c192efe96c43b8a0b3ccfb427b10223d9c78dce35dd"
 
 
 def traced_chaos_run() -> Tracer:
