@@ -26,7 +26,7 @@ import numpy as np
 from .config import CacheGenConfig, EncodingLevel
 from .delta import anchor_positions, compute_deltas
 from .entropy_codec import EntropyEncodedPayload, decode_payloads, encode_payloads
-from .kv_cache import KVCache
+from .kv_cache import KVCache, layer_blocks
 from .probability_model import SymbolProbabilityModel
 from .quantization import (
     QuantizedTensor,
@@ -384,27 +384,12 @@ def _decode_symbols(
     ]
 
 
-def _error_reference(original: np.ndarray, group_size: int | None) -> tuple[np.ndarray, ...]:
-    """``original`` as :func:`_squared_error` diffs decodes against it.
-
-    Token-major copies in ``original``'s own dtype, ``(tokens, layers,
-    channels)``, the layout the encoder's delta symbols come in: the anchor
-    tokens and the other tokens (with delta encoding, ``group_size`` set), or
-    every token (without).
-    """
-    tokens = original.transpose(1, 0, 2)
-    if group_size is None:
-        return (tokens.copy(),)
-    others = np.ones(len(tokens), dtype=bool)
-    others[::group_size] = False
-    return tokens[::group_size].copy(), tokens[others]
-
-
 def _token_major_sum_of_squares(decoded: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Per-layer float64 ``sum((decoded - reference) ** 2)`` of token-major arrays.
 
-    ``reference`` is upcast inside the float64 subtract, which is exact, so a
-    float32 reference gives the bits a float64 copy of it would.
+    ``reference`` may be a view in any layout.  It is upcast inside the
+    float64 subtract, which is exact, so a float32 reference gives the bits a
+    float64 copy of it would.
     """
     diff = decoded.astype(np.float64)
     diff -= reference
@@ -422,6 +407,7 @@ def _dequantize(symbols: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def _squared_error(
     tensor: _PreparedTensor,
+    original: np.ndarray,
     stream: EncodedTensorStream,
     delta_symbols: np.ndarray,
     anchor_symbols: np.ndarray | None,
@@ -431,32 +417,45 @@ def _squared_error(
 
     ``decoded`` is what ``CacheGenDecoder`` reconstructs from the symbols,
     value for value: each token's float32 delta added to its group's float32
-    anchor.  It is built token-major against the tensor's
-    :func:`_error_reference`, without scattering the deltas into a tensor.
-    Levels of one ``anchor_bits`` have the same anchor symbols and scales, so
-    the anchors are dequantized and their error summed once per
-    ``anchor_bits``.
+    anchor.  It is built token-major, without scattering the deltas into a
+    tensor, and diffed against views of ``original`` itself, the non-anchor
+    tokens a :func:`~repro.core.kv_cache.layer_blocks` block at a time: the
+    float64 temporaries are one block, and each layer's sum is the one the
+    whole tensor gives, bit for bit.  Levels of one ``anchor_bits`` have the
+    same anchor symbols and scales, so the anchors' error (a tenth of the
+    tokens, taken whole) is summed once per ``anchor_bits``.
     """
-    deltas = _dequantize(delta_symbols, stream.delta_scale)
-    if anchor_symbols is None:
-        (original,) = tensor.error_reference
-        return _token_major_sum_of_squares(deltas, original)
-    anchor_reference, others_reference = tensor.error_reference
-    bits = stream.anchor_bits
-    if bits not in tensor.anchor_errors:
+    reference = original.transpose(1, 0, 2)  # a token-major view
+    if anchor_symbols is not None:
+        bits = stream.anchor_bits
         anchors = _dequantize(anchor_symbols, stream.anchor_scale)
-        tensor.anchor_errors[bits] = (
-            anchors,
-            _token_major_sum_of_squares(anchors, anchor_reference),
-        )
-    anchors, anchor_error = tensor.anchor_errors[bits]
-    width, row = group_size - 1, anchors.shape[1] * anchors.shape[2]
-    groups = (len(anchors) + len(deltas)) // group_size  # complete groups
-    body = deltas[: groups * width].reshape(groups, width, row)
-    body += anchors[:groups].reshape(groups, 1, row)
-    if groups * width < len(deltas):  # the last, partial group
-        deltas[groups * width :] += anchors[groups]
-    return anchor_error + _token_major_sum_of_squares(deltas, others_reference)
+        if bits not in tensor.anchor_errors:
+            tensor.anchor_errors[bits] = _token_major_sum_of_squares(
+                anchors, reference[::group_size]
+            )
+        groups = len(reference) // group_size  # complete groups
+        width = group_size - 1
+    error = np.empty(len(original))
+    for block in layer_blocks(len(original), original[:1].size):
+        deltas = _dequantize(delta_symbols[block], stream.delta_scale[block])
+        if anchor_symbols is None:
+            error[block] = _token_major_sum_of_squares(deltas, reference[:, block])
+            continue
+        _, layers, channels = deltas.shape
+        body = deltas[: groups * width].reshape(groups, width, layers * channels)
+        body += anchors[:groups, block].reshape(groups, 1, layers * channels)
+        if groups * width < len(deltas):  # the last, partial group
+            deltas[groups * width :] += anchors[groups, block]
+        # Less the non-anchor tokens of ``reference``, as views: each complete
+        # group's past its anchor, then the partial group's.
+        diff = deltas.astype(np.float64)
+        grouped = reference[: groups * group_size, block]
+        diff[: groups * width].reshape(groups, width, layers, channels)[...] -= grouped.reshape(
+            groups, group_size, layers, channels
+        )[:, 1:]
+        diff[groups * width :] -= reference[groups * group_size + 1 :, block]
+        error[block] = np.einsum("tlc,tlc->l", diff, diff)
+    return error if anchor_symbols is None else tensor.anchor_errors[bits] + error
 
 
 @dataclass
@@ -473,11 +472,9 @@ class _PreparedTensor:
     #: ``id(anchor model) -> anchor payload``, filled as levels are encoded:
     #: levels that share an anchor model share the payload.
     anchor_payloads: dict[int, EntropyEncodedPayload] = field(default_factory=dict)
-    #: :func:`_error_reference` of the tensor, once error statistics are taken.
-    error_reference: tuple[np.ndarray, ...] | None = None
-    #: ``anchor_bits -> (dequantized anchors, their per-layer squared error)``,
-    #: filled by :func:`_squared_error` as levels are encoded.
-    anchor_errors: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    #: ``anchor_bits -> the anchors' per-layer squared error``, filled by
+    #: :func:`_squared_error` as levels are encoded.
+    anchor_errors: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -655,15 +652,11 @@ class CacheGenEncoder:
                     for delta, anchor in quantized
                 ]
             )
-            group_size = self.config.group_size
-            for tensor, original in zip(prepared.tensors, (kv.k, kv.v)):
-                if tensor.error_reference is None:
-                    tensor.error_reference = _error_reference(
-                        original, group_size if self.config.use_delta else None
-                    )
             prepared.errors[level.name] = sum(
-                _squared_error(tensor, stream, delta, anchor, group_size)
-                for tensor, stream, (delta, anchor) in zip(prepared.tensors, streams, pairs)
+                _squared_error(tensor, original, stream, delta, anchor, self.config.group_size)
+                for tensor, original, stream, (delta, anchor) in zip(
+                    prepared.tensors, (kv.k, kv.v), streams, pairs
+                )
             )
         return EncodedKV(
             model_name=kv.model_name,
@@ -691,6 +684,13 @@ class CacheGenEncoder:
         decoded back from the bitstreams), never by quantizing again.  With
         it a read is scored without the tensor, so the encodings keep no
         ``source``.
+
+        Beside its input it holds both tensors' prepared deltas, one level's
+        symbols and one block of whichever pass runs: every pass over a
+        tensor (quantizing, counting symbols, the error statistics) works a
+        :func:`~repro.core.kv_cache.layer_blocks` block at a time, and no
+        full-size reference or float64 copy is kept.  On one 1,500-token
+        mistral-7b chunk that peaks at 21.0 MiB above the chunk.
         """
         prepared = _PreparedKV(kv, errors={})
         encodings = {level.name: self.encode(prepared, level) for level in self.config.levels}
@@ -712,6 +712,7 @@ class CacheGenEncoder:
             mask = np.ones(decomposition.num_tokens, dtype=bool)
             mask[anchor_positions(decomposition.num_tokens, cfg.group_size)] = False
             tensor, anchors = decomposition.deltas[:, mask, :], decomposition.anchors
+            del decomposition  # its full delta tensor, gone before layer_std's temporary
         return _PreparedTensor(deltas=tensor, std=layer_std(tensor), anchors=anchors)
 
     def _effective_bins(self, num_layers: int, level: EncodingLevel) -> np.ndarray:

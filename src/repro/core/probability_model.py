@@ -30,6 +30,7 @@ from typing import Literal
 import numpy as np
 
 from .arithmetic_coder import MAX_TOTAL_FREQUENCY, BandTable, _kept_table
+from .kv_cache import layer_blocks
 from .quantization import SYMBOL_CLIP
 
 __all__ = [
@@ -60,6 +61,14 @@ _TABLE_BLOCK = 64
 #: Band values :meth:`SymbolProbabilityModel.cumulative_band` turns into
 #: frequencies at a time: as many contexts as a dense block holds values.
 _BLOCK_VALUES = _TABLE_BLOCK * ALPHABET_SIZE
+#: Data columns :meth:`SymbolProbabilityModel.cross_entropy_bits` forms and
+#: folds its products for at a time: 512 KiB of float64 at 1,024 contexts.
+#: Sixteen scores of a 1,500-token chunk measured ≈40 ms at 64 or 128
+#: columns and ≈38 ms at 256 in isolation, but in a whole encode at 1,500
+#: tokens, beside the other blocked passes, the 64-column blocks were no
+#: slower than the unblocked parent, and wider ones kept a served run's
+#: heap trimming and refaulting (see ``kv_cache.LAYER_BLOCK_VALUES``).
+_SCORE_BLOCK_COLUMNS = 64
 
 
 def _context_ids(shape: tuple[int, int, int], grouping: Grouping) -> tuple[np.ndarray, int]:
@@ -104,15 +113,31 @@ def _band_counts(
     """Joint (context, symbol) counts, ``(num_ctx, hi - lo + 1)``, over the values ``lo..hi``.
 
     ``ctx, num_ctx`` is :func:`_context_ids` of the tensor, and every symbol
-    must lie in the band.  The flat bin index is one broadcast add of the
-    (small) context grid onto the symbols, so the cost is O(symbols) plus
-    ``num_ctx * (hi - lo + 1)`` bins.
+    must lie in the band.  The symbols are counted a
+    :func:`~repro.core.kv_cache.layer_blocks` block at a time: a block's flat
+    bin index is one broadcast add of its slice of the (small) context grid
+    onto its symbols.  The first block is counted over every context, into
+    the table the later blocks add their counts to, each over the contexts
+    its slice spans.  Integer counts do not depend on the order they are
+    taken in, so the table is the whole tensor's, and the cost is O(symbols)
+    plus the table.
     """
     width = hi - lo + 1
-    flat = (ctx * width - lo) + symbols
-    # Order "K": counting is order-free, and a quantizer's output need not be C-ordered.
-    counts = np.bincount(flat.ravel(order="K"), minlength=num_ctx * width)
-    return counts.reshape(num_ctx, width)
+    layered = np.ndim(ctx) == 3 and ctx.shape[0] > 1
+    counts = None
+    for block in layer_blocks(len(symbols), symbols[:1].size):
+        ids = ctx[block] if layered else ctx
+        low, high = (0, num_ctx) if counts is None else (int(np.min(ids)), int(np.max(ids)) + 1)
+        # Order "K": counting is order-free, and a quantizer's output need not be C-ordered.
+        rows = np.bincount(
+            (((ids - low) * width - lo) + symbols[block]).ravel(order="K"),
+            minlength=(high - low) * width,
+        )
+        if counts is None:
+            counts = rows.reshape(num_ctx, width)
+        else:
+            counts[low:high] += rows.reshape(high - low, width)
+    return counts
 
 
 def _densify(rows: np.ndarray, lo: int, smoothing: float, out: np.ndarray) -> np.ndarray:
@@ -145,14 +170,14 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _fold_sum(table: np.ndarray) -> float:
-    """Sum of a non-empty 2-D float table in the order scores are defined in.
+def _fold_rows(table: np.ndarray) -> np.ndarray:
+    """Each column of a non-empty 2-D float table summed in the order scores are defined in.
 
     The rows are folded pairwise in place — the upper half added onto the
     lower, an odd last row onto the row below the half — until one row is
-    left, whose columns are then summed left to right.  Elementwise adds and
-    one sequential scan fix the order, so the sum does not depend on numpy's
-    reduction strategy, and a column of zeros anywhere leaves it unchanged.
+    left, which is returned (a view of ``table``'s first row).  Each column
+    is folded on its own, by elementwise adds, so a column's sum does not
+    depend on numpy's reduction strategy nor on the columns beside it.
     ``table`` is overwritten.
     """
     rows = len(table)
@@ -162,7 +187,18 @@ def _fold_sum(table: np.ndarray) -> float:
         if rows % 2:
             table[half - 1] += table[rows - 1]
         rows = half
-    return float(np.add.accumulate(table[0])[-1])
+    return table[0]
+
+
+def _fold_sum(table: np.ndarray) -> float:
+    """Sum of a non-empty 2-D float table in the order scores are defined in.
+
+    :func:`_fold_rows`, then the columns of the row left summed left to right
+    by one sequential scan.  The order is fixed, so a column of zeros
+    anywhere leaves the sum unchanged, and folding the table a block of
+    columns at a time gives it bit for bit.  ``table`` is overwritten.
+    """
+    return float(np.add.accumulate(_fold_rows(table))[-1])
 
 
 @dataclass(eq=False)
@@ -397,7 +433,11 @@ class SymbolProbabilityModel:
         present are counted and multiplied — each by the band's
         log-probability where the model's band covers it and by the context's
         out-of-band one where it does not — and the result equals the full
-        table's bit for bit.
+        table's bit for bit.  The counts are one ``int64`` table taken a block
+        of layers at a time (:func:`_band_counts`); the products are formed
+        and their rows folded ``_SCORE_BLOCK_COLUMNS`` columns at a time,
+        since each column folds on its own, so the float64 temporary is one
+        block of columns wide, whatever the band.
         """
         symbols = np.asarray(symbols)
         data_range = _symbol_range(symbols)
@@ -415,13 +455,23 @@ class SymbolProbabilityModel:
         width = hi - lo + 1
         start = min(max(self.lo - lo, 0), width)
         stop = min(max(self.lo + self.band_counts.shape[1] - lo, start), width)
-        products = np.empty((num_ctx, width))
-        inside = slice(lo + start - self.lo, lo + stop - self.lo)
-        np.multiply(data_counts[:, start:stop], log_band[:, inside], out=products[:, start:stop])
         outside = log_outside[:, None]
-        np.multiply(data_counts[:, :start], outside, out=products[:, :start])
-        np.multiply(data_counts[:, stop:], outside, out=products[:, stop:])
-        return -_fold_sum(products)
+        folded = np.empty((1, width))  # each column's fold: a one-row table
+        buffer = np.empty((num_ctx, min(width, _SCORE_BLOCK_COLUMNS)))
+        for first in range(0, width, _SCORE_BLOCK_COLUMNS):
+            last = min(first + _SCORE_BLOCK_COLUMNS, width)
+            # This block's columns below, inside and above the model's band.
+            below, above = min(max(start, first), last), min(max(stop, first), last)
+            products = buffer[:, : last - first]
+            np.multiply(data_counts[:, first:below], outside, out=products[:, : below - first])
+            np.multiply(
+                data_counts[:, below:above],
+                log_band[:, below + lo - self.lo : above + lo - self.lo],
+                out=products[:, below - first : above - first],
+            )
+            np.multiply(data_counts[:, above:last], outside, out=products[:, above - first :])
+            folded[0, first:last] = _fold_rows(products)
+        return -_fold_sum(folded)
 
     def entropy_bits_per_symbol(self) -> float:
         """Average entropy (bits/symbol) of the fitted distributions.

@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .kv_cache import layer_blocks
+
 __all__ = [
     "QuantizedTensor",
     "vectorwise_quantize",
@@ -158,9 +160,13 @@ def bin_quantize(
         std = layer_std(reference if reference is not None else tensor)
     scale = (std * bin_sizes[:, None]).astype(np.float32)
 
-    normalised = tensor / scale[:, None, :]
-    np.rint(normalised, out=normalised)
-    symbols = np.clip(normalised, -SYMBOL_CLIP, SYMBOL_CLIP, out=normalised).astype(SYMBOL_DTYPE)
+    # In the tensor's memory layout, a layer block at a time: the float32
+    # temporary is one block, and each value is rounded as the whole tensor's.
+    symbols = np.empty_like(tensor, dtype=SYMBOL_DTYPE)
+    for block in layer_blocks(num_layers, tensor[:1].size):
+        normalised = tensor[block] / scale[block, None, :]
+        np.rint(normalised, out=normalised)
+        symbols[block] = np.clip(normalised, -SYMBOL_CLIP, SYMBOL_CLIP, out=normalised)
     return QuantizedTensor(
         symbols=symbols,
         scale=scale,

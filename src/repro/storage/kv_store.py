@@ -61,6 +61,11 @@ class StoredContext:
     generations: dict[tuple[tuple[str, ...], str], GenerationResult] = field(
         default_factory=dict, compare=False, repr=False
     )
+    #: :meth:`total_bytes` by level name (``None``: every level), each summed
+    #: at its first call; nothing changes a record's chunks once it is built.
+    _bytes: dict[str | None, float] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @classmethod
     def encode(cls, context_id: str, kv: KVCache, encoder: CacheGenEncoder) -> "StoredContext":
@@ -78,13 +83,20 @@ class StoredContext:
         return len(self.chunks)
 
     def total_bytes(self, level_name: str | None = None) -> float:
-        """Stored bytes — for one level, or for all levels when ``None``."""
-        total = 0.0
-        for chunk in self.chunks:
-            if level_name is None:
-                total += sum(enc.compressed_bytes for enc in chunk.encodings.values())
-            else:
-                total += chunk.bytes_for_level(level_name)
+        """Stored bytes — for one level, or for all levels when ``None``.
+
+        Summed once per ``level_name``, chunk by chunk, and kept: reads,
+        placement, replica probes and eviction ask for it again and again.
+        """
+        total = self._bytes.get(level_name)
+        if total is None:
+            total = 0.0
+            for chunk in self.chunks:
+                if level_name is None:
+                    total += sum(enc.compressed_bytes for enc in chunk.encodings.values())
+                else:
+                    total += chunk.bytes_for_level(level_name)
+            self._bytes[level_name] = total
         return total
 
 

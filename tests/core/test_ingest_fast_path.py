@@ -31,10 +31,12 @@ from conftest import encode_all_levels
 from repro import ServeRequest, ServingSpec, serve
 from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder, EncodingLevel
 from repro.core.encoder import _PreparedKV
+from repro.core.kv_cache import layer_blocks
 from repro.core.probability_model import (
     ALPHABET_SIZE,
     MAX_QUANTIZE_TOTAL,
     SYMBOL_OFFSET,
+    _SCORE_BLOCK_COLUMNS,
     SymbolProbabilityModel,
     _fold_sum,
 )
@@ -391,12 +393,14 @@ class TestFoldEdges:
 
 
 def test_scoring_holds_the_log_tables_alone(llm, monkeypatch):
-    """A freshly loaded profile scores every level of a 128-token chunk: what
+    """A freshly loaded profile scores every level of a 1,500-token chunk: what
     stays allocated is the log-probability tables the first scores build, and
-    each call's peak is its counts, its products and its flat bin index."""
+    each call's peak is its int64 counts and either one block of products
+    columns or one block of layers' flat bin index and counts, never the whole
+    symbols' index nor a products table wider than the block."""
     monkeypatch.setattr(repro.serving.engine, "_PROFILES", {})
     encoder = CacheGenEncoder(CacheGenConfig(), codec=profile_codec("mistral-7b"))
-    kv = llm.calculate_kv("scoring-residency", 128)
+    kv = llm.calculate_kv("scoring-residency", 1500)
     payloads = []
     for level in encoder.config.levels:
         models = encoder.model_for_level(level)
@@ -412,6 +416,7 @@ def test_scoring_holds_the_log_tables_alone(llm, monkeypatch):
             if model._log_band is not None
         )
 
+    blocked = []
     gc.collect()
     tracemalloc.start()
     try:
@@ -421,8 +426,14 @@ def test_scoring_holds_the_log_tables_alone(llm, monkeypatch):
             model.cross_entropy_bits(symbols)
             peak = tracemalloc.get_traced_memory()[1] - held
             width = int(symbols.max()) - int(symbols.min()) + 1
-            table = model.num_contexts * width * 8  # int64 counts, float64 products
-            call = 2 * table + symbols.size * 8 + (log_table_bytes() - built)
+            counts = model.num_contexts * width * 8
+            products = model.num_contexts * min(width, _SCORE_BLOCK_COLUMNS) * 8
+            # A block's flat bin index and the counts of the contexts it spans.
+            block = layer_blocks(len(symbols), symbols[:1].size)[0]
+            index = symbols[block].size * 8
+            block_counts = counts * (block.stop - block.start) // len(symbols)
+            blocked.append(index < symbols.size * 8)
+            call = counts + max(index + block_counts, products) + (log_table_bytes() - built)
             assert peak <= call + 256 * 2**10
         del model, symbols
         gc.collect()
@@ -430,6 +441,7 @@ def test_scoring_holds_the_log_tables_alone(llm, monkeypatch):
     finally:
         tracemalloc.stop()
     assert held <= log_table_bytes() + 64 * 2**10
+    assert all(blocked)  # every payload, anchors too, was counted in blocks
 
 
 def assert_streams_equal(left, right):

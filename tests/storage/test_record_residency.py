@@ -4,19 +4,25 @@ A record holds no tensor.  Per chunk it keeps sizes and scales (bitstreams
 too under exact coding) and, per level, the per-layer squared error of its
 decode; per context, the per-layer variance of the lossless cache.  Reads are
 scored from those statistics, so an estimated encoding keeps no ``source``
-and cannot be decoded.
+and cannot be decoded.  Building one holds the context's float32 K and V and
+one bounded working set, traced under ``tracemalloc``.
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
 from repro import ServeRequest, ServingSpec, build_backend
-from repro.core import CacheGenDecoder
+from repro.core import CacheGenConfig, CacheGenDecoder, CacheGenEncoder
+from repro.core.kv_cache import layer_blocks
+from repro.llm import SyntheticLLM
+from repro.serving.engine import profile_codec
+from repro.storage.kv_store import StoredContext
 
 #: Objects the walk does not enter: code and modules lead to every global.
 _OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, str, bytes)
@@ -85,3 +91,30 @@ def test_a_stored_estimated_encoding_refuses_to_decode(fitted_codec):
     encoded = store.peek_context("no-source").chunks[0].encodings["low"]
     with pytest.raises(ValueError, match="no source: it stores only sizes"):
         CacheGenDecoder(backend.engine.encoder).decode(encoded)
+
+
+def test_ingest_holds_its_kv_and_one_bounded_working_set():
+    """``StoredContext.encode`` of a two-chunk mistral-7b context peaks at one
+    1,500-token chunk's encode at every level above its K and V (≈21 MiB, where
+    keeping full-size error references and counting every symbol at once took
+    48 MiB), and the variance's float64 temporary is one block of layers, not a
+    copy of K (23 MiB here)."""
+    llm = SyntheticLLM("mistral-7b")
+    encoder = CacheGenEncoder(CacheGenConfig(chunk_tokens=1500), codec=profile_codec("mistral-7b"))
+    StoredContext.encode("warm-up", llm.calculate_kv("warm-up", 16), encoder)  # the log tables
+    kv = llm.calculate_kv("ingest-peak", 3000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        StoredContext.encode("ingest-peak", kv, encoder)
+        encode_peak = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        kv.variance_per_layer()
+        variance_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert encode_peak <= 24 * 2**20
+    block = layer_blocks(kv.num_layers, kv.num_tokens * kv.num_channels)[0]
+    assert variance_peak <= kv.k[block].size * 8 + 128 * 2**10  # and numpy's cast buffers
