@@ -21,9 +21,7 @@ def _run_scaling() -> dict[int, list]:
     concurrent.ingest("ctx", NUM_TOKENS)
     responses = {}
     for n in CONCURRENCY_LEVELS:
-        for _ in range(n):
-            concurrent.submit(ServeRequest("ctx", "How did revenue develop?"))
-        responses[n] = concurrent.run()
+        responses[n] = concurrent.run([ServeRequest("ctx", "How did revenue develop?")] * n)
     return responses
 
 

@@ -8,7 +8,7 @@ thousands of tokens.  It also reports the Appendix-E style economics of
 keeping the cache.
 
 The deployment is declared once as a :class:`repro.ServingSpec` and served
-through the unified API (``ingest`` + ``submit``/``run`` on the backend).
+through the unified API (``ingest`` + ``run`` on the backend).
 
 Run with ``PYTHONPATH=src python examples/chat_session_cache.py``
 (set ``REPRO_SMOKE=1`` for a fast CI-sized run).
@@ -41,8 +41,7 @@ def main() -> None:
     print("Simulating a growing chat session (history re-ingested after each turn):\n")
     for turn, (question, history_tokens) in enumerate(TURNS, start=1):
         backend.ingest(f"{session_id}-turn{turn}", history_tokens)
-        backend.submit(ServeRequest(f"{session_id}-turn{turn}", question))
-        response = backend.run()[0]
+        (response,) = backend.run([ServeRequest(f"{session_id}-turn{turn}", question)])
         path = "cached KV" if response.used_kv_cache else "text prefill"
         print(
             f"Turn {turn}: history {history_tokens:>5} tokens | {path:>12} | "

@@ -43,13 +43,12 @@ def main() -> None:
 
     print("Six queries arriving within 250 ms of each other:\n")
     context_ids = list(CONTEXTS)
-    for i, arrival_s in enumerate(ARRIVALS):
-        backend.submit(
-            ServeRequest(
-                context_ids[i % len(context_ids)], f"Question {i}?", arrival_s=arrival_s
-            )
-        )
-    responses = backend.run()
+    responses = backend.run(
+        [
+            ServeRequest(context_ids[i % len(context_ids)], f"Question {i}?", arrival_s=arrival_s)
+            for i, arrival_s in enumerate(ARRIVALS)
+        ]
+    )
 
     header = (
         f"{'context':<14} {'arrive':>7} {'ttft':>7} {'queue':>7} "
@@ -70,9 +69,7 @@ def main() -> None:
 
     print("\nMean TTFT vs simultaneous requests (same context, same instant):")
     for n in (1, 2, 4, 8):
-        for _ in range(n):
-            backend.submit(ServeRequest("annual-report", "How did revenue develop?"))
-        burst = backend.run()
+        burst = backend.run([ServeRequest("annual-report", "How did revenue develop?")] * n)
         mean_ttft = sum(r.ttft_s for r in burst) / n
         mean_queue = sum(r.queueing_s for r in burst) / n
         print(f"  n={n:<2}  mean TTFT {mean_ttft:6.3f}s   mean queueing {mean_queue:6.3f}s")
@@ -91,16 +88,17 @@ def main() -> None:
                 dispatch_policy="locality",
             )
         )
-        for i in range(12):
-            fleet.submit(
+        burst = fleet.run(
+            [
                 ServeRequest(
                     f"cold-context-{i}",
                     f"Burst question {i}?",
                     arrival_s=0.02 * i,
                     num_tokens=cold_tokens,
                 )
-            )
-        burst = fleet.run()
+                for i in range(12)
+            ]
+        )
         mean_ttft = sum(r.ttft_s for r in burst) / len(burst)
         mean_queue = sum(r.queueing_s for r in burst) / len(burst)
         print(

@@ -42,8 +42,7 @@ def main() -> None:
 
     # Answer several questions against the same cached context.
     for question in QUESTIONS:
-        backend.submit(ServeRequest("acme-earnings-q4", question, task="qa_f1"))
-        response = backend.run()[0]
+        (response,) = backend.run([ServeRequest("acme-earnings-q4", question, task="qa_f1")])
         print(
             f"\nQ: {question}\n"
             f"   TTFT {response.ttft_s:.2f}s "
@@ -54,10 +53,9 @@ def main() -> None:
         )
 
     # Contrast with a cold document that has to take the text path.
-    backend.submit(
-        ServeRequest("fresh-lawsuit-filing", QUESTIONS[2], num_tokens=DOC_TOKENS, task="qa_f1")
+    (cold,) = backend.run(
+        [ServeRequest("fresh-lawsuit-filing", QUESTIONS[2], num_tokens=DOC_TOKENS, task="qa_f1")]
     )
-    cold = backend.run()[0]
     print(
         f"\nCold context (no cached KV): TTFT {cold.ttft_s:.2f}s via the text path — "
         f"{cold.ttft_s / max(1e-9, response.ttft_s):.1f}x slower than the cached queries."

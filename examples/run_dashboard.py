@@ -83,7 +83,7 @@ def main() -> None:
     # holds the context's only replica before we decide what to break.
     scratch = build_backend(spec())
     scratch.ingest(CONTEXT, NUM_TOKENS)
-    primary = scratch.engine.cluster.replicas_for(CONTEXT)[0]
+    primary = scratch.cluster.replicas_for(CONTEXT)[0]
 
     # 2. The same arrival stream, with a scheduled crash window mid-run.
     fail_s = NUM_REQUESTS / ARRIVAL_RATE / 3

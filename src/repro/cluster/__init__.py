@@ -2,7 +2,7 @@
 
 The paper's testbed is one KV storage server behind one link; this package is
 the store that scales it out, and its one-node case *is* that testbed (the
-:class:`~repro.serving.engine.ContextLoadingEngine` reads and writes nothing
+:class:`~repro.serving.api.backends.Backend` reads and writes nothing
 else):
 
 * :class:`ConsistentHashRing` — directory-free context placement;

@@ -111,7 +111,7 @@ class ShardedKVStore:
     Parameters
     ----------
     encoder:
-        Fitted CacheGen encoder (shared with the serving engine).
+        Fitted CacheGen encoder (shared with the serving backend).
     nodes:
         The cluster's storage nodes.  Node ids must be unique.
     replication_factor:

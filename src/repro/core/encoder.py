@@ -163,11 +163,11 @@ class FittedCodec:
     The paper profiles its symbol distributions once per LLM and reuses them
     for every context (§5.2); this is that profile as a value.  It is what
     :meth:`CacheGenEncoder.fit` produces (``encoder.codec``) and what
-    ``CacheGenEncoder(config, codec=...)`` — and every engine and backend
-    constructor above it — accepts in place of profiling again.
+    ``CacheGenEncoder(config, codec=...)`` — and every backend constructor
+    above it — accepts in place of profiling again.
 
-    One codec may back any number of encoders, engines and backends at once,
-    and :func:`~repro.serving.engine.profile_codec` hands every engine of one
+    One codec may back any number of encoders and backends at once, and
+    :func:`~repro.serving.engine.profile_codec` hands every backend of one
     model the same one for the life of the process.
     Nothing reachable from it can be written: the dataclasses are frozen and
     every model's counts, totals, log-probability and coder tables are

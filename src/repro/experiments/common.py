@@ -92,7 +92,7 @@ class Workbench:
     CacheGen encoder, a small set of dataset records, and a memo of the last
     few reference KV caches.  Its encoder codes with the model's one offline
     profile, :func:`~repro.serving.engine.profile_codec`'s, the codec every
-    engine and backend of that model serves with; the workbench fits nothing.
+    backend of that model serves with; the workbench fits nothing.
     Experiments ask it for :class:`LoadRequest` objects and evaluate any
     :class:`ContextLoadingMethod` against them.
 

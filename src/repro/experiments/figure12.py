@@ -8,7 +8,7 @@ one :class:`~repro.serving.api.ServingSpec`, its backend, and ``n``
 identical requests arriving together — each request's TTFT
 (queueing + transfer + decode + compute) is read off the schedule; there is no
 static GPU share anywhere in this path.  The quantization baseline has no
-engine path, so its rows stage ``n`` copies of the baseline's own
+backend path, so its rows stage ``n`` copies of the baseline's own
 :meth:`~repro.baselines.ContextLoadingMethod.load` on the raw event simulator
 with the same arrival pattern.  Right: each method's load alone on the same
 event engine; the longer the context, the larger CacheGen's gain; below ~1K
@@ -72,11 +72,10 @@ def run_figure12_concurrency(
     backend = build_backend(spec)
     backend.attach_tracer(tracer)
     backend.ingest(_KV_CONTEXT, num_tokens)
-    engine = backend.engine
     question = "What does the context say?"
-    prompt_tokens = max(engine.llm.tokenizer.count_tokens(question), 1)
+    prompt_tokens = max(backend.llm.tokenizer.count_tokens(question), 1)
 
-    # The quantization baseline has no engine path: stage the baseline's own
+    # The quantization baseline has no backend path: stage the baseline's own
     # load of the same (deterministic) context on the raw event simulator.
     quant_baseline = UniformQuantizationBaseline(8)
     quant_request = LoadRequest(
@@ -87,11 +86,11 @@ def run_figure12_concurrency(
             task="qa_accuracy",
             question=question,
         ),
-        llm=engine.llm,
-        reference_kv=engine.llm.calculate_kv(_KV_CONTEXT, num_tokens),
+        llm=backend.llm,
+        reference_kv=backend.llm.calculate_kv(_KV_CONTEXT, num_tokens),
         link=default_link(bandwidth_gbps),
-        compute_model=engine.compute_model,
-        quality_model=engine.llm.quality_model,
+        compute_model=backend.compute_model,
+        quality_model=backend.llm.quality_model,
     )
 
     result = ExperimentResult(
@@ -101,13 +100,8 @@ def run_figure12_concurrency(
     )
     for n in concurrency_levels:
         for method_name, context_id in (("text", _TEXT_CONTEXT), ("cachegen", _KV_CONTEXT)):
-            for _ in range(n):
-                backend.submit(
-                    ServeRequest(
-                        context_id, question, arrival_s=0.0, num_tokens=num_tokens
-                    )
-                )
-            responses = backend.run()
+            request = ServeRequest(context_id, question, arrival_s=0.0, num_tokens=num_tokens)
+            responses = backend.run([request] * n)
             result.add_row(
                 concurrent_requests=n,
                 method=method_name,

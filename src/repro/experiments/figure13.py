@@ -6,11 +6,11 @@ and CacheGen without adaptation at the same quality.
 
 The two CacheGen variants are served through the unified serving API: one
 :class:`~repro.serving.api.ServingSpec` (single-node backend), contexts
-ingested once, each trace swapped onto the engine's serving link.  The
-adaptive rows hand each query the SLO (the engine's SLO-aware adapter
+ingested once, each trace swapped onto the backend's serving link.  The
+adaptive rows hand each query the SLO (the backend's SLO-aware adapter
 degrades encoding levels chunk by chunk); the no-adaptation rows stream the
 fixed default level and are judged against the same SLO afterwards.  The
-quantization baseline has no engine path and keeps its method harness, whose
+quantization baseline has no backend path and keeps its method harness, whose
 loads the same event engine times.  Every row holds the SLO to the loading
 delay, TTFT less the prompt prefill, which both harnesses read off the
 request's event timeline (``MethodResult.loading_delay_s``,
@@ -71,19 +71,17 @@ def run_figure13(
 
     def serve_rows(link: NetworkLink, slo_s: float | None) -> list:
         """Each record served alone: one run — one fresh event clock — per request."""
-        backend.engine.replace_link(link)
+        backend.replace_link(link)
         responses = []
         for record in records:
-            backend.submit(
-                ServeRequest(
-                    record.context_id,
-                    record.question,
-                    num_tokens=record.num_tokens,
-                    task=record.task,
-                    slo_s=slo_s,
-                )
+            request = ServeRequest(
+                record.context_id,
+                record.question,
+                num_tokens=record.num_tokens,
+                task=record.task,
+                slo_s=slo_s,
             )
-            responses.extend(backend.run())
+            responses.extend(backend.run([request]))
         return responses
 
     result = ExperimentResult(

@@ -74,7 +74,7 @@ class FaultInjector:
         self.tracer = tracer
         self._events = list(schedule.events())
         self._next = 0
-        self._cluster = backend.engine.cluster
+        self._cluster = backend.cluster
         self._base_traces: dict[int, tuple[object, BandwidthTrace]] = {}
         self.outcomes: dict[str, FaultOutcome] = {}
         self.validate(schedule, self._cluster)

@@ -1,17 +1,16 @@
-"""Serving integration: the end-to-end context-loading engine of §6.
+"""Serving integration: the context-loading module of §6.
 
 The public surface is the unified API in :mod:`repro.serving.api`: declare a
-:class:`~repro.serving.api.ServingSpec`, build a backend (or call
-:func:`~repro.serving.api.serve`), and drive it with
-:class:`~repro.serving.api.ServeRequest` objects.
-
-Underneath, :mod:`repro.serving.engine` decides routing and
-:mod:`repro.serving.concurrent` plays the queries — one or a batch — through
-a discrete-event simulation of the shared links and GPU run queue; both are
-built by ``build_backend``, not exported here.
+:class:`~repro.serving.api.ServingSpec`, build its one
+:class:`~repro.serving.api.Backend` (or call :func:`~repro.serving.api.serve`),
+and drive it with :class:`~repro.serving.api.ServeRequest` objects.  The
+backend owns the deployment — store topology, links, synthetic LLM, encoder
+and compute model — and plays every batch of queries on a discrete-event
+simulation of the shared links and GPU run queue
+(:mod:`repro.serving.concurrent`); :mod:`repro.serving.engine` keeps the
+offline codec profile each model's backends share.
 """
 
-from .pipeline import IngestReport
 from .api import (
     AutoscaleSpec,
     Driver,
@@ -23,6 +22,7 @@ from .api import (
     profile_codec,
     serve,
 )
+from .api.types import IngestReport
 from .fleet import (
     DispatchPolicy,
     GpuWorkerPool,

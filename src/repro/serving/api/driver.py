@@ -26,7 +26,10 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ...core.encoder import FittedCodec
+from ...metrics.cluster import TierState
 from ...storage.kv_store import CapacityError
+from ...telemetry.slo import AlertEngine
+from ...telemetry.timeseries import TimeSeriesRecorder, auto_window_s
 from .backends import Backend, build_backend
 from .spec import ServingSpec
 from .types import RunReport, ServeRequest
@@ -84,8 +87,9 @@ class Driver:
     Parameters
     ----------
     backend:
-        A built :class:`~repro.serving.api.backends.Backend`, or a
-        :class:`~repro.serving.api.spec.ServingSpec` to build one from.
+        A built :class:`~repro.serving.api.backends.Backend`
+        (:func:`~repro.serving.api.backends.build_backend`; :func:`serve`
+        builds one from a spec and drives it).
     workload:
         A :class:`~repro.cluster.workload.WorkloadGenerator` (its
         ``iter_requests`` supplies the arrival process) or any iterable of
@@ -107,7 +111,7 @@ class Driver:
         path byte-identical.
     tracer:
         Optional :class:`~repro.telemetry.trace.Tracer`.  When given, it is
-        wired through the backend (engines, stores, simulated resources), the
+        wired through the backend (stores, simulated resources), the
         driver adds ingest/encode spans and shed instants, and the finished
         :class:`RunReport` carries it as ``report.telemetry``.  ``None`` (the
         default) keeps the untraced fast path.
@@ -132,6 +136,10 @@ class Driver:
 
     Notes
     -----
+    A request for a context the backend never ingested that carries no
+    ``num_tokens`` has no path to be served on: it counts as a hard failure
+    at its arrival and is never routed.
+
     After the last response, a known context that was served from text
     because every replica lost it is re-ingested, so placement keeps
     following popularity across :meth:`run` calls.
@@ -145,14 +153,14 @@ class Driver:
     Example
     -------
     >>> from repro.cluster.workload import WorkloadGenerator
-    >>> spec = ServingSpec()
-    >>> driver = Driver(spec, workload=WorkloadGenerator(num_contexts=20))
+    >>> backend = build_backend(ServingSpec())
+    >>> driver = Driver(backend, workload=WorkloadGenerator(num_contexts=20))
     >>> report = driver.run(num_requests=100)  # doctest: +SKIP
     """
 
     def __init__(
         self,
-        backend: Backend | ServingSpec,
+        backend: Backend,
         workload=None,
         *,
         admission: TokenBucketAdmission | None = None,
@@ -162,8 +170,6 @@ class Driver:
         slos: Sequence[SLOObjective] = (),
         simcheck=None,
     ) -> None:
-        if isinstance(backend, ServingSpec):
-            backend = build_backend(backend)
         self.backend = backend
         self.tracer = tracer
         self.workload = workload
@@ -175,7 +181,7 @@ class Driver:
             if not isinstance(faults, FaultSchedule):
                 raise TypeError("faults must be a FaultSchedule (or None)")
             # A node id the backend does not have fails here, not mid-run.
-            FaultInjector.validate(faults, backend.engine.cluster)
+            FaultInjector.validate(faults, backend.cluster)
         self.faults = faults
         self.window_s = window_s
         self.slos = tuple(slos)
@@ -213,7 +219,7 @@ class Driver:
         """Serve the arrival stream open-loop and report the outcome."""
         requests = self._requests(num_requests)
         backend = self.backend
-        cluster = backend.engine.cluster
+        cluster = backend.cluster
         manager: ResilienceManager | None = backend.resilience
         borrowed = self.faults is not None and manager is None
         if borrowed:
@@ -248,9 +254,9 @@ class Driver:
         tracer = self.tracer
         monitor = self._simcheck_monitor()
         backend.attach_simcheck(monitor)
-        cluster = backend.engine.cluster
+        cluster = backend.cluster
         evictions_before = cluster.total_evictions()
-        tier_before = backend.engine.tier_counters()
+        tier_before = backend.tier_counters()
         # Under capacity pressure an ingest can evict a context a pending
         # request was routed to at *its* arrival: serve what has already
         # arrived before mutating the stores.  Unbounded stores only ever
@@ -280,24 +286,9 @@ class Driver:
         pending: list[ServeRequest] = []
 
         def flush() -> None:
-            nonlocal hard_failures
-            if not pending:
-                return
-            batch, pending[:] = list(pending), []
-            for request in batch:
-                backend.submit(request)
-            try:
-                responses.extend(backend.run())
-            except Exception:
-                # The continuous segment failed wholesale.  Re-serve it one
-                # request at a time so a single bad request costs itself, not
-                # its segment-mates.
-                for request in batch:
-                    backend.submit(request)
-                    try:
-                        responses.extend(backend.run())
-                    except Exception:
-                        hard_failures += 1
+            if pending:
+                responses.extend(backend.run(pending))
+                pending.clear()
 
         for index, request in enumerate(requests):
             if tracer is not None:
@@ -335,6 +326,12 @@ class Driver:
                     tracer.metrics.counter(
                         "requests_shed", "arrivals refused by the admission policy"
                     ).inc()
+                continue
+            if request.num_tokens is None and cluster.known_tokens(request.context_id) is None:
+                # Never ingested and no length to prefill its text from: no
+                # path serves it.  It fails here, unrouted, so no lookup, node
+                # or retry counter sees it.
+                hard_failures += 1
                 continue
             if request.context_id not in self._known and request.num_tokens is not None:
                 if ingest_is_barrier:
@@ -392,25 +389,41 @@ class Driver:
             for r in responses
             if r.context_id in self._known_tokens
         ]
-        report = backend.report(
+        tier_now = backend.tier_counters()
+        report = RunReport.from_responses(
             responses,
+            spec=backend.spec,
+            slo_s=backend.spec.slo_s,
             shed=shed,
             hard_failures=hard_failures,
             ingests=ingests,
             failed_ingests=failed_ingests,
             replication_bytes=replication_bytes,
-            evictions_before=evictions_before,
-            tier_before=tier_before,
+            total_evictions=cluster.total_evictions() - evictions_before,
+            tier=TierState(
+                demotions=tier_now.demotions - tier_before.demotions,
+                promotions=tier_now.promotions - tier_before.promotions,
+                hot_bytes=tier_now.hot_bytes,
+                cold_bytes=tier_now.cold_bytes,
+            ),
+            node_summaries=cluster.node_summaries(),
             mean_context_tokens=(
                 int(sum(served_tokens) / len(served_tokens)) if served_tokens else 0
             ),
             # Shed/failed arrivals are part of the offered process even though
             # no response records their times.
             min_duration_s=max((r.arrival_s for r in requests), default=0.0),
-            shed_times=shed_times,
-            window_s=self.window_s,
-            objectives=self.slos,
         )
+        if responses or shed_times:
+            recorder = TimeSeriesRecorder.from_run(
+                responses,
+                window_s=self.window_s or auto_window_s(report.duration_s),
+                shed_times=shed_times,
+                tracer=tracer,
+                duration_s=report.duration_s,
+            )
+            report.timeseries = recorder
+            report.alerts = AlertEngine(self.slos).evaluate(recorder.windows())
         report.segment_boundaries = tuple(segment_boundaries)
         report.segment_boundary_times_s = tuple(segment_times)
         if manager is not None:
@@ -465,7 +478,7 @@ class Driver:
                 response.used_kv_cache
                 or context_id in seen
                 or context_id not in self._known_tokens
-                or context_id in self.backend.engine.cluster
+                or context_id in self.backend.cluster
             ):
                 continue
             seen.add(context_id)

@@ -4,7 +4,7 @@ A :class:`ServingSpec` is the single description of *what to serve with*:
 model, codec levels, store topology (single node / tiered nodes / cluster),
 node count and replication, tier sizes and link speeds, batching, admission
 limits and the GPU fleet.  It is frozen and fully validated at construction,
-and it is the only thing :class:`~repro.serving.engine.ContextLoadingEngine`
+and it is the only thing :class:`~repro.serving.api.backends.Backend`
 is built from, so a spec that constructs is a deployment that builds and
 serves: the error surface lives here and nowhere else.
 """
@@ -53,7 +53,7 @@ class ServingSpec:
         Serving model name (or a :class:`~repro.llm.model_config.ModelConfig`),
         resolved at construction (:meth:`resolved_model`).
     topology:
-        ``"single"`` — one engine, one store, one link;
+        ``"single"`` — one node, one store, one link;
         ``"tiered"`` — a cluster whose nodes each run a hot tier over a cold
         (disk/object-store) tier behind a tier link;
         ``"cluster"`` — a sharded, replicated cluster of single-tier nodes.

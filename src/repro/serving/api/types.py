@@ -1,9 +1,11 @@
 """Unified request/response/report shapes of the serving API.
 
-Every backend — one node or a cluster — speaks the same three objects:
+Every backend — one node or a cluster — speaks the same four objects:
 
+* :class:`IngestReport` — what :meth:`~repro.serving.api.backends.Backend.ingest`
+  stored for a context and where the replicas landed;
 * :class:`ServeRequest` — one query (context, question, arrival time, task,
-  SLO), the submission unit of :meth:`~repro.serving.api.backends.Backend.submit`;
+  SLO), the unit a :meth:`~repro.serving.api.backends.Backend.run` serves;
 * :class:`ServeResponse` — the answer plus the *union* of every field any
   backend fills (queueing breakdown, cluster routing, tier, transfer
   accounting).  Fields that do not apply to a backend stay at their neutral
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ...metrics.cluster import (
     EMPTY_LATENCY_SUMMARY,
@@ -37,7 +39,7 @@ from ...storage.tiered import COLD, HOT
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .spec import ServingSpec
 
-__all__ = ["ServeRequest", "ServeResponse", "RunReport"]
+__all__ = ["IngestReport", "ServeRequest", "ServeResponse", "RunReport"]
 
 
 def _require_count(name: str, value: object, *, optional: bool = False) -> None:
@@ -61,6 +63,24 @@ def _require_finite(
     if not math.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
         bound = "non-negative" if allow_zero else "positive"
         raise ValueError(f"{name} must be a finite {bound} number, not {value!r}")
+
+
+@dataclass(frozen=True)
+class IngestReport:
+    """Summary of storing one context's encoded KV cache."""
+
+    context_id: str
+    num_tokens: int
+    num_chunks: int
+    stored_bytes_per_level: Mapping[str, float]
+    encode_delay_s: float
+    #: Where the replicas landed.
+    replica_node_ids: tuple[str, ...] = ()
+    replicated_bytes: float = 0.0
+
+    @property
+    def total_stored_bytes(self) -> float:
+        return float(sum(self.stored_bytes_per_level.values()))
 
 
 @dataclass(frozen=True)
@@ -114,8 +134,9 @@ class ServeRequest:
 class ServeResponse:
     """Response to a query against a (possibly cached) context.
 
-    The one response type of the serving stack, built by the event executor
-    from the engine's routing decision.
+    The one response type of the serving stack, built by
+    :meth:`~repro.serving.api.backends.Backend.respond` from the routing
+    decision and the request's event timeline.
 
     Example
     -------

@@ -13,13 +13,12 @@ and a serialized GPU — there is no static GPU share anywhere:
   policy consulted against live contention;
 * :class:`ConcurrentLoadSimulator` — runs requests through the shared
   resources; per-request TTFT decomposes exactly into queueing delay +
-  transfer + compute;
-* :func:`serve_batch` — plays a batch of
-  :class:`~repro.serving.api.ServeRequest` objects through a simulator,
-  routed by the engine it is handed.
+  transfer + compute.
+
+A served batch of :class:`~repro.serving.api.ServeRequest` objects is routed
+and played on one simulator by :meth:`~repro.serving.api.Backend.run`.
 """
 
-from .engine import serve_batch
 from .events import SimClock
 from .processes import TIER_CONFIG, ChunkedKVLoad, LoadProcess, LoadStage, StaticLoad
 from .resources import DECODE, PREFILL, GpuScheduler, GpuTask, LinkChannel
@@ -40,5 +39,4 @@ __all__ = [
     "StageRecord",
     "StaticLoad",
     "TIER_CONFIG",
-    "serve_batch",
 ]

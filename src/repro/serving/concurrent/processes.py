@@ -8,7 +8,7 @@ previous one finished, passing the throughput measured on this request's own
 transfers and the number of requests currently in flight — so adaptive
 processes decide chunk by chunk against live, scheduler-derived contention.
 Every timed context load is one of these: the serving path builds them in
-:func:`~repro.serving.concurrent.engine.serve_batch`, and every
+:meth:`~repro.serving.api.backends.Backend.run`, and every
 :class:`~repro.baselines.ContextLoadingMethod` of the method harness
 describes its load as one (:meth:`~repro.baselines.ContextLoadingMethod.load`).
 """
@@ -169,7 +169,7 @@ class ChunkedKVLoad:
     """CacheGen's chunked KV streaming as a load process.
 
     The §5.3 streaming loop of every KV load, served
-    (:func:`~repro.serving.concurrent.engine.serve_batch`) or evaluated
+    (:meth:`~repro.serving.api.backends.Backend.run`) or evaluated
     (:class:`~repro.baselines.CacheGenMethod`): before
     each chunk the adaptation policy picks a configuration from the measured
     throughput and the remaining SLO budget; KV chunks become transfer+decode

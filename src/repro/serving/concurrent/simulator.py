@@ -10,7 +10,7 @@ GPU), not within a request; the batched decode of co-located requests recoups
 what the strict per-request ordering gives up.
 
 This is the one timing loop of the repository: every served request
-(:func:`~repro.serving.concurrent.engine.serve_batch`) and every context
+(:meth:`~repro.serving.api.backends.Backend.run`) and every context
 load the method harness evaluates
 (:meth:`~repro.baselines.ContextLoadingMethod.evaluate`) is played here.
 """

@@ -269,11 +269,11 @@ def check_span_breakdowns(
 def check_store_capacity(backend) -> list[SimcheckViolation]:
     """No tier ends a run holding more bytes than its declared capacity.
 
-    The stores are the engine's ``stores()`` tap; each node's hot tier and,
+    The stores are the backend's ``stores()`` tap; each node's hot tier and,
     if it has one, its cold tier are checked independently.
     """
     violations: list[SimcheckViolation] = []
-    for label, store in backend.engine.stores().items():
+    for label, store in backend.stores().items():
         for name, tier in (("hot", store.hot), ("cold", store.cold)):
             if tier is None or tier.max_bytes is None:
                 continue

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster import WorkloadGenerator
 from repro.faults import FaultSchedule, NodeCrash
-from repro.serving.api import Driver, ServingSpec
+from repro.serving.api import Driver, ServingSpec, build_backend
 
 NUM_REQUESTS = 50
 
@@ -58,7 +58,7 @@ def _run(driver: Driver, num_requests: int):
 def _failure_run():
     workload = _workload()
     crash = _crashes(workload, NUM_REQUESTS, {25: "node-1"})
-    driver = Driver(replace(SPEC, slo_s=1.0), workload, faults=crash)
+    driver = Driver(build_backend(replace(SPEC, slo_s=1.0)), workload, faults=crash)
     return _run(driver, NUM_REQUESTS)
 
 
@@ -110,7 +110,7 @@ class TestBlackout:
     def test_total_blackout_degrades_to_text_without_failures(self):
         workload = _workload(seed=3)
         driver = Driver(
-            replace(SPEC, num_nodes=2),
+            build_backend(replace(SPEC, num_nodes=2)),
             workload,
             faults=_crashes(workload, 20, {5: "node-0", 7: "node-1"}),
         )
@@ -126,13 +126,13 @@ class TestBlackout:
 
 class TestRepeatedRuns:
     def test_counters_are_per_run(self):
-        driver = Driver(SPEC, _workload(seed=5))
+        driver = Driver(build_backend(SPEC), _workload(seed=5))
         first = driver.run(20)
         second = driver.run(20)
         # Eviction counts are per-run deltas that sum to the cluster total.
         assert (
             first.total_evictions + second.total_evictions
-            == driver.backend.engine.cluster.total_evictions()
+            == driver.backend.cluster.total_evictions()
         )
         # The warm cache does not re-ingest contexts that are still resident.
         assert second.ingests <= first.ingests

@@ -91,8 +91,7 @@ def to_chrome_trace(tracer) -> dict:
 
 def serve_one(backend, request: ServeRequest) -> ServeResponse:
     """``request`` alone through ``backend``'s event executor (one ``run``)."""
-    backend.submit(request)
-    (response,) = backend.run()
+    (response,) = backend.run([request])
     return response
 
 

@@ -59,7 +59,7 @@ class TestValidation:
         assert corrupted.attempted_node_ids == ("node-0",)
         # The bad copy was evicted on detection: later reads find nothing stored.
         assert (after.degraded, after.degrade_cause) == (True, "evicted")
-        assert backend.engine.cluster.stats.corruption_failures == 1
+        assert backend.cluster.stats.corruption_failures == 1
         assert report.fallback_causes == {"corruption": 1, "evicted": 1}
 
     def test_unknown_node_id_rejected_on_every_topology_when_the_driver_is_built(
@@ -105,7 +105,7 @@ class TestComponentSwaps:
     def test_node_crash_marks_down_then_up(self, cluster_injector):
         schedule = FaultSchedule([NodeCrash("node-0", at_s=1.0, recover_at_s=2.0)])
         backend, injector = cluster_injector(schedule)
-        node = backend.engine.cluster.node("node-0")
+        node = backend.cluster.node("node-0")
         injector.apply_due(1.0)
         assert not node.up
         injector.apply_due(2.0)
@@ -116,7 +116,7 @@ class TestComponentSwaps:
             [LinkDegradation(at_s=1.0, until_s=2.0, factor=0.5, node_id="node-1")]
         )
         backend, injector = cluster_injector(schedule)
-        link = backend.engine.cluster.node("node-1").link
+        link = backend.cluster.node("node-1").link
         base = link.trace
         injector.apply_due(1.0)
         assert isinstance(link.trace, ScaledTrace)
@@ -129,7 +129,7 @@ class TestComponentSwaps:
         schedule = FaultSchedule([LinkDegradation(at_s=1.0, until_s=2.0, factor=0.5)])
         backend, injector = cluster_injector(schedule)
         injector.apply_due(1.0)
-        cluster = backend.engine.cluster
+        cluster = backend.cluster
         assert all(
             isinstance(node.link.trace, ScaledTrace) for node in cluster.nodes.values()
         )
@@ -139,7 +139,7 @@ class TestComponentSwaps:
         backend, injector = cluster_injector(schedule)
         backend.ingest("ctx-a", 640)
         injector.apply_due(1.0)
-        cluster = backend.engine.cluster
+        cluster = backend.cluster
         replicas = cluster.replicas_for("ctx-a")
         assert (replicas[0], "ctx-a") in cluster.corrupted_replicas
 
@@ -147,7 +147,7 @@ class TestComponentSwaps:
         schedule = FaultSchedule([Corruption("ctx-missing", at_s=1.0)])
         backend, injector = cluster_injector(schedule)
         injector.apply_due(1.0)
-        assert not backend.engine.cluster.corrupted_replicas
+        assert not backend.cluster.corrupted_replicas
 
 
 class TestOutcomes:

@@ -1,4 +1,4 @@
-"""The unified backends: one spec, three engines, one response schema."""
+"""The unified backend: one spec, one serving object, one response schema."""
 
 from __future__ import annotations
 
@@ -111,9 +111,7 @@ class TestOneExecutor:
     def _serve(self, spec, codec):
         backend = build_backend(spec, codec=codec)
         backend.ingest("api-doc", 640)
-        for request in self.OVERLAPPING:
-            backend.submit(request)
-        return backend.run()
+        return backend.run(self.OVERLAPPING)
 
     def test_overlapping_requests_contend_on_a_default_spec(self, fitted_codec):
         _, second, third = self._serve(BASE, fitted_codec())
@@ -137,8 +135,7 @@ class TestRunBuildsItsSimulator:
         spec = replace(BASE, concurrency=4, max_decode_batch=8, admission_limit=2)
         backend = build_backend(spec, codec=fitted_codec())
         assert backend.last_sim is None
-        backend.submit(ServeRequest("never-ingested", "Q?", num_tokens=320))
-        backend.run()
+        backend.run([ServeRequest("never-ingested", "Q?", num_tokens=320)])
         sim = backend.last_sim
         assert sim.max_decode_batch == 8
         assert sim.batch_overhead == spec.batch_overhead
@@ -146,17 +143,21 @@ class TestRunBuildsItsSimulator:
 
 
 class TestOneWayIn:
-    """A deployment is declared once, as a spec; the engine is built in one place."""
+    """A deployment is declared once, as a spec, and served by one object."""
 
     REPO = Path(__file__).resolve().parents[2]
-    REMOVED = "build_engine"
+    #: The serving layers the backend absorbed, and the engine factory before them.
+    REMOVED = ("build_engine", "ContextLoadingEngine", "serve_batch", "_EngineComponents")
+    #: ``submit`` is the GPU side's verb (scheduler, worker, pool); a backend
+    #: takes its requests in ``run``.
+    SUBMIT_RECEIVERS = {"gpu", "worker", "workers[0]", "workers[1]", "pool"}
 
     def _trees(self):
         for top in ("src", "tests", "benchmarks", "examples"):
             for path in sorted((self.REPO / top).rglob("*.py")):
                 yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
-    def test_the_engine_is_constructed_only_in_backend_init(self):
+    def test_the_store_topology_is_built_only_in_backend_init(self):
         class Calls(ast.NodeVisitor):
             def __init__(self):
                 self.scope: list[str] = []
@@ -172,18 +173,22 @@ class TestOneWayIn:
             def visit_Call(self, node):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "ContextLoadingEngine":
-                    self.sites.append(".".join(self.scope))
+                if name in ("ShardedKVStore", "StorageNode"):
+                    self.sites.append(f"{'.'.join(self.scope)}:{name}")
                 self.generic_visit(node)
 
         sites = []
         for path, tree in self._trees():
-            calls = Calls()
-            calls.visit(tree)
-            sites += [f"{path.relative_to(self.REPO)}:{scope}" for scope in calls.sites]
-        assert sites == ["src/repro/serving/api/backends.py:Backend.__init__"]
+            if path.is_relative_to(self.REPO / "src"):
+                calls = Calls()
+                calls.visit(tree)
+                sites += [f"{path.relative_to(self.REPO)}:{site}" for site in calls.sites]
+        assert sites == [
+            "src/repro/serving/api/backends.py:Backend.__init__:ShardedKVStore",
+            "src/repro/serving/api/backends.py:Backend.__init__:StorageNode",
+        ]
 
-    def test_the_removed_engine_factory_is_named_nowhere(self):
+    def test_the_removed_serving_layers_are_named_nowhere(self):
         this_file = Path(__file__).resolve()
         sites = []
         for path, tree in self._trees():
@@ -191,6 +196,39 @@ class TestOneWayIn:
                 names = {getattr(node, key, None) for key in ("id", "attr", "name", "arg")}
                 if isinstance(node, ast.Constant) and path != this_file:
                     names.add(node.value)
-                if self.REMOVED in names:
-                    sites.append(f"{path.relative_to(self.REPO)}:{node.lineno}")
+                for removed in self.REMOVED:
+                    if removed in names:
+                        sites.append(f"{path.relative_to(self.REPO)}:{node.lineno}:{removed}")
         assert sites == []
+
+    def test_nothing_reaches_through_a_backend_or_stages_on_one(self):
+        """No ``.engine`` attribute (the ``repro.serving.engine`` module aside)
+        and no ``.submit(`` call outside the GPU side."""
+        sites = []
+        for path, tree in self._trees():
+            for node in ast.walk(tree):
+                where = f"{path.relative_to(self.REPO)}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, ast.Attribute) and node.attr == "engine":
+                    owner = node.value
+                    if getattr(owner, "attr", getattr(owner, "id", None)) != "serving":
+                        sites.append(f"{where}:{ast.unparse(node)}")
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "submit"
+                    and ast.unparse(node.func.value) not in self.SUBMIT_RECEIVERS
+                ):
+                    sites.append(f"{where}:{ast.unparse(node.func)}")
+        assert sites == []
+
+    def test_the_removed_members_and_modules_are_gone(self, fitted_codec):
+        from repro.serving.api.backends import Backend, Resolution
+
+        for name in ("engine", "submit", "report", "_staged"):
+            assert not hasattr(Backend, name)
+        backend = build_backend(BASE, codec=fitted_codec())
+        assert not {"engine", "_staged"} & set(vars(backend))
+        assert "tier_read_s" not in {field.name for field in fields(Resolution)}
+        serving = self.REPO / "src" / "repro" / "serving"
+        assert not (serving / "pipeline.py").exists()
+        assert not (serving / "concurrent" / "engine.py").exists()

@@ -143,7 +143,7 @@ class TestDriver:
             report = driver.run(10)
         assert report.segment_boundaries == (4,)
         assert report.hard_failures == 0
-        assert not backend.engine.cluster.node("node-0").up
+        assert not backend.cluster.node("node-0").up
         assert report.kv_served + report.text_served == 10
         # With 2x replication the surviving replica keeps serving from cache.
         assert report.kv_served > 0
@@ -184,11 +184,14 @@ class TestDriver:
         )
         backend = build_backend(spec, codec=fitted_codec())
         backend.ingest("failover-doc", 640)
-        primary = backend.engine.cluster.replicas_for("failover-doc")[0]
-        backend.engine.cluster.mark_down(primary)
-        backend.submit(ServeRequest("failover-doc", "Q?", num_tokens=640))
-        backend.submit(ServeRequest("failover-doc", "Q again?", num_tokens=640))
-        responses = backend.run()
+        primary = backend.cluster.replicas_for("failover-doc")[0]
+        backend.cluster.mark_down(primary)
+        responses = backend.run(
+            [
+                ServeRequest("failover-doc", "Q?", num_tokens=640),
+                ServeRequest("failover-doc", "Q again?", num_tokens=640),
+            ]
+        )
         assert all(r.failed_over for r in responses)
         assert all(primary in r.attempted_node_ids for r in responses)
 
@@ -247,7 +250,7 @@ class TestDriver:
         """The bare manager a faulted run borrows is detached when it ends, also on an error."""
         spec = replace(SPEC, topology="cluster", num_nodes=2, replication=2)
         backend = build_backend(spec, codec=fitted_codec())
-        cluster = backend.engine.cluster
+        cluster = backend.cluster
         requests = [
             ServeRequest("leak-doc", f"Q{i}?", arrival_s=float(i), num_tokens=320)
             for i in range(3)
@@ -264,7 +267,8 @@ class TestDriver:
         def broken_report(*args, **kwargs):
             raise RuntimeError("report failed")
 
-        monkeypatch.setattr(backend, "report", broken_report)
+        # The report reads the node summaries last of all.
+        monkeypatch.setattr(cluster, "node_summaries", broken_report)
         with pytest.warns(UserWarning), pytest.raises(RuntimeError, match="report failed"):
             Driver(backend, requests, faults=schedule).run()
         assert backend.resilience is None and cluster.resilience is None
@@ -299,8 +303,8 @@ class TestDriver:
     def test_one_bad_request_does_not_sink_its_segment(self, fitted_codec):
         requests = [
             ServeRequest("good-doc", "Q?", arrival_s=0.0, num_tokens=640),
-            # Never ingested and no length: the engine must reject it — but
-            # only it, not its segment-mates.
+            # Never ingested and no length: no path serves it — but it
+            # fails alone, not its segment-mates.
             ServeRequest("never-ingested", "Q?", arrival_s=0.1),
         ]
         report = serve(SPEC, requests, codec=fitted_codec())
@@ -308,6 +312,29 @@ class TestDriver:
         assert len(report.responses) == 1
         assert report.responses[0].context_id == "good-doc"
         assert report.responses[0].used_kv_cache
+
+    def test_a_request_no_path_serves_is_never_routed(self, fitted_codec):
+        """It fails at its arrival: no lookup, node miss or retry counts it,
+        and its segment-mates are served as if it never came."""
+        spec = replace(SPEC, topology="cluster", num_nodes=2, replication=1)
+        reads = [
+            ServeRequest(f"routed-{i}", "Q?", arrival_s=0.1 * i, num_tokens=640)
+            for i in range(2)
+        ]
+        bad = ServeRequest("never-ingested", "Q?", arrival_s=0.05)
+
+        def drive(requests):
+            backend = build_backend(spec, codec=fitted_codec())
+            return Driver(backend, requests).run(), backend.cluster.stats.lookups
+
+        clean, clean_lookups = drive(reads)
+        with_bad, lookups = drive([reads[0], bad, reads[1]])
+        assert (with_bad.hard_failures, clean.hard_failures) == (1, 0)
+        assert with_bad.node_summaries == clean.node_summaries
+        assert lookups == clean_lookups
+        assert [(r.context_id, r.ttft, r.chunk_configs) for r in with_bad.responses] == [
+            (r.context_id, r.ttft, r.chunk_configs) for r in clean.responses
+        ]
 
     def test_fault_segments_cover_all_requests(self, fitted_codec):
         requests = [
@@ -334,7 +361,7 @@ class TestDriver:
             )
             for i in range(4)
         ]
-        driver = Driver(spec, requests)
+        driver = Driver(build_backend(spec), requests)
         driver.run()
         pool = driver.backend.last_sim.pool
         bindings = pool.dispatch._bindings

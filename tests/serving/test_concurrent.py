@@ -209,43 +209,39 @@ class TestExactQueueing:
         assert makespan(16) < makespan(1)
 
 
-# -------------------------------------------------------------------- engine
+# ------------------------------------------------------------------- backend
 def _query(concurrent, context_id, question, **fields):
     """One request alone through the event engine."""
     return serve_one(concurrent, ServeRequest(context_id, question, **fields))
 
 
 @pytest.fixture(scope="module")
-def concurrent_engine(fitted_codec):
+def concurrent_backend(fitted_codec):
     backend = build_backend(ServingSpec(), codec=fitted_codec())
     backend.ingest("report-2023", TOKENS)
     return backend
 
 
-class TestConcurrentEngine:
-    def test_single_query_mirrors_engine(self, concurrent_engine):
-        response = _query(concurrent_engine, "report-2023", "Summarise the revenue drivers.")
+class TestConcurrentBackend:
+    def test_single_query_mirrors_engine(self, concurrent_backend):
+        response = _query(concurrent_backend, "report-2023", "Summarise the revenue drivers.")
         assert response.used_kv_cache
         assert response.quality.relative_quality > 0.95
         assert response.ttft_s > 0
         # Alone on the link and GPU there is nothing to queue behind.
         assert response.queueing_s == pytest.approx(0.0, abs=1e-12)
 
-    def test_ttft_monotone_in_concurrency(self, concurrent_engine):
+    def test_ttft_monotone_in_concurrency(self, concurrent_backend):
         def mean_ttft(n: int) -> float:
-            for _ in range(n):
-                concurrent_engine.submit(ServeRequest("report-2023", "Any risks?"))
-            responses = concurrent_engine.run()
+            responses = concurrent_backend.run([ServeRequest("report-2023", "Any risks?")] * n)
             return sum(r.ttft_s for r in responses) / n
 
         ttfts = [mean_ttft(n) for n in (1, 2, 4)]
         assert all(b >= a - 1e-9 for a, b in zip(ttfts, ttfts[1:]))
         assert ttfts[-1] > ttfts[0]
 
-    def test_concurrent_queries_queue(self, concurrent_engine):
-        for _ in range(4):
-            concurrent_engine.submit(ServeRequest("report-2023", "Any risks?"))
-        responses = concurrent_engine.run()
+    def test_concurrent_queries_queue(self, concurrent_backend):
+        responses = concurrent_backend.run([ServeRequest("report-2023", "Any risks?")] * 4)
         assert len(responses) == 4
         assert all(r.used_kv_cache for r in responses)
         assert max(r.queueing_s for r in responses) > 0
@@ -255,31 +251,29 @@ class TestConcurrentEngine:
                 ttft.queueing_s + ttft.network_s + ttft.decode_s + ttft.compute_s
             )
 
-    def test_unknown_context_falls_back_to_text(self, concurrent_engine):
-        response = _query(concurrent_engine, "unknown-doc", "What?", num_tokens=1_500)
+    def test_unknown_context_falls_back_to_text(self, concurrent_backend):
+        response = _query(concurrent_backend, "unknown-doc", "What?", num_tokens=1_500)
         assert not response.used_kv_cache
         assert response.chunk_configs == ["text"]
 
-    def test_unknown_context_without_length_rejected(self, concurrent_engine):
+    def test_unknown_context_without_length_rejected(self, concurrent_backend):
         with pytest.raises(ValueError):
-            _query(concurrent_engine, "unknown-doc-2", "What?")
-        # A failed resolution must not leave the rejected query staged.
-        response = _query(concurrent_engine, "report-2023", "Still serving?")
+            _query(concurrent_backend, "unknown-doc-2", "What?")
+        # A failed resolution leaves the backend serving.
+        response = _query(concurrent_backend, "report-2023", "Still serving?")
         assert response.used_kv_cache
 
-    def test_staggered_arrivals_reduce_queueing(self, concurrent_engine):
-        for _ in range(3):
-            concurrent_engine.submit(ServeRequest("report-2023", "Q?"))
-        together = concurrent_engine.run()
-        for i in range(3):
-            concurrent_engine.submit(ServeRequest("report-2023", "Q?", arrival_s=10.0 * i))
-        spread = concurrent_engine.run()
+    def test_staggered_arrivals_reduce_queueing(self, concurrent_backend):
+        together = concurrent_backend.run([ServeRequest("report-2023", "Q?")] * 3)
+        spread = concurrent_backend.run(
+            [ServeRequest("report-2023", "Q?", arrival_s=10.0 * i) for i in range(3)]
+        )
         assert sum(r.queueing_s for r in spread) < sum(r.queueing_s for r in together)
 
 
 class TestClusterConcurrency:
     @pytest.fixture(scope="class")
-    def cluster_engine(self, fitted_codec):
+    def cluster_backend(self, fitted_codec):
         spec = ServingSpec(
             topology="cluster",
             num_nodes=3,
@@ -291,23 +285,19 @@ class TestClusterConcurrency:
         backend.ingest("doc", TOKENS)
         return backend
 
-    def test_co_arriving_requests_spread_over_replicas(self, cluster_engine):
-        replicas = set(cluster_engine.engine.cluster.replicas_for("doc"))
-        for _ in range(2):
-            cluster_engine.submit(ServeRequest("doc", "Q?"))
-        responses = cluster_engine.run()
+    def test_co_arriving_requests_spread_over_replicas(self, cluster_backend):
+        replicas = set(cluster_backend.cluster.replicas_for("doc"))
+        responses = cluster_backend.run([ServeRequest("doc", "Q?")] * 2)
         served = {r.served_by for r in responses}
         # Queue-depth-aware selection sends the co-arriving pair to the two
         # different replicas instead of piling onto the ring-preferred one.
         assert served == replicas
         assert all(r.used_kv_cache for r in responses)
 
-    def test_queue_depths_drain_after_run(self, cluster_engine):
-        for _ in range(2):
-            cluster_engine.submit(ServeRequest("doc", "Q?"))
-        cluster_engine.run()
+    def test_queue_depths_drain_after_run(self, cluster_backend):
+        cluster_backend.run([ServeRequest("doc", "Q?")] * 2)
         assert all(
-            node.queue_depth == 0 for node in cluster_engine.engine.cluster.nodes.values()
+            node.queue_depth == 0 for node in cluster_backend.cluster.nodes.values()
         )
 
 
@@ -315,8 +305,8 @@ class TestColdTierConcurrency:
     TIER_GBPS = 1.0
 
     @pytest.fixture(scope="class")
-    def tiered_engine(self, fitted_codec):
-        probe = build_backend(ServingSpec(chunk_tokens=1_024), codec=fitted_codec()).engine
+    def tiered_backend(self, fitted_codec):
+        probe = build_backend(ServingSpec(chunk_tokens=1_024), codec=fitted_codec())
         probe.ingest("probe", TOKENS)
         one = float(next(iter(probe.cluster.nodes.values())).store.storage_bytes())
         spec = ServingSpec(
@@ -331,18 +321,18 @@ class TestColdTierConcurrency:
         )
         return build_backend(spec, codec=fitted_codec())
 
-    def _demote_everywhere(self, engine, context_id: str) -> None:
-        for node in engine.engine.cluster.nodes.values():
+    def _demote_everywhere(self, backend, context_id: str) -> None:
+        for node in backend.cluster.nodes.values():
             store = node.store
             if context_id in store.hot:
                 stored = store.hot.peek_context(context_id)
                 store.hot.evict(context_id)
                 store.cold.store_prepared(stored)
 
-    def test_cold_hit_pays_serialized_tier_transfer(self, tiered_engine):
-        tiered_engine.engine.ingest("cold-doc", TOKENS)
-        self._demote_everywhere(tiered_engine, "cold-doc")
-        response = _query(tiered_engine, "cold-doc", "Q?")
+    def test_cold_hit_pays_serialized_tier_transfer(self, tiered_backend):
+        tiered_backend.ingest("cold-doc", TOKENS)
+        self._demote_everywhere(tiered_backend, "cold-doc")
+        response = _query(tiered_backend, "cold-doc", "Q?")
         assert response.used_kv_cache
         assert response.served_tier == "cold"
         assert response.tier_transfer_s > 0.0
@@ -350,27 +340,25 @@ class TestColdTierConcurrency:
         # queueing breakdown, never hidden under the serving-link stream.
         assert response.ttft.network_s >= response.tier_transfer_s
         # Promotion happened: the same context now serves hot and faster.
-        again = _query(tiered_engine, "cold-doc", "Q?")
+        again = _query(tiered_backend, "cold-doc", "Q?")
         assert again.served_tier == "hot"
         assert again.ttft_s < response.ttft_s
         assert again.tier_transfer_s == 0.0
 
-    def test_cold_hit_beats_text_reprefill(self, tiered_engine):
+    def test_cold_hit_beats_text_reprefill(self, tiered_backend):
         """Acceptance: a cold hit's TTFT beats losing the context outright."""
-        tiered_engine.engine.ingest("kept-doc", TOKENS)
-        self._demote_everywhere(tiered_engine, "kept-doc")
-        cold = _query(tiered_engine, "kept-doc", "Q?")
+        tiered_backend.ingest("kept-doc", TOKENS)
+        self._demote_everywhere(tiered_backend, "kept-doc")
+        cold = _query(tiered_backend, "kept-doc", "Q?")
         assert cold.served_tier == "cold"
-        text = _query(tiered_engine, "never-stored", "Q?", num_tokens=TOKENS)
+        text = _query(tiered_backend, "never-stored", "Q?", num_tokens=TOKENS)
         assert not text.used_kv_cache
         assert cold.ttft_s < text.ttft_s
 
-    def test_repeat_submissions_promote_once(self, tiered_engine):
-        tiered_engine.engine.ingest("queue-doc", TOKENS)
-        self._demote_everywhere(tiered_engine, "queue-doc")
-        for _ in range(2):
-            tiered_engine.submit(ServeRequest("queue-doc", "Q?"))
-        pair = tiered_engine.run()
+    def test_repeat_submissions_promote_once(self, tiered_backend):
+        tiered_backend.ingest("queue-doc", TOKENS)
+        self._demote_everywhere(tiered_backend, "queue-doc")
+        pair = tiered_backend.run([ServeRequest("queue-doc", "Q?")] * 2)
         cold_pair = [r for r in pair if r.served_tier == "cold"]
         # The first resolve promotes the context, so only the first submission
         # is a cold hit; the second rides the promoted hot copy.
@@ -378,23 +366,22 @@ class TestColdTierConcurrency:
         assert cold_pair[0].tier_transfer_s > 0.0
         assert {r.served_tier for r in pair} == {"cold", "hot"}
 
-    def test_concurrent_cold_hits_serialize_on_the_tier_channel(self, tiered_engine):
+    def test_concurrent_cold_hits_serialize_on_the_tier_channel(self, tiered_backend):
         """Two cold contexts on one node queue their tier reads FIFO."""
-        engine = tiered_engine
-        engine.engine.ingest("tier-q-a", TOKENS)
-        engine.engine.ingest("tier-q-b", TOKENS)
-        self._demote_everywhere(engine, "tier-q-a")
-        self._demote_everywhere(engine, "tier-q-b")
+        tiered_backend.ingest("tier-q-a", TOKENS)
+        tiered_backend.ingest("tier-q-b", TOKENS)
+        self._demote_everywhere(tiered_backend, "tier-q-a")
+        self._demote_everywhere(tiered_backend, "tier-q-b")
         # Force both onto one node so they share its tier link.
-        cluster = engine.engine.cluster
+        cluster = tiered_backend.cluster
         only = cluster.ring.nodes_for("tier-q-a", 1)[0]
         for node_id in cluster.nodes:
             if node_id != only:
                 cluster.mark_down(node_id)
         try:
-            engine.submit(ServeRequest("tier-q-a", "Q?"))
-            engine.submit(ServeRequest("tier-q-b", "Q?"))
-            first, second = engine.run()
+            first, second = tiered_backend.run(
+                [ServeRequest("tier-q-a", "Q?"), ServeRequest("tier-q-b", "Q?")]
+            )
         finally:
             for node_id in cluster.nodes:
                 cluster.mark_up(node_id)

@@ -1,4 +1,4 @@
-"""Tests for the end-to-end context-loading engine: ingest, routing over one
+"""Tests for the serving backend: ingest, routing over one
 node and over many, failover, text fallback, tiers."""
 
 from __future__ import annotations
@@ -25,13 +25,8 @@ def backend(fitted_codec):
 
 
 @pytest.fixture(scope="module")
-def engine(backend):
-    return backend.engine
-
-
-@pytest.fixture(scope="module")
-def ingested(engine):
-    return engine.ingest("report-2023", 2_200)
+def ingested(backend):
+    return backend.ingest("report-2023", 2_200)
 
 
 class TestIngest:
@@ -41,9 +36,9 @@ class TestIngest:
         assert set(ingested.stored_bytes_per_level) == {"high", "medium", "low", "lowest"}
         assert ingested.total_stored_bytes > 0
 
-    def test_context_is_stored(self, engine, ingested):
-        assert "report-2023" in engine.cluster
-        assert "report-2023" in engine.stores()["node-0"]
+    def test_context_is_stored(self, backend, ingested):
+        assert "report-2023" in backend.cluster
+        assert "report-2023" in backend.stores()["node-0"]
 
 
 class TestQuery:
@@ -63,9 +58,9 @@ class TestQuery:
         with pytest.raises(ValueError, match="'unknown-doc-2' was never ingested"):
             query(backend, "unknown-doc-2", "What is this?")
 
-    def test_the_one_node_serves_and_is_named(self, backend, engine, ingested):
-        assert list(engine.cluster.nodes) == ["node-0"]
-        assert engine.cluster.node("node-0").link is engine.link
+    def test_the_one_node_serves_and_is_named(self, backend, ingested):
+        assert list(backend.cluster.nodes) == ["node-0"]
+        assert backend.cluster.node("node-0").link is backend.link
         assert ingested.replica_node_ids == ("node-0",)
         assert ingested.replicated_bytes == ingested.total_stored_bytes
         response = query(backend, "report-2023", "Who wrote it?")
@@ -85,8 +80,8 @@ class TestQuery:
     def test_accepts_model_config_instance(self, fitted_codec):
         from repro.llm import MISTRAL_7B
 
-        engine = build_backend(ServingSpec(model=MISTRAL_7B), codec=fitted_codec()).engine
-        assert engine.model is MISTRAL_7B
+        backend = build_backend(ServingSpec(model=MISTRAL_7B), codec=fitted_codec())
+        assert backend.model is MISTRAL_7B
 
 
 class TestEvictedContext:
@@ -96,10 +91,9 @@ class TestEvictedContext:
         probe = build_backend(spec, codec=fitted_codec())
         one = probe.ingest("probe", 640).total_stored_bytes
         backend = build_backend(replace(spec, max_bytes_per_node=1.5 * one), codec=fitted_codec())
-        engine = backend.engine
-        engine.ingest("a", 640)
-        engine.ingest("b", 640)  # evicts "a"
-        assert "a" not in engine.cluster and "b" in engine.cluster
+        backend.ingest("a", 640)
+        backend.ingest("b", 640)  # evicts "a"
+        assert "a" not in backend.cluster and "b" in backend.cluster
         response = query(backend, "a", "?")
         assert not response.used_kv_cache and response.chunk_configs == ["text"]
         assert response.degraded and response.degrade_cause == "evicted"
@@ -109,41 +103,40 @@ class TestEvictedContext:
 
 class TestReplaceLink:
     def test_swaps_the_text_link_and_the_nodes_serving_over_it(self, fitted_codec):
-        engine = build_backend(ServingSpec(), codec=fitted_codec()).engine
+        backend = build_backend(ServingSpec(), codec=fitted_codec())
         slow = NetworkLink(ConstantTrace(gbps(0.5)))
-        engine.replace_link(slow)
-        assert engine.link is slow and engine.cluster.node("node-0").link is slow
+        backend.replace_link(slow)
+        assert backend.link is slow and backend.cluster.node("node-0").link is slow
 
     def test_leaves_nodes_on_their_own_links_alone(self, fitted_codec):
         spec = ServingSpec(topology="cluster", num_nodes=2)
-        engine = build_backend(spec, codec=fitted_codec()).engine
-        before = [node.link for node in engine.cluster.nodes.values()]
-        engine.replace_link(NetworkLink(ConstantTrace(gbps(0.5))))
-        assert [node.link for node in engine.cluster.nodes.values()] == before
+        backend = build_backend(spec, codec=fitted_codec())
+        before = [node.link for node in backend.cluster.nodes.values()]
+        backend.replace_link(NetworkLink(ConstantTrace(gbps(0.5))))
+        assert [node.link for node in backend.cluster.nodes.values()] == before
 
 
 class TestReferenceComputation:
     def test_reference_kv_computed_once_per_ingest(self, monkeypatch, fitted_codec):
         backend = build_backend(ServingSpec(), codec=fitted_codec())
-        engine = backend.engine
         calls: list[str] = []
-        original = engine.llm.calculate_kv
+        original = backend.llm.calculate_kv
 
         def counting(context_id: str, num_tokens: int):
             calls.append(context_id)
             return original(context_id, num_tokens)
 
-        monkeypatch.setattr(engine.llm, "calculate_kv", counting)
-        engine.ingest("memo-doc", 2_200)
+        monkeypatch.setattr(backend.llm, "calculate_kv", counting)
+        backend.ingest("memo-doc", 2_200)
         assert calls.count("memo-doc") == 1
-        (store,) = engine.stores().values()
+        (store,) = backend.stores().values()
         first = store.peek_context("memo-doc")
         query(backend, "memo-doc", "First question?")
         query(backend, "memo-doc", "Second question?")
         # Reads are scored from the record's statistics: no prefill at all.
         assert calls.count("memo-doc") == 1
         # A re-ingest prefills again, deterministically: the same statistics.
-        engine.ingest("memo-doc", 2_200)
+        backend.ingest("memo-doc", 2_200)
         assert calls.count("memo-doc") == 2
         again = store.peek_context("memo-doc")
         assert again is not first
@@ -166,25 +159,20 @@ def cluster_backend(fitted_codec):
 
 
 @pytest.fixture(scope="module")
-def cluster_engine(cluster_backend):
-    return cluster_backend.engine
-
-
-@pytest.fixture(scope="module")
-def replicated(cluster_engine):
-    return cluster_engine.ingest("report-2023", TOKENS)
+def replicated(cluster_backend):
+    return cluster_backend.ingest("report-2023", TOKENS)
 
 
 class TestReplicatedIngest:
-    def test_report_names_replicas(self, cluster_engine, replicated):
+    def test_report_names_replicas(self, cluster_backend, replicated):
         assert len(replicated.replica_node_ids) == 2
-        assert set(replicated.replica_node_ids) <= set(cluster_engine.cluster.nodes)
+        assert set(replicated.replica_node_ids) <= set(cluster_backend.cluster.nodes)
         assert replicated.replicated_bytes == pytest.approx(
             2 * replicated.total_stored_bytes
         )
 
-    def test_context_visible_in_cluster(self, cluster_engine, replicated):
-        assert "report-2023" in cluster_engine.cluster
+    def test_context_visible_in_cluster(self, cluster_backend, replicated):
+        assert "report-2023" in cluster_backend.cluster
 
 
 class TestClusterQuery:
@@ -195,9 +183,9 @@ class TestClusterQuery:
         assert not response.failed_over
         assert response.quality.relative_quality > 0.95
 
-    def test_failover_to_backup_replica(self, cluster_backend, cluster_engine, replicated):
+    def test_failover_to_backup_replica(self, cluster_backend, replicated):
         primary, backup = replicated.replica_node_ids
-        cluster_engine.cluster.mark_down(primary)
+        cluster_backend.cluster.mark_down(primary)
         try:
             response = query(cluster_backend, "report-2023", "Any risks?")
             assert response.used_kv_cache
@@ -205,13 +193,13 @@ class TestClusterQuery:
             assert response.failed_over
             assert primary in response.attempted_node_ids
         finally:
-            cluster_engine.cluster.mark_up(primary)
+            cluster_backend.cluster.mark_up(primary)
 
     def test_whole_cluster_down_falls_back_to_text(
-        self, cluster_backend, cluster_engine, replicated
+        self, cluster_backend, replicated
     ):
-        for node_id in cluster_engine.cluster.nodes:
-            cluster_engine.cluster.mark_down(node_id)
+        for node_id in cluster_backend.cluster.nodes:
+            cluster_backend.cluster.mark_down(node_id)
         try:
             # num_tokens omitted on purpose: the catalogue remembers it.
             response = query(cluster_backend, "report-2023", "Still there?")
@@ -219,8 +207,8 @@ class TestClusterQuery:
             assert response.served_by is None
             assert response.chunk_configs == ["text"]
         finally:
-            for node_id in cluster_engine.cluster.nodes:
-                cluster_engine.cluster.mark_up(node_id)
+            for node_id in cluster_backend.cluster.nodes:
+                cluster_backend.cluster.mark_up(node_id)
 
     def test_unknown_context_needs_num_tokens(self, cluster_backend):
         with pytest.raises(ValueError):
@@ -228,9 +216,9 @@ class TestClusterQuery:
         response = query(cluster_backend, "never-seen-2", "What is this?", num_tokens=1_500)
         assert not response.used_kv_cache
 
-    def test_unknown_node_rejected(self, cluster_engine):
+    def test_unknown_node_rejected(self, cluster_backend):
         with pytest.raises(KeyError):
-            cluster_engine.cluster.mark_down("node-99")
+            cluster_backend.cluster.mark_down("node-99")
 
 
 class TestHeterogeneousLinks:
@@ -246,7 +234,7 @@ class TestHeterogeneousLinks:
         report = backend.ingest("doc", TOKENS)
         assert set(report.replica_node_ids) == {"node-0", "node-1"}
         fast = query(backend, "doc", "q?")
-        backend.engine.cluster.mark_down(fast.served_by)
+        backend.cluster.mark_down(fast.served_by)
         slow = query(backend, "doc", "q?")
         by_node = {fast.served_by: fast, slow.served_by: slow}
         assert by_node["node-1"].ttft_s > by_node["node-0"].ttft_s
@@ -256,7 +244,7 @@ class TestTieredNodes:
     @pytest.fixture()
     def tight_backend(self, fitted_codec):
         """Hot tiers sized so two long contexts cannot both stay hot."""
-        probe = build_backend(ServingSpec(chunk_tokens=1_024), codec=fitted_codec()).engine
+        probe = build_backend(ServingSpec(chunk_tokens=1_024), codec=fitted_codec())
         probe.ingest("probe", TOKENS)
         one = float(next(iter(probe.cluster.nodes.values())).store.storage_bytes())
         spec = ServingSpec(
@@ -273,7 +261,7 @@ class TestTieredNodes:
     def test_pressure_demotes_and_cold_hit_serves_kv(self, tight_backend):
         tight_backend.ingest("doc-a", TOKENS)
         tight_backend.ingest("doc-b", TOKENS)  # demotes doc-a on both nodes
-        for node in tight_backend.engine.cluster.nodes.values():
+        for node in tight_backend.cluster.nodes.values():
             assert node.store.eviction_count == 0
         response = query(tight_backend, "doc-a", "What does it say?")
         assert response.used_kv_cache

@@ -1,7 +1,7 @@
-"""The engine is what its ``ServingSpec`` declares, and a spec that constructs serves.
+"""The backend is what its ``ServingSpec`` declares, and a spec that constructs serves.
 
-``ContextLoadingEngine(spec, codec)`` is the one way to build a deployment, so
-every field that shapes the engine is read off the spec.  Each deployment
+``Backend(spec, codec)`` is the one way to build a deployment, so every field
+that shapes the backend is read off the spec.  Each deployment
 below pins that mapping: the nodes and their replication, the speed of every
 link, each store's capacity, tiers and policies, the codec, and a short run
 whose report names the nodes that actually served it.
@@ -16,7 +16,7 @@ import pytest
 from repro.faults import ResiliencePolicy
 from repro.network import NetworkLink
 from repro.network.bandwidth import ConstantTrace, gbps
-from repro.serving.api import ServeRequest, ServingSpec, build_backend
+from repro.serving.api import RunReport, ServeRequest, ServingSpec, build_backend
 from repro.storage.eviction import make_policy
 from repro.storage.tiered import make_placement
 
@@ -24,7 +24,7 @@ CHUNK_TOKENS = 256
 CONTEXT_TOKENS = 320
 
 #: A single-node deployment whose serving link is swapped after the build
-#: (``ContextLoadingEngine.replace_link``, as Figure 13 swaps its traces).
+#: (``Backend.replace_link``, as Figure 13 swaps its traces).
 SINGLE_CUSTOM_LINK = ServingSpec(chunk_tokens=CHUNK_TOKENS)
 CUSTOM_LINK = NetworkLink(ConstantTrace(gbps(0.8)))
 
@@ -86,7 +86,7 @@ def deployment(request, fitted_codec):
     spec = DEPLOYMENTS[request.param]
     backend = build_backend(spec, codec=fitted_codec())
     if spec is SINGLE_CUSTOM_LINK:
-        backend.engine.replace_link(CUSTOM_LINK)
+        backend.replace_link(CUSTOM_LINK)
     return spec, backend
 
 
@@ -101,40 +101,40 @@ def served(deployment):
         ServeRequest("spec-doc", "Second?", arrival_s=0.05, num_tokens=CONTEXT_TOKENS),
         ServeRequest("never-ingested", "Third?", arrival_s=0.1, num_tokens=CONTEXT_TOKENS),
     ]
-    for request in requests:
-        backend.submit(request)
-    responses = backend.run()
-    return spec, backend, responses, backend.report(responses)
+    responses = backend.run(requests)
+    report = RunReport.from_responses(
+        responses, spec=spec, node_summaries=backend.cluster.node_summaries()
+    )
+    return spec, backend, responses, report
 
 
-class TestTheEngineIsItsSpec:
+class TestTheBackendIsItsSpec:
     def test_the_nodes_are_the_declared_nodes(self, deployment):
         spec, backend = deployment
-        cluster = backend.engine.cluster
+        cluster = backend.cluster
         assert list(cluster.nodes) == [f"node-{i}" for i in range(spec.num_nodes)]
         assert cluster.replication_factor == spec.replication
 
     def test_every_link_runs_at_the_declared_speed(self, deployment):
         spec, backend = deployment
-        engine = backend.engine
-        nodes = list(engine.cluster.nodes.values())
+        nodes = list(backend.cluster.nodes.values())
         if spec.topology == "single":
             # Text fallbacks and KV reads share the one serving link.
             (node,) = nodes
-            assert node.link is engine.link
+            assert node.link is backend.link
             if spec is SINGLE_CUSTOM_LINK:
-                assert engine.link is CUSTOM_LINK
+                assert backend.link is CUSTOM_LINK
             else:
-                assert _speed_bps(engine.link) == gbps(spec.bandwidth_gbps)
+                assert _speed_bps(backend.link) == gbps(spec.bandwidth_gbps)
         else:
             speeds = spec.node_bandwidths_gbps or (spec.bandwidth_gbps,) * spec.num_nodes
             assert [_speed_bps(node.link) for node in nodes] == [gbps(s) for s in speeds]
-            assert all(node.link is not engine.link for node in nodes)
+            assert all(node.link is not backend.link for node in nodes)
 
     def test_every_store_holds_the_declared_tiers_and_policies(self, deployment):
         spec, backend = deployment
         policy = type(make_policy(spec.eviction_policy))
-        for store in backend.engine.stores().values():
+        for store in backend.stores().values():
             tiered = spec.cold_bytes_per_node is not None
             assert (store.cold is not None) == tiered
             assert store.hot.max_bytes == spec.max_bytes_per_node
@@ -147,10 +147,9 @@ class TestTheEngineIsItsSpec:
 
     def test_the_codec_is_the_declared_codec(self, deployment):
         spec, backend = deployment
-        engine = backend.engine
-        assert engine.model == spec.resolved_model()
-        assert engine.config == spec.resolved_config()
-        assert engine.encoder.config == engine.config
+        assert backend.model == spec.resolved_model()
+        assert backend.config == spec.resolved_config()
+        assert backend.encoder.config == backend.config
 
 
 class TestASpecThatConstructsServes:
@@ -170,7 +169,7 @@ class TestASpecThatConstructsServes:
         spec, backend, responses, report = served
         assert report.spec is spec
         node_ids = [node.node_id for node in report.node_summaries]
-        assert node_ids == list(backend.engine.cluster.nodes)
+        assert node_ids == list(backend.cluster.nodes)
         assert len(node_ids) == spec.num_nodes
         served_by = {r.served_by for r in responses if r.used_kv_cache}
         assert served_by and served_by <= set(node_ids)

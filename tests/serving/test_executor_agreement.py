@@ -46,30 +46,28 @@ def backend(fitted_codec):
 
 @pytest.fixture(scope="module")
 def method(backend):
-    return CacheGenMethod(backend.engine.encoder)
+    return CacheGenMethod(backend.encoder)
 
 
 def _assert_agrees_with_the_harness(backend, method, link: NetworkLink, slo_s, num_tokens) -> None:
-    engine = backend.engine
-    engine.replace_link(link)
+    backend.replace_link(link)
     request = ServeRequest(f"doc-{num_tokens}", "What changed?", slo_s=slo_s)
-    backend.submit(request)
-    (served,) = backend.run()
+    (served,) = backend.run([request])
 
     evaluated = method.evaluate(
         LoadRequest(
             record=ContextRecord(
                 context_id=request.context_id,
                 num_tokens=num_tokens,
-                prompt_tokens=engine.prompt_tokens(request.question),
+                prompt_tokens=max(backend.llm.tokenizer.count_tokens(request.question), 1),
                 task=request.task,
                 question=request.question,
             ),
-            llm=engine.llm,
-            reference_kv=engine.llm.calculate_kv(request.context_id, num_tokens),
+            llm=backend.llm,
+            reference_kv=backend.llm.calculate_kv(request.context_id, num_tokens),
             link=link,
-            compute_model=engine.compute_model,
-            quality_model=engine.llm.quality_model,
+            compute_model=backend.compute_model,
+            quality_model=backend.llm.quality_model,
             slo_s=slo_s,
         )
     )

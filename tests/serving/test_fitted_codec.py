@@ -155,7 +155,7 @@ def test_backends_sharing_a_codec_match_a_backend_on_a_fresh_fit(name, fresh_cod
     expected = digest(build_backend(spec, codec=fresh_codec))
     # Two pairs built on the process's one profile, run in build order and in reverse.
     first, second = build_backend(spec), build_backend(spec)
-    assert first.engine.encoder.codec is second.engine.encoder.codec is not fresh_codec
+    assert first.encoder.codec is second.encoder.codec is not fresh_codec
     assert [digest(first), digest(second)] == [expected, expected]
     first, second = build_backend(spec), build_backend(spec)
     assert [digest(second), digest(first)] == [expected, expected]
@@ -166,7 +166,7 @@ def test_backends_of_one_model_share_one_profile(fits, loads):
         ServingSpec(),
         ServingSpec(chunk_tokens=256, topology="cluster", num_nodes=2, slo_s=0.5),
     ]
-    first, second = (build_backend(spec).engine.encoder.codec for spec in specs)
+    first, second = (build_backend(spec).encoder.codec for spec in specs)
     assert first is second
     # The default key ships: one file read and no fit.
     assert loads == ["mistral-7b.npz"]
@@ -337,7 +337,7 @@ def test_nothing_reachable_from_a_codec_is_writable(fitted_codec):
     codec = fitted_codec()
     backend = build_backend(BASE, codec=codec)
     backend.ingest("doc", 320)  # fills the lazily computed log-probability tables
-    assert backend.engine.encoder.codec is codec
+    assert backend.encoder.codec is codec
     with pytest.raises(FrozenInstanceError):
         codec.model_name = "other"
     with pytest.raises(TypeError):

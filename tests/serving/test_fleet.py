@@ -402,8 +402,7 @@ class TestFleetSpec:
 
     def test_fleet_serves_on_a_default_spec(self, fitted_codec):
         backend = build_backend(ServingSpec(gpu_workers=2), codec=fitted_codec())
-        backend.submit(ServeRequest("never-ingested", "question?", num_tokens=640))
-        (response,) = backend.run()
+        (response,) = backend.run([ServeRequest("never-ingested", "question?", num_tokens=640)])
         assert response.ttft_s > 0
         assert backend.last_sim.pool.size == 2
 
@@ -419,8 +418,8 @@ class TestFleetSpec:
         spec = ServingSpec(concurrency=4, gpu_workers=2, dispatch_policy="sticky")
         backend = build_backend(spec)
         backend.ingest("ctx", 1_200)
-        for i in range(4):
-            backend.submit(
+        responses = backend.run(
+            [
                 ServeRequest(
                     "ctx",
                     "question?",
@@ -428,8 +427,9 @@ class TestFleetSpec:
                     num_tokens=1_200,
                     session_id=f"chat-{i % 2}",
                 )
-            )
-        responses = backend.run()
+                for i in range(4)
+            ]
+        )
         assert len(responses) == 4
         assert all(r.ttft_s > 0 for r in responses)
         sim = backend.last_sim

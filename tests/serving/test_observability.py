@@ -114,7 +114,7 @@ class TestNodeFailureObservability:
         # holds the context's only replica.
         scratch = build_backend(self.spec())
         scratch.ingest(self.CONTEXT, 640)
-        primary = scratch.engine.cluster.replicas_for(self.CONTEXT)[0]
+        primary = scratch.cluster.replicas_for(self.CONTEXT)[0]
         degraded = Driver(
             build_backend(self.spec()),
             list(reqs),

@@ -22,7 +22,7 @@ from unittest import mock
 import pytest
 
 from conftest import serve_one
-import repro.serving.engine
+import repro.serving.api.backends
 from repro.core import CacheGenDecoder
 from repro.faults import Corruption, FaultSchedule, ResiliencePolicy, RetryPolicy
 from repro.serving.api import Driver, ServeRequest, ServingSpec, build_backend
@@ -47,7 +47,7 @@ def _records(backend, requests):
     """Every resident stored record of the requests' contexts over all nodes
     and tiers, replicas once."""
     records = {}
-    for store in backend.engine.stores().values():
+    for store in backend.stores().values():
         for context_id in {request.context_id for request in requests}:
             if context_id in store:
                 record = store.peek_context(context_id)
@@ -75,8 +75,8 @@ def _stream(num_requests: int, num_contexts: int, prefix: str) -> list[ServeRequ
 
 
 def counting_evaluations():
-    """Spy on the engine's read scoring: ``.call_count`` inside the block."""
-    return mock.patch.object(repro.serving.engine, "distortion", side_effect=distortion)
+    """Spy on the backend's read scoring: ``.call_count`` inside the block."""
+    return mock.patch.object(repro.serving.api.backends, "distortion", side_effect=distortion)
 
 
 def _drive(backend, requests, **driver_kwargs):
@@ -90,24 +90,24 @@ def _drive(backend, requests, **driver_kwargs):
 
 
 class Oracle:
-    """Recomputes a response's generation without the engine's memo."""
+    """Recomputes a response's generation without the backend's memo."""
 
-    def __init__(self, engine) -> None:
-        self.engine = engine
-        self.decoder = CacheGenDecoder(engine.encoder)
+    def __init__(self, backend) -> None:
+        self.backend = backend
+        self.decoder = CacheGenDecoder(backend.encoder)
         self._contexts: dict[tuple[str, int], tuple] = {}
 
     def _context(self, context_id: str, num_tokens: int):
         key = (context_id, num_tokens)
         if key not in self._contexts:
-            reference = self.engine.llm.calculate_kv(context_id, num_tokens)
-            self._contexts[key] = reference, prepare_chunks(reference, self.engine.encoder)
+            reference = self.backend.llm.calculate_kv(context_id, num_tokens)
+            self._contexts[key] = reference, prepare_chunks(reference, self.backend.encoder)
         return self._contexts[key]
 
     def generation(self, request: ServeRequest, response):
         """``(from the statistics, from the tensors)`` generations of ``response``."""
         reference, chunks = self._context(request.context_id, request.num_tokens)
-        llm, configs = self.engine.llm, response.chunk_configs
+        llm, configs = self.backend.llm, response.chunk_configs
         if not response.used_kv_cache:
             assert configs == ["text"]
             # The lossless fallback is scored the long way too (a tensor diffed
@@ -183,7 +183,7 @@ def test_every_response_equals_its_recomputation(name, fitted_codec):
     requests = _stream(24, num_contexts=4, prefix=name)
     report, evaluations = _drive(backend, requests)
 
-    Oracle(backend.engine).check(requests, report.responses)
+    Oracle(backend).check(requests, report.responses)
 
     kv_served = [r for r in report.responses if r.used_kv_cache]
     assert kv_served, "the shape must exercise the KV path"
@@ -204,22 +204,21 @@ def test_text_fallback_needs_no_distortion_pass(fitted_codec):
     """Never-ingested contexts re-prefill from text: lossless, zero evaluations,
     and no KV cache computed to answer them."""
     backend = build_backend(replace(BASE, concurrency=4), codec=fitted_codec())
-    concurrent = backend
-    for i in range(3):
-        concurrent.submit(
-            ServeRequest("never-ingested", f"Question {i}?", 0.1 * i, num_tokens=320)
-        )
-    llm = backend.engine.llm
+    requests = [
+        ServeRequest("never-ingested", f"Question {i}?", 0.1 * i, num_tokens=320)
+        for i in range(3)
+    ]
+    llm = backend.llm
     with counting_evaluations() as calls, mock.patch.object(
         llm, "calculate_kv", side_effect=llm.calculate_kv
     ) as prefills:
-        responses = concurrent.run()
+        responses = backend.run(requests)
         single = serve_one(
             backend, ServeRequest("never-ingested", "Question 3?", num_tokens=320)
         )
     assert calls.call_count == 0 and prefills.call_count == 0
-    reference = backend.engine.llm.calculate_kv("never-ingested", 320)
-    expected = backend.engine.llm.generate_with_kv(reference, reference_kv=reference)
+    reference = backend.llm.calculate_kv("never-ingested", 320)
+    expected = backend.llm.generate_with_kv(reference, reference_kv=reference)
     for response in [*responses, single]:
         assert not response.used_kv_cache
         assert response.quality == expected.quality
@@ -231,9 +230,8 @@ class TestMemoLifetime:
 
     def test_reingest_starts_empty_and_hits_share_one_result(self, fitted_codec):
         backend = build_backend(replace(BASE, adaptive=False), codec=fitted_codec())
-        engine = backend.engine
-        engine.ingest("doc", 320)
-        (store,) = engine.stores().values()
+        backend.ingest("doc", 320)
+        (store,) = backend.stores().values()
         first_record = store.peek_context("doc")
         assert first_record.generations == {}
         with counting_evaluations() as calls:
@@ -246,7 +244,7 @@ class TestMemoLifetime:
         assert len(first_record.generations) == 2
 
         store.evict("doc")
-        engine.ingest("doc", 320)
+        backend.ingest("doc", 320)
         recreated = store.peek_context("doc")
         assert recreated is not first_record
         assert recreated.generations == {}
@@ -258,9 +256,9 @@ class TestMemoLifetime:
 
     def test_shared_generation_cannot_be_mutated(self, fitted_codec):
         backend = build_backend(replace(BASE, adaptive=False), codec=fitted_codec())
-        backend.engine.ingest("doc", 160)
+        backend.ingest("doc", 160)
         serve_one(backend, ServeRequest("doc", "a?"))
-        (store,) = backend.engine.stores().values()
+        (store,) = backend.stores().values()
         (generation,) = store.peek_context("doc").generations.values()
         with pytest.raises(AttributeError):
             generation.text = "tampered"
@@ -273,15 +271,14 @@ class TestMemoLifetime:
             max_bytes_per_node=30e6, cold_bytes_per_node=200e6,
         )
         backend = build_backend(spec, codec=fitted_codec())
-        frontend = backend.engine
-        store = frontend.cluster.nodes["node-0"].store
-        frontend.ingest("victim", 320)
+        store = backend.cluster.nodes["node-0"].store
+        backend.ingest("victim", 320)
         record = store.peek_context("victim")
         first = serve_one(backend, ServeRequest("victim", "a?"))
         assert first.used_kv_cache and len(record.generations) == 1
 
         for i in range(3):  # push the victim out of the hot tier
-            frontend.ingest(f"filler-{i}", 320)
+            backend.ingest(f"filler-{i}", 320)
         store.flush_demotions()
         assert store.tier_of("victim") == "cold"
         assert store.peek_context("victim") is record
@@ -319,7 +316,7 @@ class TestMemoLifetime:
         assert report.total_evictions > 0  # cold evictions: records really die
         assert report.ingests > len(set(ranks))  # ... and are created again
 
-        Oracle(backend.engine).check(requests, report.responses)
+        Oracle(backend).check(requests, report.responses)
         self._check_bounded(backend, requests, report.responses)
 
     def test_corruption_and_repair_then_oracle(self, fitted_codec):
@@ -335,13 +332,13 @@ class TestMemoLifetime:
         assert report.resilience.corruptions_detected == 1
         assert report.resilience.repairs_completed >= 1
 
-        Oracle(backend.engine).check(requests, report.responses)
+        Oracle(backend).check(requests, report.responses)
         self._check_bounded(backend, requests, report.responses)
         # Repair ships the surviving replica's record, memo and all: the
         # replicas of one ingest stay one object, scored once between them.
         replicas = [
             store.peek_context(hottest)
-            for store in backend.engine.stores().values()
+            for store in backend.stores().values()
             if hottest in store
         ]
         assert len(replicas) == 2 and replicas[0] is replicas[1]

@@ -191,7 +191,7 @@ class TestInvariantChecks:
         for spec, pick, message in cases:
             backend = build_backend(spec, codec=fitted_codec())
             Driver(backend, requests, simcheck=False).run()
-            store = next(iter(backend.engine.stores().values()))
+            store = next(iter(backend.stores().values()))
             if spec is tiered:
                 store.flush_demotions()
             assert check_store_capacity(backend) == []

@@ -48,29 +48,27 @@ def _reachable_arrays(root) -> dict[int, np.ndarray]:
 
 
 @pytest.mark.parametrize("topology", ["single", "cluster"])
-def test_no_record_or_engine_holds_a_token_sized_array(fitted_codec, topology):
+def test_no_record_or_backend_holds_a_token_sized_array(fitted_codec, topology):
     backend = build_backend(ServingSpec(chunk_tokens=256, topology=topology), codec=fitted_codec())
-    engine = backend.engine
-    before = _reachable_arrays(engine)
+    before = _reachable_arrays(backend)
     ingested = (("resident-a", 640), ("resident-b", 300))
     for context_id, num_tokens in ingested:
         backend.ingest(context_id, num_tokens)
-    backend.submit(ServeRequest("resident-a", "question?", num_tokens=640))
-    (response,) = backend.run()
+    (response,) = backend.run([ServeRequest("resident-a", "question?", num_tokens=640)])
     assert response.used_kv_cache
 
-    model = engine.model
+    model = backend.model
     # Scales are (layers, channels); statistics and bin sizes are per layer.
     per_layer = model.sim_layers * model.sim_channels
     # The codec scores its probability tables on first use: token-independent.
-    before.update(_reachable_arrays(engine.encoder.codec))
-    new = [a for key, a in _reachable_arrays(engine).items() if key not in before]
-    assert new, "the records must be reachable from the engine"
+    before.update(_reachable_arrays(backend.encoder.codec))
+    new = [a for key, a in _reachable_arrays(backend).items() if key not in before]
+    assert new, "the records must be reachable from the backend"
     assert max(a.size for a in new) <= per_layer, sorted({a.shape for a in new})
 
     records = [
         store.peek_context(context_id)
-        for store in engine.stores().values()
+        for store in backend.stores().values()
         for context_id, _ in ingested
         if context_id in store
     ]
@@ -87,10 +85,10 @@ def test_no_record_or_engine_holds_a_token_sized_array(fitted_codec, topology):
 def test_a_stored_estimated_encoding_refuses_to_decode(fitted_codec):
     backend = build_backend(ServingSpec(chunk_tokens=256), codec=fitted_codec())
     backend.ingest("no-source", 300)
-    (store,) = backend.engine.stores().values()
+    (store,) = backend.stores().values()
     encoded = store.peek_context("no-source").chunks[0].encodings["low"]
     with pytest.raises(ValueError, match="no source: it stores only sizes"):
-        CacheGenDecoder(backend.engine.encoder).decode(encoded)
+        CacheGenDecoder(backend.encoder).decode(encoded)
 
 
 def test_ingest_holds_its_kv_and_one_bounded_working_set():

@@ -79,7 +79,7 @@ class TestBurnRateAlerts:
     OBJECTIVE = SLOObjective("ttft", ttft_s=0.5, target=0.9)
     RULE = BurnRateRule("burn", long_s=2.0, short_s=1.0, max_burn_rate=8.0)
 
-    def engine(self):
+    def alert_engine(self):
         return AlertEngine([self.OBJECTIVE], rules=[self.RULE], detectors=())
 
     def test_fires_and_resolves_on_the_simulated_clock(self):
@@ -87,7 +87,7 @@ class TestBurnRateAlerts:
         # reaches 10 >= 8 once w2 and w3 are both bad -> fires at 4.0s, and
         # drops once w4 lands -> resolves at 5.0s.
         windows = build_windows([GOOD, GOOD, BAD, BAD, GOOD])
-        (alert,) = self.engine().evaluate(windows)
+        (alert,) = self.alert_engine().evaluate(windows)
         assert alert.kind == "burn-rate"
         assert alert.name == "ttft:burn"
         assert alert.fired_at_s == 4.0
@@ -96,7 +96,7 @@ class TestBurnRateAlerts:
 
     def test_still_active_alert_has_no_resolved_instant(self):
         windows = build_windows([GOOD, GOOD, BAD, BAD])
-        (alert,) = self.engine().evaluate(windows)
+        (alert,) = self.alert_engine().evaluate(windows)
         assert alert.fired_at_s == 4.0
         assert alert.resolved_at_s is None
 
@@ -104,20 +104,20 @@ class TestBurnRateAlerts:
         # A single bad window satisfies the short burn but the long
         # (2-window) burn is only 5 < 8, so nothing fires.
         windows = build_windows([GOOD, BAD, GOOD, GOOD])
-        assert self.engine().evaluate(windows) == []
+        assert self.alert_engine().evaluate(windows) == []
 
     def test_separate_episodes_become_separate_alerts(self):
         # At w0 only one window exists, so the clamped long burn already
         # reaches 10 -> the first episode fires at 1.0s.
         windows = build_windows([BAD, BAD, GOOD, GOOD, BAD, BAD, GOOD])
-        alerts = self.engine().evaluate(windows)
+        alerts = self.alert_engine().evaluate(windows)
         assert [a.fired_at_s for a in alerts] == [1.0, 6.0]
         assert [a.resolved_at_s for a in alerts] == [3.0, 7.0]
 
     def test_quiet_run_raises_no_alerts(self):
         windows = build_windows([GOOD, GOOD, GOOD])
-        assert self.engine().evaluate(windows) == []
-        assert self.engine().evaluate([]) == []
+        assert self.alert_engine().evaluate(windows) == []
+        assert self.alert_engine().evaluate([]) == []
 
 
 class TestDetectors:

@@ -159,7 +159,7 @@ class TestEndToEndEngine:
         """With an SLO and a mid-transfer bandwidth drop, the engine adapts."""
         trace = StepTrace(gbps(2), gbps(0.1), gbps(1), drop_at_s=0.1, recover_at_s=1.0)
         backend = build_backend(ServingSpec())
-        backend.engine.replace_link(NetworkLink(trace))
+        backend.replace_link(NetworkLink(trace))
         backend.ingest("doc", 3_000)
         response = serve_one(backend, ServeRequest("doc", "What is discussed?", slo_s=1.0))
         assert response.used_kv_cache
